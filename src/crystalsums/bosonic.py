@@ -15,8 +15,9 @@ from .cartan import (CartanData, WeylElement, cartan_data, generator_action,
 from .crystal import (FactorDescriptor, TensorWord, enumerate_paths,
                       letters_word, reflection_s, shape_elements,
                       string_stats, tensor_arrow, word_weight)
-from .energy import coenergy_D, direct_sum
-from .errors import InvolutionError, NonIntegralExponent, UnsupportedError
+from .energy import coenergy_D
+from .errors import (CapExceeded, InvolutionError, NonIntegralExponent,
+                     UnsupportedError)
 from .partitions import (conjugate, horizontal_strip_extensions,
                          is_horizontal_strip, part, superpartitions)
 from .qpoly import QLaurent, ZERO, q_power, qbinomial, qmultinomial
@@ -165,17 +166,14 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     kind, n = shape[0].kind, shape[0].n
     if kind == "C":
         return supernomial_C_boxes(n, len(shape), tuple(weight))
-    if any(x < 0 for x in weight):
-        return ZERO
     if all(d.s == 1 for d in shape):
         mu = tuple(sorted((d.r for d in shape), reverse=True))
         return supernomial_A_columns(n, mu, tuple(weight))
     if all(d.r == 1 for d in shape):
         mu = tuple(sorted((d.s for d in shape), reverse=True))
         return supernomial_A_rows(n, mu, tuple(weight))
-    if sum(weight) != sum(d.boxes for d in shape):
-        return ZERO
-    return direct_sum(shape, tuple(weight), "none", "coenergy")
+    raise UnsupportedError(
+        "no supernomial closed form for mixed row and column shapes")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +232,9 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
         out = out + contrib
         if max(abs(x) for x in beta) == outermost:
             ring_contribution = ring_contribution + contrib
-    assert ring_contribution.is_zero(), \
-        "translation lattice window too small: outer ring contributes"
+    if not ring_contribution.is_zero():
+        raise CapExceeded(
+            "translation lattice window too small: outer ring contributes")
     return out
 
 
@@ -285,8 +284,7 @@ def _select_color(w: TensorWord, level: int | None) -> int | None:
 
 
 def _phi_move(w: TensorWord, i: int, level: int | None) -> TensorWord:
-    if i == 0:
-        assert level is not None
+    if i == 0:  # selected only in level mode
         b = w
         for _ in range(level + 1):
             b = tensor_arrow(b, 0, "e")
@@ -407,7 +405,9 @@ def _level_pairs(shape: Shape, lam: tuple[int, ...], level: int):
         v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
         reached, el = _affine_reduce(v, c)
         if reached == target:
-            assert _affine_apply(el, v) == target
+            if _affine_apply(el, v) != target:
+                raise InvolutionError(
+                    f"alcove walk element does not map {v} to {target}")
             pairs.append((el, b))
     return data, c, pairs
 

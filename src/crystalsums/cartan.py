@@ -25,7 +25,6 @@ class CartanData:
     simple_roots: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]            # t_a = 2 / (alpha_a | alpha_a)
     rho: tuple[int, ...]
-    fundamental_weights: tuple[tuple[int, ...], ...]
     h_dual: int
     a0: int
 
@@ -38,10 +37,9 @@ class CartanData:
         return Fraction(dot, 2) if self.kind == "C" else Fraction(dot)
 
     def coroot_pairing(self, a: int, v: tuple[int, ...]) -> int:
-        """<h_a, v> = t_a (alpha_a | v); always an integer."""
-        val = self.t[a - 1] * self.pairing(self.simple_roots[a - 1], v)
-        assert val.denominator == 1
-        return int(val)
+        """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
+        denominator 2 meets t_a = 2 or the long root's even coordinate."""
+        return int(self.t[a - 1] * self.pairing(self.simple_roots[a - 1], v))
 
 
 @cache
@@ -53,8 +51,6 @@ def cartan_data(kind: str, n: int) -> CartanData:
         roots = tuple(
             tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(dim))
             for i in range(n))
-        fund = tuple(tuple(1 if j <= i else 0 for j in range(dim))
-                     for i in range(n))
         rho = tuple(range(n, -1, -1))
         t = (1,) * n
     elif kind == "C":
@@ -65,13 +61,11 @@ def cartan_data(kind: str, n: int) -> CartanData:
                                for j in range(dim)))
         roots.append(tuple(2 if j == n - 1 else 0 for j in range(dim)))
         roots = tuple(roots)
-        fund = tuple(tuple(1 if j <= i else 0 for j in range(dim))
-                     for i in range(n))
         rho = tuple(range(n, 0, -1))
         t = (2,) * (n - 1) + (1,)
     else:
         raise ValueError(f"unsupported type {kind!r}")
-    return CartanData(kind, n, roots, t, rho, fund, h_dual=n + 1, a0=1)
+    return CartanData(kind, n, roots, t, rho, h_dual=n + 1, a0=1)
 
 
 # A Weyl group element acts on coordinates as a signed permutation.  The
@@ -138,17 +132,7 @@ def weyl_enumerate(data: CartanData, rank_cap: int = WEYL_RANK_CAP) -> list[Weyl
                     seen[new] = w
                     nxt.append(w)
         frontier = nxt
-    order = (_factorial(data.n + 1) if data.kind == "A"
-             else 2 ** data.n * _factorial(data.n))
-    assert len(seen) == order
     return list(seen.values())
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def apply_simple_reflection(data: CartanData, i: int, v: tuple[int, ...],
@@ -179,7 +163,7 @@ def translation_lattice_box(data: CartanData, level: int,
 
     Includes every alpha in M whose coordinates stay within
     ceil(coordinate_bound / (level + h_dual)) plus one safety ring; the
-    caller asserts the outermost ring contributes zero.
+    caller checks that the outermost ring contributes zero.
     """
     if coordinate_bound < 0:
         raise ValueError("coordinate bound must be nonnegative")
@@ -194,18 +178,3 @@ def translation_lattice_box(data: CartanData, level: int,
     rng = range(-2 * half, 2 * half + 1, 2)
     return [beta for beta in iproduct(rng, repeat=data.n)]
 
-
-def dominant_weight_of_partition(data: CartanData, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Partition -> ambient dominant weight (identity on coordinates, padded)."""
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or \
-            (lam and lam[-1] < 0):
-        raise ValueError(f"{lam} is not a partition")
-    if len(lam) > data.dim:
-        raise ValueError("partition has too many parts for the rank")
-    return tuple(lam) + (0,) * (data.dim - len(lam))
-
-
-def partition_of_dominant_weight(data: CartanData, w: tuple[int, ...]) -> tuple[int, ...]:
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)) or w[-1] < 0:
-        raise ValueError(f"{w} is not dominant")
-    return tuple(w)

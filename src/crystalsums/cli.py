@@ -16,7 +16,7 @@ from . import bosonic, energy, fermionic, hardhex
 from .cartan import cartan_data
 from .crystal import FactorDescriptor
 from .errors import CapExceeded, CrystalSumsError, UnsupportedError
-from .qpoly import QLaurent, invert_q
+from .qpoly import QLaurent, ZERO, invert_q
 
 Shape = tuple[FactorDescriptor, ...]
 
@@ -75,46 +75,115 @@ def _emit_poly(p: QLaurent, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # sum
 
+def _fermionic_sum(shape: Shape, weight: tuple[int, ...], level: int | None,
+                   mode: str) -> QLaurent:
+    """Closed forms (mode closed_form) or rigged configurations (rc_sum);
+    ``level`` None means the classical restriction."""
+    kind, n = shape[0].kind, shape[0].n
+    L, det = fermionic.shape_L(shape)
+    lam = tuple(x - det for x in weight)
+    if any(x < 0 for x in lam):
+        return ZERO  # every determinant column fills each coordinate once
+    if level is None:
+        if mode == "closed_form":
+            return fermionic.closed_form_F(cartan_data(kind, n), L, lam)
+        return fermionic.rc_generating_function(kind, n, L, lam)
+    if kind == "A":
+        return fermionic.level_restricted_A(n, L, lam, level, mode)
+    cols = {a: m for (a, _), m in L.items()}
+    return fermionic.level_restricted_C(n, cols, lam, level, mode)
+
+
+# (restriction, method) -> (shapes covered, evaluator).  Every evaluator
+# takes (shape, weight, level) and returns the coenergy-graded sum.
+_EVALUATORS = {
+    ("none", "direct"): ("type A", lambda s, w, lv:
+                         energy.direct_sum(s, w, "none")),
+    ("none", "bosonic"): ("rows or columns", lambda s, w, lv:
+                          bosonic.supernomial(s, w)),
+    ("classical", "direct"): ("type A", lambda s, w, lv:
+                              energy.direct_sum(s, w, "classical")),
+    ("classical", "bosonic"): ("rows or columns", lambda s, w, lv:
+                               bosonic.bosonic_classical(s, w)),
+    ("classical", "fermionic"): ("all", lambda s, w, lv:
+                                 _fermionic_sum(s, w, None, "closed_form")),
+    ("classical", "rc"): ("all", lambda s, w, lv:
+                          _fermionic_sum(s, w, None, "rc_sum")),
+    ("level", "direct"): ("type A", lambda s, w, lv:
+                          energy.direct_sum(s, w, "level", "coenergy", lv)),
+    ("level", "bosonic"): ("rows or columns", lambda s, w, lv:
+                           bosonic.bosonic_level(s, w, lv)),
+    ("level", "fermionic"): ("all", lambda s, w, lv:
+                             _fermionic_sum(s, w, lv, "closed_form")),
+    ("level", "rc"): ("all", lambda s, w, lv:
+                      _fermionic_sum(s, w, lv, "rc_sum")),
+}
+
+
+def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
+                           restriction: str, level: int | None) -> bool:
+    """No path has this weight, or the restriction admits none."""
+    kind = shape[0].kind
+    boxes = sum(d.boxes for d in shape)
+    if kind == "A":
+        if sum(weight) != boxes or min(weight) < 0:
+            return True
+        weight_level = weight[0] - weight[-1]
+    else:
+        norm = sum(abs(x) for x in weight)
+        if norm > boxes or (boxes - norm) % 2:
+            return True
+        weight_level = weight[0]
+    if restriction == "none":
+        return False
+    if any(a < b for a, b in zip(weight, weight[1:])) \
+            or (kind == "C" and weight[-1] < 0):
+        return True  # not dominant
+    return restriction == "level" and weight_level > level
+
+
 def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
                 method: str, statistic: str, level: int | None) -> QLaurent:
-    kind = shape[0].kind
-    n = shape[0].n
-    if restriction == "level" and level is None:
+    """The configuration sum by one method; the only way from (restriction,
+    method) to an evaluator.
+
+    Input is checked once, in this order: malformed input raises
+    ShapeSyntaxError, a combination no evaluator covers raises
+    UnsupportedError, and a sum that vanishes by definition is ZERO for
+    every method."""
+    if not shape:
+        raise ShapeSyntaxError("empty shape")
+    kind, n = shape[0].kind, shape[0].n
+    if any((d.kind, d.n) != (kind, n) for d in shape):
+        raise ShapeSyntaxError("shape mixes types or ranks")
+    dim = n + 1 if kind == "A" else n
+    if len(weight) != dim:
+        raise ShapeSyntaxError(f"weight {weight} needs {dim} coordinates")
+    if level is not None and level < 0:
+        raise ShapeSyntaxError(f"level {level} is negative")
+    if statistic not in ("energy", "coenergy"):
+        raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
+
+    entry = _EVALUATORS.get((restriction, method))
+    if entry is None:
+        raise UnsupportedError(
+            f"method {method!r} does not compute {restriction!r} sums")
+    covers, evaluate = entry
+    if covers == "type A" and kind != "A":
+        raise UnsupportedError("type C has no affine arrows: no direct route")
+    if covers == "rows or columns" and any(d.r > 1 for d in shape) \
+            and any(d.s > 1 for d in shape):
+        raise UnsupportedError("bosonic sums need all rows or all columns")
+    if restriction != "level":
+        level = None
+    elif level is None:
         raise UnsupportedError("--restrict level needs --level")
+    elif any(d.s > level for d in shape):
+        raise UnsupportedError(f"a factor is wider than the level {level}")
 
-    if method == "direct":
-        return energy.direct_sum(shape, weight, restriction, statistic, level)
-
-    # the remaining methods produce the coenergy grading natively
-    if method == "bosonic":
-        if restriction == "none":
-            out = bosonic.supernomial(shape, weight)
-        elif restriction == "classical":
-            out = bosonic.bosonic_classical(shape, weight)
-        else:
-            out = bosonic.bosonic_level(shape, weight, level)
-    elif method in ("fermionic", "rc"):
-        L, det = fermionic.shape_L(shape)
-        lam = tuple(x - det for x in weight)
-        if restriction == "classical":
-            if any(x < 0 for x in lam):
-                return QLaurent()
-            if method == "fermionic":
-                out = fermionic.closed_form_F(cartan_data(kind, n), L, lam)
-            else:
-                out = fermionic.rc_generating_function(kind, n, L, lam)
-        elif restriction == "level":
-            mode = "closed_form" if method == "fermionic" else "rc_sum"
-            if kind == "A":
-                out = fermionic.level_restricted_A(n, L, lam, level, mode)
-            else:
-                cols = {a: m for (a, _), m in L.items()}
-                out = fermionic.level_restricted_C(n, cols, lam, level, mode)
-        else:
-            raise UnsupportedError(
-                f"method {method} needs a classical or level restriction")
-    else:
-        raise UnsupportedError(f"unknown method {method!r}")
+    if _is_zero_by_definition(shape, weight, restriction, level):
+        return ZERO
+    out = evaluate(shape, tuple(weight), level)
     return invert_q(out) if statistic == "energy" else out
 
 
@@ -187,60 +256,44 @@ def _instances(suite: str, n: int, max_L: int, level: int):
         raise UnsupportedError(f"unknown suite {suite!r}")
 
 
+# suite -> (type, restriction, (report key, method) pairs): the suites that
+# compare compute_sum routes on homogeneous B^{1,1} shapes
+_SUITE_METHODS = {
+    "typeA": ("A", "classical", (("direct", "direct"), ("bosonic", "bosonic"),
+                                 ("fermionic", "fermionic"), ("rc", "rc"))),
+    "typeC": ("C", "classical", (("bosonic", "bosonic"),
+                                 ("fermionic", "fermionic"), ("rc", "rc"))),
+    "level": ("A", "level", (("direct", "direct"), ("bosonic", "bosonic"),
+                             ("rc", "rc"), ("closed", "fermionic"))),
+}
+
+
 def run_instance(inst: tuple) -> dict:
     t0 = time.perf_counter()
-    kind = inst[0]
-    values: dict[str, str] = {}
-    if kind == "rr":
+    suite = inst[0]
+    if suite == "rr":
         _, L, primed = inst
-        polys = {m: hardhex.hh_X(L, m, primed)
-                 for m in ("enumerate", "recurrence", "fermionic", "bosonic")}
-        values = {m: p.to_json() for m, p in polys.items()}
-        agree = len({p for p in values.values()}) == 1
+        values = {m: hardhex.hh_X(L, m, primed).to_json()
+                  for m in ("enumerate", "recurrence", "fermionic", "bosonic")}
+        agree = len(set(values.values())) == 1
         desc = {"L": L, "primed": primed}
-    elif kind == "typeA":
-        _, n, L, lam = inst
-        shape = tuple(FactorDescriptor("A", n) for _ in range(L))
-        Lmap = {(1, 1): L}
-        polys = {
-            "direct": energy.direct_sum(shape, lam, "classical", "coenergy"),
-            "bosonic": bosonic.bosonic_classical(shape, lam),
-            "fermionic": fermionic.closed_form_F(cartan_data("A", n), Lmap, lam),
-            "rc": fermionic.rc_generating_function("A", n, Lmap, lam),
-        }
-        values = {m: p.to_json() for m, p in polys.items()}
-        agree = len(set(values.values())) == 1
+    elif suite in _SUITE_METHODS:
+        kind, restriction, methods = _SUITE_METHODS[suite]
+        n, L, lam = inst[1:4]
+        ell = inst[4] if restriction == "level" else None
+        shape = (FactorDescriptor(kind, n),) * L
+        values = {key: compute_sum(shape, lam, restriction, method,
+                                   "coenergy", ell).to_json()
+                  for key, method in methods}
         desc = {"n": n, "L": L, "weight": list(lam)}
-    elif kind == "typeC":
-        _, n, L, lam = inst
-        shape = tuple(FactorDescriptor("C", n) for _ in range(L))
-        Lmap = {(1, 1): L}
-        polys = {
-            "bosonic": bosonic.bosonic_classical(shape, lam),
-            "fermionic": fermionic.closed_form_F(cartan_data("C", n), Lmap, lam),
-            "rc": fermionic.rc_generating_function("C", n, Lmap, lam),
-        }
-        values = {m: p.to_json() for m, p in polys.items()}
+        if ell is not None:
+            data, Lmap = cartan_data(kind, n), {(1, 1): L}
+            if lam == fermionic.vacuum_weight(data, Lmap):
+                values["vacuum"] = fermionic.closed_form_F_level(
+                    data, Lmap, ell).to_json()
+            desc["level"] = ell
         agree = len(set(values.values())) == 1
-        desc = {"n": n, "L": L, "weight": list(lam)}
-    elif kind == "level":
-        _, n, L, lam, ell = inst
-        shape = tuple(FactorDescriptor("A", n) for _ in range(L))
-        Lmap = {(1, 1): L}
-        polys = {
-            "direct": energy.direct_sum(shape, lam, "level", "coenergy", ell),
-            "bosonic": bosonic.bosonic_level(shape, lam, ell),
-            "rc": fermionic.level_restricted_A(n, Lmap, lam, ell, "rc_sum"),
-            "closed": fermionic.level_restricted_A(n, Lmap, lam, ell,
-                                                   "closed_form"),
-        }
-        if lam == fermionic.vacuum_weight(cartan_data("A", n), Lmap):
-            polys["vacuum"] = fermionic.closed_form_F_level(
-                cartan_data("A", n), Lmap, ell)
-        values = {m: p.to_json() for m, p in polys.items()}
-        agree = len(set(values.values())) == 1
-        desc = {"n": n, "L": L, "weight": list(lam), "level": ell}
-    elif kind == "involution":
+    elif suite == "involution":
         _, k, n, L, lam, ell = inst
         shape = tuple(FactorDescriptor(k, n) for _ in range(L))
         mode = "classical" if ell is None else "level"
@@ -249,8 +302,8 @@ def run_instance(inst: tuple) -> dict:
         values = {"size": str(rep.size), "fixed": str(rep.fixed_points)}
         desc = {"kind": k, "n": n, "L": L, "weight": list(lam), "level": ell}
     else:
-        raise UnsupportedError(kind)
-    return {"suite": kind, "instance": desc, "values": values,
+        raise UnsupportedError(suite)
+    return {"suite": suite, "instance": desc, "values": values,
             "agree": agree, "ms": round(1000 * (time.perf_counter() - t0), 3)}
 
 
@@ -317,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--config", help="JSON file with flag defaults")
-    common.add_argument("--cap", type=int, default=None,
-                        help="override the enumeration caps")
 
     p_sum = sub.add_parser("sum", parents=[common],
                            help="one configuration sum")
     p_sum.add_argument("shape", help="e.g. A:2;1,1*4 or C:2;1,1*3")
-    p_sum.add_argument("--weight", required=True)
+    p_sum.add_argument("--weight", required=True,
+                       help="comma-separated coordinates; write a leading "
+                            "minus as --weight=-1,0")
     p_sum.add_argument("--restrict", choices=("none", "classical", "level"),
                        default="none")
     p_sum.add_argument("--level", type=int, default=None)
@@ -365,8 +418,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, args._defaults)
-        if getattr(args, "cap", None):
-            _override_caps(args.cap)
         return args.func(args)
     except ShapeSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,16 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (UnsupportedError, CrystalSumsError) as exc:
+    except CrystalSumsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-def _override_caps(cap: int) -> None:
-    from . import crystal as _crystal
-    _crystal.VERTEX_CAP = cap
-    fermionic.RC_CAP = cap
-    hardhex.ENUMERATE_CAP = cap
 
 
 if __name__ == "__main__":

@@ -299,7 +299,8 @@ def word(factors: tuple[Factor, ...], kind: str | None = None,
          n: int | None = None) -> TensorWord:
     if factors:
         kind, n = factors[0].desc.kind, factors[0].desc.n
-        assert all(x.desc.kind == kind and x.desc.n == n for x in factors)
+        if any((x.desc.kind, x.desc.n) != (kind, n) for x in factors):
+            raise UnsupportedError("a word cannot mix types or ranks")
     elif kind is None or n is None:
         raise ValueError("empty word needs an explicit kind and rank")
     return TensorWord(kind, n, tuple(factors))
@@ -337,32 +338,13 @@ def tensor_arrow(w: TensorWord, i: int, direction: str) -> TensorWord | None:
     return TensorWord(w.kind, w.n, w.factors[:j] + (y,) + w.factors[j + 1:])
 
 
-def word_e(w: TensorWord, i: int) -> TensorWord | None:
-    return tensor_arrow(w, i, "e")
-
-
-def word_f(w: TensorWord, i: int) -> TensorWord | None:
-    return tensor_arrow(w, i, "f")
-
-
-def affine_arrow_A(w: TensorWord, direction: str) -> TensorWord | None:
-    if w.kind != "A":
-        raise UnsupportedError("affine arrows are type A only")
-    return tensor_arrow(w, 0, direction)
-
-
 def reflection_s(w: TensorWord, i: int) -> TensorWord:
     """The crystal reflection s_i: slide to the far end of the i-string."""
     eps, phi = string_stats(w, i)
-    out = w
-    if phi > eps:
-        for _ in range(phi - eps):
-            out = tensor_arrow(out, i, "f")
-    elif eps > phi:
-        for _ in range(eps - phi):
-            out = tensor_arrow(out, i, "e")
-    assert out is not None
-    return out
+    direction = "f" if phi > eps else "e"
+    for _ in range(abs(phi - eps)):  # within the string: phi f's, eps e's
+        w = tensor_arrow(w, i, direction)
+    return w
 
 
 def coroot_weight_pairing(w: TensorWord, i: int) -> int:
@@ -486,9 +468,5 @@ def crystal_level(shape: tuple[FactorDescriptor, ...],
     if not shape or shape[0].kind != "A":
         raise UnsupportedError("crystal level needs type A affine arrows")
     n = shape[0].n
-    best = None
-    for w in shape_elements(shape, cap):
-        v = sum(string_stats(w, i)[0] for i in range(0, n + 1))
-        best = v if best is None else min(best, v)
-    assert best is not None
-    return best
+    return min(sum(string_stats(w, i)[0] for i in range(0, n + 1))
+               for w in shape_elements(shape, cap))

@@ -22,14 +22,14 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .cartan import CartanData, cartan_data
-from .errors import CapExceeded, CrystalSumsError, UnsupportedError
+from .errors import (CapExceeded, CrystalSumsError, NonIntegralExponent,
+                     UnsupportedError)
 from .partitions import (conjugate, num_parts_of_size, part, partitions_in_box,
                          partitions_of, q_columns)
 from .qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
 
 LMap = dict[tuple[int, int], int]
 RC_CAP = 10 ** 6
-CST_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,12 @@ def _occupied(nu) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # vacancy numbers and charges, both routes
 
+def _integral(x: Fraction, what: str) -> int:
+    if x.denominator != 1:
+        raise NonIntegralExponent(f"{what} {x} is not an integer")
+    return int(x)
+
+
 def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> Fraction:
     """P_i^(a)(nu) from column counts, at the actual part size i."""
     n = data.n
@@ -100,8 +106,7 @@ def _generic_m(data: CartanData, nu) -> list[dict[int, int]]:
     for a, row in enumerate(nu, start=1):
         scale = 2 if data.kind == "C" and a == data.n else 1
         d: dict[int, int] = {}
-        for p in row:
-            assert p % scale == 0
+        for p in row:  # long-row parts are even (_nu_choices)
             d[p // scale] = d.get(p // scale, 0) + 1
         out.append(d)
     return out
@@ -137,9 +142,7 @@ def _cc_generic(data: CartanData, gm) -> int:
                 for k, mk in gm[b - 1].items():
                     acc += pair * min(data.t[b - 1] * j,
                                       data.t[a - 1] * k) * mj * mk
-    acc /= 2
-    assert acc.denominator == 1, "charge came out fractional"
-    return int(acc)
+    return _integral(acc / 2, "charge")
 
 
 def cc_shape(kind: str, n: int, nu) -> int:
@@ -155,8 +158,7 @@ def cc_shape(kind: str, n: int, nu) -> int:
                 acc += Fraction(ai * ai, 2)
             else:
                 acc += ai * (ai - up)
-    assert acc.denominator == 1, "type C column parity violated"
-    return int(acc)
+    return _integral(acc, "type C charge")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +219,8 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
             if p < 0:
                 ok = False
                 break
-            assert p.denominator == 1
-            boxes.append(((a, i), partitions_in_box(m, int(p))))
+            p = _integral(p, "vacancy")
+            boxes.append(((a, i), partitions_in_box(m, p)))
         if not ok:
             continue
         count = 1
@@ -244,10 +246,9 @@ def theta(rc: RiggedConfiguration, L: LMap) -> RiggedConfiguration:
     new = []
     for (a, i), J in rc.riggings:
         m = num_parts_of_size(rc.nu[a - 1], i)
-        p = vacancy(data, L, rc.nu, a, i)
-        assert p.denominator == 1
+        p = _integral(vacancy(data, L, rc.nu, a, i), "vacancy")
         padded = list(J) + [0] * (m - len(J))
-        comp = tuple(x for x in sorted((int(p) - x for x in padded),
+        comp = tuple(x for x in sorted((p - x for x in padded),
                                        reverse=True) if x > 0)
         new.append(((a, i), comp))
     return RiggedConfiguration(rc.kind, rc.n, rc.nu, tuple(new))
@@ -291,9 +292,8 @@ def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
         poly = q_power(_cc_generic(data, gm))
         for a in range(1, data.n + 1):
             for i, m in gm[a - 1].items():
-                p = _vacancy_generic(data, L, gm, a, i)
-                assert p.denominator == 1
-                poly = poly * qbinomial(int(p), m)
+                p = _integral(_vacancy_generic(data, L, gm, a, i), "vacancy")
+                poly = poly * qbinomial(p, m)
                 if poly.is_zero():
                     break
             if poly.is_zero():
@@ -338,9 +338,9 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
         gm = _generic_m(data, nu)
         poly = q_power(_cc_generic(data, gm))
         for a, i in grid:
-            p = _vacancy_generic(data, L, gm, a, i, grid=level)
-            assert p.denominator == 1
-            poly = poly * qbinomial(int(p), gm[a - 1].get(i, 0))
+            p = _integral(_vacancy_generic(data, L, gm, a, i, grid=level),
+                          "vacancy")
+            poly = poly * qbinomial(p, gm[a - 1].get(i, 0))
             if poly.is_zero():
                 break
         out = out + poly
@@ -384,9 +384,34 @@ def _column(t, a: int) -> list[int]:
     return [row[a - 1] for row in t if len(row) >= a]
 
 
-def _nonempty_subsets(items):
-    for mask in range(1, 1 << len(items)):
-        yield [items[k] for k in range(len(items)) if mask >> k & 1]
+def _signed_minima(vectors) -> dict[tuple, int]:
+    """Inclusion-exclusion over the nonempty subsets S of ``vectors``: the
+    signs (-1)^(|S|+1), summed by the coordinatewise minimum of S.  The
+    closed forms see a subset only through that minimum, so this stands in
+    for the sum over all 2^len(vectors) subsets."""
+    acc: dict[tuple, int] = {}
+    for v in vectors:
+        nxt = dict(acc)
+        for u, k in acc.items():
+            m = tuple(map(min, u, v))
+            nxt[m] = nxt.get(m, 0) - k
+        nxt[v] = nxt.get(v, 0) + 1
+        acc = {u: k for u, k in nxt.items() if k}
+    return acc
+
+
+def _closed_form_terms(charge: int, vacancies, mults, minima) -> QLaurent:
+    """q^charge times the product over the level grid of the 1/q-binomials
+    [P + correction, m], summed over the signed tableau minima."""
+    out = ZERO
+    for corr, k in minima.items():
+        poly = q_power(charge, k)
+        for p, m, d in zip(vacancies, mults, corr):
+            poly = poly * invert_q(qbinomial(_floor(p + d), m))
+            if poly.is_zero():
+                break
+        out = out + poly
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +440,8 @@ def level_restricted_A(n: int, L: LMap, lam: tuple[int, ...], level: int,
     numbers dominate all riggings (and stay nonnegative on the grid).
 
     closed_form: the inclusion-exclusion over nonempty tableau subsets with
-    1/q-binomials.  The modes must agree.
+    1/q-binomials, collected by the subsets' minimal corrections.  The
+    modes must agree.
     """
     data = cartan_data("A", n)
     if len(lam) != n + 1:
@@ -442,33 +468,19 @@ def level_restricted_A(n: int, L: LMap, lam: tuple[int, ...], level: int,
 
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    if len(tableaux) > CST_CAP:
-        raise CapExceeded(
-            f"{len(tableaux)} tableaux: the subset sum is exponential, "
-            "use rc_sum")
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
+    minima = _signed_minima([tuple(_corr_A(n, lam, level, t, a, i)
+                                   for a, i in grid) for t in tableaux])
     out = ZERO
-    for subset in _nonempty_subsets(tableaux):
-        sign = 1 if len(subset) % 2 else -1
-        for nu in _nu_choices(data, sizes, max_part=level):
-            gm = _generic_m(data, nu)
-            c = _cc_generic(data, gm)
-            for a, i in grid:
-                m = gm[a - 1].get(i, 0)
-                if m:
-                    p = _vacancy_generic(data, L, gm, a, i, grid=level)
-                    c += int(p) * m
-            poly = q_power(c)
-            for a, i in grid:
-                m = gm[a - 1].get(i, 0)
-                p = int(_vacancy_generic(data, L, gm, a, i, grid=level))
-                ps = p + min(_corr_A(n, lam, level, t, a, i) for t in subset)
-                poly = poly * invert_q(qbinomial(ps, m))
-                if poly.is_zero():
-                    break
-            out = out + (poly if sign > 0 else -poly)
+    for nu in _nu_choices(data, sizes, max_part=level):
+        gm = _generic_m(data, nu)
+        mults = [gm[a - 1].get(i, 0) for a, i in grid]
+        ps = [int(_vacancy_generic(data, L, gm, a, i, grid=level))
+              for a, i in grid]
+        c = _cc_generic(data, gm) + sum(p * m for p, m in zip(ps, mults))
+        out = out + _closed_form_terms(c, ps, mults, minima)
     return out
 
 
@@ -514,7 +526,8 @@ def _f_corr_C(n: int, lamC: tuple[int, ...], level: int, t,
 
     def count(col: int) -> int:
         entries = _column(t, col)
-        assert len(entries) == height(col)
+        if len(entries) != height(col):
+            raise UnsupportedError(f"weight {lamC} is not dominant")
         return sum(1 for e in entries if i >= shift + e)
 
     return -count(a) + count(a + 1)
@@ -535,12 +548,11 @@ def level_restricted_C(n: int, columns: dict[int, int], lamC: tuple[int, ...],
                              2 * (lamC[0] if lamC else 0))
     grid = _generic_grid(data, level)
 
-    def modified(nu, t, a: int, i: int) -> Fraction:
-        p = vacancy(data, L, nu, a, i)
+    def correction(t, a: int, i: int) -> Fraction:
         if a < n:
-            return p + min(_f_corr_C(n, lamC, level, t, a, i),
-                           _f_corr_C(n, lamC, level, t, 2 * n - a, i))
-        return p + Fraction(_f_corr_C(n, lamC, level, t, n, i), 2)
+            return Fraction(min(_f_corr_C(n, lamC, level, t, a, i),
+                                _f_corr_C(n, lamC, level, t, 2 * n - a, i)))
+        return Fraction(_f_corr_C(n, lamC, level, t, n, i), 2)
 
     if mode == "rc_sum":
         out = ZERO
@@ -548,37 +560,28 @@ def level_restricted_C(n: int, columns: dict[int, int], lamC: tuple[int, ...],
             if any(row and row[0] > 2 * level for row in rc.nu):
                 continue
             if _admits_tableau(rc, tableaux, grid,
-                               lambda t, a, i: modified(rc.nu, t, a, i)):
+                               lambda t, a, i: vacancy(data, L, rc.nu, a, i)
+                               + correction(t, a, i)):
                 out = out + q_power(cc_theta(rc, L))
         return out
 
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    if len(tableaux) > CST_CAP:
-        raise CapExceeded(
-            f"{len(tableaux)} tableaux: the subset sum is exponential, "
-            "use rc_sum")
     sizes = config_sizes(data, L, lamC)
     if sizes is None:
         return ZERO
+    sites = [(a, 2 * i if a == n else i) for a, i in grid]
+    minima = _signed_minima([tuple(correction(t, a, site) for a, site in sites)
+                             for t in tableaux])
     out = ZERO
-    for subset in _nonempty_subsets(tableaux):
-        sign = 1 if len(subset) % 2 else -1
-        for nu in _nu_choices(data, sizes, max_part=2 * level):
-            c = Fraction(cc_shape("C", n, nu))
-            for a, i, m in _occupied(nu):
-                c += vacancy(data, L, nu, a, i) * m
-            assert c.denominator == 1
-            poly = q_power(int(c))
-            for a, i in grid:
-                scale = 2 if a == n else 1
-                site = scale * i
-                m = num_parts_of_size(nu[a - 1], site)
-                ps = min(modified(nu, t, a, site) for t in subset)
-                poly = poly * invert_q(qbinomial(_floor(ps), m))
-                if poly.is_zero():
-                    break
-            out = out + (poly if sign > 0 else -poly)
+    for nu in _nu_choices(data, sizes, max_part=2 * level):
+        c = Fraction(cc_shape("C", n, nu))
+        for a, i, m in _occupied(nu):
+            c += vacancy(data, L, nu, a, i) * m
+        mults = [num_parts_of_size(nu[a - 1], site) for a, site in sites]
+        ps = [vacancy(data, L, nu, a, site) for a, site in sites]
+        out = out + _closed_form_terms(_integral(c, "charge"), ps, mults,
+                                       minima)
     return out
 
 

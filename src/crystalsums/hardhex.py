@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, UnsupportedError
 from .qpoly import (ONE, QLaurent, TruncatedSeries, ZERO, q_power, qbinomial,
                     truncated_product)
 
 ENUMERATE_CAP = 24
 SERIES_CAP = 200
+STRIP_CAP = 20
 
 
 def hh_paths(L: int, primed: bool = False):
@@ -74,26 +75,24 @@ def _x_fermionic(L: int, primed: bool) -> QLaurent:
 
 def bosonic_term(L: int, j: int, primed: bool = False) -> QLaurent:
     """One summand of the alternating-sum evaluation (without the sign)."""
+    # j(5j+1) and j(5j+3) are always even
     if primed:
-        expo = j * (5 * j + 3) // 2 if (j * (5 * j + 3)) % 2 == 0 else None
+        expo = j * (5 * j + 3) // 2
         k = (L - 5 * j - 1) // 2
     else:
-        expo = j * (5 * j + 1) // 2 if (j * (5 * j + 1)) % 2 == 0 else None
+        expo = j * (5 * j + 1) // 2
         k = (L - 5 * j) // 2
-    assert expo is not None  # j(5j+1) and j(5j+3) are always even
     return q_power(expo) * qbinomial(L - k, k)
 
 
 def _x_bosonic(L: int, primed: bool) -> QLaurent:
     out = ZERO
-    j = -(L + 5) // 5 - 1
-    top = (L + 5) // 5 + 1
-    ring_lo, ring_hi = j, top
-    for jj in range(j, top + 1):
-        term = bosonic_term(L, jj, primed)
-        if jj in (ring_lo, ring_hi):
-            assert term.is_zero(), "guard ring of the j-truncation is nonzero"
-        out = out + (term if jj % 2 == 0 else -term)
+    lo, hi = -(L + 5) // 5 - 1, (L + 5) // 5 + 1
+    for j in range(lo, hi + 1):
+        term = bosonic_term(L, j, primed)
+        if j in (lo, hi) and not term.is_zero():
+            raise CapExceeded("guard ring of the j-truncation is nonzero")
+        out = out + (term if j % 2 == 0 else -term)
     return out
 
 
@@ -127,14 +126,14 @@ def strip_transform(sigma: tuple[int, ...]) -> tuple[int, ...]:
     exactly one of the two +-1 steps lands in the required class, so the
     walk is determined.
     """
-    assert sigma[0] in (0, 1)
+    if any(s not in (0, 1) for s in sigma) \
+            or any(a and b for a, b in zip(sigma, sigma[1:])):
+        raise UnsupportedError(f"{sigma} is not a hard-hexagon path")
     heights = [3 if sigma[0] == 0 else 4]
     for s in sigma[1:]:
         h = heights[-1]
         target = (1, 4) if s else (2, 3)
-        nxt = [x for x in (h - 1, h + 1) if x in target]
-        assert len(nxt) == 1
-        heights.append(nxt[0])
+        heights.append(h - 1 if h - 1 in target else h + 1)
     return tuple(heights)
 
 
@@ -185,8 +184,8 @@ def in_strip(heights: tuple[int, ...]) -> bool:
 def strip_inclusion_exclusion(L: int, j: int) -> QLaurent:
     """Generating function of P_L^{down,j} (j > 0), P_L^{up,-j} (j < 0) or
     all of P_L (j = 0), which matches the single bosonic term."""
-    if L > 20:
-        raise CapExceeded("strip enumeration capped at L = 20")
+    if L > STRIP_CAP:
+        raise CapExceeded(f"strip enumeration capped at L = {STRIP_CAP}")
     out = ZERO
     for heights in strip_paths(L):
         if j > 0:

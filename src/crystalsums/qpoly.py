@@ -150,17 +150,6 @@ def q_power(e: int, c: int = 1) -> QLaurent:
     return QLaurent(((e, c),)) if c else ZERO
 
 
-def poly_arith(p: QLaurent, r: QLaurent, kind: str) -> QLaurent:
-    """Ring arithmetic dispatch: kind is one of add, sub, mul."""
-    if kind == "add":
-        return p + r
-    if kind == "sub":
-        return p - r
-    if kind == "mul":
-        return p * r
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def exact_div(p: QLaurent, d: QLaurent) -> QLaurent:
     """Divide p by d, requiring zero remainder.
 

@@ -2,13 +2,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from crystalsums import bosonic
 from crystalsums.bosonic import (bosonic_classical, bosonic_level,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
                                  supernomial_C_boxes)
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
-from crystalsums.errors import UnsupportedError
+from crystalsums.errors import CapExceeded, UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import all_contents_A, dominant_contents_A, dominant_weights_C
@@ -97,9 +98,11 @@ class TestSupernomialFormulas:
                     assert got == len(enumerate_paths(shape, lam)), (n, L, lam)
 
     def test_supernomial_dispatch_mixed(self):
+        # no closed form for mixed rows and columns; the bosonic route must
+        # not borrow the direct one
         shape = (FactorDescriptor("A", 1, 2, 1), FactorDescriptor("A", 1, 1, 2))
-        got = supernomial(shape, (2, 2))
-        assert got == direct_sum(shape, (2, 2), "none", "coenergy")
+        with pytest.raises(UnsupportedError):
+            supernomial(shape, (2, 2))
 
 
 class TestBosonicClassical:
@@ -145,6 +148,14 @@ class TestBosonicLevel:
             for lam in lams:
                 assert bosonic_level(shape, lam, L + 1) == \
                     bosonic_classical(shape, lam), (kind, lam)
+
+    def test_too_small_window_raises(self, monkeypatch):
+        # a window holding only beta = 0 leaves the main term on its outer
+        # ring; the check must raise, also under python -O
+        monkeypatch.setattr(bosonic, "translation_lattice_box",
+                            lambda data, level, bound: [(0,) * data.dim])
+        with pytest.raises(CapExceeded):
+            bosonic_level(boxes("A", 1, 2), (1, 1), 1)
 
     def test_matches_direct_level_enumeration(self):
         for n, maxL, ell in ((1, 5, 1), (1, 4, 2), (2, 4, 1)):

@@ -1,8 +1,6 @@
 import pytest
 
 from crystalsums.cartan import (apply_simple_reflection, cartan_data,
-                                dominant_weight_of_partition,
-                                partition_of_dominant_weight,
                                 translation_lattice_box, weyl_enumerate)
 from crystalsums.errors import CapExceeded
 
@@ -118,16 +116,6 @@ def test_dual_coxeter():
         assert cartan_data("A", n).a0 == 1
     for n in (2, 3):
         assert cartan_data("C", n).h_dual == n + 1
-
-
-def test_partition_weight_roundtrip():
-    for kind, n in (("A", 2), ("C", 3)):
-        data = cartan_data(kind, n)
-        for lam in [(3, 1), (2, 2), (5,), ()]:
-            w = dominant_weight_of_partition(data, lam)
-            assert partition_of_dominant_weight(data, w) == w
-    with pytest.raises(ValueError):
-        dominant_weight_of_partition(cartan_data("A", 1), (1, 2))
 
 
 def test_lattice_box():

@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crystalsums.cli import main, parse_shape, parse_weight, ShapeSyntaxError
+from crystalsums.cli import (ShapeSyntaxError, compute_sum, main, parse_shape,
+                             parse_weight)
 from crystalsums.crystal import FactorDescriptor
+from crystalsums.errors import CrystalSumsError, UnsupportedError
+
+METHODS = ("direct", "bosonic", "fermionic", "rc")
 
 
 def run(capsys, *argv):
@@ -91,6 +96,23 @@ class TestSum:
                          "--method", "direct")
         assert code == 3
 
+    def test_unsupported_even_when_zero(self, capsys):
+        # three boxes cannot reach the zero weight of C_2, and type C still
+        # has no direct route
+        code, _, _ = run(capsys, "sum", "C:2;1,1*3", "--weight", "0,0",
+                         "--method", "direct")
+        assert code == 3
+
+    def test_cap_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "A:1;1,1*2", "--weight", "1,1", "--cap", "5"])
+        assert exc.value.code == 2
+
+    def test_leading_minus_weight(self, capsys):
+        code, out, _ = run(capsys, "sum", "C:2;1,1*2", "--weight=-1,-1",
+                           "--method", "bosonic")
+        assert code == 0 and out.strip() != "[]"
+
     def test_cap_exit_4(self, capsys):
         code, _, _ = run(capsys, "rr", "--L", "30", "--method", "enumerate")
         assert code == 4
@@ -101,6 +123,91 @@ class TestSum:
         b = run(capsys, "sum", "C:2;1,1*4", "--weight", "0,0",
                 "--restrict", "classical", "--method", "rc")
         assert a == b
+
+
+# Inputs on which the methods used to disagree: each gives one output, or
+# one exit code, by every method that covers it.
+TYPE_C_METHODS = ("bosonic", "fermionic", "rc")
+
+
+@pytest.mark.parametrize("argv,methods,expected", [
+    (["A:1;1,1*4", "--weight", "1,3", "--restrict", "classical"],
+     METHODS, "[]"),
+    (["C:2;1,1*4", "--weight", "0,2", "--restrict", "classical"],
+     TYPE_C_METHODS, "[]"),
+    (["A:1;1,1*4", "--weight", "3,1", "--restrict", "level", "--level", "1"],
+     METHODS, "[]"),
+    (["C:1;1,1*4", "--weight", "2", "--restrict", "level", "--level", "1"],
+     TYPE_C_METHODS, "[]"),
+    (["A:1;1,1*4", "--weight", "2,2", "--restrict", "level", "--level", "-1"],
+     METHODS, 2),
+    (["A:2;2,1,1,2,1,1*4", "--weight", "4,3,2", "--restrict", "classical"],
+     ("direct", "fermionic", "rc"), "[]"),
+    (["A:2;2,1,1,2,1,1*4", "--weight", "4,3,2", "--restrict", "classical"],
+     ("bosonic",), 3),
+])
+def test_former_disagreements(capsys, argv, methods, expected):
+    for method in methods:
+        code, out, _ = run(capsys, "sum", *argv, "--method", method)
+        if isinstance(expected, int):
+            assert code == expected, method
+        else:
+            assert (code, out.strip()) == (0, expected), method
+
+
+# (type, restriction) -> the methods that cover it
+APPLICABLE = {
+    ("A", "none"): ("direct", "bosonic"),
+    ("A", "classical"): METHODS,
+    ("A", "level"): METHODS,
+    ("C", "none"): ("bosonic",),
+    ("C", "classical"): TYPE_C_METHODS,
+    ("C", "level"): TYPE_C_METHODS,
+}
+
+
+@st.composite
+def sum_inputs(draw):
+    kind = draw(st.sampled_from("AC"))
+    n = draw(st.integers(1, 2))
+    if kind == "A":
+        # all rows or all columns: mixed shapes have no bosonic route
+        pool = draw(st.sampled_from([((1, 1), (1, 2)), ((1, 1), (2, 1))]))
+    else:
+        pool = ((1, 1),)
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    shape = tuple(FactorDescriptor(kind, n, r, s) for r, s in factors)
+    boxes = sum(r * s for r, s in factors)
+    dim = n + 1 if kind == "A" else n
+    weight = draw(st.lists(st.integers(-2, boxes + 1),
+                           min_size=dim, max_size=dim))
+    if kind == "A" and draw(st.booleans()):
+        weight[-1] = boxes - sum(weight[:-1])  # the right content sum
+    weight = tuple(weight)
+    restriction = draw(st.sampled_from(("none", "classical", "level")))
+    return shape, weight, restriction, draw(st.integers(0, 2))
+
+
+def _outcome(shape, weight, restriction, method, level):
+    try:
+        return compute_sum(shape, weight, restriction, method, "coenergy",
+                           level).to_json()
+    except (CrystalSumsError, ShapeSyntaxError) as exc:
+        return type(exc).__name__
+
+
+@given(sum_inputs())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_methods_agree_or_fail_alike(inp):
+    shape, weight, restriction, level = inp
+    methods = APPLICABLE[(shape[0].kind, restriction)]
+    outcomes = {m: _outcome(shape, weight, restriction, m, level)
+                for m in methods}
+    assert len(set(outcomes.values())) == 1, outcomes
+    for m in set(METHODS) - set(methods):
+        with pytest.raises(UnsupportedError):
+            compute_sum(shape, weight, restriction, m, "coenergy", level)
 
 
 class TestVerify:

@@ -9,8 +9,7 @@ from crystalsums.crystal import (Factor, FactorDescriptor, build_component,
                                  factor_arrow, factor_elements,
                                  coroot_weight_pairing, letter_arrow,
                                  letters_word, reflection_s, shape_elements,
-                                 string_stats, word_e, word_f,
-                                 word_weight)
+                                 string_stats, tensor_arrow, word_weight)
 from crystalsums.errors import CapExceeded, UnsupportedError
 
 from oracles import (dominant_contents_A, dominant_weights_C,
@@ -53,15 +52,15 @@ class TestLetters:
 class TestTensorRule:
     def test_f_on_highest(self):
         w = letters_word("A", 1, (1, 1))
-        assert word_f(w, 1) == letters_word("A", 1, (1, 2))
+        assert tensor_arrow(w, 1, "f") == letters_word("A", 1, (1, 2))
 
     def test_e_kills_highest(self):
-        assert word_e(letters_word("A", 1, (1, 1)), 1) is None
+        assert tensor_arrow(letters_word("A", 1, (1, 1)), 1, "e") is None
 
     def test_e_routes_right_and_dies(self):
         # eps_1(2) = 1 is not greater than phi_1(1) = 1, so e_1 hits the
         # right factor where it vanishes
-        assert word_e(letters_word("A", 1, (2, 1)), 1) is None
+        assert tensor_arrow(letters_word("A", 1, (2, 1)), 1, "e") is None
 
     def test_string_stats(self):
         assert string_stats(letters_word("A", 1, (1,)), 1) == (0, 1)
@@ -100,10 +99,10 @@ class TestAxioms:
         w = letters_word(kind, n, tuple(letters))
         colors = range(1, n + 1)
         for i in colors:
-            fw = word_f(w, i)
+            fw = tensor_arrow(w, i, "f")
             if fw is not None:
                 # adjointness and weight shift
-                assert word_e(fw, i) == w
+                assert tensor_arrow(fw, i, "e") == w
                 delta = tuple(a - b for a, b in
                               zip(word_weight(w), word_weight(fw)))
                 from crystalsums.cartan import cartan_data
@@ -119,9 +118,9 @@ class TestAxioms:
         w = letters_word("A", n, letters)
         eps, phi = string_stats(w, 0)
         assert phi - eps == coroot_weight_pairing(w, 0)
-        fw = word_f(w, 0)
+        fw = tensor_arrow(w, 0, "f")
         if fw is not None:
-            assert word_e(fw, 0) == w
+            assert tensor_arrow(fw, 0, "e") == w
 
 
 class TestComponents:
@@ -243,4 +242,4 @@ class TestDescriptors:
         w = TensorWord("A", 1, ())
         assert word_weight(w) == (0, 0)
         assert string_stats(w, 1) == (0, 0)
-        assert word_f(w, 1) is None
+        assert tensor_arrow(w, 1, "f") is None
