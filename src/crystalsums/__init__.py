@@ -7,10 +7,8 @@ the resulting polynomial q-identities, including the Rogers-Ramanujan and
 hard-hexagon family.
 """
 
-from .qpoly import (QLaurent, TruncatedSeries, invert_q, qbinomial,
-                    qmultinomial, truncated_product)
+from .qpoly import QLaurent, invert_q, qbinomial, qmultinomial
 
-__all__ = ["QLaurent", "TruncatedSeries", "invert_q", "qbinomial",
-           "qmultinomial", "truncated_product"]
+__all__ = ["QLaurent", "invert_q", "qbinomial", "qmultinomial"]
 
 __version__ = "0.1.0"

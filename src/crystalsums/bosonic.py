@@ -203,6 +203,8 @@ def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
 def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     """X-bar^level(B, Lambda): the double sum over the finite Weyl group and
     the translation lattice window."""
+    if any(d.s > level for d in shape):
+        raise UnsupportedError("factor wider than the level")
     kind, n = shape[0].kind, shape[0].n
     data = cartan_data(kind, n)
     c = level + data.h_dual

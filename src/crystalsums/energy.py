@@ -20,7 +20,7 @@ from .errors import EnergyConsistencyError, IsomorphismError
 from .crystal import (Factor, FactorDescriptor, TensorWord, enumerate_paths,
                       factor_elements, factor_stats, highest_weight_element,
                       tensor_arrow, word)
-from .qpoly import QLaurent, ZERO, q_power
+from .qpoly import QLaurent
 
 PairKey = tuple[Factor, Factor]
 
@@ -202,8 +202,7 @@ def direct_sum(shape: tuple[FactorDescriptor, ...],
     enumeration and energy evaluation."""
     if statistic not in ("energy", "coenergy"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    out = ZERO
-    for b in enumerate_paths(shape, weight, restriction, level):
-        d = intrinsic_D(b)
-        out = out + q_power(-d if statistic == "coenergy" else d)
-    return out
+    sign = -1 if statistic == "coenergy" else 1
+    return QLaurent.from_exponents(
+        sign * intrinsic_D(b)
+        for b in enumerate_paths(shape, weight, restriction, level))

@@ -30,3 +30,7 @@ class InvolutionError(CrystalSumsError):
 
 class NonIntegralExponent(CrystalSumsError):
     """A q-exponent that must be an integer came out fractional."""
+
+
+class InexactDivision(CrystalSumsError):
+    """A polynomial division that must be exact left a remainder."""

@@ -37,8 +37,12 @@ RC_CAP = 10 ** 6
 
 def config_sizes(data: CartanData, L: LMap, lam: tuple[int, ...]) -> tuple[int, ...] | None:
     """|nu^(a)| for a = 1..n (unhalved), or None when the weight constraint
-    has no admissible solution."""
+    has no admissible solution (for type A, also when the content sum is
+    not the number of boxes)."""
     n = data.n
+    if data.kind == "A" and sum(lam) != sum(
+            a * i * mult for (a, i), mult in L.items()):
+        return None  # the content must fill every box once
     sizes = []
     for a in range(1, n + 1):
         s = -sum(lam[:a]) + sum(i * mult * min(a, b)
@@ -270,11 +274,9 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
                            statistic: str = "cc_theta") -> QLaurent:
     """Sum of q^{cc o theta} (coenergy grading, the default) or q^{cc}
     over all rigged configurations."""
-    out = ZERO
-    for rc in enumerate_rc(kind, n, L, lam):
-        e = cc_theta(rc, L) if statistic == "cc_theta" else cc_stat(rc)
-        out = out + q_power(e)
-    return out
+    return QLaurent.from_exponents(
+        cc_theta(rc, L) if statistic == "cc_theta" else cc_stat(rc)
+        for rc in enumerate_rc(kind, n, L, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +458,12 @@ def level_restricted_A(n: int, L: LMap, lam: tuple[int, ...], level: int,
     grid = _generic_grid(data, level)
 
     if mode == "rc_sum":
-        out = ZERO
-        for rc in enumerate_rc("A", n, L, lam):
-            if any(row and row[0] > level for row in rc.nu):
-                continue
-            if _admits_tableau(rc, tableaux, grid,
-                               lambda t, a, i: vacancy(data, L, rc.nu, a, i)
-                               + _corr_A(n, lam, level, t, a, i)):
-                out = out + q_power(cc_theta(rc, L))
-        return out
+        return QLaurent.from_exponents(
+            cc_theta(rc, L) for rc in enumerate_rc("A", n, L, lam)
+            if not any(row and row[0] > level for row in rc.nu)
+            and _admits_tableau(rc, tableaux, grid,
+                                lambda t, a, i: vacancy(data, L, rc.nu, a, i)
+                                + _corr_A(n, lam, level, t, a, i)))
 
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
@@ -555,15 +554,12 @@ def level_restricted_C(n: int, columns: dict[int, int], lamC: tuple[int, ...],
         return Fraction(_f_corr_C(n, lamC, level, t, n, i), 2)
 
     if mode == "rc_sum":
-        out = ZERO
-        for rc in enumerate_rc("C", n, L, lamC):
-            if any(row and row[0] > 2 * level for row in rc.nu):
-                continue
-            if _admits_tableau(rc, tableaux, grid,
-                               lambda t, a, i: vacancy(data, L, rc.nu, a, i)
-                               + correction(t, a, i)):
-                out = out + q_power(cc_theta(rc, L))
-        return out
+        return QLaurent.from_exponents(
+            cc_theta(rc, L) for rc in enumerate_rc("C", n, L, lamC)
+            if not any(row and row[0] > 2 * level for row in rc.nu)
+            and _admits_tableau(rc, tableaux, grid,
+                                lambda t, a, i: vacancy(data, L, rc.nu, a, i)
+                                + correction(t, a, i)))
 
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")

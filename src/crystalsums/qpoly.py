@@ -1,66 +1,91 @@
-"""Exact sparse Laurent polynomials in q over arbitrary-precision integers.
+"""Exact Laurent polynomials in q over arbitrary-precision integers.
 
-Every generating function in the package is a ``QLaurent``: a finite map
-from (possibly negative) integer exponents to nonzero integer coefficients.
-``TruncatedSeries`` handles the infinite-product / infinite-sum limits,
-exactly up to a cutoff exponent.
+Every generating function in the package is a ``QLaurent``, and so is
+every power series: a series is kept exactly through a cutoff exponent.
+Division by (1 - q^k) is the one division there is; it gives the
+q-binomials exactly and the series reciprocals of products through a
+cutoff.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Mapping
+
+from .errors import InexactDivision
 
 
 @dataclass(frozen=True)
 class QLaurent:
     """A Laurent polynomial in q with integer coefficients.
 
-    ``terms`` is a tuple of (exponent, coefficient) pairs, strictly
-    increasing in exponent with no zero coefficients; the zero polynomial
-    is the empty tuple.  Instances are immutable and hashable.
+    ``coeffs[k]`` is the coefficient of q^(low + k).  Neither end of
+    ``coeffs`` is zero, and the zero polynomial is QLaurent(0, ()), so
+    equal polynomials are equal instances.  Instances are immutable and
+    hashable.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    low: int = 0
+    coeffs: tuple[int, ...] = ()
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The (exponent, coefficient) pairs with nonzero coefficient,
+        in increasing exponent."""
+        return tuple((e, c) for e, c in enumerate(self.coeffs, self.low) if c)
 
     @staticmethod
     def from_dict(d: Mapping[int, int]) -> "QLaurent":
-        return QLaurent(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
+        exps = [e for e, c in d.items() if c]
+        if not exps:
+            return ZERO
+        low = min(exps)
+        out = [0] * (max(exps) - low + 1)
+        for e in exps:
+            out[e - low] = d[e]
+        return QLaurent(low, tuple(out))
+
+    @staticmethod
+    def from_exponents(exponents: Iterable[int]) -> "QLaurent":
+        """The sum of q^e over the exponents, counted with multiplicity."""
+        return QLaurent.from_dict(Counter(exponents))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def coeff(self, e: int) -> int:
-        for ee, cc in self.terms:
-            if ee == e:
-                return cc
-        return 0
-
-    def valuation(self) -> int:
-        """Lowest exponent; undefined (raises) on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no valuation")
-        return self.terms[0][0]
+        k = e - self.low
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
+        return self.low + len(self.coeffs) - 1
 
     def __add__(self, other: "QLaurent | int") -> "QLaurent":
         other = _coerce(other)
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return QLaurent.from_dict(d)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        out = list(a.coeffs)
+        start = b.low - a.low
+        end = start + len(b.coeffs)
+        out.extend([0] * (end - len(out)))
+        out[start:end] = map(add, out[start:end], b.coeffs)
+        return _dense(a.low, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent(tuple((e, -c) for e, c in self.terms))
+        return QLaurent(self.low, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QLaurent | int") -> "QLaurent":
         return self + (-_coerce(other))
@@ -70,38 +95,57 @@ class QLaurent:
 
     def __mul__(self, other: "QLaurent | int") -> "QLaurent":
         other = _coerce(other)
-        d: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return QLaurent.from_dict(d)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, c in enumerate(b):
+            if c:
+                end = j + len(a)
+                out[j:end] = map(add, out[j:end], [c * x for x in a])
+        # the extreme coefficients are products of nonzero integers
+        return QLaurent(self.low + other.low, tuple(out))
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "QLaurent":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, k: int) -> "QLaurent":
         """Multiply by q**k."""
-        return QLaurent(tuple((e + k, c) for e, c in self.terms))
+        return QLaurent(self.low + k, self.coeffs) if self.coeffs else ZERO
+
+    def truncate(self, cutoff: int) -> "QLaurent":
+        """Drop every term above q**cutoff."""
+        return _dense(self.low, self.coeffs[:max(0, cutoff - self.low + 1)])
+
+    def div_one_minus_q(self, k: int, cutoff: int | None = None) -> "QLaurent":
+        """Divide by (1 - q**k), k >= 1.
+
+        The quotient r satisfies r_e = p_e + r_(e-k): a running sum along
+        each residue class mod k.  Without a cutoff the division must be
+        exact, and a nonzero remainder raises InexactDivision.  With one,
+        the result is the power-series quotient through q**cutoff.
+        """
+        if k < 1:
+            raise ValueError(f"cannot divide by 1 - q^{k}")
+        if cutoff is None:
+            out = list(self.coeffs)
+        else:
+            n = max(0, cutoff - self.low + 1)
+            out = list(self.coeffs[:n])
+            out.extend([0] * (n - len(out)))
+        for r in range(min(k, len(out))):
+            out[r::k] = accumulate(out[r::k])
+        if cutoff is not None:
+            return _dense(self.low, out)
+        n = len(out) - k
+        if out and (n < 0 or any(out[n:])):
+            raise InexactDivision(f"division by 1 - q^{k} is not exact")
+        return _dense(self.low, out[:n])
 
     def at_one(self) -> int:
         """Evaluate at q = 1 (the sum of all coefficients)."""
-        return sum(c for _, c in self.terms)
-
-    def subs_inverse(self) -> "QLaurent":
-        """Substitute q -> 1/q, negating every exponent."""
-        return QLaurent(tuple(sorted((-e, c) for e, c in self.terms)))
+        return sum(self.coeffs)
 
     def to_json(self) -> str:
         """Canonical JSON: [[exponent, coefficient-as-string], ...]."""
@@ -113,7 +157,7 @@ class QLaurent:
         return QLaurent.from_dict({int(e): int(c) for e, c in json.loads(s)})
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
         for e, c in self.terms:
@@ -133,63 +177,41 @@ class QLaurent:
         return out
 
 
+def _dense(low: int, coeffs) -> QLaurent:
+    """The canonical QLaurent with ``coeffs[k]`` at q^(low + k)."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    return QLaurent(low + lo, tuple(coeffs[lo:hi])) if hi else ZERO
+
+
 def _coerce(x: "QLaurent | int") -> QLaurent:
     if isinstance(x, QLaurent):
         return x
     if isinstance(x, int):
-        return QLaurent(((0, x),)) if x else ZERO
+        return QLaurent(0, (x,)) if x else ZERO
     raise TypeError(f"cannot coerce {x!r} to QLaurent")
 
 
 ZERO = QLaurent()
-ONE = QLaurent(((0, 1),))
+ONE = QLaurent(0, (1,))
 
 
 def q_power(e: int, c: int = 1) -> QLaurent:
     """The monomial c * q**e."""
-    return QLaurent(((e, c),)) if c else ZERO
-
-
-def exact_div(p: QLaurent, d: QLaurent) -> QLaurent:
-    """Divide p by d, requiring zero remainder.
-
-    Used by the q-binomial product formula, where divisibility is a theorem;
-    a nonzero remainder means a bug, not bad input.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return ZERO
-    rem = dict(p.terms)
-    dlo, dc = d.terms[0]
-    quot: dict[int, int] = {}
-    while rem:
-        lo = min(rem)
-        c, r = divmod(rem[lo], dc)
-        if r:
-            raise ValueError("division is not exact")
-        e = lo - dlo
-        quot[e] = c
-        for de, dcc in d.terms:
-            ee = de + e
-            v = rem.get(ee, 0) - dcc * c
-            if v:
-                rem[ee] = v
-            else:
-                rem.pop(ee, None)
-    return QLaurent.from_dict(quot)
-
-
-def _one_minus_q(k: int) -> QLaurent:
-    return QLaurent.from_dict({0: 1, k: -1})
+    return QLaurent(e, (c,)) if c else ZERO
 
 
 def qbinomial(m: int, n: int) -> QLaurent:
     """Gaussian binomial for a box of width m and height n.
 
     Generating function of partitions with at most n parts, each at most m;
-    equals (q)_{m+n} / ((q)_m (q)_n).  Zero when either argument is
-    negative.
+    equals (q)_{m+n} / ((q)_m (q)_n), built as the product over i = 1..n
+    of (1 - q^(m+i)) / (1 - q^i), every partial product a polynomial.
+    Zero when either argument is negative.
     """
     if m < 0 or n < 0:
         return ZERO
@@ -197,7 +219,7 @@ def qbinomial(m: int, n: int) -> QLaurent:
         m, n = n, m  # symmetric; fewer division rounds
     out = ONE
     for i in range(1, n + 1):
-        out = exact_div(out * _one_minus_q(m + i), _one_minus_q(i))
+        out = (out - out.shift(m + i)).div_one_minus_q(i)
     return out
 
 
@@ -217,106 +239,4 @@ def qmultinomial(total: int, parts: Iterable[int]) -> QLaurent:
 
 def invert_q(p: QLaurent) -> QLaurent:
     """q -> 1/q substitution; an involution and a ring homomorphism."""
-    return p.subs_inverse()
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A power series known exactly for exponents 0..cutoff."""
-
-    cutoff: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        if len(self.coeffs) != self.cutoff + 1:
-            raise ValueError("coefficient list does not match cutoff")
-
-    @staticmethod
-    def one(cutoff: int) -> "TruncatedSeries":
-        return TruncatedSeries(cutoff, (1,) + (0,) * cutoff)
-
-    @staticmethod
-    def from_poly(p: QLaurent, cutoff: int) -> "TruncatedSeries":
-        if p.terms and p.valuation() < 0:
-            raise ValueError("negative exponents cannot be truncated at 0")
-        co = [0] * (cutoff + 1)
-        for e, c in p.terms:
-            if e <= cutoff:
-                co[e] = c
-        return TruncatedSeries(cutoff, tuple(co))
-
-    def coeff(self, e: int) -> int:
-        if not 0 <= e <= self.cutoff:
-            raise IndexError(f"exponent {e} beyond cutoff {self.cutoff}")
-        return self.coeffs[e]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.cutoff, other.cutoff)
-        return TruncatedSeries(
-            n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.cutoff, other.cutoff)
-        return TruncatedSeries(
-            n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncatedSeries | QLaurent | int") -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries(self.cutoff,
-                                   tuple(other * a for a in self.coeffs))
-        if isinstance(other, QLaurent):
-            other = TruncatedSeries.from_poly(other, self.cutoff)
-        n = min(self.cutoff, other.cutoff)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[:n + 1 - i]):
-                out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
-
-    def reciprocal(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("reciprocal needs unit constant term")
-        out = [c0] + [0] * self.cutoff
-        for k in range(1, self.cutoff + 1):
-            s = sum(self.coeffs[j] * out[k - j] for j in range(1, k + 1))
-            out[k] = -c0 * s
-        return TruncatedSeries(self.cutoff, tuple(out))
-
-    def truncate(self, cutoff: int) -> "TruncatedSeries":
-        if cutoff > self.cutoff:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(cutoff, self.coeffs[:cutoff + 1])
-
-    def agrees_with(self, other: "TruncatedSeries", upto: int | None = None) -> bool:
-        n = min(self.cutoff, other.cutoff)
-        if upto is not None:
-            n = min(n, upto)
-        return self.coeffs[:n + 1] == other.coeffs[:n + 1]
-
-
-def truncated_product(progressions: Iterable[tuple[int, int]], cutoff: int,
-                      reciprocal: bool = False) -> TruncatedSeries:
-    """prod (1 - q^k) over k <= cutoff with k ≡ r (mod m) for each (r, m)
-    pair, or the series reciprocal of that product.
-
-    Each progression contributes its own factors, so overlapping
-    progressions multiply twice.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    out = TruncatedSeries.one(cutoff)
-    for r, m in progressions:
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        k = r % m
-        if k == 0:
-            k = m
-        while k <= cutoff:
-            out = out * _one_minus_q(k)
-            k += m
-    return out.reciprocal() if reciprocal else out
+    return QLaurent(-p.degree(), p.coeffs[::-1]) if p.coeffs else ZERO

@@ -167,6 +167,13 @@ class TestBosonicLevel:
                     want = direct_sum(shape, lam, "level", "coenergy", ell)
                     assert bosonic_level(shape, lam, ell) == want, (L, lam)
 
+    def test_factor_wider_than_level_raises(self):
+        with pytest.raises(UnsupportedError):
+            bosonic_level((FactorDescriptor("A", 1, 1, 2),), (1, 1), 0)
+        with pytest.raises(UnsupportedError):
+            bosonic_level((FactorDescriptor("A", 1, 1, 3),
+                           FactorDescriptor("A", 1)), (3, 1), 2)
+
     def test_level_on_mixed_row_shapes(self):
         shapes = [
             (FactorDescriptor("A", 1, 1, 2), FactorDescriptor("A", 1),

@@ -40,6 +40,13 @@ class TestClosedForm:
         assert closed_form_F(A1, {(1, 1): 2}, (0, 0)) == ZERO
         assert closed_form_F(C2, {(1, 1): 3}, (0, 0)) == ZERO
 
+    def test_content_sum_off_the_box_count_is_zero(self):
+        # B^{2,1} B^{1,2} (B^{1,1})^4 has 2 + 2 + 4 = 8 boxes, and the
+        # content (4, 3, 2) fills 9: no path has this weight
+        Lmap = {(2, 1): 1, (1, 2): 1, (1, 1): 4}
+        assert closed_form_F(A2, Lmap, (4, 3, 2)) == ZERO
+        assert rc_generating_function("A", 2, Lmap, (4, 3, 2)) == ZERO
+
     @pytest.mark.parametrize("n,maxL", [(1, 6), (2, 5)])
     def test_equals_rc_sum_type_A(self, n, maxL):
         for L in range(1, maxL + 1):
@@ -254,3 +261,5 @@ class TestSizes:
         assert config_sizes(C2, {(1, 1): 1}, (0, 0)) is None
         # so is a negative row size
         assert config_sizes(A1, {(1, 1): 2}, (3, -1)) is None
+        # and a type A content that does not fill the boxes exactly
+        assert config_sizes(A1, {(1, 1): 2}, (2, 1)) is None

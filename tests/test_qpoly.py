@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalsums.qpoly import (ONE, QLaurent, TruncatedSeries, ZERO, exact_div,
-                               invert_q, q_power, qbinomial,
-                               qmultinomial, truncated_product)
+from crystalsums.errors import InexactDivision
+from crystalsums.qpoly import (ONE, QLaurent, ZERO, invert_q, q_power,
+                               qbinomial, qmultinomial)
 
 from oracles import box_partitions, gf_from_sizes
 
@@ -16,6 +16,17 @@ def P(d):
 
 laurents = st.builds(
     P, st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6))
+
+
+def one_minus_q(k):
+    return ONE - q_power(k)
+
+
+def pochhammer(n):
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * one_minus_q(k)
+    return out
 
 
 class TestArithmetic:
@@ -50,12 +61,57 @@ class TestArithmetic:
         assert invert_q(a * b) == invert_q(a) * invert_q(b)
         assert invert_q(a + b) == invert_q(a) + invert_q(b)
 
+    def test_terms(self):
+        p = P({-1: 1, 0: 2, 3: -4})
+        assert p.terms == ((-1, 1), (0, 2), (3, -4))
+        assert p.degree() == 3
+        assert p.coeff(1) == 0 and p.coeff(3) == -4 and p.coeff(9) == 0
+        assert ZERO.terms == () and ZERO == QLaurent(0, ())
+
+    @given(laurents, laurents)
+    def test_canonical(self, a, b):
+        for p in (a, b, a + b, a - b, a * b, invert_q(a), a.shift(3)):
+            if p.is_zero():
+                assert (p.low, p.coeffs) == (0, ())
+            else:
+                assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+                assert p.low == p.terms[0][0]
+        # equal polynomials reached by different routes are equal instances
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert P(a.as_dict()) == a and hash(P(a.as_dict())) == hash(a)
+
+    @given(st.lists(st.integers(-20, 20), max_size=12))
+    def test_from_exponents(self, xs):
+        total = ZERO
+        for x in xs:
+            total = total + q_power(x)
+        assert QLaurent.from_exponents(xs) == total
+
     def test_exact_division_roundtrip(self):
         a = P({0: 1, 1: 2, 3: -1})
-        b = P({-1: 3, 2: 5})
-        assert exact_div(a * b, b) == a
+        for k in (1, 2, 5):
+            assert (a * one_minus_q(k)).div_one_minus_q(k) == a
+        with pytest.raises(InexactDivision):
+            P({0: 1, 1: 1}).div_one_minus_q(2)
+
+    @given(laurents, st.integers(1, 6))
+    def test_div_one_minus_q_roundtrip(self, p, k):
+        assert (p * one_minus_q(k)).div_one_minus_q(k) == p
+
+    def test_div_one_minus_q_inexact_raises(self):
+        for p, k in ((ONE, 1), (P({0: 1, 1: 1}), 1), (P({0: 1, 3: -1}), 2),
+                     (P({-2: 1, 1: 1}), 3)):
+            with pytest.raises(InexactDivision):
+                p.div_one_minus_q(k)
         with pytest.raises(ValueError):
-            exact_div(P({0: 1, 1: 1}), P({0: 2}))
+            ONE.div_one_minus_q(0)
+
+    def test_truncate(self):
+        p = P({-1: 1, 2: 3, 5: -2})
+        assert p.truncate(4) == P({-1: 1, 2: 3})
+        assert p.truncate(5) == p
+        assert p.truncate(-2) == ZERO
 
     def test_json_roundtrip(self):
         p = P({-3: 12345678901234567890, 0: -1, 7: 2})
@@ -102,8 +158,7 @@ class TestQBinomial:
 class TestQMultinomial:
     def test_pair(self):
         assert qmultinomial(2, [1, 1]) == P({0: 1, 1: 1})
-        assert qmultinomial(2, [1, 1]) == exact_div(
-            qbinomial(1, 1) * qbinomial(0, 0), ONE)
+        assert qmultinomial(2, [1, 1]) == qbinomial(1, 1) * qbinomial(0, 0)
 
     def test_trivial(self):
         assert qmultinomial(3, [3, 0]) == ONE
@@ -126,31 +181,44 @@ class TestQMultinomial:
 
 
 class TestTruncatedSeries:
+    """div_one_minus_q with a cutoff: power series kept through q^cutoff."""
+
     def test_rr1_product_reciprocal(self):
-        ts = truncated_product([(1, 5), (4, 5)], 5, reciprocal=True)
-        assert ts.coeffs == (1, 1, 1, 1, 2, 2)
+        out = ONE
+        for k in (1, 4, 6):
+            out = out.div_one_minus_q(k, 5)
+        assert [out.coeff(e) for e in range(6)] == [1, 1, 1, 1, 2, 2]
+        assert out.degree() == 5
 
     def test_empty_progressions(self):
-        assert truncated_product([], 4).coeffs == (1, 0, 0, 0, 0)
+        # no factor at or below the cutoff: the series is 1
+        assert ONE.truncate(4) == ONE
+        assert ONE.div_one_minus_q(5, 4) == ONE
 
     def test_plain_product(self):
-        ts = truncated_product([(1, 1)], 2)
-        assert ts.coeffs == (1, -1, -1)
+        assert pochhammer(2).truncate(2) == P({0: 1, 1: -1, 2: -1})
 
     def test_reciprocal_roundtrip(self):
-        ts = truncated_product([(0, 1)], 30)
-        assert (ts * ts.reciprocal()).coeffs == TruncatedSeries.one(30).coeffs
+        inv = ONE
+        for k in range(1, 31):
+            inv = inv.div_one_minus_q(k, 30)
+        assert (pochhammer(30) * inv).truncate(30) == ONE
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            truncated_product([(1, 0)], 5)
-        with pytest.raises(ValueError):
-            truncated_product([(1, 5)], -1)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                ONE.div_one_minus_q(k, 5)
+            with pytest.raises(ValueError):
+                ONE.div_one_minus_q(k)
 
     def test_exactness_vs_poly(self):
-        # multiply out (1-q)(1-q^2)(1-q^3) exactly and compare
-        poly = ONE
-        for k in (1, 2, 3):
-            poly = poly * P({0: 1, k: -1})
-        ts = truncated_product([(0, 1)], 3)
-        assert all(ts.coeff(e) == poly.coeff(e) for e in range(4))
+        # on a multiple the series quotient is the exact quotient
+        p = pochhammer(3) * P({0: 2, 4: -1})
+        assert p.div_one_minus_q(2, 40) == p.div_one_minus_q(2)
+        # and a series truncation of an exact product keeps its terms
+        assert all(pochhammer(3).truncate(3).coeff(e) == pochhammer(3).coeff(e)
+                   for e in range(4))
+
+    def test_below_the_lowest_term(self):
+        assert q_power(3).div_one_minus_q(1, 2) == ZERO
+        assert P({-2: 1}).div_one_minus_q(1, 0) == P({-2: 1, -1: 1, 0: 1})
