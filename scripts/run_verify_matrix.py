@@ -11,12 +11,12 @@ from crystalsums.cli import _instances, run_instance
 
 SUITES = [
     ("rr", dict(n=1, max_L=20, level=1)),
-    ("typeA", dict(n=1, max_L=6, level=1)),
-    ("typeA", dict(n=2, max_L=5, level=1)),
+    ("typeA", dict(n=1, max_L=12, level=1)),
+    ("typeA", dict(n=2, max_L=10, level=1)),
     ("typeC", dict(n=2, max_L=4, level=1)),
     ("level", dict(n=1, max_L=6, level=1)),
     ("level", dict(n=1, max_L=5, level=2)),
-    ("level", dict(n=2, max_L=4, level=1)),
+    ("level", dict(n=2, max_L=10, level=1)),
     ("involution", dict(n=1, max_L=4, level=1)),
     ("involution", dict(n=2, max_L=3, level=1)),
 ]

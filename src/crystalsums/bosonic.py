@@ -304,10 +304,10 @@ def _classical_pairs(shape: Shape, lam: tuple[int, ...]):
     data = cartan_data(kind, n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
     pairs = []
-    words = list(shape_elements(shape))
+    shifted = [(tuple(x + r for x, r in zip(word_weight(b), data.rho)), b)
+               for b in shape_elements(shape)]
     for w in weyl_enumerate(data):
-        for b in words:
-            v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
+        for v, b in shifted:
             if w.apply(v) == target:
                 pairs.append((w, b))
     return data, pairs

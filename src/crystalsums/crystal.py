@@ -360,10 +360,6 @@ def coroot_weight_pairing(w: TensorWord, i: int) -> int:
     return wt[-1]
 
 
-def is_classically_restricted(w: TensorWord) -> bool:
-    return all(string_stats(w, i)[0] == 0 for i in range(1, w.n + 1))
-
-
 # ---------------------------------------------------------------------------
 # path sets and components
 
@@ -381,14 +377,35 @@ def shape_elements(shape: tuple[FactorDescriptor, ...],
         yield TensorWord(kind, n, combo)
 
 
-def enumerate_paths(shape: tuple[FactorDescriptor, ...],
-                    weight: tuple[int, ...],
-                    restriction: str = "none",
-                    level: int | None = None,
-                    cap: int | None = None) -> list[TensorWord]:
-    """The path sets: unrestricted (weight only), classically restricted
-    (killed by every classical e_i), level restricted (additionally killed
-    by e_0^{level+1})."""
+def search_paths(shape: tuple[FactorDescriptor, ...],
+                 weight: tuple[int, ...],
+                 restriction: str = "none",
+                 level: int | None = None,
+                 cap: int | None = None,
+                 extend=None) -> list[tuple[TensorWord, int]]:
+    """The path set of ``enumerate_paths`` as (path, score) pairs, found by
+    a depth-first search that places b_1 first and grows each path to the
+    left.
+
+    ``extend(j, chosen, k)``, when given, is called each time b_{j+1}, the
+    element ``factor_elements(...)[k]`` of its factor, is placed to the
+    left of b_j (x) ... (x) b_1, whose element indices are chosen[0..j-1];
+    a path's score is the sum of what it returned along the path (0
+    without a hook).  ``cap`` bounds the number of search nodes visited.
+
+    The search prunes a partial path b_j (x) ... (x) b_1 on
+    * its weight: type A letter weights are nonnegative, so no coordinate
+      may exceed the target; a type C box moves the weight by one unit
+      vector, so the L1 distance to the target may not exceed the boxes
+      still to place;
+    * the highest weight condition (classical and level restrictions):
+      b (x) S is killed by every classical e_i iff S is and
+      eps_i(b) <= phi_i(S), and then phi_i(b (x) S) = phi_i(b) + phi_i(S)
+      - eps_i(b).  So every right suffix of a path in the set is itself
+      highest weight;
+    * its level: eps_0 of the suffix never decreases as it grows to the
+      left, so the branch dies once it exceeds the level.
+    """
     if restriction not in ("none", "classical", "level"):
         raise ValueError(f"unknown restriction {restriction!r}")
     if restriction == "level":
@@ -396,16 +413,78 @@ def enumerate_paths(shape: tuple[FactorDescriptor, ...],
             raise ValueError("level restriction needs a level")
         if shape and shape[0].kind != "A":
             raise UnsupportedError("level restriction is type A only")
-    out = []
-    for w in shape_elements(shape, cap):
-        if word_weight(w) != tuple(weight):
-            continue
-        if restriction in ("classical", "level") and not is_classically_restricted(w):
-            continue
-        if restriction == "level" and string_stats(w, 0)[0] > level:
-            continue
-        out.append(w)
+    cap = VERTEX_CAP if cap is None else cap
+    kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
+    target = tuple(weight)
+    if len(target) != (n + 1 if kind == "A" else n):
+        return []
+    colors = range(1, n + 1) if restriction != "none" else ()
+    affine = restriction == "level"
+    right = shape[::-1]
+    L = len(right)
+    boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
+    # per position, right to left: each element with its index, weight,
+    # eps_i and phi_i over the checked colors, and eps_0, phi_0
+    options = [[(k, x, factor_weight(x),
+                 tuple(factor_stats(x, i)[0] for i in colors),
+                 tuple(factor_stats(x, i)[1] for i in colors),
+                 *(factor_stats(x, 0)[:2] if affine else (0, 0)))
+                for k, x in enumerate(factor_elements(d))]
+               for d in right]
+
+    out: list[tuple[TensorWord, int]] = []
+    chosen = [0] * L
+    placed: list[Factor | None] = [None] * L
+    nodes = 0
+
+    def grow(p, wt, phis, eps0, phi0, score):
+        nonlocal nodes
+        if p == L:
+            if wt == target:
+                out.append((TensorWord(kind, n, tuple(reversed(placed))),
+                            score))
+            return
+        for k, x, xw, xe, xp, xe0, xp0 in options[p]:
+            w = tuple(a + b for a, b in zip(wt, xw))
+            if kind == "A":
+                if any(a > t for a, t in zip(w, target)):
+                    continue
+            elif sum(abs(t - a) for a, t in zip(w, target)) > boxes_left[p]:
+                continue
+            if any(e > f for e, f in zip(xe, phis)):
+                continue
+            nphis = tuple(f + q - e for f, q, e in zip(phis, xp, xe))
+            if affine:
+                neps0 = max(eps0, xe0 - phi0 + eps0)
+                if neps0 > level:
+                    continue
+                nphi0 = max(xp0, phi0 + xp0 - xe0)
+            else:
+                neps0 = nphi0 = 0
+            nodes += 1
+            if nodes > cap:
+                raise CapExceeded(f"path search visited more than {cap} "
+                                  "nodes")
+            chosen[p] = k
+            placed[p] = x
+            grow(p + 1, w, nphis, neps0, nphi0,
+                 score if extend is None else score + extend(p, chosen, k))
+
+    grow(0, (0,) * len(target), (0,) * len(colors), 0, 0, 0)
+    del grow  # grow refers to itself; without this the search state
+    # (and the hook's tables) would wait for the cyclic garbage collector
     return out
+
+
+def enumerate_paths(shape: tuple[FactorDescriptor, ...],
+                    weight: tuple[int, ...],
+                    restriction: str = "none",
+                    level: int | None = None,
+                    cap: int | None = None) -> list[TensorWord]:
+    """The path sets: unrestricted (weight only), classically restricted
+    (killed by every classical e_i), level restricted (additionally killed
+    by e_0^{level+1}).  ``cap`` bounds the search nodes visited."""
+    return [w for w, _ in search_paths(shape, weight, restriction, level, cap)]
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: box partitions are
 enumerated directly, tensor multiplicities come from characters (weight
-multisets plus Weyl alternation) rather than crystal arrows, and series
-coefficients come from explicit partition counting.
+multisets plus Weyl alternation) rather than crystal arrows, series
+coefficients come from explicit partition counting, and path sets come
+from filtering the whole tensor product instead of the pruned search.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from crystalsums.cartan import cartan_data, weyl_enumerate
+from crystalsums.crystal import shape_elements, string_stats, word_weight
 
 
 def box_partitions(width: int, height: int) -> list[tuple[int, ...]]:
@@ -155,4 +157,26 @@ def all_contents_A(n: int, total: int) -> list[tuple[int, ...]]:
             rec(rem - v, acc + [v])
 
     rec(total, [])
+    return out
+
+
+def is_classically_restricted(w) -> bool:
+    """Killed by every classical e_i."""
+    return all(string_stats(w, i)[0] == 0 for i in range(1, w.n + 1))
+
+
+def filtered_paths(shape, weight, restriction: str = "none",
+                   level: int | None = None) -> list:
+    """The path set of ``enumerate_paths`` by filtering every word of the
+    tensor product: weight, then killed by every classical e_i, then
+    eps_0 at most the level."""
+    out = []
+    for w in shape_elements(shape):
+        if word_weight(w) != tuple(weight):
+            continue
+        if restriction != "none" and not is_classically_restricted(w):
+            continue
+        if restriction == "level" and string_stats(w, 0)[0] > level:
+            continue
+        out.append(w)
     return out

@@ -4,7 +4,8 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalsums.crystal import (Factor, FactorDescriptor, build_component,
+from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
+                                 VERTEX_CAP, build_component,
                                  crystal_level, enumerate_paths,
                                  factor_arrow, factor_elements,
                                  coroot_weight_pairing, letter_arrow,
@@ -12,7 +13,8 @@ from crystalsums.crystal import (Factor, FactorDescriptor, build_component,
                                  string_stats, tensor_arrow, word_weight)
 from crystalsums.errors import CapExceeded, UnsupportedError
 
-from oracles import (dominant_contents_A, dominant_weights_C,
+from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
+                     filtered_paths, is_classically_restricted,
                      lr_multiplicity)
 
 
@@ -222,6 +224,91 @@ class TestPathSets:
             for lam in lams:
                 got = len(enumerate_paths(shape, lam, "classical"))
                 assert got == lr_multiplicity(kind, n, raw, lam), (lam, L)
+
+
+@st.composite
+def search_inputs(draw):
+    """A small shape (type A rows, columns or both; type C boxes), one of
+    its weights, a restriction and a level."""
+    kind = draw(st.sampled_from("AC"))
+    n = draw(st.integers(1, 2))
+    if kind == "A":
+        rows = [(1, s) for s in (1, 2, 3)]
+        cols = [(r, 1) for r in range(2, n + 2)]
+        pool = draw(st.sampled_from((rows, cols, rows + cols)))
+        L = draw(st.integers(1, 4))
+    else:
+        pool = [(1, 1)]
+        L = draw(st.integers(1, 5))
+    shape = tuple(FactorDescriptor(kind, n, r, s) for r, s in
+                  draw(st.lists(st.sampled_from(pool), min_size=L,
+                                max_size=L)))
+    total = sum(d.boxes for d in shape)
+    if kind == "A":
+        weight = draw(st.sampled_from(all_contents_A(n, total)))
+        restriction = draw(st.sampled_from(("none", "classical", "level")))
+    else:
+        weight = tuple(draw(st.lists(st.integers(-total, total),
+                                     min_size=n, max_size=n)))
+        restriction = draw(st.sampled_from(("none", "classical")))
+    return shape, weight, restriction, draw(st.integers(0, 3))
+
+
+class TestPathSearch:
+    @given(search_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_product_filter(self, case):
+        shape, weight, restriction, level = case
+        got = enumerate_paths(shape, weight, restriction, level)
+        want = filtered_paths(shape, weight, restriction, level)
+        assert sorted(got, key=str) == sorted(want, key=str)
+
+    @pytest.mark.parametrize("n,max_L", [(1, 6), (2, 4)])
+    def test_boxes_match_the_product_filter(self, n, max_L):
+        for L in range(1, max_L + 1):
+            shape = boxes("A", n, L)
+            for lam in all_contents_A(n, L):
+                for restriction, level in (("none", None), ("classical", None),
+                                           ("level", 0), ("level", 1),
+                                           ("level", 2), ("level", 3)):
+                    got = enumerate_paths(shape, lam, restriction, level)
+                    want = filtered_paths(shape, lam, restriction, level)
+                    assert sorted(got, key=str) == sorted(want, key=str), \
+                        (L, lam, restriction, level)
+
+    @pytest.mark.parametrize("shape", [
+        boxes("A", 2, 5),
+        (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 2),
+         FactorDescriptor("A", 2, 1, 3), FactorDescriptor("A", 2, 2, 1)),
+        (FactorDescriptor("A", 3, 3, 1), FactorDescriptor("A", 3, 2, 1),
+         FactorDescriptor("A", 3, 2, 1)),
+        boxes("C", 2, 4),
+    ])
+    def test_right_suffixes_of_restricted_paths_are_highest(self, shape):
+        # the lemma behind the highest weight pruning
+        seen = 0
+        for w in shape_elements(shape):
+            if is_classically_restricted(w):
+                seen += 1
+                for k in range(1, len(shape)):
+                    suffix = TensorWord(w.kind, w.n, w.factors[k:])
+                    assert is_classically_restricted(suffix), (w, k)
+        assert seen > 1
+
+    def test_cap_counts_search_nodes(self):
+        with pytest.raises(CapExceeded):
+            enumerate_paths(boxes("A", 1, 6), (3, 3), "classical", cap=5)
+        assert len(enumerate_paths(boxes("A", 1, 6), (3, 3), "classical",
+                                   cap=50)) == 5
+
+    def test_product_beyond_the_cap(self):
+        shape = boxes("A", 1, 21)
+        assert 2 ** 21 > VERTEX_CAP
+        with pytest.raises(CapExceeded):
+            next(shape_elements(shape))
+        assert [str(w) for w in enumerate_paths(shape, (21, 0),
+                                                "classical")] \
+            == ["(x)".join(["1"] * 21)]
 
 
 class TestDescriptors:

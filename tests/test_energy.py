@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
 from crystalsums.crystal import (FactorDescriptor, build_component,
-                                 letters_word, shape_elements,
+                                 letters_word, search_paths, shape_elements,
                                  tensor_arrow, word)
 from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
-                                direct_sum, energy_EB, intrinsic_D)
+                                direct_sum, energy_EB, energy_extension,
+                                intrinsic_D)
 from crystalsums.errors import UnsupportedError
-from crystalsums.qpoly import invert_q, qmultinomial
+from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
-from oracles import all_contents_A
+from oracles import all_contents_A, filtered_paths
 
 B11_A1 = FactorDescriptor("A", 1)
 
@@ -158,3 +161,47 @@ class TestDirectSums:
     def test_bad_statistic(self):
         with pytest.raises(ValueError):
             direct_sum(boxes("A", 1, 2), (1, 1), "none", "typo")
+
+
+def seeded_shape(seed, n, kind_of_factor):
+    """Factors in a seeded order: rows B^{1,s} or columns B^{r,1} of at
+    least two sizes, or three to five single boxes."""
+    rng = random.Random(f"{kind_of_factor} {n} {seed}")
+    if kind_of_factor == "boxes":
+        return boxes("A", n, rng.randint(3, 5))
+    sizes = [1, 2] + [rng.randint(1, 3 if kind_of_factor == "rows" else n + 1)
+                      for _ in range(rng.randint(1, 2))]
+    rng.shuffle(sizes)
+    if kind_of_factor == "rows":
+        return tuple(FactorDescriptor("A", n, 1, s) for s in sizes)
+    return tuple(FactorDescriptor("A", n, r, 1) for r in sizes)
+
+
+class TestIncrementalEnergy:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind_of_factor", ["rows", "columns", "boxes"])
+    def test_every_path_scores_its_coenergy(self, seed, n, kind_of_factor):
+        # the exponent direct_sum accumulates for a path is minus the
+        # energy the search adds up; it must be coenergy_D of that path
+        shape = seeded_shape(seed, n, kind_of_factor)
+        extend = energy_extension(shape)
+        seen = 0
+        for lam in all_contents_A(n, sum(d.boxes for d in shape)):
+            for w, e in search_paths(shape, lam, extend=extend):
+                assert -e == coenergy_D(w), w
+                seen += 1
+        assert seen == sum(1 for _ in shape_elements(shape))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_direct_sum_matches_the_product_filter(self, seed):
+        shape = seeded_shape(seed, 2, "rows")
+        for lam in all_contents_A(2, sum(d.boxes for d in shape)):
+            for restriction, level in (("none", None), ("classical", None),
+                                       ("level", 3)):
+                want = QLaurent.from_exponents(
+                    coenergy_D(b)
+                    for b in filtered_paths(shape, lam, restriction, level))
+                assert direct_sum(shape, lam, restriction, "coenergy",
+                                  level) == want, (shape, lam, restriction)
+
