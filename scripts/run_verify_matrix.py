@@ -13,7 +13,8 @@ SUITES = [
     ("rr", dict(n=1, max_L=20, level=1)),
     ("typeA", dict(n=1, max_L=12, level=1)),
     ("typeA", dict(n=2, max_L=10, level=1)),
-    ("typeC", dict(n=2, max_L=4, level=1)),
+    ("typeC", dict(n=2, max_L=8, level=1)),
+    ("typeC", dict(n=3, max_L=6, level=1)),
     ("level", dict(n=1, max_L=6, level=1)),
     ("level", dict(n=1, max_L=5, level=2)),
     ("level", dict(n=2, max_L=10, level=1)),

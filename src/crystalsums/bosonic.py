@@ -8,19 +8,18 @@ here finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .cartan import (CartanData, WeylElement, cartan_data, generator_action,
-                     translation_lattice_box, weyl_enumerate)
+from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
+                     generator_action, translation_lattice_box,
+                     weyl_enumerate)
 from .crystal import (FactorDescriptor, TensorWord, enumerate_paths,
                       letters_word, reflection_s, shape_elements,
                       string_stats, tensor_arrow, word_weight)
 from .energy import coenergy_D
-from .errors import (CapExceeded, InvolutionError, NonIntegralExponent,
-                     UnsupportedError)
-from .partitions import (conjugate, horizontal_strip_extensions,
-                         is_horizontal_strip, part, superpartitions)
-from .qpoly import QLaurent, ZERO, q_power, qbinomial, qmultinomial
+from .errors import CapExceeded, InvolutionError, UnsupportedError
+from .partitions import (conjugate, horizontal_strip_extensions, part,
+                         superpartitions)
+from .qpoly import ONE, QLaurent, ZERO, q_power, qbinomial, qmultinomial
 
 Shape = tuple[FactorDescriptor, ...]
 
@@ -30,87 +29,64 @@ def _qbin_from_top(top: int, bottom: int) -> QLaurent:
     return qbinomial(top - bottom, bottom)
 
 
+def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
+               term) -> QLaurent:
+    """Sum of term(chain) over the chains () = nu^(0), nu^(1), ...,
+    nu^(n+1) = mu^t in which nu^(a) is one of step(nu^(a-1), lam_a, mu^t)."""
+    if len(lam) != n + 1 or any(x < 0 for x in lam) or sum(lam) != sum(mu):
+        return ZERO
+    target = conjugate(tuple(sorted(mu, reverse=True)))
+    chains = [((),)]
+    for x in lam:
+        chains = [c + (nxt,) for c in chains for nxt in step(c[-1], x, target)]
+    out = ZERO
+    for c in chains:
+        if c[-1] == target:
+            out = out + term(c)
+    return out
+
+
 def supernomial_A_columns(n: int, mu: tuple[int, ...],
                           lam: tuple[int, ...]) -> QLaurent:
     """Closed form of the type A supernomial for a product of single-column
     factors B^{mu_L,1} (x) ... (x) B^{mu_1,1}, as a sum over chains of
     partitions joined by horizontal strips."""
-    if len(lam) != n + 1 or any(x < 0 for x in lam) or sum(lam) != sum(mu):
-        return ZERO
-    target = conjugate(tuple(sorted(mu, reverse=True)))
     width = mu[0] if mu else 0
 
-    out = ZERO
-
-    def rec(a: int, chain: list[tuple[int, ...]]):
-        nonlocal out
-        if a == n + 1:
-            if not is_horizontal_strip(target, chain[-1]):
-                return
-            if sum(target) - sum(chain[-1]) != lam[n]:
-                return
-            full = chain + [target]
-            term = _chain_product(full)
-            out = out + term
-            return
-        for nxt in horizontal_strip_extensions(chain[-1], lam[a - 1], target):
-            chain.append(nxt)
-            rec(a + 1, chain)
-            chain.pop()
-
-    def _chain_product(nu: list[tuple[int, ...]]) -> QLaurent:
-        # nu[0] = nu^(0) = (), ..., nu[n+1] = mu^t
-        term: QLaurent = q_power(0)
+    def term(nu) -> QLaurent:
+        out = ONE
         for a in range(1, n + 1):
             for i in range(1, width + 1):
                 top = part(nu[a + 1], i) - part(nu[a + 1], i + 1)
                 bot = part(nu[a], i) - part(nu[a + 1], i + 1)
-                term = term * _qbin_from_top(top, bot)
-                if term.is_zero():
-                    return term
-        return term
+                out = out * _qbin_from_top(top, bot)
+                if out.is_zero():
+                    return out
+        return out
 
-    rec(1, [()])
-    return out
+    return _chain_sum(n, mu, lam, horizontal_strip_extensions, term)
 
 
 def supernomial_A_rows(n: int, mu: tuple[int, ...],
                        lam: tuple[int, ...]) -> QLaurent:
     """Closed form of the type A supernomial for a product of single-row
     factors B^{1,mu_L} (x) ... (x) B^{1,mu_1}."""
-    if len(lam) != n + 1 or any(x < 0 for x in lam) or sum(lam) != sum(mu):
-        return ZERO
-    target = conjugate(tuple(sorted(mu, reverse=True)))
     width = mu[0] if mu else 0
 
-    out = ZERO
-
-    def rec(a: int, chain: list[tuple[int, ...]]):
-        nonlocal out
-        if a == n + 1:
-            full = chain + [target]
-            out = out + _chain_term(full)
-            return
-        for nxt in superpartitions(chain[-1], lam[a - 1], target):
-            chain.append(nxt)
-            rec(a + 1, chain)
-            chain.pop()
-
-    def _chain_term(nu: list[tuple[int, ...]]) -> QLaurent:
+    def term(nu) -> QLaurent:
         phi = 0
-        term: QLaurent = q_power(0)
+        out = ONE
         for a in range(1, n + 1):
             for i in range(1, width + 1):
                 top = part(nu[a + 1], i) - part(nu[a], i + 1)
                 bot = part(nu[a], i) - part(nu[a], i + 1)
-                term = term * _qbin_from_top(top, bot)
-                if term.is_zero():
-                    return term
+                out = out * _qbin_from_top(top, bot)
+                if out.is_zero():
+                    return out
                 phi += part(nu[a], i + 1) * (part(nu[a + 1], i) - part(nu[a], i))
-        return term * q_power(phi)
+        return out * q_power(phi)
 
-    rec(1, [()])
-    return out
+    return _chain_sum(n, mu, lam, superpartitions, term)
 
 
 def supernomial_C_boxes(n: int, boxes: int, lam: tuple[int, ...]) -> QLaurent:
@@ -220,17 +196,17 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     ring_contribution = ZERO
     for beta in box:
         shift = tuple(c * x for x in beta)
-        expo = (Fraction(data.a0, 2) * data.pairing(beta, beta) * c
-                - data.a0 * data.pairing(lam_rho, beta))
-        if expo.denominator != 1:
-            raise NonIntegralExponent(
-                f"level prefactor {expo} for beta={beta}")
+        # a0/2 (beta|beta) c - a0 (lam+rho|beta), over the integer form
+        expo = _exact_quotient(
+            data.a0 * (c * data.form(beta, beta)
+                       - 2 * data.form(lam_rho, beta)),
+            4, f"level prefactor at beta={beta}")
         beta_term = ZERO
         for w in elements:
             s = supernomial(shape, _rho_shifted(data, w, lam, shift))
             if not s.is_zero():
                 beta_term = beta_term + (s if w.sign > 0 else -s)
-        contrib = q_power(int(expo)) * beta_term
+        contrib = q_power(expo) * beta_term
         out = out + contrib
         if max(abs(x) for x in beta) == outermost:
             ring_contribution = ring_contribution + contrib

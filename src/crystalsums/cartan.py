@@ -2,20 +2,28 @@
 
 Weights live in an integer ambient lattice: Z^{n+1} for type A (content
 vectors, not reduced modulo the all-ones vector) and Z^n for type C.  With
-this choice every quantity the sums need is an integer, except the type C
-bilinear form which carries a denominator of 2 and is returned as a
-Fraction.
+this choice every quantity the sums need is an integer.  The type C
+bilinear form carries a denominator of 2, so ``CartanData.form`` returns
+the integer 2(v|w) in both types, and every expression built on it divides
+once, exactly, through ``_exact_quotient``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .errors import CapExceeded
+from .errors import CapExceeded, NonIntegralExponent
 
 WEYL_RANK_CAP = 6
+
+
+def _exact_quotient(x: int, d: int, what: str) -> int:
+    """x / d, which must be an integer."""
+    q, r = divmod(x, d)
+    if r:
+        raise NonIntegralExponent(f"{what} {x}/{d} is not an integer")
+    return q
 
 
 @dataclass(frozen=True)
@@ -32,14 +40,17 @@ class CartanData:
     def dim(self) -> int:
         return self.n + 1 if self.kind == "A" else self.n
 
-    def pairing(self, v: tuple[int, ...], w: tuple[int, ...]) -> Fraction:
+    def form(self, v: tuple[int, ...], w: tuple[int, ...]) -> int:
+        """2(v|w): the dot product in type C, twice it in type A."""
         dot = sum(a * b for a, b in zip(v, w))
-        return Fraction(dot, 2) if self.kind == "C" else Fraction(dot)
+        return dot if self.kind == "C" else 2 * dot
 
     def coroot_pairing(self, a: int, v: tuple[int, ...]) -> int:
         """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
         denominator 2 meets t_a = 2 or the long root's even coordinate."""
-        return int(self.t[a - 1] * self.pairing(self.simple_roots[a - 1], v))
+        return _exact_quotient(
+            self.t[a - 1] * self.form(self.simple_roots[a - 1], v), 2,
+            "coroot pairing")
 
 
 @cache

@@ -88,10 +88,7 @@ def _fermionic_sum(shape: Shape, weight: tuple[int, ...], level: int | None,
         if mode == "closed_form":
             return fermionic.closed_form_F(cartan_data(kind, n), L, lam)
         return fermionic.rc_generating_function(kind, n, L, lam)
-    if kind == "A":
-        return fermionic.level_restricted_A(n, L, lam, level, mode)
-    cols = {a: m for (a, _), m in L.items()}
-    return fermionic.level_restricted_C(n, cols, lam, level, mode)
+    return fermionic.level_restricted(kind, n, L, lam, level, mode)
 
 
 # (restriction, method) -> (shapes covered, evaluator).  Every evaluator

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
 
-from .errors import CapExceeded, UnsupportedError
+from .errors import CapExceeded, CrystalStructureError, UnsupportedError
 
 VERTEX_CAP = 2 * 10 ** 6
 
@@ -537,7 +537,7 @@ def highest_weight_element(desc: FactorDescriptor) -> Factor:
     for x in factor_elements(desc):
         if all(factor_arrow(x, i, "e") is None for i in range(1, desc.n + 1)):
             return x
-    raise AssertionError("factor crystal has no highest weight element")
+    raise CrystalStructureError(f"{desc} has no highest weight element")
 
 
 def crystal_level(shape: tuple[FactorDescriptor, ...],

@@ -13,6 +13,13 @@ class UnsupportedError(CrystalSumsError):
     """The requested combination (type, factor, restriction) is out of scope."""
 
 
+class CrystalStructureError(CrystalSumsError):
+    """A factor crystal lacks an element its type guarantees.
+
+    This indicates broken classical arrows, not bad user input.
+    """
+
+
 class IsomorphismError(CrystalSumsError):
     """The parallel BFS for the combinatorial R-matrix found a mismatch.
 

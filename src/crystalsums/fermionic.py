@@ -11,19 +11,18 @@ of the actual partitions.  Their agreement is one of the package's checks.
 
 Type C bookkeeping: nu^(n) is stored unhalved, so its parts are even; a
 generic index i at the long row corresponds to the actual part size 2i.
-Vacancy numbers at odd actual sizes on that row can be half-integral and
-are kept as Fractions.
+Both routes compute over the integer form 2(v|w) and divide once, exactly;
+a half-integral vacancy (at an odd long-row size, which no sum reads)
+raises NonIntegralExponent.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
-from .cartan import CartanData, cartan_data
-from .errors import (CapExceeded, CrystalSumsError, NonIntegralExponent,
-                     UnsupportedError)
+from .cartan import CartanData, _exact_quotient, cartan_data
+from .errors import CapExceeded, CrystalSumsError, UnsupportedError
 from .partitions import (conjugate, num_parts_of_size, part, partitions_in_box,
                          partitions_of, q_columns)
 from .qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
@@ -82,13 +81,7 @@ def _occupied(nu) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # vacancy numbers and charges, both routes
 
-def _integral(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralExponent(f"{what} {x} is not an integer")
-    return int(x)
-
-
-def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> Fraction:
+def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> int:
     """P_i^(a)(nu) from column counts, at the actual part size i."""
     n = data.n
     above = nu[a] if a < n else ()
@@ -97,10 +90,11 @@ def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> Fraction:
     if data.kind == "A" or a < n:
         base = (q_columns(below, i) - 2 * q_columns(here, i)
                 + q_columns(above, i))
-        src = sum(mult * min(i, j) for (b, j), mult in L.items() if b == a)
-        return Fraction(base + src)
+        return base + sum(mult * min(i, j) for (b, j), mult in L.items()
+                          if b == a)
     base = q_columns(below, i) - q_columns(here, i)
-    return base + Fraction(L.get((n, 1), 0) * min(i, 2), 2)
+    return _exact_quotient(2 * base + L.get((n, 1), 0) * min(i, 2), 2,
+                           "vacancy")
 
 
 def _generic_m(data: CartanData, nu) -> list[dict[int, int]]:
@@ -116,53 +110,49 @@ def _generic_m(data: CartanData, nu) -> list[dict[int, int]]:
     return out
 
 
-def _vacancy_generic(data: CartanData, L: LMap, gm, a: int, i: int,
-                     grid: int | None = None) -> Fraction:
-    """p_i^(a) from the bilinear form, at generic index i.  With ``grid``
-    set, source terms are truncated to the level grid."""
-    src = sum(mult * min(i, j) for (b, j), mult in L.items()
-              if b == a and (grid is None or j <= data.t[a - 1] * grid))
-    acc = Fraction(0)
+def _vacancy_generic(data: CartanData, L: LMap, gm, a: int, i: int) -> int:
+    """p_i^(a) from the bilinear form, at generic index i."""
+    acc = 2 * sum(mult * min(i, j) for (b, j), mult in L.items() if b == a)
     alpha = data.simple_roots
     for b in range(1, data.n + 1):
-        pair = data.pairing(alpha[a - 1], alpha[b - 1])
+        pair = data.form(alpha[a - 1], alpha[b - 1])
         if pair == 0:
             continue
         for k, m in gm[b - 1].items():
-            acc += pair * min(data.t[b - 1] * i, data.t[a - 1] * k) * m
-    return src - acc
+            acc -= pair * min(data.t[b - 1] * i, data.t[a - 1] * k) * m
+    return _exact_quotient(acc, 2, "vacancy")
 
 
 def _cc_generic(data: CartanData, gm) -> int:
     """cc({m}) from the bilinear form, at generic indices."""
-    acc = Fraction(0)
+    acc = 0
     alpha = data.simple_roots
     for a in range(1, data.n + 1):
         for b in range(1, data.n + 1):
-            pair = data.pairing(alpha[a - 1], alpha[b - 1])
+            pair = data.form(alpha[a - 1], alpha[b - 1])
             if pair == 0:
                 continue
             for j, mj in gm[a - 1].items():
                 for k, mk in gm[b - 1].items():
                     acc += pair * min(data.t[b - 1] * j,
                                       data.t[a - 1] * k) * mj * mk
-    return _integral(acc / 2, "charge")
+    return _exact_quotient(acc, 4, "charge")
 
 
 def cc_shape(kind: str, n: int, nu) -> int:
     """cc(nu) from column counts (the rigged-configuration route)."""
     cols = [conjugate(row) for row in nu]
     width = max((row[0] if row else 0 for row in nu), default=0)
-    acc = Fraction(0)
+    acc = 0  # twice the charge
     for i in range(1, width + 1):
         for a in range(1, n + 1):
             ai = part(cols[a - 1], i)
             up = part(cols[a], i) if a < n else 0
             if kind == "C" and a == n:
-                acc += Fraction(ai * ai, 2)
+                acc += ai * ai
             else:
-                acc += ai * (ai - up)
-    return _integral(acc, "type C charge")
+                acc += 2 * ai * (ai - up)
+    return _exact_quotient(acc, 2, "charge")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +213,6 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
             if p < 0:
                 ok = False
                 break
-            p = _integral(p, "vacancy")
             boxes.append(((a, i), partitions_in_box(m, p)))
         if not ok:
             continue
@@ -250,7 +239,7 @@ def theta(rc: RiggedConfiguration, L: LMap) -> RiggedConfiguration:
     new = []
     for (a, i), J in rc.riggings:
         m = num_parts_of_size(rc.nu[a - 1], i)
-        p = _integral(vacancy(data, L, rc.nu, a, i), "vacancy")
+        p = vacancy(data, L, rc.nu, a, i)
         padded = list(J) + [0] * (m - len(J))
         comp = tuple(x for x in sorted((p - x for x in padded),
                                        reverse=True) if x > 0)
@@ -266,7 +255,7 @@ def cc_theta(rc: RiggedConfiguration, L: LMap) -> int:
     for (a, i), J in rc.riggings:
         m = num_parts_of_size(rc.nu[a - 1], i)
         p = vacancy(data, L, rc.nu, a, i)
-        total += int(p) * m - sum(J)
+        total += p * m - sum(J)
     return total
 
 
@@ -294,8 +283,7 @@ def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
         poly = q_power(_cc_generic(data, gm))
         for a in range(1, data.n + 1):
             for i, m in gm[a - 1].items():
-                p = _integral(_vacancy_generic(data, L, gm, a, i), "vacancy")
-                poly = poly * qbinomial(p, m)
+                poly = poly * qbinomial(_vacancy_generic(data, L, gm, a, i), m)
                 if poly.is_zero():
                     break
             if poly.is_zero():
@@ -340,9 +328,8 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
         gm = _generic_m(data, nu)
         poly = q_power(_cc_generic(data, gm))
         for a, i in grid:
-            p = _integral(_vacancy_generic(data, L, gm, a, i, grid=level),
-                          "vacancy")
-            poly = poly * qbinomial(p, gm[a - 1].get(i, 0))
+            poly = poly * qbinomial(_vacancy_generic(data, L, gm, a, i),
+                                    gm[a - 1].get(i, 0))
             if poly.is_zero():
                 break
         out = out + poly
@@ -409,7 +396,7 @@ def _closed_form_terms(charge: int, vacancies, mults, minima) -> QLaurent:
     for corr, k in minima.items():
         poly = q_power(charge, k)
         for p, m, d in zip(vacancies, mults, corr):
-            poly = poly * invert_q(qbinomial(_floor(p + d), m))
+            poly = poly * invert_q(qbinomial(p + d, m))
             if poly.is_zero():
                 break
         out = out + poly
@@ -417,11 +404,13 @@ def _closed_form_terms(charge: int, vacancies, mults, minima) -> QLaurent:
 
 
 # ---------------------------------------------------------------------------
-# level restriction, type A
+# level restriction
 
-def _lambda_prime_A(n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
+def _lambda_prime_A(n: int,
+                    lam: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Shape and alphabet of the type A tableaux."""
     reduced = tuple(lam[a] - lam[n] for a in range(n))
-    return conjugate(tuple(x for x in reduced if x > 0))
+    return conjugate(tuple(x for x in reduced if x > 0)), lam[0] - lam[n]
 
 
 def _corr_A(n: int, lam: tuple[int, ...], level: int, t, a: int, i: int) -> int:
@@ -433,156 +422,107 @@ def _corr_A(n: int, lam: tuple[int, ...], level: int, t, a: int, i: int) -> int:
     return out
 
 
-def level_restricted_A(n: int, L: LMap, lam: tuple[int, ...], level: int,
-                       mode: str = "rc_sum") -> QLaurent:
-    """X-bar^level(B, Lambda) for type A.
+def _lambda_prime_C(n: int,
+                    lam: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Shape and alphabet of the type C tableaux."""
+    l1 = lam[0]
+    seq = [2 * l1]
+    seq += [l1 + lam[a] for a in range(1, n)]
+    seq += [l1 - lam[n - a] for a in range(1, n + 1)]
+    return conjugate(tuple(x for x in seq if x > 0)), 2 * l1
 
-    rc_sum: sum q^{cc o theta} over rigged configurations with parts at
-    most ``level`` admitting a column-strict tableau whose modified vacancy
+
+def _corr_C(n: int, lam: tuple[int, ...], level: int, t, a: int,
+            i: int) -> int:
+    """The tableau correction at (a, i), i the actual part size, from
+    f^(b) = f_i^(b)(t) for 1 <= b <= 2n-1: min(f^(a), f^(2n-a)) on a short
+    row, floor(f^(n) / 2) on the long row.  The long-row parts are even, so
+    the vacancy it is added to is an integer, and the sum is only compared
+    with integers or floored: taking the floor first changes nothing."""
+    l1 = lam[0]
+    shift = 2 * level - 2 * l1
+
+    def count(col: int) -> int:
+        entries = _column(t, col)
+        height = l1 + lam[col - 1] if col <= n else l1 - lam[2 * n - col]
+        if len(entries) != height:
+            raise UnsupportedError(f"weight {lam} is not dominant")
+        return sum(1 for e in entries if i >= shift + e)
+
+    def f(b: int) -> int:
+        return count(b + 1) - count(b)
+
+    return min(f(a), f(2 * n - a)) if a < n else f(n) // 2
+
+
+def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
+                     level: int, mode: str = "rc_sum") -> QLaurent:
+    """X-bar^level(B, Lambda) for type A, or type C single-column factors.
+
+    rc_sum: sum q^{cc o theta} over rigged configurations with parts in
+    the level grid admitting a column-strict tableau whose modified vacancy
     numbers dominate all riggings (and stay nonnegative on the grid).
 
     closed_form: the inclusion-exclusion over nonempty tableau subsets with
     1/q-binomials, collected by the subsets' minimal corrections.  The
     modes must agree.
+
+    The types differ only in the tableaux (``_lambda_prime_A/C``) and the
+    correction they make at a site (``_corr_A/C``).
     """
-    data = cartan_data("A", n)
-    if len(lam) != n + 1:
-        raise ValueError("weight must be a content vector of length n+1")
-    if lam[0] - lam[n] > level:
-        raise CrystalSumsError(
-            f"weight level {lam[0] - lam[n]} exceeds {level}")
+    data = cartan_data(kind, n)
+    if len(lam) != data.dim:
+        raise ValueError(f"weight must have {data.dim} coordinates")
+    if kind == "A":
+        weight_level, corr = lam[0] - lam[n], _corr_A
+        shape, alphabet = _lambda_prime_A(n, lam)
+    else:
+        weight_level, corr = lam[0], _corr_C
+        shape, alphabet = _lambda_prime_C(n, lam)
+    if weight_level > level:
+        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
     for (a, i) in L:
+        if kind == "C" and i != 1:
+            raise UnsupportedError("type C factors must be single columns")
         if i > level:
             raise UnsupportedError("factor wider than the level")
-    tableaux = cst_enumerate(_lambda_prime_A(n, lam), lam[0] - lam[n])
+    tableaux = cst_enumerate(shape, alphabet)
     grid = _generic_grid(data, level)
+    sites = [(a, 2 * i if kind == "C" and a == n else i) for a, i in grid]
+    max_part = 2 * level if kind == "C" else level
 
     if mode == "rc_sum":
         return QLaurent.from_exponents(
-            cc_theta(rc, L) for rc in enumerate_rc("A", n, L, lam)
-            if not any(row and row[0] > level for row in rc.nu)
-            and _admits_tableau(rc, tableaux, grid,
+            cc_theta(rc, L) for rc in enumerate_rc(kind, n, L, lam)
+            if not any(row and row[0] > max_part for row in rc.nu)
+            and _admits_tableau(rc, tableaux, sites,
                                 lambda t, a, i: vacancy(data, L, rc.nu, a, i)
-                                + _corr_A(n, lam, level, t, a, i)))
+                                + corr(n, lam, level, t, a, i)))
 
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
-    minima = _signed_minima([tuple(_corr_A(n, lam, level, t, a, i)
-                                   for a, i in grid) for t in tableaux])
+    minima = _signed_minima([tuple(corr(n, lam, level, t, a, i)
+                                   for a, i in sites) for t in tableaux])
     out = ZERO
-    for nu in _nu_choices(data, sizes, max_part=level):
+    for nu in _nu_choices(data, sizes, max_part=max_part):
         gm = _generic_m(data, nu)
         mults = [gm[a - 1].get(i, 0) for a, i in grid]
-        ps = [int(_vacancy_generic(data, L, gm, a, i, grid=level))
-              for a, i in grid]
+        ps = [_vacancy_generic(data, L, gm, a, i) for a, i in grid]
         c = _cc_generic(data, gm) + sum(p * m for p, m in zip(ps, mults))
         out = out + _closed_form_terms(c, ps, mults, minima)
     return out
 
 
-def _admits_tableau(rc: RiggedConfiguration, tableaux, grid, bound) -> bool:
-    """Does some tableau dominate every rigging with nonnegative modified
-    vacancy numbers across the whole grid?"""
-    for t in tableaux:
-        ok = True
-        for a, i in grid:
-            scale = 2 if rc.kind == "C" and a == rc.n else 1
-            site = scale * i
-            b = bound(t, a, site)
-            top = rc.rigging(a, site)[0] if rc.rigging(a, site) else 0
-            if b < top or b < 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# level restriction, type C
-
-def _lambda_prime_C(n: int, lamC: tuple[int, ...]) -> tuple[int, ...]:
-    l1 = lamC[0] if lamC else 0
-    seq = [2 * l1]
-    seq += [l1 + lamC[a] for a in range(1, n)]
-    seq += [l1 - lamC[n - a] for a in range(1, n + 1)]
-    return conjugate(tuple(x for x in seq if x > 0))
-
-
-def _f_corr_C(n: int, lamC: tuple[int, ...], level: int, t,
-              a: int, i: int) -> int:
-    """f_i^(a)(t) for 1 <= a <= 2n-1, at the actual index i."""
-    l1 = lamC[0] if lamC else 0
-    shift = 2 * level - 2 * l1
-
-    def height(col: int) -> int:
-        if col <= n:
-            return l1 + lamC[col - 1]
-        return l1 - lamC[2 * n - col]
-
-    def count(col: int) -> int:
-        entries = _column(t, col)
-        if len(entries) != height(col):
-            raise UnsupportedError(f"weight {lamC} is not dominant")
-        return sum(1 for e in entries if i >= shift + e)
-
-    return -count(a) + count(a + 1)
-
-
-def level_restricted_C(n: int, columns: dict[int, int], lamC: tuple[int, ...],
-                       level: int, mode: str = "rc_sum") -> QLaurent:
-    """X-bar^level(B, Lambda) for type C single-column factors
-    (columns[a] = number of B^{a,1} factors), by rigged configurations or
-    the signed tableau-subset closed form."""
-    data = cartan_data("C", n)
-    if len(lamC) != n:
-        raise ValueError("weight must have n coordinates")
-    if lamC and lamC[0] > level:
-        raise CrystalSumsError(f"weight level {lamC[0]} exceeds {level}")
-    L: LMap = {(a, 1): m for a, m in columns.items() if m}
-    tableaux = cst_enumerate(_lambda_prime_C(n, lamC),
-                             2 * (lamC[0] if lamC else 0))
-    grid = _generic_grid(data, level)
-
-    def correction(t, a: int, i: int) -> Fraction:
-        if a < n:
-            return Fraction(min(_f_corr_C(n, lamC, level, t, a, i),
-                                _f_corr_C(n, lamC, level, t, 2 * n - a, i)))
-        return Fraction(_f_corr_C(n, lamC, level, t, n, i), 2)
-
-    if mode == "rc_sum":
-        return QLaurent.from_exponents(
-            cc_theta(rc, L) for rc in enumerate_rc("C", n, L, lamC)
-            if not any(row and row[0] > 2 * level for row in rc.nu)
-            and _admits_tableau(rc, tableaux, grid,
-                                lambda t, a, i: vacancy(data, L, rc.nu, a, i)
-                                + correction(t, a, i)))
-
-    if mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
-    sizes = config_sizes(data, L, lamC)
-    if sizes is None:
-        return ZERO
-    sites = [(a, 2 * i if a == n else i) for a, i in grid]
-    minima = _signed_minima([tuple(correction(t, a, site) for a, site in sites)
-                             for t in tableaux])
-    out = ZERO
-    for nu in _nu_choices(data, sizes, max_part=2 * level):
-        c = Fraction(cc_shape("C", n, nu))
-        for a, i, m in _occupied(nu):
-            c += vacancy(data, L, nu, a, i) * m
-        mults = [num_parts_of_size(nu[a - 1], site) for a, site in sites]
-        ps = [vacancy(data, L, nu, a, site) for a, site in sites]
-        out = out + _closed_form_terms(_integral(c, "charge"), ps, mults,
-                                       minima)
-    return out
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _admits_tableau(rc: RiggedConfiguration, tableaux, sites, bound) -> bool:
+    """Does some tableau give modified vacancy numbers that dominate every
+    rigging (riggings are nonnegative) at every (row, part size) site?"""
+    tops = [max(rc.rigging(a, i), default=0) for a, i in sites]
+    return any(all(bound(t, a, i) >= top
+                   for (a, i), top in zip(sites, tops))
+               for t in tableaux)
 
 
 def shape_L(shape) -> tuple[LMap, int]:

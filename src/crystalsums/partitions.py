@@ -57,19 +57,6 @@ def q_columns(mu: tuple[int, ...], i: int) -> int:
     return sum(min(i, p) for p in mu)
 
 
-def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    return all(part(outer, i) >= part(inner, i)
-               for i in range(1, len(inner) + 1))
-
-
-def is_horizontal_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """outer/inner is a skew shape with at most one box per column."""
-    if not contains(outer, inner):
-        return False
-    return all(part(outer, i + 1) <= part(inner, i)
-               for i in range(1, len(outer) + 1))
-
-
 def horizontal_strip_extensions(inner: tuple[int, ...], size: int,
                                 bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All partitions outer with outer/inner a horizontal strip of the given

@@ -17,9 +17,8 @@ from crystalsums.crystal import (FactorDescriptor, build_component,
 from crystalsums.energy import combinatorial_r, direct_sum, energy_EB
 from crystalsums.fermionic import (cc_stat, cc_theta, closed_form_F,
                                    closed_form_F_level, enumerate_rc,
-                                   level_restricted_A, level_restricted_C,
-                                   rc_generating_function, theta,
-                                   vacuum_weight)
+                                   level_restricted, rc_generating_function,
+                                   theta, vacuum_weight)
 from crystalsums.hardhex import (bosonic_term, hh_X, rr_series_check,
                                  strip_inclusion_exclusion)
 from crystalsums.qpoly import qmultinomial
@@ -137,8 +136,8 @@ def test_criterion_6_level_restricted_type_A():
                 if lam[0] - lam[n] > ell:
                     continue
                 d = direct_sum(shape, lam, "level", "coenergy", ell)
-                rc = level_restricted_A(n, Lmap, lam, ell, "rc_sum")
-                cf = level_restricted_A(n, Lmap, lam, ell, "closed_form")
+                rc = level_restricted("A", n, Lmap, lam, ell, "rc_sum")
+                cf = level_restricted("A", n, Lmap, lam, ell, "closed_form")
                 bl = bosonic_level(shape, lam, ell)
                 assert d == rc == cf == bl, (n, ell, L, lam)
                 if lam == vacuum_weight(data, Lmap):
@@ -161,8 +160,8 @@ def test_criterion_7_type_C_agreement():
             assert b == r == f, (L, lam)
             if not lam or lam[0] <= 1:
                 bl = bosonic_level(shape, lam, 1)
-                rc = level_restricted_C(n, {1: L}, lam, 1, "rc_sum")
-                cf = level_restricted_C(n, {1: L}, lam, 1, "closed_form")
+                rc = level_restricted("C", n, Lmap, lam, 1, "rc_sum")
+                cf = level_restricted("C", n, Lmap, lam, 1, "closed_form")
                 assert bl == rc == cf, (L, lam)
     _report(7, "type C classical and level-1 sums, three ways", t0, 180)
 

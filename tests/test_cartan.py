@@ -105,9 +105,10 @@ def test_rho_pairing():
 def test_t_normalization():
     assert cartan_data("A", 4).t == (1, 1, 1, 1)
     assert cartan_data("C", 3).t == (2, 2, 1)
-    # long roots have squared length 2
+    # long roots have squared length 2: the integer form 2(v|w) reads 4
     c3 = cartan_data("C", 3)
-    assert c3.pairing(c3.simple_roots[2], c3.simple_roots[2]) == 2
+    assert c3.form(c3.simple_roots[2], c3.simple_roots[2]) == 4
+    assert c3.form(c3.simple_roots[0], c3.simple_roots[0]) == 2
 
 
 def test_dual_coxeter():

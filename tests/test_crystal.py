@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crystalsums.crystal as crystal
 from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
                                  VERTEX_CAP, build_component,
                                  crystal_level, enumerate_paths,
@@ -11,7 +12,8 @@ from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
                                  coroot_weight_pairing, letter_arrow,
                                  letters_word, reflection_s, shape_elements,
                                  string_stats, tensor_arrow, word_weight)
-from crystalsums.errors import CapExceeded, UnsupportedError
+from crystalsums.errors import (CapExceeded, CrystalStructureError,
+                                UnsupportedError)
 
 from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
                      filtered_paths, is_classically_restricted,
@@ -323,6 +325,13 @@ class TestDescriptors:
     def test_full_column_is_trivial(self):
         desc = FactorDescriptor("A", 2, 3, 1)
         assert len(factor_elements(desc)) == 1
+
+    def test_no_highest_weight_element_raises(self, monkeypatch):
+        # broken arrows: every element has an e-arrow
+        monkeypatch.setattr(crystal, "factor_arrow", lambda x, i, d: x)
+        with pytest.raises(CrystalStructureError):
+            crystal.highest_weight_element.__wrapped__(
+                FactorDescriptor("A", 2))
 
     def test_empty_word(self):
         from crystalsums.crystal import TensorWord

@@ -3,13 +3,13 @@ import pytest
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
-from crystalsums.errors import CapExceeded, CrystalSumsError
+from crystalsums.errors import (CapExceeded, CrystalSumsError,
+                                NonIntegralExponent)
 from crystalsums.fermionic import (RiggedConfiguration, cc_stat, cc_theta,
                                    closed_form_F, closed_form_F_level,
                                    config_sizes, cst_enumerate, enumerate_rc,
-                                   level_restricted_A, level_restricted_C,
-                                   rc_generating_function, theta, vacancy,
-                                   vacuum_weight)
+                                   level_restricted, rc_generating_function,
+                                   theta, vacancy, vacuum_weight)
 from crystalsums.qpoly import ONE, ZERO, q_power
 
 from oracles import dominant_contents_A, dominant_weights_C
@@ -108,6 +108,14 @@ class TestRiggedConfigurations:
             for (a, i), _ in rc.riggings:
                 assert vacancy(A2, {(1, 1): 5}, rc.nu, a, i) >= 0
 
+    def test_odd_long_row_vacancy_raises(self):
+        # C_1 has only the long row: P = Q_i(()) - Q_i(nu) + L min(i, 2) / 2
+        C1 = cartan_data("C", 1)
+        assert vacancy(C1, {(1, 1): 3}, ((2,),), 1, 2) == 1
+        with pytest.raises(NonIntegralExponent):
+            vacancy(C1, {(1, 1): 3}, ((2,),), 1, 1)
+        assert vacancy(C1, {(1, 1): 4}, ((2,),), 1, 1) == 1
+
     def test_json_roundtrip(self):
         rcs = enumerate_rc("A", 2, {(1, 1): 4}, (2, 1, 1))
         for rc in rcs:
@@ -170,9 +178,9 @@ class TestLevelForms:
                     for ell in ells:
                         if lam[0] - lam[n] > ell:
                             continue
-                        a = level_restricted_A(n, Lmap, lam, ell, "rc_sum")
-                        b = level_restricted_A(n, Lmap, lam, ell,
-                                               "closed_form")
+                        a = level_restricted("A", n, Lmap, lam, ell, "rc_sum")
+                        b = level_restricted("A", n, Lmap, lam, ell,
+                                             "closed_form")
                         assert a == b, (n, L, lam, ell)
 
     def test_level_restricted_A_matches_paths(self):
@@ -183,20 +191,20 @@ class TestLevelForms:
                         continue
                     want = direct_sum(boxes("A", 1, L), lam, "level",
                                       "coenergy", ell)
-                    got = level_restricted_A(1, {(1, 1): L}, lam, ell)
+                    got = level_restricted("A", 1, {(1, 1): L}, lam, ell)
                     assert got == want, (L, lam, ell)
 
     def test_rectangular_weight_uses_plain_vacancies(self):
         # lambda = (m^{n+1}): no tableaux corrections, matches the vacuum form
-        got = level_restricted_A(1, {(1, 1): 4}, (2, 2), 1)
+        got = level_restricted("A", 1, {(1, 1): 4}, (2, 2), 1)
         assert got == closed_form_F_level(A1, {(1, 1): 4}, 1)
 
     def test_monotone_in_level(self):
         for L in (4, 6):
             Lmap = {(1, 1): L}
             lam = (L // 2, L // 2)
-            lo = level_restricted_A(1, Lmap, lam, 1)
-            hi = level_restricted_A(1, Lmap, lam, 2)
+            lo = level_restricted("A", 1, Lmap, lam, 1)
+            hi = level_restricted("A", 1, Lmap, lam, 2)
             full = closed_form_F(A1, Lmap, lam)
             for e, c in lo.terms:
                 assert c <= hi.coeff(e)
@@ -205,9 +213,9 @@ class TestLevelForms:
 
     def test_level_bound_error(self):
         with pytest.raises(CrystalSumsError):
-            level_restricted_A(1, {(1, 1): 4}, (3, 1), 1)
+            level_restricted("A", 1, {(1, 1): 4}, (3, 1), 1)
         with pytest.raises(CrystalSumsError):
-            level_restricted_C(2, {1: 2}, (2, 0), 1)
+            level_restricted("C", 2, {(1, 1): 2}, (2, 0), 1)
 
     def test_level_restricted_C_modes_and_bosonic(self):
         from crystalsums.bosonic import bosonic_level
@@ -216,20 +224,37 @@ class TestLevelForms:
                 for lam in dominant_weights_C(n, L):
                     if lam and lam[0] > 1:
                         continue
-                    a = level_restricted_C(n, {1: L}, lam, 1, "rc_sum")
-                    b = level_restricted_C(n, {1: L}, lam, 1, "closed_form")
+                    Lmap = {(1, 1): L}
+                    a = level_restricted("C", n, Lmap, lam, 1, "rc_sum")
+                    b = level_restricted("C", n, Lmap, lam, 1, "closed_form")
                     c = bosonic_level(boxes("C", n, L), lam, 1)
                     assert a == b == c, (n, L, lam)
 
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_level_restricted_C_above_level_one(self, level):
+        # from level 2 on, long-row corrections f/2 can be half-integers
+        from crystalsums.bosonic import bosonic_level
+        for n, maxL in ((1, 6), (2, 5)):
+            for L in range(1, maxL + 1):
+                Lmap = {(1, 1): L}
+                for lam in dominant_weights_C(n, L):
+                    if lam[0] > level:
+                        continue
+                    a = level_restricted("C", n, Lmap, lam, level, "rc_sum")
+                    b = level_restricted("C", n, Lmap, lam, level,
+                                         "closed_form")
+                    c = bosonic_level(boxes("C", n, L), lam, level)
+                    assert a == b == c, (n, L, lam, level)
+
     def test_level_restricted_C_empty_weight_reduces(self):
         for L in (2, 4):
-            got = level_restricted_C(2, {1: L}, (0, 0), 1)
+            got = level_restricted("C", 2, {(1, 1): L}, (0, 0), 1)
             assert got == closed_form_F_level(C2, {(1, 1): L}, 1)
 
     def test_level_restricted_C_stabilizes(self):
         for L in (2, 3):
             for lam in dominant_weights_C(2, L):
-                got = level_restricted_C(2, {1: L}, lam, L + 2)
+                got = level_restricted("C", 2, {(1, 1): L}, lam, L + 2)
                 want = rc_generating_function("C", 2, {(1, 1): L}, lam)
                 assert got == want
 

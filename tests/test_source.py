@@ -4,12 +4,43 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalsums"
 
 
-def test_no_assert_statements():
-    # python -O strips asserts; invariants must raise package errors
+def nodes():
+    """(file name, node) for every AST node of the package source."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text()))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
+def test_no_assert_statements():
+    # python -O strips asserts; invariants must raise package errors
+    found = [f"{name}:{node.lineno}" for name, node in nodes()
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_no_assertion_errors():
+    # invariants raise package errors, which the CLI maps to exit codes
+    found = []
+    for name, node in nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_fractions():
+    # all arithmetic is on integers; exact quotients go through one helper
+    found = []
+    for name, node in nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "fractions" for m in modules):
+            found.append(f"{name}:{node.lineno}")
     assert not found, found
