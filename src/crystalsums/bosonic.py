@@ -124,7 +124,17 @@ _SUPER_CACHE: dict[tuple, QLaurent] = {}
 
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     """S-bar(B, weight) for any supported shape; zero off the achievable
-    content set."""
+    content set.  The cheap part of that test, a negative type A content or
+    a type C weight whose L1 norm exceeds the boxes or differs from them in
+    parity, runs before the cache key is built, so those zeros are neither
+    keyed nor cached."""
+    if shape and shape[0].kind == "C":
+        norm = sum(abs(x) for x in weight)
+        if norm > len(shape) or (len(shape) - norm) % 2:
+            return ZERO
+    elif min(weight, default=0) < 0 and (all(d.s == 1 for d in shape)
+                                         or all(d.r == 1 for d in shape)):
+        return ZERO  # a mixed shape still raises below
     key = (tuple(sorted((d.r, d.s) for d in shape)),
            shape[0].kind if shape else "A",
            shape[0].n if shape else 0, tuple(weight))
@@ -155,22 +165,35 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 # ---------------------------------------------------------------------------
 # alternating sums
 
-def _rho_shifted(data: CartanData, w: WeylElement, lam: tuple[int, ...],
-                 shift: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    v = tuple(l + r for l, r in zip(lam, data.rho))
-    if shift is not None:
-        v = tuple(a - b for a, b in zip(v, shift))
-    img = w.apply(v)
-    return tuple(a - r for a, r in zip(img, data.rho))
+def _rho_shifted(data: CartanData, w: WeylElement,
+                 v: tuple[int, ...]) -> tuple[int, ...]:
+    """w(v) - rho, for v a rho-shifted weight."""
+    return tuple(a - r for a, r in zip(w.apply(v), data.rho))
+
+
+def _orbit_meets_support(data: CartanData, v: tuple[int, ...],
+                         boxes: int) -> bool:
+    """Can w(v) - rho pass supernomial's support test for some w in W?
+
+    Type A: a content is nonnegative, and some permutation of v dominates
+    rho coordinatewise iff v sorted in decreasing order does.  Type C: the
+    least L1 distance from rho to a signed permutation of v is reached by
+    making every coordinate positive and matching both in decreasing order
+    (rho is positive and decreasing); it must not exceed the boxes."""
+    if data.kind == "A":
+        return all(x >= r for x, r in zip(sorted(v, reverse=True), data.rho))
+    return sum(abs(x - r) for x, r in zip(
+        sorted((abs(x) for x in v), reverse=True), data.rho)) <= boxes
 
 
 def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
     """X-bar(B, Lambda) as the signed Weyl sum of supernomials."""
     kind, n = shape[0].kind, shape[0].n
     data = cartan_data(kind, n)
+    lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
     for w in weyl_enumerate(data):
-        s = supernomial(shape, _rho_shifted(data, w, lam))
+        s = supernomial(shape, _rho_shifted(data, w, lam_rho))
         if not s.is_zero():
             out = out + (s if w.sign > 0 else -s)
     return out
@@ -178,7 +201,12 @@ def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
 
 def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     """X-bar^level(B, Lambda): the double sum over the finite Weyl group and
-    the translation lattice window."""
+    the translation lattice window.
+
+    A translation beta whose rho-shifted weight v = lam + rho - c beta has
+    no Weyl image in the supernomial support (``_orbit_meets_support``)
+    contributes exactly zero and is skipped before its Weyl loop; the
+    window and its outer-ring check are unchanged."""
     if any(d.s > level for d in shape):
         raise UnsupportedError("factor wider than the level")
     kind, n = shape[0].kind, shape[0].n
@@ -195,7 +223,10 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     out = ZERO
     ring_contribution = ZERO
     for beta in box:
-        shift = tuple(c * x for x in beta)
+        v = tuple(a - c * x for a, x in zip(lam_rho, beta))
+        # supernomial counts type C boxes as factors
+        if not _orbit_meets_support(data, v, len(shape)):
+            continue
         # a0/2 (beta|beta) c - a0 (lam+rho|beta), over the integer form
         expo = _exact_quotient(
             data.a0 * (c * data.form(beta, beta)
@@ -203,7 +234,7 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
             4, f"level prefactor at beta={beta}")
         beta_term = ZERO
         for w in elements:
-            s = supernomial(shape, _rho_shifted(data, w, lam, shift))
+            s = supernomial(shape, _rho_shifted(data, w, v))
             if not s.is_zero():
                 beta_term = beta_term + (s if w.sign > 0 else -s)
         contrib = q_power(expo) * beta_term

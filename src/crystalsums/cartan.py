@@ -45,6 +45,12 @@ class CartanData:
         dot = sum(a * b for a, b in zip(v, w))
         return dot if self.kind == "C" else 2 * dot
 
+    def is_dominant(self, v: tuple[int, ...]) -> bool:
+        """<h_a, v> >= 0 for a = 1..n: weakly decreasing coordinates, and
+        in type C a nonnegative last one."""
+        return (all(a >= b for a, b in zip(v, v[1:]))
+                and (self.kind == "A" or v[-1] >= 0))
+
     def coroot_pairing(self, a: int, v: tuple[int, ...]) -> int:
         """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
         denominator 2 meets t_a = 2 or the long root's even coordinate."""

@@ -133,9 +133,8 @@ def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
         weight_level = weight[0]
     if restriction == "none":
         return False
-    if any(a < b for a, b in zip(weight, weight[1:])) \
-            or (kind == "C" and weight[-1] < 0):
-        return True  # not dominant
+    if not cartan_data(kind, shape[0].n).is_dominant(weight):
+        return True
     return restriction == "level" and weight_level > level
 
 

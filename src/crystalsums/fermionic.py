@@ -18,8 +18,9 @@ raises NonIntegralExponent.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .cartan import CartanData, _exact_quotient, cartan_data
 from .errors import CapExceeded, CrystalSumsError, UnsupportedError
@@ -341,31 +342,27 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
 
 def cst_enumerate(shape: tuple[int, ...], alphabet: int) -> list[tuple[tuple[int, ...], ...]]:
     """Column-strict tableaux of the given shape (row lengths, weakly
-    decreasing) with entries in 1..alphabet, as tuples of rows."""
+    decreasing) with entries in 1..alphabet, as tuples of rows.
+
+    Built a column at a time: each column is a strictly increasing choice
+    from the alphabet, and the rows weakly increase iff every column
+    dominates the one to its left entrywise."""
     shape = tuple(x for x in shape if x > 0)
-    if not shape:
-        return [()]
-    rows = len(shape)
+    heights = conjugate(shape)
+    choices = {h: list(combinations(range(1, alphabet + 1), h))
+               for h in set(heights)}
     out: list[tuple[tuple[int, ...], ...]] = []
-    grid: list[list[int]] = [[0] * shape[r] for r in range(rows)]
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
 
-    def rec(k: int):
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
+    def rec(cols: list[tuple[int, ...]]):
+        if len(cols) == len(heights):
+            out.append(tuple(tuple(col[r] for col in cols[:width])
+                             for r, width in enumerate(shape)))
             return
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])        # rows weakly increase
-        if r > 0 and c < shape[r - 1]:
-            lo = max(lo, grid[r - 1][c] + 1)    # columns strictly increase
-        for v in range(lo, alphabet + 1):
-            grid[r][c] = v
-            rec(k + 1)
-        grid[r][c] = 0
+        for col in choices[heights[len(cols)]]:
+            if not cols or all(x >= y for x, y in zip(col, cols[-1])):
+                rec(cols + [col])
 
-    rec(0)
+    rec([])
     return out
 
 
@@ -377,9 +374,12 @@ def _signed_minima(vectors) -> dict[tuple, int]:
     """Inclusion-exclusion over the nonempty subsets S of ``vectors``: the
     signs (-1)^(|S|+1), summed by the coordinatewise minimum of S.  The
     closed forms see a subset only through that minimum, so this stands in
-    for the sum over all 2^len(vectors) subsets."""
+    for the sum over all 2^len(vectors) subsets.
+
+    Repeated vectors are dropped first: for k copies of one vector the
+    signed sum over their nonempty subsets is 1, as for a single copy."""
     acc: dict[tuple, int] = {}
-    for v in vectors:
+    for v in dict.fromkeys(vectors):
         nxt = dict(acc)
         for u, k in acc.items():
             m = tuple(map(min, u, v))
@@ -413,13 +413,17 @@ def _lambda_prime_A(n: int,
     return conjugate(tuple(x for x in reduced if x > 0)), lam[0] - lam[n]
 
 
-def _corr_A(n: int, lam: tuple[int, ...], level: int, t, a: int, i: int) -> int:
-    """The tableau correction to the vacancy number at (a, i)."""
+def _corrections_A(n: int, lam: tuple[int, ...], level: int, t,
+                   sites) -> tuple[int, ...]:
+    """The tableau corrections to the vacancy numbers at the sites."""
     ltil = level - (lam[0] - lam[n])
-    out = -sum(1 for e in _column(t, a) if i >= ltil + e)
-    if a + 1 <= n:
-        out += sum(1 for e in _column(t, a + 1) if i >= ltil + e)
-    return out
+    cols = [_column(t, a) for a in range(1, n + 2)]
+
+    def count(a: int, i: int) -> int:  # columns strictly increase
+        return bisect_right(cols[a - 1], i - ltil)
+
+    return tuple(count(a + 1, i) - count(a, i) if a < n else -count(a, i)
+                 for a, i in sites)
 
 
 def _lambda_prime_C(n: int,
@@ -432,27 +436,23 @@ def _lambda_prime_C(n: int,
     return conjugate(tuple(x for x in seq if x > 0)), 2 * l1
 
 
-def _corr_C(n: int, lam: tuple[int, ...], level: int, t, a: int,
-            i: int) -> int:
-    """The tableau correction at (a, i), i the actual part size, from
-    f^(b) = f_i^(b)(t) for 1 <= b <= 2n-1: min(f^(a), f^(2n-a)) on a short
-    row, floor(f^(n) / 2) on the long row.  The long-row parts are even, so
-    the vacancy it is added to is an integer, and the sum is only compared
-    with integers or floored: taking the floor first changes nothing."""
-    l1 = lam[0]
-    shift = 2 * level - 2 * l1
+def _corrections_C(n: int, lam: tuple[int, ...], level: int, t,
+                   sites) -> tuple[int, ...]:
+    """The tableau corrections at the sites (a, i), i the actual part size,
+    from f^(b) = f_i^(b)(t) for 1 <= b <= 2n-1: min(f^(a), f^(2n-a)) on a
+    short row, floor(f^(n) / 2) on the long row.  The long-row parts are
+    even, so the vacancy it is added to is an integer, and the sum is only
+    compared with integers or floored: taking the floor first changes
+    nothing."""
+    shift = 2 * level - 2 * lam[0]
+    cols = [_column(t, b) for b in range(1, 2 * n + 1)]
 
-    def count(col: int) -> int:
-        entries = _column(t, col)
-        height = l1 + lam[col - 1] if col <= n else l1 - lam[2 * n - col]
-        if len(entries) != height:
-            raise UnsupportedError(f"weight {lam} is not dominant")
-        return sum(1 for e in entries if i >= shift + e)
+    def f(b: int, i: int) -> int:  # columns strictly increase
+        return (bisect_right(cols[b], i - shift)
+                - bisect_right(cols[b - 1], i - shift))
 
-    def f(b: int) -> int:
-        return count(b + 1) - count(b)
-
-    return min(f(a), f(2 * n - a)) if a < n else f(n) // 2
+    return tuple(min(f(a, i), f(2 * n - a, i)) if a < n else f(n, i) // 2
+                 for a, i in sites)
 
 
 def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
@@ -468,16 +468,19 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     modes must agree.
 
     The types differ only in the tableaux (``_lambda_prime_A/C``) and the
-    correction they make at a site (``_corr_A/C``).
+    corrections they make at the sites (``_corrections_A/C``).  Each call
+    builds the table of correction vectors, one per tableau, once; both
+    modes read it, and rc_sum reads each shape's vacancy numbers once for
+    all its riggings.  A non-dominant weight gives ZERO in both modes.
     """
     data = cartan_data(kind, n)
     if len(lam) != data.dim:
         raise ValueError(f"weight must have {data.dim} coordinates")
     if kind == "A":
-        weight_level, corr = lam[0] - lam[n], _corr_A
+        weight_level, corrections = lam[0] - lam[n], _corrections_A
         shape, alphabet = _lambda_prime_A(n, lam)
     else:
-        weight_level, corr = lam[0], _corr_C
+        weight_level, corrections = lam[0], _corrections_C
         shape, alphabet = _lambda_prime_C(n, lam)
     if weight_level > level:
         raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
@@ -486,26 +489,35 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
             raise UnsupportedError("type C factors must be single columns")
         if i > level:
             raise UnsupportedError("factor wider than the level")
-    tableaux = cst_enumerate(shape, alphabet)
+    if mode not in ("rc_sum", "closed_form"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sizes = config_sizes(data, L, lam)
+    if sizes is None or not data.is_dominant(lam):
+        return ZERO
     grid = _generic_grid(data, level)
     sites = [(a, 2 * i if kind == "C" and a == n else i) for a, i in grid]
     max_part = 2 * level if kind == "C" else level
+    table = [corrections(n, lam, level, t, sites)
+             for t in cst_enumerate(shape, alphabet)]
 
     if mode == "rc_sum":
+        distinct = list(dict.fromkeys(table))
+        vacancies: dict = {}  # per shape nu, shared by all its riggings
+
+        def slacks(rc: RiggedConfiguration) -> list[int]:
+            vac = vacancies.get(rc.nu)
+            if vac is None:
+                vac = vacancies[rc.nu] = [vacancy(data, L, rc.nu, a, i)
+                                          for a, i in sites]
+            return [p - max(rc.rigging(a, i), default=0)
+                    for p, (a, i) in zip(vac, sites)]
+
         return QLaurent.from_exponents(
             cc_theta(rc, L) for rc in enumerate_rc(kind, n, L, lam)
             if not any(row and row[0] > max_part for row in rc.nu)
-            and _admits_tableau(rc, tableaux, sites,
-                                lambda t, a, i: vacancy(data, L, rc.nu, a, i)
-                                + corr(n, lam, level, t, a, i)))
+            and _admits_tableau(slacks(rc), distinct))
 
-    if mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
-    sizes = config_sizes(data, L, lam)
-    if sizes is None:
-        return ZERO
-    minima = _signed_minima([tuple(corr(n, lam, level, t, a, i)
-                                   for a, i in sites) for t in tableaux])
+    minima = _signed_minima(table)
     out = ZERO
     for nu in _nu_choices(data, sizes, max_part=max_part):
         gm = _generic_m(data, nu)
@@ -516,13 +528,12 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     return out
 
 
-def _admits_tableau(rc: RiggedConfiguration, tableaux, sites, bound) -> bool:
-    """Does some tableau give modified vacancy numbers that dominate every
-    rigging (riggings are nonnegative) at every (row, part size) site?"""
-    tops = [max(rc.rigging(a, i), default=0) for a, i in sites]
-    return any(all(bound(t, a, i) >= top
-                   for (a, i), top in zip(sites, tops))
-               for t in tableaux)
+def _admits_tableau(slacks: list[int], table) -> bool:
+    """Does some row of the correction table lift the vacancy numbers to
+    dominate every rigging (riggings are nonnegative) at every (row, part
+    size) site?  ``slacks`` holds each site's vacancy minus its top
+    rigging."""
+    return any(all(s + d >= 0 for s, d in zip(slacks, row)) for row in table)
 
 
 def shape_L(shape) -> tuple[LMap, int]:

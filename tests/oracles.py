@@ -3,16 +3,20 @@
 These deliberately avoid the code paths they check: box partitions are
 enumerated directly, tensor multiplicities come from characters (weight
 multisets plus Weyl alternation) rather than crystal arrows, series
-coefficients come from explicit partition counting, and path sets come
-from filtering the whole tensor product instead of the pruned search.
+coefficients come from explicit partition counting, path sets come
+from filtering the whole tensor product instead of the pruned search, and
+the level alternating sum visits its whole translation window.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
-from crystalsums.cartan import cartan_data, weyl_enumerate
+from crystalsums.bosonic import _supernomial_uncached
+from crystalsums.cartan import (cartan_data, translation_lattice_box,
+                                weyl_enumerate)
 from crystalsums.crystal import shape_elements, string_stats, word_weight
+from crystalsums.qpoly import ZERO, q_power
 
 
 def box_partitions(width: int, height: int) -> list[tuple[int, ...]]:
@@ -179,4 +183,33 @@ def filtered_paths(shape, weight, restriction: str = "none",
         if restriction == "level" and string_stats(w, 0)[0] > level:
             continue
         out.append(w)
+    return out
+
+
+def unpruned_bosonic_level(shape, lam, level):
+    """The level alternating sum over every translation of
+    ``bosonic_level``'s window times every Weyl element, through the
+    uncached supernomial: no translation is skipped and no support test
+    runs."""
+    data = cartan_data(shape[0].kind, shape[0].n)
+    c = level + data.h_dual
+    bound = sum(d.boxes for d in shape) + data.dim + max(
+        abs(l + r) for l, r in zip(tuple(lam) + (0,) * data.dim, data.rho))
+    lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
+    elements = [(w.action, w.sign) for w in weyl_enumerate(data)]
+    seen: dict = {}
+    out = ZERO
+    for beta in translation_lattice_box(data, level, bound):
+        # a0/2 (beta|beta) c - a0 (lam+rho|beta); form is twice (|)
+        expo, rem = divmod(data.a0 * (c * data.form(beta, beta)
+                                      - 2 * data.form(lam_rho, beta)), 4)
+        assert rem == 0, beta
+        v = [a - c * x for a, x in zip(lam_rho, beta)]
+        for action, sign in elements:
+            mu = tuple([s * v[i] - r for (i, s), r in zip(action, data.rho)])
+            if mu not in seen:
+                seen[mu] = _supernomial_uncached(shape, mu)
+            if not seen[mu].is_zero():
+                out = out + q_power(expo) * (seen[mu] if sign > 0
+                                             else -seen[mu])
     return out

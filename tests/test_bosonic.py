@@ -1,18 +1,21 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from crystalsums import bosonic
-from crystalsums.bosonic import (bosonic_classical, bosonic_level,
+from crystalsums.bosonic import (_orbit_meets_support, _supernomial_uncached,
+                                 bosonic_classical, bosonic_level,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
                                  supernomial_C_boxes)
+from crystalsums.cartan import cartan_data, weyl_enumerate
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
-from oracles import all_contents_A, dominant_contents_A, dominant_weights_C
+from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
+                     unpruned_bosonic_level)
 
 
 def boxes(kind, n, L):
@@ -103,6 +106,71 @@ class TestSupernomialFormulas:
         shape = (FactorDescriptor("A", 1, 2, 1), FactorDescriptor("A", 1, 1, 2))
         with pytest.raises(UnsupportedError):
             supernomial(shape, (2, 2))
+        with pytest.raises(UnsupportedError):  # also off the support
+            supernomial(shape, (5, -1))
+
+
+class TestSupport:
+    """The support tests skip only supernomials that are zero."""
+
+    SHAPES = [boxes("A", 1, 3), boxes("A", 2, 3), boxes("C", 2, 3),
+              boxes("C", 3, 4),
+              tuple(FactorDescriptor("A", 2, 1, s) for s in (1, 2, 2)),
+              tuple(FactorDescriptor("A", 2, r, 1) for r in (1, 2, 2))]
+
+    def test_supernomial_matches_uncached(self):
+        for shape in self.SHAPES:
+            dim = shape[0].n + (shape[0].kind == "A")
+            for mu in product(range(-3, 6), repeat=dim):
+                assert supernomial(shape, mu) == \
+                    _supernomial_uncached(shape, mu), (shape, mu)
+
+    def test_off_support_zeros_are_not_cached(self, monkeypatch):
+        # boxes and rows reach every content with the right total, type C
+        # boxes every weight of the right norm and parity
+        monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
+        for shape in self.SHAPES[:5]:
+            total = sum(d.boxes for d in shape)
+            dim = shape[0].n + (shape[0].kind == "A")
+            for mu in product(range(-3, 6), repeat=dim):
+                if shape[0].kind == "C" or sum(mu) == total:
+                    supernomial(shape, mu)
+        assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
+
+    @pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3),
+                                         ("C", 1), ("C", 2), ("C", 3)])
+    def test_orbit_test_is_exact(self, kind, n):
+        # against every Weyl image of v: A needs w(v) - rho >= 0, C needs
+        # |w(v) - rho|_1 <= boxes
+        data = cartan_data(kind, n)
+        elements = weyl_enumerate(data)
+        for v in product(range(-4, 5), repeat=data.dim):
+            images = [tuple(a - r for a, r in zip(w.apply(v), data.rho))
+                      for w in elements]
+            if kind == "A":
+                want = any(min(mu) >= 0 for mu in images)
+                assert _orbit_meets_support(data, v, 0) == want, v
+                continue
+            least = min(sum(map(abs, mu)) for mu in images)
+            for b in range(6):
+                assert _orbit_meets_support(data, v, b) == (least <= b), (v, b)
+
+    def test_cache_holds_no_zero(self, monkeypatch):
+        monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
+        rows = tuple(FactorDescriptor("A", 1, 1, s) for s in (1, 2, 2))
+        for kind, n, shape in (("A", 1, boxes("A", 1, 5)),
+                               ("A", 2, boxes("A", 2, 4)), ("A", 1, rows),
+                               ("C", 2, boxes("C", 2, 5)),
+                               ("C", 3, boxes("C", 3, 4))):
+            total = sum(d.boxes for d in shape)
+            lams = (dominant_contents_A(n, total) if kind == "A"
+                    else dominant_weights_C(n, total))
+            for lam in lams:
+                bosonic_classical(shape, lam)
+                for ell in (2, 3):
+                    bosonic_level(shape, lam, ell)
+        assert bosonic._SUPER_CACHE
+        assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
 
 
 class TestBosonicClassical:
@@ -156,6 +224,43 @@ class TestBosonicLevel:
                             lambda data, level, bound: [(0,) * data.dim])
         with pytest.raises(CapExceeded):
             bosonic_level(boxes("A", 1, 2), (1, 1), 1)
+
+    @pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("C", 1),
+                                         ("C", 2), ("C", 3)])
+    def test_pruned_window_matches_unpruned(self, kind, n):
+        for L in range(1, 6):
+            shape = boxes(kind, n, L)
+            lams = (dominant_contents_A(n, L) if kind == "A"
+                    else dominant_weights_C(n, L))
+            for lam in lams:
+                for ell in (1, 2, 3):
+                    assert bosonic_level(shape, lam, ell) == \
+                        unpruned_bosonic_level(shape, lam, ell), (L, lam, ell)
+
+    def test_skips_dead_translations(self, monkeypatch):
+        # C_3, L = 6, (2,2,0), level 2: 125 translations x 48 elements, of
+        # which two translations give all 8 nonzero supernomials
+        calls = []
+
+        def counted(shape, weight):
+            calls.append(supernomial(shape, weight))
+            return calls[-1]
+
+        monkeypatch.setattr(bosonic, "supernomial", counted)
+        got = bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
+        assert got == unpruned_bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
+        assert len(calls) == 2 * 48
+        assert sum(not s.is_zero() for s in calls) == 8
+
+    def test_pruned_window_on_row_shapes(self):
+        for n, widths in ((1, (1, 2, 2)), (1, (2, 3)), (2, (1, 2)),
+                          (2, (1, 1, 2))):
+            shape = tuple(FactorDescriptor("A", n, 1, s) for s in widths)
+            for lam in dominant_contents_A(n, sum(widths)):
+                for ell in range(max(widths), 4):
+                    assert bosonic_level(shape, lam, ell) == \
+                        unpruned_bosonic_level(shape, lam, ell), \
+                        (widths, lam, ell)
 
     def test_matches_direct_level_enumeration(self):
         for n, maxL, ell in ((1, 5, 1), (1, 4, 2), (2, 4, 1)):

@@ -1,11 +1,15 @@
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 NonIntegralExponent)
-from crystalsums.fermionic import (RiggedConfiguration, cc_stat, cc_theta,
+from crystalsums.fermionic import (RiggedConfiguration, _signed_minima,
+                                   cc_stat, cc_theta,
                                    closed_form_F, closed_form_F_level,
                                    config_sizes, cst_enumerate, enumerate_rc,
                                    level_restricted, rc_generating_function,
@@ -246,6 +250,27 @@ class TestLevelForms:
                     c = bosonic_level(boxes("C", n, L), lam, level)
                     assert a == b == c, (n, L, lam, level)
 
+    @pytest.mark.parametrize("mode", ["rc_sum", "closed_form"])
+    def test_non_dominant_weight_is_zero(self, mode):
+        # the closed form used to raise on these from a column height check
+        for kind, n, L, lam, ell in (("C", 2, 3, (1, 2), 2),
+                                     ("C", 2, 2, (1, -1), 2),
+                                     ("C", 2, 4, (1, -1), 2),
+                                     ("A", 1, 3, (1, 2), 2)):
+            got = level_restricted(kind, n, {(1, 1): L}, lam, ell, mode)
+            assert got == ZERO, (kind, n, L, lam, ell)
+        for kind, n, maxL in (("A", 1, 5), ("A", 2, 4), ("C", 1, 5),
+                              ("C", 2, 4)):
+            data = cartan_data(kind, n)
+            for L in range(1, maxL + 1):
+                rng = range(L + 1) if kind == "A" else range(-L, L + 1)
+                for lam in product(rng, repeat=data.dim):
+                    weight_level = lam[0] - lam[-1] if kind == "A" else lam[0]
+                    if data.is_dominant(lam) or weight_level > 2:
+                        continue
+                    got = level_restricted(kind, n, {(1, 1): L}, lam, 2, mode)
+                    assert got == ZERO, (kind, n, L, lam)
+
     def test_level_restricted_C_empty_weight_reduces(self):
         for L in (2, 4):
             got = level_restricted("C", 2, {(1, 1): L}, (0, 0), 1)
@@ -257,6 +282,21 @@ class TestLevelForms:
                 got = level_restricted("C", 2, {(1, 1): L}, lam, L + 2)
                 want = rc_generating_function("C", 2, {(1, 1): L}, lam)
                 assert got == want
+
+
+class TestSignedMinima:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 2),
+                                     (2, -1)]),
+                    min_size=1, max_size=8))
+    def test_matches_every_subset(self, vectors):
+        # repeats included: k copies of a vector sum to one copy
+        want: dict = {}
+        for size in range(1, len(vectors) + 1):
+            for subset in combinations(vectors, size):
+                m = tuple(min(col) for col in zip(*subset))
+                want[m] = want.get(m, 0) + (-1) ** (size + 1)
+        assert _signed_minima(vectors) == {m: k for m, k in want.items() if k}
 
 
 class TestCST:
