@@ -8,6 +8,7 @@ here finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
                      generator_action, translation_lattice_box,
@@ -124,17 +125,29 @@ _SUPER_CACHE: dict[tuple, QLaurent] = {}
 
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     """S-bar(B, weight) for any supported shape; zero off the achievable
-    content set.  The cheap part of that test, a negative type A content or
-    a type C weight whose L1 norm exceeds the boxes or differs from them in
-    parity, runs before the cache key is built, so those zeros are neither
-    keyed nor cached."""
+    content set.  The cheap part of that test runs before the cache key is
+    built, so those zeros are neither keyed nor cached: a negative type A
+    content; for type A columns, a content that no 0-1 matrix with the
+    column heights as row sums reaches (Gale-Ryser: sorted in decreasing
+    order, its partial sums must stay within those of the conjugate of the
+    heights, as a column holds each letter at most once); a type C weight
+    whose L1 norm exceeds the boxes or differs from them in parity."""
+    columns = all(d.s == 1 for d in shape)
     if shape and shape[0].kind == "C":
         norm = sum(abs(x) for x in weight)
         if norm > len(shape) or (len(shape) - norm) % 2:
             return ZERO
-    elif min(weight, default=0) < 0 and (all(d.s == 1 for d in shape)
-                                         or all(d.r == 1 for d in shape)):
-        return ZERO  # a mixed shape still raises below
+    elif columns or all(d.r == 1 for d in shape):  # a mixed shape raises below
+        if min(weight, default=0) < 0:
+            return ZERO
+        if columns:
+            heights = conjugate(tuple(sorted((d.r for d in shape),
+                                             reverse=True)))
+            reach = accumulate(part(heights, i)
+                               for i in range(1, len(weight) + 1))
+            if any(a > b for a, b in zip(
+                    accumulate(sorted(weight, reverse=True)), reach)):
+                return ZERO
     key = (tuple(sorted((d.r, d.s) for d in shape)),
            shape[0].kind if shape else "A",
            shape[0].n if shape else 0, tuple(weight))

@@ -16,6 +16,7 @@ from . import bosonic, energy, fermionic, hardhex
 from .cartan import cartan_data
 from .crystal import FactorDescriptor
 from .errors import CapExceeded, CrystalSumsError, UnsupportedError
+from .partitions import partitions_in_box, partitions_of
 from .qpoly import QLaurent, ZERO, invert_q
 
 Shape = tuple[FactorDescriptor, ...]
@@ -197,28 +198,18 @@ def cmd_sum(args) -> int:
 # verify
 
 def _dominant_A(n: int, total: int):
-    out = []
-
-    def rec(prev, rem, acc):
-        if len(acc) == n + 1:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min(prev, rem), -1, -1):
-            rec(v, rem - v, acc + [v])
-
-    rec(total, total, [])
-    return out
+    """Dominant type A contents of the given total, zero-padded partitions
+    with at most n+1 parts."""
+    return [lam + (0,) * (n + 1 - len(lam)) for lam in partitions_of(total)
+            if len(lam) <= n + 1]
 
 
 def _dominant_C(n: int, boxes: int):
-    from itertools import product as iproduct
-    out = []
-    for t in iproduct(range(boxes + 1), repeat=n):
-        if all(t[i] >= t[i + 1] for i in range(n - 1)) \
-                and sum(t) <= boxes and (boxes - sum(t)) % 2 == 0:
-            out.append(t)
-    return out
+    """Dominant type C weights reachable by ``boxes`` boxes: zero-padded
+    partitions with at most n parts, of size at most ``boxes`` and of its
+    parity."""
+    return [lam + (0,) * (n - len(lam)) for lam in partitions_in_box(n, boxes)
+            if sum(lam) <= boxes and (boxes - sum(lam)) % 2 == 0]
 
 
 def _instances(suite: str, n: int, max_L: int, level: int):

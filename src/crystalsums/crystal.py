@@ -252,16 +252,13 @@ def factor_arrow(x: Factor, i: int, direction: str) -> Factor | None:
 
 @cache
 def factor_stats(x: Factor, i: int) -> tuple[int, int, int]:
-    """(eps_i, phi_i, phi_i - eps_i) of a factor element."""
+    """(eps_i, phi_i, phi_i - eps_i) of a factor element; i = 0 (type A
+    only) goes through promotion, as e_0 = pr^{-1} o e_1 o pr."""
     kind, n = x.desc.kind, x.desc.n
     if i == 0:
-        e, y = 0, x
-        while (z := factor_arrow(y, 0, "e")) is not None:
-            e, y = e + 1, z
-        f, y = 0, x
-        while (z := factor_arrow(y, 0, "f")) is not None:
-            f, y = f + 1, z
-        return e, f, f - e
+        if kind != "A":
+            raise UnsupportedError("affine arrows are type A only")
+        return factor_stats(_promote(x), 1)
     E, P, H = _combine_stats(
         [_letter_stats(kind, n, i, b) for b in x.letters])
     return E, P, H

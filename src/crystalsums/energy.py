@@ -1,13 +1,14 @@
 """Combinatorial R-matrices, local energies, and direct configuration sums.
 
-The R-matrix (sigma, H) for an ordered pair of factors is found by a
-parallel breadth-first search over the affine crystal graphs of B2 (x) B1
-and B1 (x) B2, matching arrow colors from the extremal vertices
-u(B2) (x) u(B1) -> u(B1) (x) u(B2); simplicity of the factors makes the
-graphs connected, so the isomorphism is unique.  H is then propagated from
-H(u (x) u) = 0 along every edge and re-checked on every edge, so a cycle
-inconsistency (which would falsify the promotion-based 0-arrows) is a hard
-error rather than a silent wrong table.
+The R-matrix (sigma, H) for an ordered pair of factors is built by one
+breadth-first search from u(B2) (x) u(B1) that follows every e_i and f_i,
+i = 0..n, on B2 (x) B1 and B1 (x) B2 together.  Each pair of matched arrows
+extends sigma, and H is carried along each arrow from H(u (x) u) = 0 by
+the local energy rule.  A vertex reached again must get the same image and
+the same H, so every edge is checked from both ends: a cycle inconsistency
+(which would falsify the promotion-based 0-arrows) is a hard error rather
+than a silent wrong table.  Simplicity of the factors makes the graphs
+connected, so the isomorphism is unique.
 
 Everything here is type A: type C carries no affine arrows in this package,
 so its sums come from the bosonic and fermionic modules only.
@@ -30,68 +31,24 @@ PairKey = tuple[Factor, Factor]
 
 @dataclass
 class RMatrixTable:
-    """sigma and H for one ordered pair (B2, B1); write-once."""
+    """sigma and H for one ordered pair (B2, B1); write-once.  ``step[a][b]``
+    is the same data by element index: for x2 (x) x1 = elements a and b,
+    (H, index of the right image factor, which lies in B2)."""
 
-    desc2: FactorDescriptor
-    desc1: FactorDescriptor
     sigma: dict[PairKey, PairKey]
     H: dict[PairKey, int]
+    step: list[list[tuple[int, int]]]
 
 
 _TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], RMatrixTable] = {}
 
 
-def _pair_word(x2: Factor, x1: Factor) -> TensorWord:
-    return word((x2, x1))
-
-
-def _match_isomorphism(desc2: FactorDescriptor,
-                       desc1: FactorDescriptor) -> dict[PairKey, PairKey]:
-    n = desc2.n
-    colors = tuple(range(0, n + 1))
-    u2 = highest_weight_element(desc2)
-    u1 = highest_weight_element(desc1)
-    sigma: dict[PairKey, PairKey] = {(u2, u1): (u1, u2)}
-    frontier = [(u2, u1)]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            wsrc = _pair_word(*key)
-            wimg = _pair_word(*sigma[key])
-            for i in colors:
-                for direction in ("e", "f"):
-                    a = tensor_arrow(wsrc, i, direction)
-                    b = tensor_arrow(wimg, i, direction)
-                    if (a is None) != (b is None):
-                        raise IsomorphismError(
-                            f"arrow {direction}_{i} defined on only one side "
-                            f"at {wsrc} -> {wimg}")
-                    if a is None:
-                        continue
-                    ka = (a.factors[0], a.factors[1])
-                    kb = (b.factors[0], b.factors[1])
-                    if ka in sigma:
-                        if sigma[ka] != kb:
-                            raise IsomorphismError(
-                                f"conflicting images for {a}")
-                    else:
-                        sigma[ka] = kb
-                        nxt.append(ka)
-        frontier = nxt
-    size = len(factor_elements(desc2)) * len(factor_elements(desc1))
-    if len(sigma) != size:
-        raise IsomorphismError(
-            f"pair graph not connected: reached {len(sigma)} of {size}")
-    if len(set(sigma.values())) != size:
-        raise IsomorphismError("matched map is not a bijection")
-    return sigma
-
-
-def _h_step(key: PairKey, sigma: dict[PairKey, PairKey]) -> int:
-    """The increment of H along the e_0 arrow leaving this vertex."""
+def _h_step(key: PairKey, image: PairKey) -> int:
+    """The increment of H along the e_0 arrow leaving this vertex, whose
+    image under sigma is ``image``."""
     x2, x1 = key
     left_word = factor_stats(x2, 0)[0] > factor_stats(x1, 0)[1]
-    y1, y2 = sigma[key]
+    y1, y2 = image
     left_image = factor_stats(y1, 0)[0] > factor_stats(y2, 0)[1]
     if left_word and left_image:
         return -1
@@ -102,51 +59,59 @@ def _h_step(key: PairKey, sigma: dict[PairKey, PairKey]) -> int:
 
 def combinatorial_r(desc2: FactorDescriptor,
                     desc1: FactorDescriptor) -> RMatrixTable:
-    """The combinatorial R-matrix for B2 (x) B1, memoized per ordered pair."""
+    """The combinatorial R-matrix for B2 (x) B1, memoized per ordered pair.
+
+    One search matches the arrows of B2 (x) B1 and B1 (x) B2 from the
+    extremal vertices.  An e_0 step from x adds _h_step(x, sigma(x)) to H,
+    an f_0 step to y subtracts _h_step(y, sigma(y)), and classical steps
+    keep H."""
     table = _TABLES.get((desc2, desc1))
     if table is not None:
         return table
-    sigma = _match_isomorphism(desc2, desc1)
-    n = desc2.n
-    u2 = highest_weight_element(desc2)
-    u1 = highest_weight_element(desc1)
-
-    # every edge of the pair graph, as (e-source, color, f-source) triples
-    edges = []
-    for key in sigma:
-        w = _pair_word(*key)
-        for i in range(0, n + 1):
-            img = tensor_arrow(w, i, "f")
-            if img is not None:
-                edges.append((key, i, (img.factors[0], img.factors[1])))
-
-    H: dict[PairKey, int] = {(u2, u1): 0}
-    frontier = [(u2, u1)]
-    adj: dict[PairKey, list[tuple[PairKey, int]]] = {}
-    for src, i, dst in edges:
-        # crossing src -> dst follows f_i; the H rule is stated at the
-        # e-source, which is dst
-        delta = _h_step(dst, sigma) if i == 0 else 0
-        adj.setdefault(src, []).append((dst, -delta))
-        adj.setdefault(dst, []).append((src, delta))
+    start = (highest_weight_element(desc2), highest_weight_element(desc1))
+    sigma: dict[PairKey, PairKey] = {start: start[::-1]}
+    H: dict[PairKey, int] = {start: 0}
+    frontier = [start]
     while frontier:
         nxt = []
-        for v in frontier:
-            for u, d in adj.get(v, ()):
-                if u not in H:
-                    H[u] = H[v] + d
-                    nxt.append(u)
+        for key in frontier:
+            wsrc, wimg = word(key), word(sigma[key])
+            for i in range(0, desc2.n + 1):
+                for direction in ("e", "f"):
+                    a = tensor_arrow(wsrc, i, direction)
+                    b = tensor_arrow(wimg, i, direction)
+                    if (a is None) != (b is None):
+                        raise IsomorphismError(
+                            f"arrow {direction}_{i} defined on only one side "
+                            f"at {wsrc} -> {wimg}")
+                    if a is None:
+                        continue
+                    ka, kb = a.factors, b.factors
+                    h = H[key]
+                    if i == 0:
+                        h += (_h_step(key, sigma[key]) if direction == "e"
+                              else -_h_step(ka, kb))
+                    if ka not in sigma:
+                        sigma[ka], H[ka] = kb, h
+                        nxt.append(ka)
+                    elif sigma[ka] != kb:
+                        raise IsomorphismError(f"conflicting images for {a}")
+                    elif H[ka] != h:
+                        raise EnergyConsistencyError(
+                            f"local energy rule violated on a color-{i} "
+                            f"edge {wsrc} -> {a}")
         frontier = nxt
-    if len(H) != len(sigma):
-        raise EnergyConsistencyError("energy propagation did not reach "
-                                     "every vertex")
-    for src, i, dst in edges:
-        delta = _h_step(dst, sigma) if i == 0 else 0
-        if H[src] != H[dst] + delta:
-            raise EnergyConsistencyError(
-                f"local energy rule violated on a color-{i} edge "
-                f"{_pair_word(*src)} -> {_pair_word(*dst)}")
-    table = RMatrixTable(desc2, desc1, sigma, H)
+    size = len(factor_elements(desc2)) * len(factor_elements(desc1))
+    if len(sigma) != size:
+        raise IsomorphismError(
+            f"pair graph not connected: reached {len(sigma)} of {size}")
+    if len(set(sigma.values())) != size:
+        raise IsomorphismError("matched map is not a bijection")
+    at = {x: a for a, x in enumerate(factor_elements(desc2))}
+    step = [[(H[(x2, x1)], at[sigma[(x2, x1)][1]])
+             for x1 in factor_elements(desc1)]
+            for x2 in factor_elements(desc2)]
+    table = RMatrixTable(sigma, H, step)
     _TABLES[(desc2, desc1)] = table
     return table
 
@@ -181,30 +146,15 @@ def energy_EB(w: TensorWord) -> int:
     return total
 
 
-def intrinsic_D(w: TensorWord) -> int:
-    """Intrinsic energy of a word.
-
-    The general formula adds, to E_B, the factor intrinsic energies along
-    sigma shuffles; every factor supported here has a single classical
-    component and is normalized to zero on it, so those summands vanish
-    identically and D = E.
-    """
-    return energy_EB(w)
-
-
 def coenergy_D(w: TensorWord) -> int:
-    return -intrinsic_D(w)
+    """Minus the intrinsic energy D of a word.
 
-
-def _step_table(desc2: FactorDescriptor, desc1: FactorDescriptor):
-    """R-matrix data of B2 (x) B1 by element index: entry [a][b] of
-    x2 (x) x1 = elements a and b is (H, index of the right image factor,
-    which lies in B2)."""
-    table = combinatorial_r(desc2, desc1)
-    at = {x: a for a, x in enumerate(factor_elements(desc2))}
-    return [[(table.H[(x2, x1)], at[table.sigma[(x2, x1)][1]])
-             for x1 in factor_elements(desc1)]
-            for x2 in factor_elements(desc2)]
+    The general formula for D adds, to E_B, the factor intrinsic energies
+    along sigma shuffles; every factor supported here has a single
+    classical component and is normalized to zero on it, so those summands
+    vanish identically and D = E_B.
+    """
+    return -energy_EB(w)
 
 
 def energy_extension(shape: tuple[FactorDescriptor, ...]):
@@ -213,16 +163,11 @@ def energy_extension(shape: tuple[FactorDescriptor, ...]):
     The j-th summand of E_B, sum over i < j of H_i sigma_{i+1}...sigma_{j-1},
     moves b_j right through b_{j-1}, ..., b_1 by the R-matrix and reads H
     at each step, so it depends on b_j and the factors to its right only.
-    Placing b_j costs one such pass over lookup tables resolved here, once.
+    Placing b_j costs one such pass over the R-matrices' index tables.
     """
     right = shape[::-1]
-    tables: dict[tuple[FactorDescriptor, FactorDescriptor], list] = {}
-    rows = []
-    for j, dj in enumerate(right):
-        for di in right[:j]:
-            if (dj, di) not in tables:
-                tables[(dj, di)] = _step_table(dj, di)
-        rows.append([tables[(dj, di)] for di in right[:j]])
+    rows = [[combinatorial_r(dj, di).step for di in right[:j]]
+            for j, dj in enumerate(right)]
 
     def extend(j: int, chosen: list[int], a: int) -> int:
         row = rows[j]

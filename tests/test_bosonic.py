@@ -126,10 +126,11 @@ class TestSupport:
                     _supernomial_uncached(shape, mu), (shape, mu)
 
     def test_off_support_zeros_are_not_cached(self, monkeypatch):
-        # boxes and rows reach every content with the right total, type C
-        # boxes every weight of the right norm and parity
+        # boxes and rows reach every content with the right total, columns
+        # those the Gale-Ryser test admits, type C boxes every weight of
+        # the right norm and parity
         monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
-        for shape in self.SHAPES[:5]:
+        for shape in self.SHAPES + [(FactorDescriptor("A", 2, 2, 1),) * 2]:
             total = sum(d.boxes for d in shape)
             dim = shape[0].n + (shape[0].kind == "A")
             for mu in product(range(-3, 6), repeat=dim):

@@ -8,7 +8,7 @@ import crystalsums.crystal as crystal
 from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
                                  VERTEX_CAP, build_component,
                                  crystal_level, enumerate_paths,
-                                 factor_arrow, factor_elements,
+                                 factor_arrow, factor_elements, factor_stats,
                                  coroot_weight_pairing, letter_arrow,
                                  letters_word, reflection_s, shape_elements,
                                  string_stats, tensor_arrow, word_weight)
@@ -177,9 +177,28 @@ class TestAffineArrows:
                 if y is not None:
                     assert factor_arrow(y, 0, "f") == x
 
+    def test_zero_stats_are_string_lengths(self):
+        # eps_0 and phi_0, read through promotion, against walking the e_0
+        # and f_0 strings arrow by arrow
+        def walk(x, direction):
+            steps = 0
+            while (x := factor_arrow(x, 0, direction)) is not None:
+                steps += 1
+            return steps
+
+        for n in (1, 2, 3):
+            descs = [FactorDescriptor("A", n, r, 1) for r in range(1, n + 2)]
+            descs += [FactorDescriptor("A", n, 1, s) for s in range(2, 5)]
+            for desc in descs:
+                for x in factor_elements(desc):
+                    e, f = walk(x, "e"), walk(x, "f")
+                    assert factor_stats(x, 0) == (e, f, f - e), x
+
     def test_type_c_has_no_affine(self):
         with pytest.raises(UnsupportedError):
             factor_arrow(Factor(FactorDescriptor("C", 2), (1,)), 0, "e")
+        with pytest.raises(UnsupportedError):
+            factor_stats(Factor(FactorDescriptor("C", 2), (1,)), 0)
 
     def test_levels(self):
         assert crystal_level((FactorDescriptor("A", 1),)) == 1

@@ -5,10 +5,11 @@ import pytest
 from crystalsums.crystal import (FactorDescriptor, build_component,
                                  letters_word, search_paths, shape_elements,
                                  tensor_arrow, word)
+from crystalsums import energy
 from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
-                                direct_sum, energy_EB, energy_extension,
-                                intrinsic_D)
-from crystalsums.errors import UnsupportedError
+                                direct_sum, energy_EB, energy_extension)
+from crystalsums.errors import (EnergyConsistencyError, IsomorphismError,
+                                UnsupportedError)
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
 from oracles import all_contents_A, filtered_paths
@@ -104,6 +105,35 @@ class TestRMatrix:
             assert t.H[(highest_weight_element(d2),
                         highest_weight_element(d1))] == 0
 
+    def test_inconsistent_local_energy_is_an_error(self, monkeypatch):
+        # raise H by one across the e_0 arrow leaving 2 (x) 1 only: that
+        # arrow lies on a cycle of A_2's pair graph, so the search reaches
+        # one of its ends twice with different energies
+        from crystalsums.crystal import Factor
+        d = FactorDescriptor("A", 2)
+        bent = (Factor(d, (2,)), Factor(d, (1,)))
+        h_step = energy._h_step
+        monkeypatch.setattr(energy, "_TABLES", {})
+        monkeypatch.setattr(
+            energy, "_h_step",
+            lambda key, image: h_step(key, image) + (key == bent))
+        with pytest.raises(EnergyConsistencyError):
+            combinatorial_r(d, d)
+
+    def test_arrow_missing_on_one_side_is_an_error(self, monkeypatch):
+        # drop f_1 from one vertex of B1 (x) B2, keeping B2 (x) B1 intact
+        from crystalsums.crystal import Factor
+        d2, d1 = FactorDescriptor("A", 1, 1, 2), B11_A1
+        cut = word((Factor(d1, (1,)), Factor(d2, (1, 2))))
+        arrow = energy.tensor_arrow
+        monkeypatch.setattr(energy, "_TABLES", {})
+        monkeypatch.setattr(
+            energy, "tensor_arrow",
+            lambda w, i, direction: None if (w, i, direction) == (cut, 1, "f")
+            else arrow(w, i, direction))
+        with pytest.raises(IsomorphismError):
+            combinatorial_r(d2, d1)
+
     def test_type_c_rejected(self):
         with pytest.raises(UnsupportedError):
             combinatorial_r(FactorDescriptor("C", 2), FactorDescriptor("C", 2))
@@ -117,7 +147,6 @@ class TestEnergy:
     def test_single_pair(self):
         w = letters_word("A", 1, (2, 1))
         assert energy_EB(w) == -1
-        assert intrinsic_D(w) == -1
         assert coenergy_D(w) == 1
 
     def test_single_factor(self):
@@ -135,7 +164,7 @@ class TestEnergy:
         shape = (FactorDescriptor("A", 1, 1, 2), FactorDescriptor("A", 1),
                  FactorDescriptor("A", 1))
         for w in shape_elements(shape):
-            assert intrinsic_D(apply_sigma(w, 1)) == intrinsic_D(w)
+            assert energy_EB(apply_sigma(w, 1)) == energy_EB(w)
 
 
 class TestDirectSums:

@@ -24,3 +24,13 @@ def test_script_runs_clean(name, last_line):
     assert proc.returncode == 0, proc.stderr
     if last_line is not None:
         assert proc.stdout.splitlines()[-1] == last_line
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark reads package internals (aliases, cached functions,
+    # module caches, per-layer metric names); its self-test checks them
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest passed"
