@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every verification matrix at desk scale and print a summary table.
 
-This is the long-form version of `crystalsums verify ...`: all five suites,
+This is the long-form version of `crystalsums verify ...`: all six suites,
 acceptance-sized bounds, one line per suite.
 """
 import sys
@@ -18,6 +18,9 @@ SUITES = [
     ("level", dict(n=1, max_L=6, level=1)),
     ("level", dict(n=1, max_L=5, level=2)),
     ("level", dict(n=2, max_L=10, level=1)),
+    ("levelC", dict(n=2, max_L=10, level=1)),
+    ("levelC", dict(n=2, max_L=8, level=2)),
+    ("levelC", dict(n=3, max_L=6, level=2)),
     ("involution", dict(n=1, max_L=4, level=1)),
     ("involution", dict(n=2, max_L=3, level=1)),
 ]

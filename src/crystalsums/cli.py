@@ -95,11 +95,11 @@ def _fermionic_sum(shape: Shape, weight: tuple[int, ...], level: int | None,
 # (restriction, method) -> (shapes covered, evaluator).  Every evaluator
 # takes (shape, weight, level) and returns the coenergy-graded sum.
 _EVALUATORS = {
-    ("none", "direct"): ("type A", lambda s, w, lv:
+    ("none", "direct"): ("all", lambda s, w, lv:
                          energy.direct_sum(s, w, "none")),
     ("none", "bosonic"): ("rows or columns", lambda s, w, lv:
                           bosonic.supernomial(s, w)),
-    ("classical", "direct"): ("type A", lambda s, w, lv:
+    ("classical", "direct"): ("all", lambda s, w, lv:
                               energy.direct_sum(s, w, "classical")),
     ("classical", "bosonic"): ("rows or columns", lambda s, w, lv:
                                bosonic.bosonic_classical(s, w)),
@@ -107,7 +107,7 @@ _EVALUATORS = {
                                  _fermionic_sum(s, w, None, "closed_form")),
     ("classical", "rc"): ("all", lambda s, w, lv:
                           _fermionic_sum(s, w, None, "rc_sum")),
-    ("level", "direct"): ("type A", lambda s, w, lv:
+    ("level", "direct"): ("all", lambda s, w, lv:
                           energy.direct_sum(s, w, "level", "coenergy", lv)),
     ("level", "bosonic"): ("rows or columns", lambda s, w, lv:
                            bosonic.bosonic_level(s, w, lv)),
@@ -126,17 +126,21 @@ def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
     if kind == "A":
         if sum(weight) != boxes or min(weight) < 0:
             return True
-        weight_level = weight[0] - weight[-1]
     else:
         norm = sum(abs(x) for x in weight)
         if norm > boxes or (boxes - norm) % 2:
             return True
-        weight_level = weight[0]
     if restriction == "none":
         return False
     if not cartan_data(kind, shape[0].n).is_dominant(weight):
         return True
-    return restriction == "level" and weight_level > level
+    return restriction == "level" and _weight_level(kind, weight) > level
+
+
+def _weight_level(kind: str, weight: tuple[int, ...]) -> int:
+    """The level of a dominant weight, lam_1 - lam_{n+1} in type A and
+    lam_1 in type C: level-restricted sums below it are zero."""
+    return weight[0] - weight[-1] if kind == "A" else weight[0]
 
 
 def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
@@ -166,8 +170,6 @@ def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
         raise UnsupportedError(
             f"method {method!r} does not compute {restriction!r} sums")
     covers, evaluate = entry
-    if covers == "type A" and kind != "A":
-        raise UnsupportedError("type C has no affine arrows: no direct route")
     if covers == "rows or columns" and any(d.r > 1 for d in shape) \
             and any(d.s > 1 for d in shape):
         raise UnsupportedError("bosonic sums need all rows or all columns")
@@ -212,36 +214,8 @@ def _dominant_C(n: int, boxes: int):
             if sum(lam) <= boxes and (boxes - sum(lam)) % 2 == 0]
 
 
-def _instances(suite: str, n: int, max_L: int, level: int):
-    if suite == "rr":
-        for L in range(max_L + 1):
-            for primed in (False, True):
-                yield ("rr", L, primed)
-    elif suite == "typeA":
-        for L in range(1, max_L + 1):
-            for lam in _dominant_A(n, L):
-                yield ("typeA", n, L, lam)
-    elif suite == "typeC":
-        for L in range(1, max_L + 1):
-            for lam in _dominant_C(n, L):
-                yield ("typeC", n, L, lam)
-    elif suite == "level":
-        for L in range(1, max_L + 1):
-            for lam in _dominant_A(n, L):
-                if lam[0] - lam[n] <= level:
-                    yield ("level", n, L, lam, level)
-    elif suite == "involution":
-        for L in range(1, max_L + 1):
-            for lam in _dominant_A(n, L):
-                yield ("involution", "A", n, L, lam, None)
-            for lam in _dominant_C(n, L):
-                yield ("involution", "C", n, L, lam, None)
-            for lam in _dominant_A(n, L):
-                if lam[0] - lam[n] <= level:
-                    yield ("involution", "A", n, L, lam, level)
-    else:
-        raise UnsupportedError(f"unknown suite {suite!r}")
-
+_LEVEL_METHODS = (("direct", "direct"), ("bosonic", "bosonic"), ("rc", "rc"),
+                  ("closed", "fermionic"))
 
 # suite -> (type, restriction, (report key, method) pairs): the suites that
 # compare compute_sum routes on homogeneous B^{1,1} shapes
@@ -250,9 +224,35 @@ _SUITE_METHODS = {
                                  ("fermionic", "fermionic"), ("rc", "rc"))),
     "typeC": ("C", "classical", (("bosonic", "bosonic"),
                                  ("fermionic", "fermionic"), ("rc", "rc"))),
-    "level": ("A", "level", (("direct", "direct"), ("bosonic", "bosonic"),
-                             ("rc", "rc"), ("closed", "fermionic"))),
+    "level": ("A", "level", _LEVEL_METHODS),
+    "levelC": ("C", "level", _LEVEL_METHODS),
 }
+
+
+def _instances(suite: str, n: int, max_L: int, level: int):
+    if suite == "rr":
+        for L in range(max_L + 1):
+            for primed in (False, True):
+                yield ("rr", L, primed)
+    elif suite in _SUITE_METHODS:
+        kind, restriction, _ = _SUITE_METHODS[suite]
+        for L in range(1, max_L + 1):
+            for lam in (_dominant_A if kind == "A" else _dominant_C)(n, L):
+                if restriction != "level":
+                    yield (suite, n, L, lam)
+                elif _weight_level(kind, lam) <= level:
+                    yield (suite, n, L, lam, level)
+    elif suite == "involution":
+        for L in range(1, max_L + 1):
+            for lam in _dominant_A(n, L):
+                yield ("involution", "A", n, L, lam, None)
+            for lam in _dominant_C(n, L):
+                yield ("involution", "C", n, L, lam, None)
+            for lam in _dominant_A(n, L):
+                if _weight_level("A", lam) <= level:
+                    yield ("involution", "A", n, L, lam, level)
+    else:
+        raise UnsupportedError(f"unknown suite {suite!r}")
 
 
 def run_instance(inst: tuple) -> dict:
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a verification matrix")
     p_ver.add_argument("suite",
-                       choices=("rr", "typeA", "typeC", "level", "involution"))
+                       choices=("rr", "typeA", "typeC", "level", "levelC",
+                                "involution"))
     p_ver.add_argument("--n", type=int, default=1)
     p_ver.add_argument("--max-L", dest="max_L", type=int, default=4)
     p_ver.add_argument("--level", type=int, default=1)

@@ -14,7 +14,8 @@ Conventions fixed here, once:
 * Supported factors: B^{1,1} in both types; B^{r,1} (columns, r <= n+1)
   and B^{1,s} (rows) in type A.  Type A factors carry affine 0-arrows
   realised by promotion: e_0 = pr^{-1} o e_1 o pr where pr shifts letter
-  values cyclically.  Type C factors have classical arrows only.
+  values cyclically.  The type C box B^{1,1} of C_n^(1) has the single
+  0-arrow 1bar --0--> 1 (Kang-Kashiwara-Misra-Miwa-Nakashima-Nakayashiki).
 """
 from __future__ import annotations
 
@@ -51,6 +52,8 @@ def letter_f(kind: str, n: int, i: int, b: int) -> int | None:
     representation, or None."""
     if kind == "A":
         return b + 1 if b == i else None
+    if i == 0:
+        return 1 if b == -1 else None
     if i < n:
         if b == i:
             return i + 1
@@ -63,6 +66,8 @@ def letter_f(kind: str, n: int, i: int, b: int) -> int | None:
 def letter_e(kind: str, n: int, i: int, b: int) -> int | None:
     if kind == "A":
         return b - 1 if b == i + 1 else None
+    if i == 0:
+        return -1 if b == 1 else None
     if i < n:
         if b == i + 1:
             return i
@@ -232,11 +237,9 @@ def _demote(x: Factor) -> Factor:
 
 @cache
 def factor_arrow(x: Factor, i: int, direction: str) -> Factor | None:
-    """e_i / f_i on one factor; i = 0 (type A only) goes through promotion."""
+    """e_i / f_i on one factor; a type A i = 0 goes through promotion."""
     kind, n = x.desc.kind, x.desc.n
-    if i == 0:
-        if kind != "A":
-            raise UnsupportedError("affine arrows are type A only")
+    if i == 0 and kind == "A":
         y = factor_arrow(_promote(x), 1, direction)
         return None if y is None else _demote(y)
     stats = [_letter_stats(kind, n, i, b) for b in x.letters]
@@ -252,12 +255,10 @@ def factor_arrow(x: Factor, i: int, direction: str) -> Factor | None:
 
 @cache
 def factor_stats(x: Factor, i: int) -> tuple[int, int, int]:
-    """(eps_i, phi_i, phi_i - eps_i) of a factor element; i = 0 (type A
-    only) goes through promotion, as e_0 = pr^{-1} o e_1 o pr."""
+    """(eps_i, phi_i, phi_i - eps_i) of a factor element; a type A i = 0
+    goes through promotion, as e_0 = pr^{-1} o e_1 o pr."""
     kind, n = x.desc.kind, x.desc.n
-    if i == 0:
-        if kind != "A":
-            raise UnsupportedError("affine arrows are type A only")
+    if i == 0 and kind == "A":
         return factor_stats(_promote(x), 1)
     E, P, H = _combine_stats(
         [_letter_stats(kind, n, i, b) for b in x.letters])
@@ -346,12 +347,11 @@ def reflection_s(w: TensorWord, i: int) -> TensorWord:
 
 def coroot_weight_pairing(w: TensorWord, i: int) -> int:
     """<h_i, wt(word)>, with the affine i = 0 read through the classical
-    projection (type A: last coordinate minus first)."""
+    projection (type A: last coordinate minus first; type C: minus the
+    first)."""
     wt = word_weight(w)
     if i == 0:
-        if w.kind != "A":
-            raise UnsupportedError("affine pairing is type A only")
-        return wt[-1] - wt[0]
+        return wt[-1] - wt[0] if w.kind == "A" else -wt[0]
     if w.kind == "A" or i < w.n:
         return wt[i - 1] - wt[i]
     return wt[-1]
@@ -408,8 +408,6 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     if restriction == "level":
         if level is None:
             raise ValueError("level restriction needs a level")
-        if shape and shape[0].kind != "A":
-            raise UnsupportedError("level restriction is type A only")
     cap = VERTEX_CAP if cap is None else cap
     kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
     target = tuple(weight)
@@ -539,10 +537,8 @@ def highest_weight_element(desc: FactorDescriptor) -> Factor:
 
 def crystal_level(shape: tuple[FactorDescriptor, ...],
                   cap: int | None = None) -> int:
-    """Level of a type A finite crystal: min over elements of the sum of
-    eps_i over all affine colors (the dual marks of A_n^(1) are all 1)."""
-    if not shape or shape[0].kind != "A":
-        raise UnsupportedError("crystal level needs type A affine arrows")
-    n = shape[0].n
-    return min(sum(string_stats(w, i)[0] for i in range(0, n + 1))
+    """Level of a finite crystal: min over elements of the sum of eps_i
+    over all affine colors (the dual marks of A_n^(1) and C_n^(1) are all
+    1)."""
+    return min(sum(string_stats(w, i)[0] for i in range(w.n + 1))
                for w in shape_elements(shape, cap))

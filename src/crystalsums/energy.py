@@ -6,12 +6,9 @@ i = 0..n, on B2 (x) B1 and B1 (x) B2 together.  Each pair of matched arrows
 extends sigma, and H is carried along each arrow from H(u (x) u) = 0 by
 the local energy rule.  A vertex reached again must get the same image and
 the same H, so every edge is checked from both ends: a cycle inconsistency
-(which would falsify the promotion-based 0-arrows) is a hard error rather
+(which would falsify the 0-arrows) is a hard error rather
 than a silent wrong table.  Simplicity of the factors makes the graphs
 connected, so the isomorphism is unique.
-
-Everything here is type A: type C carries no affine arrows in this package,
-so its sums come from the bosonic and fermionic modules only.
 """
 from __future__ import annotations
 

@@ -17,7 +17,6 @@ raises NonIntegralExponent.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
@@ -174,26 +173,13 @@ class RiggedConfiguration:
                 return J
         return ()
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "nu": [list(row) for row in self.nu],
-            "riggings": {f"{a},{i}": list(J)
-                         for (a, i), J in self.riggings},
-        }, separators=(",", ":"), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str, kind: str, n: int) -> "RiggedConfiguration":
-        d = json.loads(s)
-        nu = tuple(tuple(row) for row in d["nu"])
-        riggings = tuple(sorted(
-            (((int(k.split(",")[0]), int(k.split(",")[1])), tuple(v))
-             for k, v in d["riggings"].items())))
-        return RiggedConfiguration(kind, n, nu, riggings)
-
 
 def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                 cap: int | None = None) -> list[RiggedConfiguration]:
-    """All rigged configurations for the given factors and weight.
+                 cap: int | None = None,
+                 max_part: int | None = None) -> list[RiggedConfiguration]:
+    """All rigged configurations for the given factors and weight, with
+    every part of nu at most ``max_part`` when it is given.  The
+    configurations of one shape nu come out consecutively.
 
     A shape is admitted when every occupied site has a nonnegative vacancy
     number; for dominant weights this is equivalent to nonnegativity
@@ -206,7 +192,7 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     if sizes is None:
         return []
     out: list[RiggedConfiguration] = []
-    for nu in _nu_choices(data, sizes):
+    for nu in _nu_choices(data, sizes, max_part):
         boxes = []
         ok = True
         for a, i, m in _occupied(nu):
@@ -248,25 +234,38 @@ def theta(rc: RiggedConfiguration, L: LMap) -> RiggedConfiguration:
     return RiggedConfiguration(rc.kind, rc.n, rc.nu, tuple(new))
 
 
+def _theta_shift(data: CartanData, L: LMap, nu) -> int:
+    """cc(nu) + sum P*m over the occupied sites of nu."""
+    return cc_shape(data.kind, data.n, nu) + sum(
+        vacancy(data, L, nu, a, i) * m for a, i, m in _occupied(nu))
+
+
 def cc_theta(rc: RiggedConfiguration, L: LMap) -> int:
     """cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|: the coenergy
     statistic of the matching paths."""
-    data = cartan_data(rc.kind, rc.n)
-    total = cc_shape(rc.kind, rc.n, rc.nu)
-    for (a, i), J in rc.riggings:
-        m = num_parts_of_size(rc.nu[a - 1], i)
-        p = vacancy(data, L, rc.nu, a, i)
-        total += p * m - sum(J)
-    return total
+    return (_theta_shift(cartan_data(rc.kind, rc.n), L, rc.nu)
+            - sum(sum(J) for _, J in rc.riggings))
+
+
+def _cc_thetas(rcs: list[RiggedConfiguration], L: LMap):
+    """cc_theta of each configuration in turn, with cc(nu) + sum P*m
+    computed once for each run of one shape nu, as ``enumerate_rc`` lists
+    them."""
+    nu, shift = None, 0
+    for rc in rcs:
+        if rc.nu != nu:
+            nu = rc.nu
+            shift = _theta_shift(cartan_data(rc.kind, rc.n), L, nu)
+        yield shift - sum(sum(J) for _, J in rc.riggings)
 
 
 def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
                            statistic: str = "cc_theta") -> QLaurent:
     """Sum of q^{cc o theta} (coenergy grading, the default) or q^{cc}
     over all rigged configurations."""
+    rcs = enumerate_rc(kind, n, L, lam)
     return QLaurent.from_exponents(
-        cc_theta(rc, L) if statistic == "cc_theta" else cc_stat(rc)
-        for rc in enumerate_rc(kind, n, L, lam))
+        _cc_thetas(rcs, L) if statistic == "cc_theta" else map(cc_stat, rcs))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +469,9 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     The types differ only in the tableaux (``_lambda_prime_A/C``) and the
     corrections they make at the sites (``_corrections_A/C``).  Each call
     builds the table of correction vectors, one per tableau, once; both
-    modes read it, and rc_sum reads each shape's vacancy numbers once for
-    all its riggings.  A non-dominant weight gives ZERO in both modes.
+    modes read it.  rc_sum lists only shapes inside the level grid, and
+    reads each shape's vacancy numbers and cc(nu) + sum P*m once for all
+    its riggings.  A non-dominant weight gives ZERO in both modes.
     """
     data = cartan_data(kind, n)
     if len(lam) != data.dim:
@@ -512,10 +512,10 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
             return [p - max(rc.rigging(a, i), default=0)
                     for p, (a, i) in zip(vac, sites)]
 
+        rcs = enumerate_rc(kind, n, L, lam, max_part=max_part)
         return QLaurent.from_exponents(
-            cc_theta(rc, L) for rc in enumerate_rc(kind, n, L, lam)
-            if not any(row and row[0] > max_part for row in rc.nu)
-            and _admits_tableau(slacks(rc), distinct))
+            e for rc, e in zip(rcs, _cc_thetas(rcs, L))
+            if _admits_tableau(slacks(rc), distinct))
 
     minima = _signed_minima(table)
     out = ZERO

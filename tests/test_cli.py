@@ -1,12 +1,15 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crystalsums.cli import (ShapeSyntaxError, compute_sum, main, parse_shape,
-                             parse_weight)
+from crystalsums.cli import (ShapeSyntaxError, _instances, compute_sum, main,
+                             parse_shape, parse_weight)
 from crystalsums.crystal import FactorDescriptor
 from crystalsums.errors import CrystalSumsError, UnsupportedError
+
+from oracles import dominant_contents_A, dominant_weights_C
 
 METHODS = ("direct", "bosonic", "fermionic", "rc")
 
@@ -88,19 +91,20 @@ class TestSum:
         assert code == 2 and "error" in err
 
     def test_unsupported_exit_3(self, capsys):
-        code, _, _ = run(capsys, "sum", "C:2;1,1*2", "--weight", "0,0",
-                         "--method", "direct")
+        # a shape mixing a column and a row has no bosonic route
+        code, _, _ = run(capsys, "sum", "A:2;2,1,1,2", "--weight", "2,1,1",
+                         "--method", "bosonic")
         assert code == 3
-        code, _, _ = run(capsys, "sum", "C:2;1,1*2", "--weight", "0,0",
-                         "--restrict", "level", "--level", "1",
-                         "--method", "direct")
+        code, _, _ = run(capsys, "sum", "A:2;2,1,1,2", "--weight", "2,1,1",
+                         "--restrict", "level", "--level", "2",
+                         "--method", "bosonic")
         assert code == 3
 
     def test_unsupported_even_when_zero(self, capsys):
-        # three boxes cannot reach the zero weight of C_2, and type C still
-        # has no direct route
-        code, _, _ = run(capsys, "sum", "C:2;1,1*3", "--weight", "0,0",
-                         "--method", "direct")
+        # four boxes cannot reach a content of sum five, and the mixed shape
+        # still has no bosonic route
+        code, _, _ = run(capsys, "sum", "A:2;2,1,1,2", "--weight", "4,0,1",
+                         "--method", "bosonic")
         assert code == 3
 
     def test_cap_option_removed(self, capsys):
@@ -127,18 +131,15 @@ class TestSum:
 
 # Inputs on which the methods used to disagree: each gives one output, or
 # one exit code, by every method that covers it.
-TYPE_C_METHODS = ("bosonic", "fermionic", "rc")
-
-
 @pytest.mark.parametrize("argv,methods,expected", [
     (["A:1;1,1*4", "--weight", "1,3", "--restrict", "classical"],
      METHODS, "[]"),
     (["C:2;1,1*4", "--weight", "0,2", "--restrict", "classical"],
-     TYPE_C_METHODS, "[]"),
+     METHODS, "[]"),
     (["A:1;1,1*4", "--weight", "3,1", "--restrict", "level", "--level", "1"],
      METHODS, "[]"),
     (["C:1;1,1*4", "--weight", "2", "--restrict", "level", "--level", "1"],
-     TYPE_C_METHODS, "[]"),
+     METHODS, "[]"),
     (["A:1;1,1*4", "--weight", "2,2", "--restrict", "level", "--level", "-1"],
      METHODS, 2),
     (["A:2;2,1,1,2,1,1*4", "--weight", "4,3,2", "--restrict", "classical"],
@@ -160,9 +161,9 @@ APPLICABLE = {
     ("A", "none"): ("direct", "bosonic"),
     ("A", "classical"): METHODS,
     ("A", "level"): METHODS,
-    ("C", "none"): ("bosonic",),
-    ("C", "classical"): TYPE_C_METHODS,
-    ("C", "level"): TYPE_C_METHODS,
+    ("C", "none"): ("direct", "bosonic"),
+    ("C", "classical"): METHODS,
+    ("C", "level"): METHODS,
 }
 
 
@@ -210,6 +211,29 @@ def test_methods_agree_or_fail_alike(inp):
             compute_sum(shape, weight, restriction, m, "coenergy", level)
 
 
+@pytest.mark.parametrize("n,max_L", [(1, 7), (2, 5), (3, 4)])
+def test_type_c_direct_matches_every_route(n, max_L):
+    # unrestricted sums at every weight some path reaches; classical and
+    # level 1-3 sums at every dominant one
+    for L in range(1, max_L + 1):
+        shape = (FactorDescriptor("C", n),) * L
+        for weight in product(range(-L, L + 1), repeat=n):
+            norm = sum(map(abs, weight))
+            if norm > L or (L - norm) % 2:
+                continue
+            cases = [("none", None, ("bosonic",))]
+            if all(a >= b for a, b in zip(weight, weight[1:] + (0,))):
+                cases += [("classical", None, METHODS[1:])]
+                cases += [("level", lv, METHODS[1:]) for lv in (1, 2, 3)]
+            for restriction, level, others in cases:
+                want = compute_sum(shape, weight, restriction, "direct",
+                                   "coenergy", level)
+                for m in others:
+                    assert compute_sum(shape, weight, restriction, m,
+                                       "coenergy", level) == want, \
+                        (L, weight, restriction, level, m)
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite,extra", [
         ("rr", ["--max-L", "8"]),
@@ -217,6 +241,7 @@ class TestVerify:
         ("typeC", ["--n", "2", "--max-L", "2"]),
         ("level", ["--n", "1", "--max-L", "3", "--level", "1"]),
         ("involution", ["--n", "1", "--max-L", "2"]),
+        ("levelC", ["--n", "2", "--max-L", "4", "--level", "2"]),
     ])
     def test_suites_pass(self, capsys, suite, extra):
         code, out, err = run(capsys, "verify", suite, *extra)
@@ -224,6 +249,20 @@ class TestVerify:
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines and all(rep["agree"] for rep in lines)
         assert "0 disagreements" in err
+
+    @pytest.mark.parametrize("suite", ["level", "levelC"])
+    def test_level_suite_instances(self, suite):
+        # every dominant weight whose level is at most the level, and no other
+        got = {(L, lam) for _, _, L, lam, _ in _instances(suite, 2, 6, 2)}
+        want = set()
+        for L in range(1, 7):
+            if suite == "level":
+                want |= {(L, lam) for lam in dominant_contents_A(2, L)
+                         if lam[0] - lam[2] <= 2}
+            else:
+                want |= {(L, lam) for lam in dominant_weights_C(2, L)
+                         if lam[0] <= 2}
+        assert got == want
 
     def test_csv_stream(self, capsys):
         code, out, _ = run(capsys, "verify", "rr", "--max-L", "2",

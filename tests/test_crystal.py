@@ -126,6 +126,22 @@ class TestAxioms:
         if fw is not None:
             assert tensor_arrow(fw, 0, "e") == w
 
+    @given(st.integers(1, 3), st.lists(st.integers(-3, 3).filter(bool),
+                                       min_size=1, max_size=5))
+    @settings(max_examples=150)
+    def test_affine_axiom_C(self, n, raw):
+        letters = tuple(max(-n, min(v, n)) for v in raw)
+        w = letters_word("C", n, letters)
+        eps, phi = string_stats(w, 0)
+        assert phi - eps == coroot_weight_pairing(w, 0)
+        fw = tensor_arrow(w, 0, "f")
+        if fw is not None:
+            assert tensor_arrow(fw, 0, "e") == w
+            # f_0 subtracts alpha_0 = delta - 2 eps_1
+            assert tuple(a - b for a, b in zip(word_weight(fw),
+                                               word_weight(w))) == \
+                (2,) + (0,) * (n - 1)
+
 
 class TestComponents:
     def test_a2_lambda2_component(self):
@@ -189,16 +205,23 @@ class TestAffineArrows:
         for n in (1, 2, 3):
             descs = [FactorDescriptor("A", n, r, 1) for r in range(1, n + 2)]
             descs += [FactorDescriptor("A", n, 1, s) for s in range(2, 5)]
+            descs += [FactorDescriptor("C", n)]
             for desc in descs:
                 for x in factor_elements(desc):
                     e, f = walk(x, "e"), walk(x, "f")
                     assert factor_stats(x, 0) == (e, f, f - e), x
 
-    def test_type_c_has_no_affine(self):
-        with pytest.raises(UnsupportedError):
-            factor_arrow(Factor(FactorDescriptor("C", 2), (1,)), 0, "e")
-        with pytest.raises(UnsupportedError):
-            factor_stats(Factor(FactorDescriptor("C", 2), (1,)), 0)
+    def test_type_c_zero_arrow(self):
+        # B^{1,1} of C_n^(1): f_0 takes 1bar to 1, e_0 takes 1 to 1bar, and
+        # no other letter has a 0-arrow
+        for n in (1, 2, 3):
+            d = FactorDescriptor("C", n)
+            one, one_bar = Factor(d, (1,)), Factor(d, (-1,))
+            assert factor_arrow(one_bar, 0, "f") == one
+            assert factor_arrow(one, 0, "e") == one_bar
+            for x in factor_elements(d):
+                if x not in (one, one_bar):
+                    assert factor_stats(x, 0) == (0, 0, 0), x
 
     def test_levels(self):
         assert crystal_level((FactorDescriptor("A", 1),)) == 1
@@ -206,6 +229,8 @@ class TestAffineArrows:
         assert crystal_level((FactorDescriptor("A", 2, 2, 1),)) == 1
         assert crystal_level((FactorDescriptor("A", 1, 1, 2),)) == 2
         assert crystal_level((FactorDescriptor("A", 2, 1, 3),)) == 3
+        for n in (1, 2, 3):
+            assert crystal_level((FactorDescriptor("C", n),)) == 1
         # tensor of level-1 factors still has a level >= 1 witness
         assert crystal_level(boxes("A", 1, 2)) >= 1
 
@@ -224,9 +249,16 @@ class TestPathSets:
         got = enumerate_paths(boxes("A", 1, 4), (2, 2), "level", level=1)
         assert len(got) == 1
 
-    def test_level_rejected_for_C(self):
-        with pytest.raises(UnsupportedError):
-            enumerate_paths(boxes("C", 2, 2), (0, 0), "level", level=1)
+    def test_level_paths_for_C(self):
+        for n, max_L in ((1, 6), (2, 4)):
+            for L in range(1, max_L + 1):
+                shape = boxes("C", n, L)
+                for lam in dominant_weights_C(n, L):
+                    for level in (0, 1, 2):
+                        got = enumerate_paths(shape, lam, "level", level)
+                        want = filtered_paths(shape, lam, "level", level)
+                        assert sorted(got, key=str) == \
+                            sorted(want, key=str), (n, L, lam, level)
 
     def test_total_path_count(self):
         for kind, n, L in (("A", 2, 3), ("C", 2, 2)):
@@ -267,11 +299,10 @@ def search_inputs(draw):
     total = sum(d.boxes for d in shape)
     if kind == "A":
         weight = draw(st.sampled_from(all_contents_A(n, total)))
-        restriction = draw(st.sampled_from(("none", "classical", "level")))
     else:
         weight = tuple(draw(st.lists(st.integers(-total, total),
                                      min_size=n, max_size=n)))
-        restriction = draw(st.sampled_from(("none", "classical")))
+    restriction = draw(st.sampled_from(("none", "classical", "level")))
     return shape, weight, restriction, draw(st.integers(0, 3))
 
 

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from crystalsums.crystal import (FactorDescriptor, build_component,
-                                 letters_word, search_paths, shape_elements,
-                                 tensor_arrow, word)
+                                 factor_elements, letters_word, search_paths,
+                                 shape_elements, tensor_arrow, word)
 from crystalsums import energy
 from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
                                 direct_sum, energy_EB, energy_extension)
-from crystalsums.errors import (EnergyConsistencyError, IsomorphismError,
-                                UnsupportedError)
+from crystalsums.errors import EnergyConsistencyError, IsomorphismError
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
 from oracles import all_contents_A, filtered_paths
@@ -134,9 +133,15 @@ class TestRMatrix:
         with pytest.raises(IsomorphismError):
             combinatorial_r(d2, d1)
 
-    def test_type_c_rejected(self):
-        with pytest.raises(UnsupportedError):
-            combinatorial_r(FactorDescriptor("C", 2), FactorDescriptor("C", 2))
+    def test_type_c_identity(self):
+        # B^{1,1} (x) B^{1,1} of C_n^(1) is connected under colors 0..n
+        for n in (1, 2, 3):
+            d = FactorDescriptor("C", n)
+            t = combinatorial_r(d, d)
+            assert all(k == v for k, v in t.sigma.items())
+            one = factor_elements(d)[0]
+            assert one.letters == (1,) and t.H[(one, one)] == 0
+            assert set(t.H.values()) == {0, -1}
 
 
 class TestEnergy:

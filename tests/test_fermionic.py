@@ -8,8 +8,7 @@ from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 NonIntegralExponent)
-from crystalsums.fermionic import (RiggedConfiguration, _signed_minima,
-                                   cc_stat, cc_theta,
+from crystalsums.fermionic import (_signed_minima, cc_stat, cc_theta,
                                    closed_form_F, closed_form_F_level,
                                    config_sizes, cst_enumerate, enumerate_rc,
                                    level_restricted, rc_generating_function,
@@ -119,11 +118,6 @@ class TestRiggedConfigurations:
         with pytest.raises(NonIntegralExponent):
             vacancy(C1, {(1, 1): 3}, ((2,),), 1, 1)
         assert vacancy(C1, {(1, 1): 4}, ((2,),), 1, 1) == 1
-
-    def test_json_roundtrip(self):
-        rcs = enumerate_rc("A", 2, {(1, 1): 4}, (2, 1, 1))
-        for rc in rcs:
-            assert RiggedConfiguration.from_json(rc.to_json(), "A", 2) == rc
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
