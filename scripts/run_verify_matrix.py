@@ -23,6 +23,7 @@ SUITES = [
     ("levelC", dict(n=3, max_L=6, level=2)),
     ("involution", dict(n=1, max_L=4, level=1)),
     ("involution", dict(n=2, max_L=3, level=1)),
+    ("involution", dict(n=3, max_L=4, level=2)),
 ]
 
 

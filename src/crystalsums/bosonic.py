@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
-                     generator_action, translation_lattice_box,
-                     weyl_enumerate)
+                     element, reduce_to_alcove, simple_reflections,
+                     translation_lattice_box, weyl_enumerate)
 from .crystal import (FactorDescriptor, TensorWord, enumerate_paths,
                       letters_word, reflection_s, shape_elements,
                       string_stats, tensor_arrow, word_weight)
 from .energy import coenergy_D
-from .errors import CapExceeded, InvolutionError, UnsupportedError
+from .errors import (CapExceeded, CrystalSumsError, InvolutionError,
+                     UnsupportedError)
 from .partitions import (conjugate, horizontal_strip_extensions, part,
                          superpartitions)
 from .qpoly import ONE, QLaurent, ZERO, q_power, qbinomial, qmultinomial
@@ -219,11 +220,16 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     A translation beta whose rho-shifted weight v = lam + rho - c beta has
     no Weyl image in the supernomial support (``_orbit_meets_support``)
     contributes exactly zero and is skipped before its Weyl loop; the
-    window and its outer-ring check are unchanged."""
+    window and its outer-ring check are unchanged.  A weight whose level
+    (lam|theta) exceeds the level raises, as in ``level_restricted``: the
+    alternating sum there is not a sum over paths."""
     if any(d.s > level for d in shape):
         raise UnsupportedError("factor wider than the level")
     kind, n = shape[0].kind, shape[0].n
     data = cartan_data(kind, n)
+    weight_level = data.theta_pairing(lam)
+    if weight_level > level:
+        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
     c = level + data.h_dual
     total = sum(d.boxes for d in shape)
     coordinate_bound = total + data.dim + max(
@@ -319,119 +325,24 @@ def _phi_move(w: TensorWord, i: int, level: int | None) -> TensorWord:
     return reflection_s(b, i)
 
 
-def _classical_pairs(shape: Shape, lam: tuple[int, ...]):
-    kind, n = shape[0].kind, shape[0].n
-    data = cartan_data(kind, n)
-    target = tuple(l + r for l, r in zip(lam, data.rho))
-    pairs = []
-    shifted = [(tuple(x + r for x, r in zip(word_weight(b), data.rho)), b)
-               for b in shape_elements(shape)]
-    for w in weyl_enumerate(data):
-        for v, b in shifted:
-            if w.apply(v) == target:
-                pairs.append((w, b))
-    return data, pairs
-
-
-def _compose_actions(a, b):
-    # (a o b): row k of the composite reads through a's row into b's rows
-    return tuple((b[i][0], s * b[i][1]) for i, s in a)
-
-
-def _right_multiply(data: CartanData, w: WeylElement, i: int) -> WeylElement:
-    gen = generator_action(data, i)
-    return WeylElement(w.word + (i,), _compose_actions(w.action, gen),
-                       -w.sign)
-
-
-# affine elements for the level-restricted involution (type A): pairs
-# (rows, shift) acting by v -> perm(v) + shift, with tracked parity
-
-AffineElement = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-def _affine_identity(dim: int) -> AffineElement:
-    return (tuple(range(dim)), (0,) * dim, 1)
-
-
-def _affine_apply(el: AffineElement, v: tuple[int, ...]) -> tuple[int, ...]:
-    rows, shift, _ = el
-    return tuple(v[i] + s for i, s in zip(rows, shift))
-
-
-def _affine_after(i: int, el: AffineElement, c: int) -> AffineElement:
-    """r_i o el for type A, with r_0 at shift constant c."""
-    rows, shift, sign = el
-    rows, shift = list(rows), list(shift)
-    if i == 0:
-        rows[0], rows[-1] = rows[-1], rows[0]
-        shift[0], shift[-1] = shift[-1] + c, shift[0] - c
-    else:
-        rows[i - 1], rows[i] = rows[i], rows[i - 1]
-        shift[i - 1], shift[i] = shift[i], shift[i - 1]
-    return (tuple(rows), tuple(shift), -sign)
-
-
-def _affine_before(el: AffineElement, i: int, c: int) -> AffineElement:
-    """el o r_i for type A."""
-    rows, shift, sign = el
-    dim = len(rows)
-    if i == 0:
-        perm = list(range(dim))
-        perm[0], perm[-1] = dim - 1, 0
-        tau = [0] * dim
-        tau[0], tau[-1] = c, -c
-    else:
-        perm = list(range(dim))
-        perm[i - 1], perm[i] = i, i - 1
-        tau = [0] * dim
-    new_rows = tuple(perm[r] for r in rows)
-    new_shift = tuple(s + tau[r] for r, s in zip(rows, shift))
-    return (new_rows, new_shift, -sign)
-
-
-def _affine_reduce(v: tuple[int, ...], c: int, max_steps: int = 10000):
-    """Walk v into the fundamental alcove with simple reflections, returning
-    the reached point and the reflecting element."""
-    dim = len(v)
-    el = _affine_identity(dim)
-    cur = v
-    for _ in range(max_steps):
-        moved = False
-        for i in range(1, dim):
-            if cur[i - 1] < cur[i]:
-                cur = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
-                el = _affine_after(i, el, c)
-                moved = True
-                break
-        if moved:
-            continue
-        if cur[0] - cur[-1] > c:
-            cur = (cur[-1] + c,) + cur[1:-1] + (cur[0] - c,)
-            el = _affine_after(0, el, c)
-            moved = True
-        if not moved:
-            return cur, el
-    raise InvolutionError("alcove walk did not terminate")
-
-
-def _level_pairs(shape: Shape, lam: tuple[int, ...], level: int):
-    kind, n = shape[0].kind, shape[0].n
-    if kind != "A":
-        raise UnsupportedError("the level involution is type A only")
-    data = cartan_data(kind, n)
-    c = level + data.h_dual
+def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
+    """The signed set S of pairs (w, b) with w(wt(b) + rho) = lam + rho,
+    w in the finite Weyl group (no level) or the affine one at the level.
+    lam + rho is regular, so each b has at most one w: the one its walk
+    into the chamber or alcove finds, when the walk ends at lam + rho."""
+    data = cartan_data(shape[0].kind, shape[0].n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
     pairs = []
     for b in shape_elements(shape):
         v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
-        reached, el = _affine_reduce(v, c)
+        reached, word = reduce_to_alcove(data, v, level)
         if reached == target:
-            if _affine_apply(el, v) != target:
+            w = element(data, word, level)
+            if w.apply(v) != target:
                 raise InvolutionError(
-                    f"alcove walk element does not map {v} to {target}")
-            pairs.append((el, b))
-    return data, c, pairs
+                    f"walk element does not map {v} to {target}")
+            pairs.append((w, b))
+    return data, pairs
 
 
 def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
@@ -439,10 +350,10 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     """Build the signed pair set S, apply the involution, and report its
     structure.  Property failures are findings, not exceptions, except for
     a pairing color that stops being well defined."""
-    if mode == "classical":
-        data, pairs = _classical_pairs(shape, lam)
-        restriction, lv = "classical", None
-    elif mode == "level":
+    if mode not in ("classical", "level"):
+        raise ValueError(f"unknown mode {mode!r}")
+    lv = None
+    if mode == "level":
         if level is None:
             raise ValueError("level mode needs a level")
         if any((d.r, d.s) != (1, 1) for d in shape):
@@ -450,38 +361,24 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
             # matches the crystal for single-box factors
             raise UnsupportedError(
                 "the level involution supports single-box factors only")
-        data, c, pairs = _level_pairs(shape, lam, level)
-        restriction, lv = "level", level
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        lv = level
+    data, pairs = _pair_set(shape, lam, lv)
+    gens = simple_reflections(data, lv)
+    identity = element(data, ())
 
     findings: list[str] = []
-    expected_fixed = set(
-        enumerate_paths(shape, lam, restriction, lv))
-
-    def is_identity(w) -> bool:
-        if mode == "classical":
-            return all(i == k and s == 1 for k, (i, s) in enumerate(w.action))
-        return w[:2] == _affine_identity(len(w[0]))[:2]
-
-    def sign_of(w) -> int:
-        return w.sign if mode == "classical" else w[2]
+    expected_fixed = set(enumerate_paths(shape, lam, mode, lv))
 
     def apply_phi(w, b):
         i = _select_color(b, lv)
         if i is None:
-            if not is_identity(w):
+            if w != identity:
                 raise InvolutionError(
                     f"pairing color undefined on non fixed point ({b})")
             return None  # fixed
-        b2 = _phi_move(b, i, lv)
-        if mode == "classical":
-            w2 = _right_multiply(data, w, i)
-        else:
-            w2 = _affine_before(w, i, c)
-        return (w2, b2)
+        return (w.compose(gens[i]), _phi_move(b, i, lv))
 
-    index = {(self_key(w, mode), b): (w, b) for w, b in pairs}
+    members = set(pairs)
     fixed = []
     images = {}
     for w, b in pairs:
@@ -489,34 +386,27 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
         if out is None:
             fixed.append((w, b))
         else:
-            images[(self_key(w, mode), b)] = out
+            images[(w, b)] = out
 
     involution_ok = True
     sign_ok = True
     stat_ok: bool | None = None
     if mode == "classical" and shape[0].kind == "A":
         stat_ok = True
-    for key, (w2, b2) in images.items():
-        k2 = (self_key(w2, mode), b2)
-        if k2 not in index:
+    for (w1, b1), (w2, b2) in images.items():
+        if (w2, b2) not in members:
             findings.append(f"image {b2} left the pair set")
             involution_ok = False
             continue
-        back = apply_phi(w2, b2)
-        if back is None or (self_key(back[0], mode), back[1]) != key:
+        if apply_phi(w2, b2) != (w1, b1):
             involution_ok = False
             findings.append(f"not an involution at {b2}")
-        w1, b1 = index[key]
-        if sign_of(w1) * sign_of(w2) != -1:
+        if w1.sign * w2.sign != -1:
             sign_ok = False
         if stat_ok is not None and coenergy_D(b1) != coenergy_D(b2):
             stat_ok = False
     fixed_set = {b for _, b in fixed}
     fixed_ok = (fixed_set == expected_fixed
-                and all(is_identity(w) for w, _ in fixed))
+                and all(w == identity for w, _ in fixed))
     return InvolutionReport(mode, len(pairs), len(fixed), fixed_ok,
                             involution_ok, sign_ok, stat_ok, findings)
-
-
-def self_key(w, mode: str):
-    return w.action if mode == "classical" else (w[0], w[1])

@@ -1,5 +1,9 @@
 """Root data and (affine) Weyl group actions for types A_n and C_n.
 
+The simple reflections r_0, ..., r_n are defined once, in
+``simple_reflections``; the finite Weyl group, the alcove walk and every
+element the sums and the involution use are products of them.
+
 Weights live in an integer ambient lattice: Z^{n+1} for type A (content
 vectors, not reduced modulo the all-ones vector) and Z^n for type C.  With
 this choice every quantity the sums need is an integer.  The type C
@@ -9,7 +13,7 @@ once, exactly, through ``_exact_quotient``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
 
@@ -51,6 +55,11 @@ class CartanData:
         return (all(a >= b for a, b in zip(v, v[1:]))
                 and (self.kind == "A" or v[-1] >= 0))
 
+    def theta_pairing(self, v: tuple[int, ...]) -> int:
+        """(v|theta) for the highest root theta: v_1 - v_{n+1} in type A,
+        v_1 in type C.  For a dominant weight it is the level."""
+        return v[0] - v[-1] if self.kind == "A" else v[0]
+
     def coroot_pairing(self, a: int, v: tuple[int, ...]) -> int:
         """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
         denominator 2 meets t_a = 2 or the long root's even coordinate."""
@@ -85,92 +94,129 @@ def cartan_data(kind: str, n: int) -> CartanData:
     return CartanData(kind, n, roots, t, rho, h_dual=n + 1, a0=1)
 
 
-# A Weyl group element acts on coordinates as a signed permutation.  The
-# action is encoded as a tuple of (source index, sign) pairs per target
-# coordinate; type A elements carry sign +1 everywhere.
+# An element of the affine Weyl group acts on coordinates as a signed
+# permutation followed by a shift: coordinate k of w(v) is s * v[i] + t for
+# the row (i, s, t) of its action.  Elements of the finite Weyl group have
+# every shift zero.
 
-Action = tuple[tuple[int, int], ...]
+Action = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    word: tuple[int, ...]
+    """``sign`` is (-1)^length; ``word`` is a word for the element in the
+    simple reflections, leftmost acting last, and takes no part in
+    equality."""
+
     action: Action
     sign: int
+    word: tuple[int, ...] = field(default=(), compare=False)
 
     def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(s * v[i] for i, s in self.action)
+        return tuple(s * v[i] + t for i, s, t in self.action)
+
+    def compose(self, other: WeylElement) -> WeylElement:
+        """self o other: other acts first."""
+        rows = other.action
+        return WeylElement(
+            tuple((rows[i][0], s * rows[i][1], s * rows[i][2] + t)
+                  for i, s, t in self.action),
+            self.sign * other.sign, self.word + other.word)
 
 
-def _generator_actions(data: CartanData) -> list[Action]:
+@cache
+def simple_reflections(data: CartanData, level: int | None = None
+                       ) -> tuple[WeylElement | None, ...]:
+    """(r_0, r_1, ..., r_n) acting on rho-shifted weights; r_0 is the
+    affine reflection at the level, v -> v - ((v|theta) - c) theta with
+    c = level + h_dual, and is None without a level."""
     dim = data.dim
-    gens = []
-    for a in range(1, data.n + 1):
-        act = [(j, 1) for j in range(dim)]
-        if data.kind == "C" and a == data.n:
-            act[-1] = (dim - 1, -1)
+    ident = [(j, 1, 0) for j in range(dim)]
+    gens: list[WeylElement | None] = [None]
+    if level is not None:
+        if level < 0:
+            raise ValueError(f"level {level} is negative")
+        c = level + data.h_dual
+        rows = list(ident)
+        if data.kind == "A":
+            rows[0], rows[-1] = (dim - 1, 1, c), (0, 1, -c)
         else:
-            act[a - 1], act[a] = act[a], act[a - 1]
-        gens.append(tuple(act))
-    return gens
+            rows[0] = (0, -1, 2 * c)
+        gens[0] = WeylElement(tuple(rows), -1, (0,))
+    for a in range(1, data.n + 1):
+        rows = list(ident)
+        if data.kind == "C" and a == data.n:
+            rows[-1] = (dim - 1, -1, 0)
+        else:
+            rows[a - 1], rows[a] = rows[a], rows[a - 1]
+        gens.append(WeylElement(tuple(rows), -1, (a,)))
+    return tuple(gens)
 
 
-def generator_action(data: CartanData, i: int) -> Action:
-    """The signed-permutation encoding of the simple reflection r_i."""
-    if not 1 <= i <= data.n:
-        raise IndexError(f"generator index {i} out of range")
-    return _generator_actions(data)[i - 1]
+def element(data: CartanData, word: tuple[int, ...],
+            level: int | None = None) -> WeylElement:
+    """The product of the simple reflections of ``word``, leftmost last."""
+    gens = simple_reflections(data, level)
+    out = WeylElement(tuple((j, 1, 0) for j in range(data.dim)), 1)
+    for i in word:
+        out = out.compose(gens[i])
+    return out
 
 
-def weyl_enumerate(data: CartanData, rank_cap: int = WEYL_RANK_CAP) -> list[WeylElement]:
-    """Every element of the finite Weyl group, once, with its sign.
+def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
+                     level: int | None = None
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Walk v with simple reflections into the dominant chamber (no level)
+    or the fundamental alcove at the level; return the point reached and
+    the word of the walk, so that ``element(data, word, level)`` maps v
+    onto that point.
 
-    BFS over the generators: the discovery depth is the reduced word
-    length, so sign = (-1)^depth.
+    Each step reflects in a wall that separates the point from the
+    chamber or alcove: <h_a, v> < 0, or (v|theta) > level + h_dual for r_0.
     """
-    if data.n > rank_cap:
+    gens = simple_reflections(data, level)
+    c = None if level is None else level + data.h_dual
+    swaps = data.n if data.kind == "A" else data.n - 1
+    word: list[int] = []
+    while True:
+        i = next((a for a in range(1, swaps + 1) if v[a - 1] < v[a]), None)
+        if i is None:
+            if data.kind == "C" and v[-1] < 0:
+                i = data.n
+            elif c is not None and data.theta_pairing(v) > c:
+                i = 0
+            else:
+                return v, tuple(reversed(word))
+        v = gens[i].apply(v)
+        word.append(i)
+
+
+def weyl_enumerate(data: CartanData) -> tuple[WeylElement, ...]:
+    """Every element of the finite Weyl group, once, with its sign."""
+    if data.n > WEYL_RANK_CAP:
         raise CapExceeded(
-            f"rank {data.n} exceeds Weyl enumeration cap {rank_cap}")
-    gens = _generator_actions(data)
-    ident: Action = tuple((j, 1) for j in range(data.dim))
-    seen: dict[Action, WeylElement] = {
-        ident: WeylElement((), ident, 1)}
-    frontier = [seen[ident]]
+            f"rank {data.n} exceeds Weyl enumeration cap {WEYL_RANK_CAP}")
+    return _weyl_group(data)
+
+
+@cache
+def _weyl_group(data: CartanData) -> tuple[WeylElement, ...]:
+    """BFS over the generators: the discovery depth is the reduced word
+    length, so sign = (-1)^depth."""
+    gens = simple_reflections(data)[1:]
+    ident = element(data, ())
+    seen = {ident: None}  # a dict keeps the discovery order
+    frontier = [ident]
     while frontier:
         nxt = []
         for el in frontier:
-            for a, g in enumerate(gens, start=1):
-                # compose g after el: permute/flip the rows of el's encoding
-                new = tuple(el.action[i] if s == 1 else (el.action[i][0], -el.action[i][1])
-                            for i, s in g)
+            for g in gens:
+                new = g.compose(el)  # g is leftmost in the word
                 if new not in seen:
-                    # new element is g o el, so g is leftmost in the word
-                    w = WeylElement((a,) + el.word, new, -el.sign)
-                    seen[new] = w
-                    nxt.append(w)
+                    seen[new] = None
+                    nxt.append(new)
         frontier = nxt
-    return list(seen.values())
-
-
-def apply_simple_reflection(data: CartanData, i: int, v: tuple[int, ...],
-                            level: int | None = None) -> tuple[int, ...]:
-    """r_i acting on coordinates; i = 0 is the affine reflection and needs
-    the level."""
-    n = data.n
-    if i == 0:
-        if level is None:
-            raise ValueError("the affine reflection r_0 requires a level")
-        c = level + n + 1
-        if data.kind == "A":
-            return (v[n] + c,) + v[1:n] + (v[0] - c,)
-        return (-v[0] + 2 * c,) + v[1:]
-    if not 1 <= i <= n:
-        raise IndexError(f"reflection index {i} out of range for rank {n}")
-    if data.kind == "C" and i == n:
-        return v[:-1] + (-v[-1],)
-    w = list(v)
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
+    return tuple(seen)
 
 
 def translation_lattice_box(data: CartanData, level: int,

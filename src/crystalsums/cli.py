@@ -132,15 +132,11 @@ def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
             return True
     if restriction == "none":
         return False
-    if not cartan_data(kind, shape[0].n).is_dominant(weight):
+    data = cartan_data(kind, shape[0].n)
+    if not data.is_dominant(weight):
         return True
-    return restriction == "level" and _weight_level(kind, weight) > level
-
-
-def _weight_level(kind: str, weight: tuple[int, ...]) -> int:
-    """The level of a dominant weight, lam_1 - lam_{n+1} in type A and
-    lam_1 in type C: level-restricted sums below it are zero."""
-    return weight[0] - weight[-1] if kind == "A" else weight[0]
+    # a level-restricted sum below the weight's level is zero
+    return restriction == "level" and data.theta_pairing(weight) > level
 
 
 def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
@@ -240,7 +236,7 @@ def _instances(suite: str, n: int, max_L: int, level: int):
             for lam in (_dominant_A if kind == "A" else _dominant_C)(n, L):
                 if restriction != "level":
                     yield (suite, n, L, lam)
-                elif _weight_level(kind, lam) <= level:
+                elif cartan_data(kind, n).theta_pairing(lam) <= level:
                     yield (suite, n, L, lam, level)
     elif suite == "involution":
         for L in range(1, max_L + 1):
@@ -249,7 +245,7 @@ def _instances(suite: str, n: int, max_L: int, level: int):
             for lam in _dominant_C(n, L):
                 yield ("involution", "C", n, L, lam, None)
             for lam in _dominant_A(n, L):
-                if _weight_level("A", lam) <= level:
+                if cartan_data("A", n).theta_pairing(lam) <= level:
                     yield ("involution", "A", n, L, lam, level)
     else:
         raise UnsupportedError(f"unknown suite {suite!r}")

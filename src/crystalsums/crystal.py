@@ -360,14 +360,13 @@ def coroot_weight_pairing(w: TensorWord, i: int) -> int:
 # ---------------------------------------------------------------------------
 # path sets and components
 
-def shape_elements(shape: tuple[FactorDescriptor, ...],
-                   cap: int | None = None):
-    cap = VERTEX_CAP if cap is None else cap
+def shape_elements(shape: tuple[FactorDescriptor, ...]):
     total = 1
     for d in shape:
         total *= len(factor_elements(d))
-        if total > cap:
-            raise CapExceeded(f"tensor product has more than {cap} elements")
+        if total > VERTEX_CAP:
+            raise CapExceeded(
+                f"tensor product has more than {VERTEX_CAP} elements")
     kind = shape[0].kind if shape else "A"
     n = shape[0].n if shape else 1
     for combo in iproduct(*(factor_elements(d) for d in shape)):
@@ -378,7 +377,6 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
                  weight: tuple[int, ...],
                  restriction: str = "none",
                  level: int | None = None,
-                 cap: int | None = None,
                  extend=None) -> list[tuple[TensorWord, int]]:
     """The path set of ``enumerate_paths`` as (path, score) pairs, found by
     a depth-first search that places b_1 first and grows each path to the
@@ -388,7 +386,8 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     element ``factor_elements(...)[k]`` of its factor, is placed to the
     left of b_j (x) ... (x) b_1, whose element indices are chosen[0..j-1];
     a path's score is the sum of what it returned along the path (0
-    without a hook).  ``cap`` bounds the number of search nodes visited.
+    without a hook).  ``VERTEX_CAP`` bounds the number of search nodes
+    visited.
 
     The search prunes a partial path b_j (x) ... (x) b_1 on
     * its weight: type A letter weights are nonnegative, so no coordinate
@@ -408,7 +407,6 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     if restriction == "level":
         if level is None:
             raise ValueError("level restriction needs a level")
-    cap = VERTEX_CAP if cap is None else cap
     kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
     target = tuple(weight)
     if len(target) != (n + 1 if kind == "A" else n):
@@ -457,9 +455,9 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
             else:
                 neps0 = nphi0 = 0
             nodes += 1
-            if nodes > cap:
-                raise CapExceeded(f"path search visited more than {cap} "
-                                  "nodes")
+            if nodes > VERTEX_CAP:
+                raise CapExceeded(f"path search visited more than "
+                                  f"{VERTEX_CAP} nodes")
             chosen[p] = k
             placed[p] = x
             grow(p + 1, w, nphis, neps0, nphi0,
@@ -474,12 +472,11 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
 def enumerate_paths(shape: tuple[FactorDescriptor, ...],
                     weight: tuple[int, ...],
                     restriction: str = "none",
-                    level: int | None = None,
-                    cap: int | None = None) -> list[TensorWord]:
+                    level: int | None = None) -> list[TensorWord]:
     """The path sets: unrestricted (weight only), classically restricted
     (killed by every classical e_i), level restricted (additionally killed
-    by e_0^{level+1}).  ``cap`` bounds the search nodes visited."""
-    return [w for w, _ in search_paths(shape, weight, restriction, level, cap)]
+    by e_0^{level+1}).  ``VERTEX_CAP`` bounds the search nodes visited."""
+    return [w for w, _ in search_paths(shape, weight, restriction, level)]
 
 
 @dataclass
@@ -491,11 +488,10 @@ class CrystalGraph:
     highest: TensorWord | None = None
 
 
-def build_component(seed: TensorWord, colors: tuple[int, ...] | None = None,
-                    cap: int | None = None) -> CrystalGraph:
+def build_component(seed: TensorWord, colors: tuple[int, ...] | None = None
+                    ) -> CrystalGraph:
     """BFS closure of the seed under e_i and f_i for the given colors
     (default: the classical colors)."""
-    cap = VERTEX_CAP if cap is None else cap
     if colors is None:
         colors = tuple(range(1, seed.n + 1))
     seen = {seed}
@@ -516,9 +512,9 @@ def build_component(seed: TensorWord, colors: tuple[int, ...] | None = None,
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)
-                        if len(seen) > cap:
+                        if len(seen) > VERTEX_CAP:
                             raise CapExceeded(
-                                f"component exceeded vertex cap {cap}")
+                                f"component exceeded vertex cap {VERTEX_CAP}")
         frontier = nxt
     hw = [v for v in seen
           if all(tensor_arrow(v, i, "e") is None for i in colors)]
@@ -535,10 +531,9 @@ def highest_weight_element(desc: FactorDescriptor) -> Factor:
     raise CrystalStructureError(f"{desc} has no highest weight element")
 
 
-def crystal_level(shape: tuple[FactorDescriptor, ...],
-                  cap: int | None = None) -> int:
+def crystal_level(shape: tuple[FactorDescriptor, ...]) -> int:
     """Level of a finite crystal: min over elements of the sum of eps_i
     over all affine colors (the dual marks of A_n^(1) and C_n^(1) are all
     1)."""
     return min(sum(string_stats(w, i)[0] for i in range(w.n + 1))
-               for w in shape_elements(shape, cap))
+               for w in shape_elements(shape))

@@ -175,7 +175,6 @@ class RiggedConfiguration:
 
 
 def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                 cap: int | None = None,
                  max_part: int | None = None) -> list[RiggedConfiguration]:
     """All rigged configurations for the given factors and weight, with
     every part of nu at most ``max_part`` when it is given.  The
@@ -184,7 +183,6 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     A shape is admitted when every occupied site has a nonnegative vacancy
     number; for dominant weights this is equivalent to nonnegativity
     everywhere (the vacancy profile is concave between occupied sites)."""
-    cap = RC_CAP if cap is None else cap
     data = cartan_data(kind, n)
     if kind == "C" and any(i != 1 for (_, i) in L):
         raise UnsupportedError("type C factors must be single columns")
@@ -206,8 +204,8 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
         count = 1
         for _, bx in boxes:
             count *= len(bx)
-            if count > cap:
-                raise CapExceeded(f"more than {cap} rigged configurations")
+            if count > RC_CAP:
+                raise CapExceeded(f"more than {RC_CAP} rigged configurations")
         for choice in iproduct(*(bx for _, bx in boxes)):
             riggings = tuple((site, J)
                              for (site, _), J in zip(boxes, choice))
@@ -477,11 +475,12 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     if len(lam) != data.dim:
         raise ValueError(f"weight must have {data.dim} coordinates")
     if kind == "A":
-        weight_level, corrections = lam[0] - lam[n], _corrections_A
+        corrections = _corrections_A
         shape, alphabet = _lambda_prime_A(n, lam)
     else:
-        weight_level, corrections = lam[0], _corrections_C
+        corrections = _corrections_C
         shape, alphabet = _lambda_prime_C(n, lam)
+    weight_level = data.theta_pairing(lam)
     if weight_level > level:
         raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
     for (a, i) in L:

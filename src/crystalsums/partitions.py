@@ -57,35 +57,6 @@ def q_columns(mu: tuple[int, ...], i: int) -> int:
     return sum(min(i, p) for p in mu)
 
 
-def horizontal_strip_extensions(inner: tuple[int, ...], size: int,
-                                bound: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All partitions outer with outer/inner a horizontal strip of the given
-    size and outer contained in ``bound``."""
-    rows = len(bound)
-    out: list[tuple[int, ...]] = []
-
-    def rec(row: int, remaining: int, acc: list[int]):
-        if remaining < 0:
-            return
-        if row > rows:
-            if remaining == 0:
-                out.append(tuple(p for p in acc if p > 0))
-            return
-        lo = part(inner, row)
-        hi = min(part(bound, row), part(inner, row - 1) if row > 1 else 10**9,
-                 acc[-1] if acc else 10**9)
-        # horizontal strip: outer_row <= inner_{row-1}; partition: <= previous outer row
-        for v in range(lo, hi + 1):
-            if v - lo > remaining:
-                break
-            acc.append(v)
-            rec(row + 1, remaining - (v - lo), acc)
-            acc.pop()
-
-    rec(1, size, [])
-    return out
-
-
 def superpartitions(inner: tuple[int, ...], size: int,
                     bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All partitions outer ⊇ inner of |inner| + size contained in bound."""
@@ -110,3 +81,12 @@ def superpartitions(inner: tuple[int, ...], size: int,
 
     rec(1, size, [])
     return out
+
+
+def horizontal_strip_extensions(inner: tuple[int, ...], size: int,
+                                bound: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All partitions outer with outer/inner a horizontal strip of the given
+    size and outer contained in ``bound``: the superpartitions whose row
+    r > 1 also stays within inner's row r - 1."""
+    return superpartitions(inner, size, bound[:1] + tuple(
+        min(b, part(inner, r)) for r, b in enumerate(bound[1:], start=1)))

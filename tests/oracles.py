@@ -4,8 +4,10 @@ These deliberately avoid the code paths they check: box partitions are
 enumerated directly, tensor multiplicities come from characters (weight
 multisets plus Weyl alternation) rather than crystal arrows, series
 coefficients come from explicit partition counting, path sets come
-from filtering the whole tensor product instead of the pruned search, and
-the level alternating sum visits its whole translation window.
+from filtering the whole tensor product instead of the pruned search, the
+level alternating sum visits its whole translation window, and the
+involution's pair sets scan every (affine) Weyl element against every word
+instead of walking each word into the chamber or alcove.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 from crystalsums.bosonic import _supernomial_uncached
-from crystalsums.cartan import (cartan_data, translation_lattice_box,
-                                weyl_enumerate)
+from crystalsums.cartan import (WeylElement, cartan_data,
+                                translation_lattice_box, weyl_enumerate)
 from crystalsums.crystal import shape_elements, string_stats, word_weight
 from crystalsums.qpoly import ZERO, q_power
 
@@ -206,10 +208,49 @@ def unpruned_bosonic_level(shape, lam, level):
         assert rem == 0, beta
         v = [a - c * x for a, x in zip(lam_rho, beta)]
         for action, sign in elements:
-            mu = tuple([s * v[i] - r for (i, s), r in zip(action, data.rho)])
+            mu = tuple([s * v[i] + t - r
+                        for (i, s, t), r in zip(action, data.rho)])
             if mu not in seen:
                 seen[mu] = _supernomial_uncached(shape, mu)
             if not seen[mu].is_zero():
                 out = out + q_power(expo) * (seen[mu] if sign > 0
                                              else -seen[mu])
     return out
+
+
+def scanned_classical_pairs(shape, lam) -> set:
+    """The classical pair set of ``involution_phi``: every (w, b) with w
+    in the finite Weyl group and w(wt(b) + rho) = lam + rho, by scanning
+    every element against every word."""
+    data = cartan_data(shape[0].kind, shape[0].n)
+    target = tuple(l + r for l, r in zip(lam, data.rho))
+    shifted = [(tuple(x + r for x, r in zip(word_weight(b), data.rho)), b)
+               for b in shape_elements(shape)]
+    return {(w, b) for w in weyl_enumerate(data) for v, b in shifted
+            if w.apply(v) == target}
+
+
+def scanned_level_pairs(shape, lam, level) -> set:
+    """The level pair set of ``involution_phi``: every (t w, b) with w in
+    the finite Weyl group, t the translation by c beta for beta in a
+    ``translation_lattice_box`` window (c = level + h_dual), and
+    t w(wt(b) + rho) = lam + rho: beta is the gap lam + rho - w(wt(b) +
+    rho) over c, which must be integral and lie in the window.  The window
+    holds every beta that can solve this, since |c beta_k| is at most
+    |lam + rho|_max + |wt(b) + rho|_max."""
+    data = cartan_data(shape[0].kind, shape[0].n)
+    c = level + data.h_dual
+    target = tuple(l + r for l, r in zip(lam, data.rho))
+    bound = max(map(abs, target)) + sum(d.boxes for d in shape) + data.rho[0]
+    window = set(translation_lattice_box(data, level, bound))
+    pairs = set()
+    for b in shape_elements(shape):
+        v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
+        for w in weyl_enumerate(data):
+            gap = [t - x for t, x in zip(target, w.apply(v))]
+            beta = tuple(g // c for g in gap)
+            if all(g % c == 0 for g in gap) and beta in window:
+                shifted = tuple((i, s, c * y)
+                                for (i, s, _), y in zip(w.action, beta))
+                pairs.add((WeylElement(shifted, w.sign), b))
+    return pairs

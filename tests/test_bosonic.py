@@ -3,7 +3,8 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from crystalsums import bosonic
-from crystalsums.bosonic import (_orbit_meets_support, _supernomial_uncached,
+from crystalsums.bosonic import (_orbit_meets_support, _pair_set,
+                                 _supernomial_uncached,
                                  bosonic_classical, bosonic_level,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
@@ -11,15 +12,21 @@ from crystalsums.bosonic import (_orbit_meets_support, _supernomial_uncached,
 from crystalsums.cartan import cartan_data, weyl_enumerate
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
-from crystalsums.errors import CapExceeded, UnsupportedError
+from crystalsums.errors import (CapExceeded, CrystalSumsError,
+                                UnsupportedError)
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
+                     scanned_classical_pairs, scanned_level_pairs,
                      unpruned_bosonic_level)
 
 
 def boxes(kind, n, L):
     return tuple(FactorDescriptor(kind, n) for _ in range(L))
+
+
+def _level_of(kind, n, lam):
+    return cartan_data(kind, n).theta_pairing(lam)
 
 
 class TestSupernomialFormulas:
@@ -169,7 +176,8 @@ class TestSupport:
             for lam in lams:
                 bosonic_classical(shape, lam)
                 for ell in (2, 3):
-                    bosonic_level(shape, lam, ell)
+                    if _level_of(kind, n, lam) <= ell:
+                        bosonic_level(shape, lam, ell)
         assert bosonic._SUPER_CACHE
         assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
 
@@ -234,7 +242,7 @@ class TestBosonicLevel:
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
-                for ell in (1, 2, 3):
+                for ell in range(max(1, _level_of(kind, n, lam)), 4):
                     assert bosonic_level(shape, lam, ell) == \
                         unpruned_bosonic_level(shape, lam, ell), (L, lam, ell)
 
@@ -258,7 +266,7 @@ class TestBosonicLevel:
                           (2, (1, 1, 2))):
             shape = tuple(FactorDescriptor("A", n, 1, s) for s in widths)
             for lam in dominant_contents_A(n, sum(widths)):
-                for ell in range(max(widths), 4):
+                for ell in range(max(max(widths), lam[0] - lam[n]), 4):
                     assert bosonic_level(shape, lam, ell) == \
                         unpruned_bosonic_level(shape, lam, ell), \
                         (widths, lam, ell)
@@ -272,6 +280,26 @@ class TestBosonicLevel:
                         continue
                     want = direct_sum(shape, lam, "level", "coenergy", ell)
                     assert bosonic_level(shape, lam, ell) == want, (L, lam)
+
+    @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 6), ("A", 2, 5),
+                                             ("C", 1, 6), ("C", 2, 5),
+                                             ("C", 3, 4)])
+    def test_weight_level_above_the_level_raises(self, kind, n, maxL):
+        # above its level the alternating sum is not a sum over paths: A_1,
+        # L = 3, (3, 0) at level 1 gave -q where no path exists
+        for L in range(1, maxL + 1):
+            shape = boxes(kind, n, L)
+            lams = (dominant_contents_A(n, L) if kind == "A"
+                    else dominant_weights_C(n, L))
+            for lam in lams:
+                for ell in (1, 2, 3):
+                    if _level_of(kind, n, lam) > ell:
+                        with pytest.raises(CrystalSumsError):
+                            bosonic_level(shape, lam, ell)
+                    else:
+                        assert bosonic_level(shape, lam, ell) == direct_sum(
+                            shape, lam, "level", "coenergy", ell), \
+                            (L, lam, ell)
 
     def test_factor_wider_than_level_raises(self):
         with pytest.raises(UnsupportedError):
@@ -328,6 +356,38 @@ class TestInvolution:
                     assert rep.passed, (n, L, lam, rep)
                     want = len(enumerate_paths(shape, lam, "level", 1))
                     assert rep.fixed_points == want
+
+    @pytest.mark.parametrize("n,maxL", [(1, 5), (2, 4), (3, 3)])
+    def test_level_mode_type_C(self, n, maxL):
+        for L in range(1, maxL + 1):
+            shape = boxes("C", n, L)
+            for lam in dominant_weights_C(n, L):
+                for ell in (1, 2):
+                    if lam[0] > ell:
+                        continue
+                    rep = involution_phi(shape, lam, "level", level=ell)
+                    assert rep.passed, (n, L, lam, ell, rep)
+                    want = len(enumerate_paths(shape, lam, "level", ell))
+                    assert rep.fixed_points == want
+
+    @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 5), ("A", 2, 4),
+                                             ("C", 1, 5), ("C", 2, 4),
+                                             ("C", 3, 3)])
+    def test_pair_sets_match_the_scans(self, kind, n, maxL):
+        for L in range(1, maxL + 1):
+            shape = boxes(kind, n, L)
+            lams = (dominant_contents_A(n, L) if kind == "A"
+                    else dominant_weights_C(n, L))
+            for lam in lams:
+                _, pairs = _pair_set(shape, lam, None)
+                assert set(pairs) == scanned_classical_pairs(shape, lam)
+                assert len(set(pairs)) == len(pairs)
+                for ell in (1, 2):
+                    if _level_of(kind, n, lam) > ell:
+                        continue
+                    _, pairs = _pair_set(shape, lam, ell)
+                    assert set(pairs) == scanned_level_pairs(
+                        shape, lam, ell), (L, lam, ell)
 
     def test_level_mode_needs_boxes(self):
         shape = (FactorDescriptor("A", 1, 1, 2),)

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from crystalsums.cartan import (apply_simple_reflection, cartan_data,
-                                translation_lattice_box, weyl_enumerate)
+from crystalsums import cartan
+from crystalsums.cartan import (cartan_data, element, reduce_to_alcove,
+                                simple_reflections, translation_lattice_box,
+                                weyl_enumerate)
 from crystalsums.errors import CapExceeded
 
 CARTAN_A = {
@@ -27,48 +31,89 @@ def test_weyl_sizes_and_signs():
     assert r1.sign == -1
 
 
-def test_weyl_rank_cap():
+def test_weyl_rank_cap(monkeypatch):
     with pytest.raises(CapExceeded):
-        weyl_enumerate(cartan_data("A", 7), rank_cap=6)
+        weyl_enumerate(cartan_data("A", 7))
+    monkeypatch.setattr(cartan, "WEYL_RANK_CAP", 2)
+    with pytest.raises(CapExceeded):
+        weyl_enumerate(cartan_data("C", 3))
 
 
 def test_weyl_action_consistent_with_reflections():
     for kind, n in (("A", 2), ("C", 2), ("C", 3)):
         data = cartan_data(kind, n)
+        gens = simple_reflections(data)
         v = tuple(range(5, 5 - data.dim, -1))
         for w in weyl_enumerate(data):
             out = v
             for i in reversed(w.word):
-                out = apply_simple_reflection(data, i, out)
+                out = gens[i].apply(out)
             assert out == w.apply(v)
+            assert element(data, w.word) == w
 
 
 def test_simple_reflection_examples():
     a2 = cartan_data("A", 2)
-    assert apply_simple_reflection(a2, 1, (3, 1, 0)) == (1, 3, 0)
+    assert simple_reflections(a2)[1].apply((3, 1, 0)) == (1, 3, 0)
     c2 = cartan_data("C", 2)
-    assert apply_simple_reflection(c2, 2, (3, 1)) == (3, -1)
+    assert simple_reflections(c2)[2].apply((3, 1)) == (3, -1)
     a1 = cartan_data("A", 1)
-    assert apply_simple_reflection(a1, 0, (1, 0), level=1) == (3, -2)
+    assert simple_reflections(a1, 1)[0].apply((1, 0)) == (3, -2)
+    # type C: v_1 -> 2c - v_1 with c = level + h_dual
+    assert simple_reflections(c2, 1)[0].apply((3, 1)) == (5, 1)
 
 
 def test_reflections_are_involutions():
     for kind, n in (("A", 2), ("C", 3)):
         data = cartan_data(kind, n)
         v = tuple(range(7, 7 - data.dim, -1))
-        for i in range(1, n + 1):
-            assert apply_simple_reflection(
-                data, i, apply_simple_reflection(data, i, v)) == v
-        for level in (0, 1, 3):
-            w = apply_simple_reflection(data, 0, v, level=level)
-            assert apply_simple_reflection(data, 0, w, level=level) == v
+        for level in (None, 0, 1, 3):
+            for r in simple_reflections(data, level)[level is None:]:
+                assert r.apply(r.apply(v)) == v
+                assert r.compose(r) == element(data, ())
+                assert r.sign == -1
 
 
 def test_affine_reflection_needs_level():
-    with pytest.raises(ValueError):
-        apply_simple_reflection(cartan_data("A", 1), 0, (1, 0))
+    a1 = cartan_data("A", 1)
+    assert simple_reflections(a1)[0] is None
     with pytest.raises(IndexError):
-        apply_simple_reflection(cartan_data("A", 1), 2, (1, 0))
+        simple_reflections(a1)[2]
+    with pytest.raises(ValueError):
+        simple_reflections(a1, -1)
+
+
+def _in_alcove(data, v, level):
+    c = None if level is None else level + data.h_dual
+    return data.is_dominant(v) and (c is None or data.theta_pairing(v) <= c)
+
+
+@pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3), ("C", 1),
+                                    ("C", 2), ("C", 3)])
+def test_walk_element_maps_onto_the_point_reached(kind, n):
+    data = cartan_data(kind, n)
+    rng = random.Random(f"{kind}{n}")
+    for _ in range(200):
+        v = tuple(rng.randint(-12, 12) for _ in range(data.dim))
+        for level in (None, 0, 1, 2):
+            reached, word = reduce_to_alcove(data, v, level)
+            w = element(data, word, level)
+            assert w.apply(v) == reached, (v, level, word)
+            assert w.sign == (-1) ** len(word)
+            assert _in_alcove(data, reached, level), (v, level, reached)
+            # the point reached is the orbit's only point in the closed
+            # chamber or alcove, so walking it again does nothing
+            assert reduce_to_alcove(data, reached, level) == (reached, ())
+
+
+def test_walk_inverts_every_weyl_element():
+    for kind, n in (("A", 2), ("C", 2), ("C", 3)):
+        data = cartan_data(kind, n)
+        target = tuple(x + 3 for x in data.rho)
+        for w in weyl_enumerate(data):
+            reached, word = reduce_to_alcove(data, w.apply(target))
+            assert reached == target
+            assert element(data, word).compose(w) == element(data, ())
 
 
 @pytest.mark.parametrize("kind,table", [("A", CARTAN_A), ("C", CARTAN_C)])

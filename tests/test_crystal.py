@@ -172,9 +172,10 @@ class TestComponents:
             seen.update(comp.vertices)
         assert len(seen) == 27
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 2)
         with pytest.raises(CapExceeded):
-            build_component(letters_word("A", 2, (1, 1, 1)), cap=2)
+            build_component(letters_word("A", 2, (1, 1, 1)))
 
 
 class TestAffineArrows:
@@ -347,11 +348,13 @@ class TestPathSearch:
                     assert is_classically_restricted(suffix), (w, k)
         assert seen > 1
 
-    def test_cap_counts_search_nodes(self):
+    def test_cap_counts_search_nodes(self, monkeypatch):
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
         with pytest.raises(CapExceeded):
-            enumerate_paths(boxes("A", 1, 6), (3, 3), "classical", cap=5)
-        assert len(enumerate_paths(boxes("A", 1, 6), (3, 3), "classical",
-                                   cap=50)) == 5
+            enumerate_paths(boxes("A", 1, 6), (3, 3), "classical")
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
+        assert len(enumerate_paths(boxes("A", 1, 6), (3, 3),
+                                   "classical")) == 5
 
     def test_product_beyond_the_cap(self):
         shape = boxes("A", 1, 21)

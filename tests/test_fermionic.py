@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystalsums import fermionic
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
@@ -119,9 +120,10 @@ class TestRiggedConfigurations:
             vacancy(C1, {(1, 1): 3}, ((2,),), 1, 1)
         assert vacancy(C1, {(1, 1): 4}, ((2,),), 1, 1) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(fermionic, "RC_CAP", 3)
         with pytest.raises(CapExceeded):
-            enumerate_rc("A", 1, {(1, 1): 12}, (6, 6), cap=3)
+            enumerate_rc("A", 1, {(1, 1): 12}, (6, 6))
 
 
 class TestTheta:
