@@ -86,7 +86,7 @@ def supernomial_A_rows(n: int, mu: tuple[int, ...],
                 if out.is_zero():
                     return out
                 phi += part(nu[a], i + 1) * (part(nu[a + 1], i) - part(nu[a], i))
-        return out * q_power(phi)
+        return out.shift(phi)
 
     return _chain_sum(n, mu, lam, superpartitions, term)
 
@@ -209,7 +209,7 @@ def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
     for w in weyl_enumerate(data):
         s = supernomial(shape, _rho_shifted(data, w, lam_rho))
         if not s.is_zero():
-            out = out + (s if w.sign > 0 else -s)
+            out = out + s if w.sign > 0 else out - s
     return out
 
 
@@ -255,8 +255,8 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
         for w in elements:
             s = supernomial(shape, _rho_shifted(data, w, v))
             if not s.is_zero():
-                beta_term = beta_term + (s if w.sign > 0 else -s)
-        contrib = q_power(expo) * beta_term
+                beta_term = beta_term + s if w.sign > 0 else beta_term - s
+        contrib = beta_term.shift(expo)
         out = out + contrib
         if max(abs(x) for x in beta) == outermost:
             ring_contribution = ring_contribution + contrib

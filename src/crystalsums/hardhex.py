@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceeded, UnsupportedError
-from .qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
+from .qpoly import ONE, QLaurent, ZERO, qbinomial
 
 ENUMERATE_CAP = 24
 SERIES_CAP = 200
@@ -47,13 +47,34 @@ def hh_energy(sigma: tuple[int, ...]) -> int:
     return sum(j for j, s in enumerate(sigma) if s)
 
 
+def _path_energies(L: int, primed: bool):
+    """Yield the energy of every path of D_L (or D'_L), one per path.
+
+    A depth-first walk grows paths left to right on an explicit stack.  An
+    entry (i, energy) is a path whose particles so far are placed and whose
+    next particle, if any, may sit at i..L-1.  Popping it pushes, for each
+    such position p, the path with its next particle at p (the one after
+    may sit at p + 2 or later), then yields the path with no more particles.
+    """
+    if primed and L == 0:
+        return  # sigma_0 = 1 and sigma_L = 0 conflict
+    stack = [(2 if primed else 1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, energy = pop()
+        while i < L:
+            push((i + 2, energy + i))
+            i += 1
+        yield energy
+
+
 def _x_recurrence(L: int, primed: bool) -> QLaurent:
     # X(L) = X(L-1) + q^{L-1} X(L-2); primed only changes the initials
     prev, cur = (ZERO, ONE) if primed else (ONE, ONE)  # X(0), X(1)
     if L == 0:
         return prev
     for m in range(2, L + 1):
-        prev, cur = cur, cur + q_power(m - 1) * prev
+        prev, cur = cur, cur + prev.shift(m - 1)
     return cur
 
 
@@ -62,9 +83,9 @@ def _x_fermionic(L: int, primed: bool) -> QLaurent:
     n = 0
     while True:
         if primed:
-            term = q_power(n * (n + 1)) * qbinomial(L - 2 * n - 1, n)
+            term = qbinomial(L - 2 * n - 1, n).shift(n * (n + 1))
         else:
-            term = q_power(n * n) * qbinomial(L - 2 * n, n)
+            term = qbinomial(L - 2 * n, n).shift(n * n)
         if term.is_zero() and n > 0:
             break
         out = out + term
@@ -81,7 +102,7 @@ def bosonic_term(L: int, j: int, primed: bool = False) -> QLaurent:
     else:
         expo = j * (5 * j + 1) // 2
         k = (L - 5 * j) // 2
-    return q_power(expo) * qbinomial(L - k, k)
+    return qbinomial(L - k, k).shift(expo)
 
 
 def _x_bosonic(L: int, primed: bool) -> QLaurent:
@@ -91,7 +112,7 @@ def _x_bosonic(L: int, primed: bool) -> QLaurent:
         term = bosonic_term(L, j, primed)
         if j in (lo, hi) and not term.is_zero():
             raise CapExceeded("guard ring of the j-truncation is nonzero")
-        out = out + (term if j % 2 == 0 else -term)
+        out = out + term if j % 2 == 0 else out - term
     return out
 
 
@@ -102,8 +123,7 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
     if method == "enumerate":
         if L > ENUMERATE_CAP:
             raise CapExceeded(f"enumeration capped at L = {ENUMERATE_CAP}")
-        return QLaurent.from_exponents(hh_energy(p)
-                                       for p in hh_paths(L, primed))
+        return QLaurent.from_exponents(_path_energies(L, primed))
     if method == "recurrence":
         return _x_recurrence(L, primed)
     if method == "fermionic":

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision
@@ -74,13 +74,7 @@ class QLaurent:
             return self
         if not self.coeffs:
             return other
-        a, b = (self, other) if self.low <= other.low else (other, self)
-        out = list(a.coeffs)
-        start = b.low - a.low
-        end = start + len(b.coeffs)
-        out.extend([0] * (end - len(out)))
-        out[start:end] = map(add, out[start:end], b.coeffs)
-        return _dense(a.low, out)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
@@ -88,10 +82,15 @@ class QLaurent:
         return QLaurent(self.low, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "QLaurent | int") -> "QLaurent":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        return _combine(self, other, sub)
 
     def __rsub__(self, other: "QLaurent | int") -> "QLaurent":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other: "QLaurent | int") -> "QLaurent":
         other = _coerce(other)
@@ -129,19 +128,11 @@ class QLaurent:
         if k < 1:
             raise ValueError(f"cannot divide by 1 - q^{k}")
         if cutoff is None:
-            out = list(self.coeffs)
-        else:
-            n = max(0, cutoff - self.low + 1)
-            out = list(self.coeffs[:n])
-            out.extend([0] * (n - len(out)))
-        for r in range(min(k, len(out))):
-            out[r::k] = accumulate(out[r::k])
-        if cutoff is not None:
-            return _dense(self.low, out)
-        n = len(out) - k
-        if out and (n < 0 or any(out[n:])):
-            raise InexactDivision(f"division by 1 - q^{k} is not exact")
-        return _dense(self.low, out[:n])
+            return _dense(self.low, _div_one_minus_q(list(self.coeffs), k))
+        n = max(0, cutoff - self.low + 1)
+        out = list(self.coeffs[:n])
+        out.extend([0] * (n - len(out)))
+        return _dense(self.low, _div_one_minus_q(out, k, exact=False))
 
     def at_one(self) -> int:
         """Evaluate at q = 1 (the sum of all coefficients)."""
@@ -175,6 +166,32 @@ class QLaurent:
         for piece in parts[1:]:
             out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return out
+
+
+def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
+    """a op b coefficientwise, for op add or sub and a, b nonzero."""
+    low = min(a.low, b.low)
+    out = [0] * (a.low - low)
+    out += a.coeffs
+    start = b.low - low
+    end = start + len(b.coeffs)
+    out.extend([0] * (end - len(out)))
+    out[start:end] = map(op, out[start:end], b.coeffs)
+    return _dense(low, out)
+
+
+def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
+    """The running sums of ``QLaurent.div_one_minus_q``, in place on a
+    coefficient list, which is returned.  When exact, the last k sums are
+    the remainder: they must vanish, and are dropped."""
+    for r in range(min(k, len(out))):
+        out[r::k] = accumulate(out[r::k])
+    if exact:
+        n = len(out) - k
+        if out and (n < 0 or any(out[n:])):
+            raise InexactDivision(f"division by 1 - q^{k} is not exact")
+        del out[n:]
+    return out
 
 
 def _dense(low: int, coeffs) -> QLaurent:
@@ -211,16 +228,23 @@ def qbinomial(m: int, n: int) -> QLaurent:
     Generating function of partitions with at most n parts, each at most m;
     equals (q)_{m+n} / ((q)_m (q)_n), built as the product over i = 1..n
     of (1 - q^(m+i)) / (1 - q^i), every partial product a polynomial.
-    Zero when either argument is negative.
+    All n rounds work on one coefficient list: a round subtracts the list
+    shifted by m + i from itself in place, then divides by (1 - q^i) with
+    the running sums of ``div_one_minus_q``.  Zero when either argument is
+    negative.
     """
     if m < 0 or n < 0:
         return ZERO
     if n > m:
         m, n = n, m  # symmetric; fewer division rounds
-    out = ONE
+    out = [1]
     for i in range(1, n + 1):
-        out = (out - out.shift(m + i)).div_one_minus_q(i)
-    return out
+        old = len(out)
+        out.extend([0] * (m + i))
+        out[m + i:] = map(sub, out[m + i:], out[:old])
+        _div_one_minus_q(out, i)
+    # both end coefficients are 1
+    return QLaurent(0, tuple(out))
 
 
 def qmultinomial(total: int, parts: Iterable[int]) -> QLaurent:

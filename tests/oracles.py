@@ -99,6 +99,24 @@ def lr_multiplicity(kind: str, n: int, shape, lam: tuple[int, ...]) -> int:
     return total
 
 
+def qbinomial_pascal(m: int, n: int) -> dict[int, int]:
+    """Gaussian binomial of an m x n box as {exponent: coefficient}, by the
+    q-Pascal rule G(m, n) = G(m, n - 1) + q^n G(m - 1, n) with G(m, 0) =
+    G(0, n) = 1; empty when either argument is negative."""
+    if m < 0 or n < 0:
+        return {}
+    rows = [[{0: 1}] * (n + 1)]  # rows[a][b] = G(a, b)
+    for a in range(1, m + 1):
+        row = [{0: 1}]
+        for b in range(1, n + 1):
+            g = dict(row[b - 1])
+            for e, c in rows[a - 1][b].items():
+                g[e + b] = g.get(e + b, 0) + c
+            row.append(g)
+        rows.append(row)
+    return rows[m][n]
+
+
 def partitions_gap2(total: int) -> int:
     """Partitions of ``total`` with parts pairwise differing by >= 2."""
     def rec(rem: int, max_part: int) -> int:

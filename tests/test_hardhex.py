@@ -5,7 +5,7 @@ from crystalsums.hardhex import (bosonic_term, hh_X, hh_energy, hh_paths,
                                  in_strip, product_series, rr_series_check,
                                  strip_energy, strip_inclusion_exclusion,
                                  strip_paths, strip_transform)
-from crystalsums.qpoly import ONE, ZERO, q_power, qbinomial
+from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
 
 from oracles import box_partitions, partitions_congruent, partitions_gap2
 
@@ -54,6 +54,13 @@ class TestConfigurationSums:
             ref = hh_X(L, "enumerate", primed)
             for method in ("recurrence", "fermionic", "bosonic"):
                 assert hh_X(L, method, primed) == ref, (L, method)
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_enumeration_matches_path_listing(self, primed):
+        for L in range(0, 21):
+            want = QLaurent.from_exponents(hh_energy(p)
+                                           for p in hh_paths(L, primed))
+            assert hh_X(L, "enumerate", primed) == want, L
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):

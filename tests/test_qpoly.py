@@ -7,7 +7,7 @@ from crystalsums.errors import InexactDivision
 from crystalsums.qpoly import (ONE, QLaurent, ZERO, invert_q, q_power,
                                qbinomial, qmultinomial)
 
-from oracles import box_partitions, gf_from_sizes
+from oracles import box_partitions, gf_from_sizes, qbinomial_pascal
 
 
 def P(d):
@@ -43,6 +43,18 @@ class TestArithmetic:
 
     def test_sub(self):
         assert ONE - ONE == ZERO
+
+    @given(laurents, laurents)
+    def test_sub_is_add_of_negation(self, a, b):
+        assert a - b == a + (-b)
+        assert b - a == -(a - b)
+        assert 3 - a == P({0: 3}) + (-a)
+        assert a - 3 == a + P({0: -3})
+
+    def test_sub_zero_short_cuts(self):
+        p = P({-3: 2, 40: 1})
+        assert p - ZERO is p
+        assert ZERO - p == P({-3: -2, 40: -1})
 
     def test_str(self):
         assert str(P({-1: 1, 0: 2, 3: -4})) == "q^-1 + 2 - 4*q^3"
@@ -101,7 +113,8 @@ class TestArithmetic:
 
     def test_div_one_minus_q_inexact_raises(self):
         for p, k in ((ONE, 1), (P({0: 1, 1: 1}), 1), (P({0: 1, 3: -1}), 2),
-                     (P({-2: 1, 1: 1}), 3)):
+                     (P({-2: 1, 1: 1}), 3),
+                     (qbinomial(6, 5) * one_minus_q(3) + q_power(31), 3)):
             with pytest.raises(InexactDivision):
                 p.div_one_minus_q(k)
         with pytest.raises(ValueError):
@@ -146,6 +159,18 @@ class TestQBinomial:
                 coeffs = [p.coeff(e) for e in range(m * n + 1)]
                 assert coeffs == coeffs[::-1]
                 assert p.at_one() == math.comb(m + n, n)
+
+    @pytest.mark.parametrize("m", range(-1, 15))
+    def test_matches_q_pascal(self, m):
+        for n in range(-1, 15):
+            assert qbinomial(m, n).as_dict() == qbinomial_pascal(m, n)
+
+    def test_q1_large_boxes(self):
+        # every width up to 60 against heights spread over 0..60, so both
+        # orders of (m, n) occur and the coefficients are large integers
+        for m in range(61):
+            for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
+                assert qbinomial(m, n).at_one() == math.comb(m + n, n)
 
     def test_inverse_shift_identity(self):
         # qbin with q -> 1/q picks up exactly q^{-mp}

@@ -44,3 +44,30 @@ def test_no_fractions():
         if any(m.split(".")[0] == "fractions" for m in modules):
             found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def test_one_residue_class_division():
+    # div_one_minus_q and qbinomial share the one running-sum division
+    found = [node.lineno for name, node in nodes() if name == "qpoly.py"
+             and isinstance(node, ast.Name) and node.id == "accumulate"
+             and isinstance(node.ctx, ast.Load)]
+    assert len(found) == 1, found
+
+
+def test_enumeration_reads_no_other_route():
+    # the enumerate route of hh_X walks paths on its own: it names nothing
+    # defined or imported at the top of hardhex, so no other route's code
+    tree = ast.parse((PACKAGE / "hardhex.py").read_text())
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            top |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            top.add(node.name)
+        elif isinstance(node, ast.Assign):
+            top |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    walk = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_path_energies")
+    used = {node.id for node in ast.walk(walk) if isinstance(node, ast.Name)}
+    assert not used & top, used & top
