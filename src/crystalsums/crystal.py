@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product as iproduct
+from operator import add, gt, sub
 
 from .errors import CapExceeded, CrystalStructureError, UnsupportedError
 
@@ -345,20 +346,8 @@ def reflection_s(w: TensorWord, i: int) -> TensorWord:
     return w
 
 
-def coroot_weight_pairing(w: TensorWord, i: int) -> int:
-    """<h_i, wt(word)>, with the affine i = 0 read through the classical
-    projection (type A: last coordinate minus first; type C: minus the
-    first)."""
-    wt = word_weight(w)
-    if i == 0:
-        return wt[-1] - wt[0] if w.kind == "A" else -wt[0]
-    if w.kind == "A" or i < w.n:
-        return wt[i - 1] - wt[i]
-    return wt[-1]
-
-
 # ---------------------------------------------------------------------------
-# path sets and components
+# path sets
 
 def shape_elements(shape: tuple[FactorDescriptor, ...]):
     total = 1
@@ -373,6 +362,74 @@ def shape_elements(shape: tuple[FactorDescriptor, ...]):
         yield TensorWord(kind, n, combo)
 
 
+def _walk_setup(shape: tuple[FactorDescriptor, ...],
+                weight: tuple[int, ...],
+                restriction: str,
+                level: int | None):
+    """What a walk over the paths of ``shape`` checks: (kind, n, target
+    weight, classical colors to test, level to test or None), or None when
+    the weight has the wrong length and there are no paths."""
+    if restriction not in ("none", "classical", "level"):
+        raise ValueError(f"unknown restriction {restriction!r}")
+    if restriction == "level":
+        if level is None:
+            raise ValueError("level restriction needs a level")
+    else:
+        level = None
+    kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
+    target = tuple(weight)
+    if len(target) != (n + 1 if kind == "A" else n):
+        return None
+    colors = range(1, n + 1) if restriction != "none" else ()
+    return kind, n, target, colors, level
+
+
+def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
+    """Each element of one factor as (index, element, weight, eps_i and
+    phi_i - eps_i over the colors, eps_0, phi_0); eps_0 = phi_0 = 0 unless
+    ``affine``."""
+    return [(k, x, factor_weight(x),
+             tuple(factor_stats(x, i)[0] for i in colors),
+             tuple(factor_stats(x, i)[2] for i in colors),
+             *(factor_stats(x, 0)[:2] if affine else (0, 0)))
+            for k, x in enumerate(factor_elements(desc))]
+
+
+def _place(kind: str, target: tuple[int, ...], room: int,
+           level: int | None, state: tuple, entry: tuple) -> tuple | None:
+    """The state (weight, phi_i over the colors, eps_0, phi_0) of b (x) S
+    from the state of S and b's ``_element_table`` entry, or None when no
+    path to ``target`` ends in b (x) S with ``room`` boxes left to place.
+
+    * Highest weight: b (x) S is killed by every classical e_i iff S is
+      and eps_i(b) <= phi_i(S), and then phi_i(b (x) S) = phi_i(b) +
+      phi_i(S) - eps_i(b).  So every right suffix of a restricted path is
+      itself highest weight.
+    * Weight: type A letter weights are nonnegative, so no coordinate may
+      exceed the target; a type C box moves the weight by one unit vector,
+      so the L1 distance to the target may not exceed the room.
+    * Level: eps_0 of the suffix never decreases as it grows to the left,
+      so the suffix dies once it exceeds the level.
+    """
+    wt, phis, eps0, phi0 = state
+    _, _, xw, xe, xh, xe0, xp0 = entry
+    if any(map(gt, xe, phis)):
+        return None
+    w = tuple(map(add, wt, xw))
+    if kind == "A":
+        if any(map(gt, w, target)):
+            return None
+    elif sum(map(abs, map(sub, target, w))) > room:
+        return None
+    nphis = tuple(map(add, phis, xh))
+    if level is None:
+        return w, nphis, 0, 0
+    neps0 = max(eps0, xe0 - phi0 + eps0)
+    if neps0 > level:
+        return None
+    return w, nphis, neps0, max(xp0, phi0 + xp0 - xe0)
+
+
 def search_paths(shape: tuple[FactorDescriptor, ...],
                  weight: tuple[int, ...],
                  restriction: str = "none",
@@ -380,7 +437,7 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
                  extend=None) -> list[tuple[TensorWord, int]]:
     """The path set of ``enumerate_paths`` as (path, score) pairs, found by
     a depth-first search that places b_1 first and grows each path to the
-    left.
+    left, pruning each partial path b_j (x) ... (x) b_1 by ``_place``.
 
     ``extend(j, chosen, k)``, when given, is called each time b_{j+1}, the
     element ``factor_elements(...)[k]`` of its factor, is placed to the
@@ -388,82 +445,44 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     a path's score is the sum of what it returned along the path (0
     without a hook).  ``VERTEX_CAP`` bounds the number of search nodes
     visited.
-
-    The search prunes a partial path b_j (x) ... (x) b_1 on
-    * its weight: type A letter weights are nonnegative, so no coordinate
-      may exceed the target; a type C box moves the weight by one unit
-      vector, so the L1 distance to the target may not exceed the boxes
-      still to place;
-    * the highest weight condition (classical and level restrictions):
-      b (x) S is killed by every classical e_i iff S is and
-      eps_i(b) <= phi_i(S), and then phi_i(b (x) S) = phi_i(b) + phi_i(S)
-      - eps_i(b).  So every right suffix of a path in the set is itself
-      highest weight;
-    * its level: eps_0 of the suffix never decreases as it grows to the
-      left, so the branch dies once it exceeds the level.
     """
-    if restriction not in ("none", "classical", "level"):
-        raise ValueError(f"unknown restriction {restriction!r}")
-    if restriction == "level":
-        if level is None:
-            raise ValueError("level restriction needs a level")
-    kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
-    target = tuple(weight)
-    if len(target) != (n + 1 if kind == "A" else n):
+    setup = _walk_setup(shape, weight, restriction, level)
+    if setup is None:
         return []
-    colors = range(1, n + 1) if restriction != "none" else ()
-    affine = restriction == "level"
+    kind, n, target, colors, level = setup
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
-    # per position, right to left: each element with its index, weight,
-    # eps_i and phi_i over the checked colors, and eps_0, phi_0
-    options = [[(k, x, factor_weight(x),
-                 tuple(factor_stats(x, i)[0] for i in colors),
-                 tuple(factor_stats(x, i)[1] for i in colors),
-                 *(factor_stats(x, 0)[:2] if affine else (0, 0)))
-                for k, x in enumerate(factor_elements(d))]
-               for d in right]
+    tables = {d: _element_table(d, colors, level is not None)
+              for d in set(right)}
+    options = [tables[d] for d in right]
 
     out: list[tuple[TensorWord, int]] = []
     chosen = [0] * L
     placed: list[Factor | None] = [None] * L
     nodes = 0
 
-    def grow(p, wt, phis, eps0, phi0, score):
+    def grow(p, state, score):
         nonlocal nodes
         if p == L:
-            if wt == target:
+            if state[0] == target:
                 out.append((TensorWord(kind, n, tuple(reversed(placed))),
                             score))
             return
-        for k, x, xw, xe, xp, xe0, xp0 in options[p]:
-            w = tuple(a + b for a, b in zip(wt, xw))
-            if kind == "A":
-                if any(a > t for a, t in zip(w, target)):
-                    continue
-            elif sum(abs(t - a) for a, t in zip(w, target)) > boxes_left[p]:
+        for entry in options[p]:
+            nstate = _place(kind, target, boxes_left[p], level, state, entry)
+            if nstate is None:
                 continue
-            if any(e > f for e, f in zip(xe, phis)):
-                continue
-            nphis = tuple(f + q - e for f, q, e in zip(phis, xp, xe))
-            if affine:
-                neps0 = max(eps0, xe0 - phi0 + eps0)
-                if neps0 > level:
-                    continue
-                nphi0 = max(xp0, phi0 + xp0 - xe0)
-            else:
-                neps0 = nphi0 = 0
             nodes += 1
             if nodes > VERTEX_CAP:
                 raise CapExceeded(f"path search visited more than "
                                   f"{VERTEX_CAP} nodes")
-            chosen[p] = k
-            placed[p] = x
-            grow(p + 1, w, nphis, neps0, nphi0,
+            k = chosen[p] = entry[0]
+            placed[p] = entry[1]
+            grow(p + 1, nstate,
                  score if extend is None else score + extend(p, chosen, k))
 
-    grow(0, (0,) * len(target), (0,) * len(colors), 0, 0, 0)
+    grow(0, ((0,) * len(target), (0,) * len(colors), 0, 0), 0)
     del grow  # grow refers to itself; without this the search state
     # (and the hook's tables) would wait for the cyclic garbage collector
     return out
@@ -479,49 +498,6 @@ def enumerate_paths(shape: tuple[FactorDescriptor, ...],
     return [w for w, _ in search_paths(shape, weight, restriction, level)]
 
 
-@dataclass
-class CrystalGraph:
-    """A finite crystal as an explicit graph: f-arrows per color."""
-
-    vertices: tuple[TensorWord, ...]
-    arrows: dict[int, dict[TensorWord, TensorWord]]
-    highest: TensorWord | None = None
-
-
-def build_component(seed: TensorWord, colors: tuple[int, ...] | None = None
-                    ) -> CrystalGraph:
-    """BFS closure of the seed under e_i and f_i for the given colors
-    (default: the classical colors)."""
-    if colors is None:
-        colors = tuple(range(1, seed.n + 1))
-    seen = {seed}
-    frontier = [seed]
-    arrows: dict[int, dict[TensorWord, TensorWord]] = {i: {} for i in colors}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in colors:
-                for direction in ("e", "f"):
-                    u = tensor_arrow(v, i, direction)
-                    if u is None:
-                        continue
-                    if direction == "f":
-                        arrows[i][v] = u
-                    else:
-                        arrows[i][u] = v
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-                        if len(seen) > VERTEX_CAP:
-                            raise CapExceeded(
-                                f"component exceeded vertex cap {VERTEX_CAP}")
-        frontier = nxt
-    hw = [v for v in seen
-          if all(tensor_arrow(v, i, "e") is None for i in colors)]
-    highest = hw[0] if len(hw) == 1 else None
-    return CrystalGraph(tuple(sorted(seen, key=str)), arrows, highest)
-
-
 @cache
 def highest_weight_element(desc: FactorDescriptor) -> Factor:
     """u(B) of one factor: its unique classical highest weight element."""
@@ -529,11 +505,3 @@ def highest_weight_element(desc: FactorDescriptor) -> Factor:
         if all(factor_arrow(x, i, "e") is None for i in range(1, desc.n + 1)):
             return x
     raise CrystalStructureError(f"{desc} has no highest weight element")
-
-
-def crystal_level(shape: tuple[FactorDescriptor, ...]) -> int:
-    """Level of a finite crystal: min over elements of the sum of eps_i
-    over all affine colors (the dual marks of A_n^(1) and C_n^(1) are all
-    1)."""
-    return min(sum(string_stats(w, i)[0] for i in range(w.n + 1))
-               for w in shape_elements(shape))

@@ -9,19 +9,27 @@ the same H, so every edge is checked from both ends: a cycle inconsistency
 (which would falsify the 0-arrows) is a hard error rather
 than a silent wrong table.  Simplicity of the factors makes the graphs
 connected, so the isomorphism is unique.
+
+A direct sum over a homogeneous shape B^(x)L is one transfer-matrix sweep
+from right to left over states of partial paths, each carrying its
+polynomial, as in the corner-transfer-matrix view of one-dimensional sums
+(Date-Jimbo-Kuniba-Miwa-Okado 1987); no path is listed.  A mixed shape is
+summed over the paths of the pruned search, each scored as it grows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnergyConsistencyError, IsomorphismError
-from .crystal import (Factor, FactorDescriptor, TensorWord, factor_elements,
-                      factor_stats, highest_weight_element, search_paths,
-                      tensor_arrow, word)
+from . import crystal
+from .errors import CapExceeded, EnergyConsistencyError, IsomorphismError
+from .crystal import (Factor, FactorDescriptor, TensorWord, _element_table,
+                      _place, _walk_setup, factor_elements, factor_stats,
+                      highest_weight_element, search_paths, tensor_arrow,
+                      word)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
-from .qpoly import QLaurent
+from .qpoly import QLaurent, ZERO
 
 PairKey = tuple[Factor, Factor]
 
@@ -177,16 +185,72 @@ def energy_extension(shape: tuple[FactorDescriptor, ...]):
     return extend
 
 
+def _sweep(desc: FactorDescriptor, L: int, weight: tuple[int, ...],
+           restriction: str, level: int | None, sign: int) -> QLaurent:
+    """The direct sum over the paths of B^{(x)L} by a transfer matrix.
+
+    On B (x) B the R-matrix is the identity, so E_B = sum over i of
+    (L - i) H(b_{i+1} (x) b_i).  The sweep places b_1, ..., b_L right to
+    left like ``search_paths`` and prunes by the same ``_place``, but keeps
+    one {exponent: count} polynomial per state (weight, phi_i over the
+    colors, eps_0, phi_0, index of the last placed element) instead of one
+    leaf per path.  ``VERTEX_CAP`` bounds the transitions."""
+    setup = _walk_setup((desc,) * L, weight, restriction, level)
+    if setup is None:
+        return ZERO
+    kind, _, target, colors, level = setup
+    table = _element_table(desc, colors, level is not None)
+    H = [[sign * h for h, _ in row]
+         for row in combinatorial_r(desc, desc).step]
+    cap = crystal.VERTEX_CAP
+    moves = 0
+    # the first element has no left neighbour yet: index 0, factor 0
+    layer = {((0,) * len(target), (0,) * len(colors), 0, 0): {0: {0: 1}}}
+    for p in range(L):
+        factor = L - p if p else 0
+        room = (L - p - 1) * desc.boxes
+        nxt: dict = {}
+        for state, by_last in layer.items():
+            for entry in table:
+                nstate = _place(kind, target, room, level, state, entry)
+                if nstate is None:
+                    continue
+                moves += len(by_last)
+                if moves > cap:
+                    raise CapExceeded(f"transfer-matrix sweep made more "
+                                      f"than {cap} transitions")
+                k = entry[0]
+                row = H[k]
+                acc = nxt.setdefault(nstate, {}).setdefault(k, {})
+                for j, poly in by_last.items():
+                    s = factor * row[j]
+                    for e, c in poly.items():
+                        e += s
+                        acc[e] = acc.get(e, 0) + c
+        layer = nxt
+    out: dict[int, int] = {}
+    for state, by_last in layer.items():
+        if state[0] == target:
+            for poly in by_last.values():
+                for e, c in poly.items():
+                    out[e] = out.get(e, 0) + c
+    return QLaurent.from_dict(out)
+
+
 def direct_sum(shape: tuple[FactorDescriptor, ...],
                weight: tuple[int, ...],
                restriction: str = "none",
                statistic: str = "coenergy",
                level: int | None = None) -> QLaurent:
-    """Sum of q^{D(b)} (or coenergy) over the chosen path set, by a pruned
-    path search that accumulates each path's energy E_B = D as it grows."""
+    """Sum of q^{D(b)} (or coenergy) over the chosen path set.  A
+    homogeneous shape B^{(x)L} is summed by the transfer-matrix ``_sweep``;
+    a mixed shape by a pruned path search that accumulates each path's
+    energy E_B = D as it grows."""
     if statistic not in ("energy", "coenergy"):
         raise ValueError(f"unknown statistic {statistic!r}")
     sign = -1 if statistic == "coenergy" else 1
+    if shape and all(d == shape[0] for d in shape):
+        return _sweep(shape[0], len(shape), weight, restriction, level, sign)
     paths = search_paths(shape, weight, restriction, level,
                          extend=energy_extension(shape))
     return QLaurent.from_exponents(sign * e for _, e in paths)

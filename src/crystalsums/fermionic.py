@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .cartan import CartanData, _exact_quotient, cartan_data
@@ -110,32 +111,36 @@ def _generic_m(data: CartanData, nu) -> list[dict[int, int]]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _pair_table(kind: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per row a (0-based), the rows b it interacts with as (b, 2(alpha_a |
+    alpha_b), t_b, t_a), nonzero pairs only.  Keyed by (kind, n), which
+    hashes faster than the root datum."""
+    data = cartan_data(kind, n)
+    alpha = data.simple_roots
+    return tuple(tuple((b, pair, data.t[b], data.t[a])
+                       for b in range(data.n)
+                       if (pair := data.form(alpha[a], alpha[b])))
+                 for a in range(data.n))
+
+
 def _vacancy_generic(data: CartanData, L: LMap, gm, a: int, i: int) -> int:
     """p_i^(a) from the bilinear form, at generic index i."""
     acc = 2 * sum(mult * min(i, j) for (b, j), mult in L.items() if b == a)
-    alpha = data.simple_roots
-    for b in range(1, data.n + 1):
-        pair = data.form(alpha[a - 1], alpha[b - 1])
-        if pair == 0:
-            continue
-        for k, m in gm[b - 1].items():
-            acc -= pair * min(data.t[b - 1] * i, data.t[a - 1] * k) * m
+    for b, pair, tb, ta in _pair_table(data.kind, data.n)[a - 1]:
+        for k, m in gm[b].items():
+            acc -= pair * min(tb * i, ta * k) * m
     return _exact_quotient(acc, 2, "vacancy")
 
 
 def _cc_generic(data: CartanData, gm) -> int:
     """cc({m}) from the bilinear form, at generic indices."""
     acc = 0
-    alpha = data.simple_roots
-    for a in range(1, data.n + 1):
-        for b in range(1, data.n + 1):
-            pair = data.form(alpha[a - 1], alpha[b - 1])
-            if pair == 0:
-                continue
-            for j, mj in gm[a - 1].items():
-                for k, mk in gm[b - 1].items():
-                    acc += pair * min(data.t[b - 1] * j,
-                                      data.t[a - 1] * k) * mj * mk
+    for a, pairs in enumerate(_pair_table(data.kind, data.n)):
+        for b, pair, tb, ta in pairs:
+            for j, mj in gm[a].items():
+                for k, mk in gm[b].items():
+                    acc += pair * min(tb * j, ta * k) * mj * mk
     return _exact_quotient(acc, 4, "charge")
 
 

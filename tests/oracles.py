@@ -7,17 +7,24 @@ coefficients come from explicit partition counting, path sets come
 from filtering the whole tensor product instead of the pruned search, the
 level alternating sum visits its whole translation window, and the
 involution's pair sets scan every (affine) Weyl element against every word
-instead of walking each word into the chamber or alcove.
+instead of walking each word into the chamber or alcove.  The crystal
+helpers only tests use (a component as an explicit graph, the level of a
+crystal, the coroot pairing of a word's weight) live here too.
 """
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+
+import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
 from crystalsums.cartan import (WeylElement, cartan_data,
                                 translation_lattice_box, weyl_enumerate)
-from crystalsums.crystal import shape_elements, string_stats, word_weight
+from crystalsums.crystal import (FactorDescriptor, TensorWord, shape_elements,
+                                 string_stats, tensor_arrow, word_weight)
+from crystalsums.errors import CapExceeded
 from crystalsums.qpoly import ZERO, q_power
 
 
@@ -272,3 +279,68 @@ def scanned_level_pairs(shape, lam, level) -> set:
                                 for (i, s, _), y in zip(w.action, beta))
                 pairs.add((WeylElement(shifted, w.sign), b))
     return pairs
+
+
+def coroot_weight_pairing(w: TensorWord, i: int) -> int:
+    """<h_i, wt(word)>, with the affine i = 0 read through the classical
+    projection (type A: last coordinate minus first; type C: minus the
+    first)."""
+    wt = word_weight(w)
+    if i == 0:
+        return wt[-1] - wt[0] if w.kind == "A" else -wt[0]
+    if w.kind == "A" or i < w.n:
+        return wt[i - 1] - wt[i]
+    return wt[-1]
+
+
+@dataclass
+class CrystalGraph:
+    """A finite crystal as an explicit graph: f-arrows per color."""
+
+    vertices: tuple[TensorWord, ...]
+    arrows: dict[int, dict[TensorWord, TensorWord]]
+    highest: TensorWord | None = None
+
+
+def build_component(seed: TensorWord, colors: tuple[int, ...] | None = None
+                    ) -> CrystalGraph:
+    """BFS closure of the seed under e_i and f_i for the given colors
+    (default: the classical colors); ``crystal.VERTEX_CAP`` bounds its
+    vertices."""
+    if colors is None:
+        colors = tuple(range(1, seed.n + 1))
+    seen = {seed}
+    frontier = [seed]
+    arrows: dict[int, dict[TensorWord, TensorWord]] = {i: {} for i in colors}
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in colors:
+                for direction in ("e", "f"):
+                    u = tensor_arrow(v, i, direction)
+                    if u is None:
+                        continue
+                    if direction == "f":
+                        arrows[i][v] = u
+                    else:
+                        arrows[i][u] = v
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+                        if len(seen) > crystal.VERTEX_CAP:
+                            raise CapExceeded(
+                                f"component exceeded vertex cap "
+                                f"{crystal.VERTEX_CAP}")
+        frontier = nxt
+    hw = [v for v in seen
+          if all(tensor_arrow(v, i, "e") is None for i in colors)]
+    highest = hw[0] if len(hw) == 1 else None
+    return CrystalGraph(tuple(sorted(seen, key=str)), arrows, highest)
+
+
+def crystal_level(shape: tuple[FactorDescriptor, ...]) -> int:
+    """Level of a finite crystal: min over elements of the sum of eps_i
+    over all affine colors (the dual marks of A_n^(1) and C_n^(1) are all
+    1)."""
+    return min(sum(string_stats(w, i)[0] for i in range(w.n + 1))
+               for w in shape_elements(shape))

@@ -10,8 +10,7 @@ from crystalsums.bosonic import (bosonic_classical, bosonic_level,
                                  involution_phi, supernomial_A_columns,
                                  supernomial_A_rows)
 from crystalsums.cartan import cartan_data
-from crystalsums.crystal import (FactorDescriptor, build_component,
-                                 coroot_weight_pairing, letters_word,
+from crystalsums.crystal import (FactorDescriptor, letters_word,
                                  shape_elements, string_stats, tensor_arrow,
                                  word, word_weight)
 from crystalsums.energy import combinatorial_r, direct_sum, energy_EB
@@ -23,8 +22,9 @@ from crystalsums.hardhex import (bosonic_term, hh_X, rr_series_check,
                                  strip_inclusion_exclusion)
 from crystalsums.qpoly import qmultinomial
 
-from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
-                     lr_multiplicity, partitions_gap2)
+from oracles import (all_contents_A, build_component, coroot_weight_pairing,
+                     dominant_contents_A, dominant_weights_C, lr_multiplicity,
+                     partitions_gap2)
 
 
 def boxes(kind, n, L):

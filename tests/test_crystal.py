@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import crystalsums.crystal as crystal
 from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
-                                 VERTEX_CAP, build_component,
-                                 crystal_level, enumerate_paths,
+                                 VERTEX_CAP, enumerate_paths,
                                  factor_arrow, factor_elements, factor_stats,
-                                 coroot_weight_pairing, letter_arrow,
-                                 letters_word, reflection_s, shape_elements,
-                                 string_stats, tensor_arrow, word_weight)
+                                 letter_arrow, letters_word, reflection_s,
+                                 shape_elements, string_stats, tensor_arrow,
+                                 word_weight)
 from crystalsums.errors import (CapExceeded, CrystalStructureError,
                                 UnsupportedError)
 
-from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
+from oracles import (all_contents_A, build_component, coroot_weight_pairing,
+                     crystal_level, dominant_contents_A, dominant_weights_C,
                      filtered_paths, is_classically_restricted,
                      lr_multiplicity)
 

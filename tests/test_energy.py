@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from crystalsums.crystal import (FactorDescriptor, build_component,
-                                 factor_elements, letters_word, search_paths,
-                                 shape_elements, tensor_arrow, word)
+import crystalsums.crystal as crystal
+from crystalsums.crystal import (FactorDescriptor, factor_elements,
+                                 letters_word, search_paths, shape_elements,
+                                 tensor_arrow, word)
 from crystalsums import energy
 from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
                                 direct_sum, energy_EB, energy_extension)
-from crystalsums.errors import EnergyConsistencyError, IsomorphismError
+from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
+                                IsomorphismError)
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
-from oracles import all_contents_A, filtered_paths
+from oracles import all_contents_A, build_component, filtered_paths
 
 B11_A1 = FactorDescriptor("A", 1)
 
@@ -239,3 +241,66 @@ class TestIncrementalEnergy:
                 assert direct_sum(shape, lam, restriction, "coenergy",
                                   level) == want, (shape, lam, restriction)
 
+
+def all_weights_C(n, L):
+    """Every weight of (B^{1,1})^{(x)L} of C_n^(1): L1 norm at most L, of
+    the parity of L."""
+    out = [()]
+    for _ in range(n):
+        out = [w + (x,) for w in out for x in range(-L, L + 1)]
+    return [w for w in out
+            if sum(map(abs, w)) <= L and (L - sum(map(abs, w))) % 2 == 0]
+
+
+# every homogeneous factor the sweep covers, with the largest L whose
+# whole tensor product (at most a few hundred words) the oracle filters
+HOMOGENEOUS = [
+    (FactorDescriptor("A", 1), 7), (FactorDescriptor("A", 2), 5),
+    (FactorDescriptor("A", 3), 4), (FactorDescriptor("A", 1, 1, 2), 5),
+    (FactorDescriptor("A", 2, 1, 2), 3), (FactorDescriptor("A", 2, 1, 3), 2),
+    (FactorDescriptor("A", 2, 2, 1), 5), (FactorDescriptor("A", 3, 2, 1), 3),
+    (FactorDescriptor("C", 1), 7), (FactorDescriptor("C", 2), 4),
+    (FactorDescriptor("C", 3), 3),
+]
+
+
+class TestTransferMatrix:
+    @pytest.mark.parametrize("desc,max_L", HOMOGENEOUS, ids=lambda x: (
+        f"{x.kind}{x.n}-B{x.r}{x.s}" if isinstance(x, FactorDescriptor)
+        else f"L{x}"))
+    def test_sweep_matches_search_and_filter(self, desc, max_L, monkeypatch):
+        # direct_sum must sum a homogeneous shape without listing paths
+        def no_search(*args, **kwargs):
+            raise AssertionError("homogeneous shape reached search_paths")
+
+        monkeypatch.setattr(energy, "search_paths", no_search)
+        for L in range(1, max_L + 1):
+            shape = (desc,) * L
+            extend = energy_extension(shape)
+            energies = {w: energy_EB(w) for w in shape_elements(shape)}
+            weights = (all_contents_A(desc.n, L * desc.boxes)
+                       if desc.kind == "A" else all_weights_C(desc.n, L))
+            for lam in weights:
+                for restriction, level in (("none", None),
+                                           ("classical", None),
+                                           ("level", 1), ("level", 2)):
+                    got = direct_sum(shape, lam, restriction, "energy", level)
+                    searched = QLaurent.from_exponents(
+                        e for _, e in search_paths(shape, lam, restriction,
+                                                   level, extend=extend))
+                    filtered = QLaurent.from_exponents(
+                        energies[w] for w in filtered_paths(
+                            shape, lam, restriction, level))
+                    case = (desc, L, lam, restriction, level)
+                    assert got == searched == filtered, case
+                    assert direct_sum(shape, lam, restriction, "coenergy",
+                                      level) == invert_q(got), case
+
+    def test_sweep_is_capped(self, monkeypatch):
+        shape = boxes("A", 1, 6)
+        want = direct_sum(shape, (3, 3), "classical")
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
+        with pytest.raises(CapExceeded, match="transitions"):
+            direct_sum(shape, (3, 3), "classical")
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
+        assert direct_sum(shape, (3, 3), "classical") == want

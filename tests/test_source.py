@@ -71,3 +71,24 @@ def test_enumeration_reads_no_other_route():
                 and node.name == "_path_energies")
     used = {node.id for node in ast.walk(walk) if isinstance(node, ast.Name)}
     assert not used & top, used & top
+
+
+def test_direct_route_reads_no_other_route():
+    # the direct route (crystal paths and R-matrix energies) is one of the
+    # independent evaluations: it imports no bosonic, fermionic or
+    # hard-hexagon code
+    others = {"bosonic", "fermionic", "hardhex"}
+    found = []
+    for name in ("crystal.py", "energy.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if not node.module or node.module == "crystalsums":
+                    modules += [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] in others for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
