@@ -132,30 +132,38 @@ def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     column heights as row sums reaches (Gale-Ryser: sorted in decreasing
     order, its partial sums must stay within those of the conjugate of the
     heights, as a column holds each letter at most once); a type C weight
-    whose L1 norm exceeds the boxes or differs from them in parity."""
+    whose L1 norm exceeds the boxes or differs from them in parity.
+
+    The unrestricted sum is invariant under the finite Weyl group: s_i
+    stays inside each classical component, where the energy is constant.
+    So the cache is keyed by, and the closed form evaluated at, the
+    dominant representative of the weight's orbit: the content sorted in
+    decreasing order (type A), or the sorted absolute values (type C)."""
+    type_c = bool(shape) and shape[0].kind == "C"
+    dominant = tuple(sorted(map(abs, weight) if type_c else weight,
+                            reverse=True))
     columns = all(d.s == 1 for d in shape)
-    if shape and shape[0].kind == "C":
-        norm = sum(abs(x) for x in weight)
+    if type_c:
+        norm = sum(dominant)
         if norm > len(shape) or (len(shape) - norm) % 2:
             return ZERO
     elif columns or all(d.r == 1 for d in shape):  # a mixed shape raises below
-        if min(weight, default=0) < 0:
+        if min(dominant, default=0) < 0:
             return ZERO
         if columns:
             heights = conjugate(tuple(sorted((d.r for d in shape),
                                              reverse=True)))
             reach = accumulate(part(heights, i)
                                for i in range(1, len(weight) + 1))
-            if any(a > b for a, b in zip(
-                    accumulate(sorted(weight, reverse=True)), reach)):
+            if any(a > b for a, b in zip(accumulate(dominant), reach)):
                 return ZERO
     key = (tuple(sorted((d.r, d.s) for d in shape)),
            shape[0].kind if shape else "A",
-           shape[0].n if shape else 0, tuple(weight))
+           shape[0].n if shape else 0, dominant)
     hit = _SUPER_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _supernomial_uncached(shape, weight)
+    out = _supernomial_uncached(shape, dominant)
     _SUPER_CACHE[key] = out
     return out
 

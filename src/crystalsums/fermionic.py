@@ -18,6 +18,7 @@ raises NonIntegralExponent.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
@@ -179,42 +180,57 @@ class RiggedConfiguration:
         return ()
 
 
-def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                 max_part: int | None = None) -> list[RiggedConfiguration]:
-    """All rigged configurations for the given factors and weight, with
-    every part of nu at most ``max_part`` when it is given.  The
-    configurations of one shape nu come out consecutively.
+def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
+                     max_part: int | None = None):
+    """Yield (nu, sites) for every admitted shape nu with the given factors
+    and weight, every part at most ``max_part`` when it is given; sites
+    holds (a, i, m, P) for each occupied site: row a, actual part size i,
+    multiplicity m and vacancy number P, each vacancy read once.
 
     A shape is admitted when every occupied site has a nonnegative vacancy
     number; for dominant weights this is equivalent to nonnegativity
     everywhere (the vacancy profile is concave between occupied sites)."""
-    data = cartan_data(kind, n)
-    if kind == "C" and any(i != 1 for (_, i) in L):
+    if data.kind == "C" and any(i != 1 for (_, i) in L):
         raise UnsupportedError("type C factors must be single columns")
     sizes = config_sizes(data, L, lam)
     if sizes is None:
-        return []
-    out: list[RiggedConfiguration] = []
+        return
     for nu in _nu_choices(data, sizes, max_part):
-        boxes = []
-        ok = True
+        sites = []
         for a, i, m in _occupied(nu):
             p = vacancy(data, L, nu, a, i)
             if p < 0:
-                ok = False
                 break
-            boxes.append(((a, i), partitions_in_box(m, p)))
-        if not ok:
-            continue
-        count = 1
-        for _, bx in boxes:
-            count *= len(bx)
-            if count > RC_CAP:
-                raise CapExceeded(f"more than {RC_CAP} rigged configurations")
-        for choice in iproduct(*(bx for _, bx in boxes)):
-            riggings = tuple((site, J)
-                             for (site, _), J in zip(boxes, choice))
-            out.append(RiggedConfiguration(kind, n, nu, riggings))
+            sites.append((a, i, m, p))
+        else:
+            yield nu, sites
+
+
+def _riggings(sites) -> list[tuple[tuple[int, ...], ...]]:
+    """Per site, every rigging: a partition in the m x P box.  Raises
+    CapExceeded when the shape has more than RC_CAP rigged
+    configurations."""
+    boxes = [partitions_in_box(m, p) for _, _, m, p in sites]
+    count = 1
+    for bx in boxes:
+        count *= len(bx)
+        if count > RC_CAP:
+            raise CapExceeded(f"more than {RC_CAP} rigged configurations")
+    return boxes
+
+
+def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
+                 max_part: int | None = None) -> list[RiggedConfiguration]:
+    """All rigged configurations for the given factors and weight, with
+    every part of nu at most ``max_part`` when it is given, over the shapes
+    of ``_admitted_shapes``.  The configurations of one shape nu come out
+    consecutively."""
+    out: list[RiggedConfiguration] = []
+    for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam, max_part):
+        keys = [(a, i) for a, i, _, _ in sites]
+        for choice in iproduct(*_riggings(sites)):
+            out.append(RiggedConfiguration(kind, n, nu,
+                                           tuple(zip(keys, choice))))
     return out
 
 
@@ -237,38 +253,35 @@ def theta(rc: RiggedConfiguration, L: LMap) -> RiggedConfiguration:
     return RiggedConfiguration(rc.kind, rc.n, rc.nu, tuple(new))
 
 
-def _theta_shift(data: CartanData, L: LMap, nu) -> int:
-    """cc(nu) + sum P*m over the occupied sites of nu."""
-    return cc_shape(data.kind, data.n, nu) + sum(
-        vacancy(data, L, nu, a, i) * m for a, i, m in _occupied(nu))
-
-
 def cc_theta(rc: RiggedConfiguration, L: LMap) -> int:
     """cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|: the coenergy
     statistic of the matching paths."""
-    return (_theta_shift(cartan_data(rc.kind, rc.n), L, rc.nu)
+    data = cartan_data(rc.kind, rc.n)
+    return (cc_shape(rc.kind, rc.n, rc.nu)
+            + sum(vacancy(data, L, rc.nu, a, i) * m
+                  for a, i, m in _occupied(rc.nu))
             - sum(sum(J) for _, J in rc.riggings))
-
-
-def _cc_thetas(rcs: list[RiggedConfiguration], L: LMap):
-    """cc_theta of each configuration in turn, with cc(nu) + sum P*m
-    computed once for each run of one shape nu, as ``enumerate_rc`` lists
-    them."""
-    nu, shift = None, 0
-    for rc in rcs:
-        if rc.nu != nu:
-            nu = rc.nu
-            shift = _theta_shift(cartan_data(rc.kind, rc.n), L, nu)
-        yield shift - sum(sum(J) for _, J in rc.riggings)
 
 
 def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
                            statistic: str = "cc_theta") -> QLaurent:
     """Sum of q^{cc o theta} (coenergy grading, the default) or q^{cc}
-    over all rigged configurations."""
-    rcs = enumerate_rc(kind, n, L, lam)
-    return QLaurent.from_exponents(
-        _cc_thetas(rcs, L) if statistic == "cc_theta" else map(cc_stat, rcs))
+    over all rigged configurations, listed one by one over the shapes of
+    ``_admitted_shapes``.  cc(nu, J) = cc(nu) + sum |J| and cc(theta(nu,
+    J)) = cc(nu) + sum P*m - sum |J|, so a rigging enters only through its
+    size, and no configuration is built."""
+    sign = -1 if statistic == "cc_theta" else 1
+
+    def exponents():
+        for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam):
+            base = cc_shape(kind, n, nu)
+            if sign < 0:
+                base += sum(p * m for _, _, m, p in sites)
+            sizes = [[sum(J) for J in bx] for bx in _riggings(sites)]
+            for choice in iproduct(*sizes):
+                yield base + sign * sum(choice)
+
+    return QLaurent.from_exponents(exponents())
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +485,8 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     The types differ only in the tableaux (``_lambda_prime_A/C``) and the
     corrections they make at the sites (``_corrections_A/C``).  Each call
     builds the table of correction vectors, one per tableau, once; both
-    modes read it.  rc_sum lists only shapes inside the level grid, and
-    reads each shape's vacancy numbers and cc(nu) + sum P*m once for all
-    its riggings.  A non-dominant weight gives ZERO in both modes.
+    modes read it.  rc_sum (``_level_rc_sum``) lists only shapes inside
+    the level grid.  A non-dominant weight gives ZERO in both modes.
     """
     data = cartan_data(kind, n)
     if len(lam) != data.dim:
@@ -505,21 +517,8 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
              for t in cst_enumerate(shape, alphabet)]
 
     if mode == "rc_sum":
-        distinct = list(dict.fromkeys(table))
-        vacancies: dict = {}  # per shape nu, shared by all its riggings
-
-        def slacks(rc: RiggedConfiguration) -> list[int]:
-            vac = vacancies.get(rc.nu)
-            if vac is None:
-                vac = vacancies[rc.nu] = [vacancy(data, L, rc.nu, a, i)
-                                          for a, i in sites]
-            return [p - max(rc.rigging(a, i), default=0)
-                    for p, (a, i) in zip(vac, sites)]
-
-        rcs = enumerate_rc(kind, n, L, lam, max_part=max_part)
-        return QLaurent.from_exponents(
-            e for rc, e in zip(rcs, _cc_thetas(rcs, L))
-            if _admits_tableau(slacks(rc), distinct))
+        return _level_rc_sum(data, L, lam, sites, max_part,
+                             list(dict.fromkeys(table)))
 
     minima = _signed_minima(table)
     out = ZERO
@@ -530,6 +529,42 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
         c = _cc_generic(data, gm) + sum(p * m for p, m in zip(ps, mults))
         out = out + _closed_form_terms(c, ps, mults, minima)
     return out
+
+
+def _level_rc_sum(data: CartanData, L: LMap, lam: tuple[int, ...], sites,
+                  max_part: int, table) -> QLaurent:
+    """The rc_sum mode of ``level_restricted``: q^{cc o theta} over the
+    rigged configurations inside the level grid that ``_admits_tableau``
+    passes, listed one by one over the shapes of ``_admitted_shapes``.
+
+    The test reads a rigging only through its top part, and the statistic
+    only through its size, so each site's riggings are grouped by top
+    part: the test runs once per choice of tops, and every rigging of an
+    admitted choice is counted.  Grid sites that nu leaves empty keep
+    their vacancy number as slack."""
+    position = {site: k for k, site in enumerate(sites)}
+    counts: Counter = Counter()
+    for nu, occupied in _admitted_shapes(data, L, lam, max_part):
+        vac = {(a, i): p for a, i, _, p in occupied}
+        slacks = [vac[s] if s in vac else vacancy(data, L, nu, *s)
+                  for s in sites]
+        where = [position[a, i] for a, i, _, _ in occupied]
+        shift = cc_shape(data.kind, data.n, nu) + sum(
+            p * m for _, _, m, p in occupied)
+        by_top = []
+        for bx in _riggings(occupied):
+            sizes: dict[int, list[int]] = {}
+            for J in bx:
+                sizes.setdefault(J[0] if J else 0, []).append(sum(J))
+            by_top.append(sizes)
+        for tops in iproduct(*by_top):
+            row = list(slacks)
+            for k, top in zip(where, tops):
+                row[k] -= top
+            if _admits_tableau(row, table):
+                for choice in iproduct(*(g[t] for g, t in zip(by_top, tops))):
+                    counts[shift - sum(choice)] += 1
+    return QLaurent.from_dict(counts)
 
 
 def _admits_tableau(slacks: list[int], table) -> bool:

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision
+
+QBINOMIAL_CACHE = 2048  # q-binomials kept by qbinomial, least recently used
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,10 @@ def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
 def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
     """The running sums of ``QLaurent.div_one_minus_q``, in place on a
     coefficient list, which is returned.  When exact, the last k sums are
-    the remainder: they must vanish, and are dropped."""
-    for r in range(min(k, len(out))):
+    the remainder: they must vanish, and are dropped.  A residue class
+    with one entry is its own running sum, so only the first len - k
+    classes are summed."""
+    for r in range(min(k, len(out) - k)):
         out[r::k] = accumulate(out[r::k])
     if exact:
         n = len(out) - k
@@ -192,6 +197,17 @@ def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
             raise InexactDivision(f"division by 1 - q^{k} is not exact")
         del out[n:]
     return out
+
+
+def _binomial_step(out: list, a: int, b: int) -> list:
+    """Multiply a coefficient list by (1 - q^a), a >= 1, then divide it by
+    (1 - q^b) exactly, in place; the list is returned.  One step of a
+    q-binomial walk: [m + n; n] times (1 - q^(m+n+1)) / (1 - q^(n+1)) is
+    [m + n + 1; n + 1]."""
+    old = len(out)
+    out.extend([0] * a)
+    out[a:] = map(sub, out[a:], out[:old])
+    return _div_one_minus_q(out, b)
 
 
 def _dense(low: int, coeffs) -> QLaurent:
@@ -222,16 +238,17 @@ def q_power(e: int, c: int = 1) -> QLaurent:
     return QLaurent(e, (c,)) if c else ZERO
 
 
+@lru_cache(maxsize=QBINOMIAL_CACHE)
 def qbinomial(m: int, n: int) -> QLaurent:
     """Gaussian binomial for a box of width m and height n.
 
     Generating function of partitions with at most n parts, each at most m;
     equals (q)_{m+n} / ((q)_m (q)_n), built as the product over i = 1..n
     of (1 - q^(m+i)) / (1 - q^i), every partial product a polynomial.
-    All n rounds work on one coefficient list: a round subtracts the list
-    shifted by m + i from itself in place, then divides by (1 - q^i) with
-    the running sums of ``div_one_minus_q``.  Zero when either argument is
-    negative.
+    All n rounds are ``_binomial_step``s on one coefficient list.  Zero
+    when either argument is negative.  The last ``QBINOMIAL_CACHE``
+    results are kept; a walk over neighbouring q-binomials of one large
+    family steps its own list instead of calling this.
     """
     if m < 0 or n < 0:
         return ZERO
@@ -239,10 +256,7 @@ def qbinomial(m: int, n: int) -> QLaurent:
         m, n = n, m  # symmetric; fewer division rounds
     out = [1]
     for i in range(1, n + 1):
-        old = len(out)
-        out.extend([0] * (m + i))
-        out[m + i:] = map(sub, out[m + i:], out[:old])
-        _div_one_minus_q(out, i)
+        _binomial_step(out, m + i, i)
     # both end coefficients are 1
     return QLaurent(0, tuple(out))
 

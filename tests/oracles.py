@@ -5,10 +5,13 @@ enumerated directly, tensor multiplicities come from characters (weight
 multisets plus Weyl alternation) rather than crystal arrows, series
 coefficients come from explicit partition counting, path sets come
 from filtering the whole tensor product instead of the pruned search, the
-level alternating sum visits its whole translation window, and the
+level alternating sum visits its whole translation window, the
 involution's pair sets scan every (affine) Weyl element against every word
-instead of walking each word into the chamber or alcove.  The crystal
-helpers only tests use (a component as an explicit graph, the level of a
+instead of walking each word into the chamber or alcove, the
+rigged-configuration sums add up every ``RiggedConfiguration`` instead of
+rigging sizes per shape, and each hard-hexagon bosonic term is one
+``qbinomial`` instead of a step along a row.  The crystal helpers only
+tests use (a component as an explicit graph, the level of a
 crystal, the coroot pairing of a word's weight) live here too.
 """
 from __future__ import annotations
@@ -25,7 +28,11 @@ from crystalsums.cartan import (WeylElement, cartan_data,
 from crystalsums.crystal import (FactorDescriptor, TensorWord, shape_elements,
                                  string_stats, tensor_arrow, word_weight)
 from crystalsums.errors import CapExceeded
-from crystalsums.qpoly import ZERO, q_power
+from crystalsums.fermionic import (_corrections_A, _corrections_C,
+                                   _lambda_prime_A, _lambda_prime_C, cc_stat,
+                                   cc_theta, cst_enumerate, enumerate_rc,
+                                   vacancy)
+from crystalsums.qpoly import QLaurent, ZERO, q_power, qbinomial
 
 
 def box_partitions(width: int, height: int) -> list[tuple[int, ...]]:
@@ -122,6 +129,21 @@ def qbinomial_pascal(m: int, n: int) -> dict[int, int]:
             row.append(g)
         rows.append(row)
     return rows[m][n]
+
+
+def bosonic_term(L: int, j: int, primed: bool = False):
+    """One summand q^(j(5j+1)/2) [L; floor((L - 5j)/2)] of the hard-hexagon
+    alternating sum (q^(j(5j+3)/2) [L; floor((L - 5j - 1)/2)] when
+    primed), without its sign, from one ``qbinomial``; the strip tests
+    match it against path sets."""
+    # j(5j+1) and j(5j+3) are always even
+    if primed:
+        expo = j * (5 * j + 3) // 2
+        k = (L - 5 * j - 1) // 2
+    else:
+        expo = j * (5 * j + 1) // 2
+        k = (L - 5 * j) // 2
+    return qbinomial(L - k, k).shift(expo)
 
 
 def partitions_gap2(total: int) -> int:
@@ -241,6 +263,45 @@ def unpruned_bosonic_level(shape, lam, level):
                 out = out + q_power(expo) * (seen[mu] if sign > 0
                                              else -seen[mu])
     return out
+
+
+def rc_sum_by_configurations(kind: str, n: int, L, lam,
+                             statistic: str = "cc_theta"):
+    """``rc_generating_function`` by its definition: q^{cc o theta} (or
+    q^{cc}) summed over every ``RiggedConfiguration`` of ``enumerate_rc``."""
+    rcs = enumerate_rc(kind, n, L, lam)
+    if statistic == "cc_theta":
+        return QLaurent.from_exponents(cc_theta(rc, L) for rc in rcs)
+    return QLaurent.from_exponents(map(cc_stat, rcs))
+
+
+def level_rc_sum_by_configurations(kind: str, n: int, L, lam, level: int):
+    """The rc_sum mode of ``level_restricted`` by its definition, for a
+    dominant weight of level at most ``level``: q^{cc o theta} over every
+    ``RiggedConfiguration`` inside the level grid for which some tableau's
+    corrections lift the vacancy number of every grid site to at least
+    its top rigging, read through ``RiggedConfiguration.rigging``."""
+    data = cartan_data(kind, n)
+    if kind == "A":
+        shape, alphabet = _lambda_prime_A(n, lam)
+        corrections = _corrections_A
+    else:
+        shape, alphabet = _lambda_prime_C(n, lam)
+        corrections = _corrections_C
+    sites = [(a, 2 * i if kind == "C" and a == n else i)
+             for a in range(1, n + 1)
+             for i in range(1, data.t[a - 1] * level + 1)]
+    table = [corrections(n, lam, level, t, sites)
+             for t in cst_enumerate(shape, alphabet)]
+    exponents = []
+    for rc in enumerate_rc(kind, n, L, lam,
+                           max_part=2 * level if kind == "C" else level):
+        slacks = [vacancy(data, L, rc.nu, a, i)
+                  - max(rc.rigging(a, i), default=0) for a, i in sites]
+        if any(all(s + d >= 0 for s, d in zip(slacks, row))
+               for row in table):
+            exponents.append(cc_theta(rc, L))
+    return QLaurent.from_exponents(exponents)
 
 
 def scanned_classical_pairs(shape, lam) -> set:

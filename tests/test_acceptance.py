@@ -18,13 +18,13 @@ from crystalsums.fermionic import (cc_stat, cc_theta, closed_form_F,
                                    closed_form_F_level, enumerate_rc,
                                    level_restricted, rc_generating_function,
                                    theta, vacuum_weight)
-from crystalsums.hardhex import (bosonic_term, hh_X, rr_series_check,
+from crystalsums.hardhex import (hh_X, rr_series_check,
                                  strip_inclusion_exclusion)
 from crystalsums.qpoly import qmultinomial
 
-from oracles import (all_contents_A, build_component, coroot_weight_pairing,
-                     dominant_contents_A, dominant_weights_C, lr_multiplicity,
-                     partitions_gap2)
+from oracles import (all_contents_A, bosonic_term, build_component,
+                     coroot_weight_pairing, dominant_contents_A,
+                     dominant_weights_C, lr_multiplicity, partitions_gap2)
 
 
 def boxes(kind, n, L):

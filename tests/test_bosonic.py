@@ -132,6 +132,31 @@ class TestSupport:
                 assert supernomial(shape, mu) == \
                     _supernomial_uncached(shape, mu), (shape, mu)
 
+    @pytest.mark.parametrize("shape", [
+        tuple(FactorDescriptor("A", 1, 1, s) for s in (1, 2, 2, 3)),
+        tuple(FactorDescriptor("A", 2, 1, s) for s in (1, 1, 2, 3)),
+        tuple(FactorDescriptor("A", 2, r, 1) for r in (1, 1, 2, 2)),
+        tuple(FactorDescriptor("A", 3, r, 1) for r in (1, 2, 2, 3)),
+        boxes("C", 2, 5), boxes("C", 3, 4)],
+        ids=["A1-rows", "A2-rows", "A2-columns", "A3-columns", "C2-boxes",
+             "C3-boxes"])
+    def test_weyl_invariant(self, shape):
+        # the cache keys a weight by its dominant representative: the
+        # unrestricted sum is constant on each finite Weyl orbit
+        kind, n = shape[0].kind, shape[0].n
+        data = cartan_data(kind, n)
+        total = sum(d.boxes for d in shape)
+        lams = (dominant_contents_A(n, total) if kind == "A"
+                else dominant_weights_C(n, len(shape)))
+        nonzero = 0
+        for lam in lams:
+            want = _supernomial_uncached(shape, lam)
+            nonzero += not want.is_zero()
+            for w in weyl_enumerate(data):
+                assert _supernomial_uncached(shape, w.apply(lam)) == want, \
+                    (lam, w.apply(lam))
+        assert nonzero > 1
+
     def test_off_support_zeros_are_not_cached(self, monkeypatch):
         # boxes and rows reach every content with the right total, columns
         # those the Gale-Ryser test admits, type C boxes every weight of

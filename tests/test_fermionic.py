@@ -16,7 +16,8 @@ from crystalsums.fermionic import (_signed_minima, cc_stat, cc_theta,
                                    theta, vacancy, vacuum_weight)
 from crystalsums.qpoly import ONE, ZERO, q_power
 
-from oracles import dominant_contents_A, dominant_weights_C
+from oracles import (dominant_contents_A, dominant_weights_C,
+                     level_rc_sum_by_configurations, rc_sum_by_configurations)
 
 A1 = cartan_data("A", 1)
 A2 = cartan_data("A", 2)
@@ -153,6 +154,80 @@ class TestTheta:
                      for (a, i), _ in rc.riggings)
             assert cc_stat(t) == base + pm - \
                 sum(sum(J) for _, J in rc.riggings)
+
+
+def _dominant(kind, n, Lmap):
+    if kind == "C":
+        return dominant_weights_C(n, sum(Lmap.values()))
+    return dominant_contents_A(n, sum(a * i * m for (a, i), m in Lmap.items()))
+
+
+class TestShapeSums:
+    """The rc route sums the riggings of each admitted shape without
+    building configurations; the oracles sum over RiggedConfigurations."""
+
+    CASES = [("A", 1, 8), ("A", 2, 6), ("C", 2, 6), ("C", 3, 4)]
+    MIXED = [("A", 2, {(2, 1): 1, (1, 1): 3}), ("A", 2, {(1, 2): 2, (1, 1): 2}),
+             ("A", 3, {(2, 1): 1, (3, 1): 1, (1, 1): 2}),
+             ("C", 2, {(2, 1): 1, (1, 1): 3})]
+
+    def inputs(self, kind, n, maxL):
+        for L in range(maxL + 1):
+            Lmap = {(1, 1): L}
+            for lam in _dominant(kind, n, Lmap):
+                yield Lmap, lam
+
+    @pytest.mark.parametrize("kind,n,maxL", CASES)
+    def test_generating_function_matches_configurations(self, kind, n, maxL):
+        count = 0
+        for Lmap, lam in self.inputs(kind, n, maxL):
+            for statistic in ("cc_theta", "cc"):
+                want = rc_sum_by_configurations(kind, n, Lmap, lam, statistic)
+                assert rc_generating_function(kind, n, Lmap, lam,
+                                              statistic) == want, (Lmap, lam)
+                count += not want.is_zero()
+        assert count > 10
+
+    def test_generating_function_on_mixed_shapes(self):
+        for kind, n, Lmap in self.MIXED:
+            for lam in _dominant(kind, n, Lmap):
+                for statistic in ("cc_theta", "cc"):
+                    assert rc_generating_function(kind, n, Lmap, lam,
+                                                  statistic) == \
+                        rc_sum_by_configurations(kind, n, Lmap, lam,
+                                                 statistic), (Lmap, lam)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("kind,n,maxL", CASES)
+    def test_level_rc_sum_matches_configurations(self, kind, n, maxL, level):
+        data = cartan_data(kind, n)
+        count = 0
+        for Lmap, lam in self.inputs(kind, n, maxL):
+            if data.theta_pairing(lam) > level:
+                continue
+            want = level_rc_sum_by_configurations(kind, n, Lmap, lam, level)
+            assert level_restricted(kind, n, Lmap, lam, level,
+                                    "rc_sum") == want, (Lmap, lam)
+            count += not want.is_zero()
+        assert count > 5
+
+    def test_level_rc_sum_on_mixed_shapes(self):
+        for kind, n, Lmap in self.MIXED[:3]:
+            data = cartan_data(kind, n)
+            for level in (2, 3):
+                for lam in _dominant(kind, n, Lmap):
+                    if data.theta_pairing(lam) <= level:
+                        assert level_restricted(
+                            kind, n, Lmap, lam, level, "rc_sum") == \
+                            level_rc_sum_by_configurations(
+                                kind, n, Lmap, lam, level), (Lmap, lam)
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(fermionic, "RC_CAP", 3)
+        with pytest.raises(CapExceeded):
+            rc_generating_function("A", 1, {(1, 1): 12}, (6, 6))
+        with pytest.raises(CapExceeded):
+            level_restricted("A", 1, {(1, 1): 12}, (6, 6), 3, "rc_sum")
 
 
 class TestLevelForms:

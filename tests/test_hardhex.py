@@ -1,13 +1,14 @@
 import pytest
 
 from crystalsums.errors import CapExceeded
-from crystalsums.hardhex import (bosonic_term, hh_X, hh_energy, hh_paths,
+from crystalsums.hardhex import (hh_X, hh_energy, hh_paths,
                                  in_strip, product_series, rr_series_check,
                                  strip_energy, strip_inclusion_exclusion,
                                  strip_paths, strip_transform)
 from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
 
-from oracles import box_partitions, partitions_congruent, partitions_gap2
+from oracles import (bosonic_term, box_partitions, partitions_congruent,
+                     partitions_gap2)
 
 FIG_PATH = (0, 1, 0, 0, 0, 1, 0, 0, 1, 0)
 
@@ -54,6 +55,28 @@ class TestConfigurationSums:
             ref = hh_X(L, "enumerate", primed)
             for method in ("recurrence", "fermionic", "bosonic"):
                 assert hh_X(L, method, primed) == ref, (L, method)
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_stepped_rows_match_recurrence(self, primed):
+        for L in range(0, 121):
+            want = hh_X(L, "recurrence", primed)
+            for method in ("fermionic", "bosonic"):
+                assert hh_X(L, method, primed) == want, (L, method)
+
+    def test_stepped_rows_at_200(self):
+        for primed in (False, True):
+            want = hh_X(200, "recurrence", primed)
+            for method in ("fermionic", "bosonic"):
+                assert hh_X(200, method, primed) == want, (primed, method)
+
+    def test_stepped_rows_never_call_qbinomial(self):
+        # the large hard-hexagon q-binomials stay out of qbinomial's cache
+        before = qbinomial.cache_info()
+        for primed in (False, True):
+            for method in ("fermionic", "bosonic"):
+                hh_X(41, method, primed)
+        after = qbinomial.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_enumeration_matches_path_listing(self, primed):

@@ -92,3 +92,62 @@ def test_direct_route_reads_no_other_route():
             if any(m.split(".")[-1] in others for m in modules):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def _top_functions(tree):
+    """The top-level function definitions of a module, by name."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_hard_hexagon_rows_use_the_one_division():
+    # the stepped rows divide through qpoly, which keeps the one running sum
+    tree = ast.parse((PACKAGE / "hardhex.py").read_text())
+    found = [getattr(node, "lineno", None) for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "accumulate")
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "accumulate")
+             or (isinstance(node, ast.alias) and node.name == "accumulate")]
+    assert not found, found
+
+
+def test_rc_walk_reads_no_closed_form():
+    # the rigged-configuration route lists riggings: neither the closed
+    # forms' q-binomials nor their bilinear-form vacancies and charges are
+    # reachable from its functions
+    defs = _top_functions(ast.parse((PACKAGE / "fermionic.py").read_text()))
+    todo = ["_admitted_shapes", "enumerate_rc", "rc_generating_function",
+            "_level_rc_sum"]
+    reached, used = set(), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {node.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Name)}
+        used |= names
+        todo += [n for n in names if n in defs]
+    assert "_riggings" in reached and "vacancy" in reached
+    closed_form = used & {"qbinomial", "_vacancy_generic", "_cc_generic"}
+    assert not closed_form, closed_form
+
+
+def test_qbinomial_cache_is_bounded():
+    # qbinomial's lru_cache holds a module constant's number of entries
+    tree = ast.parse((PACKAGE / "qpoly.py").read_text())
+    defs = _top_functions(tree)
+    constants = {t.id: node.value for node in tree.body
+                 if isinstance(node, ast.Assign) for t in node.targets
+                 if isinstance(t, ast.Name)}
+    bounds = []
+    for dec in defs["qbinomial"].decorator_list:
+        if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) \
+                == "lru_cache":
+            args = [k.value for k in dec.keywords if k.arg == "maxsize"]
+            arg = (args or dec.args)[0]
+            if isinstance(arg, ast.Name):
+                arg = constants[arg.id]
+            bounds.append(arg.value if isinstance(arg, ast.Constant) else None)
+    assert len(bounds) == 1 and isinstance(bounds[0], int) \
+        and bounds[0] > 0, bounds
