@@ -14,13 +14,13 @@ SUITES = [
     ("typeA", dict(n=1, max_L=16, level=1)),
     ("typeA", dict(n=2, max_L=13, level=1)),
     ("typeC", dict(n=2, max_L=8, level=1)),
-    ("typeC", dict(n=3, max_L=6, level=1)),
+    ("typeC", dict(n=3, max_L=9, level=1)),
     ("level", dict(n=1, max_L=6, level=1)),
     ("level", dict(n=1, max_L=5, level=2)),
     ("level", dict(n=2, max_L=14, level=1)),
     ("levelC", dict(n=2, max_L=10, level=1)),
     ("levelC", dict(n=2, max_L=8, level=2)),
-    ("levelC", dict(n=3, max_L=6, level=2)),
+    ("levelC", dict(n=3, max_L=10, level=2)),
     ("involution", dict(n=1, max_L=4, level=1)),
     ("involution", dict(n=2, max_L=3, level=1)),
     ("involution", dict(n=3, max_L=4, level=2)),

@@ -9,6 +9,14 @@ evaluate the bilinear-form vacancy and charge expressions in the generic
 index space, while the rigged-configuration side works with column counts
 of the actual partitions.  Their agreement is one of the package's checks.
 
+Both list configuration shapes by one row walk, ``_live_shapes``, which
+places the rows of nu in turn.  As soon as a row's neighbours are placed,
+a row function that each route supplies returns the row's sites, or None
+where the route's summand vanishes for every completion: a negative
+vacancy at an occupied site (rigged configurations, classical closed
+form) or a negative q-binomial argument on the level grid (level closed
+forms).  The walk knows no vacancy formula, so no route calls another.
+
 Type C bookkeeping: nu^(n) is stored unhalved, so its parts are even; a
 generic index i at the long row corresponds to the actual part size 2i.
 Both routes compute over the integer form 2(v|w) and divide once, exactly;
@@ -25,8 +33,8 @@ from itertools import combinations, product as iproduct
 
 from .cartan import CartanData, _exact_quotient, cartan_data
 from .errors import CapExceeded, CrystalSumsError, UnsupportedError
-from .partitions import (conjugate, num_parts_of_size, part, partitions_in_box,
-                         partitions_of, q_columns)
+from .partitions import (conjugate, part, partitions_in_box, partitions_of,
+                         q_columns)
 from .qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
 
 LMap = dict[tuple[int, int], int]
@@ -56,28 +64,47 @@ def config_sizes(data: CartanData, L: LMap, lam: tuple[int, ...]) -> tuple[int, 
     return tuple(sizes)
 
 
-def _nu_choices(data: CartanData, sizes: tuple[int, ...],
-                max_part: int | None = None):
-    """All shape sequences nu with the given row sizes; the long row of a
-    type C configuration gets even parts only."""
+def _live_shapes(data: CartanData, sizes: tuple[int, ...], row_sites,
+                 max_part: int | None = None):
+    """Yield (nu, sites) for the shape sequences nu with the given row
+    sizes, every part at most ``max_part`` when it is given, in the order
+    of the product of the per-row partition lists (row 1 slowest); the
+    long row of a type C configuration gets even parts only.
+
+    One walk places the rows in turn.  As soon as rows a - 1, a and a + 1
+    are placed, ``row_sites(nu, a)`` returns row a's sites, or None to drop
+    every completion of the prefix; it may read only those three rows of
+    nu.  ``sites`` concatenates the rows' sites in row order.  The walk
+    knows no vacancy formula: each route supplies its own row function."""
+    n = data.n
     per_row = []
-    for a in range(1, data.n + 1):
-        if data.kind == "C" and a == data.n:
+    for a in range(1, n + 1):
+        if data.kind == "C" and a == n:
             half_cap = None if max_part is None else max_part // 2
             halves = partitions_of(sizes[a - 1] // 2, half_cap)
             per_row.append(tuple(tuple(2 * p for p in mu) for mu in halves))
         else:
             per_row.append(partitions_of(sizes[a - 1], max_part))
-    return iproduct(*per_row)
-
-
-def _occupied(nu) -> list[tuple[int, int, int]]:
-    """(row, actual part size, multiplicity) for every occupied site."""
-    out = []
-    for a, row in enumerate(nu, start=1):
-        for i in sorted(set(row)):
-            out.append((a, i, num_parts_of_size(row, i)))
-    return out
+    nu: list[tuple[int, ...]] = [()] * n
+    placed: list = [None] * n  # the sites of each checked row
+    choices = [iter(per_row[0])]  # one iterator per placed row
+    while choices:
+        r = len(choices) - 1  # place row r + 1, then check row r
+        row = next(choices[r], None)
+        if row is None:
+            choices.pop()
+            continue
+        nu[r] = row
+        if r:
+            placed[r - 1] = row_sites(nu, r)
+            if placed[r - 1] is None:
+                continue
+        if r + 1 < n:
+            choices.append(iter(per_row[r + 1]))
+            continue
+        placed[r] = row_sites(nu, n)
+        if placed[r] is not None:
+            yield tuple(nu), [s for rs in placed for s in rs]
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +119,26 @@ def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> int:
     if data.kind == "A" or a < n:
         base = (q_columns(below, i) - 2 * q_columns(here, i)
                 + q_columns(above, i))
-        return base + sum(mult * min(i, j) for (b, j), mult in L.items()
-                          if b == a)
+        for (b, j), mult in L.items():
+            if b == a:
+                base += mult * min(i, j)
+        return base
     base = q_columns(below, i) - q_columns(here, i)
     return _exact_quotient(2 * base + L.get((n, 1), 0) * min(i, 2), 2,
                            "vacancy")
 
 
-def _generic_m(data: CartanData, nu) -> list[dict[int, int]]:
+def _generic_m(data: CartanData, nu, memo: dict) -> list[dict[int, int]]:
     """Per-row multiplicity maps in generic indices (long type C row
-    halved)."""
+    halved).  ``memo`` keeps the map of each distinct row, so that a walk
+    over shapes builds it once per row choice."""
     out = []
     for a, row in enumerate(nu, start=1):
         scale = 2 if data.kind == "C" and a == data.n else 1
-        d: dict[int, int] = {}
-        for p in row:  # long-row parts are even (_nu_choices)
-            d[p // scale] = d.get(p // scale, 0) + 1
+        d = memo.get((scale, row))
+        if d is None:  # long-row parts are even (_live_shapes)
+            d = memo[scale, row] = {i // scale: row.count(i)
+                                    for i in set(row)}
         out.append(d)
     return out
 
@@ -127,7 +158,10 @@ def _pair_table(kind: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def _vacancy_generic(data: CartanData, L: LMap, gm, a: int, i: int) -> int:
     """p_i^(a) from the bilinear form, at generic index i."""
-    acc = 2 * sum(mult * min(i, j) for (b, j), mult in L.items() if b == a)
+    acc = 0
+    for (b, j), mult in L.items():
+        if b == a:
+            acc += 2 * mult * min(i, j)
     for b, pair, tb, ta in _pair_table(data.kind, data.n)[a - 1]:
         for k, m in gm[b].items():
             acc -= pair * min(tb * i, ta * k) * m
@@ -189,21 +223,26 @@ def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
 
     A shape is admitted when every occupied site has a nonnegative vacancy
     number; for dominant weights this is equivalent to nonnegativity
-    everywhere (the vacancy profile is concave between occupied sites)."""
+    everywhere (the vacancy profile is concave between occupied sites).
+    The walk drops a prefix at its first occupied site with a negative
+    vacancy number, read from column counts."""
     if data.kind == "C" and any(i != 1 for (_, i) in L):
         raise UnsupportedError("type C factors must be single columns")
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return
-    for nu in _nu_choices(data, sizes, max_part):
+
+    def row_sites(nu, a):
+        row = nu[a - 1]
         sites = []
-        for a, i, m in _occupied(nu):
+        for i in sorted(set(row)):
             p = vacancy(data, L, nu, a, i)
             if p < 0:
-                break
-            sites.append((a, i, m, p))
-        else:
-            yield nu, sites
+                return None
+            sites.append((a, i, row.count(i), p))
+        return sites
+
+    yield from _live_shapes(data, sizes, row_sites, max_part)
 
 
 def _riggings(sites) -> list[tuple[tuple[int, ...], ...]]:
@@ -234,35 +273,6 @@ def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     return out
 
 
-def cc_stat(rc: RiggedConfiguration) -> int:
-    """cc(nu, J) = cc(nu) + sum of all rigging sizes."""
-    return cc_shape(rc.kind, rc.n, rc.nu) + sum(sum(J) for _, J in rc.riggings)
-
-
-def theta(rc: RiggedConfiguration, L: LMap) -> RiggedConfiguration:
-    """Complement every rigging inside its m x P box; an involution."""
-    data = cartan_data(rc.kind, rc.n)
-    new = []
-    for (a, i), J in rc.riggings:
-        m = num_parts_of_size(rc.nu[a - 1], i)
-        p = vacancy(data, L, rc.nu, a, i)
-        padded = list(J) + [0] * (m - len(J))
-        comp = tuple(x for x in sorted((p - x for x in padded),
-                                       reverse=True) if x > 0)
-        new.append(((a, i), comp))
-    return RiggedConfiguration(rc.kind, rc.n, rc.nu, tuple(new))
-
-
-def cc_theta(rc: RiggedConfiguration, L: LMap) -> int:
-    """cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|: the coenergy
-    statistic of the matching paths."""
-    data = cartan_data(rc.kind, rc.n)
-    return (cc_shape(rc.kind, rc.n, rc.nu)
-            + sum(vacancy(data, L, rc.nu, a, i) * m
-                  for a, i, m in _occupied(rc.nu))
-            - sum(sum(J) for _, J in rc.riggings))
-
-
 def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
                            statistic: str = "cc_theta") -> QLaurent:
     """Sum of q^{cc o theta} (coenergy grading, the default) or q^{cc}
@@ -289,21 +299,29 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
 
 def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
     """F-bar(B, Lambda): the manifestly positive q-binomial sum over
-    configuration shapes, via the bilinear-form expressions."""
+    configuration shapes, via the bilinear-form expressions.  A shape with
+    p < 0 at an occupied site contributes [p; m] = 0, so the walk drops
+    each prefix at its first such site."""
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
+    memo: dict = {}
+
+    def row_sites(nu, a):
+        gm = _generic_m(data, nu, memo)
+        sites = []
+        for i, m in gm[a - 1].items():
+            p = _vacancy_generic(data, L, gm, a, i)
+            if p < 0:
+                return None
+            sites.append((p, m))
+        return sites
+
     out = ZERO
-    for nu in _nu_choices(data, sizes):
-        gm = _generic_m(data, nu)
-        poly = q_power(_cc_generic(data, gm))
-        for a in range(1, data.n + 1):
-            for i, m in gm[a - 1].items():
-                poly = poly * qbinomial(_vacancy_generic(data, L, gm, a, i), m)
-                if poly.is_zero():
-                    break
-            if poly.is_zero():
-                break
+    for nu, sites in _live_shapes(data, sizes, row_sites):
+        poly = q_power(_cc_generic(data, _generic_m(data, nu, memo)))
+        for p, m in sites:
+            poly = poly * qbinomial(p, m)
         out = out + poly
     return out
 
@@ -327,7 +345,9 @@ def vacuum_weight(data: CartanData, L: LMap) -> tuple[int, ...] | None:
 
 def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     """F-bar^level(B): the vacuum-weight level form over the truncated
-    grid, with every grid site contributing its q-binomial factor."""
+    grid, with every grid site contributing its q-binomial factor.  A grid
+    site with p < 0 makes its factor [p; m] zero, even for m = 0, so the
+    walk drops each prefix at its first such site."""
     for (a, i) in L:
         if i > data.t[a - 1] * level:
             raise UnsupportedError("factor wider than the level grid")
@@ -337,19 +357,41 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
+    memo: dict = {}
     grid = _generic_grid(data, level)
+    row_sites = _grid_row_sites(data, L, grid, [0] * len(grid), memo)
     max_part = 2 * level if data.kind == "C" else level
     out = ZERO
-    for nu in _nu_choices(data, sizes, max_part=max_part):
-        gm = _generic_m(data, nu)
-        poly = q_power(_cc_generic(data, gm))
-        for a, i in grid:
-            poly = poly * qbinomial(_vacancy_generic(data, L, gm, a, i),
-                                    gm[a - 1].get(i, 0))
-            if poly.is_zero():
-                break
+    for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
+        poly = q_power(_cc_generic(data, _generic_m(data, nu, memo)))
+        for p, m in sites:
+            if m:  # [p; 0] = 1 for p >= 0
+                poly = poly * qbinomial(p, m)
         out = out + poly
     return out
+
+
+def _grid_row_sites(data: CartanData, L: LMap, grid, tops, memo: dict):
+    """The row function of the level forms: row a's (p, m) at each site
+    (a, i) of the generic ``grid``, or None when p + top < 0 at one of
+    them, where every q-binomial [p + correction; m] with a correction at
+    most ``top`` is zero.  ``tops`` holds one bound per grid site."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(data.n)]
+    for (a, i), top in zip(grid, tops):
+        rows[a - 1].append((i, top))
+
+    def row_sites(nu, a):
+        gm = _generic_m(data, nu, memo)
+        here = gm[a - 1]
+        sites = []
+        for i, top in rows[a - 1]:
+            p = _vacancy_generic(data, L, gm, a, i)
+            if p + top < 0:
+                return None
+            sites.append((p, here.get(i, 0)))
+        return sites
+
+    return row_sites
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +446,20 @@ def _signed_minima(vectors) -> dict[tuple, int]:
     return acc
 
 
-def _closed_form_terms(charge: int, vacancies, mults, minima) -> QLaurent:
-    """q^charge times the product over the level grid of the 1/q-binomials
-    [P + correction, m], summed over the signed tableau minima."""
+def _closed_form_terms(charge: int, sites, minima) -> QLaurent:
+    """q^charge times the product over the level grid sites (P, m) of the
+    1/q-binomials [P + correction, m], summed over the signed tableau
+    minima.  A term with P + correction < 0 at a site is zero, and [P +
+    correction; 0] = 1 otherwise."""
     out = ZERO
     for corr, k in minima.items():
+        lifted = [p + d for (p, _), d in zip(sites, corr)]
+        if min(lifted, default=0) < 0:
+            continue
         poly = q_power(charge, k)
-        for p, m, d in zip(vacancies, mults, corr):
-            poly = poly * invert_q(qbinomial(p + d, m))
-            if poly.is_zero():
-                break
+        for x, (_, m) in zip(lifted, sites):
+            if m:
+                poly = poly * invert_q(qbinomial(x, m))
         out = out + poly
     return out
 
@@ -520,14 +566,28 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
         return _level_rc_sum(data, L, lam, sites, max_part,
                              list(dict.fromkeys(table)))
 
-    minima = _signed_minima(table)
+    return _level_closed_form(data, L, sizes, grid, max_part,
+                              _signed_minima(table))
+
+
+def _level_closed_form(data: CartanData, L: LMap, sizes: tuple[int, ...],
+                       grid, max_part: int, minima) -> QLaurent:
+    """The closed_form mode of ``level_restricted``: over the shapes inside
+    the level grid, q^{cc + sum p m} times the sum over the signed tableau
+    minima of the grid products of 1/q-binomials [p + correction; m].  A
+    shape with p + max correction < 0 at a grid site, the maximum taken
+    over the minima, has a zero factor in every term, so the walk drops
+    each prefix at its first such site."""
+    if not minima:
+        return ZERO
+    memo: dict = {}
+    tops = [max(col) for col in zip(*minima)]
+    row_sites = _grid_row_sites(data, L, grid, tops, memo)
     out = ZERO
-    for nu in _nu_choices(data, sizes, max_part=max_part):
-        gm = _generic_m(data, nu)
-        mults = [gm[a - 1].get(i, 0) for a, i in grid]
-        ps = [_vacancy_generic(data, L, gm, a, i) for a, i in grid]
-        c = _cc_generic(data, gm) + sum(p * m for p, m in zip(ps, mults))
-        out = out + _closed_form_terms(c, ps, mults, minima)
+    for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
+        c = _cc_generic(data, _generic_m(data, nu, memo)) + sum(
+            p * m for p, m in sites)
+        out = out + _closed_form_terms(c, sites, minima)
     return out
 
 

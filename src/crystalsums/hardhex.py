@@ -4,15 +4,13 @@ Paths are 0/1 height sequences sigma_0..sigma_L with no two adjacent 1's
 and sigma_L = 0; the unprimed family starts at 0, the primed one at 1.
 Their energy-graded counting polynomial X(L) has four independent
 evaluations (enumeration, recurrence, fermionic sum, bosonic alternating
-sum) which must coincide, and an equivalent formulation as walks in a
-strip of height four.
+sum) which must coincide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import CapExceeded, UnsupportedError
+from .errors import CapExceeded
 # The q-binomial sums below step their own rows and never call qbinomial;
 # the name stays bound because perfbench/selftest.py checks that its
 # tracer rebinds this alias.
@@ -20,7 +18,6 @@ from .qpoly import ONE, QLaurent, ZERO, _binomial_step, qbinomial  # noqa: F401
 
 ENUMERATE_CAP = 24
 SERIES_CAP = 200
-STRIP_CAP = 20
 
 
 def hh_paths(L: int, primed: bool = False):
@@ -141,81 +138,6 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
     if method == "bosonic":
         return _x_bosonic(L, primed)
     raise ValueError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
-# strip reformulation
-
-def strip_transform(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Map a hard-hexagon path to its height-strip walk, starting at 3.
-
-    Occupied sites land in {1, 4}, empty sites in {2, 3}; from any height
-    exactly one of the two +-1 steps lands in the required class, so the
-    walk is determined.
-    """
-    if any(s not in (0, 1) for s in sigma) \
-            or any(a and b for a, b in zip(sigma, sigma[1:])):
-        raise UnsupportedError(f"{sigma} is not a hard-hexagon path")
-    heights = [3 if sigma[0] == 0 else 4]
-    for s in sigma[1:]:
-        h = heights[-1]
-        target = (1, 4) if s else (2, 3)
-        heights.append(h - 1 if h - 1 in target else h + 1)
-    return tuple(heights)
-
-
-def strip_energy(heights: tuple[int, ...]) -> int:
-    """Positions of peaks above the strip midline and valleys below it."""
-    total = 0
-    L = len(heights) - 1
-    for i in range(1, L):
-        a, b, c = heights[i - 1], heights[i], heights[i + 1]
-        if a == b - 1 == c and b > 3:
-            total += i
-        elif a == b + 1 == c and b < 2:
-            total += i
-    return total
-
-
-def strip_paths(L: int):
-    """All +-1 walks from height 3 with the balanced content
-    (floor(L/2) ups, ceil(L/2) downs)."""
-    ups = L // 2
-    for up_positions in combinations(range(L), ups):
-        pos = set(up_positions)
-        heights = [3]
-        for i in range(L):
-            heights.append(heights[-1] + (1 if i in pos else -1))
-        yield tuple(heights)
-
-
-def _witness_count(heights: tuple[int, ...], first_low: bool) -> int:
-    """Longest alternating chain of strip violations, starting with a
-    height < 1 (first_low) or > 4."""
-    count = 0
-    want_low = first_low
-    for h in heights[1:]:
-        if want_low and h < 1:
-            count += 1
-            want_low = False
-        elif not want_low and h > 4:
-            count += 1
-            want_low = True
-    return count
-
-
-def in_strip(heights: tuple[int, ...]) -> bool:
-    return all(1 <= h <= 4 for h in heights[1:])
-
-
-def strip_inclusion_exclusion(L: int, j: int) -> QLaurent:
-    """Generating function of P_L^{down,j} (j > 0), P_L^{up,-j} (j < 0) or
-    all of P_L (j = 0), which matches the single bosonic term."""
-    if L > STRIP_CAP:
-        raise CapExceeded(f"strip enumeration capped at L = {STRIP_CAP}")
-    return QLaurent.from_exponents(
-        strip_energy(h) for h in strip_paths(L)
-        if j == 0 or _witness_count(h, first_low=j > 0) >= abs(j))
 
 
 # ---------------------------------------------------------------------------

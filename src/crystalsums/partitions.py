@@ -54,7 +54,7 @@ def num_parts_of_size(mu: tuple[int, ...], i: int) -> int:
 
 def q_columns(mu: tuple[int, ...], i: int) -> int:
     """Number of boxes in the first i columns of mu."""
-    return sum(min(i, p) for p in mu)
+    return sum([p if p < i else i for p in mu])
 
 
 def superpartitions(inner: tuple[int, ...], size: int,

@@ -8,17 +8,22 @@ from filtering the whole tensor product instead of the pruned search, the
 level alternating sum visits its whole translation window, the
 involution's pair sets scan every (affine) Weyl element against every word
 instead of walking each word into the chamber or alcove, the
-rigged-configuration sums add up every ``RiggedConfiguration`` instead of
-rigging sizes per shape, and each hard-hexagon bosonic term is one
+rigged-configuration sums add up every ``RiggedConfiguration`` (with the per-configuration statistics cc and
+cc o theta and the complementation theta) instead of rigging sizes per
+shape, the configuration shapes and the closed forms
+over them come from the full product of per-row partitions instead of
+the row-by-row walk that drops dead prefixes, and each hard-hexagon bosonic term is one
 ``qbinomial`` instead of a step along a row.  The crystal helpers only
 tests use (a component as an explicit graph, the level of a
-crystal, the coroot pairing of a word's weight) live here too.
+crystal, the coroot pairing of a word's weight) live here too, and so
+does the hard-hexagon strip reformulation the bosonic terms are checked
+against.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import crystalsums.crystal as crystal
 
@@ -27,12 +32,16 @@ from crystalsums.cartan import (WeylElement, cartan_data,
                                 translation_lattice_box, weyl_enumerate)
 from crystalsums.crystal import (FactorDescriptor, TensorWord, shape_elements,
                                  string_stats, tensor_arrow, word_weight)
-from crystalsums.errors import CapExceeded
-from crystalsums.fermionic import (_corrections_A, _corrections_C,
-                                   _lambda_prime_A, _lambda_prime_C, cc_stat,
-                                   cc_theta, cst_enumerate, enumerate_rc,
-                                   vacancy)
-from crystalsums.qpoly import QLaurent, ZERO, q_power, qbinomial
+from crystalsums.errors import CapExceeded, UnsupportedError
+from crystalsums.fermionic import (RiggedConfiguration, _cc_generic,
+                                   _corrections_A, _corrections_C,
+                                   _generic_grid, _generic_m, _lambda_prime_A,
+                                   _lambda_prime_C, _signed_minima,
+                                   _vacancy_generic, cc_shape, config_sizes,
+                                   cst_enumerate, enumerate_rc, vacancy,
+                                   vacuum_weight)
+from crystalsums.partitions import partitions_of
+from crystalsums.qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
 
 
 def box_partitions(width: int, height: int) -> list[tuple[int, ...]]:
@@ -144,6 +153,85 @@ def bosonic_term(L: int, j: int, primed: bool = False):
         expo = j * (5 * j + 1) // 2
         k = (L - 5 * j) // 2
     return qbinomial(L - k, k).shift(expo)
+
+
+# The hard-hexagon strip reformulation: each path is a walk in a strip of
+# height four, and each single bosonic term counts the walks with a chain
+# of strip violations.  STRIP_CAP bounds the walks listed.
+
+STRIP_CAP = 20
+
+
+def strip_transform(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a hard-hexagon path to its height-strip walk, starting at 3.
+
+    Occupied sites land in {1, 4}, empty sites in {2, 3}; from any height
+    exactly one of the two +-1 steps lands in the required class, so the
+    walk is determined.
+    """
+    if any(s not in (0, 1) for s in sigma) \
+            or any(a and b for a, b in zip(sigma, sigma[1:])):
+        raise UnsupportedError(f"{sigma} is not a hard-hexagon path")
+    heights = [3 if sigma[0] == 0 else 4]
+    for s in sigma[1:]:
+        h = heights[-1]
+        target = (1, 4) if s else (2, 3)
+        heights.append(h - 1 if h - 1 in target else h + 1)
+    return tuple(heights)
+
+
+def strip_energy(heights: tuple[int, ...]) -> int:
+    """Positions of peaks above the strip midline and valleys below it."""
+    total = 0
+    L = len(heights) - 1
+    for i in range(1, L):
+        a, b, c = heights[i - 1], heights[i], heights[i + 1]
+        if a == b - 1 == c and b > 3:
+            total += i
+        elif a == b + 1 == c and b < 2:
+            total += i
+    return total
+
+
+def strip_paths(L: int):
+    """All +-1 walks from height 3 with the balanced content
+    (floor(L/2) ups, ceil(L/2) downs)."""
+    ups = L // 2
+    for up_positions in combinations(range(L), ups):
+        pos = set(up_positions)
+        heights = [3]
+        for i in range(L):
+            heights.append(heights[-1] + (1 if i in pos else -1))
+        yield tuple(heights)
+
+
+def _witness_count(heights: tuple[int, ...], first_low: bool) -> int:
+    """Longest alternating chain of strip violations, starting with a
+    height < 1 (first_low) or > 4."""
+    count = 0
+    want_low = first_low
+    for h in heights[1:]:
+        if want_low and h < 1:
+            count += 1
+            want_low = False
+        elif not want_low and h > 4:
+            count += 1
+            want_low = True
+    return count
+
+
+def in_strip(heights: tuple[int, ...]) -> bool:
+    return all(1 <= h <= 4 for h in heights[1:])
+
+
+def strip_inclusion_exclusion(L: int, j: int) -> QLaurent:
+    """Generating function of P_L^{down,j} (j > 0), P_L^{up,-j} (j < 0) or
+    all of P_L (j = 0), which matches the single bosonic term."""
+    if L > STRIP_CAP:
+        raise CapExceeded(f"strip enumeration capped at L = {STRIP_CAP}")
+    return QLaurent.from_exponents(
+        strip_energy(h) for h in strip_paths(L)
+        if j == 0 or _witness_count(h, first_low=j > 0) >= abs(j))
 
 
 def partitions_gap2(total: int) -> int:
@@ -265,6 +353,36 @@ def unpruned_bosonic_level(shape, lam, level):
     return out
 
 
+def cc_stat(rc: RiggedConfiguration) -> int:
+    """cc(nu, J) = cc(nu) + sum of all rigging sizes."""
+    return cc_shape(rc.kind, rc.n, rc.nu) + sum(sum(J) for _, J in rc.riggings)
+
+
+def theta(rc: RiggedConfiguration, L) -> RiggedConfiguration:
+    """Complement every rigging inside its m x P box; an involution."""
+    data = cartan_data(rc.kind, rc.n)
+    new = []
+    for (a, i), J in rc.riggings:
+        m = rc.nu[a - 1].count(i)
+        p = vacancy(data, L, rc.nu, a, i)
+        padded = list(J) + [0] * (m - len(J))
+        comp = tuple(x for x in sorted((p - x for x in padded),
+                                       reverse=True) if x > 0)
+        new.append(((a, i), comp))
+    return RiggedConfiguration(rc.kind, rc.n, rc.nu, tuple(new))
+
+
+def cc_theta(rc: RiggedConfiguration, L) -> int:
+    """cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|: the coenergy
+    statistic of the matching paths.  A configuration has one rigging per
+    occupied site."""
+    data = cartan_data(rc.kind, rc.n)
+    return (cc_shape(rc.kind, rc.n, rc.nu)
+            + sum(vacancy(data, L, rc.nu, a, i) * rc.nu[a - 1].count(i)
+                  for (a, i), _ in rc.riggings)
+            - sum(sum(J) for _, J in rc.riggings))
+
+
 def rc_sum_by_configurations(kind: str, n: int, L, lam,
                              statistic: str = "cc_theta"):
     """``rc_generating_function`` by its definition: q^{cc o theta} (or
@@ -302,6 +420,116 @@ def level_rc_sum_by_configurations(kind: str, n: int, L, lam, level: int):
                for row in table):
             exponents.append(cc_theta(rc, L))
     return QLaurent.from_exponents(exponents)
+
+
+def nu_product(data, sizes, max_part=None):
+    """Every shape sequence nu with the given row sizes, every part at
+    most ``max_part`` when it is given: the full product of the per-row
+    partition lists, row 1 slowest; the long row of a type C configuration
+    gets even parts only."""
+    per_row = []
+    for a in range(1, data.n + 1):
+        if data.kind == "C" and a == data.n:
+            half_cap = None if max_part is None else max_part // 2
+            halves = partitions_of(sizes[a - 1] // 2, half_cap)
+            per_row.append([tuple(2 * p for p in mu) for mu in halves])
+        else:
+            per_row.append(partitions_of(sizes[a - 1], max_part))
+    return list(product(*per_row))
+
+
+def admitted_by_product(data, L, lam, max_part=None) -> list:
+    """``fermionic._admitted_shapes`` over ``nu_product``: (nu, sites) for
+    every shape whose occupied sites all have a nonnegative vacancy
+    number, sites as (row, part size, multiplicity, vacancy)."""
+    sizes = config_sizes(data, L, lam)
+    if sizes is None:
+        return []
+    out = []
+    for nu in nu_product(data, sizes, max_part):
+        sites = [(a, i, row.count(i), vacancy(data, L, nu, a, i))
+                 for a, row in enumerate(nu, start=1)
+                 for i in sorted(set(row))]
+        if all(p >= 0 for *_, p in sites):
+            out.append((nu, sites))
+    return out
+
+
+def _shape_terms(data, L, sizes, indices, max_part=None):
+    """(charge, [(vacancy, multiplicity)] at ``indices(gm)``) for every
+    shape of ``nu_product``, in generic indices."""
+    for nu in nu_product(data, sizes, max_part):
+        gm = _generic_m(data, nu, {})
+        yield _cc_generic(data, gm), [
+            (_vacancy_generic(data, L, gm, a, i), gm[a - 1].get(i, 0))
+            for a, i in indices(gm)]
+
+
+def closed_form_F_by_product(data, L, lam) -> QLaurent:
+    """``closed_form_F`` over ``nu_product``: every shape's q-binomial
+    product at its occupied sites, dead shapes included."""
+    sizes = config_sizes(data, L, lam)
+    if sizes is None:
+        return ZERO
+    out = ZERO
+    for cc, sites in _shape_terms(
+            data, L, sizes, lambda gm: [(a, i) for a in range(1, data.n + 1)
+                                        for i in gm[a - 1]]):
+        poly = q_power(cc)
+        for p, m in sites:
+            poly = poly * qbinomial(p, m)
+        out = out + poly
+    return out
+
+
+def closed_form_F_level_by_product(data, L, level: int) -> QLaurent:
+    """``closed_form_F_level`` over ``nu_product``: every shape inside the
+    grid, with a q-binomial factor at every grid site."""
+    lam = vacuum_weight(data, L)
+    sizes = None if lam is None else config_sizes(data, L, lam)
+    if sizes is None:
+        return ZERO
+    grid = _generic_grid(data, level)
+    out = ZERO
+    for cc, sites in _shape_terms(data, L, sizes, lambda gm: grid,
+                                  2 * level if data.kind == "C" else level):
+        poly = q_power(cc)
+        for p, m in sites:
+            poly = poly * qbinomial(p, m)
+        out = out + poly
+    return out
+
+
+def level_closed_form_by_product(kind: str, n: int, L, lam,
+                                 level: int) -> QLaurent:
+    """The closed_form mode of ``level_restricted`` for a dominant weight
+    of level at most ``level``, over ``nu_product``: every shape inside the
+    grid, and for every signed tableau minimum the 1/q-binomial factor at
+    every grid site, whether or not one of them is zero."""
+    data = cartan_data(kind, n)
+    sizes = config_sizes(data, L, lam)
+    if sizes is None:
+        return ZERO
+    if kind == "A":
+        shape, alphabet = _lambda_prime_A(n, lam)
+        corrections = _corrections_A
+    else:
+        shape, alphabet = _lambda_prime_C(n, lam)
+        corrections = _corrections_C
+    grid = _generic_grid(data, level)
+    sites = [(a, 2 * i if kind == "C" and a == n else i) for a, i in grid]
+    minima = _signed_minima([corrections(n, lam, level, t, sites)
+                             for t in cst_enumerate(shape, alphabet)])
+    out = ZERO
+    for cc, vac in _shape_terms(data, L, sizes, lambda gm: grid,
+                                2 * level if kind == "C" else level):
+        charge = cc + sum(p * m for p, m in vac)
+        for corr, k in minima.items():
+            poly = q_power(charge, k)
+            for (p, m), d in zip(vac, corr):
+                poly = poly * invert_q(qbinomial(p + d, m))
+            out = out + poly
+    return out
 
 
 def scanned_classical_pairs(shape, lam) -> set:

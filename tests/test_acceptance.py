@@ -14,17 +14,16 @@ from crystalsums.crystal import (FactorDescriptor, letters_word,
                                  shape_elements, string_stats, tensor_arrow,
                                  word, word_weight)
 from crystalsums.energy import combinatorial_r, direct_sum, energy_EB
-from crystalsums.fermionic import (cc_stat, cc_theta, closed_form_F,
-                                   closed_form_F_level, enumerate_rc,
-                                   level_restricted, rc_generating_function,
-                                   theta, vacuum_weight)
-from crystalsums.hardhex import (hh_X, rr_series_check,
-                                 strip_inclusion_exclusion)
+from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
+                                   enumerate_rc, level_restricted,
+                                   rc_generating_function, vacuum_weight)
+from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import qmultinomial
 
 from oracles import (all_contents_A, bosonic_term, build_component,
-                     coroot_weight_pairing, dominant_contents_A,
-                     dominant_weights_C, lr_multiplicity, partitions_gap2)
+                     cc_stat, cc_theta, coroot_weight_pairing,
+                     dominant_contents_A, dominant_weights_C, lr_multiplicity,
+                     partitions_gap2, strip_inclusion_exclusion, theta)
 
 
 def boxes(kind, n, L):

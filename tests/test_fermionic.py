@@ -9,15 +9,19 @@ from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 NonIntegralExponent)
-from crystalsums.fermionic import (_signed_minima, cc_stat, cc_theta,
+from crystalsums.fermionic import (_admitted_shapes, _signed_minima,
                                    closed_form_F, closed_form_F_level,
                                    config_sizes, cst_enumerate, enumerate_rc,
                                    level_restricted, rc_generating_function,
-                                   theta, vacancy, vacuum_weight)
+                                   vacancy, vacuum_weight)
 from crystalsums.qpoly import ONE, ZERO, q_power
 
-from oracles import (dominant_contents_A, dominant_weights_C,
-                     level_rc_sum_by_configurations, rc_sum_by_configurations)
+from oracles import (admitted_by_product, cc_stat, cc_theta,
+                     closed_form_F_by_product, closed_form_F_level_by_product,
+                     dominant_contents_A, dominant_weights_C,
+                     level_closed_form_by_product,
+                     level_rc_sum_by_configurations, rc_sum_by_configurations,
+                     theta)
 
 A1 = cartan_data("A", 1)
 A2 = cartan_data("A", 2)
@@ -228,6 +232,76 @@ class TestShapeSums:
             rc_generating_function("A", 1, {(1, 1): 12}, (6, 6))
         with pytest.raises(CapExceeded):
             level_restricted("A", 1, {(1, 1): 12}, (6, 6), 3, "rc_sum")
+
+
+class TestLiveShapes:
+    """The row-by-row walk drops a prefix at its first dead row; the
+    oracles list the full product of per-row partitions and test whole
+    shapes."""
+
+    # (kind, n, factor shapes (a, i), largest number of factors)
+    SHAPES = [("A", 1, ((1, 1),), 6), ("A", 1, ((1, 2), (1, 1)), 4),
+              ("A", 2, ((1, 1),), 5), ("A", 2, ((1, 2), (1, 1)), 3),
+              ("A", 2, ((2, 1), (1, 1)), 4), ("A", 3, ((1, 1),), 5),
+              ("A", 3, ((1, 2), (2, 1)), 2), ("A", 3, ((2, 1), (3, 1)), 3),
+              ("C", 1, ((1, 1),), 7), ("C", 2, ((1, 1),), 6),
+              ("C", 2, ((2, 1), (1, 1)), 3), ("C", 3, ((1, 1),), 5),
+              ("C", 3, ((2, 1), (1, 1)), 3)]
+
+    def inputs(self, kind, n, factors, most):
+        """Every multiplicity map of the factor shapes with up to ``most``
+        factors, with every dominant weight of its size."""
+        data = cartan_data(kind, n)
+        for mults in product(range(most + 1), repeat=len(factors)):
+            if not 0 < sum(mults) <= most:
+                continue
+            Lmap = {f: m for f, m in zip(factors, mults) if m}
+            size = sum(a * i * m for (a, i), m in Lmap.items())
+            lams = (dominant_contents_A(n, size) if kind == "A"
+                    else dominant_weights_C(n, size))
+            for lam in lams:
+                yield data, Lmap, lam
+
+    @pytest.mark.parametrize("kind,n,factors,most", SHAPES)
+    def test_admitted_shapes_match_product(self, kind, n, factors, most):
+        count = 0
+        for data, Lmap, lam in self.inputs(kind, n, factors, most):
+            for max_part in (None, 1, 2, 3):
+                want = admitted_by_product(data, Lmap, lam, max_part)
+                got = list(_admitted_shapes(data, Lmap, lam, max_part))
+                assert got == want, (Lmap, lam, max_part)
+                count += len(want)
+        assert count > 10
+
+    @pytest.mark.parametrize("kind,n,factors,most", SHAPES)
+    def test_closed_form_F_matches_product(self, kind, n, factors, most):
+        count = 0
+        for data, Lmap, lam in self.inputs(kind, n, factors, most):
+            want = closed_form_F_by_product(data, Lmap, lam)
+            assert closed_form_F(data, Lmap, lam) == want, (Lmap, lam)
+            count += not want.is_zero()
+        assert count > 5
+
+    @pytest.mark.parametrize("kind,n,factors,most", SHAPES)
+    def test_level_forms_match_product(self, kind, n, factors, most):
+        count = 0
+        for data, Lmap, lam in self.inputs(kind, n, factors, most):
+            for level in (1, 2) if (kind, n) == ("C", 3) else (1, 2, 3):
+                if any(i > data.t[a - 1] * level for a, i in Lmap):
+                    continue
+                if lam == vacuum_weight(data, Lmap):
+                    assert closed_form_F_level(data, Lmap, level) == \
+                        closed_form_F_level_by_product(data, Lmap, level), \
+                        (Lmap, level)
+                if data.theta_pairing(lam) > level or any(i > level
+                                                          for _, i in Lmap):
+                    continue
+                want = level_closed_form_by_product(kind, n, Lmap, lam, level)
+                assert level_restricted(kind, n, Lmap, lam, level,
+                                        "closed_form") == want, \
+                    (Lmap, lam, level)
+                count += not want.is_zero()
+        assert count > 5
 
 
 class TestLevelForms:

@@ -133,6 +133,29 @@ def test_rc_walk_reads_no_closed_form():
     assert not closed_form, closed_form
 
 
+def test_closed_forms_read_no_rc_walk():
+    # the mirror of test_rc_walk_reads_no_closed_form: the closed forms
+    # share only the shape walk with the rigged-configuration route, and
+    # reach neither its column-count vacancies and charges nor its riggings
+    defs = _top_functions(ast.parse((PACKAGE / "fermionic.py").read_text()))
+    todo = ["closed_form_F", "closed_form_F_level", "_level_closed_form",
+            "_closed_form_terms"]
+    reached, used = set(), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {node.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Name)}
+        used |= names
+        todo += [n for n in names if n in defs]
+    assert "_live_shapes" in reached and "_vacancy_generic" in reached
+    rc_walk = used & {"vacancy", "q_columns", "cc_shape", "_riggings",
+                      "partitions_in_box"}
+    assert not rc_walk, rc_walk
+
+
 def test_qbinomial_cache_is_bounded():
     # qbinomial's lru_cache holds a module constant's number of entries
     tree = ast.parse((PACKAGE / "qpoly.py").read_text())
