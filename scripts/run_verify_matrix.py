@@ -22,8 +22,8 @@ SUITES = [
     ("levelC", dict(n=2, max_L=8, level=2)),
     ("levelC", dict(n=3, max_L=10, level=2)),
     ("involution", dict(n=1, max_L=4, level=1)),
-    ("involution", dict(n=2, max_L=3, level=1)),
-    ("involution", dict(n=3, max_L=4, level=2)),
+    ("involution", dict(n=2, max_L=5, level=1)),
+    ("involution", dict(n=3, max_L=5, level=2)),
 ]
 
 

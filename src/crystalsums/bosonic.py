@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import prod
+from operator import add
 
+from . import crystal
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
                      element, reduce_to_alcove, simple_reflections,
                      translation_lattice_box, weyl_enumerate)
 from .crystal import (FactorDescriptor, TensorWord, enumerate_paths,
-                      letters_word, reflection_s, shape_elements,
-                      string_stats, tensor_arrow, word_weight)
+                      factor_elements, factor_stats, factor_weight,
+                      reflection_s, tensor_arrow)
 from .energy import coenergy_D
 from .errors import (CapExceeded, CrystalSumsError, InvolutionError,
                      UnsupportedError)
@@ -295,26 +298,37 @@ class InvolutionReport:
                 and self.statistic_preserved in (None, True))
 
 
-def _select_color(w: TensorWord, level: int | None) -> int | None:
-    """The pairing color: scan suffixes of the letter expansion for the
-    first color whose string condition fires (a positive classical string,
-    or in level mode an affine string longer than the level).
+def _letter_table(kind: str, n: int) -> dict[int, tuple]:
+    """(eps_i, phi_i - eps_i) over i = 0..n of each letter, read as a box."""
+    return {x.letters[0]: tuple(factor_stats(x, i)[::2] for i in range(n + 1))
+            for x in factor_elements(FactorDescriptor(kind, n))}
+
+
+def _select_color(letters: tuple[int, ...], table: dict[int, tuple],
+                  level: int | None) -> int | None:
+    """The pairing color: the first color whose string condition fires on
+    a suffix of the letter expansion (a positive classical string, or in
+    level mode an affine string longer than the level).  One fold from the
+    right carries eps_i and phi_i - eps_i of the growing suffix, as
+    ``crystal._combine_stats`` does, over the per-letter ``table``.
 
     At the first firing suffix the color is automatically unique: the
     affine condition can only jump when the new letter is a 1, which
     carries no classical string.
     """
-    letters = w.flatten()
-    kind, n = w.kind, w.n
-    for k in range(1, len(letters) + 1):
-        suffix = letters_word(kind, n, letters[-k:])
-        hits = [i for i in range(1, n + 1) if string_stats(suffix, i)[0] > 0]
-        if level is not None and string_stats(suffix, 0)[0] > level:
+    colors = range(len(table[1]))  # every alphabet has the letter 1
+    eps, hs = [0] * len(colors), [0] * len(colors)
+    for k, b in enumerate(reversed(letters), 1):
+        for i, (eb, hb) in zip(colors, table[b]):
+            eps[i] = max(eps[i], eb - hs[i])
+            hs[i] += hb
+        hits = [i for i in colors[1:] if eps[i] > 0]
+        if level is not None and eps[0] > level:
             hits.append(0)
         if hits:
             if len(hits) > 1:
-                raise InvolutionError(
-                    f"pairing color not unique at {suffix}: {hits}")
+                raise InvolutionError(f"pairing color not unique at "
+                                      f"{letters[-k:]}: {hits}")
             return hits[0]
     return None
 
@@ -337,19 +351,49 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
     """The signed set S of pairs (w, b) with w(wt(b) + rho) = lam + rho,
     w in the finite Weyl group (no level) or the affine one at the level.
     lam + rho is regular, so each b has at most one w: the one its walk
-    into the chamber or alcove finds, when the walk ends at lam + rho."""
-    data = cartan_data(shape[0].kind, shape[0].n)
+    into the chamber or alcove finds, when the walk ends at lam + rho.
+    That depends on b through wt(b) only, so each weight is walked once,
+    while the words of the whole product are listed with a running weight;
+    ``VERTEX_CAP`` bounds the size of the product."""
+    kind, n = shape[0].kind, shape[0].n
+    data = cartan_data(kind, n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
-    pairs = []
-    for b in shape_elements(shape):
-        v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
+    options = [[(x, factor_weight(x)) for x in factor_elements(d)]
+               for d in shape]
+    if prod(map(len, options)) > crystal.VERTEX_CAP:
+        raise CapExceeded(
+            f"tensor product has more than {crystal.VERTEX_CAP} elements")
+    chosen: dict[tuple[int, ...], WeylElement | None] = {}
+
+    def choose(wt):
+        v = tuple(x + r for x, r in zip(wt, data.rho))
         reached, word = reduce_to_alcove(data, v, level)
-        if reached == target:
-            w = element(data, word, level)
-            if w.apply(v) != target:
-                raise InvolutionError(
-                    f"walk element does not map {v} to {target}")
-            pairs.append((w, b))
+        if reached != target:
+            return None
+        w = element(data, word, level)
+        if w.apply(v) != target:
+            raise InvolutionError(
+                f"walk element does not map {v} to {target}")
+        return w
+
+    L = len(shape)
+    placed: list = [None] * L
+    pairs = []
+
+    def walk(p, wt):
+        if p == L:
+            if wt not in chosen:
+                chosen[wt] = choose(wt)
+            w = chosen[wt]
+            if w is not None:
+                pairs.append((w, TensorWord(kind, n, tuple(placed))))
+            return
+        for x, xw in options[p]:
+            placed[p] = x
+            walk(p + 1, tuple(map(add, wt, xw)))
+
+    walk(0, (0,) * data.dim)
+    del walk  # walk refers to itself; free it without the cyclic collector
     return data, pairs
 
 
@@ -360,12 +404,16 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     a pairing color that stops being well defined."""
     if mode not in ("classical", "level"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not shape or any((d.kind, d.n) != (shape[0].kind, shape[0].n)
+                        for d in shape):
+        raise UnsupportedError(
+            "the involution needs a nonempty shape of one type and rank")
     lv = None
     if mode == "level":
         if level is None:
             raise ValueError("level mode needs a level")
         if any((d.r, d.s) != (1, 1) for d in shape):
-            # the suffix scan reads affine strings letterwise, which only
+            # the color fold reads affine strings letterwise, which only
             # matches the crystal for single-box factors
             raise UnsupportedError(
                 "the level involution supports single-box factors only")
@@ -373,12 +421,13 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     data, pairs = _pair_set(shape, lam, lv)
     gens = simple_reflections(data, lv)
     identity = element(data, ())
+    letters = _letter_table(data.kind, data.n)
 
     findings: list[str] = []
     expected_fixed = set(enumerate_paths(shape, lam, mode, lv))
 
     def apply_phi(w, b):
-        i = _select_color(b, lv)
+        i = _select_color(b.flatten(), letters, lv)
         if i is None:
             if w != identity:
                 raise InvolutionError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import combinations, combinations_with_replacement
 from operator import add, gt, sub
 
 from .errors import CapExceeded, CrystalStructureError, UnsupportedError
@@ -294,32 +294,6 @@ class TensorWord:
         return "(x)".join(str(x) for x in self.factors)
 
 
-def word(factors: tuple[Factor, ...], kind: str | None = None,
-         n: int | None = None) -> TensorWord:
-    if factors:
-        kind, n = factors[0].desc.kind, factors[0].desc.n
-        if any((x.desc.kind, x.desc.n) != (kind, n) for x in factors):
-            raise UnsupportedError("a word cannot mix types or ranks")
-    elif kind is None or n is None:
-        raise ValueError("empty word needs an explicit kind and rank")
-    return TensorWord(kind, n, tuple(factors))
-
-
-def letters_word(kind: str, n: int, letters: tuple[int, ...]) -> TensorWord:
-    """A word of single-box factors, handy in tests."""
-    d = FactorDescriptor(kind, n)
-    return TensorWord(kind, n, tuple(Factor(d, (b,)) for b in letters))
-
-
-def word_weight(w: TensorWord) -> tuple[int, ...]:
-    dim = w.n + 1 if w.kind == "A" else w.n
-    out = [0] * dim
-    for x in w.factors:
-        for j, c in enumerate(factor_weight(x)):
-            out[j] += c
-    return tuple(out)
-
-
 def string_stats(w: TensorWord, i: int) -> tuple[int, int]:
     """(eps_i, phi_i) of a tensor word."""
     E, P, _ = _combine_stats([factor_stats(x, i) for x in w.factors])
@@ -348,19 +322,6 @@ def reflection_s(w: TensorWord, i: int) -> TensorWord:
 
 # ---------------------------------------------------------------------------
 # path sets
-
-def shape_elements(shape: tuple[FactorDescriptor, ...]):
-    total = 1
-    for d in shape:
-        total *= len(factor_elements(d))
-        if total > VERTEX_CAP:
-            raise CapExceeded(
-                f"tensor product has more than {VERTEX_CAP} elements")
-    kind = shape[0].kind if shape else "A"
-    n = shape[0].n if shape else 1
-    for combo in iproduct(*(factor_elements(d) for d in shape)):
-        yield TensorWord(kind, n, combo)
-
 
 def _walk_setup(shape: tuple[FactorDescriptor, ...],
                 weight: tuple[int, ...],

@@ -8,7 +8,9 @@ the local energy rule.  A vertex reached again must get the same image and
 the same H, so every edge is checked from both ends: a cycle inconsistency
 (which would falsify the 0-arrows) is a hard error rather
 than a silent wrong table.  Simplicity of the factors makes the graphs
-connected, so the isomorphism is unique.
+connected, so the isomorphism is unique.  The search runs on element
+indices: each factor is read once into a table of its strings and arrows,
+and the arrows of a two-factor product follow from the tensor rule.
 
 A direct sum over a homogeneous shape B^(x)L is one transfer-matrix sweep
 from right to left over states of partial paths, each carrying its
@@ -21,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crystal
-from .errors import CapExceeded, EnergyConsistencyError, IsomorphismError
+from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
+                     UnsupportedError)
 from .crystal import (Factor, FactorDescriptor, TensorWord, _element_table,
-                      _place, _walk_setup, factor_elements, factor_stats,
-                      highest_weight_element, search_paths, tensor_arrow,
-                      word)
+                      _place, _walk_setup, factor_arrow, factor_elements,
+                      factor_stats, highest_weight_element, search_paths)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
@@ -48,13 +50,63 @@ class RMatrixTable:
 _TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], RMatrixTable] = {}
 
 
-def _h_step(key: PairKey, image: PairKey) -> int:
-    """The increment of H along the e_0 arrow leaving this vertex, whose
-    image under sigma is ``image``."""
-    x2, x1 = key
-    left_word = factor_stats(x2, 0)[0] > factor_stats(x1, 0)[1]
-    y1, y2 = image
-    left_image = factor_stats(y1, 0)[0] > factor_stats(y2, 0)[1]
+def _factor_table(desc: FactorDescriptor) -> tuple:
+    """One factor by element index: (elements, eps, phi, e, f), where
+    eps[i][k] and phi[i][k] are eps_i and phi_i of element k, and e[i][k]
+    and f[i][k] the indices of e_i and f_i of it (-1 for none), i = 0..n.
+    e_i is read off f_i, since e_i y = x exactly when f_i x = y."""
+    elements = factor_elements(desc)
+    at = {x: k for k, x in enumerate(elements)}
+    colors = range(desc.n + 1)
+    f = [[at.get(factor_arrow(x, i, "f"), -1) for x in elements]
+         for i in colors]
+    e = [[-1] * len(elements) for _ in colors]
+    for ei, fi in zip(e, f):
+        for k, t in enumerate(fi):
+            if t >= 0:
+                ei[t] = k
+    return (elements,
+            [[factor_stats(x, i)[0] for x in elements] for i in colors],
+            [[factor_stats(x, i)[1] for x in elements] for i in colors],
+            e, f)
+
+
+def _product_arrows(left: tuple, right: tuple) -> list[tuple[int, ...]]:
+    """The arrows of left (x) right, given by their ``_factor_table``s, by
+    pair index a * |right| + b for elements a of left and b of right: per
+    pair, the targets of e_0, f_0, e_1, f_1, ..., e_n, f_n (-1 for none).
+    e_i acts on the left factor iff eps_i(a) > phi_i(b), and f_i iff
+    eps_i(a) >= phi_i(b)."""
+    _, eps_l, _, e_l, f_l = left
+    _, _, phi_r, e_r, f_r = right
+    m = len(phi_r[0])
+    colors = range(len(eps_l))
+    rows = []
+    for a in range(len(eps_l[0])):
+        for b in range(m):
+            row = []
+            for i in colors:
+                gap = eps_l[i][a] - phi_r[i][b]
+                t = e_l[i][a] if gap > 0 else e_r[i][b]
+                row.append(-1 if t < 0 else
+                           t * m + b if gap > 0 else a * m + t)
+                t = f_l[i][a] if gap >= 0 else f_r[i][b]
+                row.append(-1 if t < 0 else
+                           t * m + b if gap >= 0 else a * m + t)
+            rows.append(tuple(row))
+    return rows
+
+
+def _h_step(t2: tuple, t1: tuple, key: tuple[int, int],
+            image: tuple[int, int]) -> int:
+    """The increment of H along the e_0 arrow leaving the vertex with
+    element indices ``key`` of B2 (x) B1, whose image under sigma has
+    indices ``image`` in B1 (x) B2; t2 and t1 are the ``_factor_table`` of
+    B2 and B1."""
+    (a, b), (c, d) = key, image
+    (_, eps2, phi2, _, _), (_, eps1, phi1, _, _) = t2, t1
+    left_word = eps2[0][a] > phi1[0][b]
+    left_image = eps1[0][c] > phi2[0][d]
     if left_word and left_image:
         return -1
     if not left_word and not left_image:
@@ -67,56 +119,63 @@ def combinatorial_r(desc2: FactorDescriptor,
     """The combinatorial R-matrix for B2 (x) B1, memoized per ordered pair.
 
     One search matches the arrows of B2 (x) B1 and B1 (x) B2 from the
-    extremal vertices.  An e_0 step from x adds _h_step(x, sigma(x)) to H,
-    an f_0 step to y subtracts _h_step(y, sigma(y)), and classical steps
-    keep H."""
+    extremal vertices, on pair indices x2 * |B1| + x1 and y1 * |B2| + y2.
+    An e_0 step from x adds _h_step(x, sigma(x)) to H, an f_0 step to y
+    subtracts _h_step(y, sigma(y)), and classical steps keep H."""
     table = _TABLES.get((desc2, desc1))
     if table is not None:
         return table
-    start = (highest_weight_element(desc2), highest_weight_element(desc1))
-    sigma: dict[PairKey, PairKey] = {start: start[::-1]}
-    H: dict[PairKey, int] = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            wsrc, wimg = word(key), word(sigma[key])
-            for i in range(0, desc2.n + 1):
-                for direction in ("e", "f"):
-                    a = tensor_arrow(wsrc, i, direction)
-                    b = tensor_arrow(wimg, i, direction)
-                    if (a is None) != (b is None):
-                        raise IsomorphismError(
-                            f"arrow {direction}_{i} defined on only one side "
-                            f"at {wsrc} -> {wimg}")
-                    if a is None:
-                        continue
-                    ka, kb = a.factors, b.factors
-                    h = H[key]
-                    if i == 0:
-                        h += (_h_step(key, sigma[key]) if direction == "e"
-                              else -_h_step(ka, kb))
-                    if ka not in sigma:
-                        sigma[ka], H[ka] = kb, h
-                        nxt.append(ka)
-                    elif sigma[ka] != kb:
-                        raise IsomorphismError(f"conflicting images for {a}")
-                    elif H[ka] != h:
-                        raise EnergyConsistencyError(
-                            f"local energy rule violated on a color-{i} "
-                            f"edge {wsrc} -> {a}")
-        frontier = nxt
-    size = len(factor_elements(desc2)) * len(factor_elements(desc1))
-    if len(sigma) != size:
+    if (desc2.kind, desc2.n) != (desc1.kind, desc1.n):
+        raise UnsupportedError("an R-matrix cannot mix types or ranks")
+    t2, t1 = _factor_table(desc2), _factor_table(desc1)
+    E2, E1 = t2[0], t1[0]
+    m2, m1 = len(E2), len(E1)
+    source, target = _product_arrows(t2, t1), _product_arrows(t1, t2)
+
+    def vertex(p: int) -> str:  # a pair index of B2 (x) B1, for messages
+        return f"{E2[p // m1]}(x){E1[p % m1]}"
+
+    size = m2 * m1
+    u2 = E2.index(highest_weight_element(desc2))
+    u1 = E1.index(highest_weight_element(desc1))
+    sigma, H = [-1] * size, [0] * size
+    sigma[u2 * m1 + u1] = u1 * m2 + u2
+    order = [u2 * m1 + u1]  # breadth first: the loop reads what it appends
+    for p in order:
+        img = sigma[p]
+        for k, (u, v) in enumerate(zip(source[p], target[img])):
+            if (u < 0) != (v < 0):
+                raise IsomorphismError(
+                    f"arrow {'ef'[k % 2]}_{k // 2} defined on only one side "
+                    f"at {vertex(p)} -> {E1[img // m2]}(x){E2[img % m2]}")
+            if u < 0:
+                continue
+            h = H[p]
+            if k == 0:
+                h += _h_step(t2, t1, divmod(p, m1), divmod(img, m2))
+            elif k == 1:
+                h -= _h_step(t2, t1, divmod(u, m1), divmod(v, m2))
+            if sigma[u] < 0:
+                sigma[u], H[u] = v, h
+                order.append(u)
+            elif sigma[u] != v:
+                raise IsomorphismError(f"conflicting images for {vertex(u)}")
+            elif H[u] != h:
+                raise EnergyConsistencyError(
+                    f"local energy rule violated on a color-{k // 2} edge "
+                    f"{vertex(p)} -> {vertex(u)}")
+    if len(order) != size:
         raise IsomorphismError(
-            f"pair graph not connected: reached {len(sigma)} of {size}")
-    if len(set(sigma.values())) != size:
+            f"pair graph not connected: reached {len(order)} of {size}")
+    if len(set(sigma)) != size:
         raise IsomorphismError("matched map is not a bijection")
-    at = {x: a for a, x in enumerate(factor_elements(desc2))}
-    step = [[(H[(x2, x1)], at[sigma[(x2, x1)][1]])
-             for x1 in factor_elements(desc1)]
-            for x2 in factor_elements(desc2)]
-    table = RMatrixTable(sigma, H, step)
+    sigma_f, H_f = {}, {}
+    for p in order:
+        key, img = (E2[p // m1], E1[p % m1]), sigma[p]
+        sigma_f[key], H_f[key] = (E1[img // m2], E2[img % m2]), H[p]
+    step = [[(H[p], sigma[p] % m2) for p in range(a * m1, (a + 1) * m1)]
+            for a in range(m2)]
+    table = RMatrixTable(sigma_f, H_f, step)
     _TABLES[(desc2, desc1)] = table
     return table
 

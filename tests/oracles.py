@@ -13,11 +13,16 @@ cc o theta and the complementation theta) instead of rigging sizes per
 shape, the configuration shapes and the closed forms
 over them come from the full product of per-row partitions instead of
 the row-by-row walk that drops dead prefixes, and each hard-hexagon bosonic term is one
-``qbinomial`` instead of a step along a row.  The crystal helpers only
-tests use (a component as an explicit graph, the level of a
-crystal, the coroot pairing of a word's weight) live here too, and so
-does the hard-hexagon strip reformulation the bosonic terms are checked
-against.
+``qbinomial`` instead of a step along a row.  The R-matrices come
+from a search over two-factor tensor words through the general
+``tensor_arrow`` instead of element indices, the involution's pairing
+color from building every suffix word instead of one fold over the
+letters, and its pair set from walking every word's weight instead of
+each distinct weight once.  The crystal helpers only tests use (a
+component as an explicit graph, the level of a crystal, the coroot
+pairing of a word's weight, a word of given factors or of boxes, a
+word's weight and every word of a tensor product) live here too, and so does the hard-hexagon
+strip reformulation the bosonic terms are checked against.
 """
 from __future__ import annotations
 
@@ -28,11 +33,16 @@ from itertools import combinations, combinations_with_replacement, product
 import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
-from crystalsums.cartan import (WeylElement, cartan_data,
-                                translation_lattice_box, weyl_enumerate)
-from crystalsums.crystal import (FactorDescriptor, TensorWord, shape_elements,
-                                 string_stats, tensor_arrow, word_weight)
-from crystalsums.errors import CapExceeded, UnsupportedError
+from crystalsums.cartan import (WeylElement, cartan_data, element,
+                                reduce_to_alcove, translation_lattice_box,
+                                weyl_enumerate)
+from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
+                                 factor_elements, factor_stats, factor_weight,
+                                 highest_weight_element, string_stats,
+                                 tensor_arrow)
+from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
+                                InvolutionError, IsomorphismError,
+                                UnsupportedError)
 from crystalsums.fermionic import (RiggedConfiguration, _cc_generic,
                                    _corrections_A, _corrections_C,
                                    _generic_grid, _generic_m, _lambda_prime_A,
@@ -299,6 +309,48 @@ def all_contents_A(n: int, total: int) -> list[tuple[int, ...]]:
 
     rec(total, [])
     return out
+
+
+def word(factors: tuple[Factor, ...], kind: str | None = None,
+         n: int | None = None) -> TensorWord:
+    """A word of the given factors, which must share one type and rank."""
+    if factors:
+        kind, n = factors[0].desc.kind, factors[0].desc.n
+        if any((x.desc.kind, x.desc.n) != (kind, n) for x in factors):
+            raise UnsupportedError("a word cannot mix types or ranks")
+    elif kind is None or n is None:
+        raise ValueError("empty word needs an explicit kind and rank")
+    return TensorWord(kind, n, tuple(factors))
+
+
+def letters_word(kind: str, n: int, letters: tuple[int, ...]) -> TensorWord:
+    """A word of single-box factors."""
+    d = FactorDescriptor(kind, n)
+    return TensorWord(kind, n, tuple(Factor(d, (b,)) for b in letters))
+
+
+def word_weight(w: TensorWord) -> tuple[int, ...]:
+    dim = w.n + 1 if w.kind == "A" else w.n
+    out = [0] * dim
+    for x in w.factors:
+        for j, c in enumerate(factor_weight(x)):
+            out[j] += c
+    return tuple(out)
+
+
+def shape_elements(shape: tuple[FactorDescriptor, ...]):
+    """Every word of the tensor product, in product order; more than
+    ``crystal.VERTEX_CAP`` words raise."""
+    total = 1
+    for d in shape:
+        total *= len(factor_elements(d))
+        if total > crystal.VERTEX_CAP:
+            raise CapExceeded(
+                f"tensor product has more than {crystal.VERTEX_CAP} elements")
+    kind = shape[0].kind if shape else "A"
+    n = shape[0].n if shape else 1
+    for combo in product(*(factor_elements(d) for d in shape)):
+        yield TensorWord(kind, n, combo)
 
 
 def is_classically_restricted(w) -> bool:
@@ -633,3 +685,92 @@ def crystal_level(shape: tuple[FactorDescriptor, ...]) -> int:
     1)."""
     return min(sum(string_stats(w, i)[0] for i in range(w.n + 1))
                for w in shape_elements(shape))
+
+
+def _word_h_step(key, image) -> int:
+    """The local energy increment along the e_0 arrow leaving the vertex
+    ``key`` of B2 (x) B1 whose image under sigma is ``image``."""
+    x2, x1 = key
+    left_word = factor_stats(x2, 0)[0] > factor_stats(x1, 0)[1]
+    y1, y2 = image
+    left_image = factor_stats(y1, 0)[0] > factor_stats(y2, 0)[1]
+    if left_word and left_image:
+        return -1
+    if not left_word and not left_image:
+        return 1
+    return 0
+
+
+def word_r_matrix(desc2, desc1):
+    """(sigma, H, step) of ``energy.combinatorial_r`` by a breadth-first
+    search over two-factor ``TensorWord``s that applies every arrow through
+    the general ``tensor_arrow``, with every check of the index search."""
+    start = (highest_weight_element(desc2), highest_weight_element(desc1))
+    sigma = {start: start[::-1]}
+    H = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            wsrc, wimg = word(key), word(sigma[key])
+            for i in range(0, desc2.n + 1):
+                for direction in ("e", "f"):
+                    a = tensor_arrow(wsrc, i, direction)
+                    b = tensor_arrow(wimg, i, direction)
+                    if (a is None) != (b is None):
+                        raise IsomorphismError(
+                            f"arrow {direction}_{i} on one side at {wsrc}")
+                    if a is None:
+                        continue
+                    ka, kb = a.factors, b.factors
+                    h = H[key]
+                    if i == 0:
+                        h += (_word_h_step(key, sigma[key]) if direction == "e"
+                              else -_word_h_step(ka, kb))
+                    if ka not in sigma:
+                        sigma[ka], H[ka] = kb, h
+                        nxt.append(ka)
+                    elif sigma[ka] != kb:
+                        raise IsomorphismError(f"conflicting images for {a}")
+                    elif H[ka] != h:
+                        raise EnergyConsistencyError(f"H mismatch at {a}")
+        frontier = nxt
+    size = len(factor_elements(desc2)) * len(factor_elements(desc1))
+    if len(sigma) != size or len(set(sigma.values())) != size:
+        raise IsomorphismError("not a bijection of connected pair graphs")
+    at = {x: a for a, x in enumerate(factor_elements(desc2))}
+    step = [[(H[(x2, x1)], at[sigma[(x2, x1)][1]])
+             for x1 in factor_elements(desc1)]
+            for x2 in factor_elements(desc2)]
+    return sigma, H, step
+
+
+def scanned_color(w: TensorWord, level) -> int | None:
+    """The pairing color of ``involution_phi`` by building each suffix of
+    the letter expansion as a word and reading its strings, shortest
+    suffix first."""
+    letters = w.flatten()
+    for k in range(1, len(letters) + 1):
+        suffix = letters_word(w.kind, w.n, letters[-k:])
+        hits = [i for i in range(1, w.n + 1) if string_stats(suffix, i)[0] > 0]
+        if level is not None and string_stats(suffix, 0)[0] > level:
+            hits.append(0)
+        if hits:
+            if len(hits) > 1:
+                raise InvolutionError(f"color not unique at {suffix}: {hits}")
+            return hits[0]
+    return None
+
+
+def per_word_pairs(shape, lam, level) -> set:
+    """The pair set of ``involution_phi`` by walking wt(b) + rho of every
+    word b into the chamber or alcove, once per word."""
+    data = cartan_data(shape[0].kind, shape[0].n)
+    target = tuple(l + r for l, r in zip(lam, data.rho))
+    pairs = set()
+    for b in shape_elements(shape):
+        v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
+        reached, walk = reduce_to_alcove(data, v, level)
+        if reached == target:
+            pairs.add((element(data, walk, level), b))
+    return pairs

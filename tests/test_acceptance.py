@@ -10,9 +10,7 @@ from crystalsums.bosonic import (bosonic_classical, bosonic_level,
                                  involution_phi, supernomial_A_columns,
                                  supernomial_A_rows)
 from crystalsums.cartan import cartan_data
-from crystalsums.crystal import (FactorDescriptor, letters_word,
-                                 shape_elements, string_stats, tensor_arrow,
-                                 word, word_weight)
+from crystalsums.crystal import FactorDescriptor, string_stats, tensor_arrow
 from crystalsums.energy import combinatorial_r, direct_sum, energy_EB
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    enumerate_rc, level_restricted,
@@ -22,8 +20,10 @@ from crystalsums.qpoly import qmultinomial
 
 from oracles import (all_contents_A, bosonic_term, build_component,
                      cc_stat, cc_theta, coroot_weight_pairing,
-                     dominant_contents_A, dominant_weights_C, lr_multiplicity,
-                     partitions_gap2, strip_inclusion_exclusion, theta)
+                     dominant_contents_A, dominant_weights_C, letters_word,
+                     lr_multiplicity, partitions_gap2, shape_elements,
+                     strip_inclusion_exclusion, theta, word,
+                     word_weight)
 
 
 def boxes(kind, n, L):

@@ -3,13 +3,15 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from crystalsums import bosonic
-from crystalsums.bosonic import (_orbit_meets_support, _pair_set,
+from crystalsums.bosonic import (_letter_table, _orbit_meets_support,
+                                 _pair_set, _select_color,
                                  _supernomial_uncached,
                                  bosonic_classical, bosonic_level,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
                                  supernomial_C_boxes)
 from crystalsums.cartan import cartan_data, weyl_enumerate
+from crystalsums.cli import _instances
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
@@ -17,7 +19,8 @@ from crystalsums.errors import (CapExceeded, CrystalSumsError,
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
-                     scanned_classical_pairs, scanned_level_pairs,
+                     per_word_pairs, scanned_classical_pairs,
+                     scanned_color, scanned_level_pairs, shape_elements,
                      unpruned_bosonic_level)
 
 
@@ -418,3 +421,44 @@ class TestInvolution:
         shape = (FactorDescriptor("A", 1, 1, 2),)
         with pytest.raises(UnsupportedError):
             involution_phi(shape, (1, 1), "level", level=1)
+
+    @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
+                                        ("C", 1), ("C", 2), ("C", 3)])
+    def test_color_fold_matches_the_suffix_scan(self, kind, n):
+        table = _letter_table(kind, n)
+        shapes = [boxes(kind, n, L) for L in range(1, 5)]
+        if kind == "A":
+            row, col = FactorDescriptor("A", n, 1, 2), FactorDescriptor(
+                "A", n, 2, 1)
+            shapes += [(row, col), (col, row, FactorDescriptor("A", n))]
+        for shape in shapes:
+            single = all(d.boxes == 1 for d in shape)
+            for b in shape_elements(shape):
+                for level in (None, 0, 1, 2) if single else (None,):
+                    assert _select_color(b.flatten(), table, level) == \
+                        scanned_color(b, level), (b, level)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_sets_match_the_per_word_walk(self, n):
+        for inst in _instances("involution", n, 4, 2):
+            _, kind, n, L, lam, ell = inst
+            shape = boxes(kind, n, L)
+            _, pairs = _pair_set(shape, lam, ell)
+            assert set(pairs) == per_word_pairs(shape, lam, ell), inst
+        # the type C level mode, which the suite leaves out
+        for L in range(1, 5):
+            for lam in dominant_weights_C(n, L):
+                for ell in (1, 2):
+                    if _level_of("C", n, lam) <= ell:
+                        shape = boxes("C", n, L)
+                        _, pairs = _pair_set(shape, lam, ell)
+                        assert set(pairs) == per_word_pairs(shape, lam, ell)
+
+    @pytest.mark.parametrize("shape,lam", [
+        ((), (0, 0)),
+        ((FactorDescriptor("A", 1), FactorDescriptor("A", 2)), (1, 1)),
+        ((FactorDescriptor("C", 2), FactorDescriptor("A", 2)), (1, 1)),
+    ])
+    def test_empty_or_mixed_shapes_are_refused(self, shape, lam):
+        with pytest.raises(UnsupportedError):
+            involution_phi(shape, lam)

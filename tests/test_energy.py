@@ -4,16 +4,17 @@ import pytest
 
 import crystalsums.crystal as crystal
 from crystalsums.crystal import (FactorDescriptor, factor_elements,
-                                 letters_word, search_paths, shape_elements,
-                                 tensor_arrow, word)
+                                 search_paths, tensor_arrow)
 from crystalsums import energy
 from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
                                 direct_sum, energy_EB, energy_extension)
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
-                                IsomorphismError)
+                                IsomorphismError, UnsupportedError)
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
-from oracles import all_contents_A, build_component, filtered_paths
+from oracles import (all_contents_A, build_component, filtered_paths,
+                     letters_word, shape_elements, word,
+                     word_r_matrix)
 
 B11_A1 = FactorDescriptor("A", 1)
 
@@ -107,32 +108,40 @@ class TestRMatrix:
                         highest_weight_element(d1))] == 0
 
     def test_inconsistent_local_energy_is_an_error(self, monkeypatch):
-        # raise H by one across the e_0 arrow leaving 2 (x) 1 only: that
-        # arrow lies on a cycle of A_2's pair graph, so the search reaches
-        # one of its ends twice with different energies
-        from crystalsums.crystal import Factor
+        # raise H by one across the e_0 arrow leaving 2 (x) 1 only (element
+        # indices 1 and 0 of A_2's box): that arrow lies on a cycle of A_2's
+        # pair graph, so the search reaches one of its ends twice with
+        # different energies
         d = FactorDescriptor("A", 2)
-        bent = (Factor(d, (2,)), Factor(d, (1,)))
         h_step = energy._h_step
         monkeypatch.setattr(energy, "_TABLES", {})
         monkeypatch.setattr(
             energy, "_h_step",
-            lambda key, image: h_step(key, image) + (key == bent))
+            lambda t2, t1, key, image:
+                h_step(t2, t1, key, image) + (key == (1, 0)))
         with pytest.raises(EnergyConsistencyError):
             combinatorial_r(d, d)
 
     def test_arrow_missing_on_one_side_is_an_error(self, monkeypatch):
-        # drop f_1 from one vertex of B1 (x) B2, keeping B2 (x) B1 intact
-        from crystalsums.crystal import Factor
+        # drop f_1 from the vertex 11 (x) 1 of B2 (x) B1, keeping B1 (x) B2
+        # intact: element indices 0 and 0, pair index 0; f_1 is the fourth
+        # arrow of a pair (e_0, f_0, e_1, f_1)
         d2, d1 = FactorDescriptor("A", 1, 1, 2), B11_A1
-        cut = word((Factor(d1, (1,)), Factor(d2, (1, 2))))
-        arrow = energy.tensor_arrow
+        arrows = energy._product_arrows
+
+        def cut(left, right):
+            rows = arrows(left, right)
+            if (left[0], right[0]) == (factor_elements(d2),
+                                       factor_elements(d1)):
+                assert left[0][0].letters == (1, 1)
+                assert right[0][0].letters == (1,)
+                assert rows[0][3] >= 0
+                rows[0] = rows[0][:3] + (-1,) + rows[0][4:]
+            return rows
+
         monkeypatch.setattr(energy, "_TABLES", {})
-        monkeypatch.setattr(
-            energy, "tensor_arrow",
-            lambda w, i, direction: None if (w, i, direction) == (cut, 1, "f")
-            else arrow(w, i, direction))
-        with pytest.raises(IsomorphismError):
+        monkeypatch.setattr(energy, "_product_arrows", cut)
+        with pytest.raises(IsomorphismError, match="only one side"):
             combinatorial_r(d2, d1)
 
     def test_type_c_identity(self):
@@ -144,6 +153,34 @@ class TestRMatrix:
             one = factor_elements(d)[0]
             assert one.letters == (1,) and t.H[(one, one)] == 0
             assert set(t.H.values()) == {0, -1}
+
+    @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
+                                        ("C", 1), ("C", 2), ("C", 3)])
+    def test_index_search_matches_the_word_search(self, kind, n,
+                                                  monkeypatch):
+        # every supported ordered pair: boxes, rows B^{1,s} with s <= 3 and
+        # columns in type A; the box in type C
+        descs = [FactorDescriptor(kind, n)]
+        if kind == "A":
+            descs += [FactorDescriptor("A", n, 1, s) for s in (2, 3)]
+            descs += [FactorDescriptor("A", n, r, 1) for r in range(2, n + 2)]
+        monkeypatch.setattr(energy, "_TABLES", {})
+        for d2 in descs:
+            for d1 in descs:
+                t = combinatorial_r(d2, d1)
+                sigma, H, step = word_r_matrix(d2, d1)
+                assert t.sigma == sigma and t.H == H, (d2, d1)
+                assert t.step == step, (d2, d1)
+
+    @pytest.mark.parametrize("d2,d1", [
+        (FactorDescriptor("A", 1), FactorDescriptor("A", 2)),
+        (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 3)),
+        (FactorDescriptor("C", 2), FactorDescriptor("A", 2)),
+        (FactorDescriptor("C", 1), FactorDescriptor("C", 2)),
+    ])
+    def test_mixed_types_or_ranks_are_refused(self, d2, d1):
+        with pytest.raises(UnsupportedError):
+            combinatorial_r(d2, d1)
 
 
 class TestEnergy:

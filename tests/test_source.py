@@ -111,13 +111,11 @@ def test_hard_hexagon_rows_use_the_one_division():
     assert not found, found
 
 
-def test_rc_walk_reads_no_closed_form():
-    # the rigged-configuration route lists riggings: neither the closed
-    # forms' q-binomials nor their bilinear-form vacancies and charges are
-    # reachable from its functions
-    defs = _top_functions(ast.parse((PACKAGE / "fermionic.py").read_text()))
-    todo = ["_admitted_shapes", "enumerate_rc", "rc_generating_function",
-            "_level_rc_sum"]
+def _reached(module: str, roots: list[str]) -> tuple[set, set]:
+    """The top-level functions of ``module`` reachable from ``roots``
+    through the names they use, and every name those functions use."""
+    defs = _top_functions(ast.parse((PACKAGE / module).read_text()))
+    todo = list(roots)
     reached, used = set(), set()
     while todo:
         name = todo.pop()
@@ -128,6 +126,16 @@ def test_rc_walk_reads_no_closed_form():
                  if isinstance(node, ast.Name)}
         used |= names
         todo += [n for n in names if n in defs]
+    return reached, used
+
+
+def test_rc_walk_reads_no_closed_form():
+    # the rigged-configuration route lists riggings: neither the closed
+    # forms' q-binomials nor their bilinear-form vacancies and charges are
+    # reachable from its functions
+    reached, used = _reached("fermionic.py", [
+        "_admitted_shapes", "enumerate_rc", "rc_generating_function",
+        "_level_rc_sum"])
     assert "_riggings" in reached and "vacancy" in reached
     closed_form = used & {"qbinomial", "_vacancy_generic", "_cc_generic"}
     assert not closed_form, closed_form
@@ -137,23 +145,31 @@ def test_closed_forms_read_no_rc_walk():
     # the mirror of test_rc_walk_reads_no_closed_form: the closed forms
     # share only the shape walk with the rigged-configuration route, and
     # reach neither its column-count vacancies and charges nor its riggings
-    defs = _top_functions(ast.parse((PACKAGE / "fermionic.py").read_text()))
-    todo = ["closed_form_F", "closed_form_F_level", "_level_closed_form",
-            "_closed_form_terms"]
-    reached, used = set(), set()
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        names = {node.id for node in ast.walk(defs[name])
-                 if isinstance(node, ast.Name)}
-        used |= names
-        todo += [n for n in names if n in defs]
+    reached, used = _reached("fermionic.py", [
+        "closed_form_F", "closed_form_F_level", "_level_closed_form",
+        "_closed_form_terms"])
     assert "_live_shapes" in reached and "_vacancy_generic" in reached
     rc_walk = used & {"vacancy", "q_columns", "cc_shape", "_riggings",
                       "partitions_in_box"}
     assert not rc_walk, rc_walk
+
+
+def test_r_matrix_search_builds_no_word():
+    # combinatorial_r searches pairs of element indices: it applies the
+    # two-factor tensor rule itself and builds no tensor word
+    reached, used = _reached("energy.py", ["combinatorial_r"])
+    assert {"_factor_table", "_product_arrows", "_h_step"} <= reached
+    words = used & {"tensor_arrow", "word", "TensorWord", "_route"}
+    assert not words, words
+
+
+def test_pair_set_lists_the_whole_product():
+    # the fixed points are checked against enumerate_paths, so the pair
+    # set must not be built by the path search it would then vouch for
+    reached, used = _reached("bosonic.py", ["_pair_set"])
+    assert "reduce_to_alcove" in used
+    search = used & {"search_paths", "_place", "enumerate_paths"}
+    assert not search, search
 
 
 def test_qbinomial_cache_is_bounded():
