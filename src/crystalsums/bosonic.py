@@ -16,10 +16,9 @@ from . import crystal
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
                      element, reduce_to_alcove, simple_reflections,
                      translation_lattice_box, weyl_enumerate)
-from .crystal import (FactorDescriptor, TensorWord, enumerate_paths,
-                      factor_elements, factor_stats, factor_weight,
-                      reflection_s, tensor_arrow)
-from .energy import coenergy_D
+from .crystal import (FactorDescriptor, _combine_stats, _route,
+                      enumerate_paths, factor_elements, factor_weight)
+from .energy import _factor_table, energy_extension
 from .errors import (CapExceeded, CrystalSumsError, InvolutionError,
                      UnsupportedError)
 from .partitions import (conjugate, horizontal_strip_extensions, part,
@@ -300,8 +299,9 @@ class InvolutionReport:
 
 def _letter_table(kind: str, n: int) -> dict[int, tuple]:
     """(eps_i, phi_i - eps_i) over i = 0..n of each letter, read as a box."""
-    return {x.letters[0]: tuple(factor_stats(x, i)[::2] for i in range(n + 1))
-            for x in factor_elements(FactorDescriptor(kind, n))}
+    elements, eps, phi, _, _ = _factor_table(FactorDescriptor(kind, n))
+    return {x.letters[0]: tuple((e[k], p[k] - e[k]) for e, p in zip(eps, phi))
+            for k, x in enumerate(elements)}
 
 
 def _select_color(letters: tuple[int, ...], table: dict[int, tuple],
@@ -333,18 +333,58 @@ def _select_color(letters: tuple[int, ...], table: dict[int, tuple],
     return None
 
 
-def _phi_move(w: TensorWord, i: int, level: int | None) -> TensorWord:
-    if i == 0:  # selected only in level mode
-        b = w
-        for _ in range(level + 1):
-            b = tensor_arrow(b, 0, "e")
-            if b is None:
-                raise InvolutionError("e_0 string shorter than level + 1")
-        return reflection_s(b, 0)
-    b = tensor_arrow(w, i, "e")
-    if b is None:
-        raise InvolutionError(f"e_{i} empty on a word selected for color {i}")
-    return reflection_s(b, i)
+# A word of the involution is a tuple of element indices in display order;
+# ``tables[p]`` is the ``_factor_table`` (elements, eps, phi, e, f) of its
+# p-th factor.
+
+def _strings(tables: list, b: tuple[int, ...], i: int) -> list:
+    """(eps_i, phi_i, phi_i - eps_i) of each factor of the word b."""
+    return [(eps[i][k], phi[i][k], phi[i][k] - eps[i][k])
+            for (_, eps, phi, _, _), k in zip(tables, b)]
+
+
+def _arrow(tables: list, b: tuple[int, ...], i: int,
+           direction: str) -> tuple[int, ...] | None:
+    """e_i or f_i of the word b by the tensor rule, or None."""
+    j = _route(_strings(tables, b, i), direction)
+    if j is None:
+        return None
+    y = tables[j][3 if direction == "e" else 4][i][b[j]]
+    return None if y < 0 else b[:j] + (y,) + b[j + 1:]
+
+
+def _reflect(tables: list, b: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The crystal reflection s_i: slide to the far end of the i-string."""
+    eps, phi, _ = _combine_stats(_strings(tables, b, i))
+    direction = "f" if phi > eps else "e"
+    for _ in range(abs(phi - eps)):  # within the string: phi f's, eps e's
+        b = _arrow(tables, b, i, direction)
+    return b
+
+
+def _phi_move(tables: list, b: tuple[int, ...], i: int,
+              level: int | None) -> tuple[int, ...]:
+    """e_i (e_0^{level+1} for the color 0, selected only in level mode),
+    then s_i."""
+    for _ in range(level + 1 if i == 0 else 1):
+        b = _arrow(tables, b, i, "e")
+        if b is None:
+            raise InvolutionError(
+                "e_0 string shorter than level + 1" if i == 0
+                else f"e_{i} empty on a word selected for color {i}")
+    return _reflect(tables, b, i)
+
+
+def _word_energy(shape: Shape):
+    """E_B of a word of ``shape``, by the pass that scores the paths of a
+    mixed direct sum: b_1, ..., b_L placed in turn."""
+    extend = energy_extension(shape)
+
+    def energy(b: tuple[int, ...]) -> int:
+        right = b[::-1]
+        return sum(extend(j, right, k) for j, k in enumerate(right))
+
+    return energy
 
 
 def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
@@ -353,12 +393,12 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
     lam + rho is regular, so each b has at most one w: the one its walk
     into the chamber or alcove finds, when the walk ends at lam + rho.
     That depends on b through wt(b) only, so each weight is walked once,
-    while the words of the whole product are listed with a running weight;
-    ``VERTEX_CAP`` bounds the size of the product."""
-    kind, n = shape[0].kind, shape[0].n
-    data = cartan_data(kind, n)
+    while the words of the whole product, as element index tuples, are
+    listed with a running weight; ``VERTEX_CAP`` bounds the size of the
+    product."""
+    data = cartan_data(shape[0].kind, shape[0].n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
-    options = [[(x, factor_weight(x)) for x in factor_elements(d)]
+    options = [list(enumerate(map(factor_weight, factor_elements(d))))
                for d in shape]
     if prod(map(len, options)) > crystal.VERTEX_CAP:
         raise CapExceeded(
@@ -386,10 +426,10 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
                 chosen[wt] = choose(wt)
             w = chosen[wt]
             if w is not None:
-                pairs.append((w, TensorWord(kind, n, tuple(placed))))
+                pairs.append((w, tuple(placed)))
             return
-        for x, xw in options[p]:
-            placed[p] = x
+        for k, xw in options[p]:
+            placed[p] = k
             walk(p + 1, tuple(map(add, wt, xw)))
 
     walk(0, (0,) * data.dim)
@@ -422,18 +462,24 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     gens = simple_reflections(data, lv)
     identity = element(data, ())
     letters = _letter_table(data.kind, data.n)
+    by_desc = {d: _factor_table(d) for d in set(shape)}
+    tables = [by_desc[d] for d in shape]
 
     findings: list[str] = []
     expected_fixed = set(enumerate_paths(shape, lam, mode, lv))
 
+    def text(b):
+        return "(x)".join(str(t[0][k]) for t, k in zip(tables, b))
+
     def apply_phi(w, b):
-        i = _select_color(b.flatten(), letters, lv)
+        flat = tuple(c for t, k in zip(tables, b) for c in t[0][k].letters)
+        i = _select_color(flat, letters, lv)
         if i is None:
             if w != identity:
                 raise InvolutionError(
-                    f"pairing color undefined on non fixed point ({b})")
+                    f"pairing color undefined on non fixed point ({text(b)})")
             return None  # fixed
-        return (w.compose(gens[i]), _phi_move(b, i, lv))
+        return (w.compose(gens[i]), _phi_move(tables, b, i, lv))
 
     members = set(pairs)
     fixed = []
@@ -450,17 +496,18 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     stat_ok: bool | None = None
     if mode == "classical" and shape[0].kind == "A":
         stat_ok = True
+        energy = _word_energy(shape)
     for (w1, b1), (w2, b2) in images.items():
         if (w2, b2) not in members:
-            findings.append(f"image {b2} left the pair set")
+            findings.append(f"image {text(b2)} left the pair set")
             involution_ok = False
             continue
         if apply_phi(w2, b2) != (w1, b1):
             involution_ok = False
-            findings.append(f"not an involution at {b2}")
+            findings.append(f"not an involution at {text(b2)}")
         if w1.sign * w2.sign != -1:
             sign_ok = False
-        if stat_ok is not None and coenergy_D(b1) != coenergy_D(b2):
+        if stat_ok is not None and energy(b1) != energy(b2):
             stat_ok = False
     fixed_set = {b for _, b in fixed}
     fixed_ok = (fixed_set == expected_fixed

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
 
-from .errors import CapExceeded, NonIntegralExponent
+from .errors import CapExceeded, NonIntegralExponent, UnsupportedError
 
 WEYL_RANK_CAP = 6
 
@@ -71,7 +71,7 @@ class CartanData:
 @cache
 def cartan_data(kind: str, n: int) -> CartanData:
     if n < 1:
-        raise ValueError("rank must be at least 1")
+        raise UnsupportedError("rank must be >= 1")
     if kind == "A":
         dim = n + 1
         roots = tuple(
@@ -90,7 +90,7 @@ def cartan_data(kind: str, n: int) -> CartanData:
         rho = tuple(range(n, 0, -1))
         t = (2,) * (n - 1) + (1,)
     else:
-        raise ValueError(f"unsupported type {kind!r}")
+        raise UnsupportedError(f"unsupported type {kind!r}")
     return CartanData(kind, n, roots, t, rho, h_dual=n + 1, a0=1)
 
 

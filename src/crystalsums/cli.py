@@ -232,20 +232,22 @@ def _instances(suite: str, n: int, max_L: int, level: int):
                 yield ("rr", L, primed)
     elif suite in _SUITE_METHODS:
         kind, restriction, _ = _SUITE_METHODS[suite]
+        data = cartan_data(kind, n)  # refuses a rank below 1
         for L in range(1, max_L + 1):
             for lam in (_dominant_A if kind == "A" else _dominant_C)(n, L):
                 if restriction != "level":
                     yield (suite, n, L, lam)
-                elif cartan_data(kind, n).theta_pairing(lam) <= level:
+                elif data.theta_pairing(lam) <= level:
                     yield (suite, n, L, lam, level)
     elif suite == "involution":
+        data = cartan_data("A", n)  # refuses a rank below 1
         for L in range(1, max_L + 1):
             for lam in _dominant_A(n, L):
                 yield ("involution", "A", n, L, lam, None)
             for lam in _dominant_C(n, L):
                 yield ("involution", "C", n, L, lam, None)
             for lam in _dominant_A(n, L):
-                if cartan_data("A", n).theta_pairing(lam) <= level:
+                if data.theta_pairing(lam) <= level:
                     yield ("involution", "A", n, L, lam, level)
     else:
         raise UnsupportedError(f"unknown suite {suite!r}")
@@ -290,7 +292,15 @@ def run_instance(inst: tuple) -> dict:
             "agree": agree, "ms": round(1000 * (time.perf_counter() - t0), 3)}
 
 
+def _nonnegative(*flags: tuple[str, int | None]) -> None:
+    """Refuse a negative integer flag as malformed input."""
+    for flag, value in flags:
+        if value is not None and value < 0:
+            raise ShapeSyntaxError(f"{flag} {value} is negative")
+
+
 def cmd_verify(args) -> int:
+    _nonnegative(("--max-L", args.max_L), ("--level", args.level))
     insts = list(_instances(args.suite, args.n, args.max_L, args.level))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -314,6 +324,7 @@ def cmd_verify(args) -> int:
 # rr
 
 def cmd_rr(args) -> int:
+    _nonnegative(("--L", args.L), ("--N", args.N))
     if args.series is not None:
         rep = hardhex.rr_series_check(args.series, args.N)
         print(json.dumps({

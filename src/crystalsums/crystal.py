@@ -2,15 +2,18 @@
 
 Conventions fixed here, once:
 
-* A tensor word stores its factors in display order (b_L, ..., b_1), so
-  index 1 of the mathematical labelling is the RIGHTMOST factor and lives
-  at the END of the tuple.
+* An element b_L (x) ... (x) b_1 of a tensor product is a tuple of element
+  indices in display order: entry p is the index of its factor in
+  ``factor_elements`` of the p-th descriptor of the shape, so index 1 of
+  the mathematical labelling is the RIGHTMOST factor and lives at the END
+  of the tuple.
 * For a two-factor product b (x) b' the operators act as
 
       e_i(b (x) b') = e_i b (x) b'   if eps_i(b) >  phi_i(b'), else b (x) e_i b'
       f_i(b (x) b') = f_i b (x) b'   if eps_i(b) >= phi_i(b'), else b (x) f_i b'
 
-  extended associatively to longer products.
+  extended associatively to longer products: ``_route`` finds the factor
+  an arrow acts on from the factors' (eps_i, phi_i, phi_i - eps_i).
 * Supported factors: B^{1,1} in both types; B^{r,1} (columns, r <= n+1)
   and B^{1,s} (rows) in type A.  Type A factors carry affine 0-arrows
   realised by promotion: e_0 = pr^{-1} o e_1 o pr where pr shifts letter
@@ -267,67 +270,13 @@ def factor_stats(x: Factor, i: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# tensor words
-
-@dataclass(frozen=True)
-class TensorWord:
-    """An element b_L (x) ... (x) b_1, stored left to right."""
-
-    kind: str
-    n: int
-    factors: tuple[Factor, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.factors)
-
-    def shape(self) -> tuple[FactorDescriptor, ...]:
-        return tuple(x.desc for x in self.factors)
-
-    def flatten(self) -> tuple[int, ...]:
-        """The image in B(Lambda_1)^(x)M: all letters, display order."""
-        return tuple(b for x in self.factors for b in x.letters)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "(empty)"
-        return "(x)".join(str(x) for x in self.factors)
-
-
-def string_stats(w: TensorWord, i: int) -> tuple[int, int]:
-    """(eps_i, phi_i) of a tensor word."""
-    E, P, _ = _combine_stats([factor_stats(x, i) for x in w.factors])
-    return E, P
-
-
-def tensor_arrow(w: TensorWord, i: int, direction: str) -> TensorWord | None:
-    stats = [factor_stats(x, i) for x in w.factors]
-    j = _route(stats, direction)
-    if j is None:
-        return None
-    y = factor_arrow(w.factors[j], i, direction)
-    if y is None:
-        return None
-    return TensorWord(w.kind, w.n, w.factors[:j] + (y,) + w.factors[j + 1:])
-
-
-def reflection_s(w: TensorWord, i: int) -> TensorWord:
-    """The crystal reflection s_i: slide to the far end of the i-string."""
-    eps, phi = string_stats(w, i)
-    direction = "f" if phi > eps else "e"
-    for _ in range(abs(phi - eps)):  # within the string: phi f's, eps e's
-        w = tensor_arrow(w, i, direction)
-    return w
-
-
-# ---------------------------------------------------------------------------
 # path sets
 
 def _walk_setup(shape: tuple[FactorDescriptor, ...],
                 weight: tuple[int, ...],
                 restriction: str,
                 level: int | None):
-    """What a walk over the paths of ``shape`` checks: (kind, n, target
+    """What a walk over the paths of ``shape`` checks: (kind, target
     weight, classical colors to test, level to test or None), or None when
     the weight has the wrong length and there are no paths."""
     if restriction not in ("none", "classical", "level"):
@@ -342,14 +291,14 @@ def _walk_setup(shape: tuple[FactorDescriptor, ...],
     if len(target) != (n + 1 if kind == "A" else n):
         return None
     colors = range(1, n + 1) if restriction != "none" else ()
-    return kind, n, target, colors, level
+    return kind, target, colors, level
 
 
 def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
-    """Each element of one factor as (index, element, weight, eps_i and
-    phi_i - eps_i over the colors, eps_0, phi_0); eps_0 = phi_0 = 0 unless
+    """Each element of one factor as (index, weight, eps_i and phi_i -
+    eps_i over the colors, eps_0, phi_0); eps_0 = phi_0 = 0 unless
     ``affine``."""
-    return [(k, x, factor_weight(x),
+    return [(k, factor_weight(x),
              tuple(factor_stats(x, i)[0] for i in colors),
              tuple(factor_stats(x, i)[2] for i in colors),
              *(factor_stats(x, 0)[:2] if affine else (0, 0)))
@@ -373,7 +322,7 @@ def _place(kind: str, target: tuple[int, ...], room: int,
       so the suffix dies once it exceeds the level.
     """
     wt, phis, eps0, phi0 = state
-    _, _, xw, xe, xh, xe0, xp0 = entry
+    _, xw, xe, xh, xe0, xp0 = entry
     if any(map(gt, xe, phis)):
         return None
     w = tuple(map(add, wt, xw))
@@ -395,7 +344,7 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
                  weight: tuple[int, ...],
                  restriction: str = "none",
                  level: int | None = None,
-                 extend=None) -> list[tuple[TensorWord, int]]:
+                 extend=None) -> list[tuple[tuple[int, ...], int]]:
     """The path set of ``enumerate_paths`` as (path, score) pairs, found by
     a depth-first search that places b_1 first and grows each path to the
     left, pruning each partial path b_j (x) ... (x) b_1 by ``_place``.
@@ -410,7 +359,7 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     setup = _walk_setup(shape, weight, restriction, level)
     if setup is None:
         return []
-    kind, n, target, colors, level = setup
+    kind, target, colors, level = setup
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
@@ -418,17 +367,15 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
               for d in set(right)}
     options = [tables[d] for d in right]
 
-    out: list[tuple[TensorWord, int]] = []
+    out: list[tuple[tuple[int, ...], int]] = []
     chosen = [0] * L
-    placed: list[Factor | None] = [None] * L
     nodes = 0
 
     def grow(p, state, score):
         nonlocal nodes
         if p == L:
             if state[0] == target:
-                out.append((TensorWord(kind, n, tuple(reversed(placed))),
-                            score))
+                out.append((tuple(reversed(chosen)), score))
             return
         for entry in options[p]:
             nstate = _place(kind, target, boxes_left[p], level, state, entry)
@@ -439,7 +386,6 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
                 raise CapExceeded(f"path search visited more than "
                                   f"{VERTEX_CAP} nodes")
             k = chosen[p] = entry[0]
-            placed[p] = entry[1]
             grow(p + 1, nstate,
                  score if extend is None else score + extend(p, chosen, k))
 
@@ -452,10 +398,11 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
 def enumerate_paths(shape: tuple[FactorDescriptor, ...],
                     weight: tuple[int, ...],
                     restriction: str = "none",
-                    level: int | None = None) -> list[TensorWord]:
-    """The path sets: unrestricted (weight only), classically restricted
-    (killed by every classical e_i), level restricted (additionally killed
-    by e_0^{level+1}).  ``VERTEX_CAP`` bounds the search nodes visited."""
+                    level: int | None = None) -> list[tuple[int, ...]]:
+    """The path sets, as element index tuples in display order:
+    unrestricted (weight only), classically restricted (killed by every
+    classical e_i), level restricted (additionally killed by
+    e_0^{level+1}).  ``VERTEX_CAP`` bounds the search nodes visited."""
     return [w for w, _ in search_paths(shape, weight, restriction, level)]
 
 

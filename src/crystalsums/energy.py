@@ -16,7 +16,9 @@ A direct sum over a homogeneous shape B^(x)L is one transfer-matrix sweep
 from right to left over states of partial paths, each carrying its
 polynomial, as in the corner-transfer-matrix view of one-dimensional sums
 (Date-Jimbo-Kuniba-Miwa-Okado 1987); no path is listed.  A mixed shape is
-summed over the paths of the pruned search, each scored as it grows.
+summed over the paths of the pruned search, each scored as it grows by
+``energy_extension``, the one implementation of E_B (the involution's
+statistic check scores its words by the same pass).
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 from . import crystal
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
-from .crystal import (Factor, FactorDescriptor, TensorWord, _element_table,
-                      _place, _walk_setup, factor_arrow, factor_elements,
-                      factor_stats, highest_weight_element, search_paths)
+from .crystal import (Factor, FactorDescriptor, _element_table, _place,
+                      _walk_setup, factor_arrow, factor_elements, factor_stats,
+                      highest_weight_element, search_paths)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
@@ -180,49 +182,11 @@ def combinatorial_r(desc2: FactorDescriptor,
     return table
 
 
-def apply_sigma(w: TensorWord, k: int) -> TensorWord:
-    """sigma_k: exchange the k-th and (k+1)-st factors counted from the
-    right (positions k and k+1, 1-based)."""
-    L = w.length
-    left, right = L - k - 1, L - k
-    x2, x1 = w.factors[left], w.factors[right]
-    table = combinatorial_r(x2.desc, x1.desc)
-    y1, y2 = table.sigma[(x2, x1)]
-    factors = w.factors[:left] + (y1, y2) + w.factors[right + 1:]
-    return TensorWord(w.kind, w.n, factors)
-
-
-def local_h(w: TensorWord, k: int) -> int:
-    L = w.length
-    x2, x1 = w.factors[L - k - 1], w.factors[L - k]
-    return combinatorial_r(x2.desc, x1.desc).H[(x2, x1)]
-
-
-def energy_EB(w: TensorWord) -> int:
-    """The energy E_B(b) = sum over i < j of H_i sigma_{i+1}...sigma_{j-1}."""
-    total = 0
-    for j in range(2, w.length + 1):
-        cur = w
-        for i in range(j - 1, 0, -1):
-            if i != j - 1:
-                cur = apply_sigma(cur, i + 1)
-            total += local_h(cur, i)
-    return total
-
-
-def coenergy_D(w: TensorWord) -> int:
-    """Minus the intrinsic energy D of a word.
-
-    The general formula for D adds, to E_B, the factor intrinsic energies
-    along sigma shuffles; every factor supported here has a single
-    classical component and is normalized to zero on it, so those summands
-    vanish identically and D = E_B.
-    """
-    return -energy_EB(w)
-
-
 def energy_extension(shape: tuple[FactorDescriptor, ...]):
-    """The ``extend`` hook of ``search_paths`` that scores a path by E_B.
+    """The ``extend`` hook of ``search_paths`` that scores a path by E_B,
+    which here equals the intrinsic energy D: every supported factor has a
+    single classical component, so the intrinsic energies of the factors
+    vanish.
 
     The j-th summand of E_B, sum over i < j of H_i sigma_{i+1}...sigma_{j-1},
     moves b_j right through b_{j-1}, ..., b_1 by the R-matrix and reads H
@@ -257,7 +221,7 @@ def _sweep(desc: FactorDescriptor, L: int, weight: tuple[int, ...],
     setup = _walk_setup((desc,) * L, weight, restriction, level)
     if setup is None:
         return ZERO
-    kind, _, target, colors, level = setup
+    kind, target, colors, level = setup
     table = _element_table(desc, colors, level is not None)
     H = [[sign * h for h, _ in row]
          for row in combinatorial_r(desc, desc).step]

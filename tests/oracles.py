@@ -18,7 +18,12 @@ from a search over two-factor tensor words through the general
 ``tensor_arrow`` instead of element indices, the involution's pairing
 color from building every suffix word instead of one fold over the
 letters, and its pair set from walking every word's weight instead of
-each distinct weight once.  The crystal helpers only tests use (a
+each distinct weight once.  The word-level reference lives here: a
+``TensorWord`` of ``Factor``s, its e_i, f_i and s_i through the cached
+per-factor ``factor_stats`` and ``factor_arrow`` (the package applies
+them to element index tuples through per-factor index tables), and
+E_B by its literal double sum over R-matrix shuffles (the package scores
+a path in one pass per placed factor).  The crystal helpers only tests use (a
 component as an explicit graph, the level of a crystal, the coroot
 pairing of a word's weight, a word of given factors or of boxes, a
 word's weight and every word of a tensor product) live here too, and so does the hard-hexagon
@@ -36,10 +41,11 @@ from crystalsums.bosonic import _supernomial_uncached
 from crystalsums.cartan import (WeylElement, cartan_data, element,
                                 reduce_to_alcove, translation_lattice_box,
                                 weyl_enumerate)
-from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
-                                 factor_elements, factor_stats, factor_weight,
-                                 highest_weight_element, string_stats,
-                                 tensor_arrow)
+from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
+                                 _route, factor_arrow, factor_elements,
+                                 factor_stats, factor_weight,
+                                 highest_weight_element)
+from crystalsums.energy import combinatorial_r
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
                                 InvolutionError, IsomorphismError,
                                 UnsupportedError)
@@ -309,6 +315,111 @@ def all_contents_A(n: int, total: int) -> list[tuple[int, ...]]:
 
     rec(total, [])
     return out
+
+
+@dataclass(frozen=True)
+class TensorWord:
+    """An element b_L (x) ... (x) b_1 as its factors, stored left to
+    right."""
+
+    kind: str
+    n: int
+    factors: tuple[Factor, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.factors)
+
+    def shape(self) -> tuple[FactorDescriptor, ...]:
+        return tuple(x.desc for x in self.factors)
+
+    def flatten(self) -> tuple[int, ...]:
+        """The image in B(Lambda_1)^(x)M: all letters, display order."""
+        return tuple(b for x in self.factors for b in x.letters)
+
+    def __str__(self) -> str:
+        if not self.factors:
+            return "(empty)"
+        return "(x)".join(str(x) for x in self.factors)
+
+
+def path_word(shape: tuple[FactorDescriptor, ...],
+              path: tuple[int, ...]) -> TensorWord:
+    """The word of an element index tuple in display order, as the path
+    search and the involution store it."""
+    kind = shape[0].kind if shape else "A"
+    n = shape[0].n if shape else 1
+    return TensorWord(kind, n, tuple(factor_elements(d)[k]
+                                     for d, k in zip(shape, path)))
+
+
+def string_stats(w: TensorWord, i: int) -> tuple[int, int]:
+    """(eps_i, phi_i) of a tensor word."""
+    E, P, _ = _combine_stats([factor_stats(x, i) for x in w.factors])
+    return E, P
+
+
+def tensor_arrow(w: TensorWord, i: int, direction: str) -> TensorWord | None:
+    """e_i or f_i of a tensor word by the tensor rule, or None."""
+    stats = [factor_stats(x, i) for x in w.factors]
+    j = _route(stats, direction)
+    if j is None:
+        return None
+    y = factor_arrow(w.factors[j], i, direction)
+    if y is None:
+        return None
+    return TensorWord(w.kind, w.n, w.factors[:j] + (y,) + w.factors[j + 1:])
+
+
+def reflection_s(w: TensorWord, i: int) -> TensorWord:
+    """The crystal reflection s_i: slide to the far end of the i-string."""
+    eps, phi = string_stats(w, i)
+    direction = "f" if phi > eps else "e"
+    for _ in range(abs(phi - eps)):  # within the string: phi f's, eps e's
+        w = tensor_arrow(w, i, direction)
+    return w
+
+
+def apply_sigma(w: TensorWord, k: int) -> TensorWord:
+    """sigma_k: exchange the k-th and (k+1)-st factors counted from the
+    right (positions k and k+1, 1-based)."""
+    L = w.length
+    left, right = L - k - 1, L - k
+    x2, x1 = w.factors[left], w.factors[right]
+    table = combinatorial_r(x2.desc, x1.desc)
+    y1, y2 = table.sigma[(x2, x1)]
+    factors = w.factors[:left] + (y1, y2) + w.factors[right + 1:]
+    return TensorWord(w.kind, w.n, factors)
+
+
+def local_h(w: TensorWord, k: int) -> int:
+    L = w.length
+    x2, x1 = w.factors[L - k - 1], w.factors[L - k]
+    return combinatorial_r(x2.desc, x1.desc).H[(x2, x1)]
+
+
+def energy_EB(w: TensorWord) -> int:
+    """The energy E_B(b) = sum over i < j of H_i sigma_{i+1}...sigma_{j-1},
+    term by term (Date-Jimbo-Kuniba-Miwa-Okado 1987)."""
+    total = 0
+    for j in range(2, w.length + 1):
+        cur = w
+        for i in range(j - 1, 0, -1):
+            if i != j - 1:
+                cur = apply_sigma(cur, i + 1)
+            total += local_h(cur, i)
+    return total
+
+
+def coenergy_D(w: TensorWord) -> int:
+    """Minus the intrinsic energy D of a word.
+
+    The general formula for D adds, to E_B, the factor intrinsic energies
+    along sigma shuffles; every factor supported here has a single
+    classical component and is normalized to zero on it, so those summands
+    vanish identically and D = E_B.
+    """
+    return -energy_EB(w)
 
 
 def word(factors: tuple[Factor, ...], kind: str | None = None,

@@ -4,14 +4,14 @@ Each test prints a single PASS line with its runtime; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from crystalsums.bosonic import (bosonic_classical, bosonic_level,
-                                 involution_phi, supernomial_A_columns,
-                                 supernomial_A_rows)
+from crystalsums.bosonic import (_arrow, _strings, bosonic_classical,
+                                 bosonic_level, involution_phi,
+                                 supernomial_A_columns, supernomial_A_rows)
 from crystalsums.cartan import cartan_data
-from crystalsums.crystal import FactorDescriptor, string_stats, tensor_arrow
-from crystalsums.energy import combinatorial_r, direct_sum, energy_EB
+from crystalsums.crystal import FactorDescriptor, _combine_stats
+from crystalsums.energy import _factor_table, combinatorial_r, direct_sum
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    enumerate_rc, level_restricted,
                                    rc_generating_function, vacuum_weight)
@@ -20,10 +20,10 @@ from crystalsums.qpoly import qmultinomial
 
 from oracles import (all_contents_A, bosonic_term, build_component,
                      cc_stat, cc_theta, coroot_weight_pairing,
-                     dominant_contents_A, dominant_weights_C, letters_word,
-                     lr_multiplicity, partitions_gap2, shape_elements,
-                     strip_inclusion_exclusion, theta, word,
-                     word_weight)
+                     dominant_contents_A, dominant_weights_C, energy_EB,
+                     letters_word, lr_multiplicity, partitions_gap2,
+                     path_word, strip_inclusion_exclusion, tensor_arrow,
+                     theta, word, word_weight)
 
 
 def boxes(kind, n, L):
@@ -188,18 +188,22 @@ def test_criterion_8_involution_suite():
 
 def test_criterion_9_structural_suites():
     t0 = time.perf_counter()
-    # crystal axioms on every element of small products
+    # crystal axioms on every element of small products, through the
+    # involution's index arrows
     for kind, n, L in (("A", 2, 3), ("C", 2, 3), ("A", 1, 4)):
         data = cartan_data(kind, n)
-        for w in shape_elements(boxes(kind, n, L)):
+        shape = boxes(kind, n, L)
+        tables = [_factor_table(d) for d in shape]
+        for b in product(*(range(len(t[0])) for t in tables)):
+            w = path_word(shape, b)
             for i in range(1, n + 1):
-                fw = tensor_arrow(w, i, "f")
-                if fw is not None:
-                    assert tensor_arrow(fw, i, "e") == w
-                    assert tuple(a - b for a, b in zip(
-                        word_weight(w), word_weight(fw))) == \
-                        data.simple_roots[i - 1]
-                eps, phi = string_stats(w, i)
+                fb = _arrow(tables, b, i, "f")
+                if fb is not None:
+                    assert _arrow(tables, fb, i, "e") == b
+                    assert tuple(a - c for a, c in zip(
+                        word_weight(w), word_weight(path_word(shape, fb)))) \
+                        == data.simple_roots[i - 1]
+                eps, phi, _ = _combine_stats(_strings(tables, b, i))
                 assert phi - eps == coroot_weight_pairing(w, i)
 
     # R-matrix axioms on several pairs

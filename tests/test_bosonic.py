@@ -3,9 +3,9 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from crystalsums import bosonic
-from crystalsums.bosonic import (_letter_table, _orbit_meets_support,
-                                 _pair_set, _select_color,
-                                 _supernomial_uncached,
+from crystalsums.bosonic import (_arrow, _letter_table, _orbit_meets_support,
+                                 _pair_set, _reflect, _select_color,
+                                 _supernomial_uncached, _word_energy,
                                  bosonic_classical, bosonic_level,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
@@ -13,19 +13,32 @@ from crystalsums.bosonic import (_letter_table, _orbit_meets_support,
 from crystalsums.cartan import cartan_data, weyl_enumerate
 from crystalsums.cli import _instances
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
-from crystalsums.energy import direct_sum
+from crystalsums.energy import _factor_table, direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 UnsupportedError)
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
-                     per_word_pairs, scanned_classical_pairs,
-                     scanned_color, scanned_level_pairs, shape_elements,
+                     energy_EB, path_word, per_word_pairs, reflection_s,
+                     scanned_classical_pairs, scanned_color,
+                     scanned_level_pairs, shape_elements, tensor_arrow,
                      unpruned_bosonic_level)
 
 
 def boxes(kind, n, L):
     return tuple(FactorDescriptor(kind, n) for _ in range(L))
+
+
+def word_pairs(shape, pairs):
+    """A pair set of ``_pair_set`` with its words as ``TensorWord``s."""
+    return {(w, path_word(shape, b)) for w, b in pairs}
+
+
+def index_words(shape):
+    """The ``_factor_table`` of each factor, and every word of the product
+    as an element index tuple."""
+    tables = [_factor_table(d) for d in shape]
+    return tables, product(*(range(len(t[0])) for t in tables))
 
 
 def _level_of(kind, n, lam):
@@ -408,13 +421,14 @@ class TestInvolution:
                     else dominant_weights_C(n, L))
             for lam in lams:
                 _, pairs = _pair_set(shape, lam, None)
-                assert set(pairs) == scanned_classical_pairs(shape, lam)
+                assert word_pairs(shape, pairs) == \
+                    scanned_classical_pairs(shape, lam)
                 assert len(set(pairs)) == len(pairs)
                 for ell in (1, 2):
                     if _level_of(kind, n, lam) > ell:
                         continue
                     _, pairs = _pair_set(shape, lam, ell)
-                    assert set(pairs) == scanned_level_pairs(
+                    assert word_pairs(shape, pairs) == scanned_level_pairs(
                         shape, lam, ell), (L, lam, ell)
 
     def test_level_mode_needs_boxes(self):
@@ -444,7 +458,8 @@ class TestInvolution:
             _, kind, n, L, lam, ell = inst
             shape = boxes(kind, n, L)
             _, pairs = _pair_set(shape, lam, ell)
-            assert set(pairs) == per_word_pairs(shape, lam, ell), inst
+            assert word_pairs(shape, pairs) == \
+                per_word_pairs(shape, lam, ell), inst
         # the type C level mode, which the suite leaves out
         for L in range(1, 5):
             for lam in dominant_weights_C(n, L):
@@ -452,7 +467,8 @@ class TestInvolution:
                     if _level_of("C", n, lam) <= ell:
                         shape = boxes("C", n, L)
                         _, pairs = _pair_set(shape, lam, ell)
-                        assert set(pairs) == per_word_pairs(shape, lam, ell)
+                        assert word_pairs(shape, pairs) == \
+                            per_word_pairs(shape, lam, ell)
 
     @pytest.mark.parametrize("shape,lam", [
         ((), (0, 0)),
@@ -462,3 +478,41 @@ class TestInvolution:
     def test_empty_or_mixed_shapes_are_refused(self, shape, lam):
         with pytest.raises(UnsupportedError):
             involution_phi(shape, lam)
+
+    @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
+                                        ("C", 1), ("C", 2), ("C", 3)])
+    def test_index_arrows_match_the_word_arrows(self, kind, n):
+        # e_i, f_i and s_i on element index tuples, at every color 0..n,
+        # against the word-level tensor rule
+        shapes = [boxes(kind, n, 3)]
+        if kind == "A":
+            row, col = FactorDescriptor("A", n, 1, 2), FactorDescriptor(
+                "A", n, 2, 1)
+            shapes += [(row, FactorDescriptor("A", n, 1, 3)), (col, row),
+                       (col, FactorDescriptor("A", n), row)]
+        for shape in shapes:
+            tables, words = index_words(shape)
+            for b in words:
+                w = path_word(shape, b)
+                for i in range(n + 1):
+                    for direction in ("e", "f"):
+                        got = _arrow(tables, b, i, direction)
+                        want = tensor_arrow(w, i, direction)
+                        got = None if got is None else path_word(shape, got)
+                        assert got == want, (w, i, direction)
+                    assert path_word(shape, _reflect(tables, b, i)) == \
+                        reflection_s(w, i), (w, i)
+
+    @pytest.mark.parametrize("shape", [
+        boxes("A", 1, 5), boxes("A", 2, 4), boxes("C", 2, 3),
+        (FactorDescriptor("A", 1, 1, 2), FactorDescriptor("A", 1),
+         FactorDescriptor("A", 1, 2, 1), FactorDescriptor("A", 1, 1, 3)),
+        (FactorDescriptor("A", 2, 2, 1), FactorDescriptor("A", 2, 1, 2),
+         FactorDescriptor("A", 2)),
+    ])
+    def test_statistic_matches_the_literal_energy(self, shape):
+        energy = _word_energy(shape)
+        _, words = index_words(shape)
+        for b in words:
+            w = path_word(shape, b)
+            assert energy(b) == energy_EB(w), w

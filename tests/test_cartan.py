@@ -6,7 +6,7 @@ from crystalsums import cartan
 from crystalsums.cartan import (cartan_data, element, reduce_to_alcove,
                                 simple_reflections, translation_lattice_box,
                                 weyl_enumerate)
-from crystalsums.errors import CapExceeded
+from crystalsums.errors import CapExceeded, UnsupportedError
 
 CARTAN_A = {
     1: [[2]],
@@ -81,6 +81,15 @@ def test_affine_reflection_needs_level():
         simple_reflections(a1)[2]
     with pytest.raises(ValueError):
         simple_reflections(a1, -1)
+
+
+def test_unsupported_rank_or_type():
+    for kind in ("A", "C"):
+        for n in (0, -1):
+            with pytest.raises(UnsupportedError):
+                cartan_data(kind, n)
+    with pytest.raises(UnsupportedError):
+        cartan_data("B", 2)
 
 
 def _in_alcove(data, v, level):

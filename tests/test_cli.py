@@ -234,6 +234,17 @@ def test_type_c_direct_matches_every_route(n, max_L):
                         (L, weight, restriction, level, m)
 
 
+@pytest.mark.parametrize("argv", [
+    ("rr", "--L", "-1"), ("rr", "--series", "1", "--N", "-5"),
+    ("verify", "level", "--level", "-1"),
+    ("verify", "typeA", "--max-L", "-1"),
+])
+def test_negative_flags_exit_2(capsys, argv):
+    # malformed input, as a negative level is for `sum`
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "is negative" in err, err
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite,extra", [
         ("rr", ["--max-L", "8"]),
@@ -263,6 +274,18 @@ class TestVerify:
                 want |= {(L, lam) for lam in dominant_weights_C(2, L)
                          if lam[0] <= 2}
         assert got == want
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("suite", ["rr", "typeA", "typeC", "level",
+                                       "levelC", "involution"])
+    def test_rank_below_one_is_unsupported(self, capsys, suite, n):
+        # every suite with a rank refuses it through cartan_data, as
+        # `sum` does; rr has no rank and ignores --n
+        code, _, err = run(capsys, "verify", suite, "--n", n, "--max-L", "2")
+        if suite == "rr":
+            assert code == 0, err
+        else:
+            assert code == 3 and "rank must be >= 1" in err, err
 
     def test_csv_stream(self, capsys):
         code, out, _ = run(capsys, "verify", "rr", "--max-L", "2",

@@ -5,23 +5,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crystalsums.crystal as crystal
-from crystalsums.bosonic import involution_phi
-from crystalsums.crystal import (Factor, FactorDescriptor, TensorWord,
-                                 VERTEX_CAP, enumerate_paths,
+from crystalsums.bosonic import _arrow, _reflect, _strings, involution_phi
+from crystalsums.crystal import (Factor, FactorDescriptor, VERTEX_CAP,
+                                 _combine_stats, enumerate_paths,
                                  factor_arrow, factor_elements, factor_stats,
-                                 letter_arrow, reflection_s, string_stats,
-                                 tensor_arrow)
+                                 letter_arrow, letters_of)
+from crystalsums.energy import _factor_table
 from crystalsums.errors import (CapExceeded, CrystalStructureError,
                                 UnsupportedError)
 
-from oracles import (all_contents_A, build_component, coroot_weight_pairing,
-                     crystal_level, dominant_contents_A, dominant_weights_C,
-                     filtered_paths, is_classically_restricted, letters_word,
-                     lr_multiplicity, shape_elements, word_weight)
+from oracles import (TensorWord, all_contents_A, build_component,
+                     coroot_weight_pairing, crystal_level,
+                     dominant_contents_A, dominant_weights_C, filtered_paths,
+                     is_classically_restricted, letters_word, lr_multiplicity,
+                     path_word, shape_elements, string_stats, tensor_arrow,
+                     word_weight)
 
 
 def boxes(kind, n, L):
     return tuple(FactorDescriptor(kind, n) for _ in range(L))
+
+
+def paths(shape, *args):
+    """``enumerate_paths`` as words."""
+    return [path_word(shape, p) for p in enumerate_paths(shape, *args)]
+
+
+def _box_word(kind, n, letters):
+    order = letters_of(kind, n)  # the element order of a box
+    return ([_factor_table(FactorDescriptor(kind, n))] * len(letters),
+            tuple(map(order.index, letters)), order)
+
+
+def on_boxes(op, kind, n, letters, i, *args):
+    """The index arrow or reflection ``op`` of the involution on a word of
+    boxes, given and returned as letters (None stays None)."""
+    tables, b, order = _box_word(kind, n, letters)
+    out = op(tables, b, i, *args)
+    return None if out is None else tuple(order[k] for k in out)
+
+
+def box_strings(kind, n, letters, i):
+    """(eps_i, phi_i) of a word of boxes from its index tables."""
+    tables, b, _ = _box_word(kind, n, letters)
+    return _combine_stats(_strings(tables, b, i))[:2]
 
 
 class TestLetters:
@@ -55,33 +82,30 @@ class TestLetters:
 
 class TestTensorRule:
     def test_f_on_highest(self):
-        w = letters_word("A", 1, (1, 1))
-        assert tensor_arrow(w, 1, "f") == letters_word("A", 1, (1, 2))
+        assert on_boxes(_arrow, "A", 1, (1, 1), 1, "f") == (1, 2)
 
     def test_e_kills_highest(self):
-        assert tensor_arrow(letters_word("A", 1, (1, 1)), 1, "e") is None
+        assert on_boxes(_arrow, "A", 1, (1, 1), 1, "e") is None
 
     def test_e_routes_right_and_dies(self):
         # eps_1(2) = 1 is not greater than phi_1(1) = 1, so e_1 hits the
         # right factor where it vanishes
-        assert tensor_arrow(letters_word("A", 1, (2, 1)), 1, "e") is None
+        assert on_boxes(_arrow, "A", 1, (2, 1), 1, "e") is None
 
     def test_string_stats(self):
-        assert string_stats(letters_word("A", 1, (1,)), 1) == (0, 1)
-        assert string_stats(letters_word("A", 1, (2, 1)), 1) == (0, 0)
-        assert string_stats(letters_word("A", 1, (1, 2)), 1) == (1, 1)
+        assert box_strings("A", 1, (1,), 1) == (0, 1)
+        assert box_strings("A", 1, (2, 1), 1) == (0, 0)
+        assert box_strings("A", 1, (1, 2), 1) == (1, 1)
 
     def test_reflection(self):
-        w = letters_word("A", 1, (1, 1))
-        assert reflection_s(w, 1) == letters_word("A", 1, (2, 2))
-        ww = letters_word("A", 1, (2, 1))
-        assert reflection_s(ww, 1) == ww  # phi = eps
+        assert on_boxes(_reflect, "A", 1, (1, 1), 1) == (2, 2)
+        assert on_boxes(_reflect, "A", 1, (2, 1), 1) == (2, 1)  # phi = eps
 
     def test_reflection_involution(self):
         for letters in iproduct((1, 2, 3), repeat=3):
-            w = letters_word("A", 2, letters)
             for i in (1, 2):
-                assert reflection_s(reflection_s(w, i), i) == w
+                once = on_boxes(_reflect, "A", 2, letters, i)
+                assert on_boxes(_reflect, "A", 2, once, i) == letters
 
 
 words_strategy = st.one_of(
@@ -100,18 +124,19 @@ class TestAxioms:
     @settings(max_examples=250)
     def test_crystal_axioms(self, knl):
         kind, n, letters = knl
-        w = letters_word(kind, n, tuple(letters))
+        letters = tuple(letters)
+        w = letters_word(kind, n, letters)
         colors = range(1, n + 1)
         for i in colors:
-            fw = tensor_arrow(w, i, "f")
+            fw = on_boxes(_arrow, kind, n, letters, i, "f")
             if fw is not None:
                 # adjointness and weight shift
-                assert tensor_arrow(fw, i, "e") == w
-                delta = tuple(a - b for a, b in
-                              zip(word_weight(w), word_weight(fw)))
+                assert on_boxes(_arrow, kind, n, fw, i, "e") == letters
+                delta = tuple(a - b for a, b in zip(
+                    word_weight(w), word_weight(letters_word(kind, n, fw))))
                 from crystalsums.cartan import cartan_data
                 assert delta == cartan_data(kind, n).simple_roots[i - 1]
-            eps, phi = string_stats(w, i)
+            eps, phi = box_strings(kind, n, letters, i)
             assert phi - eps == coroot_weight_pairing(w, i)
 
     @given(st.integers(1, 3), st.lists(st.integers(1, 4), min_size=1,
@@ -120,11 +145,11 @@ class TestAxioms:
     def test_affine_axiom_A(self, n, raw):
         letters = tuple(min(v, n + 1) for v in raw)
         w = letters_word("A", n, letters)
-        eps, phi = string_stats(w, 0)
+        eps, phi = box_strings("A", n, letters, 0)
         assert phi - eps == coroot_weight_pairing(w, 0)
-        fw = tensor_arrow(w, 0, "f")
+        fw = on_boxes(_arrow, "A", n, letters, 0, "f")
         if fw is not None:
-            assert tensor_arrow(fw, 0, "e") == w
+            assert on_boxes(_arrow, "A", n, fw, 0, "e") == letters
 
     @given(st.integers(1, 3), st.lists(st.integers(-3, 3).filter(bool),
                                        min_size=1, max_size=5))
@@ -132,15 +157,15 @@ class TestAxioms:
     def test_affine_axiom_C(self, n, raw):
         letters = tuple(max(-n, min(v, n)) for v in raw)
         w = letters_word("C", n, letters)
-        eps, phi = string_stats(w, 0)
+        eps, phi = box_strings("C", n, letters, 0)
         assert phi - eps == coroot_weight_pairing(w, 0)
-        fw = tensor_arrow(w, 0, "f")
+        fw = on_boxes(_arrow, "C", n, letters, 0, "f")
         if fw is not None:
-            assert tensor_arrow(fw, 0, "e") == w
+            assert on_boxes(_arrow, "C", n, fw, 0, "e") == letters
             # f_0 subtracts alpha_0 = delta - 2 eps_1
-            assert tuple(a - b for a, b in zip(word_weight(fw),
-                                               word_weight(w))) == \
-                (2,) + (0,) * (n - 1)
+            assert tuple(a - b for a, b in zip(
+                word_weight(letters_word("C", n, fw)),
+                word_weight(w))) == (2,) + (0,) * (n - 1)
 
 
 class TestComponents:
@@ -239,11 +264,10 @@ class TestAffineArrows:
 class TestPathSets:
     def test_classical_unique(self):
         assert [str(p) for p in
-                enumerate_paths(boxes("A", 1, 2), (1, 1), "classical")] \
-            == ["2(x)1"]
+                paths(boxes("A", 1, 2), (1, 1), "classical")] == ["2(x)1"]
 
     def test_unrestricted_unique_content(self):
-        assert [str(p) for p in enumerate_paths(boxes("A", 1, 2), (2, 0))] \
+        assert [str(p) for p in paths(boxes("A", 1, 2), (2, 0))] \
             == ["1(x)1"]
 
     def test_level_restricted_count(self):
@@ -256,7 +280,7 @@ class TestPathSets:
                 shape = boxes("C", n, L)
                 for lam in dominant_weights_C(n, L):
                     for level in (0, 1, 2):
-                        got = enumerate_paths(shape, lam, "level", level)
+                        got = paths(shape, lam, "level", level)
                         want = filtered_paths(shape, lam, "level", level)
                         assert sorted(got, key=str) == \
                             sorted(want, key=str), (n, L, lam, level)
@@ -312,7 +336,7 @@ class TestPathSearch:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_product_filter(self, case):
         shape, weight, restriction, level = case
-        got = enumerate_paths(shape, weight, restriction, level)
+        got = paths(shape, weight, restriction, level)
         want = filtered_paths(shape, weight, restriction, level)
         assert sorted(got, key=str) == sorted(want, key=str)
 
@@ -324,7 +348,7 @@ class TestPathSearch:
                 for restriction, level in (("none", None), ("classical", None),
                                            ("level", 0), ("level", 1),
                                            ("level", 2), ("level", 3)):
-                    got = enumerate_paths(shape, lam, restriction, level)
+                    got = paths(shape, lam, restriction, level)
                     want = filtered_paths(shape, lam, restriction, level)
                     assert sorted(got, key=str) == sorted(want, key=str), \
                         (L, lam, restriction, level)
@@ -362,8 +386,7 @@ class TestPathSearch:
         # the involution lists the whole product, so it refuses it
         with pytest.raises(CapExceeded):
             involution_phi(shape, (21, 0))
-        assert [str(w) for w in enumerate_paths(shape, (21, 0),
-                                                "classical")] \
+        assert [str(w) for w in paths(shape, (21, 0), "classical")] \
             == ["(x)".join(["1"] * 21)]
 
 
@@ -388,8 +411,8 @@ class TestDescriptors:
                 FactorDescriptor("A", 2))
 
     def test_empty_word(self):
-        from crystalsums.crystal import TensorWord
         w = TensorWord("A", 1, ())
         assert word_weight(w) == (0, 0)
         assert string_stats(w, 1) == (0, 0)
         assert tensor_arrow(w, 1, "f") is None
+        assert _arrow([], (), 1, "f") is None

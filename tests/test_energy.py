@@ -4,16 +4,16 @@ import pytest
 
 import crystalsums.crystal as crystal
 from crystalsums.crystal import (FactorDescriptor, factor_elements,
-                                 search_paths, tensor_arrow)
+                                 search_paths)
 from crystalsums import energy
-from crystalsums.energy import (apply_sigma, coenergy_D, combinatorial_r,
-                                direct_sum, energy_EB, energy_extension)
+from crystalsums.energy import combinatorial_r, direct_sum, energy_extension
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
                                 IsomorphismError, UnsupportedError)
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
-from oracles import (all_contents_A, build_component, filtered_paths,
-                     letters_word, shape_elements, word,
+from oracles import (all_contents_A, apply_sigma, build_component,
+                     coenergy_D, energy_EB, filtered_paths, letters_word,
+                     path_word, shape_elements, tensor_arrow, word,
                      word_r_matrix)
 
 B11_A1 = FactorDescriptor("A", 1)
@@ -261,7 +261,8 @@ class TestIncrementalEnergy:
         extend = energy_extension(shape)
         seen = 0
         for lam in all_contents_A(n, sum(d.boxes for d in shape)):
-            for w, e in search_paths(shape, lam, extend=extend):
+            for b, e in search_paths(shape, lam, extend=extend):
+                w = path_word(shape, b)
                 assert -e == coenergy_D(w), w
                 seen += 1
         assert seen == sum(1 for _ in shape_elements(shape))

@@ -172,6 +172,30 @@ def test_pair_set_lists_the_whole_product():
     assert not search, search
 
 
+WORD_LEVEL = {"TensorWord", "string_stats", "tensor_arrow", "reflection_s",
+              "apply_sigma", "local_h", "energy_EB", "coenergy_D"}
+
+
+def test_word_level_reference_is_not_in_the_package():
+    # one representation of a path: the word-level reference lives in
+    # tests/oracles.py, and no module of the package defines it
+    found = [f"{name}:{node.lineno}" for name, node in nodes()
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in WORD_LEVEL]
+    assert not found, found
+
+
+def test_involution_builds_no_word():
+    # the involution moves element index tuples through the factors' index
+    # tables and scores them by the direct sum's energy pass
+    reached, used = _reached("bosonic.py", ["involution_phi"])
+    assert {"_pair_set", "_phi_move", "_arrow", "_reflect",
+            "_word_energy"} <= reached
+    words = used & {"TensorWord", "tensor_arrow", "reflection_s",
+                    "energy_EB", "apply_sigma"}
+    assert not words, words
+
+
 def test_qbinomial_cache_is_bounded():
     # qbinomial's lru_cache holds a module constant's number of entries
     tree = ast.parse((PACKAGE / "qpoly.py").read_text())
