@@ -15,7 +15,7 @@ from operator import add
 from . import crystal
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
                      element, reduce_to_alcove, simple_reflections,
-                     translation_lattice_box, weyl_enumerate)
+                     translation_lattice_box, weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _route,
                       enumerate_paths, factor_elements, factor_weight)
 from .energy import _factor_table, energy_extension
@@ -189,12 +189,6 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 # ---------------------------------------------------------------------------
 # alternating sums
 
-def _rho_shifted(data: CartanData, w: WeylElement,
-                 v: tuple[int, ...]) -> tuple[int, ...]:
-    """w(v) - rho, for v a rho-shifted weight."""
-    return tuple(a - r for a, r in zip(w.apply(v), data.rho))
-
-
 def _orbit_meets_support(data: CartanData, v: tuple[int, ...],
                          boxes: int) -> bool:
     """Can w(v) - rho pass supernomial's support test for some w in W?
@@ -212,15 +206,28 @@ def _orbit_meets_support(data: CartanData, v: tuple[int, ...],
 
 def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
     """X-bar(B, Lambda) as the signed Weyl sum of supernomials."""
-    kind, n = shape[0].kind, shape[0].n
-    data = cartan_data(kind, n)
+    data = cartan_data(shape[0].kind, shape[0].n)
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
-    for w in weyl_enumerate(data):
-        s = supernomial(shape, _rho_shifted(data, w, lam_rho))
+    for sign, mu in weyl_images(data, lam_rho, len(shape)):
+        s = supernomial(shape, mu)
         if not s.is_zero():
-            out = out + s if w.sign > 0 else out - s
+            out = out + s if sign > 0 else out - s
     return out
+
+
+def _level_data(shape: Shape, lam: tuple[int, ...],
+                level: int) -> CartanData:
+    """The root data of a level sum, which refuses a factor wider than the
+    level and a weight whose level (lam|theta) exceeds it: the alternating
+    sum there is not a sum over paths."""
+    if any(d.s > level for d in shape):
+        raise UnsupportedError("factor wider than the level")
+    data = cartan_data(shape[0].kind, shape[0].n)
+    weight_level = data.theta_pairing(lam)
+    if weight_level > level:
+        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
+    return data
 
 
 def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
@@ -229,17 +236,10 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
 
     A translation beta whose rho-shifted weight v = lam + rho - c beta has
     no Weyl image in the supernomial support (``_orbit_meets_support``)
-    contributes exactly zero and is skipped before its Weyl loop; the
-    window and its outer-ring check are unchanged.  A weight whose level
-    (lam|theta) exceeds the level raises, as in ``level_restricted``: the
-    alternating sum there is not a sum over paths."""
-    if any(d.s > level for d in shape):
-        raise UnsupportedError("factor wider than the level")
-    kind, n = shape[0].kind, shape[0].n
-    data = cartan_data(kind, n)
-    weight_level = data.theta_pairing(lam)
-    if weight_level > level:
-        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
+    contributes exactly zero and is skipped before its Weyl walk; the
+    window and its outer-ring check are unchanged.  What ``_level_data``
+    refuses raises, as in ``level_restricted``."""
+    data = _level_data(shape, lam, level)
     c = level + data.h_dual
     total = sum(d.boxes for d in shape)
     coordinate_bound = total + data.dim + max(
@@ -247,7 +247,6 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     box = translation_lattice_box(data, level, coordinate_bound)
     outermost = max(max(abs(x) for x in beta) for beta in box)
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
-    elements = weyl_enumerate(data)
 
     out = ZERO
     ring_contribution = ZERO
@@ -262,10 +261,10 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
                        - 2 * data.form(lam_rho, beta)),
             4, f"level prefactor at beta={beta}")
         beta_term = ZERO
-        for w in elements:
-            s = supernomial(shape, _rho_shifted(data, w, v))
+        for sign, mu in weyl_images(data, v, len(shape)):
+            s = supernomial(shape, mu)
             if not s.is_zero():
-                beta_term = beta_term + s if w.sign > 0 else beta_term - s
+                beta_term = beta_term + s if sign > 0 else beta_term - s
         contrib = beta_term.shift(expo)
         out = out + contrib
         if max(abs(x) for x in beta) == outermost:
@@ -457,6 +456,7 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
             # matches the crystal for single-box factors
             raise UnsupportedError(
                 "the level involution supports single-box factors only")
+        _level_data(shape, lam, level)
         lv = level
     data, pairs = _pair_set(shape, lam, lv)
     gens = simple_reflections(data, lv)

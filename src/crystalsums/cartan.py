@@ -1,8 +1,9 @@
 """Root data and (affine) Weyl group actions for types A_n and C_n.
 
 The simple reflections r_0, ..., r_n are defined once, in
-``simple_reflections``; the finite Weyl group, the alcove walk and every
-element the sums and the involution use are products of them.
+``simple_reflections``; the alcove walk and every element the involution
+uses are products of them.  The sums read the finite Weyl group as the
+(signed) permutations of coordinates, in ``weyl_images``.
 
 Weights live in an integer ambient lattice: Z^{n+1} for type A (content
 vectors, not reduced modulo the all-ones vector) and Z^n for type C.  With
@@ -191,32 +192,38 @@ def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
         word.append(i)
 
 
-def weyl_enumerate(data: CartanData) -> tuple[WeylElement, ...]:
-    """Every element of the finite Weyl group, once, with its sign."""
+def weyl_images(data: CartanData, v: tuple[int, ...],
+                boxes: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign(w), w(v) - rho) for every w of the finite Weyl group whose
+    image is nonnegative (type A) or has L1 norm at most ``boxes`` (type C).
+
+    w(v) permutes v, with signs in type C.  A depth-first walk fills w(v) -
+    rho one coordinate at a time from an unused coordinate of v and drops a
+    prefix once it fails the test; sign(w) is the inversion parity (the
+    j-th unused coordinate inverts with the j before it) times the flips."""
     if data.n > WEYL_RANK_CAP:
         raise CapExceeded(
             f"rank {data.n} exceeds Weyl enumeration cap {WEYL_RANK_CAP}")
-    return _weyl_group(data)
+    type_a = data.kind == "A"
+    signs = (1,) if type_a else (1, -1)
+    out = []
 
+    def walk(image, rest, sign, spent):
+        if not rest:
+            out.append((sign, image))
+            return
+        r = data.rho[len(image)]
+        for j, x in enumerate(rest):
+            for s in signs:
+                y = s * x - r
+                if y < 0 if type_a else spent + abs(y) > boxes:
+                    continue
+                walk(image + (y,), rest[:j] + rest[j + 1:],
+                     -s * sign if j % 2 else s * sign, spent + abs(y))
 
-@cache
-def _weyl_group(data: CartanData) -> tuple[WeylElement, ...]:
-    """BFS over the generators: the discovery depth is the reduced word
-    length, so sign = (-1)^depth."""
-    gens = simple_reflections(data)[1:]
-    ident = element(data, ())
-    seen = {ident: None}  # a dict keeps the discovery order
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                new = g.compose(el)  # g is leftmost in the word
-                if new not in seen:
-                    seen[new] = None
-                    nxt.append(new)
-        frontier = nxt
-    return tuple(seen)
+    walk((), tuple(v), 1, 0)
+    del walk  # walk refers to itself; free it without the cyclic collector
+    return out
 
 
 def translation_lattice_box(data: CartanData, level: int,

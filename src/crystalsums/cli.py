@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import bosonic, energy, fermionic, hardhex
 from .cartan import cartan_data
@@ -303,6 +302,7 @@ def cmd_verify(args) -> int:
     _nonnegative(("--max-L", args.max_L), ("--level", args.level))
     insts = list(_instances(args.suite, args.n, args.max_L, args.level))
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(run_instance, insts))
     else:

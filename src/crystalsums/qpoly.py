@@ -263,16 +263,19 @@ def qbinomial(m: int, n: int) -> QLaurent:
 
 def qmultinomial(total: int, parts: Iterable[int]) -> QLaurent:
     """(q)_total / prod (q)_part when the parts are nonnegative and sum to
-    total, else zero."""
-    parts = list(parts)
+    total, else zero.  From the largest part on, each further part p at
+    running total t multiplies in [t + p; p] by p ``_binomial_step``s on
+    one coefficient list; every partial product is a product of
+    q-binomials, so every division is exact."""
+    parts = sorted(parts, reverse=True)
     if total < 0 or any(p < 0 for p in parts) or sum(parts) != total:
         return ZERO
-    out = ONE
-    rem = total
-    for p in parts:
-        out = out * qbinomial(rem - p, p)
-        rem -= p
-    return out
+    out, t = [1], parts[0] if parts else 0
+    for p in parts[1:]:
+        for i in range(1, p + 1):
+            _binomial_step(out, t + i, i)
+        t += p
+    return QLaurent(0, tuple(out))
 
 
 def invert_q(p: QLaurent) -> QLaurent:

@@ -27,20 +27,23 @@ a path in one pass per placed factor).  The crystal helpers only tests use (a
 component as an explicit graph, the level of a crystal, the coroot
 pairing of a word's weight, a word of given factors or of boxes, a
 word's weight and every word of a tensor product) live here too, and so does the hard-hexagon
-strip reformulation the bosonic terms are checked against.
+strip reformulation the bosonic terms are checked against.  The finite
+Weyl group is listed whole, by a search over the generators, as the
+reference for the walk that lists only the images a sum can use.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
 import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
-from crystalsums.cartan import (WeylElement, cartan_data, element,
-                                reduce_to_alcove, translation_lattice_box,
-                                weyl_enumerate)
+from crystalsums.cartan import (CartanData, WeylElement, cartan_data,
+                                element, reduce_to_alcove, simple_reflections,
+                                translation_lattice_box)
 from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  _route, factor_arrow, factor_elements,
                                  factor_stats, factor_weight,
@@ -120,6 +123,27 @@ def tensor_weight_multiset(kind: str, n: int, shape) -> Counter:
                 nxt[tuple(a + b for a, b in zip(w1, w2))] += c1 * c2
         acc = nxt
     return acc
+
+
+@cache
+def weyl_enumerate(data: CartanData) -> tuple[WeylElement, ...]:
+    """Every element of the finite Weyl group, once, with its sign, by BFS
+    over the generators: the discovery depth is the reduced word length,
+    so sign = (-1)^depth."""
+    gens = simple_reflections(data)[1:]
+    ident = element(data, ())
+    seen = {ident: None}  # a dict keeps the discovery order
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in gens:
+                new = g.compose(el)  # g is leftmost in the word
+                if new not in seen:
+                    seen[new] = None
+                    nxt.append(new)
+        frontier = nxt
+    return tuple(seen)
 
 
 def lr_multiplicity(kind: str, n: int, shape, lam: tuple[int, ...]) -> int:

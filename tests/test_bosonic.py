@@ -10,7 +10,7 @@ from crystalsums.bosonic import (_arrow, _letter_table, _orbit_meets_support,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
                                  supernomial_C_boxes)
-from crystalsums.cartan import cartan_data, weyl_enumerate
+from crystalsums.cartan import cartan_data, weyl_images
 from crystalsums.cli import _instances
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import _factor_table, direct_sum
@@ -22,7 +22,7 @@ from oracles import (all_contents_A, dominant_contents_A, dominant_weights_C,
                      energy_EB, path_word, per_word_pairs, reflection_s,
                      scanned_classical_pairs, scanned_color,
                      scanned_level_pairs, shape_elements, tensor_arrow,
-                     unpruned_bosonic_level)
+                     unpruned_bosonic_level, weyl_enumerate)
 
 
 def boxes(kind, n, L):
@@ -189,20 +189,13 @@ class TestSupport:
     @pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3),
                                          ("C", 1), ("C", 2), ("C", 3)])
     def test_orbit_test_is_exact(self, kind, n):
-        # against every Weyl image of v: A needs w(v) - rho >= 0, C needs
-        # |w(v) - rho|_1 <= boxes
+        # some Weyl image of v passes the support test iff the walk, which
+        # lists every such image (test_cartan), finds one
         data = cartan_data(kind, n)
-        elements = weyl_enumerate(data)
         for v in product(range(-4, 5), repeat=data.dim):
-            images = [tuple(a - r for a, r in zip(w.apply(v), data.rho))
-                      for w in elements]
-            if kind == "A":
-                want = any(min(mu) >= 0 for mu in images)
-                assert _orbit_meets_support(data, v, 0) == want, v
-                continue
-            least = min(sum(map(abs, mu)) for mu in images)
-            for b in range(6):
-                assert _orbit_meets_support(data, v, b) == (least <= b), (v, b)
+            for b in range(7):
+                assert _orbit_meets_support(data, v, b) == \
+                    bool(weyl_images(data, v, b)), (v, b)
 
     def test_cache_holds_no_zero(self, monkeypatch):
         monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
@@ -288,8 +281,9 @@ class TestBosonicLevel:
                         unpruned_bosonic_level(shape, lam, ell), (L, lam, ell)
 
     def test_skips_dead_translations(self, monkeypatch):
-        # C_3, L = 6, (2,2,0), level 2: 125 translations x 48 elements, of
-        # which two translations give all 8 nonzero supernomials
+        # C_3, L = 6, (2,2,0), level 2: of 125 translations x 48 elements,
+        # 8 images lie within 6 boxes of rho, and each gives a nonzero
+        # supernomial; no other term is evaluated
         calls = []
 
         def counted(shape, weight):
@@ -299,8 +293,8 @@ class TestBosonicLevel:
         monkeypatch.setattr(bosonic, "supernomial", counted)
         got = bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
         assert got == unpruned_bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
-        assert len(calls) == 2 * 48
-        assert sum(not s.is_zero() for s in calls) == 8
+        assert len(calls) == 8
+        assert not any(s.is_zero() for s in calls)
 
     def test_pruned_window_on_row_shapes(self):
         for n, widths in ((1, (1, 2, 2)), (1, (2, 3)), (2, (1, 2)),
@@ -435,6 +429,27 @@ class TestInvolution:
         shape = (FactorDescriptor("A", 1, 1, 2),)
         with pytest.raises(UnsupportedError):
             involution_phi(shape, (1, 1), "level", level=1)
+
+    @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
+                                        ("C", 1), ("C", 2), ("C", 3)])
+    def test_level_mode_refuses_as_the_level_sum(self, kind, n):
+        # every level below the weight's level, and level 0, where a box is
+        # wider than the level: the error class of bosonic_level, which is
+        # UnsupportedError at level 0 and CrystalSumsError above it
+        refused = set()
+        for L in range(1, 6):
+            shape = boxes(kind, n, L)
+            lams = (dominant_contents_A(n, L) if kind == "A"
+                    else dominant_weights_C(n, L))
+            for lam in lams:
+                for ell in range(max(1, _level_of(kind, n, lam))):
+                    with pytest.raises(CrystalSumsError) as want:
+                        bosonic_level(shape, lam, ell)
+                    with pytest.raises(CrystalSumsError) as got:
+                        involution_phi(shape, lam, "level", level=ell)
+                    assert got.type is want.type, (L, lam, ell)
+                    refused.add(got.type)
+        assert refused == {UnsupportedError, CrystalSumsError}
 
     @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
                                         ("C", 1), ("C", 2), ("C", 3)])

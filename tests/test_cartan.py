@@ -1,12 +1,16 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from crystalsums import cartan
 from crystalsums.cartan import (cartan_data, element, reduce_to_alcove,
                                 simple_reflections, translation_lattice_box,
-                                weyl_enumerate)
+                                weyl_images)
 from crystalsums.errors import CapExceeded, UnsupportedError
+
+from oracles import weyl_enumerate
 
 CARTAN_A = {
     1: [[2]],
@@ -33,10 +37,28 @@ def test_weyl_sizes_and_signs():
 
 def test_weyl_rank_cap(monkeypatch):
     with pytest.raises(CapExceeded):
-        weyl_enumerate(cartan_data("A", 7))
+        weyl_images(cartan_data("A", 7), tuple(range(8, 0, -1)), 0)
     monkeypatch.setattr(cartan, "WEYL_RANK_CAP", 2)
     with pytest.raises(CapExceeded):
-        weyl_enumerate(cartan_data("C", 3))
+        weyl_images(cartan_data("C", 3), (3, 2, 1), 0)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3),
+                                     ("C", 1), ("C", 2), ("C", 3)])
+def test_walk_lists_the_live_images(kind, n):
+    # (sign(w), w(v) - rho) over the whole group, kept when nonnegative
+    # (A) or within the boxes in L1 norm (C), with multiplicity: a v with
+    # equal coordinates, or a zero in type C, has repeated images
+    data = cartan_data(kind, n)
+    elements = weyl_enumerate(data)
+    for v in product(range(-4, 5), repeat=data.dim):
+        images = [(w.sign, tuple(a - r for a, r in zip(w.apply(v), data.rho)))
+                  for w in elements]
+        for b in range(7):
+            want = Counter(
+                (s, mu) for s, mu in images
+                if (min(mu) >= 0 if kind == "A" else sum(map(abs, mu)) <= b))
+            assert Counter(weyl_images(data, v, b)) == want, (v, b)
 
 
 def test_weyl_action_consistent_with_reflections():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -286,6 +290,30 @@ class TestVerify:
             assert code == 0, err
         else:
             assert code == 3 and "rank must be >= 1" in err, err
+
+    def test_jobs_give_the_same_records(self, capsys):
+        def records(jobs):
+            code, out, err = run(capsys, "verify", "typeA", "--n", "1",
+                                 "--max-L", "4", "--jobs", jobs)
+            assert code == 0, err
+            reps = [json.loads(line) for line in out.splitlines()]
+            for rep in reps:
+                del rep["ms"]
+            return reps
+
+        serial = records("1")
+        assert serial and records("2") == serial
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only `verify --jobs` above 1 needs it, and it pulls in
+        # multiprocessing, socket and pickle
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, crystalsums.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=60)
+        assert proc.stdout.split() == ["False"], proc.stderr
 
     def test_csv_stream(self, capsys):
         code, out, _ = run(capsys, "verify", "rr", "--max-L", "2",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,8 +193,26 @@ class TestQMultinomial:
         assert qmultinomial(3, [1, 1, 1]).at_one() == 6
 
     def test_bad_parts_zero(self):
-        assert qmultinomial(3, [2, 2]) == ZERO
-        assert qmultinomial(3, [4, -1]) == ZERO
+        # a negative part, or parts that miss the total
+        for total, parts in ((3, [2, 2]), (3, [4, -1]), (4, [3, -1, 2]),
+                             (0, [1, -1]), (-1, []), (-2, [-2]), (2, [1, 2]),
+                             (1, []), (0, [0, 1])):
+            assert qmultinomial(total, parts) == ZERO, (total, parts)
+
+    def test_matches_product_of_binomials(self):
+        # the steps start from the largest part; the oracle multiplies the
+        # q-Pascal binomials [rem; p] in the order given
+        rng = random.Random(16)
+        cases = [[], [0], [0, 0], [4, 0, 0], [0, 3, 0, 2], [1, 4, 2]]
+        for _ in range(200):
+            cases.append([rng.choice((0, 0, 1, 2, 3, 5))
+                          for _ in range(rng.randint(1, 5))])
+        for parts in cases:
+            want, rem = ONE, sum(parts)
+            for p in parts:
+                want = want * P(qbinomial_pascal(rem - p, p))
+                rem -= p
+            assert qmultinomial(sum(parts), iter(parts)) == want, parts
 
     def test_q1_matches_multinomial(self):
         for total in range(11):
