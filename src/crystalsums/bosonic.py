@@ -15,7 +15,7 @@ from operator import add
 from . import crystal
 from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
                      element, reduce_to_alcove, simple_reflections,
-                     translation_lattice_box, weyl_images)
+                     weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _route,
                       enumerate_paths, factor_elements, factor_weight)
 from .energy import _factor_table, energy_extension
@@ -189,27 +189,12 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 # ---------------------------------------------------------------------------
 # alternating sums
 
-def _orbit_meets_support(data: CartanData, v: tuple[int, ...],
-                         boxes: int) -> bool:
-    """Can w(v) - rho pass supernomial's support test for some w in W?
-
-    Type A: a content is nonnegative, and some permutation of v dominates
-    rho coordinatewise iff v sorted in decreasing order does.  Type C: the
-    least L1 distance from rho to a signed permutation of v is reached by
-    making every coordinate positive and matching both in decreasing order
-    (rho is positive and decreasing); it must not exceed the boxes."""
-    if data.kind == "A":
-        return all(x >= r for x, r in zip(sorted(v, reverse=True), data.rho))
-    return sum(abs(x - r) for x, r in zip(
-        sorted((abs(x) for x in v), reverse=True), data.rho)) <= boxes
-
-
 def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
     """X-bar(B, Lambda) as the signed Weyl sum of supernomials."""
     data = cartan_data(shape[0].kind, shape[0].n)
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
-    for sign, mu in weyl_images(data, lam_rho, len(shape)):
+    for sign, _, mu in weyl_images(data, lam_rho, len(shape)):
         s = supernomial(shape, mu)
         if not s.is_zero():
             out = out + s if sign > 0 else out - s
@@ -231,47 +216,32 @@ def _level_data(shape: Shape, lam: tuple[int, ...],
 
 
 def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
-    """X-bar^level(B, Lambda): the double sum over the finite Weyl group and
-    the translation lattice window.
+    """X-bar^level(B, Lambda): the sum over w in the finite Weyl group and
+    beta in the translation lattice M of sign(w) q^e S(w(lam + rho - c beta)
+    - rho), with c = level + h_dual and e = a0/2 (beta|beta) c - a0 (lam +
+    rho|beta).
 
-    A translation beta whose rho-shifted weight v = lam + rho - c beta has
-    no Weyl image in the supernomial support (``_orbit_meets_support``)
-    contributes exactly zero and is skipped before its Weyl walk; the
-    window and its outer-ring check are unchanged.  What ``_level_data``
-    refuses raises, as in ``level_restricted``."""
+    M and the form are W-invariant, so with beta' = w beta the image is
+    w(lam + rho) - c beta' - rho and e = a0/2 (beta'|beta') c - a0 (w(lam +
+    rho)|beta').  One walk (``weyl_images``) lists every (w, beta') whose
+    image lies in the supernomial support; every other term is zero.  What
+    ``_level_data`` refuses raises, as in ``level_restricted``."""
     data = _level_data(shape, lam, level)
     c = level + data.h_dual
-    total = sum(d.boxes for d in shape)
-    coordinate_bound = total + data.dim + max(
-        abs(l + r) for l, r in zip(tuple(lam) + (0,) * data.dim, data.rho))
-    box = translation_lattice_box(data, level, coordinate_bound)
-    outermost = max(max(abs(x) for x in beta) for beta in box)
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
-
     out = ZERO
-    ring_contribution = ZERO
-    for beta in box:
-        v = tuple(a - c * x for a, x in zip(lam_rho, beta))
-        # supernomial counts type C boxes as factors
-        if not _orbit_meets_support(data, v, len(shape)):
-            continue
-        # a0/2 (beta|beta) c - a0 (lam+rho|beta), over the integer form
+    # supernomial counts type C boxes as factors
+    for sign, beta, mu in weyl_images(data, lam_rho, len(shape), c):
+        w_lam_rho = tuple(m + r + c * x for m, r, x in zip(mu, data.rho, beta))
+        # the exponent e over the integer form
         expo = _exact_quotient(
             data.a0 * (c * data.form(beta, beta)
-                       - 2 * data.form(lam_rho, beta)),
+                       - 2 * data.form(w_lam_rho, beta)),
             4, f"level prefactor at beta={beta}")
-        beta_term = ZERO
-        for sign, mu in weyl_images(data, v, len(shape)):
-            s = supernomial(shape, mu)
-            if not s.is_zero():
-                beta_term = beta_term + s if sign > 0 else beta_term - s
-        contrib = beta_term.shift(expo)
-        out = out + contrib
-        if max(abs(x) for x in beta) == outermost:
-            ring_contribution = ring_contribution + contrib
-    if not ring_contribution.is_zero():
-        raise CapExceeded(
-            "translation lattice window too small: outer ring contributes")
+        s = supernomial(shape, mu)
+        if not s.is_zero():
+            s = s.shift(expo)
+            out = out + s if sign > 0 else out - s
     return out
 
 

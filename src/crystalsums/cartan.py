@@ -3,7 +3,8 @@
 The simple reflections r_0, ..., r_n are defined once, in
 ``simple_reflections``; the alcove walk and every element the involution
 uses are products of them.  The sums read the finite Weyl group as the
-(signed) permutations of coordinates, in ``weyl_images``.
+(signed) permutations of coordinates, and the affine one as those times
+the translations, in ``weyl_images``.
 
 Weights live in an integer ambient lattice: Z^{n+1} for type A (content
 vectors, not reduced modulo the all-ones vector) and Z^n for type C.  With
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product as iproduct
 
 from .errors import CapExceeded, NonIntegralExponent, UnsupportedError
 
@@ -192,59 +192,51 @@ def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
         word.append(i)
 
 
-def weyl_images(data: CartanData, v: tuple[int, ...],
-                boxes: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(sign(w), w(v) - rho) for every w of the finite Weyl group whose
-    image is nonnegative (type A) or has L1 norm at most ``boxes`` (type C).
+def weyl_images(data: CartanData, v: tuple[int, ...], boxes: int,
+                c: int | None = None
+                ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(sign(w), beta, w(v) - c beta - rho) for every w of the finite Weyl
+    group and every beta of the translation lattice M (only beta = 0
+    without ``c``) whose image passes supernomial's support test: it is
+    nonnegative (type A), or has L1 norm at most ``boxes`` (type C).
 
-    w(v) permutes v, with signs in type C.  A depth-first walk fills w(v) -
-    rho one coordinate at a time from an unused coordinate of v and drops a
-    prefix once it fails the test; sign(w) is the inversion parity (the
-    j-th unused coordinate inverts with the j before it) times the flips."""
+    w(v) permutes v, with signs in type C; M is the vectors of sum zero
+    (type A) or 2Z^n (type C).  A depth-first walk fills the image one
+    coordinate at a time, y = s x - c t - rho_i, from an unused coordinate
+    x of v, a sign s and a translation t, and drops a prefix once it fails
+    the test.  A type A image sums to sum(v) - sum(rho), so each of its
+    coordinates lies in [0, sum(v) - sum(rho)], and a leaf needs
+    sum(beta) = 0.  sign(w) is the inversion parity (the j-th unused
+    coordinate inverts with the j before it) times the flips."""
     if data.n > WEYL_RANK_CAP:
         raise CapExceeded(
             f"rank {data.n} exceeds Weyl enumeration cap {WEYL_RANK_CAP}")
     type_a = data.kind == "A"
     signs = (1,) if type_a else (1, -1)
+    step = 1 if type_a else 2  # a coordinate of a beta in M is in step Z
+    period = step * c if c else 0
+    top = sum(v) - sum(data.rho)
     out = []
 
-    def walk(image, rest, sign, spent):
+    def walk(image, beta, rest, sign, spent):
         if not rest:
-            out.append((sign, image))
+            if not (type_a and sum(beta)):
+                out.append((sign, beta, image))
             return
         r = data.rho[len(image)]
+        lo, hi = (0, top) if type_a else (spent - boxes, boxes - spent)
         for j, x in enumerate(rest):
             for s in signs:
-                y = s * x - r
-                if y < 0 if type_a else spent + abs(y) > boxes:
-                    continue
-                walk(image + (y,), rest[:j] + rest[j + 1:],
-                     -s * sign if j % 2 else s * sign, spent + abs(y))
+                u = s * x - r
+                # every k with y = u - period k in [lo, hi]
+                ks = (range(-((hi - u) // period), (u - lo) // period + 1)
+                      if period else (0,) if lo <= u <= hi else ())
+                for k in ks:
+                    y = u - period * k
+                    walk(image + (y,), beta + (step * k,),
+                         rest[:j] + rest[j + 1:],
+                         -s * sign if j % 2 else s * sign, spent + abs(y))
 
-    walk((), tuple(v), 1, 0)
+    walk((), (), tuple(v), 1, 0)
     del walk  # walk refers to itself; free it without the cyclic collector
     return out
-
-
-def translation_lattice_box(data: CartanData, level: int,
-                            coordinate_bound: int) -> list[tuple[int, ...]]:
-    """The finite window of the translation lattice M that can contribute to
-    the level-restricted alternating sum.
-
-    Includes every alpha in M whose coordinates stay within
-    ceil(coordinate_bound / (level + h_dual)) plus one safety ring; the
-    caller checks that the outermost ring contributes zero.
-    """
-    if coordinate_bound < 0:
-        raise ValueError("coordinate bound must be nonnegative")
-    c = level + data.h_dual
-    cap = -(-coordinate_bound // c) + 1
-    if data.kind == "A":
-        rng = range(-cap, cap + 1)
-        return [beta for beta in iproduct(rng, repeat=data.n + 1)
-                if sum(beta) == 0]
-    # type C: M = 2 Z^n
-    half = -(-cap // 2)
-    rng = range(-2 * half, 2 * half + 1, 2)
-    return [beta for beta in iproduct(rng, repeat=data.n)]
-

@@ -300,6 +300,8 @@ def _nonnegative(*flags: tuple[str, int | None]) -> None:
 
 def cmd_verify(args) -> int:
     _nonnegative(("--max-L", args.max_L), ("--level", args.level))
+    if args.jobs < 1:
+        raise ShapeSyntaxError(f"--jobs {args.jobs} is below 1")
     insts = list(_instances(args.suite, args.n, args.max_L, args.level))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -344,15 +346,22 @@ def cmd_rr(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _apply_config(args, parser_defaults: dict) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        conf = json.load(fh)
+def _config_flags(path: str) -> list[str]:
+    """The entries of a JSON object file as flags: ``--key=value``, or
+    ``--key`` alone for true (false leaves a switch out)."""
+    try:
+        with open(path) as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ShapeSyntaxError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise ShapeSyntaxError(f"config {path!r} is not a JSON object")
+    flags = []
     for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, val)
+        flag = "--" + key.replace("_", "-")
+        if val is not False:
+            flags.append(flag if val is True else f"{flag}={val}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,17 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rr.add_argument("--series", type=int, choices=(1, 2), default=None)
     p_rr.add_argument("--N", type=int, default=100)
     p_rr.set_defaults(func=cmd_rr)
-
-    for p in (p_sum, p_ver, p_rr):
-        p.set_defaults(_defaults={a.dest: a.default for a in p._actions})
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, args._defaults)
+        if args.config:
+            # the entries go in as flags before the explicit ones: argparse
+            # checks them, and an explicit flag given later wins
+            args = parser.parse_args(
+                argv[:1] + _config_flags(args.config) + argv[1:])
         return args.func(args)
     except ShapeSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,10 +48,6 @@ def part(mu: tuple[int, ...], i: int) -> int:
     return mu[i - 1] if 1 <= i <= len(mu) else 0
 
 
-def num_parts_of_size(mu: tuple[int, ...], i: int) -> int:
-    return sum(1 for p in mu if p == i)
-
-
 def q_columns(mu: tuple[int, ...], i: int) -> int:
     """Number of boxes in the first i columns of mu."""
     return sum([p if p < i else i for p in mu])

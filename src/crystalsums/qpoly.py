@@ -56,9 +56,6 @@ class QLaurent:
         """The sum of q^e over the exponents, counted with multiplicity."""
         return QLaurent.from_dict(Counter(exponents))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -137,18 +134,10 @@ class QLaurent:
         out.extend([0] * (n - len(out)))
         return _dense(self.low, _div_one_minus_q(out, k, exact=False))
 
-    def at_one(self) -> int:
-        """Evaluate at q = 1 (the sum of all coefficients)."""
-        return sum(self.coeffs)
-
     def to_json(self) -> str:
         """Canonical JSON: [[exponent, coefficient-as-string], ...]."""
         return json.dumps([[e, str(c)] for e, c in self.terms],
                           separators=(",", ":"))
-
-    @staticmethod
-    def from_json(s: str) -> "QLaurent":
-        return QLaurent.from_dict({int(e): int(c) for e, c in json.loads(s)})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -238,29 +227,6 @@ def q_power(e: int, c: int = 1) -> QLaurent:
     return QLaurent(e, (c,)) if c else ZERO
 
 
-@lru_cache(maxsize=QBINOMIAL_CACHE)
-def qbinomial(m: int, n: int) -> QLaurent:
-    """Gaussian binomial for a box of width m and height n.
-
-    Generating function of partitions with at most n parts, each at most m;
-    equals (q)_{m+n} / ((q)_m (q)_n), built as the product over i = 1..n
-    of (1 - q^(m+i)) / (1 - q^i), every partial product a polynomial.
-    All n rounds are ``_binomial_step``s on one coefficient list.  Zero
-    when either argument is negative.  The last ``QBINOMIAL_CACHE``
-    results are kept; a walk over neighbouring q-binomials of one large
-    family steps its own list instead of calling this.
-    """
-    if m < 0 or n < 0:
-        return ZERO
-    if n > m:
-        m, n = n, m  # symmetric; fewer division rounds
-    out = [1]
-    for i in range(1, n + 1):
-        _binomial_step(out, m + i, i)
-    # both end coefficients are 1
-    return QLaurent(0, tuple(out))
-
-
 def qmultinomial(total: int, parts: Iterable[int]) -> QLaurent:
     """(q)_total / prod (q)_part when the parts are nonnegative and sum to
     total, else zero.  From the largest part on, each further part p at
@@ -276,6 +242,19 @@ def qmultinomial(total: int, parts: Iterable[int]) -> QLaurent:
             _binomial_step(out, t + i, i)
         t += p
     return QLaurent(0, tuple(out))
+
+
+@lru_cache(maxsize=QBINOMIAL_CACHE)
+def qbinomial(m: int, n: int) -> QLaurent:
+    """Gaussian binomial for a box of width m and height n: the two-part
+    q-multinomial [m + n; m, n], zero when either argument is negative.
+
+    Generating function of partitions with at most n parts, each at most m;
+    equals (q)_{m+n} / ((q)_m (q)_n).  The last ``QBINOMIAL_CACHE`` results
+    are kept; a walk over neighbouring q-binomials of one large family
+    steps its own list instead of calling this.
+    """
+    return qmultinomial(m + n, (m, n))
 
 
 def invert_q(p: QLaurent) -> QLaurent:

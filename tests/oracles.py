@@ -28,11 +28,15 @@ component as an explicit graph, the level of a crystal, the coroot
 pairing of a word's weight, a word of given factors or of boxes, a
 word's weight and every word of a tensor product) live here too, and so does the hard-hexagon
 strip reformulation the bosonic terms are checked against.  The finite
-Weyl group is listed whole, by a search over the generators, as the
-reference for the walk that lists only the images a sum can use.
+Weyl group is listed whole, by a search over the generators, and the
+translation lattice as a window of every translation up to a coordinate
+bound, as the reference for the walk that lists only the terms a sum can
+use.  The ``QLaurent`` readers only tests use (a dict of terms, the value
+at q = 1, the inverse of ``to_json``) are functions here.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -42,8 +46,7 @@ import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
 from crystalsums.cartan import (CartanData, WeylElement, cartan_data,
-                                element, reduce_to_alcove, simple_reflections,
-                                translation_lattice_box)
+                                element, reduce_to_alcove, simple_reflections)
 from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  _route, factor_arrow, factor_elements,
                                  factor_stats, factor_weight,
@@ -77,6 +80,21 @@ def box_partitions(width: int, height: int) -> list[tuple[int, ...]]:
             rec(prefix + (v,), v)
     rec((), width)
     return out
+
+
+def as_dict(p: QLaurent) -> dict[int, int]:
+    """The polynomial as an exponent -> nonzero coefficient dict."""
+    return dict(p.terms)
+
+
+def at_one(p: QLaurent) -> int:
+    """The polynomial at q = 1: the sum of its coefficients."""
+    return sum(p.coeffs)
+
+
+def from_json(s: str) -> QLaurent:
+    """The inverse of ``QLaurent.to_json``."""
+    return QLaurent.from_dict({int(e): int(c) for e, c in json.loads(s)})
 
 
 def gf_from_sizes(sizes) -> dict[int, int]:
@@ -144,6 +162,24 @@ def weyl_enumerate(data: CartanData) -> tuple[WeylElement, ...]:
                     nxt.append(new)
         frontier = nxt
     return tuple(seen)
+
+
+def translation_lattice_box(data: CartanData, level: int,
+                            coordinate_bound: int) -> list[tuple[int, ...]]:
+    """A finite window of the translation lattice M (vectors of sum zero in
+    type A, 2Z^n in type C): every beta whose coordinates stay within
+    ceil(coordinate_bound / (level + h_dual)) plus one ring, so that it
+    holds every beta with |c beta_k| <= coordinate_bound."""
+    if coordinate_bound < 0:
+        raise ValueError("coordinate bound must be nonnegative")
+    c = level + data.h_dual
+    cap = -(-coordinate_bound // c) + 1
+    if data.kind == "A":
+        rng = range(-cap, cap + 1)
+        return [beta for beta in product(rng, repeat=data.n + 1)
+                if sum(beta) == 0]
+    half = -(-cap // 2)
+    return list(product(range(-2 * half, 2 * half + 1, 2), repeat=data.n))
 
 
 def lr_multiplicity(kind: str, n: int, shape, lam: tuple[int, ...]) -> int:

@@ -18,8 +18,8 @@ from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
 from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import qmultinomial
 
-from oracles import (all_contents_A, bosonic_term, build_component,
-                     cc_stat, cc_theta, coroot_weight_pairing,
+from oracles import (all_contents_A, at_one, bosonic_term,
+                     build_component, cc_stat, cc_theta, coroot_weight_pairing,
                      dominant_contents_A, dominant_weights_C, energy_EB,
                      letters_word, lr_multiplicity, partitions_gap2,
                      path_word, strip_inclusion_exclusion, tensor_arrow,
@@ -253,7 +253,7 @@ def test_criterion_9_structural_suites():
                     else dominant_weights_C(n, L))
             for lam in lams:
                 want = lr_multiplicity(kind, n, [(1, 1)] * L, lam)
-                got = rc_generating_function(
-                    kind, n, {(1, 1): L}, lam).at_one()
+                got = at_one(rc_generating_function(
+                    kind, n, {(1, 1): L}, lam))
                 assert got == want, (kind, n, L, lam)
     _report(9, "structural property suites", t0, 60)

@@ -6,11 +6,10 @@ import pytest
 
 from crystalsums import cartan
 from crystalsums.cartan import (cartan_data, element, reduce_to_alcove,
-                                simple_reflections, translation_lattice_box,
-                                weyl_images)
+                                simple_reflections, weyl_images)
 from crystalsums.errors import CapExceeded, UnsupportedError
 
-from oracles import weyl_enumerate
+from oracles import translation_lattice_box, weyl_enumerate
 
 CARTAN_A = {
     1: [[2]],
@@ -43,22 +42,59 @@ def test_weyl_rank_cap(monkeypatch):
         weyl_images(cartan_data("C", 3), (3, 2, 1), 0)
 
 
+def _live(kind, mu, b):
+    """supernomial's cheap support test: a nonnegative content (A), an L1
+    norm within the boxes (C)."""
+    return min(mu) >= 0 if kind == "A" else sum(map(abs, mu)) <= b
+
+
 @pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3),
                                      ("C", 1), ("C", 2), ("C", 3)])
 def test_walk_lists_the_live_images(kind, n):
-    # (sign(w), w(v) - rho) over the whole group, kept when nonnegative
-    # (A) or within the boxes in L1 norm (C), with multiplicity: a v with
-    # equal coordinates, or a zero in type C, has repeated images
+    # (sign(w), 0, w(v) - rho) over the whole group, kept when the image
+    # passes the support test, with multiplicity: a v with equal
+    # coordinates, or a zero in type C, has repeated images
     data = cartan_data(kind, n)
     elements = weyl_enumerate(data)
+    zero = (0,) * data.dim
     for v in product(range(-4, 5), repeat=data.dim):
         images = [(w.sign, tuple(a - r for a, r in zip(w.apply(v), data.rho)))
                   for w in elements]
         for b in range(7):
-            want = Counter(
-                (s, mu) for s, mu in images
-                if (min(mu) >= 0 if kind == "A" else sum(map(abs, mu)) <= b))
+            want = Counter((s, zero, mu) for s, mu in images
+                           if _live(kind, mu, b))
             assert Counter(weyl_images(data, v, b)) == want, (v, b)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3),
+                                     ("C", 1), ("C", 2), ("C", 3)])
+def test_walk_lists_the_live_translates(kind, n):
+    # with c = level + h_dual: (sign(w), beta, w(v) - c beta - rho) over
+    # the whole group times a translation window, kept when the image
+    # passes the support test; the window holds every beta with
+    # |c beta_k| <= |v|_max + rho_1 + the largest image coordinate, which
+    # is sum(v) - sum(rho) in type A and the boxes in type C
+    data = cartan_data(kind, n)
+    elements = weyl_enumerate(data)
+    rng = random.Random(f"translates {kind}{n}")
+    for level in range(4):
+        c = level + data.h_dual
+        for _ in range(12 if n == 3 else 30):
+            v = tuple(rng.randint(-3, 6) for _ in range(data.dim))
+            reach = sum(v) - sum(data.rho) if kind == "A" else 6
+            bound = max(map(abs, v)) + data.rho[0] + max(reach, 0)
+            window = translation_lattice_box(data, level, bound)
+            terms = []
+            for w in elements:
+                wv = w.apply(v)
+                terms += [(w.sign, beta,
+                           tuple(a - c * x - r
+                                 for a, x, r in zip(wv, beta, data.rho)))
+                          for beta in window]
+            for b in range(7):
+                want = Counter(t for t in terms if _live(kind, t[2], b))
+                got = Counter(weyl_images(data, v, b, c))
+                assert got == want, (v, level, b)
 
 
 def test_weyl_action_consistent_with_reflections():

@@ -304,6 +304,12 @@ class TestVerify:
         serial = records("1")
         assert serial and records("2") == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "typeA", "--n", "1",
+                             "--max-L", "2", "--jobs", jobs)
+        assert code == 2 and not out and "below 1" in err, err
+
     def test_import_leaves_the_process_pool_out(self):
         # only `verify --jobs` above 1 needs it, and it pulls in
         # multiprocessing, socket and pickle
@@ -343,3 +349,46 @@ class TestRR:
         # flags win over the config file
         code, out, _ = run(capsys, "rr", "--config", str(conf), "--L", "1")
         assert out.strip() == '[[0,"1"]]'
+
+    def test_explicit_default_beats_the_config(self, capsys, tmp_path):
+        # an explicit flag wins even when it repeats the default
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"format": "csv"}))
+        code, out, _ = run(capsys, "rr", "--L", "2", "--config", str(conf),
+                           "--format", "json")
+        assert code == 0 and out.strip() == '[[0,"1"],[1,"1"]]'
+        code, out, _ = run(capsys, "rr", "--L", "2", "--config", str(conf))
+        assert code == 0 and out.splitlines() == ["0,1", "1,1"]
+
+    def test_config_values_are_parsed_as_flags(self, capsys, tmp_path):
+        # a config value goes through the flag's type: "3" is the integer 3
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"max-L": "3", "n": 1}))
+        code, out, err = run(capsys, "verify", "typeA", "--config", str(conf))
+        assert code == 0, err
+        want = run(capsys, "verify", "typeA", "--n", "1", "--max-L", "3")
+        assert [json.loads(line)["instance"] for line in out.splitlines()] \
+            == [json.loads(line)["instance"] for line in want[1].splitlines()]
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "xml"}', '{"method": "nope"}', '{"L": "x"}',
+        '{"max_L": 2}', '{"primed": "yes"}',
+    ], ids=["bad-choice", "bad-method", "bad-int", "unknown-flag",
+            "switch-with-value"])
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, text):
+        # checked as the flag would be; max_L is a verify flag, not an rr one
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["rr", "--L", "2", "--config", str(conf)])
+        assert exc.value.code == 2
+        assert not capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2]", '"csv"'],
+                             ids=["missing", "malformed", "list", "string"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text):
+        conf = tmp_path / "conf.json"
+        if text is not None:
+            conf.write_text(text)
+        code, out, err = run(capsys, "rr", "--L", "2", "--config", str(conf))
+        assert code == 2 and not out and "config" in err, err

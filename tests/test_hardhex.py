@@ -5,7 +5,7 @@ from crystalsums.hardhex import (hh_X, hh_energy, hh_paths,
                                  product_series, rr_series_check)
 from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
 
-from oracles import (bosonic_term, box_partitions, in_strip,
+from oracles import (as_dict, bosonic_term, box_partitions, in_strip,
                      partitions_congruent, partitions_gap2, strip_energy,
                      strip_inclusion_exclusion, strip_paths, strip_transform)
 
@@ -34,7 +34,7 @@ class TestConfigurationSums:
         assert hh_X(1, primed=True) == ONE
 
     def test_recurrence_value(self):
-        assert hh_X(3).as_dict() == {0: 1, 1: 1, 2: 1}
+        assert as_dict(hh_X(3)) == {0: 1, 1: 1, 2: 1}
 
     def test_primed_small_values(self):
         # enumeration oracle for X'(2): the single path (1,0,0)
