@@ -13,9 +13,8 @@ from math import prod
 from operator import add
 
 from . import crystal
-from .cartan import (CartanData, WeylElement, _exact_quotient, cartan_data,
-                     element, reduce_to_alcove, simple_reflections,
-                     weyl_images)
+from .cartan import (CartanData, _act, _exact_quotient, cartan_data,
+                     reduce_to_alcove, simple_reflections, weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _route,
                       enumerate_paths, factor_elements, factor_weight)
 from .energy import _factor_table, energy_extension
@@ -356,15 +355,18 @@ def _word_energy(shape: Shape):
     return energy
 
 
-def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
+def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None
+              ) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
     """The signed set S of pairs (w, b) with w(wt(b) + rho) = lam + rho,
-    w in the finite Weyl group (no level) or the affine one at the level.
-    lam + rho is regular, so each b has at most one w: the one its walk
-    into the chamber or alcove finds, when the walk ends at lam + rho.
-    That depends on b through wt(b) only, so each weight is walked once,
-    while the words of the whole product, as element index tuples, are
-    listed with a running weight; ``VERTEX_CAP`` bounds the size of the
-    product."""
+    w in the finite Weyl group (no level) or the affine one at the level,
+    as a map from each word b to (wt(b) + rho, sign(w)).  lam is dominant,
+    so lam + rho is regular: each b has at most one w, the one with
+    w^-1(lam + rho) = wt(b) + rho, which the walk of wt(b) + rho into the
+    chamber or alcove finds when it ends at lam + rho; sign(w) is
+    (-1)^len(walk).  That depends on b through wt(b) only, so each weight
+    is walked once, while the words of the whole product, as element index
+    tuples, are listed with a running weight; ``VERTEX_CAP`` bounds the
+    size of the product."""
     data = cartan_data(shape[0].kind, shape[0].n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
     options = [list(enumerate(map(factor_weight, factor_elements(d))))
@@ -372,30 +374,23 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
     if prod(map(len, options)) > crystal.VERTEX_CAP:
         raise CapExceeded(
             f"tensor product has more than {crystal.VERTEX_CAP} elements")
-    chosen: dict[tuple[int, ...], WeylElement | None] = {}
+    chosen: dict[tuple[int, ...], tuple | None] = {}
 
     def choose(wt):
         v = tuple(x + r for x, r in zip(wt, data.rho))
         reached, word = reduce_to_alcove(data, v, level)
-        if reached != target:
-            return None
-        w = element(data, word, level)
-        if w.apply(v) != target:
-            raise InvolutionError(
-                f"walk element does not map {v} to {target}")
-        return w
+        return (v, (-1) ** len(word)) if reached == target else None
 
     L = len(shape)
     placed: list = [None] * L
-    pairs = []
+    pairs = {}
 
     def walk(p, wt):
         if p == L:
             if wt not in chosen:
                 chosen[wt] = choose(wt)
-            w = chosen[wt]
-            if w is not None:
-                pairs.append((w, tuple(placed)))
+            if chosen[wt] is not None:
+                pairs[tuple(placed)] = chosen[wt]
             return
         for k, xw in options[p]:
             placed[p] = k
@@ -403,21 +398,24 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None):
 
     walk(0, (0,) * data.dim)
     del walk  # walk refers to itself; free it without the cyclic collector
-    return data, pairs
+    return pairs
 
 
 def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
                    level: int | None = None) -> InvolutionReport:
-    """Build the signed pair set S, apply the involution, and report its
-    structure.  Property failures are findings, not exceptions, except for
-    a pairing color that stops being well defined."""
+    """Build the signed pair set S of a dominant weight, apply the
+    involution, and report its structure.  Property failures are findings,
+    not exceptions, except for a pairing color that stops being well
+    defined.  phi(w, b) = (w r_i, b') lies in S iff r_i(wt(b) + rho) =
+    wt(b') + rho, as (w r_i)^-1(lam + rho) = r_i w^-1(lam + rho), and
+    phi(w r_i, b') = (w, b) iff phi moves b' by the color i back to b."""
     if mode not in ("classical", "level"):
         raise ValueError(f"unknown mode {mode!r}")
     if not shape or any((d.kind, d.n) != (shape[0].kind, shape[0].n)
                         for d in shape):
         raise UnsupportedError(
             "the involution needs a nonempty shape of one type and rank")
-    lv = None
+    lv = level if mode == "level" else None
     if mode == "level":
         if level is None:
             raise ValueError("level mode needs a level")
@@ -426,11 +424,14 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
             # matches the crystal for single-box factors
             raise UnsupportedError(
                 "the level involution supports single-box factors only")
-        _level_data(shape, lam, level)
-        lv = level
-    data, pairs = _pair_set(shape, lam, lv)
+    data = cartan_data(shape[0].kind, shape[0].n)
+    if not data.is_dominant(lam):
+        raise UnsupportedError(f"weight {lam} is not dominant")
+    if lv is not None:
+        _level_data(shape, lam, lv)
+    pairs = _pair_set(shape, lam, lv)
+    target = tuple(l + r for l, r in zip(lam, data.rho))
     gens = simple_reflections(data, lv)
-    identity = element(data, ())
     letters = _letter_table(data.kind, data.n)
     by_desc = {d: _factor_table(d) for d in set(shape)}
     tables = [by_desc[d] for d in shape]
@@ -441,25 +442,24 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     def text(b):
         return "(x)".join(str(t[0][k]) for t, k in zip(tables, b))
 
-    def apply_phi(w, b):
+    def apply_phi(b):
         flat = tuple(c for t, k in zip(tables, b) for c in t[0][k].letters)
         i = _select_color(flat, letters, lv)
-        if i is None:
-            if w != identity:
+        if i is None:  # fixed: w is the identity, wt(b) + rho = lam + rho
+            if pairs[b][0] != target:
                 raise InvolutionError(
                     f"pairing color undefined on non fixed point ({text(b)})")
-            return None  # fixed
-        return (w.compose(gens[i]), _phi_move(tables, b, i, lv))
+            return None
+        return i, _phi_move(tables, b, i, lv)
 
-    members = set(pairs)
-    fixed = []
+    fixed = set()
     images = {}
-    for w, b in pairs:
-        out = apply_phi(w, b)
+    for b in pairs:
+        out = apply_phi(b)
         if out is None:
-            fixed.append((w, b))
+            fixed.add(b)
         else:
-            images[(w, b)] = out
+            images[b] = out
 
     involution_ok = True
     sign_ok = True
@@ -467,20 +467,20 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     if mode == "classical" and shape[0].kind == "A":
         stat_ok = True
         energy = _word_energy(shape)
-    for (w1, b1), (w2, b2) in images.items():
-        if (w2, b2) not in members:
+    for b1, (i, b2) in images.items():
+        v1, sign1 = pairs[b1]
+        v2, sign2 = pairs.get(b2, (None, 0))
+        if v2 != _act(gens[i], v1):
             findings.append(f"image {text(b2)} left the pair set")
             involution_ok = False
             continue
-        if apply_phi(w2, b2) != (w1, b1):
+        if apply_phi(b2) != (i, b1):
             involution_ok = False
             findings.append(f"not an involution at {text(b2)}")
-        if w1.sign * w2.sign != -1:
+        if sign1 * sign2 != -1:
             sign_ok = False
         if stat_ok is not None and energy(b1) != energy(b2):
             stat_ok = False
-    fixed_set = {b for _, b in fixed}
-    fixed_ok = (fixed_set == expected_fixed
-                and all(w == identity for w, _ in fixed))
-    return InvolutionReport(mode, len(pairs), len(fixed), fixed_ok,
-                            involution_ok, sign_ok, stat_ok, findings)
+    return InvolutionReport(mode, len(pairs), len(fixed),
+                            fixed == expected_fixed, involution_ok, sign_ok,
+                            stat_ok, findings)

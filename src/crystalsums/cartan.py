@@ -1,10 +1,10 @@
 """Root data and (affine) Weyl group actions for types A_n and C_n.
 
 The simple reflections r_0, ..., r_n are defined once, in
-``simple_reflections``; the alcove walk and every element the involution
-uses are products of them.  The sums read the finite Weyl group as the
-(signed) permutations of coordinates, and the affine one as those times
-the translations, in ``weyl_images``.
+``simple_reflections``, as their actions on coordinates; the alcove walk
+and the involution apply them one at a time.  The sums read the finite
+Weyl group as the (signed) permutations of coordinates, and the affine
+one as those times the translations, in ``weyl_images``.
 
 Weights live in an integer ambient lattice: Z^{n+1} for type A (content
 vectors, not reduced modulo the all-ones vector) and Z^n for type C.  With
@@ -15,7 +15,7 @@ once, exactly, through ``_exact_quotient``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import CapExceeded, NonIntegralExponent, UnsupportedError
@@ -61,13 +61,6 @@ class CartanData:
         v_1 in type C.  For a dominant weight it is the level."""
         return v[0] - v[-1] if self.kind == "A" else v[0]
 
-    def coroot_pairing(self, a: int, v: tuple[int, ...]) -> int:
-        """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
-        denominator 2 meets t_a = 2 or the long root's even coordinate."""
-        return _exact_quotient(
-            self.t[a - 1] * self.form(self.simple_roots[a - 1], v), 2,
-            "coroot pairing")
-
 
 @cache
 def cartan_data(kind: str, n: int) -> CartanData:
@@ -95,45 +88,26 @@ def cartan_data(kind: str, n: int) -> CartanData:
     return CartanData(kind, n, roots, t, rho, h_dual=n + 1, a0=1)
 
 
-# An element of the affine Weyl group acts on coordinates as a signed
-# permutation followed by a shift: coordinate k of w(v) is s * v[i] + t for
-# the row (i, s, t) of its action.  Elements of the finite Weyl group have
-# every shift zero.
+# A simple reflection acts on coordinates as a signed permutation followed
+# by a shift: coordinate k of r(v) is s * v[i] + t for the row (i, s, t) of
+# its action.  The finite reflections have every shift zero.
 
 Action = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """``sign`` is (-1)^length; ``word`` is a word for the element in the
-    simple reflections, leftmost acting last, and takes no part in
-    equality."""
-
-    action: Action
-    sign: int
-    word: tuple[int, ...] = field(default=(), compare=False)
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(s * v[i] + t for i, s, t in self.action)
-
-    def compose(self, other: WeylElement) -> WeylElement:
-        """self o other: other acts first."""
-        rows = other.action
-        return WeylElement(
-            tuple((rows[i][0], s * rows[i][1], s * rows[i][2] + t)
-                  for i, s, t in self.action),
-            self.sign * other.sign, self.word + other.word)
+def _act(rows: Action, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(s * v[i] + t for i, s, t in rows)
 
 
 @cache
 def simple_reflections(data: CartanData, level: int | None = None
-                       ) -> tuple[WeylElement | None, ...]:
-    """(r_0, r_1, ..., r_n) acting on rho-shifted weights; r_0 is the
-    affine reflection at the level, v -> v - ((v|theta) - c) theta with
+                       ) -> tuple[Action | None, ...]:
+    """The actions of (r_0, r_1, ..., r_n) on rho-shifted weights; r_0 is
+    the affine reflection at the level, v -> v - ((v|theta) - c) theta with
     c = level + h_dual, and is None without a level."""
     dim = data.dim
     ident = [(j, 1, 0) for j in range(dim)]
-    gens: list[WeylElement | None] = [None]
+    gens: list[Action | None] = [None]
     if level is not None:
         if level < 0:
             raise ValueError(f"level {level} is negative")
@@ -143,25 +117,15 @@ def simple_reflections(data: CartanData, level: int | None = None
             rows[0], rows[-1] = (dim - 1, 1, c), (0, 1, -c)
         else:
             rows[0] = (0, -1, 2 * c)
-        gens[0] = WeylElement(tuple(rows), -1, (0,))
+        gens[0] = tuple(rows)
     for a in range(1, data.n + 1):
         rows = list(ident)
         if data.kind == "C" and a == data.n:
             rows[-1] = (dim - 1, -1, 0)
         else:
             rows[a - 1], rows[a] = rows[a], rows[a - 1]
-        gens.append(WeylElement(tuple(rows), -1, (a,)))
+        gens.append(tuple(rows))
     return tuple(gens)
-
-
-def element(data: CartanData, word: tuple[int, ...],
-            level: int | None = None) -> WeylElement:
-    """The product of the simple reflections of ``word``, leftmost last."""
-    gens = simple_reflections(data, level)
-    out = WeylElement(tuple((j, 1, 0) for j in range(data.dim)), 1)
-    for i in word:
-        out = out.compose(gens[i])
-    return out
 
 
 def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
@@ -169,8 +133,9 @@ def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Walk v with simple reflections into the dominant chamber (no level)
     or the fundamental alcove at the level; return the point reached and
-    the word of the walk, so that ``element(data, word, level)`` maps v
-    onto that point.
+    the word of the walk, leftmost acting last: the product of its
+    simple reflections maps v onto that point, and has sign
+    (-1)^len(word).
 
     Each step reflects in a wall that separates the point from the
     chamber or alcove: <h_a, v> < 0, or (v|theta) > level + h_dual for r_0.
@@ -188,7 +153,7 @@ def reduce_to_alcove(data: CartanData, v: tuple[int, ...],
                 i = 0
             else:
                 return v, tuple(reversed(word))
-        v = gens[i].apply(v)
+        v = _act(gens[i], v)
         word.append(i)
 
 

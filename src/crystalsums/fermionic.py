@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations, product as iproduct, repeat
+from operator import mul
 
 from .cartan import CartanData, _exact_quotient, cartan_data
 from .errors import CapExceeded, CrystalSumsError, UnsupportedError
 from .partitions import (conjugate, part, partitions_in_box, partitions_of,
                          q_columns)
-from .qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
+from .qpoly import QLaurent, ZERO, q_power, qbinomial
 
 LMap = dict[tuple[int, int], int]
 RC_CAP = 10 ** 6
@@ -198,22 +198,6 @@ def cc_shape(kind: str, n: int, nu) -> int:
 # ---------------------------------------------------------------------------
 # rigged configurations
 
-@dataclass(frozen=True)
-class RiggedConfiguration:
-    """nu together with one rigging partition per occupied (row, size)."""
-
-    kind: str
-    n: int
-    nu: tuple[tuple[int, ...], ...]
-    riggings: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-
-    def rigging(self, a: int, i: int) -> tuple[int, ...]:
-        for (aa, ii), J in self.riggings:
-            if (aa, ii) == (a, i):
-                return J
-        return ()
-
-
 def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
                      max_part: int | None = None):
     """Yield (nu, sites) for every admitted shape nu with the given factors
@@ -258,38 +242,21 @@ def _riggings(sites) -> list[tuple[tuple[int, ...], ...]]:
     return boxes
 
 
-def enumerate_rc(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                 max_part: int | None = None) -> list[RiggedConfiguration]:
-    """All rigged configurations for the given factors and weight, with
-    every part of nu at most ``max_part`` when it is given, over the shapes
-    of ``_admitted_shapes``.  The configurations of one shape nu come out
-    consecutively."""
-    out: list[RiggedConfiguration] = []
-    for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam, max_part):
-        keys = [(a, i) for a, i, _, _ in sites]
-        for choice in iproduct(*_riggings(sites)):
-            out.append(RiggedConfiguration(kind, n, nu,
-                                           tuple(zip(keys, choice))))
-    return out
-
-
-def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                           statistic: str = "cc_theta") -> QLaurent:
-    """Sum of q^{cc o theta} (coenergy grading, the default) or q^{cc}
-    over all rigged configurations, listed one by one over the shapes of
-    ``_admitted_shapes``.  cc(nu, J) = cc(nu) + sum |J| and cc(theta(nu,
-    J)) = cc(nu) + sum P*m - sum |J|, so a rigging enters only through its
-    size, and no configuration is built."""
-    sign = -1 if statistic == "cc_theta" else 1
+def rc_generating_function(kind: str, n: int, L: LMap,
+                           lam: tuple[int, ...]) -> QLaurent:
+    """Sum of q^{cc o theta} (the coenergy grading) over all rigged
+    configurations, listed one by one over the shapes of
+    ``_admitted_shapes``.  cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|,
+    so a rigging enters only through its size, and no configuration is
+    built.  Complementing each rigging in its m x P box sends |J| to P*m -
+    |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum |J|."""
 
     def exponents():
         for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam):
-            base = cc_shape(kind, n, nu)
-            if sign < 0:
-                base += sum(p * m for _, _, m, p in sites)
+            base = cc_shape(kind, n, nu) + sum(p * m for _, _, m, p in sites)
             sizes = [[sum(J) for J in bx] for bx in _riggings(sites)]
             for choice in iproduct(*sizes):
-                yield base + sign * sum(choice)
+                yield base - sum(choice)
 
     return QLaurent.from_exponents(exponents())
 
@@ -317,13 +284,7 @@ def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
             sites.append((p, m))
         return sites
 
-    out = ZERO
-    for nu, sites in _live_shapes(data, sizes, row_sites):
-        poly = q_power(_cc_generic(data, _generic_m(data, nu, memo)))
-        for p, m in sites:
-            poly = poly * qbinomial(p, m)
-        out = out + poly
-    return out
+    return _closed_form_sum(data, sizes, row_sites, memo, None, {(): 1})
 
 
 def _generic_grid(data: CartanData, level: int) -> list[tuple[int, int]]:
@@ -357,18 +318,10 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
-    memo: dict = {}
     grid = _generic_grid(data, level)
-    row_sites = _grid_row_sites(data, L, grid, [0] * len(grid), memo)
-    max_part = 2 * level if data.kind == "C" else level
-    out = ZERO
-    for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
-        poly = q_power(_cc_generic(data, _generic_m(data, nu, memo)))
-        for p, m in sites:
-            if m:  # [p; 0] = 1 for p >= 0
-                poly = poly * qbinomial(p, m)
-        out = out + poly
-    return out
+    return _level_closed_form(data, L, sizes, grid,
+                              2 * level if data.kind == "C" else level,
+                              {(0,) * len(grid): 1})
 
 
 def _grid_row_sites(data: CartanData, L: LMap, grid, tops, memo: dict):
@@ -444,24 +397,6 @@ def _signed_minima(vectors) -> dict[tuple, int]:
         nxt[v] = nxt.get(v, 0) + 1
         acc = {u: k for u, k in nxt.items() if k}
     return acc
-
-
-def _closed_form_terms(charge: int, sites, minima) -> QLaurent:
-    """q^charge times the product over the level grid sites (P, m) of the
-    1/q-binomials [P + correction, m], summed over the signed tableau
-    minima.  A term with P + correction < 0 at a site is zero, and [P +
-    correction; 0] = 1 otherwise."""
-    out = ZERO
-    for corr, k in minima.items():
-        lifted = [p + d for (p, _), d in zip(sites, corr)]
-        if min(lifted, default=0) < 0:
-            continue
-        poly = q_power(charge, k)
-        for x, (_, m) in zip(lifted, sites):
-            if m:
-                poly = poly * invert_q(qbinomial(x, m))
-        out = out + poly
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +507,11 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
 
 def _level_closed_form(data: CartanData, L: LMap, sizes: tuple[int, ...],
                        grid, max_part: int, minima) -> QLaurent:
-    """The closed_form mode of ``level_restricted``: over the shapes inside
-    the level grid, q^{cc + sum p m} times the sum over the signed tableau
-    minima of the grid products of 1/q-binomials [p + correction; m].  A
-    shape with p + max correction < 0 at a grid site, the maximum taken
+    """The level closed forms: over the shapes inside the level grid, q^{cc
+    + sum p m} times the sum over the signed corrections ``minima`` (the
+    tableau minima of ``level_restricted``'s closed_form mode, or the zero
+    correction of ``closed_form_F_level``) of the grid products of
+    1/q-binomials [p + correction; m].  A shape with p + max correction < 0 at a grid site, the maximum taken
     over the minima, has a zero factor in every term, so the walk drops
     each prefix at its first such site."""
     if not minima:
@@ -583,11 +519,33 @@ def _level_closed_form(data: CartanData, L: LMap, sizes: tuple[int, ...],
     memo: dict = {}
     tops = [max(col) for col in zip(*minima)]
     row_sites = _grid_row_sites(data, L, grid, tops, memo)
+    return _closed_form_sum(data, sizes, row_sites, memo, max_part, minima)
+
+
+def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
+                     memo: dict, max_part: int | None, minima) -> QLaurent:
+    """The one sum of the closed forms: over the shapes nu of
+    ``_live_shapes`` with their sites (p, m) from ``row_sites``, and over
+    the signed corrections d -> k of ``minima``, the terms k q^{cc(nu) -
+    sum d m} prod [p + d; m].  A correction shorter than the sites is
+    padded with zeros, so {(): 1} is the single zero correction.  A term
+    with p + d < 0 at a site is zero, and [p + d; 0] = 1 otherwise.
+
+    [x; m] is palindromic of degree x m, so a term is also q^{cc + sum p
+    m} prod 1/q-binomials [p + d; m], the form of ``_level_closed_form``."""
     out = ZERO
     for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
-        c = _cc_generic(data, _generic_m(data, nu, memo)) + sum(
-            p * m for p, m in sites)
-        out = out + _closed_form_terms(c, sites, minima)
+        cc = _cc_generic(data, _generic_m(data, nu, memo))
+        ms = [m for _, m in sites]
+        for corr, k in minima.items():
+            lifted = [p + d for (p, _), d in zip(sites, corr or repeat(0))]
+            if min(lifted, default=0) < 0:
+                continue
+            poly = q_power(cc - sum(map(mul, corr, ms)), k)
+            for x, m in zip(lifted, ms):
+                if m:
+                    poly = poly * qbinomial(x, m)
+            out = out + poly
     return out
 
 

@@ -20,33 +20,6 @@ ENUMERATE_CAP = 24
 SERIES_CAP = 200
 
 
-def hh_paths(L: int, primed: bool = False):
-    """Yield all height sequences in D_L (or D'_L)."""
-    start = 1 if primed else 0
-    if L == 0:
-        if start == 0:
-            yield (0,)
-        return
-
-    # positions 1..L-1 are free subject to adjacency; sigma_L = 0
-    def rec(prefix: list[int], i: int):
-        if i == L:
-            yield tuple(prefix) + (0,)
-            return
-        choices = (0,) if prefix[-1] else (0, 1)
-        for v in choices:
-            prefix.append(v)
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    yield from rec([start], 1)
-
-
-def hh_energy(sigma: tuple[int, ...]) -> int:
-    """Sum of the positions of the particles."""
-    return sum(j for j, s in enumerate(sigma) if s)
-
-
 def _path_energies(L: int, primed: bool):
     """Yield the energy of every path of D_L (or D'_L), one per path.
 
@@ -100,15 +73,14 @@ def _x_bosonic(L: int, primed: bool) -> QLaurent:
     5j)/2), or of q^(j(5j+3)/2) [L; k], k = floor((L - 5j - 1)/2), when
     primed.  [L; k] = [L; L - k], so one walk [L; k - 1] -> [L; k] up to
     k = L/2 on one coefficient list gives every term.  The j-window
-    carries a guard ring at each end, whose terms must vanish."""
+    holds every j with 0 <= k <= L: at j = lo, k >= L + 4, and at j = hi,
+    k <= -3."""
     lo, hi = -(L + 5) // 5 - 1, (L + 5) // 5 + 1
     terms: dict[int, list[tuple[int, int]]] = {}  # k -> (exponent, j odd)
     for j in range(lo, hi + 1):
         k = (L - 5 * j - primed) // 2
         if not 0 <= k <= L:
             continue  # [L; k] is zero
-        if j in (lo, hi):
-            raise CapExceeded("guard ring of the j-truncation is nonzero")
         # j(5j+1) and j(5j+3) are always even
         expo = j * (5 * j + (3 if primed else 1)) // 2
         terms.setdefault(min(k, L - k), []).append((expo, j % 2))

@@ -3,50 +3,56 @@
 These deliberately avoid the code paths they check: box partitions are
 enumerated directly, tensor multiplicities come from characters (weight
 multisets plus Weyl alternation) rather than crystal arrows, series
-coefficients come from explicit partition counting, path sets come
-from filtering the whole tensor product instead of the pruned search, the
+coefficients come from explicit partition counting, path sets come from
+filtering the whole tensor product instead of the pruned search, the
 level alternating sum visits its whole translation window, the
-involution's pair sets scan every (affine) Weyl element against every word
-instead of walking each word into the chamber or alcove, the
-rigged-configuration sums add up every ``RiggedConfiguration`` (with the per-configuration statistics cc and
-cc o theta and the complementation theta) instead of rigging sizes per
-shape, the configuration shapes and the closed forms
-over them come from the full product of per-row partitions instead of
-the row-by-row walk that drops dead prefixes, and each hard-hexagon bosonic term is one
-``qbinomial`` instead of a step along a row.  The R-matrices come
-from a search over two-factor tensor words through the general
-``tensor_arrow`` instead of element indices, the involution's pairing
-color from building every suffix word instead of one fold over the
-letters, and its pair set from walking every word's weight instead of
-each distinct weight once.  The word-level reference lives here: a
-``TensorWord`` of ``Factor``s, its e_i, f_i and s_i through the cached
-per-factor ``factor_stats`` and ``factor_arrow`` (the package applies
-them to element index tuples through per-factor index tables), and
-E_B by its literal double sum over R-matrix shuffles (the package scores
-a path in one pass per placed factor).  The crystal helpers only tests use (a
-component as an explicit graph, the level of a crystal, the coroot
-pairing of a word's weight, a word of given factors or of boxes, a
-word's weight and every word of a tensor product) live here too, and so does the hard-hexagon
-strip reformulation the bosonic terms are checked against.  The finite
-Weyl group is listed whole, by a search over the generators, and the
-translation lattice as a window of every translation up to a coordinate
-bound, as the reference for the walk that lists only the terms a sum can
-use.  The ``QLaurent`` readers only tests use (a dict of terms, the value
-at q = 1, the inverse of ``to_json``) are functions here.
+involution's pair sets scan every (affine) Weyl element against every
+word instead of walking each word into the chamber or alcove, the
+rigged-configuration sums add up every ``RiggedConfiguration`` of
+``enumerate_rc`` (with the per-configuration statistics cc and cc o theta
+and the complementation theta) instead of rigging sizes per shape, the
+configuration shapes and the closed forms over them come from the full
+product of per-row partitions instead of the row-by-row walk that drops
+dead prefixes, and each hard-hexagon bosonic term is one ``qbinomial``
+instead of a step along a row.  The R-matrices come from a search over
+two-factor tensor words through the general ``tensor_arrow`` instead of
+element indices, the involution's pairing color from building every
+suffix word instead of one fold over the letters, and its pair set from
+walking every word's weight instead of each distinct weight once.  The
+word-level reference lives here: a ``TensorWord`` of ``Factor``s, its
+e_i, f_i and s_i through the cached per-factor ``factor_stats`` and
+``factor_arrow`` (the package applies them to element index tuples
+through per-factor index tables), and E_B by its literal double sum over
+R-matrix shuffles (the package scores a path in one pass per placed
+factor).  The crystal helpers only tests use (a component as an explicit
+graph, the level of a crystal, the coroot pairing of a word's weight, a
+word of given factors or of boxes, a word's weight and every word of a
+tensor product) live here too, and so do the hard-hexagon path listing
+and the strip reformulation the bosonic terms are checked against.  The
+package applies each simple reflection as its action rows; a Weyl group
+element with its sign and composition (``WeylElement``, the product
+``element`` of a word) and the coroot pairing of root data live here.
+The finite Weyl group is listed whole, by a search over the generators,
+and the translation lattice as a window of every translation up to a
+coordinate bound, as the reference for the walk that lists only the
+terms a sum can use.  The ``QLaurent`` readers only tests use (a dict of
+terms, the value at q = 1, the inverse of ``to_json``) are functions
+here.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
 import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
-from crystalsums.cartan import (CartanData, WeylElement, cartan_data,
-                                element, reduce_to_alcove, simple_reflections)
+from crystalsums.cartan import (Action, CartanData, _exact_quotient,
+                                cartan_data, reduce_to_alcove,
+                                simple_reflections)
 from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  _route, factor_arrow, factor_elements,
                                  factor_stats, factor_weight,
@@ -55,13 +61,12 @@ from crystalsums.energy import combinatorial_r
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
                                 InvolutionError, IsomorphismError,
                                 UnsupportedError)
-from crystalsums.fermionic import (RiggedConfiguration, _cc_generic,
+from crystalsums.fermionic import (_admitted_shapes, _cc_generic,
                                    _corrections_A, _corrections_C,
                                    _generic_grid, _generic_m, _lambda_prime_A,
-                                   _lambda_prime_C, _signed_minima,
+                                   _lambda_prime_C, _riggings, _signed_minima,
                                    _vacancy_generic, cc_shape, config_sizes,
-                                   cst_enumerate, enumerate_rc, vacancy,
-                                   vacuum_weight)
+                                   cst_enumerate, vacancy, vacuum_weight)
 from crystalsums.partitions import partitions_of
 from crystalsums.qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
 
@@ -143,12 +148,54 @@ def tensor_weight_multiset(kind: str, n: int, shape) -> Counter:
     return acc
 
 
+def coroot_pairing(data: CartanData, a: int, v: tuple[int, ...]) -> int:
+    """<h_a, v> = t_a (alpha_a | v); always an integer: the type C
+    denominator 2 meets t_a = 2 or the long root's even coordinate."""
+    return _exact_quotient(
+        data.t[a - 1] * data.form(data.simple_roots[a - 1], v), 2,
+        "coroot pairing")
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """An element of the (affine) Weyl group by its action on coordinates,
+    coordinate k of w(v) being s * v[i] + t for the row (i, s, t).
+    ``sign`` is (-1)^length; ``word`` is a word for the element in the
+    simple reflections, leftmost acting last, and takes no part in
+    equality."""
+
+    action: Action
+    sign: int
+    word: tuple[int, ...] = field(default=(), compare=False)
+
+    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(s * v[i] + t for i, s, t in self.action)
+
+    def compose(self, other: WeylElement) -> WeylElement:
+        """self o other: other acts first."""
+        rows = other.action
+        return WeylElement(
+            tuple((rows[i][0], s * rows[i][1], s * rows[i][2] + t)
+                  for i, s, t in self.action),
+            self.sign * other.sign, self.word + other.word)
+
+
+def element(data: CartanData, word: tuple[int, ...],
+            level: int | None = None) -> WeylElement:
+    """The product of the simple reflections of ``word``, leftmost last."""
+    gens = simple_reflections(data, level)
+    out = WeylElement(tuple((j, 1, 0) for j in range(data.dim)), 1)
+    for i in word:
+        out = out.compose(WeylElement(gens[i], -1, (i,)))
+    return out
+
+
 @cache
 def weyl_enumerate(data: CartanData) -> tuple[WeylElement, ...]:
     """Every element of the finite Weyl group, once, with its sign, by BFS
     over the generators: the discovery depth is the reduced word length,
     so sign = (-1)^depth."""
-    gens = simple_reflections(data)[1:]
+    gens = [element(data, (i,)) for i in range(1, data.n + 1)]
     ident = element(data, ())
     seen = {ident: None}  # a dict keeps the discovery order
     frontier = [ident]
@@ -214,6 +261,35 @@ def qbinomial_pascal(m: int, n: int) -> dict[int, int]:
             row.append(g)
         rows.append(row)
     return rows[m][n]
+
+
+def hh_paths(L: int, primed: bool = False):
+    """Yield all hard-hexagon height sequences in D_L (or D'_L): 0/1
+    sequences sigma_0..sigma_L with no two adjacent 1's and sigma_L = 0,
+    starting at 0 (at 1 when primed)."""
+    start = 1 if primed else 0
+    if L == 0:
+        if start == 0:
+            yield (0,)
+        return
+
+    # positions 1..L-1 are free subject to adjacency; sigma_L = 0
+    def rec(prefix: list[int], i: int):
+        if i == L:
+            yield tuple(prefix) + (0,)
+            return
+        choices = (0,) if prefix[-1] else (0, 1)
+        for v in choices:
+            prefix.append(v)
+            yield from rec(prefix, i + 1)
+            prefix.pop()
+
+    yield from rec([start], 1)
+
+
+def hh_energy(sigma: tuple[int, ...]) -> int:
+    """Sum of the positions of the particles."""
+    return sum(j for j, s in enumerate(sigma) if s)
 
 
 def bosonic_term(L: int, j: int, primed: bool = False):
@@ -573,6 +649,37 @@ def unpruned_bosonic_level(shape, lam, level):
             if not seen[mu].is_zero():
                 out = out + q_power(expo) * (seen[mu] if sign > 0
                                              else -seen[mu])
+    return out
+
+
+@dataclass(frozen=True)
+class RiggedConfiguration:
+    """nu together with one rigging partition per occupied (row, size)."""
+
+    kind: str
+    n: int
+    nu: tuple[tuple[int, ...], ...]
+    riggings: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+
+    def rigging(self, a: int, i: int) -> tuple[int, ...]:
+        for (aa, ii), J in self.riggings:
+            if (aa, ii) == (a, i):
+                return J
+        return ()
+
+
+def enumerate_rc(kind: str, n: int, L, lam: tuple[int, ...],
+                 max_part: int | None = None) -> list[RiggedConfiguration]:
+    """All rigged configurations for the given factors and weight, with
+    every part of nu at most ``max_part`` when it is given, over the shapes
+    of ``fermionic._admitted_shapes``.  The configurations of one shape nu
+    come out consecutively."""
+    out: list[RiggedConfiguration] = []
+    for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam, max_part):
+        keys = [(a, i) for a, i, _, _ in sites]
+        for choice in product(*_riggings(sites)):
+            out.append(RiggedConfiguration(kind, n, nu,
+                                           tuple(zip(keys, choice))))
     return out
 
 

@@ -13,15 +13,15 @@ from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, _combine_stats
 from crystalsums.energy import _factor_table, combinatorial_r, direct_sum
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   enumerate_rc, level_restricted,
-                                   rc_generating_function, vacuum_weight)
+                                   level_restricted, rc_generating_function,
+                                   vacuum_weight)
 from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import qmultinomial
 
 from oracles import (all_contents_A, at_one, bosonic_term,
                      build_component, cc_stat, cc_theta, coroot_weight_pairing,
                      dominant_contents_A, dominant_weights_C, energy_EB,
-                     letters_word, lr_multiplicity, partitions_gap2,
+                     enumerate_rc, letters_word, lr_multiplicity, partitions_gap2,
                      path_word, strip_inclusion_exclusion, tensor_arrow,
                      theta, word, word_weight)
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -21,7 +22,7 @@ from oracles import (all_contents_A, at_one, dominant_contents_A,
                      dominant_weights_C, energy_EB, path_word, per_word_pairs,
                      reflection_s, scanned_classical_pairs, scanned_color,
                      scanned_level_pairs, shape_elements, tensor_arrow,
-                     unpruned_bosonic_level, weyl_enumerate)
+                     unpruned_bosonic_level, weyl_enumerate, word_weight)
 
 
 def boxes(kind, n, L):
@@ -29,8 +30,24 @@ def boxes(kind, n, L):
 
 
 def word_pairs(shape, pairs):
-    """A pair set of ``_pair_set`` with its words as ``TensorWord``s."""
-    return {(w, path_word(shape, b)) for w, b in pairs}
+    """A pair set of ``_pair_set`` as {(sign(w), word)}, its words as
+    ``TensorWord``s, after checking that it keys each word b by wt(b) +
+    rho."""
+    rho = cartan_data(shape[0].kind, shape[0].n).rho
+    out = set()
+    for b, (v, sign) in pairs.items():
+        w = path_word(shape, b)
+        assert v == tuple(x + r for x, r in zip(word_weight(w), rho)), w
+        out.add((sign, w))
+    return out
+
+
+def signed_words(scanned):
+    """An oracle pair set of (w, word) as {(sign(w), word)}, after checking
+    that each of its words has exactly one w."""
+    repeated = [b for b, k in Counter(b for _, b in scanned).items() if k > 1]
+    assert not repeated, repeated
+    return {(w.sign, b) for w, b in scanned}
 
 
 def index_words(shape):
@@ -394,16 +411,44 @@ class TestInvolution:
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
-                _, pairs = _pair_set(shape, lam, None)
-                assert word_pairs(shape, pairs) == \
-                    scanned_classical_pairs(shape, lam)
-                assert len(set(pairs)) == len(pairs)
+                pairs = _pair_set(shape, lam, None)
+                assert word_pairs(shape, pairs) == signed_words(
+                    scanned_classical_pairs(shape, lam))
                 for ell in (1, 2):
                     if _level_of(kind, n, lam) > ell:
                         continue
-                    _, pairs = _pair_set(shape, lam, ell)
-                    assert word_pairs(shape, pairs) == scanned_level_pairs(
-                        shape, lam, ell), (L, lam, ell)
+                    pairs = _pair_set(shape, lam, ell)
+                    assert word_pairs(shape, pairs) == signed_words(
+                        scanned_level_pairs(shape, lam, ell)), (L, lam, ell)
+
+    def test_non_dominant_weights_are_refused(self):
+        # the sums are zero there by definition, and lam + rho need not be
+        # regular, so the pair set could not be keyed by word: both modes
+        # refuse, before the level checks
+        count = 0
+        for kind, n in (("A", 1), ("A", 2), ("C", 1), ("C", 2)):
+            data = cartan_data(kind, n)
+            for L in range(1, 4):
+                for lam in product(range(-1, L + 1), repeat=data.dim):
+                    if data.is_dominant(lam) or (kind == "A" and (
+                            min(lam) < 0 or sum(lam) != L)):
+                        continue
+                    for ell in (None, 1, 2):
+                        mode = "classical" if ell is None else "level"
+                        with pytest.raises(UnsupportedError):
+                            involution_phi(boxes(kind, n, L), lam, mode, ell)
+                        count += 1
+        assert count == 153
+
+    @pytest.mark.parametrize("mode,level", [("classical", None), ("level", 2)])
+    def test_a_broken_move_leaves_the_pair_set(self, monkeypatch, mode, level):
+        # with phi moving no word, (w r_i, b) is not in S, as r_i fixes no
+        # regular point: the membership check reads wt(b) + rho, not words
+        monkeypatch.setattr(bosonic, "_phi_move", lambda tables, b, i, lv: b)
+        rep = involution_phi(boxes("A", 2, 3), (2, 1, 0), mode, level)
+        moved = rep.size - rep.fixed_points
+        assert moved > 0 and not rep.involution_ok
+        assert sum("left the pair set" in f for f in rep.findings) == moved
 
     def test_level_mode_needs_boxes(self):
         shape = (FactorDescriptor("A", 1, 1, 2),)
@@ -452,18 +497,18 @@ class TestInvolution:
         for inst in _instances("involution", n, 4, 2):
             _, kind, n, L, lam, ell = inst
             shape = boxes(kind, n, L)
-            _, pairs = _pair_set(shape, lam, ell)
-            assert word_pairs(shape, pairs) == \
-                per_word_pairs(shape, lam, ell), inst
+            pairs = _pair_set(shape, lam, ell)
+            assert word_pairs(shape, pairs) == signed_words(
+                per_word_pairs(shape, lam, ell)), inst
         # the type C level mode, which the suite leaves out
         for L in range(1, 5):
             for lam in dominant_weights_C(n, L):
                 for ell in (1, 2):
                     if _level_of("C", n, lam) <= ell:
                         shape = boxes("C", n, L)
-                        _, pairs = _pair_set(shape, lam, ell)
-                        assert word_pairs(shape, pairs) == \
-                            per_word_pairs(shape, lam, ell)
+                        pairs = _pair_set(shape, lam, ell)
+                        assert word_pairs(shape, pairs) == signed_words(
+                            per_word_pairs(shape, lam, ell))
 
     @pytest.mark.parametrize("shape,lam", [
         ((), (0, 0)),

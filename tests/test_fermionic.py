@@ -11,14 +11,14 @@ from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 NonIntegralExponent)
 from crystalsums.fermionic import (_admitted_shapes, _signed_minima,
                                    closed_form_F, closed_form_F_level,
-                                   config_sizes, cst_enumerate, enumerate_rc,
+                                   config_sizes, cst_enumerate,
                                    level_restricted, rc_generating_function,
                                    vacancy, vacuum_weight)
 from crystalsums.qpoly import ONE, ZERO, q_power
 
 from oracles import (admitted_by_product, cc_stat, cc_theta,
                      closed_form_F_by_product, closed_form_F_level_by_product,
-                     dominant_contents_A, dominant_weights_C,
+                     dominant_contents_A, dominant_weights_C, enumerate_rc,
                      level_closed_form_by_product,
                      level_rc_sum_by_configurations, rc_sum_by_configurations,
                      theta)
@@ -62,7 +62,7 @@ class TestClosedForm:
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
                 f = closed_form_F(cartan_data("A", n), Lmap, lam)
-                assert f == rc_generating_function("A", n, Lmap, lam, "cc")
+                assert f == rc_sum_by_configurations("A", n, Lmap, lam, "cc")
                 assert f == rc_generating_function("A", n, Lmap, lam)
 
     @pytest.mark.parametrize("n,maxL", [(1, 5), (2, 4)])
@@ -71,7 +71,7 @@ class TestClosedForm:
             Lmap = {(1, 1): L}
             for lam in dominant_weights_C(n, L):
                 f = closed_form_F(cartan_data("C", n), Lmap, lam)
-                assert f == rc_generating_function("C", n, Lmap, lam, "cc")
+                assert f == rc_sum_by_configurations("C", n, Lmap, lam, "cc")
                 assert f == rc_generating_function("C", n, Lmap, lam)
 
     def test_mixed_columns_type_C(self):
@@ -187,8 +187,8 @@ class TestShapeSums:
         for Lmap, lam in self.inputs(kind, n, maxL):
             for statistic in ("cc_theta", "cc"):
                 want = rc_sum_by_configurations(kind, n, Lmap, lam, statistic)
-                assert rc_generating_function(kind, n, Lmap, lam,
-                                              statistic) == want, (Lmap, lam)
+                assert rc_generating_function(kind, n, Lmap, lam) == want, \
+                    (Lmap, lam, statistic)
                 count += not want.is_zero()
         assert count > 10
 
@@ -196,8 +196,7 @@ class TestShapeSums:
         for kind, n, Lmap in self.MIXED:
             for lam in _dominant(kind, n, Lmap):
                 for statistic in ("cc_theta", "cc"):
-                    assert rc_generating_function(kind, n, Lmap, lam,
-                                                  statistic) == \
+                    assert rc_generating_function(kind, n, Lmap, lam) == \
                         rc_sum_by_configurations(kind, n, Lmap, lam,
                                                  statistic), (Lmap, lam)
 

@@ -1,13 +1,13 @@
 import pytest
 
 from crystalsums.errors import CapExceeded
-from crystalsums.hardhex import (hh_X, hh_energy, hh_paths,
-                                 product_series, rr_series_check)
+from crystalsums.hardhex import hh_X, product_series, rr_series_check
 from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
 
-from oracles import (as_dict, bosonic_term, box_partitions, in_strip,
-                     partitions_congruent, partitions_gap2, strip_energy,
-                     strip_inclusion_exclusion, strip_paths, strip_transform)
+from oracles import (as_dict, bosonic_term, box_partitions, hh_energy,
+                     hh_paths, in_strip, partitions_congruent, partitions_gap2,
+                     strip_energy, strip_inclusion_exclusion, strip_paths,
+                     strip_transform)
 
 FIG_PATH = (0, 1, 0, 0, 0, 1, 0, 0, 1, 0)
 

@@ -134,8 +134,7 @@ def test_rc_walk_reads_no_closed_form():
     # forms' q-binomials nor their bilinear-form vacancies and charges are
     # reachable from its functions
     reached, used = _reached("fermionic.py", [
-        "_admitted_shapes", "enumerate_rc", "rc_generating_function",
-        "_level_rc_sum"])
+        "_admitted_shapes", "rc_generating_function", "_level_rc_sum"])
     assert "_riggings" in reached and "vacancy" in reached
     closed_form = used & {"qbinomial", "_vacancy_generic", "_cc_generic"}
     assert not closed_form, closed_form
@@ -147,7 +146,7 @@ def test_closed_forms_read_no_rc_walk():
     # reach neither its column-count vacancies and charges nor its riggings
     reached, used = _reached("fermionic.py", [
         "closed_form_F", "closed_form_F_level", "_level_closed_form",
-        "_closed_form_terms"])
+        "_closed_form_sum"])
     assert "_live_shapes" in reached and "_vacancy_generic" in reached
     rc_walk = used & {"vacancy", "q_columns", "cc_shape", "_riggings",
                       "partitions_in_box"}
@@ -182,6 +181,19 @@ def test_word_level_reference_is_not_in_the_package():
     found = [f"{name}:{node.lineno}" for name, node in nodes()
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and node.name in WORD_LEVEL]
+    assert not found, found
+
+
+TEST_ONLY = {"WeylElement", "element", "compose", "coroot_pairing",
+             "RiggedConfiguration", "enumerate_rc", "hh_paths", "hh_energy"}
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    # the Weyl group element type and the listings that only tests read
+    # live in tests/oracles.py as references
+    found = [f"{name}:{node.lineno}" for name, node in nodes()
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in TEST_ONLY]
     assert not found, found
 
 
