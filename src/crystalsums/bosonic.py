@@ -13,16 +13,16 @@ from math import prod
 from operator import add
 
 from . import crystal
-from .cartan import (CartanData, _act, _exact_quotient, cartan_data,
-                     reduce_to_alcove, simple_reflections, weyl_images)
+from .cartan import (_act, _exact_quotient, _refuse_above_level, cartan_data,
+                     check_sum, reduce_to_alcove, shape_type,
+                     simple_reflections, weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _route,
                       enumerate_paths, factor_elements, factor_weight)
 from .energy import _factor_table, energy_extension
-from .errors import (CapExceeded, CrystalSumsError, InvolutionError,
-                     UnsupportedError)
+from .errors import CapExceeded, InvolutionError, UnsupportedError
 from .partitions import (conjugate, horizontal_strip_extensions, part,
                          superpartitions)
-from .qpoly import ONE, QLaurent, ZERO, q_power, qbinomial, qmultinomial
+from .qpoly import ONE, QLaurent, ZERO, qbinomial, qmultinomial
 
 Shape = tuple[FactorDescriptor, ...]
 
@@ -36,7 +36,8 @@ def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
                term) -> QLaurent:
     """Sum of term(chain) over the chains () = nu^(0), nu^(1), ...,
     nu^(n+1) = mu^t in which nu^(a) is one of step(nu^(a-1), lam_a, mu^t)."""
-    if len(lam) != n + 1 or any(x < 0 for x in lam) or sum(lam) != sum(mu):
+    check_sum("A", n, lam)
+    if any(x < 0 for x in lam) or sum(lam) != sum(mu):
         return ZERO
     target = conjugate(tuple(sorted(mu, reverse=True)))
     chains = [((),)]
@@ -95,8 +96,7 @@ def supernomial_A_rows(n: int, mu: tuple[int, ...],
 def supernomial_C_boxes(n: int, boxes: int, lam: tuple[int, ...]) -> QLaurent:
     """Type C supernomial for (B^{1,1})^{(x) boxes}: pick the forced letters
     of the weight, then pair up the rest barred/unbarred."""
-    if len(lam) != n:
-        return ZERO
+    check_sum("C", n, lam)
     norm = sum(abs(x) for x in lam)
     spare = boxes - norm
     if spare < 0 or spare % 2:
@@ -126,21 +126,24 @@ _SUPER_CACHE: dict[tuple, QLaurent] = {}
 
 
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
-    """S-bar(B, weight) for any supported shape; zero off the achievable
-    content set.  The cheap part of that test runs before the cache key is
-    built, so those zeros are neither keyed nor cached: a negative type A
-    content; for type A columns, a content that no 0-1 matrix with the
-    column heights as row sums reaches (Gale-Ryser: sorted in decreasing
-    order, its partial sums must stay within those of the conjugate of the
-    heights, as a column holds each letter at most once); a type C weight
-    whose L1 norm exceeds the boxes or differs from them in parity.
+    """S-bar(B, weight) for any supported shape, its input checked as at
+    every route's entry point; zero off the achievable content set.  The
+    cheap part of that test runs before the cache key is built, so those
+    zeros are neither keyed nor cached: a negative type A content; for
+    type A columns, a content that no 0-1 matrix with the column heights
+    as row sums reaches (Gale-Ryser: sorted in decreasing order, its
+    partial sums must stay within those of the conjugate of the heights,
+    as a column holds each letter at most once); a type C weight whose L1
+    norm exceeds the boxes or differs from them in parity.
 
     The unrestricted sum is invariant under the finite Weyl group: s_i
     stays inside each classical component, where the energy is constant.
     So the cache is keyed by, and the closed form evaluated at, the
     dominant representative of the weight's orbit: the content sorted in
     decreasing order (type A), or the sorted absolute values (type C)."""
-    type_c = bool(shape) and shape[0].kind == "C"
+    kind, n = shape_type(shape)
+    check_sum(kind, n, weight)
+    type_c = kind == "C"
     dominant = tuple(sorted(map(abs, weight) if type_c else weight,
                             reverse=True))
     columns = all(d.s == 1 for d in shape)
@@ -158,9 +161,7 @@ def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
                                for i in range(1, len(weight) + 1))
             if any(a > b for a, b in zip(accumulate(dominant), reach)):
                 return ZERO
-    key = (tuple(sorted((d.r, d.s) for d in shape)),
-           shape[0].kind if shape else "A",
-           shape[0].n if shape else 0, dominant)
+    key = (tuple(sorted((d.r, d.s) for d in shape)), kind, n, dominant)
     hit = _SUPER_CACHE.get(key)
     if hit is not None:
         return hit
@@ -170,8 +171,6 @@ def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 
 
 def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
-    if not shape:
-        return q_power(0) if all(x == 0 for x in weight) else ZERO
     kind, n = shape[0].kind, shape[0].n
     if kind == "C":
         return supernomial_C_boxes(n, len(shape), tuple(weight))
@@ -190,7 +189,7 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 
 def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
     """X-bar(B, Lambda) as the signed Weyl sum of supernomials."""
-    data = cartan_data(shape[0].kind, shape[0].n)
+    data = check_sum(*shape_type(shape), lam)
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
     for sign, _, mu in weyl_images(data, lam_rho, len(shape)):
@@ -198,20 +197,6 @@ def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
         if not s.is_zero():
             out = out + s if sign > 0 else out - s
     return out
-
-
-def _level_data(shape: Shape, lam: tuple[int, ...],
-                level: int) -> CartanData:
-    """The root data of a level sum, which refuses a factor wider than the
-    level and a weight whose level (lam|theta) exceeds it: the alternating
-    sum there is not a sum over paths."""
-    if any(d.s > level for d in shape):
-        raise UnsupportedError("factor wider than the level")
-    data = cartan_data(shape[0].kind, shape[0].n)
-    weight_level = data.theta_pairing(lam)
-    if weight_level > level:
-        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
-    return data
 
 
 def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
@@ -224,8 +209,10 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
     w(lam + rho) - c beta' - rho and e = a0/2 (beta'|beta') c - a0 (w(lam +
     rho)|beta').  One walk (``weyl_images``) lists every (w, beta') whose
     image lies in the supernomial support; every other term is zero.  What
-    ``_level_data`` refuses raises, as in ``level_restricted``."""
-    data = _level_data(shape, lam, level)
+    ``check_sum`` and ``_refuse_above_level`` refuse raises, as in
+    ``level_restricted``."""
+    data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
+    _refuse_above_level(data, lam, level)
     c = level + data.h_dual
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
@@ -249,7 +236,6 @@ def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
 
 @dataclass
 class InvolutionReport:
-    mode: str
     size: int
     fixed_points: int
     fixed_equals_paths: bool
@@ -401,56 +387,48 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None
     return pairs
 
 
-def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
+def involution_phi(shape: Shape, lam: tuple[int, ...],
                    level: int | None = None) -> InvolutionReport:
-    """Build the signed pair set S of a dominant weight, apply the
-    involution, and report its structure.  Property failures are findings,
-    not exceptions, except for a pairing color that stops being well
-    defined.  phi(w, b) = (w r_i, b') lies in S iff r_i(wt(b) + rho) =
-    wt(b') + rho, as (w r_i)^-1(lam + rho) = r_i w^-1(lam + rho), and
-    phi(w r_i, b') = (w, b) iff phi moves b' by the color i back to b."""
-    if mode not in ("classical", "level"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not shape or any((d.kind, d.n) != (shape[0].kind, shape[0].n)
-                        for d in shape):
+    """Build the signed pair set S of a dominant weight, classical or at
+    the ``level``, apply the involution, and report its structure.
+    Property failures are findings, not exceptions, except for a pairing
+    color that stops being well defined.  phi(w, b) = (w r_i, b') lies in
+    S iff r_i(wt(b) + rho) = wt(b') + rho, as (w r_i)^-1(lam + rho) = r_i
+    w^-1(lam + rho), and phi(w r_i, b') = (w, b) iff phi moves b' by the
+    color i back to b."""
+    data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
+    if level is not None and any((d.r, d.s) != (1, 1) for d in shape):
+        # the color fold reads affine strings letterwise, which only
+        # matches the crystal for single-box factors
         raise UnsupportedError(
-            "the involution needs a nonempty shape of one type and rank")
-    lv = level if mode == "level" else None
-    if mode == "level":
-        if level is None:
-            raise ValueError("level mode needs a level")
-        if any((d.r, d.s) != (1, 1) for d in shape):
-            # the color fold reads affine strings letterwise, which only
-            # matches the crystal for single-box factors
-            raise UnsupportedError(
-                "the level involution supports single-box factors only")
-    data = cartan_data(shape[0].kind, shape[0].n)
+            "the level involution supports single-box factors only")
     if not data.is_dominant(lam):
         raise UnsupportedError(f"weight {lam} is not dominant")
-    if lv is not None:
-        _level_data(shape, lam, lv)
-    pairs = _pair_set(shape, lam, lv)
+    if level is not None:
+        _refuse_above_level(data, lam, level)
+    pairs = _pair_set(shape, lam, level)
     target = tuple(l + r for l, r in zip(lam, data.rho))
-    gens = simple_reflections(data, lv)
+    gens = simple_reflections(data, level)
     letters = _letter_table(data.kind, data.n)
     by_desc = {d: _factor_table(d) for d in set(shape)}
     tables = [by_desc[d] for d in shape]
 
     findings: list[str] = []
-    expected_fixed = set(enumerate_paths(shape, lam, mode, lv))
+    expected_fixed = set(enumerate_paths(
+        shape, lam, "classical" if level is None else "level", level))
 
     def text(b):
         return "(x)".join(str(t[0][k]) for t, k in zip(tables, b))
 
     def apply_phi(b):
         flat = tuple(c for t, k in zip(tables, b) for c in t[0][k].letters)
-        i = _select_color(flat, letters, lv)
+        i = _select_color(flat, letters, level)
         if i is None:  # fixed: w is the identity, wt(b) + rho = lam + rho
             if pairs[b][0] != target:
                 raise InvolutionError(
                     f"pairing color undefined on non fixed point ({text(b)})")
             return None
-        return i, _phi_move(tables, b, i, lv)
+        return i, _phi_move(tables, b, i, level)
 
     fixed = set()
     images = {}
@@ -464,7 +442,7 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
     involution_ok = True
     sign_ok = True
     stat_ok: bool | None = None
-    if mode == "classical" and shape[0].kind == "A":
+    if level is None and data.kind == "A":
         stat_ok = True
         energy = _word_energy(shape)
     for b1, (i, b2) in images.items():
@@ -481,6 +459,6 @@ def involution_phi(shape: Shape, lam: tuple[int, ...], mode: str = "classical",
             sign_ok = False
         if stat_ok is not None and energy(b1) != energy(b2):
             stat_ok = False
-    return InvolutionReport(mode, len(pairs), len(fixed),
+    return InvolutionReport(len(pairs), len(fixed),
                             fixed == expected_fixed, involution_ok, sign_ok,
                             stat_ok, findings)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import CapExceeded, NonIntegralExponent, UnsupportedError
+from .errors import (CapExceeded, CrystalSumsError, NonIntegralExponent,
+                     ShapeSyntaxError, UnsupportedError)
 
 WEYL_RANK_CAP = 6
 
@@ -86,6 +87,51 @@ def cartan_data(kind: str, n: int) -> CartanData:
     else:
         raise UnsupportedError(f"unsupported type {kind!r}")
     return CartanData(kind, n, roots, t, rho, h_dual=n + 1, a0=1)
+
+
+# ---------------------------------------------------------------------------
+# the one input check of every route's entry point
+
+def shape_type(shape) -> tuple[str, int]:
+    """(kind, n) of a tensor shape; refuses an empty shape and one that
+    mixes types or ranks."""
+    if not shape:
+        raise UnsupportedError("empty shape")
+    kind, n = shape[0].kind, shape[0].n
+    for d in shape:  # a plain loop: this runs once per sum of every route
+        if d.kind != kind or d.n != n:
+            raise UnsupportedError("shape mixes types or ranks")
+    return kind, n
+
+
+def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
+              level: int | None = None, widest: int = 0) -> CartanData:
+    """The root data of a sum, once its input is checked: ShapeSyntaxError
+    for malformed input (a weight of the wrong length, a negative level),
+    UnsupportedError for input no route covers (a type C factor that is
+    not a single column, a factor wider than the level).  ``widest`` is
+    the largest width s of a factor B^{r,s}, 0 to check no width;
+    ``weight`` None checks no weight."""
+    data = cartan_data(kind, n)
+    if weight is not None and len(weight) != data.dim:
+        raise ShapeSyntaxError(f"weight {tuple(weight)} needs {data.dim} "
+                               f"coordinates")
+    if level is not None and level < 0:
+        raise ShapeSyntaxError(f"level {level} is negative")
+    if kind == "C" and widest > 1:
+        raise UnsupportedError("type C factors must be single columns")
+    if level is not None and widest > level:
+        raise UnsupportedError(f"a factor is wider than the level {level}")
+    return data
+
+
+def _refuse_above_level(data: CartanData, lam: tuple[int, ...],
+                        level: int) -> None:
+    """Refuse a weight whose level (lam|theta) exceeds the level, where a
+    level sum's alternating form is not a sum over paths."""
+    weight_level = data.theta_pairing(lam)
+    if weight_level > level:
+        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
 
 
 # A simple reflection acts on coordinates as a signed permutation followed

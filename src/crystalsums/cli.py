@@ -12,17 +12,14 @@ import sys
 import time
 
 from . import bosonic, energy, fermionic, hardhex
-from .cartan import cartan_data
+from .cartan import CartanData, cartan_data, check_sum, shape_type
 from .crystal import FactorDescriptor
-from .errors import CapExceeded, CrystalSumsError, UnsupportedError
+from .errors import (CapExceeded, CrystalSumsError, ShapeSyntaxError,
+                     UnsupportedError)
 from .partitions import partitions_in_box, partitions_of
 from .qpoly import QLaurent, ZERO, invert_q
 
 Shape = tuple[FactorDescriptor, ...]
-
-
-class ShapeSyntaxError(ValueError):
-    pass
 
 
 def parse_shape(text: str) -> Shape:
@@ -53,15 +50,11 @@ def parse_shape(text: str) -> Shape:
         raise ShapeSyntaxError(f"cannot parse shape spec {text!r}") from exc
 
 
-def parse_weight(text: str, dim: int) -> tuple[int, ...]:
+def parse_weight(text: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ShapeSyntaxError(f"cannot parse weight {text!r}") from exc
-    if len(coords) != dim:
-        raise ShapeSyntaxError(
-            f"weight {text!r} needs {dim} coordinates")
-    return coords
 
 
 def _emit_poly(p: QLaurent, fmt: str) -> None:
@@ -107,7 +100,7 @@ _EVALUATORS = {
     ("classical", "rc"): ("all", lambda s, w, lv:
                           _fermionic_sum(s, w, None, "rc_sum")),
     ("level", "direct"): ("all", lambda s, w, lv:
-                          energy.direct_sum(s, w, "level", "coenergy", lv)),
+                          energy.direct_sum(s, w, "level", lv)),
     ("level", "bosonic"): ("rows or columns", lambda s, w, lv:
                            bosonic.bosonic_level(s, w, lv)),
     ("level", "fermionic"): ("all", lambda s, w, lv:
@@ -117,10 +110,11 @@ _EVALUATORS = {
 }
 
 
-def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
-                           restriction: str, level: int | None) -> bool:
+def _is_zero_by_definition(data: CartanData, shape: Shape,
+                           weight: tuple[int, ...], restriction: str,
+                           level: int | None) -> bool:
     """No path has this weight, or the restriction admits none."""
-    kind = shape[0].kind
+    kind = data.kind
     boxes = sum(d.boxes for d in shape)
     if kind == "A":
         if sum(weight) != boxes or min(weight) < 0:
@@ -131,7 +125,6 @@ def _is_zero_by_definition(shape: Shape, weight: tuple[int, ...],
             return True
     if restriction == "none":
         return False
-    data = cartan_data(kind, shape[0].n)
     if not data.is_dominant(weight):
         return True
     # a level-restricted sum below the weight's level is zero
@@ -143,22 +136,15 @@ def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
     """The configuration sum by one method; the only way from (restriction,
     method) to an evaluator.
 
-    Input is checked once, in this order: malformed input raises
-    ShapeSyntaxError, a combination no evaluator covers raises
-    UnsupportedError, and a sum that vanishes by definition is ZERO for
-    every method."""
-    if not shape:
-        raise ShapeSyntaxError("empty shape")
-    kind, n = shape[0].kind, shape[0].n
-    if any((d.kind, d.n) != (kind, n) for d in shape):
-        raise ShapeSyntaxError("shape mixes types or ranks")
-    dim = n + 1 if kind == "A" else n
-    if len(weight) != dim:
-        raise ShapeSyntaxError(f"weight {weight} needs {dim} coordinates")
-    if level is not None and level < 0:
-        raise ShapeSyntaxError(f"level {level} is negative")
+    Input is checked once, in this order: an unknown statistic raises
+    ShapeSyntaxError; then the check every evaluator makes, ``shape_type``
+    and ``check_sum`` (a factor wider than the level counts only for level
+    sums); then a combination no evaluator covers raises UnsupportedError;
+    and a sum that vanishes by definition is ZERO for every method."""
     if statistic not in ("energy", "coenergy"):
         raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
+    data = check_sum(*shape_type(shape), weight, level,
+                     max(d.s for d in shape) if restriction == "level" else 0)
 
     entry = _EVALUATORS.get((restriction, method))
     if entry is None:
@@ -172,21 +158,16 @@ def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
         level = None
     elif level is None:
         raise UnsupportedError("--restrict level needs --level")
-    elif any(d.s > level for d in shape):
-        raise UnsupportedError(f"a factor is wider than the level {level}")
 
-    if _is_zero_by_definition(shape, weight, restriction, level):
+    if _is_zero_by_definition(data, shape, weight, restriction, level):
         return ZERO
     out = evaluate(shape, tuple(weight), level)
     return invert_q(out) if statistic == "energy" else out
 
 
 def cmd_sum(args) -> int:
-    shape = parse_shape(args.shape)
-    dim = shape[0].n + 1 if shape[0].kind == "A" else shape[0].n
-    weight = parse_weight(args.weight, dim)
-    out = compute_sum(shape, weight, args.restrict, args.method,
-                      args.stat, args.level)
+    out = compute_sum(parse_shape(args.shape), parse_weight(args.weight),
+                      args.restrict, args.method, args.stat, args.level)
     _emit_poly(out, args.format)
     return 0
 
@@ -280,8 +261,7 @@ def run_instance(inst: tuple) -> dict:
     elif suite == "involution":
         _, k, n, L, lam, ell = inst
         shape = tuple(FactorDescriptor(k, n) for _ in range(L))
-        mode = "classical" if ell is None else "level"
-        rep = bosonic.involution_phi(shape, lam, mode, ell)
+        rep = bosonic.involution_phi(shape, lam, ell)
         agree = rep.passed
         values = {"size": str(rep.size), "fixed": str(rep.fixed_points)}
         desc = {"kind": k, "n": n, "L": L, "weight": list(lam), "level": ell}

@@ -27,6 +27,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, gt, sub
 
+from .cartan import check_sum, shape_type
 from .errors import CapExceeded, CrystalStructureError, UnsupportedError
 
 VERTEX_CAP = 2 * 10 ** 6
@@ -277,21 +278,18 @@ def _walk_setup(shape: tuple[FactorDescriptor, ...],
                 restriction: str,
                 level: int | None):
     """What a walk over the paths of ``shape`` checks: (kind, target
-    weight, classical colors to test, level to test or None), or None when
-    the weight has the wrong length and there are no paths."""
+    weight, classical colors to test, level to test or None), once
+    ``cartan.check_sum`` has checked the input.  A factor wider than the
+    level passes: its paths are still well defined."""
     if restriction not in ("none", "classical", "level"):
         raise ValueError(f"unknown restriction {restriction!r}")
-    if restriction == "level":
-        if level is None:
-            raise ValueError("level restriction needs a level")
-    else:
-        level = None
-    kind, n = (shape[0].kind, shape[0].n) if shape else ("A", 1)
-    target = tuple(weight)
-    if len(target) != (n + 1 if kind == "A" else n):
-        return None
+    if restriction == "level" and level is None:
+        raise ValueError("level restriction needs a level")
+    kind, n = shape_type(shape)
+    check_sum(kind, n, weight, level)
     colors = range(1, n + 1) if restriction != "none" else ()
-    return kind, target, colors, level
+    return (kind, tuple(weight), colors,
+            level if restriction == "level" else None)
 
 
 def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
@@ -356,10 +354,8 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     without a hook).  ``VERTEX_CAP`` bounds the number of search nodes
     visited.
     """
-    setup = _walk_setup(shape, weight, restriction, level)
-    if setup is None:
-        return []
-    kind, target, colors, level = setup
+    kind, target, colors, level = _walk_setup(shape, weight, restriction,
+                                              level)
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]

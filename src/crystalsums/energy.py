@@ -33,7 +33,7 @@ from .crystal import (Factor, FactorDescriptor, _element_table, _place,
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
-from .qpoly import QLaurent, ZERO
+from .qpoly import QLaurent
 
 PairKey = tuple[Factor, Factor]
 
@@ -208,8 +208,7 @@ def energy_extension(shape: tuple[FactorDescriptor, ...]):
     return extend
 
 
-def _sweep(desc: FactorDescriptor, L: int, weight: tuple[int, ...],
-           restriction: str, level: int | None, sign: int) -> QLaurent:
+def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
     """The direct sum over the paths of B^{(x)L} by a transfer matrix.
 
     On B (x) B the R-matrix is the identity, so E_B = sum over i of
@@ -217,13 +216,11 @@ def _sweep(desc: FactorDescriptor, L: int, weight: tuple[int, ...],
     left like ``search_paths`` and prunes by the same ``_place``, but keeps
     one {exponent: count} polynomial per state (weight, phi_i over the
     colors, eps_0, phi_0, index of the last placed element) instead of one
-    leaf per path.  ``VERTEX_CAP`` bounds the transitions."""
-    setup = _walk_setup((desc,) * L, weight, restriction, level)
-    if setup is None:
-        return ZERO
+    leaf per path.  ``setup`` is what ``_walk_setup`` returned for the sum.
+    ``VERTEX_CAP`` bounds the transitions."""
     kind, target, colors, level = setup
     table = _element_table(desc, colors, level is not None)
-    H = [[sign * h for h, _ in row]
+    H = [[-h for h, _ in row]
          for row in combinatorial_r(desc, desc).step]
     cap = crystal.VERTEX_CAP
     moves = 0
@@ -263,17 +260,15 @@ def _sweep(desc: FactorDescriptor, L: int, weight: tuple[int, ...],
 def direct_sum(shape: tuple[FactorDescriptor, ...],
                weight: tuple[int, ...],
                restriction: str = "none",
-               statistic: str = "coenergy",
                level: int | None = None) -> QLaurent:
-    """Sum of q^{D(b)} (or coenergy) over the chosen path set.  A
+    """Sum of q^{-D(b)}, the coenergy, over the chosen path set.  A
     homogeneous shape B^{(x)L} is summed by the transfer-matrix ``_sweep``;
     a mixed shape by a pruned path search that accumulates each path's
-    energy E_B = D as it grows."""
-    if statistic not in ("energy", "coenergy"):
-        raise ValueError(f"unknown statistic {statistic!r}")
-    sign = -1 if statistic == "coenergy" else 1
-    if shape and all(d == shape[0] for d in shape):
-        return _sweep(shape[0], len(shape), weight, restriction, level, sign)
+    energy E_B = D as it grows.  The input is checked before any R-matrix
+    is built."""
+    setup = _walk_setup(shape, weight, restriction, level)
+    if all(d == shape[0] for d in shape):
+        return _sweep(shape[0], len(shape), setup)
     paths = search_paths(shape, weight, restriction, level,
                          extend=energy_extension(shape))
-    return QLaurent.from_exponents(sign * e for _, e in paths)
+    return QLaurent.from_exponents(-e for _, e in paths)

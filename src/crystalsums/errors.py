@@ -5,6 +5,11 @@ class CrystalSumsError(Exception):
     """Base class for all package errors."""
 
 
+class ShapeSyntaxError(ValueError):
+    """Malformed input: a shape, weight, level or flag that does not parse,
+    has the wrong length or is negative.  `crystalsums` exits 2 on it."""
+
+
 class CapExceeded(CrystalSumsError):
     """An enumeration or rank exceeded its configured size cap."""
 

@@ -31,8 +31,9 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct, repeat
 from operator import mul
 
-from .cartan import CartanData, _exact_quotient, cartan_data
-from .errors import CapExceeded, CrystalSumsError, UnsupportedError
+from .cartan import (CartanData, _exact_quotient, _refuse_above_level,
+                     cartan_data, check_sum)
+from .errors import CapExceeded
 from .partitions import (conjugate, part, partitions_in_box, partitions_of,
                          q_columns)
 from .qpoly import QLaurent, ZERO, q_power, qbinomial
@@ -43,6 +44,11 @@ RC_CAP = 10 ** 6
 
 # ---------------------------------------------------------------------------
 # configuration shapes
+
+def _widest(L: LMap) -> int:
+    """The largest width i of a factor B^{a,i}, for ``check_sum``."""
+    return max((i for _, i in L), default=0)
+
 
 def config_sizes(data: CartanData, L: LMap, lam: tuple[int, ...]) -> tuple[int, ...] | None:
     """|nu^(a)| for a = 1..n (unhalved), or None when the weight constraint
@@ -210,8 +216,6 @@ def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
     everywhere (the vacancy profile is concave between occupied sites).
     The walk drops a prefix at its first occupied site with a negative
     vacancy number, read from column counts."""
-    if data.kind == "C" and any(i != 1 for (_, i) in L):
-        raise UnsupportedError("type C factors must be single columns")
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return
@@ -250,9 +254,10 @@ def rc_generating_function(kind: str, n: int, L: LMap,
     so a rigging enters only through its size, and no configuration is
     built.  Complementing each rigging in its m x P box sends |J| to P*m -
     |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum |J|."""
+    data = check_sum(kind, n, lam, None, _widest(L))
 
     def exponents():
-        for nu, sites in _admitted_shapes(cartan_data(kind, n), L, lam):
+        for nu, sites in _admitted_shapes(data, L, lam):
             base = cc_shape(kind, n, nu) + sum(p * m for _, _, m, p in sites)
             sizes = [[sum(J) for J in bx] for bx in _riggings(sites)]
             for choice in iproduct(*sizes):
@@ -269,6 +274,7 @@ def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
     configuration shapes, via the bilinear-form expressions.  A shape with
     p < 0 at an occupied site contributes [p; m] = 0, so the walk drops
     each prefix at its first such site."""
+    check_sum(data.kind, data.n, lam, None, _widest(L))
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
@@ -309,9 +315,7 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     grid, with every grid site contributing its q-binomial factor.  A grid
     site with p < 0 makes its factor [p; m] zero, even for m = 0, so the
     walk drops each prefix at its first such site."""
-    for (a, i) in L:
-        if i > data.t[a - 1] * level:
-            raise UnsupportedError("factor wider than the level grid")
+    check_sum(data.kind, data.n, None, level, _widest(L))
     lam = vacuum_weight(data, L)
     if lam is None:
         return ZERO
@@ -469,23 +473,14 @@ def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     modes read it.  rc_sum (``_level_rc_sum``) lists only shapes inside
     the level grid.  A non-dominant weight gives ZERO in both modes.
     """
-    data = cartan_data(kind, n)
-    if len(lam) != data.dim:
-        raise ValueError(f"weight must have {data.dim} coordinates")
+    data = check_sum(kind, n, lam, level, _widest(L))
     if kind == "A":
         corrections = _corrections_A
         shape, alphabet = _lambda_prime_A(n, lam)
     else:
         corrections = _corrections_C
         shape, alphabet = _lambda_prime_C(n, lam)
-    weight_level = data.theta_pairing(lam)
-    if weight_level > level:
-        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
-    for (a, i) in L:
-        if kind == "C" and i != 1:
-            raise UnsupportedError("type C factors must be single columns")
-        if i > level:
-            raise UnsupportedError("factor wider than the level")
+    _refuse_above_level(data, lam, level)
     if mode not in ("rc_sum", "closed_form"):
         raise ValueError(f"unknown mode {mode!r}")
     sizes = config_sizes(data, L, lam)

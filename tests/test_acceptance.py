@@ -78,7 +78,7 @@ def test_criterion_4_type_A_three_way():
             shape = boxes("A", n, L)
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
-                d = direct_sum(shape, lam, "classical", "coenergy")
+                d = direct_sum(shape, lam, "classical")
                 b = bosonic_classical(shape, lam)
                 f = closed_form_F(data, Lmap, lam)
                 r = rc_generating_function("A", n, Lmap, lam)
@@ -100,7 +100,7 @@ def test_criterion_5_supernomial_formulas():
                 shape = tuple(FactorDescriptor("A", n, r, 1) for r in mu)
                 for lam in all_contents_A(n, total):
                     assert supernomial_A_columns(n, mu, lam) == \
-                        direct_sum(shape, lam, "none", "coenergy"), (mu, lam)
+                        direct_sum(shape, lam, "none"), (mu, lam)
         # single rows: every multiset of widths with at most 6 boxes
         for k in range(1, 7):
             for mu in combinations_with_replacement(range(1, 7), k):
@@ -111,7 +111,7 @@ def test_criterion_5_supernomial_formulas():
                 shape = tuple(FactorDescriptor("A", n, 1, s) for s in mu)
                 for lam in all_contents_A(n, total):
                     assert supernomial_A_rows(n, mu, lam) == \
-                        direct_sum(shape, lam, "none", "coenergy"), (mu, lam)
+                        direct_sum(shape, lam, "none"), (mu, lam)
         # both reduce to the q-multinomial on single boxes
         for total in range(1, 7):
             ones = (1,) * total
@@ -134,7 +134,7 @@ def test_criterion_6_level_restricted_type_A():
             for lam in dominant_contents_A(n, L):
                 if lam[0] - lam[n] > ell:
                     continue
-                d = direct_sum(shape, lam, "level", "coenergy", ell)
+                d = direct_sum(shape, lam, "level", ell)
                 rc = level_restricted("A", n, Lmap, lam, ell, "rc_sum")
                 cf = level_restricted("A", n, Lmap, lam, ell, "closed_form")
                 bl = bosonic_level(shape, lam, ell)
@@ -174,14 +174,14 @@ def test_criterion_8_involution_suite():
                 lams = (dominant_contents_A(n, L) if kind == "A"
                         else dominant_weights_C(n, L))
                 for lam in lams:
-                    rep = involution_phi(shape, lam, "classical")
+                    rep = involution_phi(shape, lam)
                     assert rep.passed, (kind, n, L, lam, rep)
             shape = boxes("A", n, L)
             for lam in dominant_contents_A(n, L):
                 for ell in (1, 2):
                     if lam[0] - lam[n] > ell:
                         continue
-                    rep = involution_phi(shape, lam, "level", level=ell)
+                    rep = involution_phi(shape, lam, level=ell)
                     assert rep.passed, (n, L, lam, ell, rep)
     _report(8, "sign-reversing involutions, classical and level", t0, 60)
 

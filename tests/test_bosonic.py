@@ -98,7 +98,7 @@ class TestSupernomialFormulas:
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, r, 1) for r in mu)
                 for lam in all_contents_A(n, total):
-                    want = direct_sum(shape, lam, "none", "coenergy")
+                    want = direct_sum(shape, lam, "none")
                     assert supernomial_A_columns(n, mu, lam) == want, (mu, lam)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -111,14 +111,13 @@ class TestSupernomialFormulas:
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, 1, s) for s in mu)
                 for lam in all_contents_A(n, total):
-                    want = direct_sum(shape, lam, "none", "coenergy")
+                    want = direct_sum(shape, lam, "none")
                     assert supernomial_A_rows(n, mu, lam) == want, (mu, lam)
 
     def test_rows_spot_value_mu21(self):
         # B^{1,2} (x) B^{1,1} of A_1, content (2,1), against the path oracle
         want = direct_sum((FactorDescriptor("A", 1, 1, 2),
-                           FactorDescriptor("A", 1)), (2, 1),
-                          "none", "coenergy")
+                           FactorDescriptor("A", 1)), (2, 1), "none")
         assert supernomial_A_rows(1, (2, 1), (2, 1)) == want
 
     def test_c_boxes_single_letter(self):
@@ -246,7 +245,7 @@ class TestBosonicClassical:
         for lam in all_contents_A(1, 3):
             if lam[0] < lam[1]:
                 continue
-            want = direct_sum(shape, lam, "classical", "coenergy")
+            want = direct_sum(shape, lam, "classical")
             assert bosonic_classical(shape, lam) == want
 
 
@@ -254,7 +253,7 @@ class TestBosonicLevel:
     def test_a1_level_one(self):
         shape = boxes("A", 1, 2)
         assert bosonic_level(shape, (1, 1), 1) == \
-            direct_sum(shape, (1, 1), "level", "coenergy", 1)
+            direct_sum(shape, (1, 1), "level", 1)
 
     def test_stabilizes_to_classical(self):
         for kind, n, L in (("A", 1, 4), ("A", 2, 3), ("C", 2, 3)):
@@ -310,7 +309,7 @@ class TestBosonicLevel:
                 for lam in dominant_contents_A(n, L):
                     if lam[0] - lam[n] > ell:
                         continue
-                    want = direct_sum(shape, lam, "level", "coenergy", ell)
+                    want = direct_sum(shape, lam, "level", ell)
                     assert bosonic_level(shape, lam, ell) == want, (L, lam)
 
     @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 6), ("A", 2, 5),
@@ -330,7 +329,7 @@ class TestBosonicLevel:
                             bosonic_level(shape, lam, ell)
                     else:
                         assert bosonic_level(shape, lam, ell) == direct_sum(
-                            shape, lam, "level", "coenergy", ell), \
+                            shape, lam, "level", ell), \
                             (L, lam, ell)
 
     def test_factor_wider_than_level_raises(self):
@@ -354,14 +353,14 @@ class TestBosonicLevel:
                 for ell in (2, 3):
                     if lam[0] - lam[n] > ell or any(d.s > ell for d in shape):
                         continue
-                    want = direct_sum(shape, lam, "level", "coenergy", ell)
+                    want = direct_sum(shape, lam, "level", ell)
                     assert bosonic_level(shape, lam, ell) == want, \
                         (shape, lam, ell)
 
 
 class TestInvolution:
     def test_a1_classical_report(self):
-        rep = involution_phi(boxes("A", 1, 2), (1, 1), "classical")
+        rep = involution_phi(boxes("A", 1, 2), (1, 1))
         assert rep.size == 3 and rep.fixed_points == 1
         assert rep.passed and rep.statistic_preserved
 
@@ -372,7 +371,7 @@ class TestInvolution:
                 lams = (dominant_contents_A(n, L) if kind == "A"
                         else dominant_weights_C(n, L))
                 for lam in lams:
-                    rep = involution_phi(shape, lam, "classical")
+                    rep = involution_phi(shape, lam)
                     assert rep.passed, (kind, n, L, lam, rep)
                     want = len(enumerate_paths(shape, lam, "classical"))
                     assert rep.fixed_points == want
@@ -384,7 +383,7 @@ class TestInvolution:
                 for lam in dominant_contents_A(n, L):
                     if lam[0] - lam[n] > 1:
                         continue
-                    rep = involution_phi(shape, lam, "level", level=1)
+                    rep = involution_phi(shape, lam, level=1)
                     assert rep.passed, (n, L, lam, rep)
                     want = len(enumerate_paths(shape, lam, "level", 1))
                     assert rep.fixed_points == want
@@ -397,7 +396,7 @@ class TestInvolution:
                 for ell in (1, 2):
                     if lam[0] > ell:
                         continue
-                    rep = involution_phi(shape, lam, "level", level=ell)
+                    rep = involution_phi(shape, lam, level=ell)
                     assert rep.passed, (n, L, lam, ell, rep)
                     want = len(enumerate_paths(shape, lam, "level", ell))
                     assert rep.fixed_points == want
@@ -434,18 +433,18 @@ class TestInvolution:
                             min(lam) < 0 or sum(lam) != L)):
                         continue
                     for ell in (None, 1, 2):
-                        mode = "classical" if ell is None else "level"
                         with pytest.raises(UnsupportedError):
-                            involution_phi(boxes(kind, n, L), lam, mode, ell)
+                            involution_phi(boxes(kind, n, L), lam, ell)
                         count += 1
         assert count == 153
 
-    @pytest.mark.parametrize("mode,level", [("classical", None), ("level", 2)])
-    def test_a_broken_move_leaves_the_pair_set(self, monkeypatch, mode, level):
+    @pytest.mark.parametrize("level", [
+        pytest.param(None, id="classical-None"), pytest.param(2, id="level-2")])
+    def test_a_broken_move_leaves_the_pair_set(self, monkeypatch, level):
         # with phi moving no word, (w r_i, b) is not in S, as r_i fixes no
         # regular point: the membership check reads wt(b) + rho, not words
         monkeypatch.setattr(bosonic, "_phi_move", lambda tables, b, i, lv: b)
-        rep = involution_phi(boxes("A", 2, 3), (2, 1, 0), mode, level)
+        rep = involution_phi(boxes("A", 2, 3), (2, 1, 0), level)
         moved = rep.size - rep.fixed_points
         assert moved > 0 and not rep.involution_ok
         assert sum("left the pair set" in f for f in rep.findings) == moved
@@ -453,7 +452,7 @@ class TestInvolution:
     def test_level_mode_needs_boxes(self):
         shape = (FactorDescriptor("A", 1, 1, 2),)
         with pytest.raises(UnsupportedError):
-            involution_phi(shape, (1, 1), "level", level=1)
+            involution_phi(shape, (1, 1), level=1)
 
     @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
                                         ("C", 1), ("C", 2), ("C", 3)])
@@ -471,7 +470,7 @@ class TestInvolution:
                     with pytest.raises(CrystalSumsError) as want:
                         bosonic_level(shape, lam, ell)
                     with pytest.raises(CrystalSumsError) as got:
-                        involution_phi(shape, lam, "level", level=ell)
+                        involution_phi(shape, lam, level=ell)
                     assert got.type is want.type, (L, lam, ell)
                     refused.add(got.type)
         assert refused == {UnsupportedError, CrystalSumsError}

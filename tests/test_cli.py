@@ -46,9 +46,13 @@ class TestShapeGrammar:
             parse_shape(bad)
 
     def test_weight(self):
-        assert parse_weight("1,2,0", 3) == (1, 2, 0)
+        assert parse_weight("1,2,0") == (1, 2, 0)
         with pytest.raises(ShapeSyntaxError):
-            parse_weight("1,2", 3)
+            parse_weight("1,x")
+        # the length is checked with the rest of the input, by compute_sum
+        with pytest.raises(ShapeSyntaxError):
+            compute_sum(parse_shape("A:2;1,1*3"), parse_weight("1,2"),
+                        "none", "direct", "coenergy", None)
 
 
 class TestSum:

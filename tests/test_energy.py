@@ -6,9 +6,11 @@ import crystalsums.crystal as crystal
 from crystalsums.crystal import (FactorDescriptor, factor_elements,
                                  search_paths)
 from crystalsums import energy
+from crystalsums.cli import compute_sum
 from crystalsums.energy import combinatorial_r, direct_sum, energy_extension
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
-                                IsomorphismError, UnsupportedError)
+                                IsomorphismError, ShapeSyntaxError,
+                                UnsupportedError)
 from crystalsums.qpoly import QLaurent, invert_q, qmultinomial
 
 from oracles import (all_contents_A, apply_sigma, build_component,
@@ -213,27 +215,28 @@ class TestEnergy:
 
 class TestDirectSums:
     def test_classical_coenergy_example(self):
-        assert str(direct_sum(boxes("A", 1, 2), (1, 1), "classical",
-                              "coenergy")) == "q"
+        assert str(direct_sum(boxes("A", 1, 2), (1, 1), "classical")) == "q"
 
     def test_unrestricted_is_multinomial(self):
         for n in (1, 2):
             for L in range(1, 7):
                 shape = boxes("A", n, L)
                 for lam in all_contents_A(n, L):
-                    assert direct_sum(shape, lam, "none", "coenergy") == \
+                    assert direct_sum(shape, lam, "none") == \
                         qmultinomial(L, lam), (n, L, lam)
 
     def test_energy_is_inverse_of_coenergy(self):
+        # direct_sum is coenergy graded; the energy grading is compute_sum's
         shape = boxes("A", 2, 3)
         for lam in ((1, 1, 1), (2, 1, 0)):
-            x = direct_sum(shape, lam, "classical", "energy")
-            xb = direct_sum(shape, lam, "classical", "coenergy")
-            assert xb == invert_q(x)
+            x = compute_sum(shape, lam, "classical", "direct", "energy", None)
+            xb = direct_sum(shape, lam, "classical")
+            assert xb == invert_q(x) and x != xb
 
     def test_bad_statistic(self):
-        with pytest.raises(ValueError):
-            direct_sum(boxes("A", 1, 2), (1, 1), "none", "typo")
+        with pytest.raises(ShapeSyntaxError):
+            compute_sum(boxes("A", 1, 2), (1, 1), "none", "direct", "typo",
+                        None)
 
 
 def seeded_shape(seed, n, kind_of_factor):
@@ -276,8 +279,8 @@ class TestIncrementalEnergy:
                 want = QLaurent.from_exponents(
                     coenergy_D(b)
                     for b in filtered_paths(shape, lam, restriction, level))
-                assert direct_sum(shape, lam, restriction, "coenergy",
-                                  level) == want, (shape, lam, restriction)
+                assert direct_sum(shape, lam, restriction, level) == want, \
+                    (shape, lam, restriction)
 
 
 def all_weights_C(n, L):
@@ -322,17 +325,15 @@ class TestTransferMatrix:
                 for restriction, level in (("none", None),
                                            ("classical", None),
                                            ("level", 1), ("level", 2)):
-                    got = direct_sum(shape, lam, restriction, "energy", level)
+                    got = direct_sum(shape, lam, restriction, level)
                     searched = QLaurent.from_exponents(
-                        e for _, e in search_paths(shape, lam, restriction,
-                                                   level, extend=extend))
+                        -e for _, e in search_paths(shape, lam, restriction,
+                                                    level, extend=extend))
                     filtered = QLaurent.from_exponents(
-                        energies[w] for w in filtered_paths(
+                        -energies[w] for w in filtered_paths(
                             shape, lam, restriction, level))
                     case = (desc, L, lam, restriction, level)
                     assert got == searched == filtered, case
-                    assert direct_sum(shape, lam, restriction, "coenergy",
-                                      level) == invert_q(got), case
 
     def test_sweep_is_capped(self, monkeypatch):
         shape = boxes("A", 1, 6)

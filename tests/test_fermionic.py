@@ -42,7 +42,7 @@ class TestClosedForm:
 
     def test_a2_three_boxes(self):
         # must equal the direct coenergy sum (path oracle)
-        want = direct_sum(boxes("A", 2, 3), (1, 1, 1), "classical", "coenergy")
+        want = direct_sum(boxes("A", 2, 3), (1, 1, 1), "classical")
         assert closed_form_F(A2, {(1, 1): 3}, (1, 1, 1)) == want
 
     def test_infeasible_weight_is_zero(self):
@@ -337,8 +337,7 @@ class TestLevelForms:
                 for ell in (1, 2):
                     if lam[0] - lam[1] > ell:
                         continue
-                    want = direct_sum(boxes("A", 1, L), lam, "level",
-                                      "coenergy", ell)
+                    want = direct_sum(boxes("A", 1, L), lam, "level", ell)
                     got = level_restricted("A", 1, {(1, 1): L}, lam, ell)
                     assert got == want, (L, lam, ell)
 

@@ -1,0 +1,122 @@
+"""Every route's entry point refuses malformed input as compute_sum does.
+
+compute_sum is what ``crystalsums sum`` runs; the class it raises is the
+exit code (ShapeSyntaxError 2, UnsupportedError 3).  Each library entry
+point of the direct, bosonic and fermionic routes must raise the same
+class for the same input, and never return a polynomial, a path list or a
+report for it.  The message is compared too: every refusal comes from the
+one check in ``cartan``, not from a check of the route's own.
+"""
+import pytest
+
+from crystalsums.bosonic import (bosonic_classical, bosonic_level,
+                                 involution_phi, supernomial)
+from crystalsums.cartan import cartan_data
+from crystalsums.cli import compute_sum, parse_shape
+from crystalsums.crystal import FactorDescriptor, search_paths
+from crystalsums.energy import direct_sum
+from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
+                                UnsupportedError)
+from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
+                                   level_restricted, rc_generating_function,
+                                   shape_L)
+
+A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
+
+# name -> (shape, weight, level, class refused with): (B^{1,1} of
+# A_1)^{(x)2} at weight (1, 1) and level 1, with one thing wrong
+INPUTS = {
+    "short weight": ((A1, A1), (2,), 1, ShapeSyntaxError),
+    "long weight": ((A1, A1), (1, 1, 0), 1, ShapeSyntaxError),
+    "negative level": ((A1, A1), (1, 1), -1, ShapeSyntaxError),
+    "empty shape": ((), (0, 0), 1, UnsupportedError),
+    "mixed ranks": ((A1, A2), (1, 1), 1, UnsupportedError),
+}
+
+
+def _type(shape):
+    return shape[0].kind, shape[0].n
+
+
+def _lmap(shape):
+    return shape_L(shape)[0]
+
+
+# entry point -> (restriction of its sum, the inputs it takes, call); the
+# fermionic functions take an L-map, which has no empty or mixed shape
+WEIGHTS = ("short weight", "long weight")
+SHAPES = ("empty shape", "mixed ranks")
+ROUTES = {
+    "direct_sum none": ("none", WEIGHTS + SHAPES,
+                        lambda s, w, lv: direct_sum(s, w)),
+    "direct_sum": ("classical", WEIGHTS + SHAPES,
+                   lambda s, w, lv: direct_sum(s, w, "classical")),
+    "direct_sum level": ("level", WEIGHTS + SHAPES + ("negative level",),
+                         lambda s, w, lv: direct_sum(s, w, "level", lv)),
+    "search_paths": ("classical", WEIGHTS + SHAPES,
+                     lambda s, w, lv: search_paths(s, w, "classical")),
+    "search_paths level": ("level", WEIGHTS + SHAPES + ("negative level",),
+                           lambda s, w, lv: search_paths(s, w, "level", lv)),
+    "supernomial": ("none", WEIGHTS + SHAPES,
+                    lambda s, w, lv: supernomial(s, w)),
+    "bosonic_classical": ("classical", WEIGHTS + SHAPES,
+                          lambda s, w, lv: bosonic_classical(s, w)),
+    "bosonic_level": ("level", WEIGHTS + SHAPES + ("negative level",),
+                      lambda s, w, lv: bosonic_level(s, w, lv)),
+    "involution_phi": ("classical", WEIGHTS + SHAPES,
+                       lambda s, w, lv: involution_phi(s, w)),
+    "involution_phi level": ("level", WEIGHTS + SHAPES + ("negative level",),
+                             lambda s, w, lv: involution_phi(s, w, lv)),
+    "closed_form_F": ("classical", WEIGHTS, lambda s, w, lv: closed_form_F(
+        cartan_data(*_type(s)), _lmap(s), w)),
+    "rc_generating_function": ("classical", WEIGHTS, lambda s, w, lv:
+                               rc_generating_function(*_type(s), _lmap(s), w)),
+    "closed_form_F_level": ("level", ("negative level",), lambda s, w, lv:
+                            closed_form_F_level(cartan_data(*_type(s)),
+                                                _lmap(s), lv)),
+    "level_restricted": ("level", WEIGHTS + ("negative level",),
+                         lambda s, w, lv: level_restricted(*_type(s),
+                                                           _lmap(s), w, lv)),
+}
+
+
+def outcome(call):
+    """The class and message of the package error ``call`` raises, or what
+    it returns."""
+    try:
+        return call()
+    except (CrystalSumsError, ShapeSyntaxError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("route,bad", [
+    (route, bad) for route, (_, takes, _) in ROUTES.items() for bad in takes])
+def test_every_route_refuses_as_compute_sum(route, bad):
+    restriction, _, call = ROUTES[route]
+    shape, weight, level, refused = INPUTS[bad]
+    want = outcome(lambda: compute_sum(
+        shape, weight, restriction, "direct", "coenergy",
+        level if restriction == "level" else None))
+    assert want[0] is refused, want
+    assert outcome(lambda: call(shape, weight, level)) == want
+
+
+# a type C L-map with a factor B^{1,2}: no route covers it, and no shape of
+# it can be built (FactorDescriptor refuses it, with its own message)
+TYPE_C_ROW = {
+    "closed_form_F": lambda L: closed_form_F(cartan_data("C", 2), L, (2, 0)),
+    "rc_generating_function":
+        lambda L: rc_generating_function("C", 2, L, (2, 0)),
+    "closed_form_F_level":
+        lambda L: closed_form_F_level(cartan_data("C", 2), L, 2),
+    "level_restricted": lambda L: level_restricted("C", 2, L, (2, 0), 2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TYPE_C_ROW))
+def test_type_c_rows_are_refused_as_by_compute_sum(route):
+    want = outcome(lambda: compute_sum(parse_shape("C:2;1,2*2"), (2, 0),
+                                       "level", "rc", "coenergy", 2))
+    assert want[0] is UnsupportedError
+    got = outcome(lambda: TYPE_C_ROW[route]({(1, 2): 2}))
+    assert got == (UnsupportedError, "type C factors must be single columns")

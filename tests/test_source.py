@@ -226,3 +226,41 @@ def test_qbinomial_cache_is_bounded():
             bounds.append(arg.value if isinstance(arg, ast.Constant) else None)
     assert len(bounds) == 1 and isinstance(bounds[0], int) \
         and bounds[0] > 0, bounds
+
+
+# where malformed input may be refused, with the text its message must
+# hold: the one input check, and the command line's own parsing of flags,
+# shapes, weights and config files; compute_sum refuses its statistic
+# argument, which no route takes
+SYNTAX_CHECKS = {
+    ("cartan.py", "check_sum"): "", ("cli.py", "parse_shape"): "",
+    ("cli.py", "parse_weight"): "", ("cli.py", "_nonnegative"): "",
+    ("cli.py", "cmd_verify"): "", ("cli.py", "cmd_rr"): "",
+    ("cli.py", "_config_flags"): "",
+    ("cli.py", "compute_sum"): "unknown statistic",
+}
+
+
+def test_one_input_check():
+    # every route refuses malformed input and a factor wider than the level
+    # through cartan.check_sum, not by a check of its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                text = " ".join(c.value for c in ast.walk(node)
+                                if isinstance(c, ast.Constant)
+                                and isinstance(c.value, str))
+                syntax = getattr(exc, "id", None) == "ShapeSyntaxError"
+                if where == ("cartan.py", "check_sum") or (
+                        syntax and where in SYNTAX_CHECKS
+                        and SYNTAX_CHECKS[where] in text):
+                    continue
+                if syntax or "wider than" in text:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
