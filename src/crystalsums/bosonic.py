@@ -187,47 +187,42 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
 # ---------------------------------------------------------------------------
 # alternating sums
 
-def bosonic_classical(shape: Shape, lam: tuple[int, ...]) -> QLaurent:
-    """X-bar(B, Lambda) as the signed Weyl sum of supernomials."""
-    data = check_sum(*shape_type(shape), lam)
-    lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
-    out = ZERO
-    for sign, _, mu in weyl_images(data, lam_rho, len(shape)):
-        s = supernomial(shape, mu)
-        if not s.is_zero():
-            out = out + s if sign > 0 else out - s
-    return out
-
-
-def bosonic_level(shape: Shape, lam: tuple[int, ...], level: int) -> QLaurent:
-    """X-bar^level(B, Lambda): the sum over w in the finite Weyl group and
-    beta in the translation lattice M of sign(w) q^e S(w(lam + rho - c beta)
+def alternating_sum(shape: Shape, lam: tuple[int, ...],
+                    level: int | None = None) -> QLaurent:
+    """X-bar(B, Lambda), or X-bar^level(B, Lambda) at a ``level``: the sum
+    over w in the finite Weyl group and beta in the translation lattice M
+    (only beta = 0 without a level) of sign(w) q^e S(w(lam + rho - c beta)
     - rho), with c = level + h_dual and e = a0/2 (beta|beta) c - a0 (lam +
     rho|beta).
 
     M and the form are W-invariant, so with beta' = w beta the image is
     w(lam + rho) - c beta' - rho and e = a0/2 (beta'|beta') c - a0 (w(lam +
     rho)|beta').  One walk (``weyl_images``) lists every (w, beta') whose
-    image lies in the supernomial support; every other term is zero.  What
-    ``check_sum`` and ``_refuse_above_level`` refuse raises, as in
-    ``level_restricted``."""
+    image lies in the supernomial support; every other term is zero, and e
+    is read only for the terms whose supernomial is not.  What
+    ``check_sum`` and ``_refuse_above_level`` refuse raises, as in the
+    fermionic level sums."""
     data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
-    _refuse_above_level(data, lam, level)
-    c = level + data.h_dual
+    c = None
+    if level is not None:
+        _refuse_above_level(data, lam, level)
+        c = level + data.h_dual
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
     # supernomial counts type C boxes as factors
     for sign, beta, mu in weyl_images(data, lam_rho, len(shape), c):
-        w_lam_rho = tuple(m + r + c * x for m, r, x in zip(mu, data.rho, beta))
-        # the exponent e over the integer form
-        expo = _exact_quotient(
-            data.a0 * (c * data.form(beta, beta)
-                       - 2 * data.form(w_lam_rho, beta)),
-            4, f"level prefactor at beta={beta}")
         s = supernomial(shape, mu)
-        if not s.is_zero():
-            s = s.shift(expo)
-            out = out + s if sign > 0 else out - s
+        if s.is_zero():
+            continue
+        if c is not None:
+            w_lam_rho = tuple(m + r + c * x
+                              for m, r, x in zip(mu, data.rho, beta))
+            # the exponent e over the integer form
+            s = s.shift(_exact_quotient(
+                data.a0 * (c * data.form(beta, beta)
+                           - 2 * data.form(w_lam_rho, beta)),
+                4, f"level prefactor at beta={beta}"))
+        out = out + s if sign > 0 else out - s
     return out
 
 

@@ -68,45 +68,42 @@ def _emit_poly(p: QLaurent, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # sum
 
-def _fermionic_sum(shape: Shape, weight: tuple[int, ...], level: int | None,
-                   mode: str) -> QLaurent:
-    """Closed forms (mode closed_form) or rigged configurations (rc_sum);
-    ``level`` None means the classical restriction."""
-    kind, n = shape[0].kind, shape[0].n
+def _fermionic_sum(evaluate, shape: Shape, weight: tuple[int, ...],
+                   level: int | None) -> QLaurent:
+    """``evaluate(kind, n, L, lam, level)``, a fermionic route, on the
+    factor multiplicities of ``shape``, with the type A determinant
+    columns taken off the weight."""
     L, det = fermionic.shape_L(shape)
     lam = tuple(x - det for x in weight)
     if any(x < 0 for x in lam):
         return ZERO  # every determinant column fills each coordinate once
-    if level is None:
-        if mode == "closed_form":
-            return fermionic.closed_form_F(cartan_data(kind, n), L, lam)
-        return fermionic.rc_generating_function(kind, n, L, lam)
-    return fermionic.level_restricted(kind, n, L, lam, level, mode)
+    return evaluate(shape[0].kind, shape[0].n, L, lam, level)
 
 
-# (restriction, method) -> (shapes covered, evaluator).  Every evaluator
-# takes (shape, weight, level) and returns the coenergy-graded sum.
+# method -> (shapes covered, evaluator) of the classical and the level
+# sums.  Every evaluator takes (shape, weight, level), level None for the
+# classical sum, and returns the coenergy-graded sum.  Each looks its
+# route up in the module when called, so a rebound module attribute (a
+# test's stub, a benchmark's tracing wrapper) is what runs.
+_ROUTES = {
+    "direct": ("all", lambda s, w, lv: energy.direct_sum(
+        s, w, "classical" if lv is None else "level", lv)),
+    "bosonic": ("rows or columns", lambda s, w, lv:
+                bosonic.alternating_sum(s, w, lv)),
+    "fermionic": ("all", lambda s, w, lv:
+                  _fermionic_sum(fermionic.closed_form_F, s, w, lv)),
+    "rc": ("all", lambda s, w, lv:
+           _fermionic_sum(fermionic.rc_generating_function, s, w, lv)),
+}
+
+# (restriction, method) -> (shapes covered, evaluator)
 _EVALUATORS = {
     ("none", "direct"): ("all", lambda s, w, lv:
                          energy.direct_sum(s, w, "none")),
     ("none", "bosonic"): ("rows or columns", lambda s, w, lv:
                           bosonic.supernomial(s, w)),
-    ("classical", "direct"): ("all", lambda s, w, lv:
-                              energy.direct_sum(s, w, "classical")),
-    ("classical", "bosonic"): ("rows or columns", lambda s, w, lv:
-                               bosonic.bosonic_classical(s, w)),
-    ("classical", "fermionic"): ("all", lambda s, w, lv:
-                                 _fermionic_sum(s, w, None, "closed_form")),
-    ("classical", "rc"): ("all", lambda s, w, lv:
-                          _fermionic_sum(s, w, None, "rc_sum")),
-    ("level", "direct"): ("all", lambda s, w, lv:
-                          energy.direct_sum(s, w, "level", lv)),
-    ("level", "bosonic"): ("rows or columns", lambda s, w, lv:
-                           bosonic.bosonic_level(s, w, lv)),
-    ("level", "fermionic"): ("all", lambda s, w, lv:
-                             _fermionic_sum(s, w, lv, "closed_form")),
-    ("level", "rc"): ("all", lambda s, w, lv:
-                      _fermionic_sum(s, w, lv, "rc_sum")),
+    **{(restriction, method): route for restriction in ("classical", "level")
+       for method, route in _ROUTES.items()},
 }
 
 

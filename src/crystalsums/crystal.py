@@ -280,13 +280,15 @@ def _walk_setup(shape: tuple[FactorDescriptor, ...],
     """What a walk over the paths of ``shape`` checks: (kind, target
     weight, classical colors to test, level to test or None), once
     ``cartan.check_sum`` has checked the input.  A factor wider than the
-    level passes: its paths are still well defined."""
-    if restriction not in ("none", "classical", "level"):
-        raise ValueError(f"unknown restriction {restriction!r}")
-    if restriction == "level" and level is None:
-        raise ValueError("level restriction needs a level")
+    level passes: its paths are still well defined.  An unknown
+    restriction, or a level restriction without a level, raises
+    UnsupportedError after that check, as in ``cli.compute_sum``."""
     kind, n = shape_type(shape)
     check_sum(kind, n, weight, level)
+    if restriction not in ("none", "classical", "level"):
+        raise UnsupportedError(f"unknown restriction {restriction!r}")
+    if restriction == "level" and level is None:
+        raise UnsupportedError("level restriction needs a level")
     colors = range(1, n + 1) if restriction != "none" else ()
     return (kind, tuple(weight), colors,
             level if restriction == "level" else None)

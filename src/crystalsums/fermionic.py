@@ -246,15 +246,24 @@ def _riggings(sites) -> list[tuple[tuple[int, ...], ...]]:
     return boxes
 
 
-def rc_generating_function(kind: str, n: int, L: LMap,
-                           lam: tuple[int, ...]) -> QLaurent:
+def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
+                           level: int | None = None) -> QLaurent:
     """Sum of q^{cc o theta} (the coenergy grading) over all rigged
     configurations, listed one by one over the shapes of
-    ``_admitted_shapes``.  cc(theta(nu, J)) = cc(nu) + sum P*m - sum |J|,
-    so a rigging enters only through its size, and no configuration is
-    built.  Complementing each rigging in its m x P box sends |J| to P*m -
-    |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum |J|."""
-    data = check_sum(kind, n, lam, None, _widest(L))
+    ``_admitted_shapes``; at a ``level``, over those that
+    ``_level_rc_sum`` keeps.  cc(theta(nu, J)) = cc(nu) + sum P*m - sum
+    |J|, so a rigging enters only through its size, and no configuration
+    is built.  Complementing each rigging in its m x P box sends |J| to
+    P*m - |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum
+    |J|."""
+    data = check_sum(kind, n, lam, level, _widest(L))
+    if level is not None:
+        tables = _level_tables(data, L, lam, level)
+        if tables is None:
+            return ZERO
+        _, _, sites, max_part, table = tables
+        return _level_rc_sum(data, L, lam, sites, max_part,
+                             list(dict.fromkeys(table)))
 
     def exponents():
         for nu, sites in _admitted_shapes(data, L, lam):
@@ -269,12 +278,22 @@ def rc_generating_function(kind: str, n: int, L: LMap,
 # ---------------------------------------------------------------------------
 # closed forms
 
-def closed_form_F(data: CartanData, L: LMap, lam: tuple[int, ...]) -> QLaurent:
+def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
+                  level: int | None = None) -> QLaurent:
     """F-bar(B, Lambda): the manifestly positive q-binomial sum over
     configuration shapes, via the bilinear-form expressions.  A shape with
     p < 0 at an occupied site contributes [p; m] = 0, so the walk drops
-    each prefix at its first such site."""
-    check_sum(data.kind, data.n, lam, None, _widest(L))
+    each prefix at its first such site.  At a ``level``, the tableau
+    closed form ``_level_closed_form``: the inclusion-exclusion over the
+    nonempty sets of tableaux, collected by their minimal corrections."""
+    data = check_sum(kind, n, lam, level, _widest(L))
+    if level is not None:
+        tables = _level_tables(data, L, lam, level)
+        if tables is None:
+            return ZERO
+        sizes, grid, _, max_part, table = tables
+        return _level_closed_form(data, L, sizes, grid, max_part,
+                                  _signed_minima(table))
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
@@ -455,60 +474,41 @@ def _corrections_C(n: int, lam: tuple[int, ...], level: int, t,
                  for a, i in sites)
 
 
-def level_restricted(kind: str, n: int, L: LMap, lam: tuple[int, ...],
-                     level: int, mode: str = "rc_sum") -> QLaurent:
-    """X-bar^level(B, Lambda) for type A, or type C single-column factors.
-
-    rc_sum: sum q^{cc o theta} over rigged configurations with parts in
-    the level grid admitting a column-strict tableau whose modified vacancy
-    numbers dominate all riggings (and stay nonnegative on the grid).
-
-    closed_form: the inclusion-exclusion over nonempty tableau subsets with
-    1/q-binomials, collected by the subsets' minimal corrections.  The
-    modes must agree.
-
-    The types differ only in the tableaux (``_lambda_prime_A/C``) and the
-    corrections they make at the sites (``_corrections_A/C``).  Each call
-    builds the table of correction vectors, one per tableau, once; both
-    modes read it.  rc_sum (``_level_rc_sum``) lists only shapes inside
-    the level grid.  A non-dominant weight gives ZERO in both modes.
-    """
-    data = check_sum(kind, n, lam, level, _widest(L))
-    if kind == "A":
-        corrections = _corrections_A
-        shape, alphabet = _lambda_prime_A(n, lam)
-    else:
-        corrections = _corrections_C
-        shape, alphabet = _lambda_prime_C(n, lam)
+def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
+                  level: int):
+    """What both level sums of type A, or type C single-column factors,
+    read: (row sizes, the generic grid, its sites (a, i) at actual part
+    sizes, the largest part, the table of correction vectors at the sites,
+    one per column-strict tableau).  None where the sum is zero: no
+    admissible row sizes, or a non-dominant weight.  A weight above the
+    level raises.  The types differ only in the tableaux
+    (``_lambda_prime_A/C``) and the corrections they make at the sites
+    (``_corrections_A/C``)."""
     _refuse_above_level(data, lam, level)
-    if mode not in ("rc_sum", "closed_form"):
-        raise ValueError(f"unknown mode {mode!r}")
     sizes = config_sizes(data, L, lam)
     if sizes is None or not data.is_dominant(lam):
-        return ZERO
+        return None
+    kind, n = data.kind, data.n
+    lambda_prime, corrections = ((_lambda_prime_A, _corrections_A)
+                                 if kind == "A" else
+                                 (_lambda_prime_C, _corrections_C))
+    shape, alphabet = lambda_prime(n, lam)
     grid = _generic_grid(data, level)
     sites = [(a, 2 * i if kind == "C" and a == n else i) for a, i in grid]
-    max_part = 2 * level if kind == "C" else level
     table = [corrections(n, lam, level, t, sites)
              for t in cst_enumerate(shape, alphabet)]
-
-    if mode == "rc_sum":
-        return _level_rc_sum(data, L, lam, sites, max_part,
-                             list(dict.fromkeys(table)))
-
-    return _level_closed_form(data, L, sizes, grid, max_part,
-                              _signed_minima(table))
+    return sizes, grid, sites, 2 * level if kind == "C" else level, table
 
 
 def _level_closed_form(data: CartanData, L: LMap, sizes: tuple[int, ...],
                        grid, max_part: int, minima) -> QLaurent:
     """The level closed forms: over the shapes inside the level grid, q^{cc
     + sum p m} times the sum over the signed corrections ``minima`` (the
-    tableau minima of ``level_restricted``'s closed_form mode, or the zero
-    correction of ``closed_form_F_level``) of the grid products of
-    1/q-binomials [p + correction; m].  A shape with p + max correction < 0 at a grid site, the maximum taken
-    over the minima, has a zero factor in every term, so the walk drops
-    each prefix at its first such site."""
+    tableau minima of ``closed_form_F`` at a level, or the zero correction
+    of ``closed_form_F_level``) of the grid products of 1/q-binomials [p +
+    correction; m].  A shape with p + max correction < 0 at a grid site,
+    the maximum taken over the minima, has a zero factor in every term, so
+    the walk drops each prefix at its first such site."""
     if not minima:
         return ZERO
     memo: dict = {}
@@ -546,9 +546,11 @@ def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
 
 def _level_rc_sum(data: CartanData, L: LMap, lam: tuple[int, ...], sites,
                   max_part: int, table) -> QLaurent:
-    """The rc_sum mode of ``level_restricted``: q^{cc o theta} over the
-    rigged configurations inside the level grid that ``_admits_tableau``
-    passes, listed one by one over the shapes of ``_admitted_shapes``.
+    """``rc_generating_function`` at a level: q^{cc o theta} over the
+    rigged configurations inside the level grid whose modified vacancy
+    numbers some column-strict tableau lifts to dominate every rigging
+    (``_admits_tableau``), listed one by one over the shapes of
+    ``_admitted_shapes``.
 
     The test reads a rigging only through its top part, and the statistic
     only through its size, so each site's riggings are grouped by top

@@ -623,10 +623,10 @@ def filtered_paths(shape, weight, restriction: str = "none",
 
 
 def unpruned_bosonic_level(shape, lam, level):
-    """The level alternating sum over every translation of
-    ``bosonic_level``'s window times every Weyl element, through the
-    uncached supernomial: no translation is skipped and no support test
-    runs."""
+    """The level sum of ``alternating_sum`` over every translation of the
+    window ``translation_lattice_box`` times every Weyl element, through
+    the uncached supernomial: no translation is skipped and no support
+    test runs."""
     data = cartan_data(shape[0].kind, shape[0].n)
     c = level + data.h_dual
     bound = sum(d.boxes for d in shape) + data.dim + max(
@@ -724,7 +724,7 @@ def rc_sum_by_configurations(kind: str, n: int, L, lam,
 
 
 def level_rc_sum_by_configurations(kind: str, n: int, L, lam, level: int):
-    """The rc_sum mode of ``level_restricted`` by its definition, for a
+    """``rc_generating_function`` at a level by its definition, for a
     dominant weight of level at most ``level``: q^{cc o theta} over every
     ``RiggedConfiguration`` inside the level grid for which some tableau's
     corrections lift the vacancy number of every grid site to at least
@@ -832,8 +832,8 @@ def closed_form_F_level_by_product(data, L, level: int) -> QLaurent:
 
 def level_closed_form_by_product(kind: str, n: int, L, lam,
                                  level: int) -> QLaurent:
-    """The closed_form mode of ``level_restricted`` for a dominant weight
-    of level at most ``level``, over ``nu_product``: every shape inside the
+    """``closed_form_F`` at a level, for a dominant weight of level at
+    most ``level``, over ``nu_product``: every shape inside the
     grid, and for every signed tableau minimum the 1/q-binomial factor at
     every grid site, whether or not one of them is zero."""
     data = cartan_data(kind, n)

@@ -6,15 +6,14 @@ Each test prints a single PASS line with its runtime; run with
 import time
 from itertools import combinations_with_replacement, product
 
-from crystalsums.bosonic import (_arrow, _strings, bosonic_classical,
-                                 bosonic_level, involution_phi,
-                                 supernomial_A_columns, supernomial_A_rows)
+from crystalsums.bosonic import (_arrow, _strings, alternating_sum,
+                                 involution_phi, supernomial_A_columns,
+                                 supernomial_A_rows)
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, _combine_stats
 from crystalsums.energy import _factor_table, combinatorial_r, direct_sum
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   level_restricted, rc_generating_function,
-                                   vacuum_weight)
+                                   rc_generating_function, vacuum_weight)
 from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import qmultinomial
 
@@ -73,14 +72,13 @@ def test_criterion_3_series_limits():
 def test_criterion_4_type_A_three_way():
     t0 = time.perf_counter()
     for n in (1, 2):
-        data = cartan_data("A", n)
         for L in range(1, 7):
             shape = boxes("A", n, L)
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
                 d = direct_sum(shape, lam, "classical")
-                b = bosonic_classical(shape, lam)
-                f = closed_form_F(data, Lmap, lam)
+                b = alternating_sum(shape, lam)
+                f = closed_form_F("A", n, Lmap, lam)
                 r = rc_generating_function("A", n, Lmap, lam)
                 assert d == b == f == r, (n, L, lam)
     _report(4, "direct = bosonic = fermionic = rigged, type A, L <= 6",
@@ -135,9 +133,9 @@ def test_criterion_6_level_restricted_type_A():
                 if lam[0] - lam[n] > ell:
                     continue
                 d = direct_sum(shape, lam, "level", ell)
-                rc = level_restricted("A", n, Lmap, lam, ell, "rc_sum")
-                cf = level_restricted("A", n, Lmap, lam, ell, "closed_form")
-                bl = bosonic_level(shape, lam, ell)
+                rc = rc_generating_function("A", n, Lmap, lam, ell)
+                cf = closed_form_F("A", n, Lmap, lam, ell)
+                bl = alternating_sum(shape, lam, ell)
                 assert d == rc == cf == bl, (n, ell, L, lam)
                 if lam == vacuum_weight(data, Lmap):
                     assert d == closed_form_F_level(data, Lmap, ell), \
@@ -148,19 +146,18 @@ def test_criterion_6_level_restricted_type_A():
 def test_criterion_7_type_C_agreement():
     t0 = time.perf_counter()
     n = 2
-    data = cartan_data("C", n)
     for L in range(1, 6):
         shape = boxes("C", n, L)
         Lmap = {(1, 1): L}
         for lam in dominant_weights_C(n, L):
-            b = bosonic_classical(shape, lam)
+            b = alternating_sum(shape, lam)
             r = rc_generating_function("C", n, Lmap, lam)
-            f = closed_form_F(data, Lmap, lam)
+            f = closed_form_F("C", n, Lmap, lam)
             assert b == r == f, (L, lam)
             if not lam or lam[0] <= 1:
-                bl = bosonic_level(shape, lam, 1)
-                rc = level_restricted("C", n, Lmap, lam, 1, "rc_sum")
-                cf = level_restricted("C", n, Lmap, lam, 1, "closed_form")
+                bl = alternating_sum(shape, lam, 1)
+                rc = rc_generating_function("C", n, Lmap, lam, 1)
+                cf = closed_form_F("C", n, Lmap, lam, 1)
                 assert bl == rc == cf, (L, lam)
     _report(7, "type C classical and level-1 sums, three ways", t0, 180)
 

@@ -6,8 +6,7 @@ import pytest
 from crystalsums import bosonic
 from crystalsums.bosonic import (_arrow, _letter_table, _pair_set, _reflect,
                                  _select_color, _supernomial_uncached,
-                                 _word_energy,
-                                 bosonic_classical, bosonic_level,
+                                 _word_energy, alternating_sum,
                                  involution_phi, supernomial,
                                  supernomial_A_columns, supernomial_A_rows,
                                  supernomial_C_boxes)
@@ -212,22 +211,22 @@ class TestSupport:
             lams = (dominant_contents_A(n, total) if kind == "A"
                     else dominant_weights_C(n, total))
             for lam in lams:
-                bosonic_classical(shape, lam)
+                alternating_sum(shape, lam)
                 for ell in (2, 3):
                     if _level_of(kind, n, lam) <= ell:
-                        bosonic_level(shape, lam, ell)
+                        alternating_sum(shape, lam, ell)
         assert bosonic._SUPER_CACHE
         assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
 
 
 class TestBosonicClassical:
     def test_a1_example(self):
-        assert str(bosonic_classical(boxes("A", 1, 2), (1, 1))) == "q"
+        assert str(alternating_sum(boxes("A", 1, 2), (1, 1))) == "q"
 
     def test_no_paths_gives_zero(self):
         # two height-2 columns of A_2 cannot reach content (4,0,0)
         shape = (FactorDescriptor("A", 2, 2, 1), FactorDescriptor("A", 2, 2, 1))
-        assert bosonic_classical(shape, (4, 0, 0)).is_zero()
+        assert alternating_sum(shape, (4, 0, 0)).is_zero()
 
     @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 5), ("A", 2, 4),
                                              ("C", 1, 4), ("C", 2, 4)])
@@ -237,7 +236,7 @@ class TestBosonicClassical:
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
-                p = bosonic_classical(shape, lam)
+                p = alternating_sum(shape, lam)
                 assert all(c > 0 for _, c in p.terms), (lam, str(p))
 
     def test_matches_direct_on_mixed_shapes(self):
@@ -246,13 +245,13 @@ class TestBosonicClassical:
             if lam[0] < lam[1]:
                 continue
             want = direct_sum(shape, lam, "classical")
-            assert bosonic_classical(shape, lam) == want
+            assert alternating_sum(shape, lam) == want
 
 
 class TestBosonicLevel:
     def test_a1_level_one(self):
         shape = boxes("A", 1, 2)
-        assert bosonic_level(shape, (1, 1), 1) == \
+        assert alternating_sum(shape, (1, 1), 1) == \
             direct_sum(shape, (1, 1), "level", 1)
 
     def test_stabilizes_to_classical(self):
@@ -261,8 +260,8 @@ class TestBosonicLevel:
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
-                assert bosonic_level(shape, lam, L + 1) == \
-                    bosonic_classical(shape, lam), (kind, lam)
+                assert alternating_sum(shape, lam, L + 1) == \
+                    alternating_sum(shape, lam), (kind, lam)
 
     @pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("C", 1),
                                          ("C", 2), ("C", 3)])
@@ -273,7 +272,7 @@ class TestBosonicLevel:
                     else dominant_weights_C(n, L))
             for lam in lams:
                 for ell in range(max(1, _level_of(kind, n, lam)), 4):
-                    assert bosonic_level(shape, lam, ell) == \
+                    assert alternating_sum(shape, lam, ell) == \
                         unpruned_bosonic_level(shape, lam, ell), (L, lam, ell)
 
     def test_skips_dead_translations(self, monkeypatch):
@@ -287,7 +286,7 @@ class TestBosonicLevel:
             return calls[-1]
 
         monkeypatch.setattr(bosonic, "supernomial", counted)
-        got = bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
+        got = alternating_sum(boxes("C", 3, 6), (2, 2, 0), 2)
         assert got == unpruned_bosonic_level(boxes("C", 3, 6), (2, 2, 0), 2)
         assert len(calls) == 8
         assert not any(s.is_zero() for s in calls)
@@ -298,7 +297,7 @@ class TestBosonicLevel:
             shape = tuple(FactorDescriptor("A", n, 1, s) for s in widths)
             for lam in dominant_contents_A(n, sum(widths)):
                 for ell in range(max(max(widths), lam[0] - lam[n]), 4):
-                    assert bosonic_level(shape, lam, ell) == \
+                    assert alternating_sum(shape, lam, ell) == \
                         unpruned_bosonic_level(shape, lam, ell), \
                         (widths, lam, ell)
 
@@ -310,7 +309,7 @@ class TestBosonicLevel:
                     if lam[0] - lam[n] > ell:
                         continue
                     want = direct_sum(shape, lam, "level", ell)
-                    assert bosonic_level(shape, lam, ell) == want, (L, lam)
+                    assert alternating_sum(shape, lam, ell) == want, (L, lam)
 
     @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 6), ("A", 2, 5),
                                              ("C", 1, 6), ("C", 2, 5),
@@ -326,17 +325,17 @@ class TestBosonicLevel:
                 for ell in (1, 2, 3):
                     if _level_of(kind, n, lam) > ell:
                         with pytest.raises(CrystalSumsError):
-                            bosonic_level(shape, lam, ell)
+                            alternating_sum(shape, lam, ell)
                     else:
-                        assert bosonic_level(shape, lam, ell) == direct_sum(
+                        assert alternating_sum(shape, lam, ell) == direct_sum(
                             shape, lam, "level", ell), \
                             (L, lam, ell)
 
     def test_factor_wider_than_level_raises(self):
         with pytest.raises(UnsupportedError):
-            bosonic_level((FactorDescriptor("A", 1, 1, 2),), (1, 1), 0)
+            alternating_sum((FactorDescriptor("A", 1, 1, 2),), (1, 1), 0)
         with pytest.raises(UnsupportedError):
-            bosonic_level((FactorDescriptor("A", 1, 1, 3),
+            alternating_sum((FactorDescriptor("A", 1, 1, 3),
                            FactorDescriptor("A", 1)), (3, 1), 2)
 
     def test_level_on_mixed_row_shapes(self):
@@ -354,7 +353,7 @@ class TestBosonicLevel:
                     if lam[0] - lam[n] > ell or any(d.s > ell for d in shape):
                         continue
                     want = direct_sum(shape, lam, "level", ell)
-                    assert bosonic_level(shape, lam, ell) == want, \
+                    assert alternating_sum(shape, lam, ell) == want, \
                         (shape, lam, ell)
 
 
@@ -458,7 +457,7 @@ class TestInvolution:
                                         ("C", 1), ("C", 2), ("C", 3)])
     def test_level_mode_refuses_as_the_level_sum(self, kind, n):
         # every level below the weight's level, and level 0, where a box is
-        # wider than the level: the error class of bosonic_level, which is
+        # wider than the level: the error class of alternating_sum, which is
         # UnsupportedError at level 0 and CrystalSumsError above it
         refused = set()
         for L in range(1, 6):
@@ -468,7 +467,7 @@ class TestInvolution:
             for lam in lams:
                 for ell in range(max(1, _level_of(kind, n, lam))):
                     with pytest.raises(CrystalSumsError) as want:
-                        bosonic_level(shape, lam, ell)
+                        alternating_sum(shape, lam, ell)
                     with pytest.raises(CrystalSumsError) as got:
                         involution_phi(shape, lam, level=ell)
                     assert got.type is want.type, (L, lam, ell)

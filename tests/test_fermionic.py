@@ -9,11 +9,12 @@ from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CapExceeded, CrystalSumsError,
                                 NonIntegralExponent)
+from crystalsums.bosonic import alternating_sum
 from crystalsums.fermionic import (_admitted_shapes, _signed_minima,
                                    closed_form_F, closed_form_F_level,
                                    config_sizes, cst_enumerate,
-                                   level_restricted, rc_generating_function,
-                                   vacancy, vacuum_weight)
+                                   rc_generating_function, vacancy,
+                                   vacuum_weight)
 from crystalsums.qpoly import ONE, ZERO, q_power
 
 from oracles import (admitted_by_product, cc_stat, cc_theta,
@@ -34,26 +35,26 @@ def boxes(kind, n, L):
 
 class TestClosedForm:
     def test_a1_two_boxes(self):
-        assert closed_form_F(A1, {(1, 1): 2}, (1, 1)) == q_power(1)
+        assert closed_form_F("A", 1, {(1, 1): 2}, (1, 1)) == q_power(1)
 
     def test_highest_weight_is_one(self):
-        assert closed_form_F(A1, {(1, 1): 3}, (3, 0)) == ONE
-        assert closed_form_F(A2, {(2, 1): 2}, (2, 2, 0)) == ONE
+        assert closed_form_F("A", 1, {(1, 1): 3}, (3, 0)) == ONE
+        assert closed_form_F("A", 2, {(2, 1): 2}, (2, 2, 0)) == ONE
 
     def test_a2_three_boxes(self):
         # must equal the direct coenergy sum (path oracle)
         want = direct_sum(boxes("A", 2, 3), (1, 1, 1), "classical")
-        assert closed_form_F(A2, {(1, 1): 3}, (1, 1, 1)) == want
+        assert closed_form_F("A", 2, {(1, 1): 3}, (1, 1, 1)) == want
 
     def test_infeasible_weight_is_zero(self):
-        assert closed_form_F(A1, {(1, 1): 2}, (0, 0)) == ZERO
-        assert closed_form_F(C2, {(1, 1): 3}, (0, 0)) == ZERO
+        assert closed_form_F("A", 1, {(1, 1): 2}, (0, 0)) == ZERO
+        assert closed_form_F("C", 2, {(1, 1): 3}, (0, 0)) == ZERO
 
     def test_content_sum_off_the_box_count_is_zero(self):
         # B^{2,1} B^{1,2} (B^{1,1})^4 has 2 + 2 + 4 = 8 boxes, and the
         # content (4, 3, 2) fills 9: no path has this weight
         Lmap = {(2, 1): 1, (1, 2): 1, (1, 1): 4}
-        assert closed_form_F(A2, Lmap, (4, 3, 2)) == ZERO
+        assert closed_form_F("A", 2, Lmap, (4, 3, 2)) == ZERO
         assert rc_generating_function("A", 2, Lmap, (4, 3, 2)) == ZERO
 
     @pytest.mark.parametrize("n,maxL", [(1, 6), (2, 5)])
@@ -61,7 +62,7 @@ class TestClosedForm:
         for L in range(1, maxL + 1):
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
-                f = closed_form_F(cartan_data("A", n), Lmap, lam)
+                f = closed_form_F("A", n, Lmap, lam)
                 assert f == rc_sum_by_configurations("A", n, Lmap, lam, "cc")
                 assert f == rc_generating_function("A", n, Lmap, lam)
 
@@ -70,7 +71,7 @@ class TestClosedForm:
         for L in range(1, maxL + 1):
             Lmap = {(1, 1): L}
             for lam in dominant_weights_C(n, L):
-                f = closed_form_F(cartan_data("C", n), Lmap, lam)
+                f = closed_form_F("C", n, Lmap, lam)
                 assert f == rc_sum_by_configurations("C", n, Lmap, lam, "cc")
                 assert f == rc_generating_function("C", n, Lmap, lam)
 
@@ -80,7 +81,7 @@ class TestClosedForm:
         # no closed-form supernomial for this shape: check cc vs cc_theta
         for lam in [(1, 0), (2, 1), (1, 2)]:
             lam = tuple(sorted(lam, reverse=True))
-            f = closed_form_F(C2, Lmap, lam)
+            f = closed_form_F("C", 2, Lmap, lam)
             assert f == rc_generating_function("C", 2, Lmap, lam)
 
 
@@ -209,8 +210,8 @@ class TestShapeSums:
             if data.theta_pairing(lam) > level:
                 continue
             want = level_rc_sum_by_configurations(kind, n, Lmap, lam, level)
-            assert level_restricted(kind, n, Lmap, lam, level,
-                                    "rc_sum") == want, (Lmap, lam)
+            assert rc_generating_function(kind, n, Lmap, lam,
+                                          level) == want, (Lmap, lam)
             count += not want.is_zero()
         assert count > 5
 
@@ -220,8 +221,8 @@ class TestShapeSums:
             for level in (2, 3):
                 for lam in _dominant(kind, n, Lmap):
                     if data.theta_pairing(lam) <= level:
-                        assert level_restricted(
-                            kind, n, Lmap, lam, level, "rc_sum") == \
+                        assert rc_generating_function(
+                            kind, n, Lmap, lam, level) == \
                             level_rc_sum_by_configurations(
                                 kind, n, Lmap, lam, level), (Lmap, lam)
 
@@ -230,7 +231,7 @@ class TestShapeSums:
         with pytest.raises(CapExceeded):
             rc_generating_function("A", 1, {(1, 1): 12}, (6, 6))
         with pytest.raises(CapExceeded):
-            level_restricted("A", 1, {(1, 1): 12}, (6, 6), 3, "rc_sum")
+            rc_generating_function("A", 1, {(1, 1): 12}, (6, 6), 3)
 
 
 class TestLiveShapes:
@@ -277,7 +278,7 @@ class TestLiveShapes:
         count = 0
         for data, Lmap, lam in self.inputs(kind, n, factors, most):
             want = closed_form_F_by_product(data, Lmap, lam)
-            assert closed_form_F(data, Lmap, lam) == want, (Lmap, lam)
+            assert closed_form_F(kind, n, Lmap, lam) == want, (Lmap, lam)
             count += not want.is_zero()
         assert count > 5
 
@@ -296,8 +297,7 @@ class TestLiveShapes:
                                                           for _, i in Lmap):
                     continue
                 want = level_closed_form_by_product(kind, n, Lmap, lam, level)
-                assert level_restricted(kind, n, Lmap, lam, level,
-                                        "closed_form") == want, \
+                assert closed_form_F(kind, n, Lmap, lam, level) == want, \
                     (Lmap, lam, level)
                 count += not want.is_zero()
         assert count > 5
@@ -316,7 +316,7 @@ class TestLevelForms:
         for L in (2, 4, 6):
             Lmap = {(1, 1): L}
             big = closed_form_F_level(A1, Lmap, L)
-            assert big == closed_form_F(A1, Lmap, (L // 2, L // 2))
+            assert big == closed_form_F("A", 1, Lmap, (L // 2, L // 2))
 
     def test_level_restricted_A_modes_agree(self):
         for n, maxL, ells in ((1, 6, (1, 2)), (2, 4, (1,))):
@@ -326,9 +326,8 @@ class TestLevelForms:
                     for ell in ells:
                         if lam[0] - lam[n] > ell:
                             continue
-                        a = level_restricted("A", n, Lmap, lam, ell, "rc_sum")
-                        b = level_restricted("A", n, Lmap, lam, ell,
-                                             "closed_form")
+                        a = rc_generating_function("A", n, Lmap, lam, ell)
+                        b = closed_form_F("A", n, Lmap, lam, ell)
                         assert a == b, (n, L, lam, ell)
 
     def test_level_restricted_A_matches_paths(self):
@@ -338,69 +337,69 @@ class TestLevelForms:
                     if lam[0] - lam[1] > ell:
                         continue
                     want = direct_sum(boxes("A", 1, L), lam, "level", ell)
-                    got = level_restricted("A", 1, {(1, 1): L}, lam, ell)
+                    got = rc_generating_function("A", 1, {(1, 1): L}, lam,
+                                                 ell)
                     assert got == want, (L, lam, ell)
 
     def test_rectangular_weight_uses_plain_vacancies(self):
         # lambda = (m^{n+1}): no tableaux corrections, matches the vacuum form
-        got = level_restricted("A", 1, {(1, 1): 4}, (2, 2), 1)
+        got = rc_generating_function("A", 1, {(1, 1): 4}, (2, 2), 1)
         assert got == closed_form_F_level(A1, {(1, 1): 4}, 1)
 
     def test_monotone_in_level(self):
         for L in (4, 6):
             Lmap = {(1, 1): L}
             lam = (L // 2, L // 2)
-            lo = level_restricted("A", 1, Lmap, lam, 1)
-            hi = level_restricted("A", 1, Lmap, lam, 2)
-            full = closed_form_F(A1, Lmap, lam)
+            lo = rc_generating_function("A", 1, Lmap, lam, 1)
+            hi = rc_generating_function("A", 1, Lmap, lam, 2)
+            full = closed_form_F("A", 1, Lmap, lam)
             for e, c in lo.terms:
                 assert c <= hi.coeff(e)
             for e, c in hi.terms:
                 assert c <= full.coeff(e)
 
     def test_level_bound_error(self):
-        with pytest.raises(CrystalSumsError):
-            level_restricted("A", 1, {(1, 1): 4}, (3, 1), 1)
-        with pytest.raises(CrystalSumsError):
-            level_restricted("C", 2, {(1, 1): 2}, (2, 0), 1)
+        for route in (rc_generating_function, closed_form_F):
+            with pytest.raises(CrystalSumsError):
+                route("A", 1, {(1, 1): 4}, (3, 1), 1)
+            with pytest.raises(CrystalSumsError):
+                route("C", 2, {(1, 1): 2}, (2, 0), 1)
 
     def test_level_restricted_C_modes_and_bosonic(self):
-        from crystalsums.bosonic import bosonic_level
         for n in (1, 2):
             for L in range(1, 5):
                 for lam in dominant_weights_C(n, L):
                     if lam and lam[0] > 1:
                         continue
                     Lmap = {(1, 1): L}
-                    a = level_restricted("C", n, Lmap, lam, 1, "rc_sum")
-                    b = level_restricted("C", n, Lmap, lam, 1, "closed_form")
-                    c = bosonic_level(boxes("C", n, L), lam, 1)
+                    a = rc_generating_function("C", n, Lmap, lam, 1)
+                    b = closed_form_F("C", n, Lmap, lam, 1)
+                    c = alternating_sum(boxes("C", n, L), lam, 1)
                     assert a == b == c, (n, L, lam)
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_level_restricted_C_above_level_one(self, level):
         # from level 2 on, long-row corrections f/2 can be half-integers
-        from crystalsums.bosonic import bosonic_level
         for n, maxL in ((1, 6), (2, 5)):
             for L in range(1, maxL + 1):
                 Lmap = {(1, 1): L}
                 for lam in dominant_weights_C(n, L):
                     if lam[0] > level:
                         continue
-                    a = level_restricted("C", n, Lmap, lam, level, "rc_sum")
-                    b = level_restricted("C", n, Lmap, lam, level,
-                                         "closed_form")
-                    c = bosonic_level(boxes("C", n, L), lam, level)
+                    a = rc_generating_function("C", n, Lmap, lam, level)
+                    b = closed_form_F("C", n, Lmap, lam, level)
+                    c = alternating_sum(boxes("C", n, L), lam, level)
                     assert a == b == c, (n, L, lam, level)
 
-    @pytest.mark.parametrize("mode", ["rc_sum", "closed_form"])
-    def test_non_dominant_weight_is_zero(self, mode):
+    @pytest.mark.parametrize("route", [rc_generating_function, closed_form_F],
+                             ids=["rc_sum", "closed_form"])
+    def test_non_dominant_weight_is_zero(self, route):
         # the closed form used to raise on these from a column height check
         for kind, n, L, lam, ell in (("C", 2, 3, (1, 2), 2),
                                      ("C", 2, 2, (1, -1), 2),
                                      ("C", 2, 4, (1, -1), 2),
                                      ("A", 1, 3, (1, 2), 2)):
-            got = level_restricted(kind, n, {(1, 1): L}, lam, ell, mode)
+            got = route(kind, n, {(1, 1): L}, lam, ell)
             assert got == ZERO, (kind, n, L, lam, ell)
         for kind, n, maxL in (("A", 1, 5), ("A", 2, 4), ("C", 1, 5),
                               ("C", 2, 4)):
@@ -411,18 +410,18 @@ class TestLevelForms:
                     weight_level = lam[0] - lam[-1] if kind == "A" else lam[0]
                     if data.is_dominant(lam) or weight_level > 2:
                         continue
-                    got = level_restricted(kind, n, {(1, 1): L}, lam, 2, mode)
+                    got = route(kind, n, {(1, 1): L}, lam, 2)
                     assert got == ZERO, (kind, n, L, lam)
 
     def test_level_restricted_C_empty_weight_reduces(self):
         for L in (2, 4):
-            got = level_restricted("C", 2, {(1, 1): L}, (0, 0), 1)
+            got = rc_generating_function("C", 2, {(1, 1): L}, (0, 0), 1)
             assert got == closed_form_F_level(C2, {(1, 1): L}, 1)
 
     def test_level_restricted_C_stabilizes(self):
         for L in (2, 3):
             for lam in dominant_weights_C(2, L):
-                got = level_restricted("C", 2, {(1, 1): L}, lam, L + 2)
+                got = rc_generating_function("C", 2, {(1, 1): L}, lam, L + 2)
                 want = rc_generating_function("C", 2, {(1, 1): L}, lam)
                 assert got == want
 

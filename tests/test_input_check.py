@@ -9,17 +9,15 @@ one check in ``cartan``, not from a check of the route's own.
 """
 import pytest
 
-from crystalsums.bosonic import (bosonic_classical, bosonic_level,
-                                 involution_phi, supernomial)
+from crystalsums.bosonic import alternating_sum, involution_phi, supernomial
 from crystalsums.cartan import cartan_data
 from crystalsums.cli import compute_sum, parse_shape
-from crystalsums.crystal import FactorDescriptor, search_paths
+from crystalsums.crystal import FactorDescriptor, enumerate_paths, search_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
                                 UnsupportedError)
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   level_restricted, rc_generating_function,
-                                   shape_L)
+                                   rc_generating_function, shape_L)
 
 A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
 
@@ -43,7 +41,11 @@ def _lmap(shape):
 
 
 # entry point -> (restriction of its sum, the inputs it takes, call); the
-# fermionic functions take an L-map, which has no empty or mixed shape
+# fermionic functions take an L-map, which has no empty or mixed shape.  A
+# function with a level argument is listed twice, once without a level
+# (the classical sum) and once with one.  The keys are test ids, kept
+# stable: bosonic_classical and bosonic_level name alternating_sum's two
+# sums, and level_restricted rc_generating_function's level sum
 WEIGHTS = ("short weight", "long weight")
 SHAPES = ("empty shape", "mixed ranks")
 ROUTES = {
@@ -60,23 +62,26 @@ ROUTES = {
     "supernomial": ("none", WEIGHTS + SHAPES,
                     lambda s, w, lv: supernomial(s, w)),
     "bosonic_classical": ("classical", WEIGHTS + SHAPES,
-                          lambda s, w, lv: bosonic_classical(s, w)),
+                          lambda s, w, lv: alternating_sum(s, w)),
     "bosonic_level": ("level", WEIGHTS + SHAPES + ("negative level",),
-                      lambda s, w, lv: bosonic_level(s, w, lv)),
+                      lambda s, w, lv: alternating_sum(s, w, lv)),
     "involution_phi": ("classical", WEIGHTS + SHAPES,
                        lambda s, w, lv: involution_phi(s, w)),
     "involution_phi level": ("level", WEIGHTS + SHAPES + ("negative level",),
                              lambda s, w, lv: involution_phi(s, w, lv)),
     "closed_form_F": ("classical", WEIGHTS, lambda s, w, lv: closed_form_F(
-        cartan_data(*_type(s)), _lmap(s), w)),
+        *_type(s), _lmap(s), w)),
+    "closed_form_F level": ("level", WEIGHTS + ("negative level",),
+                            lambda s, w, lv: closed_form_F(*_type(s),
+                                                           _lmap(s), w, lv)),
     "rc_generating_function": ("classical", WEIGHTS, lambda s, w, lv:
                                rc_generating_function(*_type(s), _lmap(s), w)),
     "closed_form_F_level": ("level", ("negative level",), lambda s, w, lv:
                             closed_form_F_level(cartan_data(*_type(s)),
                                                 _lmap(s), lv)),
     "level_restricted": ("level", WEIGHTS + ("negative level",),
-                         lambda s, w, lv: level_restricted(*_type(s),
-                                                           _lmap(s), w, lv)),
+                         lambda s, w, lv: rc_generating_function(
+                             *_type(s), _lmap(s), w, lv)),
 }
 
 
@@ -102,14 +107,17 @@ def test_every_route_refuses_as_compute_sum(route, bad):
 
 
 # a type C L-map with a factor B^{1,2}: no route covers it, and no shape of
-# it can be built (FactorDescriptor refuses it, with its own message)
+# it can be built (FactorDescriptor refuses it, with its own message); the
+# keys are test ids, as in ROUTES
 TYPE_C_ROW = {
-    "closed_form_F": lambda L: closed_form_F(cartan_data("C", 2), L, (2, 0)),
+    "closed_form_F": lambda L: closed_form_F("C", 2, L, (2, 0)),
+    "closed_form_F level": lambda L: closed_form_F("C", 2, L, (2, 0), 2),
     "rc_generating_function":
         lambda L: rc_generating_function("C", 2, L, (2, 0)),
     "closed_form_F_level":
         lambda L: closed_form_F_level(cartan_data("C", 2), L, 2),
-    "level_restricted": lambda L: level_restricted("C", 2, L, (2, 0), 2),
+    "level_restricted": lambda L: rc_generating_function("C", 2, L, (2, 0),
+                                                         2),
 }
 
 
@@ -120,3 +128,18 @@ def test_type_c_rows_are_refused_as_by_compute_sum(route):
     assert want[0] is UnsupportedError
     got = outcome(lambda: TYPE_C_ROW[route]({(1, 2): 2}))
     assert got == (UnsupportedError, "type C factors must be single columns")
+
+
+# the path walks take the restriction as an argument: each refuses one it
+# does not know, or a level restriction without a level, with the class
+# compute_sum raises for them
+@pytest.mark.parametrize("walk", [direct_sum, search_paths, enumerate_paths],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("restriction", ["bogus", "level"])
+def test_walks_refuse_a_restriction_as_compute_sum(walk, restriction):
+    shape, weight = (A1, A1), (1, 1)
+    want = outcome(lambda: compute_sum(shape, weight, restriction, "direct",
+                                       "coenergy", None))
+    assert want[0] is UnsupportedError, want
+    got = outcome(lambda: walk(shape, weight, restriction, None))
+    assert got[0] is UnsupportedError, got
