@@ -16,9 +16,9 @@ from . import crystal
 from .cartan import (_act, _exact_quotient, _refuse_above_level, cartan_data,
                      check_sum, reduce_to_alcove, shape_type,
                      simple_reflections, weyl_images)
-from .crystal import (FactorDescriptor, _combine_stats, _route,
-                      enumerate_paths, factor_elements, factor_weight)
-from .energy import _factor_table, energy_extension
+from .crystal import (FactorDescriptor, _combine_stats, _factor_table,
+                      _route, enumerate_paths, factor_elements, factor_weight)
+from .energy import energy_extension
 from .errors import CapExceeded, InvolutionError, UnsupportedError
 from .partitions import (conjugate, horizontal_strip_extensions, part,
                          superpartitions)
@@ -405,8 +405,7 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     target = tuple(l + r for l, r in zip(lam, data.rho))
     gens = simple_reflections(data, level)
     letters = _letter_table(data.kind, data.n)
-    by_desc = {d: _factor_table(d) for d in set(shape)}
-    tables = [by_desc[d] for d in shape]
+    tables = [_factor_table(d) for d in shape]
 
     findings: list[str] = []
     expected_fixed = set(enumerate_paths(

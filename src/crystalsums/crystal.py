@@ -69,17 +69,9 @@ def letter_f(kind: str, n: int, i: int, b: int) -> int | None:
 
 
 def letter_e(kind: str, n: int, i: int, b: int) -> int | None:
-    if kind == "A":
-        return b - 1 if b == i + 1 else None
-    if i == 0:
-        return -1 if b == 1 else None
-    if i < n:
-        if b == i + 1:
-            return i
-        if b == -i:
-            return -(i + 1)
-        return None
-    return n if b == -n else None
+    """e_i b, read off ``letter_f``: e_i y = x exactly when f_i x = y."""
+    return next((x for x in letters_of(kind, n)
+                 if letter_f(kind, n, i, x) == b), None)
 
 
 def letter_arrow(kind: str, n: int, i: int, b: int, direction: str) -> int | None:
@@ -270,6 +262,32 @@ def factor_stats(x: Factor, i: int) -> tuple[int, int, int]:
     return E, P, H
 
 
+@cache
+def _factor_table(desc: FactorDescriptor) -> tuple:
+    """One factor by element index: (elements, eps, phi, e, f), where
+    eps[i][k] and phi[i][k] are eps_i and phi_i of element k, and e[i][k]
+    and f[i][k] the indices of e_i and f_i of it (-1 for none), i = 0..n.
+    e_i is read off f_i, since e_i y = x exactly when f_i x = y.  Every
+    walk, search and R-matrix reads a factor through this table, which
+    every caller shares, so it is built of tuples."""
+    elements = factor_elements(desc)
+    at = {x: k for k, x in enumerate(elements)}
+    colors = range(desc.n + 1)
+    f = tuple(tuple(at.get(factor_arrow(x, i, "f"), -1) for x in elements)
+              for i in colors)
+    e = [[-1] * len(elements) for _ in colors]
+    for ei, fi in zip(e, f):
+        for k, t in enumerate(fi):
+            if t >= 0:
+                ei[t] = k
+    return (elements,
+            tuple(tuple(factor_stats(x, i)[0] for x in elements)
+                  for i in colors),
+            tuple(tuple(factor_stats(x, i)[1] for x in elements)
+                  for i in colors),
+            tuple(map(tuple, e)), f)
+
+
 # ---------------------------------------------------------------------------
 # path sets
 
@@ -298,11 +316,12 @@ def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
     """Each element of one factor as (index, weight, eps_i and phi_i -
     eps_i over the colors, eps_0, phi_0); eps_0 = phi_0 = 0 unless
     ``affine``."""
+    elements, eps, phi, _, _ = _factor_table(desc)
     return [(k, factor_weight(x),
-             tuple(factor_stats(x, i)[0] for i in colors),
-             tuple(factor_stats(x, i)[2] for i in colors),
-             *(factor_stats(x, 0)[:2] if affine else (0, 0)))
-            for k, x in enumerate(factor_elements(desc))]
+             tuple(eps[i][k] for i in colors),
+             tuple(phi[i][k] - eps[i][k] for i in colors),
+             *((eps[0][k], phi[0][k]) if affine else (0, 0)))
+            for k, x in enumerate(elements)]
 
 
 def _place(kind: str, target: tuple[int, ...], room: int,
@@ -407,7 +426,8 @@ def enumerate_paths(shape: tuple[FactorDescriptor, ...],
 @cache
 def highest_weight_element(desc: FactorDescriptor) -> Factor:
     """u(B) of one factor: its unique classical highest weight element."""
-    for x in factor_elements(desc):
-        if all(factor_arrow(x, i, "e") is None for i in range(1, desc.n + 1)):
+    elements, _, _, e, _ = _factor_table(desc)
+    for k, x in enumerate(elements):
+        if all(e[i][k] < 0 for i in range(1, desc.n + 1)):
             return x
     raise CrystalStructureError(f"{desc} has no highest weight element")

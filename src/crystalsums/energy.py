@@ -9,8 +9,11 @@ the same H, so every edge is checked from both ends: a cycle inconsistency
 (which would falsify the 0-arrows) is a hard error rather
 than a silent wrong table.  Simplicity of the factors makes the graphs
 connected, so the isomorphism is unique.  The search runs on element
-indices: each factor is read once into a table of its strings and arrows,
-and the arrows of a two-factor product follow from the tensor rule.
+indices: it reads each factor through its one cached index table,
+``crystal._factor_table``, and the arrows of a two-factor product follow
+from the tensor rule.  The R-matrix is kept as one index table, step[a][b]
+= (H, c, d) with sigma(x_a (x) x_b) = y_c (x) y_d, which holds both image
+indices; nothing keyed by ``Factor`` is kept.
 
 A direct sum over a homogeneous shape B^(x)L is one transfer-matrix sweep
 from right to left over states of partial paths, each carrying its
@@ -22,55 +25,19 @@ statistic check scores its words by the same pass).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import crystal
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
-from .crystal import (Factor, FactorDescriptor, _element_table, _place,
-                      _walk_setup, factor_arrow, factor_elements, factor_stats,
-                      highest_weight_element, search_paths)
+from .crystal import (FactorDescriptor, _element_table, _factor_table,
+                      _place, _walk_setup, highest_weight_element,
+                      search_paths)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
 from .qpoly import QLaurent
 
-PairKey = tuple[Factor, Factor]
-
-
-@dataclass
-class RMatrixTable:
-    """sigma and H for one ordered pair (B2, B1); write-once.  ``step[a][b]``
-    is the same data by element index: for x2 (x) x1 = elements a and b,
-    (H, index of the right image factor, which lies in B2)."""
-
-    sigma: dict[PairKey, PairKey]
-    H: dict[PairKey, int]
-    step: list[list[tuple[int, int]]]
-
-
-_TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], RMatrixTable] = {}
-
-
-def _factor_table(desc: FactorDescriptor) -> tuple:
-    """One factor by element index: (elements, eps, phi, e, f), where
-    eps[i][k] and phi[i][k] are eps_i and phi_i of element k, and e[i][k]
-    and f[i][k] the indices of e_i and f_i of it (-1 for none), i = 0..n.
-    e_i is read off f_i, since e_i y = x exactly when f_i x = y."""
-    elements = factor_elements(desc)
-    at = {x: k for k, x in enumerate(elements)}
-    colors = range(desc.n + 1)
-    f = [[at.get(factor_arrow(x, i, "f"), -1) for x in elements]
-         for i in colors]
-    e = [[-1] * len(elements) for _ in colors]
-    for ei, fi in zip(e, f):
-        for k, t in enumerate(fi):
-            if t >= 0:
-                ei[t] = k
-    return (elements,
-            [[factor_stats(x, i)[0] for x in elements] for i in colors],
-            [[factor_stats(x, i)[1] for x in elements] for i in colors],
-            e, f)
+# the index table of ``combinatorial_r`` per ordered pair; write-once
+_TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], tuple] = {}
 
 
 def _product_arrows(left: tuple, right: tuple) -> list[tuple[int, ...]]:
@@ -117,8 +84,12 @@ def _h_step(t2: tuple, t1: tuple, key: tuple[int, int],
 
 
 def combinatorial_r(desc2: FactorDescriptor,
-                    desc1: FactorDescriptor) -> RMatrixTable:
-    """The combinatorial R-matrix for B2 (x) B1, memoized per ordered pair.
+                    desc1: FactorDescriptor
+                    ) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The combinatorial R-matrix for B2 (x) B1, memoized per ordered pair,
+    as the index table step[a][b] = (H, c, d): sigma(x_a (x) x_b) = y_c
+    (x) y_d, where x_a and y_d are elements of B2, x_b and y_c of B1, and
+    H is the local energy of x_a (x) x_b.
 
     One search matches the arrows of B2 (x) B1 and B1 (x) B2 from the
     extremal vertices, on pair indices x2 * |B1| + x1 and y1 * |B2| + y2.
@@ -171,13 +142,9 @@ def combinatorial_r(desc2: FactorDescriptor,
             f"pair graph not connected: reached {len(order)} of {size}")
     if len(set(sigma)) != size:
         raise IsomorphismError("matched map is not a bijection")
-    sigma_f, H_f = {}, {}
-    for p in order:
-        key, img = (E2[p // m1], E1[p % m1]), sigma[p]
-        sigma_f[key], H_f[key] = (E1[img // m2], E2[img % m2]), H[p]
-    step = [[(H[p], sigma[p] % m2) for p in range(a * m1, (a + 1) * m1)]
-            for a in range(m2)]
-    table = RMatrixTable(sigma_f, H_f, step)
+    table = tuple(tuple((H[p], *divmod(sigma[p], m2))
+                        for p in range(a * m1, (a + 1) * m1))
+                  for a in range(m2))
     _TABLES[(desc2, desc1)] = table
     return table
 
@@ -194,14 +161,14 @@ def energy_extension(shape: tuple[FactorDescriptor, ...]):
     Placing b_j costs one such pass over the R-matrices' index tables.
     """
     right = shape[::-1]
-    rows = [[combinatorial_r(dj, di).step for di in right[:j]]
+    rows = [[combinatorial_r(dj, di) for di in right[:j]]
             for j, dj in enumerate(right)]
 
     def extend(j: int, chosen: list[int], a: int) -> int:
         row = rows[j]
         total = 0
         for i in range(j - 1, -1, -1):
-            h, a = row[i][a][chosen[i]]
+            h, _, a = row[i][a][chosen[i]]
             total += h
         return total
 
@@ -220,8 +187,7 @@ def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
     ``VERTEX_CAP`` bounds the transitions."""
     kind, target, colors, level = setup
     table = _element_table(desc, colors, level is not None)
-    H = [[-h for h, _ in row]
-         for row in combinatorial_r(desc, desc).step]
+    H = [[-h for h, _, _ in row] for row in combinatorial_r(desc, desc)]
     cap = crystal.VERTEX_CAP
     moves = 0
     # the first element has no left neighbour yet: index 0, factor 0

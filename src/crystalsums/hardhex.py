@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ShapeSyntaxError, UnsupportedError
 # The q-binomial sums below step their own rows and never call qbinomial;
 # the name stays bound because perfbench/selftest.py checks that its
 # tracer rebinds this alias.
@@ -96,9 +96,11 @@ def _x_bosonic(L: int, primed: bool) -> QLaurent:
 
 
 def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
-    """The configuration sum X(L) (or X'(L)) by the chosen method."""
+    """The configuration sum X(L) (or X'(L)) by the chosen method.  A
+    negative L raises ShapeSyntaxError and an unknown method
+    UnsupportedError, as ``cli.compute_sum`` does for a sum."""
     if L < 0:
-        raise ValueError("L must be nonnegative")
+        raise ShapeSyntaxError(f"L = {L} is negative")
     if method == "enumerate":
         if L > ENUMERATE_CAP:
             raise CapExceeded(f"enumeration capped at L = {ENUMERATE_CAP}")
@@ -109,7 +111,7 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
         return _x_fermionic(L, primed)
     if method == "bosonic":
         return _x_bosonic(L, primed)
-    raise ValueError(f"unknown method {method!r}")
+    raise UnsupportedError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +182,12 @@ class SeriesReport:
 def rr_series_check(which: int, cutoff: int) -> SeriesReport:
     """Compare the fermionic sum, the modular product, and the alternating
     sum of identity 1 or 2 through q^cutoff, and check the finite
-    polynomials converge to the same series."""
+    polynomials converge to the same series.  A negative cutoff raises
+    ShapeSyntaxError and an identity other than 1 or 2 UnsupportedError."""
+    if cutoff < 0:
+        raise ShapeSyntaxError(f"series cutoff {cutoff} is negative")
     if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+        raise UnsupportedError(f"no Rogers-Ramanujan identity {which!r}")
     if cutoff > SERIES_CAP:
         raise CapExceeded(f"series cutoff capped at {SERIES_CAP}")
     fer = _fermionic_series(which, cutoff)

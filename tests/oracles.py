@@ -19,25 +19,28 @@ two-factor tensor words through the general ``tensor_arrow`` instead of
 element indices, the involution's pairing color from building every
 suffix word instead of one fold over the letters, and its pair set from
 walking every word's weight instead of each distinct weight once.  The
-word-level reference lives here: a ``TensorWord`` of ``Factor``s, its
-e_i, f_i and s_i through the cached per-factor ``factor_stats`` and
-``factor_arrow`` (the package applies them to element index tuples
-through per-factor index tables), and E_B by its literal double sum over
-R-matrix shuffles (the package scores a path in one pass per placed
-factor).  The crystal helpers only tests use (a component as an explicit
-graph, the level of a crystal, the coroot pairing of a word's weight, a
-word of given factors or of boxes, a word's weight and every word of a
-tensor product) live here too, and so do the hard-hexagon path listing
-and the strip reformulation the bosonic terms are checked against.  The
-package applies each simple reflection as its action rows; a Weyl group
-element with its sign and composition (``WeylElement``, the product
-``element`` of a word) and the coroot pairing of root data live here.
-The finite Weyl group is listed whole, by a search over the generators,
-and the translation lattice as a window of every translation up to a
-coordinate bound, as the reference for the walk that lists only the
-terms a sum can use.  The ``QLaurent`` readers only tests use (a dict of
-terms, the value at q = 1, the inverse of ``to_json``) are functions
-here.
+word-level reference lives here: a ``TensorWord`` of ``Factor``s, its e_i,
+f_i and s_i through the cached per-factor ``factor_stats`` and
+``factor_arrow`` (the package applies them to element index tuples through
+per-factor index tables), the package's R-matrix index tables read as
+``Factor``-keyed sigma and H (``r_matrix_view``), and E_B by its literal
+double sum over R-matrix shuffles (the package scores a path in one pass
+per placed factor). The crystal helpers only tests use (a component as an
+explicit graph, the level of a crystal, the coroot pairing of a word's
+weight, a word of given factors or of boxes, a word's weight and every
+word of a tensor product) live here too, and so do the hard-hexagon path
+listing and the strip reformulation the bosonic terms are checked against.
+The package applies each simple reflection as its action rows; a Weyl
+group element with its sign and composition (``WeylElement``, the product
+``element`` of a word) and the coroot pairing of root data live here.  The
+finite Weyl group is listed whole, by a search over the generators, and
+the translation lattice as a window of every translation up to a
+coordinate bound, as the reference for the walk that lists only the terms
+a sum can use.  The ``QLaurent`` readers only tests use (a dict of terms,
+the value at q = 1, the inverse of ``to_json``) are functions here.  Every
+sum at q = 1 is also counted without any route: ``count_oracle`` takes
+Brauer-Klimyk multiplicities, folded into the level's alcove for a level
+sum (Kac-Walton), by its own chamber and alcove fold.
 """
 from __future__ import annotations
 
@@ -243,6 +246,65 @@ def lr_multiplicity(kind: str, n: int, shape, lam: tuple[int, ...]) -> int:
         total += w.sign * mult.get(mu, 0)
     del target
     return total
+
+
+def _fold_into_chamber(kind: str, v: list[int], c: int | None
+                       ) -> tuple[int, tuple[int, ...]] | None:
+    """(sign(w), w(v)) for the w of the finite Weyl group (no ``c``), or of
+    the affine one at c = level + h_dual, that takes the rho-shifted weight
+    v into the open dominant chamber or alcove, or None when v lies on a
+    wall.  The finite part sorts |v| (type C: each sign flip and each
+    inversion is one reflection); the affine wall (v|theta) = c reflects v
+    by v_1 -> v_{n+1} + c, v_{n+1} -> v_1 - c (type A) or v_1 -> 2c - v_1
+    (type C), then the finite part runs again."""
+    sign = 1
+    while True:
+        if kind == "C":
+            sign *= (-1) ** sum(x < 0 for x in v)
+            v = [abs(x) for x in v]
+        sign *= (-1) ** sum(a < b for j, a in enumerate(v) for b in v[j + 1:])
+        v = sorted(v, reverse=True)
+        if len(set(v)) < len(v) or (kind == "C" and v[-1] == 0):
+            return None
+        if c is None:
+            return sign, tuple(v)
+        top = v[0] - v[-1] if kind == "A" else v[0]
+        if top < c:
+            return sign, tuple(v)
+        if top == c:
+            return None
+        if kind == "A":
+            v[0], v[-1] = v[-1] + c, v[0] - c
+        else:
+            v[0] = 2 * c - v[0]
+        sign = -sign
+
+
+def count_oracle(kind: str, n: int, shape, level: int | None = None
+                 ) -> dict[tuple[int, ...], int]:
+    """Every sum at q = 1 over (r, s) factors ``shape``, by dominant weight:
+    the multiplicity of each irreducible in the tensor product of the
+    factors' classical crystals (Brauer-Klimyk), or at a ``level`` in their
+    fusion product (Kac-Walton: the same, folded into the level's alcove).
+    One factor at a time, every weight gamma of its weight multiset moves
+    V(mu) to sign(w) V(w(mu + gamma + rho) - rho).  No supernomial, rigged
+    configuration, energy or package reflection is used."""
+    data = cartan_data(kind, n)
+    rho = data.rho
+    c = None if level is None else level + data.h_dual
+    mult = {(0,) * len(rho): 1}
+    for r, s in shape:
+        gammas = factor_weight_multiset(kind, n, r, s)
+        nxt: Counter = Counter()
+        for mu, m in mult.items():
+            for gamma, k in gammas.items():
+                folded = _fold_into_chamber(
+                    kind, [a + b + x for a, b, x in zip(mu, gamma, rho)], c)
+                if folded is not None:
+                    sign, v = folded
+                    nxt[tuple(a - x for a, x in zip(v, rho))] += sign * m * k
+        mult = {mu: m for mu, m in nxt.items() if m}
+    return mult
 
 
 def qbinomial_pascal(m: int, n: int) -> dict[int, int]:
@@ -516,14 +578,27 @@ def reflection_s(w: TensorWord, i: int) -> TensorWord:
     return w
 
 
+@cache
+def r_matrix_view(desc2, desc1) -> tuple[dict, dict]:
+    """(sigma, H) of the package's R-matrix for B2 (x) B1, keyed by
+    ``Factor`` pairs: sigma[(x2, x1)] = (y1, y2) and H[(x2, x1)], read off
+    the index table step[a][b] = (H, c, d) of ``energy.combinatorial_r``."""
+    E2, E1 = factor_elements(desc2), factor_elements(desc1)
+    sigma, H = {}, {}
+    for a, row in enumerate(combinatorial_r(desc2, desc1)):
+        for b, (h, c, d) in enumerate(row):
+            sigma[(E2[a], E1[b])] = (E1[c], E2[d])
+            H[(E2[a], E1[b])] = h
+    return sigma, H
+
+
 def apply_sigma(w: TensorWord, k: int) -> TensorWord:
     """sigma_k: exchange the k-th and (k+1)-st factors counted from the
     right (positions k and k+1, 1-based)."""
     L = w.length
     left, right = L - k - 1, L - k
     x2, x1 = w.factors[left], w.factors[right]
-    table = combinatorial_r(x2.desc, x1.desc)
-    y1, y2 = table.sigma[(x2, x1)]
+    y1, y2 = r_matrix_view(x2.desc, x1.desc)[0][(x2, x1)]
     factors = w.factors[:left] + (y1, y2) + w.factors[right + 1:]
     return TensorWord(w.kind, w.n, factors)
 
@@ -531,7 +606,7 @@ def apply_sigma(w: TensorWord, k: int) -> TensorWord:
 def local_h(w: TensorWord, k: int) -> int:
     L = w.length
     x2, x1 = w.factors[L - k - 1], w.factors[L - k]
-    return combinatorial_r(x2.desc, x1.desc).H[(x2, x1)]
+    return r_matrix_view(x2.desc, x1.desc)[1][(x2, x1)]
 
 
 def energy_EB(w: TensorWord) -> int:
@@ -980,9 +1055,10 @@ def _word_h_step(key, image) -> int:
 
 
 def word_r_matrix(desc2, desc1):
-    """(sigma, H, step) of ``energy.combinatorial_r`` by a breadth-first
-    search over two-factor ``TensorWord``s that applies every arrow through
-    the general ``tensor_arrow``, with every check of the index search."""
+    """The index table step[a][b] = (H, c, d) of ``energy.combinatorial_r``
+    by a breadth-first search over two-factor ``TensorWord``s that applies
+    every arrow through the general ``tensor_arrow``, with every check of
+    the index search."""
     start = (highest_weight_element(desc2), highest_weight_element(desc1))
     sigma = {start: start[::-1]}
     H = {start: 0}
@@ -1016,11 +1092,11 @@ def word_r_matrix(desc2, desc1):
     size = len(factor_elements(desc2)) * len(factor_elements(desc1))
     if len(sigma) != size or len(set(sigma.values())) != size:
         raise IsomorphismError("not a bijection of connected pair graphs")
-    at = {x: a for a, x in enumerate(factor_elements(desc2))}
-    step = [[(H[(x2, x1)], at[sigma[(x2, x1)][1]])
-             for x1 in factor_elements(desc1)]
-            for x2 in factor_elements(desc2)]
-    return sigma, H, step
+    at = {x: a for d in (desc2, desc1)
+          for a, x in enumerate(factor_elements(d))}
+    return tuple(tuple((H[(x2, x1)], *map(at.get, sigma[(x2, x1)]))
+                       for x1 in factor_elements(desc1))
+                 for x2 in factor_elements(desc2))
 
 
 def scanned_color(w: TensorWord, level) -> int | None:

@@ -10,8 +10,9 @@ from crystalsums.bosonic import (_arrow, _strings, alternating_sum,
                                  involution_phi, supernomial_A_columns,
                                  supernomial_A_rows)
 from crystalsums.cartan import cartan_data
-from crystalsums.crystal import FactorDescriptor, _combine_stats
-from crystalsums.energy import _factor_table, combinatorial_r, direct_sum
+from crystalsums.crystal import (FactorDescriptor, _combine_stats,
+                                 _factor_table)
+from crystalsums.energy import direct_sum
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    rc_generating_function, vacuum_weight)
 from crystalsums.hardhex import hh_X, rr_series_check
@@ -21,8 +22,8 @@ from oracles import (all_contents_A, at_one, bosonic_term,
                      build_component, cc_stat, cc_theta, coroot_weight_pairing,
                      dominant_contents_A, dominant_weights_C, energy_EB,
                      enumerate_rc, letters_word, lr_multiplicity, partitions_gap2,
-                     path_word, strip_inclusion_exclusion, tensor_arrow,
-                     theta, word, word_weight)
+                     path_word, r_matrix_view, strip_inclusion_exclusion,
+                     tensor_arrow, theta, word, word_weight)
 
 
 def boxes(kind, n, L):
@@ -209,13 +210,13 @@ def test_criterion_9_structural_suites():
              (FactorDescriptor("A", 1, 1, 2), FactorDescriptor("A", 1)),
              (FactorDescriptor("A", 2, 2, 1), FactorDescriptor("A", 2))]
     for d2, d1 in pairs:
-        tab = combinatorial_r(d2, d1)
-        rev = combinatorial_r(d1, d2)
+        sigma, H = r_matrix_view(d2, d1)
+        _, rev_H = r_matrix_view(d1, d2)
         from crystalsums.crystal import highest_weight_element
-        assert tab.H[(highest_weight_element(d2),
-                      highest_weight_element(d1))] == 0
-        for key, img in tab.sigma.items():
-            assert rev.H[img] == tab.H[key]          # H o sigma = H
+        assert H[(highest_weight_element(d2),
+                  highest_weight_element(d1))] == 0
+        for key, img in sigma.items():
+            assert rev_H[img] == H[key]          # H o sigma = H
             src_w, img_w = word(key), word(img)
             for i in range(0, d2.n + 1):
                 for direction in ("e", "f"):
@@ -223,11 +224,11 @@ def test_criterion_9_structural_suites():
                     b = tensor_arrow(img_w, i, direction)
                     assert (a is None) == (b is None)
                     if a is not None:
-                        assert tab.sigma[(a.factors[0], a.factors[1])] == \
+                        assert sigma[(a.factors[0], a.factors[1])] == \
                             (b.factors[0], b.factors[1])
                         if i != 0 and direction == "f":
-                            assert tab.H[(a.factors[0], a.factors[1])] == \
-                                tab.H[key]
+                            assert H[(a.factors[0], a.factors[1])] == \
+                                H[key]
 
     # energy constant on classical components
     for seed in ((2, 1, 1), (3, 2, 1)):

@@ -12,8 +12,9 @@ from crystalsums.bosonic import (_arrow, _letter_table, _pair_set, _reflect,
                                  supernomial_C_boxes)
 from crystalsums.cartan import cartan_data
 from crystalsums.cli import _instances
-from crystalsums.crystal import FactorDescriptor, enumerate_paths
-from crystalsums.energy import _factor_table, direct_sum
+from crystalsums.crystal import (FactorDescriptor, _factor_table,
+                                 enumerate_paths)
+from crystalsums.energy import direct_sum
 from crystalsums.errors import CrystalSumsError, UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import crystalsums.crystal as crystal
 from crystalsums.bosonic import _arrow, _reflect, _strings, involution_phi
 from crystalsums.crystal import (Factor, FactorDescriptor, VERTEX_CAP,
-                                 _combine_stats, enumerate_paths,
-                                 factor_arrow, factor_elements, factor_stats,
-                                 letter_arrow, letters_of)
-from crystalsums.energy import _factor_table
+                                 _combine_stats, _factor_table,
+                                 enumerate_paths, factor_arrow,
+                                 factor_elements, factor_stats, letter_arrow,
+                                 letters_of)
 from crystalsums.errors import (CapExceeded, CrystalStructureError,
                                 UnsupportedError)
 
@@ -404,8 +404,11 @@ class TestDescriptors:
         assert len(factor_elements(desc)) == 1
 
     def test_no_highest_weight_element_raises(self, monkeypatch):
-        # broken arrows: every element has an e-arrow
+        # broken arrows: every element has an e-arrow; the factor's index
+        # table is rebuilt from them, past its cache
         monkeypatch.setattr(crystal, "factor_arrow", lambda x, i, d: x)
+        monkeypatch.setattr(crystal, "_factor_table",
+                            crystal._factor_table.__wrapped__)
         with pytest.raises(CrystalStructureError):
             crystal.highest_weight_element.__wrapped__(
                 FactorDescriptor("A", 2))

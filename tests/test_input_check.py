@@ -18,6 +18,7 @@ from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
                                 UnsupportedError)
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    rc_generating_function, shape_L)
+from crystalsums.hardhex import hh_X, rr_series_check
 
 A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
 
@@ -143,3 +144,32 @@ def test_walks_refuse_a_restriction_as_compute_sum(walk, restriction):
     assert want[0] is UnsupportedError, want
     got = outcome(lambda: walk(shape, weight, restriction, None))
     assert got[0] is UnsupportedError, got
+
+
+# the hard-hexagon entry points take no shape, so they refuse on their own,
+# with the classes compute_sum raises (exit 2 and 3): a negative length or
+# series cutoff is malformed, and its message names the value the caller
+# passed; an unknown method or identity is out of scope
+HARDHEX = {
+    "hh_X negative L": (lambda: hh_X(-1), ShapeSyntaxError, "-1"),
+    "hh_X negative L primed": (lambda: hh_X(-2, "bosonic", True),
+                               ShapeSyntaxError, "-2"),
+    "hh_X unknown method": (lambda: hh_X(3, "bogus"), UnsupportedError,
+                            "bogus"),
+    "rr_series_check negative cutoff": (lambda: rr_series_check(1, -5),
+                                        ShapeSyntaxError, "-5"),
+    "rr_series_check identity 0": (lambda: rr_series_check(0, 10),
+                                   UnsupportedError, "0"),
+    "rr_series_check identity 3": (lambda: rr_series_check(3, 10),
+                                   UnsupportedError, "3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARDHEX))
+def test_hard_hexagon_refuses_with_package_errors(case):
+    call, refused, value = HARDHEX[case]
+    got = outcome(call)
+    assert isinstance(got, tuple) and got[0] is refused, got
+    assert value in got[1], got
+    if refused is ShapeSyntaxError:
+        assert "negative" in got[1], got

@@ -156,10 +156,32 @@ def test_closed_forms_read_no_rc_walk():
 def test_r_matrix_search_builds_no_word():
     # combinatorial_r searches pairs of element indices: it applies the
     # two-factor tensor rule itself and builds no tensor word
+    # it reads each factor through crystal's one index table
     reached, used = _reached("energy.py", ["combinatorial_r"])
-    assert {"_factor_table", "_product_arrows", "_h_step"} <= reached
+    assert {"_product_arrows", "_h_step"} <= reached
+    assert "_factor_table" in used
     words = used & {"tensor_arrow", "word", "TensorWord", "_route"}
     assert not words, words
+
+
+def test_factor_crystal_is_read_through_one_table():
+    # one representation of a factor crystal: its cached index table is
+    # defined in crystal.py alone; the R-matrices and the involution read a
+    # factor only through it, and an R-matrix is an index table, not a
+    # class keyed by Factor pairs
+    defined = [name for name, node in nodes()
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_factor_table"]
+    assert defined == ["crystal.py"], defined
+    per_factor = [f"{name}:{node.lineno}" for name, node in nodes()
+                  if name in ("energy.py", "bosonic.py")
+                  and {getattr(node, a, None) for a in ("id", "attr", "name")}
+                  & {"factor_arrow", "factor_stats"}]
+    assert not per_factor, per_factor
+    classes = [f"{name}:{node.lineno}" for name, node in nodes()
+               if isinstance(node, ast.ClassDef)
+               and node.name == "RMatrixTable"]
+    assert not classes, classes
 
 
 def test_pair_set_lists_the_whole_product():
@@ -236,13 +258,16 @@ def test_qbinomial_cache_is_bounded():
 # where malformed input may be refused, with the text its message must
 # hold: the one input check, and the command line's own parsing of flags,
 # shapes, weights and config files; compute_sum refuses its statistic
-# argument, which no route takes
+# argument, which no route takes; the hard hexagon, which shares no input
+# with the crystal routes, refuses a negative length or series cutoff
 SYNTAX_CHECKS = {
     ("cartan.py", "check_sum"): "", ("cli.py", "parse_shape"): "",
     ("cli.py", "parse_weight"): "", ("cli.py", "_nonnegative"): "",
     ("cli.py", "cmd_verify"): "", ("cli.py", "cmd_rr"): "",
     ("cli.py", "_config_flags"): "",
     ("cli.py", "compute_sum"): "unknown statistic",
+    ("hardhex.py", "hh_X"): "negative",
+    ("hardhex.py", "rr_series_check"): "negative",
 }
 
 
