@@ -8,7 +8,6 @@ cutoff.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,9 +134,11 @@ class QLaurent:
         return _dense(self.low, _div_one_minus_q(out, k, exact=False))
 
     def to_json(self) -> str:
-        """Canonical JSON: [[exponent, coefficient-as-string], ...]."""
-        return json.dumps([[e, str(c)] for e, c in self.terms],
-                          separators=(",", ":"))
+        """Canonical JSON: [[exponent, coefficient-as-string], ...], one
+        pair per nonzero coefficient in increasing exponent, with no
+        spaces.  The text is built straight from the coefficient tuple."""
+        return "[" + ",".join(f'[{e},"{c}"]' for e, c
+                              in enumerate(self.coeffs, self.low) if c) + "]"
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -175,13 +176,22 @@ def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
 def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
     """The running sums of ``QLaurent.div_one_minus_q``, in place on a
     coefficient list, which is returned.  When exact, the last k sums are
-    the remainder: they must vanish, and are dropped.  A residue class
-    with one entry is its own running sum, so only the first len - k
-    classes are summed."""
-    for r in range(min(k, len(out) - k)):
-        out[r::k] = accumulate(out[r::k])
+    the remainder: they must vanish, and are dropped.
+
+    r_e = p_e + r_(e-k) can be summed in two orders.  Along each residue
+    class mod k, one ``accumulate`` per class, it takes min(k, len - k)
+    slice steps; block by block, adding the k sums before each block of k
+    entries, it takes ceil(len / k) - 1.  The walk takes the order with
+    fewer steps: residue classes when k * k < len, else blocks."""
+    n = len(out)
+    if k * k < n:
+        for r in range(k):
+            out[r::k] = accumulate(out[r::k])
+    else:
+        for s in range(k, n, k):
+            out[s:s + k] = map(add, out[s:s + k], out[s - k:s])
     if exact:
-        n = len(out) - k
+        n -= k
         if out and (n < 0 or any(out[n:])):
             raise InexactDivision(f"division by 1 - q^{k} is not exact")
         del out[n:]

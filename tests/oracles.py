@@ -37,10 +37,13 @@ finite Weyl group is listed whole, by a search over the generators, and
 the translation lattice as a window of every translation up to a
 coordinate bound, as the reference for the walk that lists only the terms
 a sum can use.  The ``QLaurent`` readers only tests use (a dict of terms,
-the value at q = 1, the inverse of ``to_json``) are functions here.  Every
-sum at q = 1 is also counted without any route: ``count_oracle`` takes
-Brauer-Klimyk multiplicities, folded into the level's alcove for a level
-sum (Kac-Walton), by its own chamber and alcove fold.
+the value at q = 1, the inverse of ``to_json``) are functions here, and
+so is division by 1 - q^k one coefficient at a time, against the
+package's slice walks.  Every sum at q = 1 is also counted without any
+route: ``count_oracle`` takes Brauer-Klimyk multiplicities, folded into
+the level's alcove for a level sum (Kac-Walton), by its own chamber and
+alcove fold; a type C column B^{r,1} enters it as the weights of
+Lambda^r - Lambda^(r-2).
 """
 from __future__ import annotations
 
@@ -62,8 +65,8 @@ from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  highest_weight_element)
 from crystalsums.energy import combinatorial_r
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
-                                InvolutionError, IsomorphismError,
-                                UnsupportedError)
+                                InexactDivision, InvolutionError,
+                                IsomorphismError, UnsupportedError)
 from crystalsums.fermionic import (_admitted_shapes, _cc_generic,
                                    _corrections_A, _corrections_C,
                                    _generic_grid, _generic_m, _lambda_prime_A,
@@ -105,23 +108,58 @@ def from_json(s: str) -> QLaurent:
     return QLaurent.from_dict({int(e): int(c) for e, c in json.loads(s)})
 
 
+def div_one_minus_q_by_coefficient(p: QLaurent, k: int,
+                                   cutoff: int | None = None) -> QLaurent:
+    """p / (1 - q^k) one coefficient at a time, r_e = p_e + r_(e-k), in
+    increasing exponent e.  With a cutoff, the power series through
+    q^cutoff; without one, the quotient through deg p - k, which must give
+    back p when multiplied by 1 - q^k, else InexactDivision."""
+    if not p.coeffs:
+        return ZERO
+    top = p.degree() - k if cutoff is None else cutoff
+    r: dict[int, int] = {}
+    for e in range(p.low, top + 1):
+        r[e] = p.coeff(e) + r.get(e - k, 0)
+    if cutoff is None:
+        back = {e: r.get(e, 0) - r.get(e - k, 0)
+                for e in range(p.low, p.degree() + 1)}
+        if QLaurent.from_dict(back) != p:
+            raise InexactDivision(f"division by 1 - q^{k} is not exact")
+    return QLaurent.from_dict(r)
+
+
 def gf_from_sizes(sizes) -> dict[int, int]:
     cnt = Counter(sizes)
     return dict(sorted(cnt.items()))
 
 
-def factor_weight_multiset(kind: str, n: int, r: int, s: int) -> Counter:
-    """Weight multiset of one factor crystal, combinatorially."""
-    dim = n + 1 if kind == "A" else n
+def _exterior_weights(n: int, r: int) -> Counter:
+    """Weight multiset of the r-th exterior power of the 2n-dimensional
+    representation of C_n, whose weights are +e_i and -e_i: one sum per
+    r-subset of those 2n weights."""
     out: Counter = Counter()
-    if kind == "C":
-        assert (r, s) == (1, 1)
-        for k in range(n):
-            for sign in (1, -1):
-                w = [0] * n
-                w[k] = sign
-                out[tuple(w)] += 1
+    if r < 0:
         return out
+    for sub in combinations(range(2 * n), r):
+        w = [0] * n
+        for j in sub:
+            w[j % n] += 1 if j < n else -1
+        out[tuple(w)] += 1
+    return out
+
+
+def factor_weight_multiset(kind: str, n: int, r: int, s: int) -> Counter:
+    """Weight multiset of one factor crystal, combinatorially.  A type C
+    column B^{r,1} is classically V(varpi_r) alone, whose character is
+    Lambda^r V - Lambda^{r-2} V for the 2n-dimensional V."""
+    dim = n + 1 if kind == "A" else n
+    if kind == "C":
+        assert s == 1 and 1 <= r <= n
+        out = _exterior_weights(n, r)
+        out.subtract(_exterior_weights(n, r - 2))
+        assert min(out.values()) >= 0
+        return +out
+    out: Counter = Counter()
     if s == 1:
         for col in combinations(range(dim), r):
             w = [0] * dim

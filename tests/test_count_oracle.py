@@ -7,10 +7,13 @@ configuration or energy, so it checks the four routes of ``compute_sum``
 at lengths well beyond the oracles that list paths.  Each route runs at
 the largest length it clears in a fraction of a second.
 """
+from collections import Counter
+
 import pytest
 
 from crystalsums.cli import compute_sum
 from crystalsums.crystal import FactorDescriptor
+from crystalsums.fermionic import closed_form_F, rc_generating_function
 
 from oracles import (at_one, count_oracle, dominant_contents_A,
                      dominant_weights_C, filtered_paths, lr_multiplicity)
@@ -85,3 +88,38 @@ def test_count_oracle_matches_the_listing_oracles(kind, n, level):
             else:
                 got = len(filtered_paths(shape, lam, "level", level))
             assert want.get(lam, 0) == got, (L, lam)
+
+
+# type C columns B^{r,1}: no factor crystal of the package takes them, so
+# only the two fermionic evaluations reach these sums; (n, the columns (r,
+# 1), the number of B^{1,1} boxes beside them)
+COLUMN_CASES = [
+    (2, ((2, 1),), 6), (2, ((2, 1),) * 2, 8), (2, ((2, 1),) * 6, 2),
+    (3, ((2, 1),), 5), (3, ((2, 1),) * 2, 5), (3, ((3, 1),), 5),
+    (3, ((3, 1),) * 2, 5), (3, ((3, 1), (2, 1)), 5)]
+
+
+@pytest.mark.parametrize("level", [None, 1], ids=["classical", "level1"])
+@pytest.mark.parametrize("evaluator", [closed_form_F, rc_generating_function],
+                         ids=["closed_form_F", "rc"])
+@pytest.mark.parametrize("n,columns,boxes", COLUMN_CASES,
+                         ids=[f"C{n}-" + "-".join(f"B{r}{s}" for r, s in cols)
+                              + f"-{b}boxes" for n, cols, b in COLUMN_CASES])
+def test_type_c_columns_at_one_are_the_multiplicity(n, columns, boxes,
+                                                    evaluator, level):
+    rs = columns + ((1, 1),) * boxes
+    want = count_oracle("C", n, rs, level)
+    assert want
+    got = {lam: at_one(evaluator("C", n, dict(Counter(rs)), lam, level))
+           for lam in dominant_weights_C(n, sum(r for r, _ in rs))
+           if level is None or lam[0] <= level}
+    assert {lam: m for lam, m in got.items() if m} == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_type_c_column_is_one_irreducible(n):
+    # B^{r,1} of C_n is classically V(varpi_r) alone: Brauer-Klimyk on the
+    # weights of Lambda^r - Lambda^(r-2) leaves the one highest weight
+    for r in range(1, n + 1):
+        varpi = (1,) * r + (0,) * (n - r)
+        assert count_oracle("C", n, ((r, 1),)) == {varpi: 1}

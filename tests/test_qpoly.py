@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,7 +9,8 @@ from crystalsums.errors import InexactDivision
 from crystalsums.qpoly import (ONE, QLaurent, ZERO, invert_q, q_power,
                                qbinomial, qmultinomial)
 
-from oracles import (as_dict, at_one, box_partitions, from_json,
+from oracles import (as_dict, at_one, box_partitions,
+                     div_one_minus_q_by_coefficient, from_json,
                      gf_from_sizes, qbinomial_pascal)
 
 
@@ -132,6 +134,67 @@ class TestArithmetic:
         p = P({-3: 12345678901234567890, 0: -1, 7: 2})
         assert from_json(p.to_json()) == p
         assert p.to_json() == '[[-3,"12345678901234567890"],[0,"-1"],[7,"2"]]'
+
+    @given(st.dictionaries(st.integers(-60, 60),
+                           st.integers(-10 ** 40, 10 ** 40), max_size=12))
+    def test_json_is_the_canonical_dump(self, d):
+        for p in (P(d), ZERO):
+            text = p.to_json()
+            assert text == json.dumps([[e, str(c)] for e, c in p.terms],
+                                      separators=(",", ":"))
+            assert from_json(text) == p
+
+
+def _random_poly(rng, length):
+    # nonzero ends, a negative low, zeros inside and 40-digit coefficients
+    coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10 ** 40,
+                                                            10 ** 40)))
+              for _ in range(length)]
+    coeffs[0] = coeffs[-1] = rng.choice((-1, 1)) * rng.randint(1, 10 ** 40)
+    return QLaurent(rng.randint(-30, 5), tuple(coeffs))
+
+
+class TestSliceDivision:
+    """div_one_minus_q walks residue classes when k * k < len and blocks
+    otherwise; both orders against the one-coefficient-at-a-time oracle.
+    Every k from 1 to len + 1 is tried, so both sides of k * k = len."""
+
+    LENGTHS = (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 63, 64, 65,
+               120, 250)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_exact_division(self, length):
+        rng = random.Random(length)
+        p = _random_poly(rng, length)
+        for k in range(1, length + 2):
+            product = p * one_minus_q(k)
+            assert product.div_one_minus_q(k) == p
+            assert div_one_minus_q_by_coefficient(product, k) == p
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_series_division(self, length):
+        rng = random.Random(1000 + length)
+        p = _random_poly(rng, length)
+        top = p.degree()
+        for k in range(1, length + 2):
+            for cutoff in (p.low - 3, p.low - 1, p.low, p.low + length // 3,
+                           top - 1, top, top + k - 1, top + 2 * k + 5):
+                assert (p.div_one_minus_q(k, cutoff)
+                        == div_one_minus_q_by_coefficient(p, k, cutoff))
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_inexact_division_raises(self, length):
+        rng = random.Random(2000 + length)
+        p = _random_poly(rng, length)
+        for k in range(1, length + 2):
+            for bad in (p * one_minus_q(k) + q_power(p.low + k),
+                        p * one_minus_q(k) + q_power(p.degree() + 1)):
+                with pytest.raises(InexactDivision):
+                    bad.div_one_minus_q(k)
+                with pytest.raises(InexactDivision):
+                    div_one_minus_q_by_coefficient(bad, k)
+        with pytest.raises(InexactDivision):
+            p.div_one_minus_q(length + 1)
 
 
 class TestQBinomial:
