@@ -13,9 +13,9 @@ from math import prod
 from operator import add
 
 from . import crystal
-from .cartan import (_act, _exact_quotient, _refuse_above_level, cartan_data,
+from .cartan import (CartanData, _act, _exact_quotient, cartan_data,
                      check_sum, reduce_to_alcove, shape_type,
-                     simple_reflections, weyl_images)
+                     simple_reflections, vanishes, weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _factor_table,
                       _route, enumerate_paths, factor_elements, factor_weight)
 from .energy import energy_extension
@@ -125,43 +125,48 @@ def supernomial_C_boxes(n: int, boxes: int, lam: tuple[int, ...]) -> QLaurent:
 _SUPER_CACHE: dict[tuple, QLaurent] = {}
 
 
+def _check_bosonic(shape: Shape, weight: tuple[int, ...],
+                   level: int | None = None
+                   ) -> tuple[CartanData, int, bool]:
+    """(root data, boxes, whether the shape is type A columns) of a bosonic
+    sum, once ``check_sum`` has passed and a type A shape mixing rows and
+    columns, which has no supernomial closed form, is refused."""
+    kind, n = shape_type(shape)
+    data = check_sum(kind, n, weight, level,
+                     0 if level is None else max(d.s for d in shape))
+    columns = kind == "A" and all(d.s == 1 for d in shape)
+    if kind == "A" and not columns and any(d.r > 1 for d in shape):
+        raise UnsupportedError("bosonic sums need all rows or all columns")
+    return data, sum(d.boxes for d in shape), columns
+
+
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
-    """S-bar(B, weight) for any supported shape, its input checked as at
-    every route's entry point; zero off the achievable content set.  The
-    cheap part of that test runs before the cache key is built, so those
-    zeros are neither keyed nor cached: a negative type A content; for
-    type A columns, a content that no 0-1 matrix with the column heights
-    as row sums reaches (Gale-Ryser: sorted in decreasing order, its
-    partial sums must stay within those of the conjugate of the heights,
-    as a column holds each letter at most once); a type C weight whose L1
-    norm exceeds the boxes or differs from them in parity.
+    """S-bar(B, weight) for an all-rows or all-columns shape, its input
+    checked as at every route's entry point; zero off the achievable
+    content set.  That test runs before the cache key is built, so those
+    zeros are neither keyed nor cached: a weight no path of the boxes has
+    (``vanishes``); for type A columns, a content that no 0-1 matrix with
+    the column heights as row sums reaches (Gale-Ryser: sorted in
+    decreasing order, its partial sums must stay within those of the
+    conjugate of the heights, as a column holds each letter at most once).
 
     The unrestricted sum is invariant under the finite Weyl group: s_i
     stays inside each classical component, where the energy is constant.
     So the cache is keyed by, and the closed form evaluated at, the
     dominant representative of the weight's orbit: the content sorted in
     decreasing order (type A), or the sorted absolute values (type C)."""
-    kind, n = shape_type(shape)
-    check_sum(kind, n, weight)
-    type_c = kind == "C"
-    dominant = tuple(sorted(map(abs, weight) if type_c else weight,
+    data, boxes, columns = _check_bosonic(shape, weight)
+    if vanishes(data, boxes, weight, restricted=False):
+        return ZERO
+    dominant = tuple(sorted(map(abs, weight) if data.kind == "C" else weight,
                             reverse=True))
-    columns = all(d.s == 1 for d in shape)
-    if type_c:
-        norm = sum(dominant)
-        if norm > len(shape) or (len(shape) - norm) % 2:
+    if columns:
+        heights = conjugate(tuple(sorted((d.r for d in shape), reverse=True)))
+        reach = accumulate(part(heights, i) for i in range(1, len(weight) + 1))
+        if any(a > b for a, b in zip(accumulate(dominant), reach)):
             return ZERO
-    elif columns or all(d.r == 1 for d in shape):  # a mixed shape raises below
-        if min(dominant, default=0) < 0:
-            return ZERO
-        if columns:
-            heights = conjugate(tuple(sorted((d.r for d in shape),
-                                             reverse=True)))
-            reach = accumulate(part(heights, i)
-                               for i in range(1, len(weight) + 1))
-            if any(a > b for a, b in zip(accumulate(dominant), reach)):
-                return ZERO
-    key = (tuple(sorted((d.r, d.s) for d in shape)), kind, n, dominant)
+    key = (tuple(sorted((d.r, d.s) for d in shape)), data.kind, data.n,
+           dominant)
     hit = _SUPER_CACHE.get(key)
     if hit is not None:
         return hit
@@ -177,11 +182,8 @@ def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     if all(d.s == 1 for d in shape):
         mu = tuple(sorted((d.r for d in shape), reverse=True))
         return supernomial_A_columns(n, mu, tuple(weight))
-    if all(d.r == 1 for d in shape):
-        mu = tuple(sorted((d.s for d in shape), reverse=True))
-        return supernomial_A_rows(n, mu, tuple(weight))
-    raise UnsupportedError(
-        "no supernomial closed form for mixed row and column shapes")
+    mu = tuple(sorted((d.s for d in shape), reverse=True))
+    return supernomial_A_rows(n, mu, tuple(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +201,20 @@ def alternating_sum(shape: Shape, lam: tuple[int, ...],
     w(lam + rho) - c beta' - rho and e = a0/2 (beta'|beta') c - a0 (w(lam +
     rho)|beta').  One walk (``weyl_images``) lists every (w, beta') whose
     image lies in the supernomial support; every other term is zero, and e
-    is read only for the terms whose supernomial is not.  What
-    ``check_sum`` and ``_refuse_above_level`` refuse raises, as in the
-    fermionic level sums."""
-    data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
-    c = None
-    if level is not None:
-        _refuse_above_level(data, lam, level)
-        c = level + data.h_dual
+    is read only for the terms whose supernomial is not.
+
+    The input is checked as in ``compute_sum``: what ``check_sum`` refuses
+    raises, then a shape mixing rows and columns raises UnsupportedError;
+    a sum that ``vanishes`` by definition is ZERO.  There the alternating
+    form is not a sum over paths: at a non-dominant weight, or one above
+    the level, its terms need not cancel."""
+    data, boxes, _ = _check_bosonic(shape, lam, level)
+    if vanishes(data, boxes, lam, level):
+        return ZERO
+    c = None if level is None else level + data.h_dual
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
-    # supernomial counts type C boxes as factors
-    for sign, beta, mu in weyl_images(data, lam_rho, len(shape), c):
+    for sign, beta, mu in weyl_images(data, lam_rho, boxes, c):
         s = supernomial(shape, mu)
         if s.is_zero():
             continue
@@ -390,17 +394,18 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     color that stops being well defined.  phi(w, b) = (w r_i, b') lies in
     S iff r_i(wt(b) + rho) = wt(b') + rho, as (w r_i)^-1(lam + rho) = r_i
     w^-1(lam + rho), and phi(w r_i, b') = (w, b) iff phi moves b' by the
-    color i back to b."""
+    color i back to b.  Where the sum ``vanishes`` by definition, there is
+    nothing to report, and it raises UnsupportedError."""
     data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
     if level is not None and any((d.r, d.s) != (1, 1) for d in shape):
         # the color fold reads affine strings letterwise, which only
         # matches the crystal for single-box factors
         raise UnsupportedError(
             "the level involution supports single-box factors only")
-    if not data.is_dominant(lam):
-        raise UnsupportedError(f"weight {lam} is not dominant")
-    if level is not None:
-        _refuse_above_level(data, lam, level)
+    if vanishes(data, sum(d.boxes for d in shape), lam, level):
+        # lam + rho need not be regular, and the report would be vacuous
+        raise UnsupportedError(f"the sum at weight {lam} is zero by "
+                               f"definition")
     pairs = _pair_set(shape, lam, level)
     target = tuple(l + r for l, r in zip(lam, data.rho))
     gens = simple_reflections(data, level)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import (CapExceeded, CrystalSumsError, NonIntegralExponent,
-                     ShapeSyntaxError, UnsupportedError)
+from .errors import (CapExceeded, NonIntegralExponent, ShapeSyntaxError,
+                     UnsupportedError)
 
 WEYL_RANK_CAP = 6
 
@@ -90,7 +90,8 @@ def cartan_data(kind: str, n: int) -> CartanData:
 
 
 # ---------------------------------------------------------------------------
-# the one input check of every route's entry point
+# the one input check and the one vanishing rule of every route's entry
+# point
 
 def shape_type(shape) -> tuple[str, int]:
     """(kind, n) of a tensor shape; refuses an empty shape and one that
@@ -125,13 +126,28 @@ def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
     return data
 
 
-def _refuse_above_level(data: CartanData, lam: tuple[int, ...],
-                        level: int) -> None:
-    """Refuse a weight whose level (lam|theta) exceeds the level, where a
-    level sum's alternating form is not a sum over paths."""
-    weight_level = data.theta_pairing(lam)
-    if weight_level > level:
-        raise CrystalSumsError(f"weight level {weight_level} exceeds {level}")
+def vanishes(data: CartanData, boxes: int, weight: tuple[int, ...],
+             level: int | None = None, restricted: bool = True) -> bool:
+    """Is the sum over the paths of ``boxes`` boxes at ``weight`` zero by
+    definition: classically restricted without a ``level``, level
+    restricted at one, unrestricted if not ``restricted``?  It is when no
+    path has the weight (type A: a negative content or a content sum other
+    than the boxes; type C: an L1 norm above the boxes or of the other
+    parity), or the restriction admits none: a non-dominant weight, or one
+    whose level (weight|theta) exceeds the level.  Every route's entry
+    point reads this right after ``check_sum``."""
+    if data.kind == "A":
+        if sum(weight) != boxes or min(weight) < 0:
+            return True
+    else:
+        norm = sum(map(abs, weight))
+        if norm > boxes or (boxes - norm) % 2:
+            return True
+    if not restricted:
+        return False
+    if not data.is_dominant(weight):
+        return True
+    return level is not None and data.theta_pairing(weight) > level
 
 
 # A simple reflection acts on coordinates as a signed permutation followed

@@ -12,12 +12,12 @@ import sys
 import time
 
 from . import bosonic, energy, fermionic, hardhex
-from .cartan import CartanData, cartan_data, check_sum, shape_type
+from .cartan import cartan_data, check_sum, shape_type
 from .crystal import FactorDescriptor
 from .errors import (CapExceeded, CrystalSumsError, ShapeSyntaxError,
                      UnsupportedError)
 from .partitions import partitions_in_box, partitions_of
-from .qpoly import QLaurent, ZERO, invert_q
+from .qpoly import QLaurent, invert_q
 
 Shape = tuple[FactorDescriptor, ...]
 
@@ -72,92 +72,61 @@ def _fermionic_sum(evaluate, shape: Shape, weight: tuple[int, ...],
                    level: int | None) -> QLaurent:
     """``evaluate(kind, n, L, lam, level)``, a fermionic route, on the
     factor multiplicities of ``shape``, with the type A determinant
-    columns taken off the weight."""
+    columns taken off the weight: each fills every coordinate once."""
     L, det = fermionic.shape_L(shape)
-    lam = tuple(x - det for x in weight)
-    if any(x < 0 for x in lam):
-        return ZERO  # every determinant column fills each coordinate once
-    return evaluate(shape[0].kind, shape[0].n, L, lam, level)
+    return evaluate(shape[0].kind, shape[0].n, L,
+                    tuple(x - det for x in weight), level)
 
 
-# method -> (shapes covered, evaluator) of the classical and the level
-# sums.  Every evaluator takes (shape, weight, level), level None for the
-# classical sum, and returns the coenergy-graded sum.  Each looks its
-# route up in the module when called, so a rebound module attribute (a
-# test's stub, a benchmark's tracing wrapper) is what runs.
+# method -> evaluator of the classical and the level sums.  Every
+# evaluator takes (shape, weight, level), level None for the classical
+# sum, and returns the coenergy-graded sum.  Each looks its route up in
+# the module when called, so a rebound module attribute (a test's stub, a
+# benchmark's tracing wrapper) is what runs.
 _ROUTES = {
-    "direct": ("all", lambda s, w, lv: energy.direct_sum(
-        s, w, "classical" if lv is None else "level", lv)),
-    "bosonic": ("rows or columns", lambda s, w, lv:
-                bosonic.alternating_sum(s, w, lv)),
-    "fermionic": ("all", lambda s, w, lv:
-                  _fermionic_sum(fermionic.closed_form_F, s, w, lv)),
-    "rc": ("all", lambda s, w, lv:
-           _fermionic_sum(fermionic.rc_generating_function, s, w, lv)),
+    "direct": lambda s, w, lv: energy.direct_sum(
+        s, w, "classical" if lv is None else "level", lv),
+    "bosonic": lambda s, w, lv: bosonic.alternating_sum(s, w, lv),
+    "fermionic": lambda s, w, lv: _fermionic_sum(fermionic.closed_form_F,
+                                                 s, w, lv),
+    "rc": lambda s, w, lv: _fermionic_sum(fermionic.rc_generating_function,
+                                          s, w, lv),
 }
 
-# (restriction, method) -> (shapes covered, evaluator)
+# (restriction, method) -> evaluator
 _EVALUATORS = {
-    ("none", "direct"): ("all", lambda s, w, lv:
-                         energy.direct_sum(s, w, "none")),
-    ("none", "bosonic"): ("rows or columns", lambda s, w, lv:
-                          bosonic.supernomial(s, w)),
+    ("none", "direct"): lambda s, w, lv: energy.direct_sum(s, w, "none"),
+    ("none", "bosonic"): lambda s, w, lv: bosonic.supernomial(s, w),
     **{(restriction, method): route for restriction in ("classical", "level")
        for method, route in _ROUTES.items()},
 }
 
 
-def _is_zero_by_definition(data: CartanData, shape: Shape,
-                           weight: tuple[int, ...], restriction: str,
-                           level: int | None) -> bool:
-    """No path has this weight, or the restriction admits none."""
-    kind = data.kind
-    boxes = sum(d.boxes for d in shape)
-    if kind == "A":
-        if sum(weight) != boxes or min(weight) < 0:
-            return True
-    else:
-        norm = sum(abs(x) for x in weight)
-        if norm > boxes or (boxes - norm) % 2:
-            return True
-    if restriction == "none":
-        return False
-    if not data.is_dominant(weight):
-        return True
-    # a level-restricted sum below the weight's level is zero
-    return restriction == "level" and data.theta_pairing(weight) > level
-
-
 def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
                 method: str, statistic: str, level: int | None) -> QLaurent:
     """The configuration sum by one method; the only way from (restriction,
-    method) to an evaluator.
-
-    Input is checked once, in this order: an unknown statistic raises
-    ShapeSyntaxError; then the check every evaluator makes, ``shape_type``
-    and ``check_sum`` (a factor wider than the level counts only for level
-    sums); then a combination no evaluator covers raises UnsupportedError;
-    and a sum that vanishes by definition is ZERO for every method."""
+    method) to an evaluator.  It checks only what no evaluator sees and
+    dispatches.  Every route checks in one order, so every method raises
+    the same class: malformed input raises ShapeSyntaxError (an unknown
+    statistic, then ``check_sum``); then input the route does not cover
+    raises UnsupportedError (``shape_type`` and ``check_sum``, a factor
+    wider than the level counting only for level sums; a combination no
+    evaluator computes; ``bosonic`` on a shape mixing rows and columns);
+    then a sum that vanishes by definition (``cartan.vanishes``) is ZERO."""
     if statistic not in ("energy", "coenergy"):
         raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
-    data = check_sum(*shape_type(shape), weight, level,
-                     max(d.s for d in shape) if restriction == "level" else 0)
+    check_sum(*shape_type(shape), weight, level,
+              max(d.s for d in shape) if restriction == "level" else 0)
 
-    entry = _EVALUATORS.get((restriction, method))
-    if entry is None:
+    evaluate = _EVALUATORS.get((restriction, method))
+    if evaluate is None:
         raise UnsupportedError(
             f"method {method!r} does not compute {restriction!r} sums")
-    covers, evaluate = entry
-    if covers == "rows or columns" and any(d.r > 1 for d in shape) \
-            and any(d.s > 1 for d in shape):
-        raise UnsupportedError("bosonic sums need all rows or all columns")
     if restriction != "level":
         level = None
     elif level is None:
         raise UnsupportedError("--restrict level needs --level")
 
-    if _is_zero_by_definition(data, shape, weight, restriction, level):
-        return ZERO
     out = evaluate(shape, tuple(weight), level)
     return invert_q(out) if statistic == "energy" else out
 

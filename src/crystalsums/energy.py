@@ -26,6 +26,7 @@ statistic check scores its words by the same pass).
 from __future__ import annotations
 
 from . import crystal
+from .cartan import cartan_data, vanishes
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
 from .crystal import (FactorDescriptor, _element_table, _factor_table,
@@ -34,7 +35,7 @@ from .crystal import (FactorDescriptor, _element_table, _factor_table,
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
-from .qpoly import QLaurent
+from .qpoly import QLaurent, ZERO
 
 # the index table of ``combinatorial_r`` per ordered pair; write-once
 _TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], tuple] = {}
@@ -231,8 +232,13 @@ def direct_sum(shape: tuple[FactorDescriptor, ...],
     homogeneous shape B^{(x)L} is summed by the transfer-matrix ``_sweep``;
     a mixed shape by a pruned path search that accumulates each path's
     energy E_B = D as it grows.  The input is checked before any R-matrix
-    is built."""
+    is built; a sum that ``vanishes`` by definition is ZERO without a walk,
+    which would find no path but can take long to see it."""
     setup = _walk_setup(shape, weight, restriction, level)
+    if vanishes(cartan_data(shape[0].kind, shape[0].n),
+                sum(d.boxes for d in shape), setup[1], setup[3],
+                restricted=restriction != "none"):
+        return ZERO
     if all(d == shape[0] for d in shape):
         return _sweep(shape[0], len(shape), setup)
     paths = search_paths(shape, weight, restriction, level,

@@ -31,8 +31,8 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct, repeat
 from operator import mul
 
-from .cartan import (CartanData, _exact_quotient, _refuse_above_level,
-                     cartan_data, check_sum)
+from .cartan import (CartanData, _exact_quotient, cartan_data, check_sum,
+                     vanishes)
 from .errors import CapExceeded
 from .partitions import (conjugate, part, partitions_in_box, partitions_of,
                          q_columns)
@@ -50,13 +50,17 @@ def _widest(L: LMap) -> int:
     return max((i for _, i in L), default=0)
 
 
+def _boxes(L: LMap) -> int:
+    """The number of boxes of the factors, for ``vanishes``."""
+    return sum(a * i * mult for (a, i), mult in L.items())
+
+
 def config_sizes(data: CartanData, L: LMap, lam: tuple[int, ...]) -> tuple[int, ...] | None:
     """|nu^(a)| for a = 1..n (unhalved), or None when the weight constraint
     has no admissible solution (for type A, also when the content sum is
     not the number of boxes)."""
     n = data.n
-    if data.kind == "A" and sum(lam) != sum(
-            a * i * mult for (a, i), mult in L.items()):
+    if data.kind == "A" and sum(lam) != _boxes(L):
         return None  # the content must fill every box once
     sizes = []
     for a in range(1, n + 1):
@@ -257,6 +261,8 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     P*m - |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum
     |J|."""
     data = check_sum(kind, n, lam, level, _widest(L))
+    if vanishes(data, _boxes(L), lam, level):
+        return ZERO
     if level is not None:
         tables = _level_tables(data, L, lam, level)
         if tables is None:
@@ -283,21 +289,32 @@ def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     """F-bar(B, Lambda): the manifestly positive q-binomial sum over
     configuration shapes, via the bilinear-form expressions.  A shape with
     p < 0 at an occupied site contributes [p; m] = 0, so the walk drops
-    each prefix at its first such site.  At a ``level``, the tableau
-    closed form ``_level_closed_form``: the inclusion-exclusion over the
-    nonempty sets of tableaux, collected by their minimal corrections."""
+    each prefix at its first such site.
+
+    At a ``level``, the tableau closed form: over the shapes inside the
+    level grid, q^{cc + sum p m} times the inclusion-exclusion over the
+    nonempty sets of tableaux, collected by their minimal corrections, of
+    the grid products of 1/q-binomials [p + correction; m].  A shape with
+    p + max correction < 0 at a grid site, the maximum taken over the
+    minima, has a zero factor in every term, so the walk drops each prefix
+    at its first such site."""
     data = check_sum(kind, n, lam, level, _widest(L))
+    if vanishes(data, _boxes(L), lam, level):
+        return ZERO
+    memo: dict = {}
     if level is not None:
         tables = _level_tables(data, L, lam, level)
         if tables is None:
             return ZERO
         sizes, grid, _, max_part, table = tables
-        return _level_closed_form(data, L, sizes, grid, max_part,
-                                  _signed_minima(table))
+        minima = _signed_minima(table)
+        tops = [max(col) for col in zip(*minima)]
+        return _closed_form_sum(data, sizes,
+                                _grid_row_sites(data, L, grid, tops, memo),
+                                memo, max_part, minima)
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return ZERO
-    memo: dict = {}
 
     def row_sites(nu, a):
         gm = _generic_m(data, nu, memo)
@@ -323,28 +340,22 @@ def vacuum_weight(data: CartanData, L: LMap) -> tuple[int, ...] | None:
     type A, the origin for type C."""
     if data.kind == "C":
         return (0,) * data.n
-    boxes = sum(a * i * mult for (a, i), mult in L.items())
+    boxes = _boxes(L)
     if boxes % (data.n + 1):
         return None
     return (boxes // (data.n + 1),) * (data.n + 1)
 
 
 def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
-    """F-bar^level(B): the vacuum-weight level form over the truncated
-    grid, with every grid site contributing its q-binomial factor.  A grid
-    site with p < 0 makes its factor [p; m] zero, even for m = 0, so the
-    walk drops each prefix at its first such site."""
+    """F-bar^level(B): ``closed_form_F`` at the level and the vacuum
+    weight, where the only tableau is the empty one, so every grid site
+    contributes its q-binomial factor with a zero correction; ZERO when
+    the boxes do not fill a vacuum rectangle."""
     check_sum(data.kind, data.n, None, level, _widest(L))
     lam = vacuum_weight(data, L)
     if lam is None:
         return ZERO
-    sizes = config_sizes(data, L, lam)
-    if sizes is None:
-        return ZERO
-    grid = _generic_grid(data, level)
-    return _level_closed_form(data, L, sizes, grid,
-                              2 * level if data.kind == "C" else level,
-                              {(0,) * len(grid): 1})
+    return closed_form_F(data.kind, data.n, L, lam, level)
 
 
 def _grid_row_sites(data: CartanData, L: LMap, grid, tops, memo: dict):
@@ -479,14 +490,12 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
     """What both level sums of type A, or type C single-column factors,
     read: (row sizes, the generic grid, its sites (a, i) at actual part
     sizes, the largest part, the table of correction vectors at the sites,
-    one per column-strict tableau).  None where the sum is zero: no
-    admissible row sizes, or a non-dominant weight.  A weight above the
-    level raises.  The types differ only in the tableaux
-    (``_lambda_prime_A/C``) and the corrections they make at the sites
-    (``_corrections_A/C``)."""
-    _refuse_above_level(data, lam, level)
+    one per column-strict tableau), for a weight that ``vanishes`` does
+    not rule out.  None where the sum is zero: no admissible row sizes.
+    The types differ only in the tableaux (``_lambda_prime_A/C``) and the
+    corrections they make at the sites (``_corrections_A/C``)."""
     sizes = config_sizes(data, L, lam)
-    if sizes is None or not data.is_dominant(lam):
+    if sizes is None:
         return None
     kind, n = data.kind, data.n
     lambda_prime, corrections = ((_lambda_prime_A, _corrections_A)
@@ -500,23 +509,6 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
     return sizes, grid, sites, 2 * level if kind == "C" else level, table
 
 
-def _level_closed_form(data: CartanData, L: LMap, sizes: tuple[int, ...],
-                       grid, max_part: int, minima) -> QLaurent:
-    """The level closed forms: over the shapes inside the level grid, q^{cc
-    + sum p m} times the sum over the signed corrections ``minima`` (the
-    tableau minima of ``closed_form_F`` at a level, or the zero correction
-    of ``closed_form_F_level``) of the grid products of 1/q-binomials [p +
-    correction; m].  A shape with p + max correction < 0 at a grid site,
-    the maximum taken over the minima, has a zero factor in every term, so
-    the walk drops each prefix at its first such site."""
-    if not minima:
-        return ZERO
-    memo: dict = {}
-    tops = [max(col) for col in zip(*minima)]
-    row_sites = _grid_row_sites(data, L, grid, tops, memo)
-    return _closed_form_sum(data, sizes, row_sites, memo, max_part, minima)
-
-
 def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
                      memo: dict, max_part: int | None, minima) -> QLaurent:
     """The one sum of the closed forms: over the shapes nu of
@@ -527,7 +519,8 @@ def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
     with p + d < 0 at a site is zero, and [p + d; 0] = 1 otherwise.
 
     [x; m] is palindromic of degree x m, so a term is also q^{cc + sum p
-    m} prod 1/q-binomials [p + d; m], the form of ``_level_closed_form``."""
+    m} prod 1/q-binomials [p + d; m], the form of ``closed_form_F`` at a
+    level."""
     out = ZERO
     for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
         cc = _cc_generic(data, _generic_m(data, nu, memo))

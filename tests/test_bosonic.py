@@ -15,7 +15,7 @@ from crystalsums.cli import _instances
 from crystalsums.crystal import (FactorDescriptor, _factor_table,
                                  enumerate_paths)
 from crystalsums.energy import direct_sum
-from crystalsums.errors import CrystalSumsError, UnsupportedError
+from crystalsums.errors import UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import (all_contents_A, at_one, dominant_contents_A,
@@ -189,16 +189,20 @@ class TestSupport:
         assert nonzero > 1
 
     def test_off_support_zeros_are_not_cached(self, monkeypatch):
-        # boxes and rows reach every content with the right total, columns
-        # those the Gale-Ryser test admits, type C boxes every weight of
-        # the right norm and parity
+        # boxes and rows reach every nonnegative content whose sum is the
+        # number of boxes, columns those the Gale-Ryser test admits, type C
+        # boxes every weight of the right norm and parity; a content of
+        # another sum, such as (1, 1, 0) for B^{1,2} (x) B^{1,1} of A_2, is
+        # off the support too
         monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
-        for shape in self.SHAPES + [(FactorDescriptor("A", 2, 2, 1),) * 2]:
-            total = sum(d.boxes for d in shape)
+        rows = (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 2))
+        assert supernomial(rows, (1, 1, 0)) == ZERO
+        for shape in self.SHAPES + [(FactorDescriptor("A", 2, 2, 1),) * 2,
+                                    rows]:
             dim = shape[0].n + (shape[0].kind == "A")
             for mu in product(range(-3, 6), repeat=dim):
-                if shape[0].kind == "C" or sum(mu) == total:
-                    supernomial(shape, mu)
+                supernomial(shape, mu)
+        assert bosonic._SUPER_CACHE
         assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
 
     def test_cache_holds_no_zero(self, monkeypatch):
@@ -316,21 +320,24 @@ class TestBosonicLevel:
                                              ("C", 1, 6), ("C", 2, 5),
                                              ("C", 3, 4)])
     def test_weight_level_above_the_level_raises(self, kind, n, maxL):
-        # above its level the alternating sum is not a sum over paths: A_1,
-        # L = 3, (3, 0) at level 1 gave -q where no path exists
+        # above its level the alternating form is not a sum over paths (its
+        # terms give -q for A_1, L = 3, (3, 0) at level 1, where no path
+        # exists); the sum there, which once raised, is zero by definition,
+        # as direct_sum finds
+        above = 0
         for L in range(1, maxL + 1):
             shape = boxes(kind, n, L)
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
                 for ell in (1, 2, 3):
+                    want = direct_sum(shape, lam, "level", ell)
+                    assert alternating_sum(shape, lam, ell) == want, \
+                        (L, lam, ell)
                     if _level_of(kind, n, lam) > ell:
-                        with pytest.raises(CrystalSumsError):
-                            alternating_sum(shape, lam, ell)
-                    else:
-                        assert alternating_sum(shape, lam, ell) == direct_sum(
-                            shape, lam, "level", ell), \
-                            (L, lam, ell)
+                        assert want.is_zero()
+                        above += 1
+        assert above
 
     def test_factor_wider_than_level_raises(self):
         with pytest.raises(UnsupportedError):
@@ -458,22 +465,26 @@ class TestInvolution:
                                         ("C", 1), ("C", 2), ("C", 3)])
     def test_level_mode_refuses_as_the_level_sum(self, kind, n):
         # every level below the weight's level, and level 0, where a box is
-        # wider than the level: the error class of alternating_sum, which is
-        # UnsupportedError at level 0 and CrystalSumsError above it
-        refused = set()
+        # wider than the level: the involution raises UnsupportedError,
+        # where alternating_sum raises it too (level 0) or the level sum is
+        # zero by definition (above the level), as direct_sum finds
+        zeros = 0
         for L in range(1, 6):
             shape = boxes(kind, n, L)
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
                 for ell in range(max(1, _level_of(kind, n, lam))):
-                    with pytest.raises(CrystalSumsError) as want:
-                        alternating_sum(shape, lam, ell)
-                    with pytest.raises(CrystalSumsError) as got:
+                    with pytest.raises(UnsupportedError):
                         involution_phi(shape, lam, level=ell)
-                    assert got.type is want.type, (L, lam, ell)
-                    refused.add(got.type)
-        assert refused == {UnsupportedError, CrystalSumsError}
+                    if ell == 0:
+                        with pytest.raises(UnsupportedError):
+                            alternating_sum(shape, lam, ell)
+                        continue
+                    assert alternating_sum(shape, lam, ell) == ZERO == \
+                        direct_sum(shape, lam, "level", ell), (L, lam, ell)
+                    zeros += 1
+        assert zeros
 
     @pytest.mark.parametrize("kind,n", [("A", 1), ("A", 2), ("A", 3),
                                         ("C", 1), ("C", 2), ("C", 3)])

@@ -7,8 +7,7 @@ from crystalsums import fermionic
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
-from crystalsums.errors import (CapExceeded, CrystalSumsError,
-                                NonIntegralExponent)
+from crystalsums.errors import CapExceeded, NonIntegralExponent
 from crystalsums.bosonic import alternating_sum
 from crystalsums.fermionic import (_admitted_shapes, _signed_minima,
                                    closed_form_F, closed_form_F_level,
@@ -359,11 +358,13 @@ class TestLevelForms:
                 assert c <= full.coeff(e)
 
     def test_level_bound_error(self):
-        for route in (rc_generating_function, closed_form_F):
-            with pytest.raises(CrystalSumsError):
-                route("A", 1, {(1, 1): 4}, (3, 1), 1)
-            with pytest.raises(CrystalSumsError):
-                route("C", 2, {(1, 1): 2}, (2, 0), 1)
+        # a weight above the level, which once raised: the level sum is zero
+        # by definition, as direct_sum finds
+        for kind, n, L, lam in (("A", 1, 4, (3, 1)), ("C", 2, 2, (2, 0))):
+            want = direct_sum(boxes(kind, n, L), lam, "level", 1)
+            assert want == ZERO
+            for route in (rc_generating_function, closed_form_F):
+                assert route(kind, n, {(1, 1): L}, lam, 1) == want
 
     def test_level_restricted_C_modes_and_bosonic(self):
         for n in (1, 2):

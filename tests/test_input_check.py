@@ -1,11 +1,14 @@
-"""Every route's entry point refuses malformed input as compute_sum does.
+"""Every route's entry point refuses malformed input as compute_sum does,
+and returns what direct_sum does where the sum vanishes by definition.
 
 compute_sum is what ``crystalsums sum`` runs; the class it raises is the
 exit code (ShapeSyntaxError 2, UnsupportedError 3).  Each library entry
 point of the direct, bosonic and fermionic routes must raise the same
 class for the same input, and never return a polynomial, a path list or a
 report for it.  The message is compared too: every refusal comes from the
-one check in ``cartan``, not from a check of the route's own.
+one check in ``cartan``, not from a check of the route's own.  A sum that
+is zero by definition (``cartan.vanishes``) is ZERO from every route that
+covers its input, not an error, and not a signed alternating sum.
 """
 import pytest
 
@@ -19,8 +22,10 @@ from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    rc_generating_function, shape_L)
 from crystalsums.hardhex import hh_X, rr_series_check
+from crystalsums.qpoly import ZERO
 
 A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
+C2 = FactorDescriptor("C", 2)
 
 # name -> (shape, weight, level, class refused with): (B^{1,1} of
 # A_1)^{(x)2} at weight (1, 1) and level 1, with one thing wrong
@@ -105,6 +110,77 @@ def test_every_route_refuses_as_compute_sum(route, bad):
         level if restriction == "level" else None))
     assert want[0] is refused, want
     assert outcome(lambda: call(shape, weight, level)) == want
+
+
+# name -> (shape, weight, level): every level-restricted sum of these
+# vanishes by definition, and so does every classical one but that of
+# "above the level"
+VANISHING = {
+    "non-dominant": ((A1,) * 3, (0, 3), 1),
+    "above the level": ((A1,) * 3, (3, 0), 1),
+    "type C above the level": ((C2,) * 2, (2, 0), 1),
+    "wrong box count": ((A1,) * 3, (2, 2), 1),
+    "negative content": ((A1,) * 3, (4, -1), 1),
+    "type C parity": ((C2,) * 3, (1, 1), 1),
+    "mixed shape": ((FactorDescriptor("A", 2, 1, 2),
+                     FactorDescriptor("A", 2, 2, 1)), (0, 2, 2), 2),
+}
+
+# the library entry points that take a weight, as keyed in ROUTES
+LIBRARY = ("supernomial", "bosonic_classical", "bosonic_level",
+           "involution_phi", "involution_phi level", "closed_form_F",
+           "closed_form_F level", "rc_generating_function",
+           "level_restricted")
+
+
+@pytest.mark.parametrize("route,case", [
+    (route, case) for route in LIBRARY for case in VANISHING])
+def test_every_route_is_zero_where_the_sum_vanishes(route, case):
+    # each route equals direct_sum, or raises UnsupportedError where it
+    # does not cover the input: the bosonic route a shape mixing rows and
+    # columns, the involution a sum with no pair set to report on
+    restriction, _, call = ROUTES[route]
+    shape, weight, level = VANISHING[case]
+    want = direct_sum(shape, weight, restriction,
+                      level if restriction == "level" else None)
+    if restriction == "level":
+        assert want == ZERO
+    got = outcome(lambda: call(shape, weight, level))
+    if route.startswith("involution_phi"):
+        if want.is_zero():
+            assert got[0] is UnsupportedError, got
+        else:
+            assert got.passed, got
+    elif case == "mixed shape" and route in ("supernomial",
+                                             "bosonic_classical",
+                                             "bosonic_level"):
+        assert got[0] is UnsupportedError, got
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(VANISHING))
+@pytest.mark.parametrize("restriction", ["none", "classical", "level"])
+def test_direct_sum_vanishes_where_the_walk_finds_no_path(case, restriction):
+    # direct_sum returns ZERO by the rule, without a walk; the walk itself
+    # finds no path on just those inputs, so the rule drops no path
+    shape, weight, level = VANISHING[case]
+    level = level if restriction == "level" else None
+    paths = search_paths(shape, weight, restriction, level)
+    assert direct_sum(shape, weight, restriction, level).is_zero() \
+        == (not paths)
+
+
+def test_direct_sum_walks_no_vanishing_sum():
+    # no path reaches a content sum above the boxes, but a walk sees that
+    # only late: without the rule, the walk of the first of these ran for
+    # over ten minutes on a 2-core host
+    A3 = FactorDescriptor("A", 3)
+    for shape, weight in (((A3,) * 60, (60,) * 4),
+                          ((FactorDescriptor("A", 3, 1, 2),) + (A3,) * 10,
+                           (20,) * 4)):
+        assert compute_sum(shape, weight, "none", "direct", "coenergy",
+                           None) == ZERO
 
 
 # a type C L-map with a factor B^{1,2}: no route covers it, and no shape of

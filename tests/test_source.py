@@ -145,12 +145,39 @@ def test_closed_forms_read_no_rc_walk():
     # share only the shape walk with the rigged-configuration route, and
     # reach neither its column-count vacancies and charges nor its riggings
     reached, used = _reached("fermionic.py", [
-        "closed_form_F", "closed_form_F_level", "_level_closed_form",
-        "_closed_form_sum"])
+        "closed_form_F", "closed_form_F_level", "_closed_form_sum"])
     assert "_live_shapes" in reached and "_vacancy_generic" in reached
     rc_walk = used & {"vacancy", "q_columns", "cc_shape", "_riggings",
                       "partitions_in_box"}
     assert not rc_walk, rc_walk
+
+
+def test_one_vanishing_rule():
+    # a sum is zero by definition through cartan.vanishes alone: no other
+    # module defines it or reads dominance, compute_sum only dispatches,
+    # and every route's entry point reads the rule itself
+    defined = [name for name, node in nodes()
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("vanishes", "_is_zero_by_definition",
+                                 "_refuse_above_level")]
+    assert defined == ["cartan.py"], defined
+    dominance = [f"{name}:{node.lineno}" for name, node in nodes()
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == "is_dominant" and name != "cartan.py"]
+    assert not dominance, dominance
+    defs = _top_functions(ast.parse((PACKAGE / "cli.py").read_text()))
+    reached, used = _reached("cli.py", ["compute_sum"])
+    attrs = {node.attr for name in reached for node in ast.walk(defs[name])
+             if isinstance(node, ast.Attribute)}
+    rule = (used | attrs) & {"vanishes", "is_dominant", "theta_pairing"}
+    assert not rule, rule
+    for module, route in (("energy.py", "direct_sum"),
+                          ("bosonic.py", "supernomial"),
+                          ("bosonic.py", "alternating_sum"),
+                          ("bosonic.py", "involution_phi"),
+                          ("fermionic.py", "closed_form_F"),
+                          ("fermionic.py", "rc_generating_function")):
+        assert "vanishes" in _reached(module, [route])[1], route
 
 
 def test_r_matrix_search_builds_no_word():
