@@ -8,7 +8,6 @@ here finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import prod
 from operator import add
 
@@ -64,8 +63,6 @@ def supernomial_A_columns(n: int, mu: tuple[int, ...],
                 top = part(nu[a + 1], i) - part(nu[a + 1], i + 1)
                 bot = part(nu[a], i) - part(nu[a + 1], i + 1)
                 out = out * _qbin_from_top(top, bot)
-                if out.is_zero():
-                    return out
         return out
 
     return _chain_sum(n, mu, lam, horizontal_strip_extensions, term)
@@ -85,8 +82,6 @@ def supernomial_A_rows(n: int, mu: tuple[int, ...],
                 top = part(nu[a + 1], i) - part(nu[a], i + 1)
                 bot = part(nu[a], i) - part(nu[a], i + 1)
                 out = out * _qbin_from_top(top, bot)
-                if out.is_zero():
-                    return out
                 phi += part(nu[a], i + 1) * (part(nu[a + 1], i) - part(nu[a], i))
         return out.shift(phi)
 
@@ -127,46 +122,36 @@ _SUPER_CACHE: dict[tuple, QLaurent] = {}
 
 def _check_bosonic(shape: Shape, weight: tuple[int, ...],
                    level: int | None = None
-                   ) -> tuple[CartanData, int, bool]:
-    """(root data, boxes, whether the shape is type A columns) of a bosonic
-    sum, once ``check_sum`` has passed and a type A shape mixing rows and
-    columns, which has no supernomial closed form, is refused."""
-    kind, n = shape_type(shape)
+                   ) -> tuple[CartanData, dict[tuple[int, int], int]]:
+    """(root data, factor multiplicities L) of a bosonic sum, once
+    ``check_sum`` has passed and a type A shape mixing rows and columns,
+    which has no supernomial closed form, is refused."""
+    kind, n, L = shape_type(shape)
     data = check_sum(kind, n, weight, level,
-                     0 if level is None else max(d.s for d in shape))
-    columns = kind == "A" and all(d.s == 1 for d in shape)
-    if kind == "A" and not columns and any(d.r > 1 for d in shape):
+                     0 if level is None else max(s for _, s in L))
+    if any(r > 1 for r, _ in L) and any(s > 1 for _, s in L):
         raise UnsupportedError("bosonic sums need all rows or all columns")
-    return data, sum(d.boxes for d in shape), columns
+    return data, L
 
 
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     """S-bar(B, weight) for an all-rows or all-columns shape, its input
     checked as at every route's entry point; zero off the achievable
-    content set.  That test runs before the cache key is built, so those
-    zeros are neither keyed nor cached: a weight no path of the boxes has
-    (``vanishes``); for type A columns, a content that no 0-1 matrix with
-    the column heights as row sums reaches (Gale-Ryser: sorted in
-    decreasing order, its partial sums must stay within those of the
-    conjugate of the heights, as a column holds each letter at most once).
+    content set, where no path of the factors has the weight
+    (``vanishes``).  That test runs before the cache key is built, so
+    those zeros are neither keyed nor cached.
 
     The unrestricted sum is invariant under the finite Weyl group: s_i
     stays inside each classical component, where the energy is constant.
     So the cache is keyed by, and the closed form evaluated at, the
     dominant representative of the weight's orbit: the content sorted in
     decreasing order (type A), or the sorted absolute values (type C)."""
-    data, boxes, columns = _check_bosonic(shape, weight)
-    if vanishes(data, boxes, weight, restricted=False):
+    data, L = _check_bosonic(shape, weight)
+    if vanishes(data, L, weight, restricted=False):
         return ZERO
     dominant = tuple(sorted(map(abs, weight) if data.kind == "C" else weight,
                             reverse=True))
-    if columns:
-        heights = conjugate(tuple(sorted((d.r for d in shape), reverse=True)))
-        reach = accumulate(part(heights, i) for i in range(1, len(weight) + 1))
-        if any(a > b for a, b in zip(accumulate(dominant), reach)):
-            return ZERO
-    key = (tuple(sorted((d.r, d.s) for d in shape)), data.kind, data.n,
-           dominant)
+    key = (tuple(sorted(L.items())), data.kind, data.n, dominant)
     hit = _SUPER_CACHE.get(key)
     if hit is not None:
         return hit
@@ -208,9 +193,10 @@ def alternating_sum(shape: Shape, lam: tuple[int, ...],
     a sum that ``vanishes`` by definition is ZERO.  There the alternating
     form is not a sum over paths: at a non-dominant weight, or one above
     the level, its terms need not cancel."""
-    data, boxes, _ = _check_bosonic(shape, lam, level)
-    if vanishes(data, boxes, lam, level):
+    data, L = _check_bosonic(shape, lam, level)
+    if vanishes(data, L, lam, level):
         return ZERO
+    boxes = sum(d.boxes for d in shape)
     c = None if level is None else level + data.h_dual
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
@@ -396,13 +382,14 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     w^-1(lam + rho), and phi(w r_i, b') = (w, b) iff phi moves b' by the
     color i back to b.  Where the sum ``vanishes`` by definition, there is
     nothing to report, and it raises UnsupportedError."""
-    data = check_sum(*shape_type(shape), lam, level, max(d.s for d in shape))
-    if level is not None and any((d.r, d.s) != (1, 1) for d in shape):
+    kind, n, L = shape_type(shape)
+    data = check_sum(kind, n, lam, level, max(s for _, s in L))
+    if level is not None and any(key != (1, 1) for key in L):
         # the color fold reads affine strings letterwise, which only
         # matches the crystal for single-box factors
         raise UnsupportedError(
             "the level involution supports single-box factors only")
-    if vanishes(data, sum(d.boxes for d in shape), lam, level):
+    if vanishes(data, L, lam, level):
         # lam + rho need not be regular, and the report would be vacuous
         raise UnsupportedError(f"the sum at weight {lam} is zero by "
                                f"definition")

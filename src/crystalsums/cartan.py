@@ -93,16 +93,20 @@ def cartan_data(kind: str, n: int) -> CartanData:
 # the one input check and the one vanishing rule of every route's entry
 # point
 
-def shape_type(shape) -> tuple[str, int]:
-    """(kind, n) of a tensor shape; refuses an empty shape and one that
-    mixes types or ranks."""
+def shape_type(shape) -> tuple[str, int, dict[tuple[int, int], int]]:
+    """(kind, n, L) of a tensor shape, L the number of its factors B^{r,s}
+    for each (r, s), as the fermionic sums take it; refuses an empty shape
+    and one that mixes types or ranks."""
     if not shape:
         raise UnsupportedError("empty shape")
     kind, n = shape[0].kind, shape[0].n
+    L: dict[tuple[int, int], int] = {}
     for d in shape:  # a plain loop: this runs once per sum of every route
         if d.kind != kind or d.n != n:
             raise UnsupportedError("shape mixes types or ranks")
-    return kind, n
+        key = d.r, d.s
+        L[key] = L.get(key, 0) + 1
+    return kind, n, L
 
 
 def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
@@ -126,16 +130,25 @@ def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
     return data
 
 
-def vanishes(data: CartanData, boxes: int, weight: tuple[int, ...],
-             level: int | None = None, restricted: bool = True) -> bool:
-    """Is the sum over the paths of ``boxes`` boxes at ``weight`` zero by
-    definition: classically restricted without a ``level``, level
-    restricted at one, unrestricted if not ``restricted``?  It is when no
-    path has the weight (type A: a negative content or a content sum other
-    than the boxes; type C: an L1 norm above the boxes or of the other
-    parity), or the restriction admits none: a non-dominant weight, or one
-    whose level (weight|theta) exceeds the level.  Every route's entry
-    point reads this right after ``check_sum``."""
+def vanishes(data: CartanData, L: dict[tuple[int, int], int],
+             weight: tuple[int, ...], level: int | None = None,
+             restricted: bool = True) -> bool:
+    """Is the sum over the paths of the factors ``L`` (see ``shape_type``)
+    at ``weight`` zero by definition: classically restricted without a
+    ``level``, level restricted at one, unrestricted if not
+    ``restricted``?  It is when no path has the weight (type A: a negative
+    content or a content sum other than the boxes; type C: an L1 norm
+    above the boxes or of the other parity; for some a, the a largest
+    |weight| coordinates sum to more than s min(a, r) summed over the
+    factors B^{r,s}, as B^{r,s} holds at most s min(a, r) letters of any a
+    values), or the restriction admits none: a non-dominant weight, or one
+    whose level (weight|theta) exceeds the level.  The column bound is
+    Gale-Ryser for columns, and for a dominant weight it says that a row
+    size of ``fermionic.config_sizes`` is negative.  A factor with r = 1
+    adds s to every bound, which the box count covers, so the bound is
+    tested only when some factor has r > 1.  Every route's entry point
+    reads this right after ``check_sum``."""
+    boxes = sum(r * s * m for (r, s), m in L.items())
     if data.kind == "A":
         if sum(weight) != boxes or min(weight) < 0:
             return True
@@ -143,6 +156,12 @@ def vanishes(data: CartanData, boxes: int, weight: tuple[int, ...],
         norm = sum(map(abs, weight))
         if norm > boxes or (boxes - norm) % 2:
             return True
+    if any(r > 1 for r, _ in L):
+        top = 0
+        for a, x in enumerate(sorted(map(abs, weight), reverse=True), 1):
+            top += x
+            if top > sum(s * min(a, r) * m for (r, s), m in L.items()):
+                return True
     if not restricted:
         return False
     if not data.is_dominant(weight):
@@ -171,8 +190,7 @@ def simple_reflections(data: CartanData, level: int | None = None
     ident = [(j, 1, 0) for j in range(dim)]
     gens: list[Action | None] = [None]
     if level is not None:
-        if level < 0:
-            raise ValueError(f"level {level} is negative")
+        check_sum(data.kind, data.n, None, level)
         c = level + data.h_dual
         rows = list(ident)
         if data.kind == "A":

@@ -68,16 +68,6 @@ def _emit_poly(p: QLaurent, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # sum
 
-def _fermionic_sum(evaluate, shape: Shape, weight: tuple[int, ...],
-                   level: int | None) -> QLaurent:
-    """``evaluate(kind, n, L, lam, level)``, a fermionic route, on the
-    factor multiplicities of ``shape``, with the type A determinant
-    columns taken off the weight: each fills every coordinate once."""
-    L, det = fermionic.shape_L(shape)
-    return evaluate(shape[0].kind, shape[0].n, L,
-                    tuple(x - det for x in weight), level)
-
-
 # method -> evaluator of the classical and the level sums.  Every
 # evaluator takes (shape, weight, level), level None for the classical
 # sum, and returns the coenergy-graded sum.  Each looks its route up in
@@ -87,10 +77,10 @@ _ROUTES = {
     "direct": lambda s, w, lv: energy.direct_sum(
         s, w, "classical" if lv is None else "level", lv),
     "bosonic": lambda s, w, lv: bosonic.alternating_sum(s, w, lv),
-    "fermionic": lambda s, w, lv: _fermionic_sum(fermionic.closed_form_F,
-                                                 s, w, lv),
-    "rc": lambda s, w, lv: _fermionic_sum(fermionic.rc_generating_function,
-                                          s, w, lv),
+    "fermionic": lambda s, w, lv: fermionic.closed_form_F(
+        *shape_type(s), w, lv),
+    "rc": lambda s, w, lv: fermionic.rc_generating_function(
+        *shape_type(s), w, lv),
 }
 
 # (restriction, method) -> evaluator
@@ -115,7 +105,7 @@ def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
     then a sum that vanishes by definition (``cartan.vanishes``) is ZERO."""
     if statistic not in ("energy", "coenergy"):
         raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
-    check_sum(*shape_type(shape), weight, level,
+    check_sum(*shape_type(shape)[:2], weight, level,
               max(d.s for d in shape) if restriction == "level" else 0)
 
     evaluate = _EVALUATORS.get((restriction, method))

@@ -301,7 +301,7 @@ def _walk_setup(shape: tuple[FactorDescriptor, ...],
     level passes: its paths are still well defined.  An unknown
     restriction, or a level restriction without a level, raises
     UnsupportedError after that check, as in ``cli.compute_sum``."""
-    kind, n = shape_type(shape)
+    kind, n, _ = shape_type(shape)
     check_sum(kind, n, weight, level)
     if restriction not in ("none", "classical", "level"):
         raise UnsupportedError(f"unknown restriction {restriction!r}")

@@ -26,7 +26,7 @@ statistic check scores its words by the same pass).
 from __future__ import annotations
 
 from . import crystal
-from .cartan import cartan_data, vanishes
+from .cartan import cartan_data, shape_type, vanishes
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
 from .crystal import (FactorDescriptor, _element_table, _factor_table,
@@ -235,8 +235,8 @@ def direct_sum(shape: tuple[FactorDescriptor, ...],
     is built; a sum that ``vanishes`` by definition is ZERO without a walk,
     which would find no path but can take long to see it."""
     setup = _walk_setup(shape, weight, restriction, level)
-    if vanishes(cartan_data(shape[0].kind, shape[0].n),
-                sum(d.boxes for d in shape), setup[1], setup[3],
+    kind, n, L = shape_type(shape)
+    if vanishes(cartan_data(kind, n), L, setup[1], setup[3],
                 restricted=restriction != "none"):
         return ZERO
     if all(d == shape[0] for d in shape):

@@ -1,6 +1,8 @@
 """Fermionic evaluations: rigged configurations and their closed forms.
 
-The multiplicity array L maps (a, i) to the number of B^{a,i} factors.
+The multiplicity array L maps (a, i) to the number of B^{a,i} factors, as
+``cartan.shape_type`` reads it from a shape; a type A determinant column
+B^{n+1,1} is the key (n+1, 1), and the weight is not shifted for it.
 Type A weights are content vectors in N^{n+1}; type C weights live in Z^n
 and type C factors must be single columns B^{a,1}.
 
@@ -51,7 +53,7 @@ def _widest(L: LMap) -> int:
 
 
 def _boxes(L: LMap) -> int:
-    """The number of boxes of the factors, for ``vanishes``."""
+    """The number of boxes of the factors."""
     return sum(a * i * mult for (a, i), mult in L.items())
 
 
@@ -261,7 +263,7 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     P*m - |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum
     |J|."""
     data = check_sum(kind, n, lam, level, _widest(L))
-    if vanishes(data, _boxes(L), lam, level):
+    if vanishes(data, L, lam, level):
         return ZERO
     if level is not None:
         tables = _level_tables(data, L, lam, level)
@@ -299,7 +301,7 @@ def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     minima, has a zero factor in every term, so the walk drops each prefix
     at its first such site."""
     data = check_sum(kind, n, lam, level, _widest(L))
-    if vanishes(data, _boxes(L), lam, level):
+    if vanishes(data, L, lam, level):
         return ZERO
     memo: dict = {}
     if level is not None:
@@ -581,18 +583,3 @@ def _admits_tableau(slacks: list[int], table) -> bool:
     size) site?  ``slacks`` holds each site's vacancy minus its top
     rigging."""
     return any(all(s + d >= 0 for s, d in zip(slacks, row)) for row in table)
-
-
-def shape_L(shape) -> tuple[LMap, int]:
-    """Factor multiplicities from a tensor shape; type A determinant
-    columns (height n+1) are stripped and returned as a count, since each
-    shifts every weight coordinate by one."""
-    L: LMap = {}
-    det = 0
-    for d in shape:
-        if d.kind == "A" and d.r == d.n + 1:
-            det += 1
-            continue
-        key = (d.r, 1) if d.s == 1 else (1, d.s)
-        L[key] = L.get(key, 0) + 1
-    return L, det

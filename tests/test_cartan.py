@@ -7,7 +7,7 @@ import pytest
 from crystalsums import cartan
 from crystalsums.cartan import (_act, cartan_data, reduce_to_alcove,
                                 simple_reflections, weyl_images)
-from crystalsums.errors import CapExceeded, UnsupportedError
+from crystalsums.errors import CapExceeded, ShapeSyntaxError, UnsupportedError
 
 from oracles import (coroot_pairing, element, translation_lattice_box,
                      weyl_enumerate)
@@ -139,7 +139,7 @@ def test_affine_reflection_needs_level():
     assert simple_reflections(a1)[0] is None
     with pytest.raises(IndexError):
         simple_reflections(a1)[2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeSyntaxError):
         simple_reflections(a1, -1)
 
 

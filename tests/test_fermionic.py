@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalsums import fermionic
-from crystalsums.cartan import cartan_data
+from crystalsums.cartan import cartan_data, shape_type
+from crystalsums.cli import parse_shape
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, NonIntegralExponent
@@ -224,6 +225,30 @@ class TestShapeSums:
                             kind, n, Lmap, lam, level) == \
                             level_rc_sum_by_configurations(
                                 kind, n, Lmap, lam, level), (Lmap, lam)
+
+    # a type A determinant column B^{n+1,1} is an ordinary key of L, and
+    # the weight is not shifted: the column adds one to every content
+    # and every row size, and to no vacancy
+    @pytest.mark.parametrize("spec", ["A:1;2,1,1,1*3", "A:2;3,1,2,1,1,1*2",
+                                      "A:2;3,1*2,1,2", "A:3;4,1,2,1,1,1"])
+    def test_determinant_columns_are_ordinary_factors(self, spec):
+        shape = parse_shape(spec)
+        kind, n, Lmap = shape_type(shape)
+        assert (n + 1, 1) in Lmap
+        widest = max(s for _, s in Lmap)
+        count = 0
+        for lam in _dominant(kind, n, Lmap):
+            for level in (None, 1, 2):
+                if level is not None and level < widest:
+                    continue
+                want = direct_sum(shape, lam, "classical" if level is None
+                                  else "level", level)
+                assert closed_form_F(kind, n, Lmap, lam, level) == want, \
+                    (lam, level)
+                assert rc_generating_function(kind, n, Lmap, lam,
+                                              level) == want, (lam, level)
+                count += not want.is_zero()
+        assert count > 1
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(fermionic, "RC_CAP", 3)

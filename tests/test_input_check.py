@@ -13,14 +13,14 @@ covers its input, not an error, and not a signed alternating sum.
 import pytest
 
 from crystalsums.bosonic import alternating_sum, involution_phi, supernomial
-from crystalsums.cartan import cartan_data
+from crystalsums.cartan import cartan_data, shape_type, vanishes
 from crystalsums.cli import compute_sum, parse_shape
 from crystalsums.crystal import FactorDescriptor, enumerate_paths, search_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
                                 UnsupportedError)
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   rc_generating_function, shape_L)
+                                   rc_generating_function)
 from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import ZERO
 
@@ -43,7 +43,7 @@ def _type(shape):
 
 
 def _lmap(shape):
-    return shape_L(shape)[0]
+    return shape_type(shape)[2]
 
 
 # entry point -> (restriction of its sum, the inputs it takes, call); the
@@ -124,6 +124,8 @@ VANISHING = {
     "type C parity": ((C2,) * 3, (1, 1), 1),
     "mixed shape": ((FactorDescriptor("A", 2, 1, 2),
                      FactorDescriptor("A", 2, 2, 1)), (0, 2, 2), 2),
+    # a column holds each letter once: no path has three 1s
+    "column bound": ((FactorDescriptor("A", 2, 2, 1), A2), (3, 0, 0), 2),
 }
 
 # the library entry points that take a weight, as keyed in ROUTES
@@ -157,6 +159,29 @@ def test_every_route_is_zero_where_the_sum_vanishes(route, case):
         assert got[0] is UnsupportedError, got
     else:
         assert got == want
+
+
+# B^{2,1} (x) B^{1,1} of C_2 as an L-map, which no shape can carry
+# (FactorDescriptor refuses type C columns): the column holds at most one
+# of the letters 1 and 1-bar, so no path has the weight (3, 0); the keys
+# are test ids, as in ROUTES
+COLUMN_BOUND_C = {
+    "closed_form_F": lambda L, w: closed_form_F("C", 2, L, w),
+    "closed_form_F level": lambda L, w: closed_form_F("C", 2, L, w, 3),
+    "rc_generating_function":
+        lambda L, w: rc_generating_function("C", 2, L, w),
+    "level_restricted": lambda L, w: rc_generating_function("C", 2, L, w, 3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COLUMN_BOUND_C))
+def test_fermionic_sums_are_zero_past_the_column_bound(route):
+    L = {(2, 1): 1, (1, 1): 1}
+    assert vanishes(cartan_data("C", 2), L, (3, 0), 3)
+    assert COLUMN_BOUND_C[route](L, (3, 0)) == ZERO
+    # the bound reads the columns: at (2, 1) the sums are not zero
+    assert not vanishes(cartan_data("C", 2), L, (2, 1), 3)
+    assert COLUMN_BOUND_C[route](L, (2, 1)) != ZERO
 
 
 @pytest.mark.parametrize("case", sorted(VANISHING))

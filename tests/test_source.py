@@ -180,6 +180,35 @@ def test_one_vanishing_rule():
         assert "vanishes" in _reached(module, [route])[1], route
 
 
+def test_one_shape_reading():
+    # a shape is read once, by cartan.shape_type, into its factor
+    # multiplicities L: the fermionic rows of cli._ROUTES pass that L on,
+    # with no helper of their own that strips the determinant columns, and
+    # supernomial's zeros come from the rule, which reads L, not from a
+    # column test of its own
+    defined = [f"{name}:{node.lineno}" for name, node in nodes()
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("shape_L", "_fermionic_sum")]
+    assert not defined, defined
+    reached, used = _reached("bosonic.py", ["supernomial"])
+    assert "_check_bosonic" in reached and "vanishes" in used
+    assert "accumulate" not in used
+    defs = _top_functions(ast.parse((PACKAGE / "bosonic.py").read_text()))
+    entry = {node.id for name in ("supernomial", "_check_bosonic")
+             for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+    assert not entry & {"conjugate", "part"}, entry & {"conjugate", "part"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["_ROUTES"])
+    rows = {k.value: v for k, v in zip(table.keys, table.values)}
+    for method in ("fermionic", "rc"):
+        names = {node.id for node in ast.walk(rows[method])
+                 if isinstance(node, ast.Name)}
+        assert "shape_type" in names, (method, names)
+
+
 def test_r_matrix_search_builds_no_word():
     # combinatorial_r searches pairs of element indices: it applies the
     # two-factor tensor rule itself and builds no tensor word
