@@ -26,11 +26,6 @@ from .qpoly import ONE, QLaurent, ZERO, qbinomial, qmultinomial
 Shape = tuple[FactorDescriptor, ...]
 
 
-def _qbin_from_top(top: int, bottom: int) -> QLaurent:
-    # binomial given its total: a box of width top-bottom and height bottom
-    return qbinomial(top - bottom, bottom)
-
-
 def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
                term) -> QLaurent:
     """Sum of term(chain) over the chains () = nu^(0), nu^(1), ...,
@@ -62,7 +57,7 @@ def supernomial_A_columns(n: int, mu: tuple[int, ...],
             for i in range(1, width + 1):
                 top = part(nu[a + 1], i) - part(nu[a + 1], i + 1)
                 bot = part(nu[a], i) - part(nu[a + 1], i + 1)
-                out = out * _qbin_from_top(top, bot)
+                out = out * qbinomial(top - bot, bot)
         return out
 
     return _chain_sum(n, mu, lam, horizontal_strip_extensions, term)
@@ -81,7 +76,7 @@ def supernomial_A_rows(n: int, mu: tuple[int, ...],
             for i in range(1, width + 1):
                 top = part(nu[a + 1], i) - part(nu[a], i + 1)
                 bot = part(nu[a], i) - part(nu[a], i + 1)
-                out = out * _qbin_from_top(top, bot)
+                out = out * qbinomial(top - bot, bot)
                 phi += part(nu[a], i + 1) * (part(nu[a + 1], i) - part(nu[a], i))
         return out.shift(phi)
 
@@ -127,8 +122,7 @@ def _check_bosonic(shape: Shape, weight: tuple[int, ...],
     ``check_sum`` has passed and a type A shape mixing rows and columns,
     which has no supernomial closed form, is refused."""
     kind, n, L = shape_type(shape)
-    data = check_sum(kind, n, weight, level,
-                     0 if level is None else max(s for _, s in L))
+    data = check_sum(kind, n, weight, level, L)
     if any(r > 1 for r, _ in L) and any(s > 1 for _, s in L):
         raise UnsupportedError("bosonic sums need all rows or all columns")
     return data, L
@@ -136,8 +130,15 @@ def _check_bosonic(shape: Shape, weight: tuple[int, ...],
 
 def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     """S-bar(B, weight) for an all-rows or all-columns shape, its input
-    checked as at every route's entry point; zero off the achievable
-    content set, where no path of the factors has the weight
+    checked as at every route's entry point (``_check_bosonic``); the
+    value is ``_supernomial``'s."""
+    return _supernomial(*_check_bosonic(shape, weight), weight)
+
+
+def _supernomial(data: CartanData, L: dict[tuple[int, int], int],
+                 weight: tuple[int, ...]) -> QLaurent:
+    """S-bar of the checked factors ``L`` at ``weight``: zero off the
+    achievable content set, where no path of the factors has the weight
     (``vanishes``).  That test runs before the cache key is built, so
     those zeros are neither keyed nor cached.
 
@@ -146,7 +147,6 @@ def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     So the cache is keyed by, and the closed form evaluated at, the
     dominant representative of the weight's orbit: the content sorted in
     decreasing order (type A), or the sorted absolute values (type C)."""
-    data, L = _check_bosonic(shape, weight)
     if vanishes(data, L, weight, restricted=False):
         return ZERO
     dominant = tuple(sorted(map(abs, weight) if data.kind == "C" else weight,
@@ -155,20 +155,23 @@ def supernomial(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
     hit = _SUPER_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _supernomial_uncached(shape, dominant)
+    out = _supernomial_uncached(data.kind, data.n, L, dominant)
     _SUPER_CACHE[key] = out
     return out
 
 
-def _supernomial_uncached(shape: Shape, weight: tuple[int, ...]) -> QLaurent:
-    kind, n = shape[0].kind, shape[0].n
+def _supernomial_uncached(kind: str, n: int, L: dict[tuple[int, int], int],
+                          weight: tuple[int, ...]) -> QLaurent:
+    """The closed form of S-bar for the factors ``L`` of an all-rows or
+    all-columns shape: single boxes in type C, else columns when every
+    factor is one, else rows."""
     if kind == "C":
-        return supernomial_C_boxes(n, len(shape), tuple(weight))
-    if all(d.s == 1 for d in shape):
-        mu = tuple(sorted((d.r for d in shape), reverse=True))
-        return supernomial_A_columns(n, mu, tuple(weight))
-    mu = tuple(sorted((d.s for d in shape), reverse=True))
-    return supernomial_A_rows(n, mu, tuple(weight))
+        return supernomial_C_boxes(n, sum(L.values()), tuple(weight))
+    column = all(s == 1 for _, s in L)
+    mu = tuple(sorted((r if column else s for (r, s), m in L.items()
+                       for _ in range(m)), reverse=True))
+    return (supernomial_A_columns if column else supernomial_A_rows)(
+        n, mu, tuple(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def alternating_sum(shape: Shape, lam: tuple[int, ...],
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO
     for sign, beta, mu in weyl_images(data, lam_rho, boxes, c):
-        s = supernomial(shape, mu)
+        s = _supernomial(data, L, mu)
         if s.is_zero():
             continue
         if c is not None:
@@ -383,7 +386,7 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     color i back to b.  Where the sum ``vanishes`` by definition, there is
     nothing to report, and it raises UnsupportedError."""
     kind, n, L = shape_type(shape)
-    data = check_sum(kind, n, lam, level, max(s for _, s in L))
+    data = check_sum(kind, n, lam, level, L)
     if level is not None and any(key != (1, 1) for key in L):
         # the color fold reads affine strings letterwise, which only
         # matches the crystal for single-box factors

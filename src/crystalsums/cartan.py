@@ -110,12 +110,15 @@ def shape_type(shape) -> tuple[str, int, dict[tuple[int, int], int]]:
 
 
 def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
-              level: int | None = None, widest: int = 0) -> CartanData:
+              level: int | None = None,
+              L: dict[tuple[int, int], int] | None = None) -> CartanData:
     """The root data of a sum, once its input is checked: ShapeSyntaxError
-    for malformed input (a weight of the wrong length, a negative level),
-    UnsupportedError for input no route covers (a type C factor that is
-    not a single column, a factor wider than the level).  ``widest`` is
-    the largest width s of a factor B^{r,s}, 0 to check no width;
+    for malformed input (a weight of the wrong length, a negative level, a
+    negative multiplicity in ``L``), UnsupportedError for input no route
+    covers (a key (r, s) of ``L`` that no factor crystal B^{r,s} has, a
+    type C factor that is not a single column, a factor wider than the
+    level).  ``L`` holds the factor multiplicities, as ``shape_type``
+    reads them, None to check no factor; zero multiplicities pass.
     ``weight`` None checks no weight."""
     data = cartan_data(kind, n)
     if weight is not None and len(weight) != data.dim:
@@ -123,6 +126,15 @@ def check_sum(kind: str, n: int, weight: tuple[int, ...] | None,
                                f"coordinates")
     if level is not None and level < 0:
         raise ShapeSyntaxError(f"level {level} is negative")
+    if not L:
+        return data
+    for (r, s), m in L.items():
+        if m < 0:
+            raise ShapeSyntaxError(f"B^{{{r},{s}}} has multiplicity {m}")
+    for r, s in L:
+        if s < 1 or not 1 <= r <= data.dim:
+            raise UnsupportedError(f"{kind}_{n} has no factor B^{{{r},{s}}}")
+    widest = max(s for _, s in L)
     if kind == "C" and widest > 1:
         raise UnsupportedError("type C factors must be single columns")
     if level is not None and widest > level:

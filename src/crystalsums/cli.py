@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -105,8 +106,8 @@ def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
     then a sum that vanishes by definition (``cartan.vanishes``) is ZERO."""
     if statistic not in ("energy", "coenergy"):
         raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
-    check_sum(*shape_type(shape)[:2], weight, level,
-              max(d.s for d in shape) if restriction == "level" else 0)
+    kind, n, L = shape_type(shape)
+    check_sum(kind, n, weight, level, L if restriction == "level" else None)
 
     evaluate = _EVALUATORS.get((restriction, method))
     if evaluate is None:
@@ -239,9 +240,11 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ShapeSyntaxError(f"--jobs {args.jobs} is below 1")
     insts = list(_instances(args.suite, args.n, args.max_L, args.level))
-    if args.jobs > 1:
+    # the pool starts every worker up front: no more than there is work for
+    workers = min(args.jobs, len(insts), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_instance, insts))
     else:
         reports = [run_instance(i) for i in insts]

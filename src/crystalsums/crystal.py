@@ -295,21 +295,22 @@ def _walk_setup(shape: tuple[FactorDescriptor, ...],
                 weight: tuple[int, ...],
                 restriction: str,
                 level: int | None):
-    """What a walk over the paths of ``shape`` checks: (kind, target
+    """The root data, the factor multiplicities L (``cartan.shape_type``)
+    and what a walk over the paths of ``shape`` checks: (kind, target
     weight, classical colors to test, level to test or None), once
     ``cartan.check_sum`` has checked the input.  A factor wider than the
     level passes: its paths are still well defined.  An unknown
     restriction, or a level restriction without a level, raises
     UnsupportedError after that check, as in ``cli.compute_sum``."""
-    kind, n, _ = shape_type(shape)
-    check_sum(kind, n, weight, level)
+    kind, n, L = shape_type(shape)
+    data = check_sum(kind, n, weight, level)
     if restriction not in ("none", "classical", "level"):
         raise UnsupportedError(f"unknown restriction {restriction!r}")
     if restriction == "level" and level is None:
         raise UnsupportedError("level restriction needs a level")
     colors = range(1, n + 1) if restriction != "none" else ()
-    return (kind, tuple(weight), colors,
-            level if restriction == "level" else None)
+    return data, L, (kind, tuple(weight), colors,
+                     level if restriction == "level" else None)
 
 
 def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
@@ -376,7 +377,7 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     visited.
     """
     kind, target, colors, level = _walk_setup(shape, weight, restriction,
-                                              level)
+                                              level)[2]
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]

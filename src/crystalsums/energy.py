@@ -26,7 +26,7 @@ statistic check scores its words by the same pass).
 from __future__ import annotations
 
 from . import crystal
-from .cartan import cartan_data, shape_type, vanishes
+from .cartan import vanishes
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
 from .crystal import (FactorDescriptor, _element_table, _factor_table,
@@ -184,8 +184,8 @@ def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
     left like ``search_paths`` and prunes by the same ``_place``, but keeps
     one {exponent: count} polynomial per state (weight, phi_i over the
     colors, eps_0, phi_0, index of the last placed element) instead of one
-    leaf per path.  ``setup`` is what ``_walk_setup`` returned for the sum.
-    ``VERTEX_CAP`` bounds the transitions."""
+    leaf per path.  ``setup`` is the walk's part of what ``_walk_setup``
+    returned for the sum.  ``VERTEX_CAP`` bounds the transitions."""
     kind, target, colors, level = setup
     table = _element_table(desc, colors, level is not None)
     H = [[-h for h, _, _ in row] for row in combinatorial_r(desc, desc)]
@@ -234,9 +234,8 @@ def direct_sum(shape: tuple[FactorDescriptor, ...],
     energy E_B = D as it grows.  The input is checked before any R-matrix
     is built; a sum that ``vanishes`` by definition is ZERO without a walk,
     which would find no path but can take long to see it."""
-    setup = _walk_setup(shape, weight, restriction, level)
-    kind, n, L = shape_type(shape)
-    if vanishes(cartan_data(kind, n), L, setup[1], setup[3],
+    data, L, setup = _walk_setup(shape, weight, restriction, level)
+    if vanishes(data, L, setup[1], setup[3],
                 restricted=restriction != "none"):
         return ZERO
     if all(d == shape[0] for d in shape):

@@ -47,11 +47,6 @@ RC_CAP = 10 ** 6
 # ---------------------------------------------------------------------------
 # configuration shapes
 
-def _widest(L: LMap) -> int:
-    """The largest width i of a factor B^{a,i}, for ``check_sum``."""
-    return max((i for _, i in L), default=0)
-
-
 def _boxes(L: LMap) -> int:
     """The number of boxes of the factors."""
     return sum(a * i * mult for (a, i), mult in L.items())
@@ -262,14 +257,11 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     is built.  Complementing each rigging in its m x P box sends |J| to
     P*m - |J|, so this is also the sum of q^{cc(nu, J)}, cc(nu) + sum
     |J|."""
-    data = check_sum(kind, n, lam, level, _widest(L))
+    data = check_sum(kind, n, lam, level, L)
     if vanishes(data, L, lam, level):
         return ZERO
     if level is not None:
-        tables = _level_tables(data, L, lam, level)
-        if tables is None:
-            return ZERO
-        _, _, sites, max_part, table = tables
+        _, _, sites, max_part, table = _level_tables(data, L, lam, level)
         return _level_rc_sum(data, L, lam, sites, max_part,
                              list(dict.fromkeys(table)))
 
@@ -300,23 +292,17 @@ def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     p + max correction < 0 at a grid site, the maximum taken over the
     minima, has a zero factor in every term, so the walk drops each prefix
     at its first such site."""
-    data = check_sum(kind, n, lam, level, _widest(L))
+    data = check_sum(kind, n, lam, level, L)
     if vanishes(data, L, lam, level):
         return ZERO
     memo: dict = {}
     if level is not None:
-        tables = _level_tables(data, L, lam, level)
-        if tables is None:
-            return ZERO
-        sizes, grid, _, max_part, table = tables
+        sizes, grid, _, max_part, table = _level_tables(data, L, lam, level)
         minima = _signed_minima(table)
         tops = [max(col) for col in zip(*minima)]
         return _closed_form_sum(data, sizes,
                                 _grid_row_sites(data, L, grid, tops, memo),
                                 memo, max_part, minima)
-    sizes = config_sizes(data, L, lam)
-    if sizes is None:
-        return ZERO
 
     def row_sites(nu, a):
         gm = _generic_m(data, nu, memo)
@@ -328,7 +314,8 @@ def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
             sites.append((p, m))
         return sites
 
-    return _closed_form_sum(data, sizes, row_sites, memo, None, {(): 1})
+    return _closed_form_sum(data, config_sizes(data, L, lam), row_sites,
+                            memo, None, {(): 1})
 
 
 def _generic_grid(data: CartanData, level: int) -> list[tuple[int, int]]:
@@ -353,7 +340,7 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     weight, where the only tableau is the empty one, so every grid site
     contributes its q-binomial factor with a zero correction; ZERO when
     the boxes do not fill a vacuum rectangle."""
-    check_sum(data.kind, data.n, None, level, _widest(L))
+    check_sum(data.kind, data.n, None, level, L)
     lam = vacuum_weight(data, L)
     if lam is None:
         return ZERO
@@ -493,12 +480,10 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
     read: (row sizes, the generic grid, its sites (a, i) at actual part
     sizes, the largest part, the table of correction vectors at the sites,
     one per column-strict tableau), for a weight that ``vanishes`` does
-    not rule out.  None where the sum is zero: no admissible row sizes.
-    The types differ only in the tableaux (``_lambda_prime_A/C``) and the
-    corrections they make at the sites (``_corrections_A/C``)."""
+    not rule out, whose row sizes are then admissible.  The types differ
+    only in the tableaux (``_lambda_prime_A/C``) and the corrections they
+    make at the sites (``_corrections_A/C``)."""
     sizes = config_sizes(data, L, lam)
-    if sizes is None:
-        return None
     kind, n = data.kind, data.n
     lambda_prime, corrections = ((_lambda_prime_A, _corrections_A)
                                  if kind == "A" else

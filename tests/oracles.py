@@ -57,7 +57,7 @@ import crystalsums.crystal as crystal
 
 from crystalsums.bosonic import _supernomial_uncached
 from crystalsums.cartan import (Action, CartanData, _exact_quotient,
-                                cartan_data, reduce_to_alcove,
+                                cartan_data, reduce_to_alcove, shape_type,
                                 simple_reflections)
 from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  _route, factor_arrow, factor_elements,
@@ -758,7 +758,7 @@ def unpruned_bosonic_level(shape, lam, level):
             mu = tuple([s * v[i] + t - r
                         for (i, s, t), r in zip(action, data.rho)])
             if mu not in seen:
-                seen[mu] = _supernomial_uncached(shape, mu)
+                seen[mu] = _supernomial_uncached(*shape_type(shape), mu)
             if not seen[mu].is_zero():
                 out = out + q_power(expo) * (seen[mu] if sign > 0
                                              else -seen[mu])

@@ -308,6 +308,39 @@ class TestVerify:
         serial = records("1")
         assert serial and records("2") == serial
 
+    @pytest.mark.parametrize("jobs,cpus,want", [
+        ("64", 8, [2]), ("64", 1, []), ("2", 8, [2]), ("1", 8, [])],
+        ids=["jobs above instances", "one cpu", "jobs", "serial"])
+    def test_pool_has_no_idle_worker(self, capsys, monkeypatch, jobs, cpus,
+                                     want):
+        # the pool forks every worker up front, so it gets at most one per
+        # instance and per cpu, and none when that is one; the stub records
+        # the size it was asked for and maps serially, in order
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, err = run(capsys, "verify", "rr", "--max-L", "0",
+                             "--jobs", jobs)
+        assert code == 0, err
+        assert sizes == want
+        assert [json.loads(line)["instance"] for line in out.splitlines()] \
+            == [{"L": 0, "primed": False}, {"L": 0, "primed": True}]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "typeA", "--n", "1",

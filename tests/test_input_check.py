@@ -22,7 +22,7 @@ from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    rc_generating_function)
 from crystalsums.hardhex import hh_X, rr_series_check
-from crystalsums.qpoly import ZERO
+from crystalsums.qpoly import ONE, ZERO
 
 A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
 C2 = FactorDescriptor("C", 2)
@@ -274,3 +274,36 @@ def test_hard_hexagon_refuses_with_package_errors(case):
     assert value in got[1], got
     if refused is ShapeSyntaxError:
         assert "negative" in got[1], got
+
+
+# L-maps that no factor crystal has, as (type, rank, L-map, weight, class
+# refused with): a negative multiplicity is malformed, a key (r, s) with
+# s < 1 or r outside 1..n+1 (type A) or 1..n (type C) is no factor
+NO_FACTOR = {
+    "B^{0,1} of A_1": ("A", 1, {(0, 1): 1}, (0, 0), UnsupportedError),
+    "B^{1,0} of A_1": ("A", 1, {(1, 0): 1}, (0, 0), UnsupportedError),
+    "multiplicity -2": ("A", 1, {(1, 1): -2}, (0, 0), ShapeSyntaxError),
+    "B^{5,1} of A_2": ("A", 2, {(5, 1): 1}, (2, 2, 1), UnsupportedError),
+    "B^{3,1} of C_2": ("C", 2, {(3, 1): 1}, (1, 0), UnsupportedError),
+}
+
+FERMIONIC = {"closed_form_F": closed_form_F,
+             "rc_generating_function": rc_generating_function}
+
+
+@pytest.mark.parametrize("level", [None, 2], ids=["classical", "level"])
+@pytest.mark.parametrize("route", sorted(FERMIONIC))
+@pytest.mark.parametrize("case", sorted(NO_FACTOR))
+def test_fermionic_sums_refuse_an_l_map_with_no_factor(case, route, level):
+    kind, n, L, weight, refused = NO_FACTOR[case]
+    got = outcome(lambda: FERMIONIC[route](kind, n, L, weight, level))
+    assert isinstance(got, tuple) and got[0] is refused, got
+
+
+@pytest.mark.parametrize("level", [None, 2], ids=["classical", "level"])
+@pytest.mark.parametrize("route", sorted(FERMIONIC))
+@pytest.mark.parametrize("kind,n", [("A", 1), ("C", 2)])
+def test_fermionic_sums_take_a_zero_multiplicity(kind, n, route, level):
+    # no factor at all: the empty product, whose only path has weight 0
+    weight = (0,) * cartan_data(kind, n).dim
+    assert FERMIONIC[route](kind, n, {(1, 1): 0}, weight, level) == ONE

@@ -350,3 +350,44 @@ def test_one_input_check():
                 if syntax or "wider than" in text:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_one_check_per_route():
+    # each route checks its input once, at its entry, from the factor
+    # multiplicities L: the Weyl-term loop of alternating_sum calls the
+    # cached kernel, which neither reads the shape nor runs the entry
+    # check again (only the closed forms it evaluates on a cache miss
+    # keep their own), direct_sum takes the root data and L from the
+    # walk's setup, and check_sum reads the widest factor from L itself,
+    # so no caller works a width out
+    defs = _top_functions(ast.parse((PACKAGE / "bosonic.py").read_text()))
+    loop = next(node for node in ast.walk(defs["alternating_sum"])
+                if isinstance(node, ast.For))
+    names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+    assert "_supernomial" in names, names
+    reached, used = _reached("bosonic.py", sorted(names & set(defs)))
+    again = (reached | used | names) & {"supernomial", "_check_bosonic",
+                                        "shape_type"}
+    assert not again, again
+    defs = _top_functions(ast.parse((PACKAGE / "energy.py").read_text()))
+    names = {node.id for node in ast.walk(defs["direct_sum"])
+             if isinstance(node, ast.Name)}
+    assert not names & {"shape_type", "cartan_data"}, names
+    defined = [f"{name}:{node.lineno}" for name, node in nodes()
+               if isinstance(node, ast.FunctionDef) and node.name == "_widest"]
+    assert not defined, defined
+
+    def l_or_none(arg):
+        if isinstance(arg, ast.IfExp):
+            return l_or_none(arg.body) and l_or_none(arg.orelse)
+        return isinstance(arg, ast.Name) or (
+            isinstance(arg, ast.Constant) and arg.value is None)
+
+    calls = [(name, node) for name, node in nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "check_sum"]
+    assert len(calls) > 5, calls
+    widths = [f"{name}:{node.lineno}" for name, node in calls
+              if not all(map(l_or_none, node.args[4:] + [
+                  k.value for k in node.keywords if k.arg == "L"]))]
+    assert not widths, widths
