@@ -381,6 +381,10 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
+    if sum(map(abs, target)) > sum(d.boxes for d in right):
+        # ``_place``'s L1 rule at the empty suffix; in type A it reads the
+        # same at every node, as sum(target - w) - room never changes
+        return []
     tables = {d: _element_table(d, colors, level is not None)
               for d in set(right)}
     options = [tables[d] for d in right]

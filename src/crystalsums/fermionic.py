@@ -19,6 +19,15 @@ vacancy at an occupied site (rigged configurations, classical closed
 form) or a negative q-binomial argument on the level grid (level closed
 forms).  The walk knows no vacancy formula, so no route calls another.
 
+Each route's row function reads tables.  Across sums, the rigged-
+configuration side caches each partition's column counts Q_i
+(``_column_counts``), and the closed forms cache each row's sums of
+min(x, t k) over its generic parts k (``_min_sums``); no route reads the
+other's table.  Within one sum, a row function keeps per (row a, row
+choice) the vacancy of row a with its neighbours empty, from the route's
+one formula (``vacancy``, ``_vacancy_generic``), so a check only adds the
+two neighbour rows' table entries.
+
 Type C bookkeeping: nu^(n) is stored unhalved, so its parts are even; a
 generic index i at the long row corresponds to the actual part size 2i.
 Both routes compute over the integer form 2(v|w) and divide once, exactly;
@@ -29,19 +38,21 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations, product as iproduct, repeat
-from operator import mul
+from functools import lru_cache, partial
+from itertools import (accumulate, chain, combinations,
+                       product as iproduct, repeat)
+from operator import mul, sub
 
 from .cartan import (CartanData, _exact_quotient, cartan_data, check_sum,
                      vanishes)
 from .errors import CapExceeded
-from .partitions import (conjugate, part, partitions_in_box, partitions_of,
-                         q_columns)
+from .partitions import conjugate, partitions_in_box, partitions_of
 from .qpoly import QLaurent, ZERO, q_power, qbinomial
 
 LMap = dict[tuple[int, int], int]
 RC_CAP = 10 ** 6
+COLUMN_COUNT_CACHE = 4096  # column-count tables kept, least recently used
+MIN_SUM_CACHE = 4096  # generic min-sum tables kept, least recently used
 
 
 # ---------------------------------------------------------------------------
@@ -117,88 +128,153 @@ def _live_shapes(data: CartanData, sizes: tuple[int, ...], row_sites,
 # ---------------------------------------------------------------------------
 # vacancy numbers and charges, both routes
 
+@lru_cache(maxsize=COLUMN_COUNT_CACHE)
+def _column_counts(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """(Q_0, ..., Q_{mu_1}) of a partition, Q_i the number of boxes in its
+    first i columns; Q_i = |mu| for every larger i."""
+    return tuple(accumulate(conjugate(mu), initial=0))
+
+
 def vacancy(data: CartanData, L: LMap, nu, a: int, i: int) -> int:
     """P_i^(a)(nu) from column counts, at the actual part size i."""
     n = data.n
-    above = nu[a] if a < n else ()
-    below = nu[a - 2] if a >= 2 else ()
-    here = nu[a - 1]
+    q = [0, 0, 0]  # Q_i of rows a - 1, a and a + 1; an absent row has none
+    for k, b in enumerate((a - 2, a - 1, a)):
+        if 0 <= b < n and nu[b]:
+            counts = _column_counts(nu[b])
+            q[k] = counts[i] if i < len(counts) else counts[-1]
+    below, here, above = q
     if data.kind == "A" or a < n:
-        base = (q_columns(below, i) - 2 * q_columns(here, i)
-                + q_columns(above, i))
+        base = below - 2 * here + above
         for (b, j), mult in L.items():
             if b == a:
                 base += mult * min(i, j)
         return base
-    base = q_columns(below, i) - q_columns(here, i)
-    return _exact_quotient(2 * base + L.get((n, 1), 0) * min(i, 2), 2,
-                           "vacancy")
+    return _exact_quotient(2 * (below - here) + L.get((n, 1), 0) * min(i, 2),
+                           2, "vacancy")
 
 
-def _generic_m(data: CartanData, nu, memo: dict) -> list[dict[int, int]]:
-    """Per-row multiplicity maps in generic indices (long type C row
-    halved).  ``memo`` keeps the map of each distinct row, so that a walk
-    over shapes builds it once per row choice."""
-    out = []
-    for a, row in enumerate(nu, start=1):
-        scale = 2 if data.kind == "C" and a == data.n else 1
-        d = memo.get((scale, row))
-        if d is None:  # long-row parts are even (_live_shapes)
-            d = memo[scale, row] = {i // scale: row.count(i)
-                                    for i in set(row)}
-        out.append(d)
-    return out
+def _rc_row(data: CartanData, L: LMap, sizes, memo: dict, nu,
+            a: int) -> list[tuple[int, int, int, int]]:
+    """(a, i, m, P_i^(a)(nu)) at each size i of ``sizes(a, row)``, m its
+    multiplicity in row a; ``memo`` is one per sum and ``sizes``.
+    ``vacancy`` reads the neighbour rows only through +Q_i of each, so the
+    memo keeps per (a, row) the vacancy of row a alone, every other row
+    empty: the L-term minus 2 Q_i(row), halved on the type C long row."""
+    row = nu[a - 1]
+    kept = memo.get((a, row))
+    if kept is None:
+        lone = ((),) * (a - 1) + (row,) + ((),) * (data.n - a)
+        kept = memo[a, row] = [(a, i, row.count(i),
+                                vacancy(data, L, lone, a, i))
+                               for i in sizes(a, row)]
+    below = _column_counts(nu[a - 2] if a > 1 else ())
+    above = _column_counts(nu[a] if a < data.n else ())
+    lb, la = len(below) - 1, len(above) - 1
+    return [(a, i, m, p + below[i if i < lb else lb]
+             + above[i if i < la else la]) for a, i, m, p in kept]
 
 
 @lru_cache(maxsize=16)
 def _pair_table(kind: str, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per row a (0-based), the rows b it interacts with as (b, 2(alpha_a |
-    alpha_b), t_b, t_a), nonzero pairs only.  Keyed by (kind, n), which
-    hashes faster than the root datum."""
+    """Per row a (0-based), rows a - 1, a and a + 1 as (b, 2(alpha_a |
+    alpha_b), t_b, t_a, s_b), s_b the scale from actual to generic part
+    sizes of row b (2 on the long row of type C); a row past either end is
+    (a, 0, 0, 0, 1), with pair 0.  No other row pairs with row a (the
+    diagrams are paths).  Keyed by (kind, n), which hashes faster than
+    the root datum."""
     data = cartan_data(kind, n)
     alpha = data.simple_roots
-    return tuple(tuple((b, pair, data.t[b], data.t[a])
-                       for b in range(data.n)
-                       if (pair := data.form(alpha[a], alpha[b])))
-                 for a in range(data.n))
+    return tuple(tuple((b, data.form(alpha[a], alpha[b]), data.t[b], data.t[a],
+                        2 if kind == "C" and b == n - 1 else 1)
+                       if 0 <= b < n else (a, 0, 0, 0, 1)
+                       for b in (a - 1, a, a + 1))
+                 for a in range(n))
 
 
-def _vacancy_generic(data: CartanData, L: LMap, gm, a: int, i: int) -> int:
+@lru_cache(maxsize=MIN_SUM_CACHE)
+def _min_sums(row: tuple[int, ...], scale: int, t: int) -> tuple[int, ...]:
+    """S_x = sum of min(x, t k) over the parts k of ``row`` in generic
+    indices (each part over ``scale``), for x = 0 .. t k_1; S_x is the last
+    entry for every larger x.  Step x adds the parts with t k >= x."""
+    return tuple(accumulate(conjugate(tuple(t * (p // scale) for p in row)),
+                            initial=0))
+
+
+def _vacancy_generic(data: CartanData, L: LMap, nu, a: int, i: int) -> int:
     """p_i^(a) from the bilinear form, at generic index i."""
     acc = 0
     for (b, j), mult in L.items():
         if b == a:
             acc += 2 * mult * min(i, j)
-    for b, pair, tb, ta in _pair_table(data.kind, data.n)[a - 1]:
-        for k, m in gm[b].items():
-            acc -= pair * min(tb * i, ta * k) * m
+    for b, pair, tb, ta, scale in _pair_table(data.kind, data.n)[a - 1]:
+        if pair and nu[b]:  # an empty row has no pair term
+            sums = _min_sums(nu[b], scale, ta)
+            x = tb * i
+            acc -= pair * sums[x if x < len(sums) else -1]
     return _exact_quotient(acc, 2, "vacancy")
 
 
-def _cc_generic(data: CartanData, gm) -> int:
-    """cc({m}) from the bilinear form, at generic indices."""
+def _generic_row(data: CartanData, L: LMap, sites, memo: dict, nu,
+                 a: int) -> list[tuple[int, int]] | None:
+    """The closed forms' row function: row a's (p_i^(a), m) at each
+    generic site (i, m, top) of ``sites(a, row)``, or None when p + top <
+    0 at one of them; ``memo`` is one per sum.  ``_vacancy_generic`` reads
+    the other rows only through the pair terms of rows a - 1 and a + 1
+    (the diagrams are paths), so the memo keeps per (a, row) twice the
+    vacancy of row a alone, every other row empty: the L part and the
+    diagonal pair term."""
+    row = nu[a - 1]
+    kept = memo.get((a, row))
+    if kept is None:
+        (_, pd, td, tad, sd), _, (_, pu, tu, tau, su) = _pair_table(
+            data.kind, data.n)[a - 1]
+        lone = ((),) * (a - 1) + (row,) + ((),) * (data.n - a)
+        kept = memo[a, row] = ([
+            (td * i, tu * i, m, top, 2 * _vacancy_generic(data, L, lone, a, i))
+            for i, m, top in sites(a, row)], (pd, sd, tad), (pu, su, tau))
+    entries, (pd, sd, tad), (pu, su, tau) = kept
+    down = _min_sums(nu[a - 2] if pd else (), sd, tad)
+    up = _min_sums(nu[a] if pu else (), su, tau)
+    de, ue = len(down) - 1, len(up) - 1
+    out = []
+    for xd, xu, m, top, acc in entries:
+        p = _exact_quotient(acc - pd * down[xd if xd < de else de]
+                            - pu * up[xu if xu < ue else ue], 2, "vacancy")
+        if p + top < 0:
+            return None
+        out.append((p, m))
+    return out
+
+
+def _cc_generic(data: CartanData, nu) -> int:
+    """cc(nu) from the bilinear form, at generic indices: each pair term
+    sums row b's ``_min_sums`` table over the parts of row a."""
     acc = 0
     for a, pairs in enumerate(_pair_table(data.kind, data.n)):
-        for b, pair, tb, ta in pairs:
-            for j, mj in gm[a].items():
-                for k, mk in gm[b].items():
-                    acc += pair * min(tb * j, ta * k) * mj * mk
+        scale = 2 if data.kind == "C" and a == data.n - 1 else 1
+        for b, pair, tb, ta, sb in pairs:
+            if not pair:
+                continue
+            sums = _min_sums(nu[b], sb, ta)
+            end = len(sums) - 1
+            for part in nu[a]:
+                x = tb * (part // scale)
+                acc += pair * sums[x if x < end else end]
     return _exact_quotient(acc, 4, "charge")
 
 
 def cc_shape(kind: str, n: int, nu) -> int:
-    """cc(nu) from column counts (the rigged-configuration route)."""
-    cols = [conjugate(row) for row in nu]
-    width = max((row[0] if row else 0 for row in nu), default=0)
+    """cc(nu) from column counts (the rigged-configuration route): the
+    column heights of a row are the steps of its ``_column_counts``."""
+    heights = [list(map(sub, c[1:], c)) for c in map(_column_counts, nu)]
     acc = 0  # twice the charge
-    for i in range(1, width + 1):
-        for a in range(1, n + 1):
-            ai = part(cols[a - 1], i)
-            up = part(cols[a], i) if a < n else 0
-            if kind == "C" and a == n:
-                acc += ai * ai
-            else:
-                acc += 2 * ai * (ai - up)
+    for a, here in enumerate(heights, start=1):
+        if kind == "C" and a == n:
+            acc += sum(h * h for h in here)
+            continue
+        up = chain(heights[a] if a < n else (), repeat(0))
+        acc += 2 * sum(h * (h - u) for h, u in zip(here, up))
     return _exact_quotient(acc, 2, "charge")
 
 
@@ -221,14 +297,16 @@ def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
     if sizes is None:
         return
 
+    memo: dict = {}
+
+    def occupied(a, row):
+        return sorted(set(row))
+
     def row_sites(nu, a):
-        row = nu[a - 1]
-        sites = []
-        for i in sorted(set(row)):
-            p = vacancy(data, L, nu, a, i)
-            if p < 0:
+        sites = _rc_row(data, L, occupied, memo, nu, a)
+        for site in sites:
+            if site[3] < 0:
                 return None
-            sites.append((a, i, row.count(i), p))
         return sites
 
     yield from _live_shapes(data, sizes, row_sites, max_part)
@@ -295,27 +373,26 @@ def closed_form_F(kind: str, n: int, L: LMap, lam: tuple[int, ...],
     data = check_sum(kind, n, lam, level, L)
     if vanishes(data, L, lam, level):
         return ZERO
-    memo: dict = {}
     if level is not None:
         sizes, grid, _, max_part, table = _level_tables(data, L, lam, level)
         minima = _signed_minima(table)
         tops = [max(col) for col in zip(*minima)]
         return _closed_form_sum(data, sizes,
-                                _grid_row_sites(data, L, grid, tops, memo),
-                                memo, max_part, minima)
+                                _grid_row_sites(data, L, grid, tops),
+                                max_part, minima)
+    return _closed_form_sum(data, config_sizes(data, L, lam),
+                            _occupied_row_sites(data, L), None, {(): 1})
 
-    def row_sites(nu, a):
-        gm = _generic_m(data, nu, memo)
-        sites = []
-        for i, m in gm[a - 1].items():
-            p = _vacancy_generic(data, L, gm, a, i)
-            if p < 0:
-                return None
-            sites.append((p, m))
-        return sites
 
-    return _closed_form_sum(data, config_sizes(data, L, lam), row_sites,
-                            memo, None, {(): 1})
+def _occupied_row_sites(data: CartanData, L: LMap):
+    """The row function of the classical closed form: ``_generic_row`` at
+    each occupied generic index, with top 0, as a negative p zeroes [p;
+    m]."""
+    def occupied(a, row):
+        scale = 2 if data.kind == "C" and a == data.n else 1
+        return [(i // scale, row.count(i), 0) for i in dict.fromkeys(row)]
+
+    return partial(_generic_row, data, L, occupied, {})
 
 
 def _generic_grid(data: CartanData, level: int) -> list[tuple[int, int]]:
@@ -347,27 +424,20 @@ def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
     return closed_form_F(data.kind, data.n, L, lam, level)
 
 
-def _grid_row_sites(data: CartanData, L: LMap, grid, tops, memo: dict):
-    """The row function of the level forms: row a's (p, m) at each site
-    (a, i) of the generic ``grid``, or None when p + top < 0 at one of
-    them, where every q-binomial [p + correction; m] with a correction at
-    most ``top`` is zero.  ``tops`` holds one bound per grid site."""
+def _grid_row_sites(data: CartanData, L: LMap, grid, tops):
+    """The row function of the level forms: ``_generic_row`` at each site
+    (a, i) of the generic ``grid``, with its bound from ``tops``: every
+    q-binomial [p + correction; m] with a correction at most top is
+    zero."""
     rows: list[list[tuple[int, int]]] = [[] for _ in range(data.n)]
     for (a, i), top in zip(grid, tops):
         rows[a - 1].append((i, top))
 
-    def row_sites(nu, a):
-        gm = _generic_m(data, nu, memo)
-        here = gm[a - 1]
-        sites = []
-        for i, top in rows[a - 1]:
-            p = _vacancy_generic(data, L, gm, a, i)
-            if p + top < 0:
-                return None
-            sites.append((p, here.get(i, 0)))
-        return sites
+    def on_grid(a, row):
+        scale = 2 if data.kind == "C" and a == data.n else 1
+        return [(i, row.count(scale * i), top) for i, top in rows[a - 1]]
 
-    return row_sites
+    return partial(_generic_row, data, L, on_grid, {})
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +567,7 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
 
 
 def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
-                     memo: dict, max_part: int | None, minima) -> QLaurent:
+                     max_part: int | None, minima) -> QLaurent:
     """The one sum of the closed forms: over the shapes nu of
     ``_live_shapes`` with their sites (p, m) from ``row_sites``, and over
     the signed corrections d -> k of ``minima``, the terms k q^{cc(nu) -
@@ -510,7 +580,7 @@ def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
     level."""
     out = ZERO
     for nu, sites in _live_shapes(data, sizes, row_sites, max_part):
-        cc = _cc_generic(data, _generic_m(data, nu, memo))
+        cc = _cc_generic(data, nu)
         ms = [m for _, m in sites]
         for corr, k in minima.items():
             lifted = [p + d for (p, _), d in zip(sites, corr or repeat(0))]
@@ -538,11 +608,16 @@ def _level_rc_sum(data: CartanData, L: LMap, lam: tuple[int, ...], sites,
     admitted choice is counted.  Grid sites that nu leaves empty keep
     their vacancy number as slack."""
     position = {site: k for k, site in enumerate(sites)}
+    on_grid = [[i for b, i in sites if b == a] for a in range(data.n + 1)]
+
+    def grid_sizes(a, row):
+        return on_grid[a]
+
+    memo: dict = {}
     counts: Counter = Counter()
     for nu, occupied in _admitted_shapes(data, L, lam, max_part):
-        vac = {(a, i): p for a, i, _, p in occupied}
-        slacks = [vac[s] if s in vac else vacancy(data, L, nu, *s)
-                  for s in sites]
+        slacks = [p for a in range(1, data.n + 1) for *_, p
+                  in _rc_row(data, L, grid_sizes, memo, nu, a)]
         where = [position[a, i] for a, i, _, _ in occupied]
         shift = cc_shape(data.kind, data.n, nu) + sum(
             p * m for _, _, m, p in occupied)

@@ -38,19 +38,18 @@ def partitions_in_box(rows: int, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def conjugate(mu: tuple[int, ...]) -> tuple[int, ...]:
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p >= i) for i in range(1, mu[0] + 1))
+    out = []
+    rows = len(mu)  # the parts that reach column i
+    for i in range(1, (mu[0] if mu else 0) + 1):
+        while mu[rows - 1] < i:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
 
 
 def part(mu: tuple[int, ...], i: int) -> int:
     """The i-th part (1-indexed), zero beyond the length."""
     return mu[i - 1] if 1 <= i <= len(mu) else 0
-
-
-def q_columns(mu: tuple[int, ...], i: int) -> int:
-    """Number of boxes in the first i columns of mu."""
-    return sum([p if p < i else i for p in mu])
 
 
 def superpartitions(inner: tuple[int, ...], size: int,

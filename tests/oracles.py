@@ -43,7 +43,10 @@ package's slice walks.  Every sum at q = 1 is also counted without any
 route: ``count_oracle`` takes Brauer-Klimyk multiplicities, folded into
 the level's alcove for a level sum (Kac-Walton), by its own chamber and
 alcove fold; a type C column B^{r,1} enters it as the weights of
-Lambda^r - Lambda^(r-2).
+Lambda^r - Lambda^(r-2).  The vacancy numbers of both fermionic routes are
+recomputed here by their definitions, summed over every part of every row
+(``vacancy_by_columns``, ``vacancy_by_form``), against the package's
+per-row tables.
 """
 from __future__ import annotations
 
@@ -67,12 +70,12 @@ from crystalsums.energy import combinatorial_r
 from crystalsums.errors import (CapExceeded, EnergyConsistencyError,
                                 InexactDivision, InvolutionError,
                                 IsomorphismError, UnsupportedError)
-from crystalsums.fermionic import (_admitted_shapes, _cc_generic,
-                                   _corrections_A, _corrections_C,
-                                   _generic_grid, _generic_m, _lambda_prime_A,
-                                   _lambda_prime_C, _riggings, _signed_minima,
-                                   _vacancy_generic, cc_shape, config_sizes,
-                                   cst_enumerate, vacancy, vacuum_weight)
+from crystalsums.fermionic import (_admitted_shapes, _corrections_A,
+                                   _corrections_C, _generic_grid,
+                                   _lambda_prime_A, _lambda_prime_C,
+                                   _riggings, _signed_minima,
+                                   cc_shape, config_sizes, cst_enumerate,
+                                   vacuum_weight)
 from crystalsums.partitions import partitions_of
 from crystalsums.qpoly import QLaurent, ZERO, invert_q, q_power, qbinomial
 
@@ -781,6 +784,62 @@ class RiggedConfiguration:
         return ()
 
 
+def column_count(mu: tuple[int, ...], i: int) -> int:
+    """Q_i(mu), the boxes of mu in its first i columns, part by part."""
+    return sum(min(p, i) for p in mu)
+
+
+def vacancy_by_columns(data: CartanData, L, nu, a: int, i: int) -> int:
+    """P_i^(a)(nu) at the actual part size i by its definition: Q_i of the
+    rows below and above minus twice Q_i of row a, plus L_{a,j} min(i, j)
+    over the factors; on the long row of type C, (2 Q_i(nu^(n-1)) - 2
+    Q_i(nu^(n)) + L_{n,1} min(i, 2)) / 2."""
+    n = data.n
+    below = column_count(nu[a - 2], i) if a >= 2 else 0
+    here = column_count(nu[a - 1], i)
+    if data.kind == "C" and a == n:
+        return _exact_quotient(2 * below - 2 * here
+                               + L.get((n, 1), 0) * min(i, 2), 2, "vacancy")
+    above = column_count(nu[a], i) if a < n else 0
+    return below - 2 * here + above + sum(
+        mult * min(i, j) for (b, j), mult in L.items() if b == a)
+
+
+def vacancy_by_form(data: CartanData, L, gm, a: int, i: int) -> int:
+    """p_i^(a) at generic index i by the bilinear form, over the per-row
+    multiplicity maps gm in generic indices: (2 sum_j L_{a,j} min(i, j) -
+    sum_b sum_k 2(alpha_a|alpha_b) min(t_b i, t_a k) m_k^(b)) / 2."""
+    alpha = data.simple_roots
+    acc = 2 * sum(mult * min(i, j) for (b, j), mult in L.items() if b == a)
+    for b in range(data.n):
+        pair = data.form(alpha[a - 1], alpha[b])
+        for k, m in gm[b].items():
+            acc -= pair * min(data.t[b] * i, data.t[a - 1] * k) * m
+    return _exact_quotient(acc, 2, "vacancy")
+
+
+def generic_m(data: CartanData, nu) -> list[dict[int, int]]:
+    """Per-row multiplicity maps in generic indices (long type C row
+    halved)."""
+    return [{i // (2 if data.kind == "C" and a == data.n else 1):
+             row.count(i) for i in set(row)}
+            for a, row in enumerate(nu, start=1)]
+
+
+def charge_by_form(data: CartanData, gm) -> int:
+    """cc({m}) by the bilinear form, over every pair of rows and parts:
+    sum_{a,b} sum_{j,k} 2(alpha_a|alpha_b) min(t_b j, t_a k) m_j m_k / 4."""
+    alpha = data.simple_roots
+    acc = 0
+    for a in range(data.n):
+        for b in range(data.n):
+            pair = data.form(alpha[a], alpha[b])
+            for j, mj in gm[a].items():
+                for k, mk in gm[b].items():
+                    acc += pair * min(data.t[b] * j, data.t[a] * k) * mj * mk
+    return _exact_quotient(acc, 4, "charge")
+
+
 def enumerate_rc(kind: str, n: int, L, lam: tuple[int, ...],
                  max_part: int | None = None) -> list[RiggedConfiguration]:
     """All rigged configurations for the given factors and weight, with
@@ -807,7 +866,7 @@ def theta(rc: RiggedConfiguration, L) -> RiggedConfiguration:
     new = []
     for (a, i), J in rc.riggings:
         m = rc.nu[a - 1].count(i)
-        p = vacancy(data, L, rc.nu, a, i)
+        p = vacancy_by_columns(data, L, rc.nu, a, i)
         padded = list(J) + [0] * (m - len(J))
         comp = tuple(x for x in sorted((p - x for x in padded),
                                        reverse=True) if x > 0)
@@ -821,7 +880,8 @@ def cc_theta(rc: RiggedConfiguration, L) -> int:
     occupied site."""
     data = cartan_data(rc.kind, rc.n)
     return (cc_shape(rc.kind, rc.n, rc.nu)
-            + sum(vacancy(data, L, rc.nu, a, i) * rc.nu[a - 1].count(i)
+            + sum(vacancy_by_columns(data, L, rc.nu, a, i)
+                  * rc.nu[a - 1].count(i)
                   for (a, i), _ in rc.riggings)
             - sum(sum(J) for _, J in rc.riggings))
 
@@ -857,7 +917,7 @@ def level_rc_sum_by_configurations(kind: str, n: int, L, lam, level: int):
     exponents = []
     for rc in enumerate_rc(kind, n, L, lam,
                            max_part=2 * level if kind == "C" else level):
-        slacks = [vacancy(data, L, rc.nu, a, i)
+        slacks = [vacancy_by_columns(data, L, rc.nu, a, i)
                   - max(rc.rigging(a, i), default=0) for a, i in sites]
         if any(all(s + d >= 0 for s, d in zip(slacks, row))
                for row in table):
@@ -890,7 +950,8 @@ def admitted_by_product(data, L, lam, max_part=None) -> list:
         return []
     out = []
     for nu in nu_product(data, sizes, max_part):
-        sites = [(a, i, row.count(i), vacancy(data, L, nu, a, i))
+        sites = [(a, i, row.count(i),
+                  vacancy_by_columns(data, L, nu, a, i))
                  for a, row in enumerate(nu, start=1)
                  for i in sorted(set(row))]
         if all(p >= 0 for *_, p in sites):
@@ -902,9 +963,9 @@ def _shape_terms(data, L, sizes, indices, max_part=None):
     """(charge, [(vacancy, multiplicity)] at ``indices(gm)``) for every
     shape of ``nu_product``, in generic indices."""
     for nu in nu_product(data, sizes, max_part):
-        gm = _generic_m(data, nu, {})
-        yield _cc_generic(data, gm), [
-            (_vacancy_generic(data, L, gm, a, i), gm[a - 1].get(i, 0))
+        gm = generic_m(data, nu)
+        yield charge_by_form(data, gm), [
+            (vacancy_by_form(data, L, gm, a, i), gm[a - 1].get(i, 0))
             for a, i in indices(gm)]
 
 

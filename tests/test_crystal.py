@@ -10,7 +10,7 @@ from crystalsums.crystal import (Factor, FactorDescriptor, VERTEX_CAP,
                                  _combine_stats, _factor_table,
                                  enumerate_paths, factor_arrow,
                                  factor_elements, factor_stats, letter_arrow,
-                                 letters_of)
+                                 letters_of, search_paths)
 from crystalsums.errors import (CapExceeded, CrystalStructureError,
                                 UnsupportedError)
 
@@ -379,6 +379,21 @@ class TestPathSearch:
         monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
         assert len(enumerate_paths(boxes("A", 1, 6), (3, 3),
                                    "classical")) == 5
+
+    @pytest.mark.parametrize("shape,weight", [
+        # a content sum above the boxes: B^{1,2} (x) (B^{1,1})^{(x)10} of
+        # A_3 walked its whole prefix tree into CapExceeded before
+        ((FactorDescriptor("A", 3, 1, 2),) + boxes("A", 3, 10), (20,) * 4),
+        (boxes("A", 2, 4), (3, 1, 1)),
+        # an L1 norm above the boxes in type C
+        (boxes("C", 2, 3), (3, 1)),
+    ])
+    @pytest.mark.parametrize("restriction", ["none", "classical"])
+    def test_weight_beyond_the_boxes_visits_no_node(self, monkeypatch, shape,
+                                                    weight, restriction):
+        # the L1 rule of _place holds at the empty suffix already
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 0)
+        assert search_paths(shape, weight, restriction) == []
 
     def test_product_beyond_the_cap(self):
         shape = boxes("A", 1, 21)

@@ -1,7 +1,7 @@
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crystalsums import fermionic
 from crystalsums.cartan import cartan_data, shape_type
@@ -10,19 +10,21 @@ from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, NonIntegralExponent
 from crystalsums.bosonic import alternating_sum
-from crystalsums.fermionic import (_admitted_shapes, _signed_minima,
-                                   closed_form_F, closed_form_F_level,
-                                   config_sizes, cst_enumerate,
-                                   rc_generating_function, vacancy,
-                                   vacuum_weight)
+from crystalsums.fermionic import (_admitted_shapes, _generic_grid,
+                                   _grid_row_sites, _occupied_row_sites,
+                                   _rc_row, _signed_minima, closed_form_F,
+                                   closed_form_F_level, config_sizes,
+                                   cst_enumerate, rc_generating_function,
+                                   vacancy, vacuum_weight)
+from crystalsums.partitions import conjugate, partitions_of
 from crystalsums.qpoly import ONE, ZERO, q_power
 
 from oracles import (admitted_by_product, cc_stat, cc_theta,
                      closed_form_F_by_product, closed_form_F_level_by_product,
                      dominant_contents_A, dominant_weights_C, enumerate_rc,
-                     level_closed_form_by_product,
+                     column_count, generic_m, level_closed_form_by_product,
                      level_rc_sum_by_configurations, rc_sum_by_configurations,
-                     theta)
+                     theta, vacancy_by_columns, vacancy_by_form)
 
 A1 = cartan_data("A", 1)
 A2 = cartan_data("A", 2)
@@ -125,6 +127,12 @@ class TestRiggedConfigurations:
         with pytest.raises(NonIntegralExponent):
             vacancy(C1, {(1, 1): 3}, ((2,),), 1, 1)
         assert vacancy(C1, {(1, 1): 4}, ((2,),), 1, 1) == 1
+        # the row tables keep the same halving
+        assert fermionic._rc_row(C1, {(1, 1): 3}, lambda a, row: [2], {},
+                                 ((2,),), 1) == [(1, 2, 1, 1)]
+        with pytest.raises(NonIntegralExponent):
+            fermionic._rc_row(C1, {(1, 1): 3}, lambda a, row: [1], {},
+                              ((2,),), 1)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(fermionic, "RC_CAP", 3)
@@ -325,6 +333,106 @@ class TestLiveShapes:
                     (Lmap, lam, level)
                 count += not want.is_zero()
         assert count > 5
+
+
+@st.composite
+def factors_and_weights(draw):
+    """Root data, a multiplicity map of at most 12 boxes and a weight of
+    the right length: any content of the boxes for type A, any small
+    vector for type C (so the row sizes may be inadmissible)."""
+    kind = draw(st.sampled_from("AC"))
+    n = draw(st.integers(1, 3))
+    keys = ([(a, i) for a in range(1, n + 2) for i in (1, 2)]
+            if kind == "A" else [(a, 1) for a in range(1, n + 1)])
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2,
+                           unique=True))
+    Lmap = {key: draw(st.integers(1, 3)) for key in chosen}
+    size = sum(a * i * m for (a, i), m in Lmap.items())
+    assume(size <= 12)
+    if kind == "A":
+        cuts = sorted(draw(st.lists(st.integers(0, size), min_size=n,
+                                    max_size=n)))
+        lam = tuple(y - x for x, y in zip([0] + cuts, cuts + [size]))
+    else:
+        lam = tuple(draw(st.lists(st.integers(-2, 3), min_size=n,
+                                  max_size=n)))
+    return cartan_data(kind, n), Lmap, lam
+
+
+class TestRowTables:
+    """Each route's row function reads its vacancy numbers from per-row
+    tables kept across the rows of a sum; the oracles sum every part of
+    every row by the definitions."""
+
+    @given(factors_and_weights(), st.integers(1, 2),
+           st.lists(st.integers(-1, 2), min_size=12, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_row_functions_match_the_oracle_formulas(self, case, level,
+                                                     tops):
+        data, Lmap, lam = case
+        sizes = config_sizes(data, Lmap, lam)
+        assume(sizes is not None)
+        n = data.n
+        grid = _generic_grid(data, level)
+        tops = tops[:len(grid)]
+        by_row = [[(i, top) for (b, i), top in zip(grid, tops) if b == a]
+                  for a in range(1, n + 1)]
+
+        def every_size(a, row):  # odd ones too on the long row of type C
+            return range(1, (row[0] if row else 0) + 2)
+
+        # one row function per sum, fed shapes in product order
+        rc_memo: dict = {}
+        occupied = _occupied_row_sites(data, Lmap)
+        on_grid = _grid_row_sites(data, Lmap, grid, tops)
+        per_row = [tuple(tuple(2 * p for p in mu)
+                         for mu in partitions_of(s // 2))
+                   if data.kind == "C" and a == n else partitions_of(s)
+                   for a, s in enumerate(sizes, start=1)]
+        for nu in islice(product(*per_row), 40):
+            gm = generic_m(data, nu)
+            for a in range(1, n + 1):
+                row = nu[a - 1]
+                try:
+                    want = [(a, i, row.count(i),
+                             vacancy_by_columns(data, Lmap, nu, a, i))
+                            for i in every_size(a, row)]
+                except NonIntegralExponent:
+                    with pytest.raises(NonIntegralExponent):
+                        _rc_row(data, Lmap, every_size, rc_memo, nu, a)
+                else:
+                    assert _rc_row(data, Lmap, every_size, rc_memo, nu,
+                                   a) == want, (nu, a)
+                    assert [vacancy(data, Lmap, nu, a, i)
+                            for _, i, _, _ in want] == [p for *_, p in want]
+                scale = 2 if data.kind == "C" and a == n else 1
+                want = [(vacancy_by_form(data, Lmap, gm, a, i // scale),
+                         row.count(i)) for i in dict.fromkeys(row)]
+                got = occupied(nu, a)
+                assert got == (None if any(p < 0 for p, _ in want)
+                               else want), (nu, a)
+                want = [(vacancy_by_form(data, Lmap, gm, a, i),
+                         gm[a - 1].get(i, 0)) for i, _ in by_row[a - 1]]
+                dead = any(p + top < 0 for (p, _), (_, top)
+                           in zip(want, by_row[a - 1]))
+                assert on_grid(nu, a) == (None if dead else want), (nu, a)
+
+    @given(st.lists(st.integers(1, 9), max_size=9))
+    @settings(max_examples=200)
+    def test_column_counts_match_the_definition(self, parts):
+        # both tables rest on partitions.conjugate: Q_i sums the first i
+        # column heights, which count the parts of size at least i
+        mu = tuple(sorted(parts, reverse=True))
+        heights = conjugate(mu)
+        assert heights == tuple(sum(1 for p in mu if p >= i)
+                                for i in range(1, (mu[0] if mu else 0) + 1))
+        assert conjugate(heights) == mu
+        counts = fermionic._column_counts(mu)
+        assert counts == tuple(column_count(mu, i)
+                               for i in range(len(heights) + 1))
+        sums = fermionic._min_sums(tuple(2 * p for p in mu), 2, 3)
+        assert sums == tuple(sum(min(x, 3 * p) for p in mu)
+                             for x in range(3 * len(heights) + 1))
 
 
 class TestLevelForms:

@@ -133,22 +133,27 @@ def test_rc_walk_reads_no_closed_form():
     # the rigged-configuration route lists riggings: neither the closed
     # forms' q-binomials nor their bilinear-form vacancies and charges are
     # reachable from its functions
+    # (nor the generic min-sum tables and the row function that reads them)
     reached, used = _reached("fermionic.py", [
         "_admitted_shapes", "rc_generating_function", "_level_rc_sum"])
-    assert "_riggings" in reached and "vacancy" in reached
-    closed_form = used & {"qbinomial", "_vacancy_generic", "_cc_generic"}
+    assert {"_riggings", "vacancy", "_rc_row", "_column_counts"} <= reached
+    closed_form = used & {"qbinomial", "_vacancy_generic", "_cc_generic",
+                          "_min_sums", "_generic_row", "_occupied_row_sites",
+                          "_grid_row_sites"}
     assert not closed_form, closed_form
 
 
 def test_closed_forms_read_no_rc_walk():
     # the mirror of test_rc_walk_reads_no_closed_form: the closed forms
     # share only the shape walk with the rigged-configuration route, and
-    # reach neither its column-count vacancies and charges nor its riggings
+    # reach neither its column-count vacancies and charges (nor their
+    # tables and row function) nor its riggings
     reached, used = _reached("fermionic.py", [
         "closed_form_F", "closed_form_F_level", "_closed_form_sum"])
-    assert "_live_shapes" in reached and "_vacancy_generic" in reached
-    rc_walk = used & {"vacancy", "q_columns", "cc_shape", "_riggings",
-                      "partitions_in_box"}
+    assert {"_live_shapes", "_vacancy_generic", "_generic_row",
+            "_min_sums"} <= reached
+    rc_walk = used & {"vacancy", "_column_counts", "_rc_row", "cc_shape",
+                      "_riggings", "partitions_in_box"}
     assert not rc_walk, rc_walk
 
 
@@ -291,15 +296,16 @@ def test_involution_builds_no_word():
     assert not words, words
 
 
-def test_qbinomial_cache_is_bounded():
-    # qbinomial's lru_cache holds a module constant's number of entries
-    tree = ast.parse((PACKAGE / "qpoly.py").read_text())
+def _cache_bounds(module: str, function: str) -> list:
+    """The maxsize of each lru_cache decorating ``function``, read through
+    a module constant when it names one."""
+    tree = ast.parse((PACKAGE / module).read_text())
     defs = _top_functions(tree)
     constants = {t.id: node.value for node in tree.body
                  if isinstance(node, ast.Assign) for t in node.targets
                  if isinstance(t, ast.Name)}
     bounds = []
-    for dec in defs["qbinomial"].decorator_list:
+    for dec in defs[function].decorator_list:
         if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) \
                 == "lru_cache":
             args = [k.value for k in dec.keywords if k.arg == "maxsize"]
@@ -307,8 +313,25 @@ def test_qbinomial_cache_is_bounded():
             if isinstance(arg, ast.Name):
                 arg = constants[arg.id]
             bounds.append(arg.value if isinstance(arg, ast.Constant) else None)
+    return bounds
+
+
+def test_qbinomial_cache_is_bounded():
+    # qbinomial's lru_cache holds a module constant's number of entries
+    bounds = _cache_bounds("qpoly.py", "qbinomial")
     assert len(bounds) == 1 and isinstance(bounds[0], int) \
         and bounds[0] > 0, bounds
+
+
+def test_row_table_caches_are_bounded():
+    # the fermionic row tables outlive a sum: each is an lru_cache of a
+    # module constant's size, and private, so no tracer wraps a row check
+    from crystalsums import fermionic
+    for name in ("_column_counts", "_min_sums"):
+        bounds = _cache_bounds("fermionic.py", name)
+        assert len(bounds) == 1 and isinstance(bounds[0], int) \
+            and bounds[0] > 0, (name, bounds)
+        assert getattr(fermionic, name).cache_info().maxsize == bounds[0]
 
 
 # where malformed input may be refused, with the text its message must
