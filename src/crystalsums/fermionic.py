@@ -89,10 +89,16 @@ def _live_shapes(data: CartanData, sizes: tuple[int, ...], row_sites,
     of the product of the per-row partition lists (row 1 slowest); the
     long row of a type C configuration gets even parts only.
 
-    One walk places the rows in turn.  As soon as rows a - 1, a and a + 1
-    are placed, ``row_sites(nu, a)`` returns row a's sites, or None to drop
-    every completion of the prefix; it may read only those three rows of
-    nu.  ``sites`` concatenates the rows' sites in row order.  The walk
+    One walk places the rows in turn.  ``row_sites(nu, a)`` returns row
+    a's sites, or None to drop every completion of the prefix; it may read
+    only rows a - 1, a and a + 1 of nu, and a row's vacancies only grow
+    with the column counts (or min-sums) of its neighbours.  The finest
+    partition of a size, listed last, has the largest of these at every
+    size, so once rows a - 1 and a are placed the walk looks ahead: it
+    checks row a next to the finest row a + 1, and a None there drops the
+    prefix before row a + 1 is tried.  That check stands for the finest
+    choice of row a + 1 when the walk reaches it, so no row is checked
+    twice.  ``sites`` concatenates the rows' sites in row order.  The walk
     knows no vacancy formula: each route supplies its own row function."""
     n = data.n
     per_row = []
@@ -105,20 +111,27 @@ def _live_shapes(data: CartanData, sizes: tuple[int, ...], row_sites,
             per_row.append(partitions_of(sizes[a - 1], max_part))
     nu: list[tuple[int, ...]] = [()] * n
     placed: list = [None] * n  # the sites of each checked row
-    choices = [iter(per_row[0])]  # one iterator per placed row
+    ahead: list = [None] * n  # row a's sites next to the finest row a + 1
+    choices = [enumerate(per_row[0])]  # one iterator per placed row
     while choices:
         r = len(choices) - 1  # place row r + 1, then check row r
-        row = next(choices[r], None)
+        k, row = next(choices[r], (None, None))
         if row is None:
             choices.pop()
             continue
         nu[r] = row
         if r:
-            placed[r - 1] = row_sites(nu, r)
+            placed[r - 1] = (ahead[r - 1] if k == len(per_row[r]) - 1
+                             else row_sites(nu, r))
             if placed[r - 1] is None:
                 continue
         if r + 1 < n:
-            choices.append(iter(per_row[r + 1]))
+            if not per_row[r + 1]:
+                continue
+            nu[r + 1] = per_row[r + 1][-1]
+            ahead[r] = row_sites(nu, r + 1)
+            if ahead[r] is not None:
+                choices.append(enumerate(per_row[r + 1]))
             continue
         placed[r] = row_sites(nu, n)
         if placed[r] is not None:

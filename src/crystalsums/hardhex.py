@@ -9,28 +9,31 @@ sum) which must coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import CapExceeded, ShapeSyntaxError, UnsupportedError
 # The q-binomial sums below step their own rows and never call qbinomial;
 # the name stays bound because perfbench/selftest.py checks that its
 # tracer rebinds this alias.
-from .qpoly import ONE, QLaurent, ZERO, _binomial_step, qbinomial  # noqa: F401
+from .qpoly import (QLaurent, _add_at, _binomial_step, _dense,  # noqa: F401
+                    _div_one_minus_q, qbinomial)
 
 ENUMERATE_CAP = 24
 SERIES_CAP = 200
 
 
-def _path_energies(L: int, primed: bool):
-    """Yield the energy of every path of D_L (or D'_L), one per path.
+def _path_energies(L: int, primed: bool) -> list[int]:
+    """The number of paths of D_L (or D'_L) at each energy 0 .. floor(L^2 / 4).
 
     A depth-first walk grows paths left to right on an explicit stack.  An
     entry (i, energy) is a path whose particles so far are placed and whose
     next particle, if any, may sit at i..L-1.  Popping it pushes, for each
     such position p, the path with its next particle at p (the one after
-    may sit at p + 2 or later), then yields the path with no more particles.
+    may sit at p + 2 or later), then counts the path with no more particles.
     """
+    counts = [0] * (L * L // 4 + 1)
     if primed and L == 0:
-        return  # sigma_0 = 1 and sigma_L = 0 conflict
+        return counts  # sigma_0 = 1 and sigma_L = 0 conflict
     stack = [(2 if primed else 1, 0)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -38,17 +41,18 @@ def _path_energies(L: int, primed: bool):
         while i < L:
             push((i + 2, energy + i))
             i += 1
-        yield energy
+        counts[energy] += 1
+    return counts
 
 
-def _x_recurrence(L: int, primed: bool) -> QLaurent:
-    # X(L) = X(L-1) + q^{L-1} X(L-2); primed only changes the initials
-    prev, cur = (ZERO, ONE) if primed else (ONE, ONE)  # X(0), X(1)
-    if L == 0:
-        return prev
-    for m in range(2, L + 1):
-        prev, cur = cur, cur + prev.shift(m - 1)
-    return cur
+def _x_recurrence(L: int, primed: bool) -> tuple[list, list]:
+    """The coefficient lists of X(L - 1) and X(L), by X(m) = X(m - 1) +
+    q^(m-1) X(m - 2) from X(-1) = 0, X(0) = 1, or X'(-1) = 1, X'(0) = 0
+    when primed (these give X(1) = X'(1) = 1)."""
+    prev, cur = ([1], []) if primed else ([], [1])
+    for m in range(1, L + 1):
+        prev, cur = cur, _add_at(cur[:], m - 1, prev, add)
+    return prev, cur
 
 
 def _x_fermionic(L: int, primed: bool) -> QLaurent:
@@ -57,15 +61,15 @@ def _x_fermionic(L: int, primed: bool) -> QLaurent:
     n + 1], A = N - n, on one coefficient list: two multiplications and
     two exact divisions per term."""
     N = L - 1 if primed else L
-    out = ZERO
+    out: list[int] = []
     row = [1]  # [N; 0]
     for n in range(N // 2 + 1):
         if n:
             A = N - n + 1  # the previous row is [A; n - 1]
             _binomial_step(row, A - n + 1, A)
             _binomial_step(row, A - n, n)
-        out = out + QLaurent(n * (n + 1 if primed else n), tuple(row))
-    return out
+        _add_at(out, n * (n + 1 if primed else n), row, add)
+    return _dense(0, out)
 
 
 def _x_bosonic(L: int, primed: bool) -> QLaurent:
@@ -74,7 +78,7 @@ def _x_bosonic(L: int, primed: bool) -> QLaurent:
     primed.  [L; k] = [L; L - k], so one walk [L; k - 1] -> [L; k] up to
     k = L/2 on one coefficient list gives every term.  The j-window
     holds every j with 0 <= k <= L: at j = lo, k >= L + 4, and at j = hi,
-    k <= -3."""
+    k <= -3.  Every exponent is at least 0."""
     lo, hi = -(L + 5) // 5 - 1, (L + 5) // 5 + 1
     terms: dict[int, list[tuple[int, int]]] = {}  # k -> (exponent, j odd)
     for j in range(lo, hi + 1):
@@ -84,15 +88,14 @@ def _x_bosonic(L: int, primed: bool) -> QLaurent:
         # j(5j+1) and j(5j+3) are always even
         expo = j * (5 * j + (3 if primed else 1)) // 2
         terms.setdefault(min(k, L - k), []).append((expo, j % 2))
-    out = ZERO
+    out: list[int] = []
     row = [1]  # [L; 0]
     for k in range(max(terms, default=-1) + 1):
         if k:
             _binomial_step(row, L - k + 1, k)
         for expo, odd in terms.get(k, ()):
-            term = QLaurent(expo, tuple(row))
-            out = out - term if odd else out + term
-    return out
+            _add_at(out, expo, row, sub if odd else add)
+    return _dense(0, out)
 
 
 def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
@@ -104,9 +107,9 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
     if method == "enumerate":
         if L > ENUMERATE_CAP:
             raise CapExceeded(f"enumeration capped at L = {ENUMERATE_CAP}")
-        return QLaurent.from_exponents(_path_energies(L, primed))
+        return _dense(0, _path_energies(L, primed))
     if method == "recurrence":
-        return _x_recurrence(L, primed)
+        return _dense(0, _x_recurrence(L, primed)[1])
     if method == "fermionic":
         return _x_fermionic(L, primed)
     if method == "bosonic":
@@ -117,51 +120,57 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
 # ---------------------------------------------------------------------------
 # series limits
 
-# Every series is a QLaurent holding its terms through q^cutoff.
+# Every series is a QLaurent holding its terms through q^cutoff.  Each is
+# built on one coefficient list of cutoff + 1 entries, divided in place.
 
 def _fermionic_series(which: int, cutoff: int) -> QLaurent:
-    out = ZERO
-    inv_pochhammer = ONE  # 1/(q)_n, grown as n does
+    """The sum over n of q^(n^2) / (q)_n (identity 1) or q^(n(n+1)) /
+    (q)_n (identity 2) through q^cutoff: 1/(q)_n is one list, divided by
+    (1 - q^n) in place and cut to the entries that reach q^cutoff."""
+    out = [0] * (cutoff + 1)
+    inv_pochhammer = [1] + [0] * cutoff  # 1/(q)_n, grown as n does
     n = 0
     while True:
         expo = n * n if which == 1 else n * (n + 1)
         if expo > cutoff:
             break
         if n > 0:
-            inv_pochhammer = inv_pochhammer.div_one_minus_q(n, cutoff - expo)
-        out = out + inv_pochhammer.shift(expo)
+            del inv_pochhammer[cutoff - expo + 1:]
+            _div_one_minus_q(inv_pochhammer, n, exact=False)
+        _add_at(out, expo, inv_pochhammer, add)
         n += 1
-    return out
+    return _dense(0, out)
 
 
 def product_series(which: int, cutoff: int) -> QLaurent:
     """1 / prod (1 - q^k) through q^cutoff, over k = +-1 mod 5 (identity
     1) or k = +-2 mod 5 (identity 2)."""
     residues = (1, 4) if which == 1 else (2, 3)
-    out = ONE
+    out = [1] + [0] * cutoff
     for k in range(1, cutoff + 1):
         if k % 5 in residues:
-            out = out.div_one_minus_q(k, cutoff)
-    return out
+            _div_one_minus_q(out, k, exact=False)
+    return _dense(0, out)
 
 
 def _alternating_series(which: int, cutoff: int) -> QLaurent:
-    signs = {}
+    """The sum over j of (-1)^j q^(j(5j+1)/2) (identity 1) or q^(j(5j+3)/2)
+    (identity 2), divided by (q)_cutoff, through q^cutoff."""
+    out = [0] * (cutoff + 1)
     j = 0
     while True:
         done = True
         for jj in (j, -j) if j else (0,):
             e = jj * (5 * jj + (1 if which == 1 else 3)) // 2
             if 0 <= e <= cutoff:
-                signs[e] = 1 if jj % 2 == 0 else -1
+                out[e] = 1 if jj % 2 == 0 else -1
                 done = False
         if done and j > 0:
             break
         j += 1
-    out = QLaurent.from_dict(signs)
     for k in range(1, cutoff + 1):
-        out = out.div_one_minus_q(k, cutoff)
-    return out
+        _div_one_minus_q(out, k, exact=False)
+    return _dense(0, out)
 
 
 @dataclass
@@ -196,8 +205,8 @@ def rr_series_check(which: int, cutoff: int) -> SeriesReport:
 
     primed = which == 2
     L = min(40, 2 * cutoff + 2)
-    xa = hh_X(L, "recurrence", primed)
-    xb = hh_X(L + 1, "recurrence", primed)
+    prev, cur = _x_recurrence(L + 1, primed)
+    xa, xb = _dense(0, prev), _dense(0, cur)  # X(L), X(L + 1)
     stable = 0
     while stable <= cutoff and xa.coeff(stable) == xb.coeff(stable):
         stable += 1

@@ -166,11 +166,19 @@ def _combine(a: QLaurent, b: QLaurent, op) -> QLaurent:
     low = min(a.low, b.low)
     out = [0] * (a.low - low)
     out += a.coeffs
-    start = b.low - low
-    end = start + len(b.coeffs)
-    out.extend([0] * (end - len(out)))
-    out[start:end] = map(op, out[start:end], b.coeffs)
-    return _dense(low, out)
+    return _dense(low, _add_at(out, b.low - low, b.coeffs, op))
+
+
+def _add_at(out: list, start: int, coeffs, op) -> list:
+    """out[start + k] = out[start + k] op coeffs[k] for every k, for op add
+    or sub, in place on a coefficient list, which grows with zeros where
+    ``coeffs`` reaches past its end; the list is returned.  Accumulating
+    into one list this way builds no polynomial per term."""
+    end = start + len(coeffs)
+    if end > len(out):
+        out.extend([0] * (end - len(out)))
+    out[start:end] = map(op, out[start:end], coeffs)
+    return out
 
 
 def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
@@ -203,10 +211,7 @@ def _binomial_step(out: list, a: int, b: int) -> list:
     (1 - q^b) exactly, in place; the list is returned.  One step of a
     q-binomial walk: [m + n; n] times (1 - q^(m+n+1)) / (1 - q^(n+1)) is
     [m + n + 1; n + 1]."""
-    old = len(out)
-    out.extend([0] * a)
-    out[a:] = map(sub, out[a:], out[:old])
-    return _div_one_minus_q(out, b)
+    return _div_one_minus_q(_add_at(out, a, out[:], sub), b)
 
 
 def _dense(low: int, coeffs) -> QLaurent:

@@ -46,7 +46,11 @@ alcove fold; a type C column B^{r,1} enters it as the weights of
 Lambda^r - Lambda^(r-2).  The vacancy numbers of both fermionic routes are
 recomputed here by their definitions, summed over every part of every row
 (``vacancy_by_columns``, ``vacancy_by_form``), against the package's
-per-row tables.
+per-row tables.  The hard-hexagon series are built here as one
+``QLaurent`` per step (a new polynomial per division and per term), against
+the package's one coefficient list per series, and the shape walk without
+its look-ahead (``live_shapes_plain``) checks each row only after the next
+row is placed.
 """
 from __future__ import annotations
 
@@ -501,6 +505,56 @@ def partitions_gap2(total: int) -> int:
     return rec(total, total)
 
 
+def rr_fermionic_series(which: int, cutoff: int) -> QLaurent:
+    """Sum of q^(n^2) / (q)_n (identity 1) or q^(n(n+1)) / (q)_n (identity
+    2) through q^cutoff, one ``QLaurent`` per division and per term."""
+    out = ZERO
+    inv_pochhammer = QLaurent(0, (1,))  # 1/(q)_n, grown as n does
+    n = 0
+    while True:
+        expo = n * n if which == 1 else n * (n + 1)
+        if expo > cutoff:
+            break
+        if n > 0:
+            inv_pochhammer = inv_pochhammer.div_one_minus_q(n, cutoff - expo)
+        out = out + inv_pochhammer.shift(expo)
+        n += 1
+    return out
+
+
+def rr_product_series(which: int, cutoff: int) -> QLaurent:
+    """1 / prod (1 - q^k) over k = +-1 (identity 1) or +-2 (identity 2) mod
+    5, through q^cutoff, one ``QLaurent`` per division."""
+    residues = (1, 4) if which == 1 else (2, 3)
+    out = QLaurent(0, (1,))
+    for k in range(1, cutoff + 1):
+        if k % 5 in residues:
+            out = out.div_one_minus_q(k, cutoff)
+    return out
+
+
+def rr_alternating_series(which: int, cutoff: int) -> QLaurent:
+    """The sum over j of (-1)^j q^(j(5j+1)/2) (identity 1) or q^(j(5j+3)/2)
+    (identity 2) over (q)_cutoff, through q^cutoff, one ``QLaurent`` per
+    division."""
+    signs = {}
+    j = 0
+    while True:
+        done = True
+        for jj in (j, -j) if j else (0,):
+            e = jj * (5 * jj + (1 if which == 1 else 3)) // 2
+            if 0 <= e <= cutoff:
+                signs[e] = 1 if jj % 2 == 0 else -1
+                done = False
+        if done and j > 0:
+            break
+        j += 1
+    out = QLaurent.from_dict(signs)
+    for k in range(1, cutoff + 1):
+        out = out.div_one_minus_q(k, cutoff)
+    return out
+
+
 def partitions_congruent(total: int, residues: set[int], mod: int) -> int:
     parts = [k for k in range(1, total + 1) if k % mod in residues]
 
@@ -939,6 +993,42 @@ def nu_product(data, sizes, max_part=None):
         else:
             per_row.append(partitions_of(sizes[a - 1], max_part))
     return list(product(*per_row))
+
+
+def live_shapes_plain(data, sizes, row_sites, max_part=None):
+    """``fermionic._live_shapes`` without its look-ahead: row a is checked
+    only once rows a - 1, a and a + 1 are placed, so every choice of row
+    a + 1 is tried against a prefix that then dies.  The same (nu, sites)
+    in the same order, with at least as many row checks."""
+    n = data.n
+    per_row = []
+    for a in range(1, n + 1):
+        if data.kind == "C" and a == n:
+            half_cap = None if max_part is None else max_part // 2
+            halves = partitions_of(sizes[a - 1] // 2, half_cap)
+            per_row.append(tuple(tuple(2 * p for p in mu) for mu in halves))
+        else:
+            per_row.append(partitions_of(sizes[a - 1], max_part))
+    nu = [()] * n
+    placed = [None] * n
+    choices = [iter(per_row[0])]
+    while choices:
+        r = len(choices) - 1
+        row = next(choices[r], None)
+        if row is None:
+            choices.pop()
+            continue
+        nu[r] = row
+        if r:
+            placed[r - 1] = row_sites(nu, r)
+            if placed[r - 1] is None:
+                continue
+        if r + 1 < n:
+            choices.append(iter(per_row[r + 1]))
+            continue
+        placed[r] = row_sites(nu, n)
+        if placed[r] is not None:
+            yield tuple(nu), [s for rs in placed for s in rs]
 
 
 def admitted_by_product(data, L, lam, max_part=None) -> list:

@@ -11,8 +11,9 @@ from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, NonIntegralExponent
 from crystalsums.bosonic import alternating_sum
 from crystalsums.fermionic import (_admitted_shapes, _generic_grid,
-                                   _grid_row_sites, _occupied_row_sites,
-                                   _rc_row, _signed_minima, closed_form_F,
+                                   _grid_row_sites, _live_shapes,
+                                   _occupied_row_sites, _rc_row,
+                                   _signed_minima, closed_form_F,
                                    closed_form_F_level, config_sizes,
                                    cst_enumerate, rc_generating_function,
                                    vacancy, vacuum_weight)
@@ -23,8 +24,9 @@ from oracles import (admitted_by_product, cc_stat, cc_theta,
                      closed_form_F_by_product, closed_form_F_level_by_product,
                      dominant_contents_A, dominant_weights_C, enumerate_rc,
                      column_count, generic_m, level_closed_form_by_product,
-                     level_rc_sum_by_configurations, rc_sum_by_configurations,
-                     theta, vacancy_by_columns, vacancy_by_form)
+                     level_rc_sum_by_configurations, live_shapes_plain,
+                     rc_sum_by_configurations, theta, vacancy_by_columns,
+                     vacancy_by_form)
 
 A1 = cartan_data("A", 1)
 A2 = cartan_data("A", 2)
@@ -304,6 +306,69 @@ class TestLiveShapes:
                 assert got == want, (Lmap, lam, max_part)
                 count += len(want)
         assert count > 10
+
+    @staticmethod
+    def row_functions(data, Lmap):
+        """Fresh row functions of the rigged-configuration walk and of the
+        classical closed form, each counting its calls."""
+        memo: dict = {}
+
+        def rc(nu, a):
+            sites = _rc_row(data, Lmap, lambda a, row: sorted(set(row)),
+                            memo, nu, a)
+            return None if any(p < 0 for *_, p in sites) else sites
+
+        for row_sites in (rc, _occupied_row_sites(data, Lmap)):
+            calls = []
+
+            def counted(nu, a, row_sites=row_sites, calls=calls):
+                calls.append(a)
+                return row_sites(nu, a)
+            yield counted, calls
+
+    @pytest.mark.parametrize("kind,n,factors,most", SHAPES)
+    def test_look_ahead_keeps_shapes_and_checks_no_more(self, kind, n,
+                                                        factors, most):
+        # the walk yields what the walk without its look-ahead yields, in
+        # the same order, and never checks a row more often
+        for data, Lmap, lam in self.inputs(kind, n, factors, most):
+            sizes = config_sizes(data, Lmap, lam)
+            if sizes is None:
+                continue
+            for max_part in (None, 1, 2, 3):
+                plain = self.row_functions(data, Lmap)
+                ahead = self.row_functions(data, Lmap)
+                for (f, plain_calls), (g, calls) in zip(plain, ahead):
+                    want = list(live_shapes_plain(data, sizes, f, max_part))
+                    got = list(_live_shapes(data, sizes, g, max_part))
+                    assert got == want, (Lmap, lam, max_part)
+                    assert len(calls) <= len(plain_calls), (Lmap, lam)
+
+    def test_look_ahead_drops_dead_prefixes_early(self):
+        # C_3, (B^{1,1})^8, weight 0: 16 shapes from 1,039 row checks of
+        # the classical closed form, where the plain walk makes 1,971
+        data = cartan_data("C", 3)
+        Lmap = {(1, 1): 8}
+        sizes = config_sizes(data, Lmap, (0, 0, 0))
+        _, (f, plain_calls) = self.row_functions(data, Lmap)
+        _, (g, calls) = self.row_functions(data, Lmap)
+        want = list(live_shapes_plain(data, sizes, f))
+        assert list(_live_shapes(data, sizes, g)) == want
+        assert (len(want), len(calls), len(plain_calls)) == (16, 1039, 1971)
+
+    def test_empty_long_row(self):
+        # parts at most 1 leave the type C long row of size 2 no partition:
+        # the walk drops row 1 without checking it
+        data = cartan_data("C", 2)
+        Lmap = {(1, 1): 4}
+        for (f, plain_calls), (g, calls) in zip(
+                self.row_functions(data, Lmap), self.row_functions(data, Lmap)):
+            assert list(_live_shapes(data, (2, 2), g, 1)) == []
+            assert list(live_shapes_plain(data, (2, 2), f, 1)) == []
+            assert calls == plain_calls == []
+        assert [nu for nu, _ in _live_shapes(data, (2, 2),
+                                             lambda nu, a: [], 2)] == \
+            [((2,), (2,)), ((1, 1), (2,))]
 
     @pytest.mark.parametrize("kind,n,factors,most", SHAPES)
     def test_closed_form_F_matches_product(self, kind, n, factors, most):

@@ -1,13 +1,16 @@
 import pytest
 
 from crystalsums.errors import CapExceeded
-from crystalsums.hardhex import hh_X, product_series, rr_series_check
+from crystalsums.hardhex import (ENUMERATE_CAP, _alternating_series,
+                                 _fermionic_series, hh_X, product_series,
+                                 rr_series_check)
 from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
 
 from oracles import (as_dict, bosonic_term, box_partitions, hh_energy,
                      hh_paths, in_strip, partitions_congruent, partitions_gap2,
-                     strip_energy, strip_inclusion_exclusion, strip_paths,
-                     strip_transform)
+                     rr_alternating_series, rr_fermionic_series,
+                     rr_product_series, strip_energy,
+                     strip_inclusion_exclusion, strip_paths, strip_transform)
 
 FIG_PATH = (0, 1, 0, 0, 0, 1, 0, 0, 1, 0)
 
@@ -84,6 +87,15 @@ class TestConfigurationSums:
                                            for p in hh_paths(L, primed))
             assert hh_X(L, "enumerate", primed) == want, L
 
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_enumeration_matches_recurrence_up_to_cap(self, primed):
+        for L in range(21, ENUMERATE_CAP + 1):
+            assert hh_X(L, "enumerate", primed) == \
+                hh_X(L, "recurrence", primed), L
+
+    def test_enumeration_of_no_paths(self):
+        assert hh_X(0, "enumerate", primed=True) == ZERO
+
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
             hh_X(25, "enumerate")
@@ -156,7 +168,6 @@ class TestSeries:
         assert rep.passed
 
     def test_fermionic_counts_gap2_partitions(self):
-        from crystalsums.hardhex import _fermionic_series
         s = _fermionic_series(1, 24)
         for N in range(25):
             assert s.coeff(N) == partitions_gap2(N)
@@ -167,6 +178,17 @@ class TestSeries:
         for N in range(21):
             assert s1.coeff(N) == partitions_congruent(N, {1, 4}, 5)
             assert s2.coeff(N) == partitions_congruent(N, {2, 3}, 5)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_series_lists_match_per_step_polynomials(self, which):
+        # each series on one coefficient list, against one QLaurent per step
+        for cutoff in [*range(61), 200]:
+            assert _fermionic_series(which, cutoff) == \
+                rr_fermionic_series(which, cutoff), cutoff
+            assert product_series(which, cutoff) == \
+                rr_product_series(which, cutoff), cutoff
+            assert _alternating_series(which, cutoff) == \
+                rr_alternating_series(which, cutoff), cutoff
 
     def test_both_identities_to_100(self):
         for which in (1, 2):

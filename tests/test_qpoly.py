@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalsums.errors import InexactDivision
-from crystalsums.qpoly import (ONE, QLaurent, ZERO, invert_q, q_power,
-                               qbinomial, qmultinomial)
+from crystalsums.qpoly import (ONE, QLaurent, ZERO, _add_at, invert_q,
+                               q_power, qbinomial, qmultinomial)
 
 from oracles import (as_dict, at_one, box_partitions,
                      div_one_minus_q_by_coefficient, from_json,
@@ -152,6 +153,25 @@ def _random_poly(rng, length):
               for _ in range(length)]
     coeffs[0] = coeffs[-1] = rng.choice((-1, 1)) * rng.randint(1, 10 ** 40)
     return QLaurent(rng.randint(-30, 5), tuple(coeffs))
+
+
+big_ints = st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=12)
+
+
+class TestAddAt:
+    """The one slice-add, against adding one coefficient at a time."""
+
+    @given(big_ints, big_ints, st.integers(0, 20), st.sampled_from((add, sub)))
+    def test_matches_one_coefficient_at_a_time(self, out, coeffs, start, op):
+        want = out + [0] * max(0, start + len(coeffs) - len(out))
+        for k, c in enumerate(coeffs):
+            want[start + k] = op(want[start + k], c)
+        got = list(out)
+        assert _add_at(got, start, coeffs, op) is got
+        assert got == want
+
+    def test_start_past_the_end(self):
+        assert _add_at([1, 2], 4, [5, -6], sub) == [1, 2, 0, 0, -5, 6]
 
 
 class TestSliceDivision:

@@ -111,6 +111,25 @@ def test_hard_hexagon_rows_use_the_one_division():
     assert not found, found
 
 
+def test_hard_hexagon_loops_build_no_polynomial():
+    # every loop of hardhex steps coefficient lists; a QLaurent is built
+    # once, after the loop, so no step copies a polynomial
+    tree = ast.parse((PACKAGE / "hardhex.py").read_text())
+    found = set()  # a nested loop's calls are also in its outer loop
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in ("QLaurent", "div_one_minus_q", "shift",
+                        "from_exponents"):
+                found.add(f"{name}:{node.lineno}")
+    assert not found, sorted(found)
+
+
 def _reached(module: str, roots: list[str]) -> tuple[set, set]:
     """The top-level functions of ``module`` reachable from ``roots``
     through the names they use, and every name those functions use."""
