@@ -2,17 +2,23 @@
 
 Every generating function in the package is a ``QLaurent``, and so is
 every power series: a series is kept exactly through a cutoff exponent.
-Division by (1 - q^k) is the one division there is; it gives the
-q-binomials exactly and the series reciprocals of products through a
-cutoff.
+Division by (1 - q^k) happens inside the walks that build them: a
+q-binomial step multiplies by (1 - q^a) and divides by (1 - q^b) exactly,
+and a series reciprocal of a product divides through a cutoff.  A walk runs
+on one of two kernels, which ``_walk_kernel`` picks from a bound on its
+coefficients: coefficient lists, or one int per polynomial, sum c_k
+2^(64k), when every coefficient fits a signed 64-bit word (Kronecker
+substitution q -> 2^64).  The series are always packed.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
+from types import SimpleNamespace
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision
@@ -116,23 +122,6 @@ class QLaurent:
         """Drop every term above q**cutoff."""
         return _dense(self.low, self.coeffs[:max(0, cutoff - self.low + 1)])
 
-    def div_one_minus_q(self, k: int, cutoff: int | None = None) -> "QLaurent":
-        """Divide by (1 - q**k), k >= 1.
-
-        The quotient r satisfies r_e = p_e + r_(e-k): a running sum along
-        each residue class mod k.  Without a cutoff the division must be
-        exact, and a nonzero remainder raises InexactDivision.  With one,
-        the result is the power-series quotient through q**cutoff.
-        """
-        if k < 1:
-            raise ValueError(f"cannot divide by 1 - q^{k}")
-        if cutoff is None:
-            return _dense(self.low, _div_one_minus_q(list(self.coeffs), k))
-        n = max(0, cutoff - self.low + 1)
-        out = list(self.coeffs[:n])
-        out.extend([0] * (n - len(out)))
-        return _dense(self.low, _div_one_minus_q(out, k, exact=False))
-
     def to_json(self) -> str:
         """Canonical JSON: [[exponent, coefficient-as-string], ...], one
         pair per nonzero coefficient in increasing exponent, with no
@@ -181,37 +170,121 @@ def _add_at(out: list, start: int, coeffs, op) -> list:
     return out
 
 
-def _div_one_minus_q(out: list, k: int, exact: bool = True) -> list:
-    """The running sums of ``QLaurent.div_one_minus_q``, in place on a
-    coefficient list, which is returned.  When exact, the last k sums are
-    the remainder: they must vanish, and are dropped.
+def _binomial_step(out: list, a: int, b: int) -> list:
+    """Multiply a coefficient list by (1 - q^a), a >= 1, then divide it by
+    (1 - q^b), b >= 1, exactly, in place; the list is returned.  One step of
+    a q-binomial walk: [m + n; n] times (1 - q^(m+n+1)) / (1 - q^(n+1)) is
+    [m + n + 1; n + 1].
 
-    r_e = p_e + r_(e-k) can be summed in two orders.  Along each residue
-    class mod k, one ``accumulate`` per class, it takes min(k, len - k)
-    slice steps; block by block, adding the k sums before each block of k
-    entries, it takes ceil(len / k) - 1.  The walk takes the order with
-    fewer steps: residue classes when k * k < len, else blocks."""
+    The quotient is the running sum r_e = p_e + r_(e-b), in one of two
+    orders.  Along each residue class mod b, one ``accumulate`` per class,
+    it takes min(b, len - b) slice steps; block by block, adding the b sums
+    before each block of b entries, it takes ceil(len / b) - 1.  The step
+    takes the order with fewer steps: residue classes when b * b < len,
+    else blocks.  The last b sums are the remainder: they must vanish, else
+    InexactDivision, and are dropped."""
+    _add_at(out, a, out[:], sub)
     n = len(out)
-    if k * k < n:
-        for r in range(k):
-            out[r::k] = accumulate(out[r::k])
+    if b * b < n:
+        for r in range(b):
+            out[r::b] = accumulate(out[r::b])
     else:
-        for s in range(k, n, k):
-            out[s:s + k] = map(add, out[s:s + k], out[s - k:s])
-    if exact:
-        n -= k
-        if out and (n < 0 or any(out[n:])):
-            raise InexactDivision(f"division by 1 - q^{k} is not exact")
-        del out[n:]
+        for s in range(b, n, b):
+            out[s:s + b] = map(add, out[s:s + b], out[s - b:s])
+    n -= b
+    if out and (n < 0 or any(out[n:])):
+        raise InexactDivision(f"division by 1 - q^{b} is not exact")
+    del out[n:]
     return out
 
 
-def _binomial_step(out: list, a: int, b: int) -> list:
-    """Multiply a coefficient list by (1 - q^a), a >= 1, then divide it by
-    (1 - q^b) exactly, in place; the list is returned.  One step of a
-    q-binomial walk: [m + n; n] times (1 - q^(m+n+1)) / (1 - q^(n+1)) is
-    [m + n + 1; n + 1]."""
-    return _div_one_minus_q(_add_at(out, a, out[:], sub), b)
+# ---------------------------------------------------------------------------
+# packed polynomials: one int, sum c_k 2^(64k), each c_k a signed 64-bit word
+
+_LITTLE = sys.byteorder == "little"
+
+
+def _bias(n: int) -> int:
+    """2^63 at each of n words."""
+    return int.from_bytes((bytes(7) + b"\x80") * n, "little")
+
+
+def _pack(coeffs: list) -> int:
+    """The packed polynomial of signed words (else OverflowError).  Read
+    unsigned, a word is c mod 2^64; xor 2^63 makes it c + 2^63."""
+    bias = _bias(len(coeffs))
+    words = b"".join(c.to_bytes(8, "little", signed=True) for c in coeffs)
+    return (int.from_bytes(words, "little") ^ bias) - bias
+
+
+def _unpack(p: int, n: int) -> list:
+    """The coefficients of q^0 .. q^(n-1) of a packed polynomial, read
+    modulo 2^(64n).  Adding 2^63 at each word makes it c + 2^63, with no
+    carry, and xor 2^63 makes that c mod 2^64, a native signed word."""
+    bias = _bias(n)
+    p = ((p + bias) & ((1 << 64 * n) - 1)) ^ bias
+    words = memoryview(p.to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
+    return words if _LITTLE else words[::-1]
+
+
+def _words(p: int) -> int:
+    """Words enough to read a packed polynomial back.  Its top nonzero word
+    is word bit_length // 64 or the next one: a top word 1 above a word
+    near -2^63 leaves the int just under 2^(64k - 1)."""
+    return p.bit_length() // 64 + 2
+
+
+def _packed_div(p: int, k: int, n: int) -> int:
+    """p / (1 - q^k), k >= 1, through q^(n-1): p (1 + q^k + q^2k + ...)
+    mod 2^(64n), by ceil(log2(n / k)) shift-adds that each double the run
+    of the geometric series.  It reads back exactly when the quotient's
+    coefficients fit words, whatever the coefficients on the way."""
+    if k < 1:
+        raise ValueError(f"cannot divide by 1 - q^{k}")
+    mask = (1 << 64 * n) - 1
+    p &= mask
+    while k < n:
+        p = (p + (p << 64 * k)) & mask
+        k *= 2
+    return p
+
+
+def _packed_step(p: int, a: int, b: int) -> int:
+    """``_binomial_step`` on a packed polynomial; the quotient r must give
+    the product back, r - q^b r, else InexactDivision.  Exact when the
+    coefficients of p, the product and r fit words, as on a walk over
+    q-binomials below 2^63."""
+    m = max(_words(p) + a - b, 1)  # words enough for r
+    p -= p << 64 * a
+    r = _packed_div(p, b, m)
+    if r >> (64 * m - 1):  # a negative top word
+        r -= 1 << 64 * m
+    if r - (r << 64 * b) != p:
+        raise InexactDivision(f"division by 1 - q^{b} is not exact")
+    return r
+
+
+# A kernel is the arithmetic of a walk on one representation of its
+# polynomials: new(coeffs) from a coefficient list; copy(p), a value that
+# add_at may reuse while p stays; add_at(out, start, p, op), out op q^start
+# p for op add or sub, which may reuse out; step(p, a, b), p (1 - q^a) /
+# (1 - q^b) exactly, which may reuse p; poly(p), the QLaurent.
+_LISTS = SimpleNamespace(new=list, copy=list.copy, add_at=_add_at,
+                         step=_binomial_step, poly=lambda p: _dense(0, p))
+# an int never changes in place, so a copy is the int itself
+_PACKED = SimpleNamespace(
+    new=_pack, copy=lambda p: p,
+    add_at=lambda out, start, p, op: op(out, p << 64 * start),
+    step=_packed_step,
+    poly=lambda p: _dense(0, _unpack(p, _words(p))))
+
+
+def _walk_kernel(bound: int) -> SimpleNamespace:
+    """The kernel of a walk whose coefficients lie from 0 to ``bound``:
+    packed when the bound is below 2^63, so that every coefficient and
+    every difference of two fits a word, else lists (padded words would
+    lose to lists)."""
+    return _PACKED if bound < 1 << 63 else _LISTS
 
 
 def _dense(low: int, coeffs) -> QLaurent:

@@ -120,7 +120,10 @@ def div_one_minus_q_by_coefficient(p: QLaurent, k: int,
     """p / (1 - q^k) one coefficient at a time, r_e = p_e + r_(e-k), in
     increasing exponent e.  With a cutoff, the power series through
     q^cutoff; without one, the quotient through deg p - k, which must give
-    back p when multiplied by 1 - q^k, else InexactDivision."""
+    back p when multiplied by 1 - q^k, else InexactDivision.  A k below 1
+    raises ValueError."""
+    if k < 1:
+        raise ValueError(f"cannot divide by 1 - q^{k}")
     if not p.coeffs:
         return ZERO
     top = p.degree() - k if cutoff is None else cutoff
@@ -399,6 +402,19 @@ def hh_energy(sigma: tuple[int, ...]) -> int:
     return sum(j for j, s in enumerate(sigma) if s)
 
 
+def hh_X_by_lists(L: int, primed: bool = False) -> QLaurent:
+    """X(L) (or X'(L)) by X(m) = X(m - 1) + q^(m-1) X(m - 2) from X(-1) =
+    0, X(0) = 1 (X'(-1) = 1, X'(0) = 0), on plain coefficient lists added
+    one entry at a time: a reference for every ``hh_X`` kernel."""
+    prev, cur = ([1], []) if primed else ([], [1])
+    for m in range(1, L + 1):
+        nxt = cur + [0] * max(0, m - 1 + len(prev) - len(cur))
+        for i, c in enumerate(prev):
+            nxt[m - 1 + i] += c
+        prev, cur = cur, nxt
+    return QLaurent.from_dict(dict(enumerate(cur)))
+
+
 def bosonic_term(L: int, j: int, primed: bool = False):
     """One summand q^(j(5j+1)/2) [L; floor((L - 5j)/2)] of the hard-hexagon
     alternating sum (q^(j(5j+3)/2) [L; floor((L - 5j - 1)/2)] when
@@ -516,7 +532,8 @@ def rr_fermionic_series(which: int, cutoff: int) -> QLaurent:
         if expo > cutoff:
             break
         if n > 0:
-            inv_pochhammer = inv_pochhammer.div_one_minus_q(n, cutoff - expo)
+            inv_pochhammer = div_one_minus_q_by_coefficient(
+                inv_pochhammer, n, cutoff - expo)
         out = out + inv_pochhammer.shift(expo)
         n += 1
     return out
@@ -529,7 +546,7 @@ def rr_product_series(which: int, cutoff: int) -> QLaurent:
     out = QLaurent(0, (1,))
     for k in range(1, cutoff + 1):
         if k % 5 in residues:
-            out = out.div_one_minus_q(k, cutoff)
+            out = div_one_minus_q_by_coefficient(out, k, cutoff)
     return out
 
 
@@ -551,7 +568,7 @@ def rr_alternating_series(which: int, cutoff: int) -> QLaurent:
         j += 1
     out = QLaurent.from_dict(signs)
     for k in range(1, cutoff + 1):
-        out = out.div_one_minus_q(k, cutoff)
+        out = div_one_minus_q_by_coefficient(out, k, cutoff)
     return out
 
 

@@ -12,6 +12,7 @@ from crystalsums.cli import (ShapeSyntaxError, _instances, compute_sum, main,
                              parse_shape, parse_weight)
 from crystalsums.crystal import FactorDescriptor
 from crystalsums.errors import CrystalSumsError, UnsupportedError
+from crystalsums.hardhex import POLYNOMIAL_CAP, hh_X
 
 from oracles import dominant_contents_A, dominant_weights_C
 
@@ -376,6 +377,16 @@ class TestRR:
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] is True
+
+    def test_polynomial_cap(self, capsys):
+        # hh_X's cap on the command line: the cap runs, one past it exits 4
+        # for each polynomial method
+        code, out, _ = run(capsys, "rr", "--L", str(POLYNOMIAL_CAP))
+        assert code == 0 and out.strip() == hh_X(POLYNOMIAL_CAP).to_json()
+        for method in ("recurrence", "fermionic", "bosonic"):
+            code, out, err = run(capsys, "rr", "--L", str(POLYNOMIAL_CAP + 1),
+                                 "--method", method)
+            assert code == 4 and not out and "capped" in err, err
 
     def test_config_file(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

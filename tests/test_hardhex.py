@@ -1,13 +1,15 @@
 import pytest
 
 from crystalsums.errors import CapExceeded
-from crystalsums.hardhex import (ENUMERATE_CAP, _alternating_series,
-                                 _fermionic_series, hh_X, product_series,
-                                 rr_series_check)
-from crystalsums.qpoly import ONE, QLaurent, ZERO, q_power, qbinomial
+from crystalsums.hardhex import (ENUMERATE_CAP, POLYNOMIAL_CAP, SERIES_CAP,
+                                 _alternating_series, _fermionic_series,
+                                 hh_X, product_series, rr_series_check)
+from crystalsums.qpoly import (_LISTS, _PACKED, ONE, QLaurent, ZERO,
+                               _walk_kernel, q_power, qbinomial)
 
 from oracles import (as_dict, bosonic_term, box_partitions, hh_energy,
-                     hh_paths, in_strip, partitions_congruent, partitions_gap2,
+                     hh_paths, hh_X_by_lists, in_strip, partitions_congruent,
+                     partitions_gap2,
                      rr_alternating_series, rr_fermionic_series,
                      rr_product_series, strip_energy,
                      strip_inclusion_exclusion, strip_paths, strip_transform)
@@ -70,6 +72,39 @@ class TestConfigurationSums:
             want = hh_X(200, "recurrence", primed)
             for method in ("fermionic", "bosonic"):
                 assert hh_X(200, method, primed) == want, (primed, method)
+
+    def test_kernels_match_list_reference(self):
+        # 2^L bounds every coefficient, so hh_X packs through L = 62 and
+        # walks lists from L = 63; both sides of the choice, every L up to
+        # 70 and L = 200, against the list recurrence (and the path walk)
+        assert _walk_kernel(1 << 62) is _PACKED
+        assert _walk_kernel(1 << 63) is _LISTS
+        for L in [*range(71), 200]:
+            for primed in (False, True):
+                want = hh_X_by_lists(L, primed)
+                methods = ("recurrence", "fermionic", "bosonic")
+                if L <= ENUMERATE_CAP:
+                    methods += ("enumerate",)
+                for method in methods:
+                    assert hh_X(L, method, primed) == want, (L, primed, method)
+
+    def test_polynomial_cap(self):
+        # the cap itself runs on lists, whose coefficients pass one word,
+        # and the three methods agree; one past it is refused before any
+        # polynomial is built
+        fib = [0, 1]
+        while len(fib) < POLYNOMIAL_CAP + 2:
+            fib.append(fib[-1] + fib[-2])
+        for primed in (False, True):
+            want = hh_X(POLYNOMIAL_CAP, "recurrence", primed)
+            # X(L) counts F(L + 1) paths at q = 1, X'(L) counts F(L)
+            assert sum(want.coeffs) == fib[POLYNOMIAL_CAP + 1 - primed]
+            assert max(want.coeffs) >= 1 << 63
+            for method in ("fermionic", "bosonic"):
+                assert hh_X(POLYNOMIAL_CAP, method, primed) == want, method
+            for method in ("recurrence", "fermionic", "bosonic"):
+                with pytest.raises(CapExceeded):
+                    hh_X(POLYNOMIAL_CAP + 1, method, primed)
 
     def test_stepped_rows_never_call_qbinomial(self):
         # the large hard-hexagon q-binomials stay out of qbinomial's cache
@@ -181,7 +216,8 @@ class TestSeries:
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_series_lists_match_per_step_polynomials(self, which):
-        # each series on one coefficient list, against one QLaurent per step
+        # each series on one packed polynomial, against one QLaurent per
+        # step
         for cutoff in [*range(61), 200]:
             assert _fermionic_series(which, cutoff) == \
                 rr_fermionic_series(which, cutoff), cutoff
@@ -198,3 +234,24 @@ class TestSeries:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             rr_series_check(1, 500)
+        # the product side is public, and packed like the other two
+        assert product_series(1, SERIES_CAP) == rr_product_series(1,
+                                                                 SERIES_CAP)
+        with pytest.raises(CapExceeded):
+            product_series(1, SERIES_CAP + 1)
+
+    def test_series_cap_fits_one_word(self):
+        # the series are packed modulo q^(cutoff + 1) and read back exactly
+        # when every coefficient fits a signed word; a coefficient at q^e
+        # counts some partitions of e, so p(SERIES_CAP) bounds them all
+        p = [1] + [0] * SERIES_CAP  # partitions of e, one part size at a time
+        for k in range(1, SERIES_CAP + 1):
+            for e in range(k, SERIES_CAP + 1):
+                p[e] += p[e - k]
+        assert p[SERIES_CAP] < 2 ** 63
+        for which in (1, 2):
+            for series in (_fermionic_series, product_series,
+                           _alternating_series):
+                s = series(which, SERIES_CAP)
+                assert all(0 <= s.coeff(e) <= p[e]
+                           for e in range(SERIES_CAP + 1)), series

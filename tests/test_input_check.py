@@ -21,7 +21,7 @@ from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
                                 UnsupportedError)
 from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
                                    rc_generating_function)
-from crystalsums.hardhex import hh_X, rr_series_check
+from crystalsums.hardhex import hh_X, product_series, rr_series_check
 from crystalsums.qpoly import ONE, ZERO
 
 A1, A2 = FactorDescriptor("A", 1), FactorDescriptor("A", 2)
@@ -263,6 +263,10 @@ HARDHEX = {
                                    UnsupportedError, "0"),
     "rr_series_check identity 3": (lambda: rr_series_check(3, 10),
                                    UnsupportedError, "3"),
+    "product_series negative cutoff": (lambda: product_series(2, -1),
+                                       ShapeSyntaxError, "-1"),
+    "product_series identity 3": (lambda: product_series(3, 10),
+                                  UnsupportedError, "3"),
 }
 
 

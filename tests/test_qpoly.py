@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalsums.errors import InexactDivision
-from crystalsums.qpoly import (ONE, QLaurent, ZERO, _add_at, invert_q,
+from crystalsums.qpoly import (_LISTS, _PACKED, ONE, QLaurent, ZERO, _add_at,
+                               _binomial_step, _dense, _pack, _packed_div,
+                               _packed_step, _unpack, invert_q,
                                q_power, qbinomial, qmultinomial)
 
 from oracles import (as_dict, at_one, box_partitions,
@@ -108,22 +110,22 @@ class TestArithmetic:
     def test_exact_division_roundtrip(self):
         a = P({0: 1, 1: 2, 3: -1})
         for k in (1, 2, 5):
-            assert (a * one_minus_q(k)).div_one_minus_q(k) == a
+            assert div_one_minus_q_by_coefficient(a * one_minus_q(k), k) == a
         with pytest.raises(InexactDivision):
-            P({0: 1, 1: 1}).div_one_minus_q(2)
+            div_one_minus_q_by_coefficient(P({0: 1, 1: 1}), 2)
 
     @given(laurents, st.integers(1, 6))
     def test_div_one_minus_q_roundtrip(self, p, k):
-        assert (p * one_minus_q(k)).div_one_minus_q(k) == p
+        assert div_one_minus_q_by_coefficient(p * one_minus_q(k), k) == p
 
     def test_div_one_minus_q_inexact_raises(self):
         for p, k in ((ONE, 1), (P({0: 1, 1: 1}), 1), (P({0: 1, 3: -1}), 2),
                      (P({-2: 1, 1: 1}), 3),
                      (qbinomial(6, 5) * one_minus_q(3) + q_power(31), 3)):
             with pytest.raises(InexactDivision):
-                p.div_one_minus_q(k)
+                div_one_minus_q_by_coefficient(p, k)
         with pytest.raises(ValueError):
-            ONE.div_one_minus_q(0)
+            div_one_minus_q_by_coefficient(ONE, 0)
 
     def test_truncate(self):
         p = P({-1: 1, 2: 3, 5: -2})
@@ -174,13 +176,34 @@ class TestAddAt:
         assert _add_at([1, 2], 4, [5, -6], sub) == [1, 2, 0, 0, -5, 6]
 
 
-class TestSliceDivision:
-    """div_one_minus_q walks residue classes when k * k < len and blocks
-    otherwise; both orders against the one-coefficient-at-a-time oracle.
-    Every k from 1 to len + 1 is tried, so both sides of k * k = len."""
+def _small_poly(rng, length):
+    # a random polynomial whose coefficients, and the running sums of up to
+    # 300 of them, fit a signed word
+    coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 40,
+                                                            2 ** 40)))
+              for _ in range(length)]
+    coeffs[0] = coeffs[-1] = rng.choice((-1, 1)) * rng.randint(1, 2 ** 40)
+    return QLaurent(rng.randint(-30, 5), tuple(coeffs))
 
-    LENGTHS = (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 63, 64, 65,
-               120, 250)
+
+def one_to(k):
+    """1 + q + ... + q^(k-1) = (1 - q^k) / (1 - q)."""
+    return QLaurent(0, (1,) * k)
+
+
+LENGTHS = (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 63, 64, 65, 120,
+           250)
+
+
+class TestSliceDivision:
+    """The list step divides along residue classes when b * b < len and by
+    blocks otherwise; both orders against the one-coefficient-at-a-time
+    oracle.  Every b from 1 to len + 1 is tried, so both sides of b * b =
+    len.  The step with a = b multiplies by (1 - q^b) and divides it out;
+    with a = 1 it divides p (1 - q) by (1 - q^b), which is exact when
+    1 + ... + q^(b-1) divides p.  The series division through a cutoff,
+    which runs on packed ints, meets the same oracle at the same lengths,
+    on coefficients that fit words."""
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_exact_division(self, length):
@@ -188,18 +211,20 @@ class TestSliceDivision:
         p = _random_poly(rng, length)
         for k in range(1, length + 2):
             product = p * one_minus_q(k)
-            assert product.div_one_minus_q(k) == p
+            assert _dense(p.low, _binomial_step(list(p.coeffs), k, k)) == p
             assert div_one_minus_q_by_coefficient(product, k) == p
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_series_division(self, length):
         rng = random.Random(1000 + length)
-        p = _random_poly(rng, length)
+        p = _small_poly(rng, length)
         top = p.degree()
         for k in range(1, length + 2):
             for cutoff in (p.low - 3, p.low - 1, p.low, p.low + length // 3,
                            top - 1, top, top + k - 1, top + 2 * k + 5):
-                assert (p.div_one_minus_q(k, cutoff)
+                n = max(0, cutoff - p.low + 1)
+                got = _packed_div(_pack(list(p.coeffs)), k, n)
+                assert (_dense(p.low, _unpack(got, n))
                         == div_one_minus_q_by_coefficient(p, k, cutoff))
 
     @pytest.mark.parametrize("length", LENGTHS)
@@ -210,11 +235,107 @@ class TestSliceDivision:
             for bad in (p * one_minus_q(k) + q_power(p.low + k),
                         p * one_minus_q(k) + q_power(p.degree() + 1)):
                 with pytest.raises(InexactDivision):
-                    bad.div_one_minus_q(k)
-                with pytest.raises(InexactDivision):
                     div_one_minus_q_by_coefficient(bad, k)
+            if k > 1:
+                row = p * one_to(k)
+                assert _dense(p.low, _binomial_step(list(row.coeffs), 1,
+                                                    k)) == p
+                for bad in (row + q_power(p.low + k), row + q_power(
+                        row.degree() + 1)):
+                    with pytest.raises(InexactDivision):
+                        _binomial_step(list(bad.coeffs), 1, k)
         with pytest.raises(InexactDivision):
-            p.div_one_minus_q(length + 1)
+            div_one_minus_q_by_coefficient(p, length + 1)
+
+
+class TestPacked:
+    """One int per polynomial, sum c_k 2^(64k) with signed word c_k."""
+
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
+    def test_pack_round_trip(self, coeffs):
+        p = _pack(coeffs)
+        assert p == sum(c << 64 * k for k, c in enumerate(coeffs))
+        assert _unpack(p, len(coeffs)) == coeffs
+        assert _PACKED.poly(p) == _dense(0, coeffs)
+
+    def test_pack_edges(self):
+        top = 2 ** 63 - 1
+        for coeffs in ([], [0], [1], [-1], [top], [-top], [-top - 1],
+                       [top, -top - 1], [-1, 1], [1, -1], [0, 0, 5],
+                       # the int is just under 2^127: its bit length reaches
+                       # only the word below the top one
+                       [-1, -top - 1, 1], [0, -5, -top - 1, 1]):
+            assert _unpack(_pack(coeffs), len(coeffs)) == coeffs
+            assert _PACKED.poly(_pack(coeffs)) == _dense(0, coeffs)
+        assert _pack([]) == 0 and _unpack(0, 0) == []
+        # reading modulo q^n keeps the n lowest coefficients
+        assert _unpack(_pack([3, -4, 5]), 2) == [3, -4]
+        for c in (2 ** 63, -2 ** 63 - 1):
+            with pytest.raises(OverflowError):
+                _pack([c])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_matches_list_step_on_walks(self, seed):
+        # a random walk over boxes m x n, m + n <= 62, stepping [m + n; n]
+        # to a neighbour: n or m up by (1 - q^(m+n+1)) / (1 - q^(n+1) or
+        # 1 - q^(m+1)), n or m down by (1 - q^n or 1 - q^m) / (1 - q^(m+n))
+        rng = random.Random(seed)
+        m, n = 0, 0
+        packed, lists = _PACKED.new([1]), _LISTS.new([1])
+        for _ in range(300):
+            moves = []
+            if m + n < 62:
+                moves += [(m + n + 1, n + 1, m, n + 1),
+                          (m + n + 1, m + 1, m + 1, n)]
+            if n:
+                moves.append((n, m + n, m, n - 1))
+            if m:
+                moves.append((m, m + n, m - 1, n))
+            a, b, m2, n2 = rng.choice(moves)
+            packed = _PACKED.step(packed, a, b)
+            lists = _LISTS.step(lists, a, b)
+            m, n = m2, n2
+            want = qbinomial(m, n)
+            assert _PACKED.poly(packed) == want == _LISTS.poly(lists), (m, n)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_step_exact_and_inexact(self, length):
+        # the same cases as the list step's, on coefficients that fit words
+        rng = random.Random(3000 + length)
+        p = _small_poly(rng, length)
+        for k in range(1, length + 2):
+            got = _packed_step(_pack(list(p.coeffs)), k, k)
+            assert _dense(p.low, _unpack(got, length)) == p
+            if k > 1:
+                row = p * one_to(k)
+                got = _packed_step(_pack(list(row.coeffs)), 1, k)
+                assert _PACKED.poly(got).shift(p.low) == p
+                for bad in (row + q_power(p.low + k), row + q_power(
+                        row.degree() + 1)):
+                    with pytest.raises(InexactDivision):
+                        _packed_step(_pack(list(bad.coeffs)), 1, k)
+
+    def test_step_inexact_cases(self):
+        # p (1 - q^a) / (1 - q^b) is no polynomial, by the oracle; both
+        # steps refuse it
+        for p, a, b in (([1], 1, 2), ([1, 1], 2, 3), ([1, 0, -1], 1, 3),
+                        (list(qbinomial(6, 5).coeffs), 5, 4),
+                        (list((qbinomial(6, 5) * one_to(3)).coeffs) + [1],
+                         1, 3)):
+            with pytest.raises(InexactDivision):
+                div_one_minus_q_by_coefficient(
+                    QLaurent(0, tuple(p)) * one_minus_q(a), b)
+            with pytest.raises(InexactDivision):
+                _packed_step(_pack(p), a, b)
+            with pytest.raises(InexactDivision):
+                _binomial_step(list(p), a, b)
+
+    def test_rejects_a_divisor_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                _packed_div(1, k, 5)
+            with pytest.raises(ValueError):
+                _packed_step(1, 1, k)
 
 
 class TestQBinomial:
@@ -309,19 +430,20 @@ class TestQMultinomial:
 
 
 class TestTruncatedSeries:
-    """div_one_minus_q with a cutoff: power series kept through q^cutoff."""
+    """Division by (1 - q^k) with a cutoff: power series kept through
+    q^cutoff, by the one-coefficient-at-a-time oracle."""
 
     def test_rr1_product_reciprocal(self):
         out = ONE
         for k in (1, 4, 6):
-            out = out.div_one_minus_q(k, 5)
+            out = div_one_minus_q_by_coefficient(out, k, 5)
         assert [out.coeff(e) for e in range(6)] == [1, 1, 1, 1, 2, 2]
         assert out.degree() == 5
 
     def test_empty_progressions(self):
         # no factor at or below the cutoff: the series is 1
         assert ONE.truncate(4) == ONE
-        assert ONE.div_one_minus_q(5, 4) == ONE
+        assert div_one_minus_q_by_coefficient(ONE, 5, 4) == ONE
 
     def test_plain_product(self):
         assert pochhammer(2).truncate(2) == P({0: 1, 1: -1, 2: -1})
@@ -329,24 +451,26 @@ class TestTruncatedSeries:
     def test_reciprocal_roundtrip(self):
         inv = ONE
         for k in range(1, 31):
-            inv = inv.div_one_minus_q(k, 30)
+            inv = div_one_minus_q_by_coefficient(inv, k, 30)
         assert (pochhammer(30) * inv).truncate(30) == ONE
 
     def test_rejects_bad_input(self):
         for k in (0, -1):
             with pytest.raises(ValueError):
-                ONE.div_one_minus_q(k, 5)
+                div_one_minus_q_by_coefficient(ONE, k, 5)
             with pytest.raises(ValueError):
-                ONE.div_one_minus_q(k)
+                div_one_minus_q_by_coefficient(ONE, k)
 
     def test_exactness_vs_poly(self):
         # on a multiple the series quotient is the exact quotient
         p = pochhammer(3) * P({0: 2, 4: -1})
-        assert p.div_one_minus_q(2, 40) == p.div_one_minus_q(2)
+        assert div_one_minus_q_by_coefficient(p, 2, 40) == \
+            div_one_minus_q_by_coefficient(p, 2)
         # and a series truncation of an exact product keeps its terms
         assert all(pochhammer(3).truncate(3).coeff(e) == pochhammer(3).coeff(e)
                    for e in range(4))
 
     def test_below_the_lowest_term(self):
-        assert q_power(3).div_one_minus_q(1, 2) == ZERO
-        assert P({-2: 1}).div_one_minus_q(1, 0) == P({-2: 1, -1: 1, 0: 1})
+        assert div_one_minus_q_by_coefficient(q_power(3), 1, 2) == ZERO
+        assert div_one_minus_q_by_coefficient(P({-2: 1}), 1, 0) == \
+            P({-2: 1, -1: 1, 0: 1})

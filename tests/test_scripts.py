@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,3 +67,48 @@ def test_benchmark_selftest_passes():
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "selftest passed"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_of_recorded_runs():
+    # the pair runner's summary, recomputed from the runs of a recorded
+    # benchmark file, is the one recorded with them
+    bench = json.loads((ROOT / "BENCH_27.json").read_text())
+    bp = _bench_pairs()
+    summary = bp.summarize(bench["runs"], ["wall_cal", "setup_s",
+                                           "peak_rss_mb"])
+    assert summary == bench["summary"]
+    assert bp.claimed(summary, "hardhex", "wall_cal") == bench["claimed"]
+
+
+def test_bench_pairs_summary_of_fixed_runs():
+    # ties count for neither side; a pair missing one side is left out of
+    # the metrics but not of the failed share
+    def run(pair, side, wall, failed=0):
+        return {"pair": pair, "workload": "w", "seed": pair, "side": side,
+                "metrics": {"wall_cal": wall}, "failed": failed,
+                "attempted": 10}
+
+    runs = [run(1, "parent", 10.0), run(1, "change", 8.0),
+            run(2, "change", 9.0), run(2, "parent", 9.0),
+            run(3, "parent", 12.0, failed=1), run(3, "change", 7.0),
+            run(4, "parent", 11.0), run(4, "change", 12.0),
+            run(5, "change", 1.0, failed=2)]
+    bp = _bench_pairs()
+    summary = bp.summarize(runs, ["wall_cal"])["w"]
+    assert summary["wall_cal"] == {
+        "pairs": 4, "parent_median": 10.5, "parent_quartiles": [9.25, 11.75],
+        "change_median": 8.5, "change_quartiles": [7.25, 11.25],
+        "change_lower_in": 2, "median_change_frac": round(8.5 / 10.5 - 1, 4)}
+    assert summary["fail_frac"] == {"parent": 0.025, "change": 0.04}
+    assert bp.claimed({"w": summary}, "w", "wall_cal") == {
+        "workload": "w", "metric": "wall_cal", "change_lower_in": 2,
+        "pairs": 4, "median_change_frac": round(8.5 / 10.5 - 1, 4),
+        "parent_iqr": 2.5, "median_gap": 2.0}

@@ -47,7 +47,8 @@ def test_no_fractions():
 
 
 def test_one_residue_class_division():
-    # div_one_minus_q and qbinomial share the one running-sum division
+    # the list step, which every list walk and qbinomial share, keeps the
+    # one running-sum division
     found = [node.lineno for name, node in nodes() if name == "qpoly.py"
              and isinstance(node, ast.Name) and node.id == "accumulate"
              and isinstance(node.ctx, ast.Load)]
@@ -112,8 +113,9 @@ def test_hard_hexagon_rows_use_the_one_division():
 
 
 def test_hard_hexagon_loops_build_no_polynomial():
-    # every loop of hardhex steps coefficient lists; a QLaurent is built
-    # once, after the loop, so no step copies a polynomial
+    # every loop of hardhex steps coefficient lists or packed ints; a
+    # QLaurent is built once, after the loop, so no step copies a
+    # polynomial
     tree = ast.parse((PACKAGE / "hardhex.py").read_text())
     found = set()  # a nested loop's calls are also in its outer loop
     for loop in ast.walk(tree):
@@ -125,9 +127,42 @@ def test_hard_hexagon_loops_build_no_polynomial():
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
             if name in ("QLaurent", "div_one_minus_q", "shift",
-                        "from_exponents"):
+                        "from_exponents", "poly", "_dense"):
                 found.add(f"{name}:{node.lineno}")
     assert not found, sorted(found)
+
+
+def test_only_qpoly_packs():
+    # the packed format (q -> 2^64) is qpoly's: no other module converts
+    # between ints and bytes or casts a buffer, and hardhex shifts nothing
+    found = [f"{name}:{node.lineno}" for name, node in nodes()
+             if name != "qpoly.py" and isinstance(node, ast.Attribute)
+             and node.attr in ("to_bytes", "from_bytes", "cast")]
+    assert not found, found
+    tree = ast.parse((PACKAGE / "hardhex.py").read_text())
+    shifts = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.LShift, ast.RShift))]
+    assert not shifts, shifts
+
+
+def test_hard_hexagon_walks_take_the_one_kernel_choice():
+    # hh_X and the series check take the kernel of their polynomial walks
+    # from qpoly._walk_kernel, and the walks name no kernel of their own;
+    # qbinomial stays bound, as perfbench/selftest.py reads that alias
+    from crystalsums import hardhex, qpoly
+    assert hardhex.qbinomial is qpoly.qbinomial
+    defs = _top_functions(ast.parse((PACKAGE / "hardhex.py").read_text()))
+    for entry in ("hh_X", "rr_series_check"):
+        names = {node.id for node in ast.walk(defs[entry])
+                 if isinstance(node, ast.Name)}
+        assert "_walk_kernel" in names, entry
+    kernels = {"_PACKED", "_LISTS", "_binomial_step", "_add_at",
+               "_packed_step", "_packed_div", "_pack"}
+    for walk in ("_x_recurrence", "_x_fermionic", "_x_bosonic"):
+        names = {node.id for node in ast.walk(defs[walk])
+                 if isinstance(node, ast.Name)}
+        assert "kernel" in names and not names & kernels, (walk, names)
 
 
 def _reached(module: str, roots: list[str]) -> tuple[set, set]:
@@ -357,7 +392,8 @@ def test_row_table_caches_are_bounded():
 # hold: the one input check, and the command line's own parsing of flags,
 # shapes, weights and config files; compute_sum refuses its statistic
 # argument, which no route takes; the hard hexagon, which shares no input
-# with the crystal routes, refuses a negative length or series cutoff
+# with the crystal routes, refuses a negative length or series cutoff (the
+# series check's input through the product side, which it calls first)
 SYNTAX_CHECKS = {
     ("cartan.py", "check_sum"): "", ("cli.py", "parse_shape"): "",
     ("cli.py", "parse_weight"): "", ("cli.py", "_nonnegative"): "",
@@ -365,7 +401,7 @@ SYNTAX_CHECKS = {
     ("cli.py", "_config_flags"): "",
     ("cli.py", "compute_sum"): "unknown statistic",
     ("hardhex.py", "hh_X"): "negative",
-    ("hardhex.py", "rr_series_check"): "negative",
+    ("hardhex.py", "product_series"): "negative",
 }
 
 
