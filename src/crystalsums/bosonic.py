@@ -8,6 +8,7 @@ here finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from operator import add
 
@@ -24,6 +25,8 @@ from .partitions import (conjugate, horizontal_strip_extensions, part,
 from .qpoly import ONE, QLaurent, ZERO, qbinomial, qmultinomial
 
 Shape = tuple[FactorDescriptor, ...]
+
+PAIR_SET_CACHE = 1  # (shape, level) product walks kept, least recently used
 
 
 def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
@@ -337,34 +340,40 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None
     so lam + rho is regular: each b has at most one w, the one with
     w^-1(lam + rho) = wt(b) + rho, which the walk of wt(b) + rho into the
     chamber or alcove finds when it ends at lam + rho; sign(w) is
-    (-1)^len(walk).  That depends on b through wt(b) only, so each weight
-    is walked once, while the words of the whole product, as element index
-    tuples, are listed with a running weight; ``VERTEX_CAP`` bounds the
-    size of the product."""
-    data = cartan_data(shape[0].kind, shape[0].n)
-    target = tuple(l + r for l, r in zip(lam, data.rho))
-    options = [list(enumerate(map(factor_weight, factor_elements(d))))
-               for d in shape]
-    if prod(map(len, options)) > crystal.VERTEX_CAP:
+    (-1)^len(walk).  So S is the group of words reaching lam + rho in the
+    one walk of the product per (shape, level), ``_pair_sets``, copied;
+    ``VERTEX_CAP`` bounds the size of the product on every call."""
+    if prod(len(factor_elements(d)) for d in shape) > crystal.VERTEX_CAP:
         raise CapExceeded(
             f"tensor product has more than {crystal.VERTEX_CAP} elements")
-    chosen: dict[tuple[int, ...], tuple | None] = {}
+    rho = cartan_data(shape[0].kind, shape[0].n).rho
+    return dict(_pair_sets(shape, level).get(tuple(map(add, lam, rho)), {}))
 
-    def choose(wt):
-        v = tuple(x + r for x, r in zip(wt, data.rho))
-        reached, word = reduce_to_alcove(data, v, level)
-        return (v, (-1) ** len(word)) if reached == target else None
 
+@lru_cache(maxsize=PAIR_SET_CACHE)
+def _pair_sets(shape: Shape, level: int | None) -> dict[tuple, dict]:
+    """Every word of the product, as an element index tuple, grouped by the
+    point its wt(b) + rho reaches in the chamber or alcove: {reached: {b:
+    (wt(b) + rho, (-1)^len(walk))}}, each group in product order.  The
+    words are listed depth first with a running weight, and each distinct
+    weight is walked (``reduce_to_alcove``) once."""
+    data = cartan_data(shape[0].kind, shape[0].n)
+    options = [list(enumerate(map(factor_weight, factor_elements(d))))
+               for d in shape]
+    chosen: dict[tuple[int, ...], tuple] = {}
+    groups: dict[tuple, dict] = {}
     L = len(shape)
     placed: list = [None] * L
-    pairs = {}
 
     def walk(p, wt):
         if p == L:
-            if wt not in chosen:
-                chosen[wt] = choose(wt)
-            if chosen[wt] is not None:
-                pairs[tuple(placed)] = chosen[wt]
+            hit = chosen.get(wt)
+            if hit is None:
+                v = tuple(map(add, wt, data.rho))
+                reached, word = reduce_to_alcove(data, v, level)
+                hit = chosen[wt] = (groups.setdefault(reached, {}),
+                                    (v, (-1) ** len(word)))
+            hit[0][tuple(placed)] = hit[1]
             return
         for k, xw in options[p]:
             placed[p] = k
@@ -372,7 +381,7 @@ def _pair_set(shape: Shape, lam: tuple[int, ...], level: int | None
 
     walk(0, (0,) * data.dim)
     del walk  # walk refers to itself; free it without the cyclic collector
-    return pairs
+    return groups
 
 
 def involution_phi(shape: Shape, lam: tuple[int, ...],
@@ -380,11 +389,14 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     """Build the signed pair set S of a dominant weight, classical or at
     the ``level``, apply the involution, and report its structure.
     Property failures are findings, not exceptions, except for a pairing
-    color that stops being well defined.  phi(w, b) = (w r_i, b') lies in
-    S iff r_i(wt(b) + rho) = wt(b') + rho, as (w r_i)^-1(lam + rho) = r_i
-    w^-1(lam + rho), and phi(w r_i, b') = (w, b) iff phi moves b' by the
-    color i back to b.  Where the sum ``vanishes`` by definition, there is
-    nothing to report, and it raises UnsupportedError."""
+    color that stops being well defined.  S is the group of lam + rho in
+    the one walk of the product per (shape, level) (``_pair_set``).
+    phi(w, b) = (w r_i, b') lies in S iff r_i(wt(b) + rho) = wt(b') + rho,
+    as (w r_i)^-1(lam + rho) = r_i w^-1(lam + rho), and phi(w r_i, b') =
+    (w, b) iff phi moves b' by the color i back to b.  phi is applied once
+    per word of S: that check reads phi(b') from the same pass, as b' is
+    then in S.  Where the sum ``vanishes`` by definition, there is nothing
+    to report, and it raises UnsupportedError."""
     kind, n, L = shape_type(shape)
     data = check_sum(kind, n, lam, level, L)
     if level is not None and any(key != (1, 1) for key in L):
@@ -441,7 +453,7 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
             findings.append(f"image {text(b2)} left the pair set")
             involution_ok = False
             continue
-        if apply_phi(b2) != (i, b1):
+        if images.get(b2) != (i, b1):  # b2 is in S: phi(b2) is known
             involution_ok = False
             findings.append(f"not an involution at {text(b2)}")
         if sign1 * sign2 != -1:

@@ -248,13 +248,16 @@ def cmd_verify(args) -> int:
             reports = list(pool.map(run_instance, insts))
     else:
         reports = [run_instance(i) for i in insts]
+    if args.format == "csv":
+        import csv
+        rows = csv.writer(sys.stdout, lineterminator="\n")
     bad = 0
     for rep in reports:
         if not rep["agree"]:
             bad += 1
         if args.format == "csv":
-            print(f"{rep['suite']},{json.dumps(rep['instance'])!r},"
-                  f"{rep['agree']},{rep['ms']}")
+            rows.writerow((rep["suite"], json.dumps(rep["instance"]),
+                           rep["agree"], rep["ms"]))
         else:
             print(json.dumps(rep, sort_keys=True))
     print(f"# {len(reports)} instances, {bad} disagreements", file=sys.stderr)

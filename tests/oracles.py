@@ -1322,15 +1322,16 @@ def scanned_color(w: TensorWord, level) -> int | None:
     return None
 
 
-def per_word_pairs(shape, lam, level) -> set:
-    """The pair set of ``involution_phi`` by walking wt(b) + rho of every
-    word b into the chamber or alcove, once per word."""
+def per_word_pairs(shape, lam, level) -> list:
+    """The pair set of ``involution_phi`` as (w, b) in product order, by
+    walking wt(b) + rho of every word b into the chamber or alcove, once
+    per word."""
     data = cartan_data(shape[0].kind, shape[0].n)
     target = tuple(l + r for l, r in zip(lam, data.rho))
-    pairs = set()
+    pairs = []
     for b in shape_elements(shape):
         v = tuple(x + r for x, r in zip(word_weight(b), data.rho))
         reached, walk = reduce_to_alcove(data, v, level)
         if reached == target:
-            pairs.add((element(data, walk, level), b))
+            pairs.append((element(data, walk, level), b))
     return pairs

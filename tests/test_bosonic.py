@@ -1,9 +1,9 @@
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, zip_longest
 
 import pytest
 
-from crystalsums import bosonic
+from crystalsums import bosonic, crystal
 from crystalsums.bosonic import (_arrow, _letter_table, _pair_set, _reflect,
                                  _select_color, _supernomial_uncached,
                                  _word_energy, alternating_sum,
@@ -15,7 +15,7 @@ from crystalsums.cli import _instances
 from crystalsums.crystal import (FactorDescriptor, _factor_table,
                                  enumerate_paths)
 from crystalsums.energy import direct_sum
-from crystalsums.errors import UnsupportedError
+from crystalsums.errors import CapExceeded, UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
 
 from oracles import (all_contents_A, at_one, dominant_contents_A,
@@ -521,6 +521,65 @@ class TestInvolution:
                         pairs = _pair_set(shape, lam, ell)
                         assert word_pairs(shape, pairs) == signed_words(
                             per_word_pairs(shape, lam, ell))
+
+    def test_pair_sets_stay_exact_across_the_cache(self):
+        # the product walk is cached per (shape, level): calls that switch
+        # shape, level and weight at every step each read their own group,
+        # in product order, and a caller's edits reach no later call
+        calls = []
+        for kind, n, L in (("A", 1, 3), ("A", 2, 3), ("C", 2, 2),
+                           ("A", 2, 2), ("C", 1, 4)):
+            lams = (dominant_contents_A(n, L) if kind == "A"
+                    else dominant_weights_C(n, L))
+            calls.append([(boxes(kind, n, L), lam, ell) for lam in lams
+                          for ell in (None, 1, 2)
+                          if ell is None or _level_of(kind, n, lam) <= ell])
+        calls = [c for row in zip_longest(*calls) for c in row if c]
+        assert len({(shape, ell) for shape, _, ell in calls}) == 15
+        for shape, lam, ell in calls:
+            pairs = _pair_set(shape, lam, ell)
+            word_pairs(shape, pairs)  # each word keyed by wt(b) + rho
+            got = [(sign, path_word(shape, b))
+                   for b, (_, sign) in pairs.items()]
+            assert got == [(w.sign, b) for w, b in
+                           per_word_pairs(shape, lam, ell)], (shape, lam, ell)
+            want = dict(pairs)
+            pairs.clear()
+            pairs[(-1,) * len(shape)] = ((0,), 1)
+            assert _pair_set(shape, lam, ell) == want
+
+    def test_the_cap_holds_past_the_cache(self, monkeypatch):
+        shape, lam = boxes("A", 2, 4), (2, 1, 1)
+        assert _pair_set(shape, lam, None) == _pair_set(shape, lam, None)
+        assert bosonic._pair_sets.cache_info().hits
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 3 ** 4 - 1)
+        with pytest.raises(CapExceeded):
+            _pair_set(shape, lam, None)
+        with pytest.raises(CapExceeded):
+            involution_phi(shape, lam)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_color_selection_per_word(self, monkeypatch, n):
+        # the involution check reads each image's phi from the first pass,
+        # so the pairing color is selected once per word of the pair set
+        calls = Counter()
+        select = bosonic._select_color
+
+        def counted(letters, table, level):
+            calls["select"] += 1
+            return select(letters, table, level)
+
+        monkeypatch.setattr(bosonic, "_select_color", counted)
+        insts = {i for level in (1, 2)
+                 for i in _instances("involution", n, 4, level)}
+        insts |= {("involution", "C", n, L, lam, ell) for L in range(1, 5)
+                  for lam in dominant_weights_C(n, L) for ell in (1, 2)
+                  if _level_of("C", n, lam) <= ell}
+        for _, kind, n, L, lam, ell in sorted(insts, key=str):
+            calls.clear()
+            rep = involution_phi(boxes(kind, n, L), lam, ell)
+            assert rep.passed and calls["select"] == rep.size, (kind, L, lam,
+                                                                 ell)
 
     @pytest.mark.parametrize("shape,lam", [
         ((), (0, 0)),

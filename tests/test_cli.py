@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -364,6 +365,20 @@ class TestVerify:
                            "--format", "csv")
         assert code == 0
         assert all(line.startswith("rr,") for line in out.splitlines())
+
+    def test_csv_rows_parse(self, capsys):
+        # suite,instance,agree,ms: the instance is one CSV-quoted JSON field
+        argv = ("verify", "typeA", "--n", "1", "--max-L", "2")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        code, out, _ = run(capsys, *argv)
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == len(reports) == 3
+        for row, rep in zip(rows, reports):
+            assert len(row) == 4, row
+            assert json.loads(row[1]) == rep["instance"]
+            assert row[0] == rep["suite"] and row[2] == str(rep["agree"])
 
 
 class TestRR:

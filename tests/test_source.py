@@ -352,7 +352,7 @@ def test_involution_builds_no_word():
 
 def _cache_bounds(module: str, function: str) -> list:
     """The maxsize of each lru_cache decorating ``function``, read through
-    a module constant when it names one."""
+    the module constant it names; None where it names none."""
     tree = ast.parse((PACKAGE / module).read_text())
     defs = _top_functions(tree)
     constants = {t.id: node.value for node in tree.body
@@ -364,8 +364,7 @@ def _cache_bounds(module: str, function: str) -> list:
                 == "lru_cache":
             args = [k.value for k in dec.keywords if k.arg == "maxsize"]
             arg = (args or dec.args)[0]
-            if isinstance(arg, ast.Name):
-                arg = constants[arg.id]
+            arg = constants.get(arg.id) if isinstance(arg, ast.Name) else None
             bounds.append(arg.value if isinstance(arg, ast.Constant) else None)
     return bounds
 
@@ -386,6 +385,16 @@ def test_row_table_caches_are_bounded():
         assert len(bounds) == 1 and isinstance(bounds[0], int) \
             and bounds[0] > 0, (name, bounds)
         assert getattr(fermionic, name).cache_info().maxsize == bounds[0]
+
+
+def test_pair_set_cache_is_bounded():
+    # the involution's walk of the product outlives a call: an lru_cache of
+    # a module constant's size, private, so no tracer wraps it
+    from crystalsums import bosonic
+    bounds = _cache_bounds("bosonic.py", "_pair_sets")
+    assert len(bounds) == 1 and isinstance(bounds[0], int) \
+        and bounds[0] > 0, bounds
+    assert bosonic._pair_sets.cache_info().maxsize == bounds[0]
 
 
 # where malformed input may be refused, with the text its message must
