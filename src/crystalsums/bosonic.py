@@ -17,7 +17,10 @@ from .cartan import (CartanData, _act, _exact_quotient, cartan_data,
                      check_sum, reduce_to_alcove, shape_type,
                      simple_reflections, vanishes, weyl_images)
 from .crystal import (FactorDescriptor, _combine_stats, _factor_table,
-                      _route, enumerate_paths, factor_elements, factor_weight)
+                      _route, _search, _walk_spec, factor_elements,
+                      factor_weight)
+# kept as the alias bosonic.enumerate_paths, which perfbench/selftest.py reads
+from .crystal import enumerate_paths  # noqa: F401
 from .energy import energy_extension
 from .errors import CapExceeded, InvolutionError, UnsupportedError
 from .partitions import (conjugate, horizontal_strip_extensions, part,
@@ -27,15 +30,13 @@ from .qpoly import ONE, QLaurent, ZERO, qbinomial, qmultinomial
 Shape = tuple[FactorDescriptor, ...]
 
 PAIR_SET_CACHE = 1  # (shape, level) product walks kept, least recently used
+SUPERNOMIAL_CACHE = 1024  # closed forms kept; a seed-1 weylrc round fills 130
 
 
 def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
                term) -> QLaurent:
     """Sum of term(chain) over the chains () = nu^(0), nu^(1), ...,
     nu^(n+1) = mu^t in which nu^(a) is one of step(nu^(a-1), lam_a, mu^t)."""
-    check_sum("A", n, lam)
-    if any(x < 0 for x in lam) or sum(lam) != sum(mu):
-        return ZERO
     target = conjugate(tuple(sorted(mu, reverse=True)))
     chains = [((),)]
     for x in lam:
@@ -47,8 +48,8 @@ def _chain_sum(n: int, mu: tuple[int, ...], lam: tuple[int, ...], step,
     return out
 
 
-def supernomial_A_columns(n: int, mu: tuple[int, ...],
-                          lam: tuple[int, ...]) -> QLaurent:
+def _supernomial_A_columns(n: int, mu: tuple[int, ...],
+                           lam: tuple[int, ...]) -> QLaurent:
     """Closed form of the type A supernomial for a product of single-column
     factors B^{mu_L,1} (x) ... (x) B^{mu_1,1}, as a sum over chains of
     partitions joined by horizontal strips."""
@@ -66,8 +67,8 @@ def supernomial_A_columns(n: int, mu: tuple[int, ...],
     return _chain_sum(n, mu, lam, horizontal_strip_extensions, term)
 
 
-def supernomial_A_rows(n: int, mu: tuple[int, ...],
-                       lam: tuple[int, ...]) -> QLaurent:
+def _supernomial_A_rows(n: int, mu: tuple[int, ...],
+                        lam: tuple[int, ...]) -> QLaurent:
     """Closed form of the type A supernomial for a product of single-row
     factors B^{1,mu_L} (x) ... (x) B^{1,mu_1}."""
     width = mu[0] if mu else 0
@@ -86,14 +87,11 @@ def supernomial_A_rows(n: int, mu: tuple[int, ...],
     return _chain_sum(n, mu, lam, superpartitions, term)
 
 
-def supernomial_C_boxes(n: int, boxes: int, lam: tuple[int, ...]) -> QLaurent:
+def _supernomial_C_boxes(n: int, boxes: int,
+                         lam: tuple[int, ...]) -> QLaurent:
     """Type C supernomial for (B^{1,1})^{(x) boxes}: pick the forced letters
     of the weight, then pair up the rest barred/unbarred."""
-    check_sum("C", n, lam)
-    norm = sum(abs(x) for x in lam)
-    spare = boxes - norm
-    if spare < 0 or spare % 2:
-        return ZERO
+    spare = boxes - sum(abs(x) for x in lam)
     out = ZERO
 
     def rec(a: int, remaining: int, mu: list[int]):
@@ -114,9 +112,6 @@ def supernomial_C_boxes(n: int, boxes: int, lam: tuple[int, ...]) -> QLaurent:
 
 # ---------------------------------------------------------------------------
 # supernomial dispatch per tensor shape
-
-_SUPER_CACHE: dict[tuple, QLaurent] = {}
-
 
 def _check_bosonic(shape: Shape, weight: tuple[int, ...],
                    level: int | None = None
@@ -142,39 +137,37 @@ def _supernomial(data: CartanData, L: dict[tuple[int, int], int],
                  weight: tuple[int, ...]) -> QLaurent:
     """S-bar of the checked factors ``L`` at ``weight``: zero off the
     achievable content set, where no path of the factors has the weight
-    (``vanishes``).  That test runs before the cache key is built, so
-    those zeros are neither keyed nor cached.
+    (``vanishes``).  That test runs before the cached closed form, so
+    those zeros are neither keyed nor cached, and no kernel sees them.
 
     The unrestricted sum is invariant under the finite Weyl group: s_i
     stays inside each classical component, where the energy is constant.
-    So the cache is keyed by, and the closed form evaluated at, the
-    dominant representative of the weight's orbit: the content sorted in
+    So the closed form is cached by, and evaluated at, the dominant
+    representative of the weight's orbit: the content sorted in
     decreasing order (type A), or the sorted absolute values (type C)."""
     if vanishes(data, L, weight, restricted=False):
         return ZERO
     dominant = tuple(sorted(map(abs, weight) if data.kind == "C" else weight,
                             reverse=True))
-    key = (tuple(sorted(L.items())), data.kind, data.n, dominant)
-    hit = _SUPER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _supernomial_uncached(data.kind, data.n, L, dominant)
-    _SUPER_CACHE[key] = out
-    return out
+    return _supernomial_closed_form(data.kind, data.n,
+                                    tuple(sorted(L.items())), dominant)
 
 
-def _supernomial_uncached(kind: str, n: int, L: dict[tuple[int, int], int],
-                          weight: tuple[int, ...]) -> QLaurent:
-    """The closed form of S-bar for the factors ``L`` of an all-rows or
-    all-columns shape: single boxes in type C, else columns when every
-    factor is one, else rows."""
+@lru_cache(maxsize=SUPERNOMIAL_CACHE)
+def _supernomial_closed_form(kind: str, n: int, factors: tuple,
+                             weight: tuple[int, ...]) -> QLaurent:
+    """The closed form of S-bar for the factors (the sorted items of an
+    L-map) of an all-rows or all-columns shape: single boxes in type C,
+    else columns when every factor is one, else rows.  Its kernels trust
+    ``_supernomial`` to have ruled out every weight that ``vanishes``,
+    which they need not see as zero (type C at an odd spare, say)."""
     if kind == "C":
-        return supernomial_C_boxes(n, sum(L.values()), tuple(weight))
-    column = all(s == 1 for _, s in L)
-    mu = tuple(sorted((r if column else s for (r, s), m in L.items()
+        return _supernomial_C_boxes(n, sum(m for _, m in factors), weight)
+    column = all(s == 1 for (_, s), _ in factors)
+    mu = tuple(sorted((r if column else s for (r, s), m in factors
                        for _ in range(m)), reverse=True))
-    return (supernomial_A_columns if column else supernomial_A_rows)(
-        n, mu, tuple(weight))
+    return (_supernomial_A_columns if column else _supernomial_A_rows)(
+        n, mu, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +349,12 @@ def _pair_sets(shape: Shape, level: int | None) -> dict[tuple, dict]:
     point its wt(b) + rho reaches in the chamber or alcove: {reached: {b:
     (wt(b) + rho, (-1)^len(walk))}}, each group in product order.  The
     words are listed depth first with a running weight, and each distinct
-    weight is walked (``reduce_to_alcove``) once."""
+    weight is walked (``reduce_to_alcove``) once.  A point on a wall (two
+    equal coordinates, a zero last one in type C, or (v|theta) = level +
+    h_dual) is no lam + rho of a dominant lam at most the level, so no
+    group of one is kept."""
     data = cartan_data(shape[0].kind, shape[0].n)
+    c = None if level is None else level + data.h_dual
     options = [list(enumerate(map(factor_weight, factor_elements(d))))
                for d in shape]
     chosen: dict[tuple[int, ...], tuple] = {}
@@ -371,9 +368,13 @@ def _pair_sets(shape: Shape, level: int | None) -> dict[tuple, dict]:
             if hit is None:
                 v = tuple(map(add, wt, data.rho))
                 reached, word = reduce_to_alcove(data, v, level)
-                hit = chosen[wt] = (groups.setdefault(reached, {}),
-                                    (v, (-1) ** len(word)))
-            hit[0][tuple(placed)] = hit[1]
+                wall = (len(set(reached)) < data.dim
+                        or data.kind == "C" and reached[-1] == 0
+                        or data.theta_pairing(reached) == c)
+                hit = chosen[wt] = () if wall else (
+                    groups.setdefault(reached, {}), (v, (-1) ** len(word)))
+            if hit:
+                hit[0][tuple(placed)] = hit[1]
             return
         for k, xw in options[p]:
             placed[p] = k
@@ -415,8 +416,8 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     tables = [_factor_table(d) for d in shape]
 
     findings: list[str] = []
-    expected_fixed = set(enumerate_paths(
-        shape, lam, "classical" if level is None else "level", level))
+    expected_fixed = {w for w, _ in _search(shape,
+                                            _walk_spec(data, lam, level))}
 
     def text(b):
         return "(x)".join(str(t[0][k]) for t, k in zip(tables, b))

@@ -75,8 +75,7 @@ def _emit_poly(p: QLaurent, fmt: str) -> None:
 # the module when called, so a rebound module attribute (a test's stub, a
 # benchmark's tracing wrapper) is what runs.
 _ROUTES = {
-    "direct": lambda s, w, lv: energy.direct_sum(
-        s, w, "classical" if lv is None else "level", lv),
+    "direct": lambda s, w, lv: energy.direct_sum(s, w, lv),
     "bosonic": lambda s, w, lv: bosonic.alternating_sum(s, w, lv),
     "fermionic": lambda s, w, lv: fermionic.closed_form_F(
         *shape_type(s), w, lv),
@@ -86,7 +85,8 @@ _ROUTES = {
 
 # (restriction, method) -> evaluator
 _EVALUATORS = {
-    ("none", "direct"): lambda s, w, lv: energy.direct_sum(s, w, "none"),
+    ("none", "direct"): lambda s, w, lv: energy.direct_sum(
+        s, w, restricted=False),
     ("none", "bosonic"): lambda s, w, lv: bosonic.supernomial(s, w),
     **{(restriction, method): route for restriction in ("classical", "level")
        for method, route in _ROUTES.items()},
@@ -96,14 +96,15 @@ _EVALUATORS = {
 def compute_sum(shape: Shape, weight: tuple[int, ...], restriction: str,
                 method: str, statistic: str, level: int | None) -> QLaurent:
     """The configuration sum by one method; the only way from (restriction,
-    method) to an evaluator.  It checks only what no evaluator sees and
-    dispatches.  Every route checks in one order, so every method raises
-    the same class: malformed input raises ShapeSyntaxError (an unknown
-    statistic, then ``check_sum``); then input the route does not cover
-    raises UnsupportedError (``shape_type`` and ``check_sum``, a factor
-    wider than the level counting only for level sums; a combination no
-    evaluator computes; ``bosonic`` on a shape mixing rows and columns);
-    then a sum that vanishes by definition (``cartan.vanishes``) is ZERO."""
+    method) to an evaluator, and the one reader of the restriction string.
+    It checks only what no evaluator sees and dispatches.  Every route
+    checks in one order, so every method raises the same class: malformed
+    input raises ShapeSyntaxError (an unknown statistic, then
+    ``check_sum``); then input the route does not cover raises
+    UnsupportedError (``shape_type`` and ``check_sum``, a factor wider than
+    the level counting only for level sums; a combination no evaluator
+    computes; ``bosonic`` on a shape mixing rows and columns); then a sum
+    that vanishes by definition (``cartan.vanishes``) is ZERO."""
     if statistic not in ("energy", "coenergy"):
         raise ShapeSyntaxError(f"unknown statistic {statistic!r}")
     kind, n, L = shape_type(shape)
@@ -209,10 +210,10 @@ def run_instance(inst: tuple) -> dict:
                   for key, method in methods}
         desc = {"n": n, "L": L, "weight": list(lam)}
         if ell is not None:
-            data, Lmap = cartan_data(kind, n), {(1, 1): L}
-            if lam == fermionic.vacuum_weight(data, Lmap):
-                values["vacuum"] = fermionic.closed_form_F_level(
-                    data, Lmap, ell).to_json()
+            Lmap = {(1, 1): L}
+            if lam == fermionic.vacuum_weight(cartan_data(kind, n), Lmap):
+                values["vacuum"] = fermionic.closed_form_F(
+                    kind, n, Lmap, lam, ell).to_json()
             desc["level"] = ell
         agree = len(set(values.values())) == 1
     elif suite == "involution":

@@ -27,7 +27,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, gt, sub
 
-from .cartan import check_sum, shape_type
+from .cartan import CartanData, check_sum, shape_type
 from .errors import CapExceeded, CrystalStructureError, UnsupportedError
 
 VERTEX_CAP = 2 * 10 ** 6
@@ -291,26 +291,29 @@ def _factor_table(desc: FactorDescriptor) -> tuple:
 # ---------------------------------------------------------------------------
 # path sets
 
+def _walk_spec(data: CartanData, weight: tuple[int, ...],
+               level: int | None = None, restricted: bool = True) -> tuple:
+    """What a walk over the paths at ``weight`` tests, as (kind, target
+    weight, classical colors to test, level to test or None).  ``level``
+    and ``restricted`` read as in ``cartan.vanishes``: the paths are level
+    restricted at a ``level`` (killed by every classical e_i and by
+    e_0^{level+1}), classically restricted without one, and of the weight
+    alone if not ``restricted``."""
+    return (data.kind, tuple(weight),
+            range(1, data.n + 1) if restricted else (),
+            level if restricted else None)
+
+
 def _walk_setup(shape: tuple[FactorDescriptor, ...],
-                weight: tuple[int, ...],
-                restriction: str,
-                level: int | None):
+                weight: tuple[int, ...], level: int | None = None,
+                restricted: bool = True):
     """The root data, the factor multiplicities L (``cartan.shape_type``)
-    and what a walk over the paths of ``shape`` checks: (kind, target
-    weight, classical colors to test, level to test or None), once
+    and the ``_walk_spec`` of a walk over the paths of ``shape``, once
     ``cartan.check_sum`` has checked the input.  A factor wider than the
-    level passes: its paths are still well defined.  An unknown
-    restriction, or a level restriction without a level, raises
-    UnsupportedError after that check, as in ``cli.compute_sum``."""
+    level passes: its paths are still well defined."""
     kind, n, L = shape_type(shape)
     data = check_sum(kind, n, weight, level)
-    if restriction not in ("none", "classical", "level"):
-        raise UnsupportedError(f"unknown restriction {restriction!r}")
-    if restriction == "level" and level is None:
-        raise UnsupportedError("level restriction needs a level")
-    colors = range(1, n + 1) if restriction != "none" else ()
-    return data, L, (kind, tuple(weight), colors,
-                     level if restriction == "level" else None)
+    return data, L, _walk_spec(data, weight, level, restricted)
 
 
 def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
@@ -361,23 +364,29 @@ def _place(kind: str, target: tuple[int, ...], room: int,
 
 
 def search_paths(shape: tuple[FactorDescriptor, ...],
-                 weight: tuple[int, ...],
-                 restriction: str = "none",
-                 level: int | None = None,
+                 weight: tuple[int, ...], level: int | None = None,
+                 restricted: bool = True,
                  extend=None) -> list[tuple[tuple[int, ...], int]]:
-    """The path set of ``enumerate_paths`` as (path, score) pairs, found by
-    a depth-first search that places b_1 first and grows each path to the
-    left, pruning each partial path b_j (x) ... (x) b_1 by ``_place``.
+    """The path set of ``enumerate_paths`` as (path, score) pairs: the
+    ``_search`` of the checked input.
 
     ``extend(j, chosen, k)``, when given, is called each time b_{j+1}, the
     element ``factor_elements(...)[k]`` of its factor, is placed to the
     left of b_j (x) ... (x) b_1, whose element indices are chosen[0..j-1];
     a path's score is the sum of what it returned along the path (0
-    without a hook).  ``VERTEX_CAP`` bounds the number of search nodes
-    visited.
+    without a hook).
     """
-    kind, target, colors, level = _walk_setup(shape, weight, restriction,
-                                              level)[2]
+    return _search(shape, _walk_setup(shape, weight, level, restricted)[2],
+                   extend)
+
+
+def _search(shape: tuple[FactorDescriptor, ...], setup,
+            extend=None) -> list[tuple[tuple[int, ...], int]]:
+    """``search_paths`` of the walk ``setup`` (a ``_walk_spec``), by a
+    depth-first search that places b_1 first and grows each path to the
+    left, pruning each partial path b_j (x) ... (x) b_1 by ``_place``.
+    ``VERTEX_CAP`` bounds the number of search nodes visited."""
+    kind, target, colors, level = setup
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
@@ -418,14 +427,12 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
 
 
 def enumerate_paths(shape: tuple[FactorDescriptor, ...],
-                    weight: tuple[int, ...],
-                    restriction: str = "none",
-                    level: int | None = None) -> list[tuple[int, ...]]:
-    """The path sets, as element index tuples in display order:
-    unrestricted (weight only), classically restricted (killed by every
-    classical e_i), level restricted (additionally killed by
-    e_0^{level+1}).  ``VERTEX_CAP`` bounds the search nodes visited."""
-    return [w for w, _ in search_paths(shape, weight, restriction, level)]
+                    weight: tuple[int, ...], level: int | None = None,
+                    restricted: bool = True) -> list[tuple[int, ...]]:
+    """The paths of ``shape`` at ``weight``, as element index tuples in
+    display order; ``level`` and ``restricted`` as in ``_walk_spec``.
+    ``VERTEX_CAP`` bounds the search nodes visited."""
+    return [w for w, _ in search_paths(shape, weight, level, restricted)]
 
 
 @cache

@@ -30,8 +30,7 @@ from .cartan import vanishes
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
 from .crystal import (FactorDescriptor, _element_table, _factor_table,
-                      _place, _walk_setup, highest_weight_element,
-                      search_paths)
+                      _place, _search, _walk_setup, highest_weight_element)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
@@ -225,21 +224,19 @@ def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
 
 
 def direct_sum(shape: tuple[FactorDescriptor, ...],
-               weight: tuple[int, ...],
-               restriction: str = "none",
-               level: int | None = None) -> QLaurent:
-    """Sum of q^{-D(b)}, the coenergy, over the chosen path set.  A
-    homogeneous shape B^{(x)L} is summed by the transfer-matrix ``_sweep``;
-    a mixed shape by a pruned path search that accumulates each path's
-    energy E_B = D as it grows.  The input is checked before any R-matrix
-    is built; a sum that ``vanishes`` by definition is ZERO without a walk,
-    which would find no path but can take long to see it."""
-    data, L, setup = _walk_setup(shape, weight, restriction, level)
-    if vanishes(data, L, setup[1], setup[3],
-                restricted=restriction != "none"):
+               weight: tuple[int, ...], level: int | None = None,
+               restricted: bool = True) -> QLaurent:
+    """Sum of q^{-D(b)}, the coenergy, over the paths of
+    ``enumerate_paths``.  A homogeneous shape B^{(x)L} is summed by the
+    transfer-matrix ``_sweep``; a mixed shape by the pruned ``_search``,
+    which accumulates each path's energy E_B = D as it grows.  Both walk
+    the setup of the one input check, ``_walk_setup``, before any R-matrix
+    is built.  A sum that ``vanishes`` by definition is ZERO without a
+    walk, which would find no path but can take long to see it."""
+    data, L, setup = _walk_setup(shape, weight, level, restricted)
+    if vanishes(data, L, weight, level, restricted):
         return ZERO
     if all(d == shape[0] for d in shape):
         return _sweep(shape[0], len(shape), setup)
-    paths = search_paths(shape, weight, restriction, level,
-                         extend=energy_extension(shape))
+    paths = _search(shape, setup, extend=energy_extension(shape))
     return QLaurent.from_exponents(-e for _, e in paths)

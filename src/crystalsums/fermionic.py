@@ -425,18 +425,6 @@ def vacuum_weight(data: CartanData, L: LMap) -> tuple[int, ...] | None:
     return (boxes // (data.n + 1),) * (data.n + 1)
 
 
-def closed_form_F_level(data: CartanData, L: LMap, level: int) -> QLaurent:
-    """F-bar^level(B): ``closed_form_F`` at the level and the vacuum
-    weight, where the only tableau is the empty one, so every grid site
-    contributes its q-binomial factor with a zero correction; ZERO when
-    the boxes do not fill a vacuum rectangle."""
-    check_sum(data.kind, data.n, None, level, L)
-    lam = vacuum_weight(data, L)
-    if lam is None:
-        return ZERO
-    return closed_form_F(data.kind, data.n, L, lam, level)
-
-
 def _grid_row_sites(data: CartanData, L: LMap, grid, tops):
     """The row function of the level forms: ``_generic_row`` at each site
     (a, i) of the generic ``grid``, with its bound from ``tops``: every

@@ -62,10 +62,10 @@ from itertools import combinations, combinations_with_replacement, product
 
 import crystalsums.crystal as crystal
 
-from crystalsums.bosonic import _supernomial_uncached
+from crystalsums.bosonic import _supernomial_closed_form
 from crystalsums.cartan import (Action, CartanData, _exact_quotient,
                                 cartan_data, reduce_to_alcove, shape_type,
-                                simple_reflections)
+                                simple_reflections, vanishes)
 from crystalsums.crystal import (Factor, FactorDescriptor, _combine_stats,
                                  _route, factor_arrow, factor_elements,
                                  factor_stats, factor_weight,
@@ -792,18 +792,19 @@ def is_classically_restricted(w) -> bool:
     return all(string_stats(w, i)[0] == 0 for i in range(1, w.n + 1))
 
 
-def filtered_paths(shape, weight, restriction: str = "none",
-                   level: int | None = None) -> list:
+def filtered_paths(shape, weight, level: int | None = None,
+                   restricted: bool = True) -> list:
     """The path set of ``enumerate_paths`` by filtering every word of the
-    tensor product: weight, then killed by every classical e_i, then
-    eps_0 at most the level."""
+    tensor product: weight, then, if ``restricted``, killed by every
+    classical e_i, then eps_0 at most the level, if there is one."""
     out = []
     for w in shape_elements(shape):
         if word_weight(w) != tuple(weight):
             continue
-        if restriction != "none" and not is_classically_restricted(w):
+        if restricted and not is_classically_restricted(w):
             continue
-        if restriction == "level" and string_stats(w, 0)[0] > level:
+        if restricted and level is not None \
+                and string_stats(w, 0)[0] > level:
             continue
         out.append(w)
     return out
@@ -812,9 +813,11 @@ def filtered_paths(shape, weight, restriction: str = "none",
 def unpruned_bosonic_level(shape, lam, level):
     """The level sum of ``alternating_sum`` over every translation of the
     window ``translation_lattice_box`` times every Weyl element, through
-    the uncached supernomial: no translation is skipped and no support
-    test runs."""
-    data = cartan_data(shape[0].kind, shape[0].n)
+    the uncached supernomial closed form: no translation is skipped, and
+    only the weights that ``vanishes`` are zero without a closed form."""
+    kind, n, L = shape_type(shape)
+    data = cartan_data(kind, n)
+    factors = tuple(sorted(L.items()))
     c = level + data.h_dual
     bound = sum(d.boxes for d in shape) + data.dim + max(
         abs(l + r) for l, r in zip(tuple(lam) + (0,) * data.dim, data.rho))
@@ -832,7 +835,9 @@ def unpruned_bosonic_level(shape, lam, level):
             mu = tuple([s * v[i] + t - r
                         for (i, s, t), r in zip(action, data.rho)])
             if mu not in seen:
-                seen[mu] = _supernomial_uncached(*shape_type(shape), mu)
+                seen[mu] = ZERO if vanishes(data, L, mu, restricted=False) \
+                    else _supernomial_closed_form.__wrapped__(
+                        kind, n, factors, mu)
             if not seen[mu].is_zero():
                 out = out + q_power(expo) * (seen[mu] if sign > 0
                                              else -seen[mu])
@@ -1093,9 +1098,11 @@ def closed_form_F_by_product(data, L, lam) -> QLaurent:
     return out
 
 
-def closed_form_F_level_by_product(data, L, level: int) -> QLaurent:
-    """``closed_form_F_level`` over ``nu_product``: every shape inside the
-    grid, with a q-binomial factor at every grid site."""
+def vacuum_level_form_by_product(data, L, level: int) -> QLaurent:
+    """``closed_form_F`` at the level and the vacuum weight (ZERO where the
+    boxes fill no vacuum rectangle) over ``nu_product``: every shape inside
+    the grid, with a q-binomial factor at every grid site, as the only
+    tableau is the empty one."""
     lam = vacuum_weight(data, L)
     sizes = None if lam is None else config_sizes(data, L, lam)
     if sizes is None:

@@ -6,15 +6,14 @@ Each test prints a single PASS line with its runtime; run with
 import time
 from itertools import combinations_with_replacement, product
 
-from crystalsums.bosonic import (_arrow, _strings, alternating_sum,
-                                 involution_phi, supernomial_A_columns,
-                                 supernomial_A_rows)
+from crystalsums.bosonic import (_arrow, _strings, _supernomial_A_columns,
+                                 _supernomial_A_rows, alternating_sum,
+                                 involution_phi)
 from crystalsums.cartan import cartan_data
 from crystalsums.crystal import (FactorDescriptor, _combine_stats,
                                  _factor_table)
 from crystalsums.energy import direct_sum
-from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   rc_generating_function, vacuum_weight)
+from crystalsums.fermionic import closed_form_F, rc_generating_function
 from crystalsums.hardhex import hh_X, rr_series_check
 from crystalsums.qpoly import qmultinomial
 
@@ -77,7 +76,7 @@ def test_criterion_4_type_A_three_way():
             shape = boxes("A", n, L)
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
-                d = direct_sum(shape, lam, "classical")
+                d = direct_sum(shape, lam)
                 b = alternating_sum(shape, lam)
                 f = closed_form_F("A", n, Lmap, lam)
                 r = rc_generating_function("A", n, Lmap, lam)
@@ -98,8 +97,8 @@ def test_criterion_5_supernomial_formulas():
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, r, 1) for r in mu)
                 for lam in all_contents_A(n, total):
-                    assert supernomial_A_columns(n, mu, lam) == \
-                        direct_sum(shape, lam, "none"), (mu, lam)
+                    assert _supernomial_A_columns(n, mu, lam) == \
+                        direct_sum(shape, lam, restricted=False), (mu, lam)
         # single rows: every multiset of widths with at most 6 boxes
         for k in range(1, 7):
             for mu in combinations_with_replacement(range(1, 7), k):
@@ -109,15 +108,15 @@ def test_criterion_5_supernomial_formulas():
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, 1, s) for s in mu)
                 for lam in all_contents_A(n, total):
-                    assert supernomial_A_rows(n, mu, lam) == \
-                        direct_sum(shape, lam, "none"), (mu, lam)
+                    assert _supernomial_A_rows(n, mu, lam) == \
+                        direct_sum(shape, lam, restricted=False), (mu, lam)
         # both reduce to the q-multinomial on single boxes
         for total in range(1, 7):
             ones = (1,) * total
             for lam in all_contents_A(n, total):
                 want = qmultinomial(total, lam)
-                assert supernomial_A_columns(n, ones, lam) == want
-                assert supernomial_A_rows(n, ones, lam) == want
+                assert _supernomial_A_columns(n, ones, lam) == want
+                assert _supernomial_A_rows(n, ones, lam) == want
     _report(5, "supernomial closed forms match path sums, <= 6 boxes",
             t0, 120)
 
@@ -126,21 +125,17 @@ def test_criterion_6_level_restricted_type_A():
     t0 = time.perf_counter()
     cases = [(1, 1, 6), (1, 2, 6), (2, 1, 4)]
     for n, ell, maxL in cases:
-        data = cartan_data("A", n)
         for L in range(1, maxL + 1):
             shape = boxes("A", n, L)
             Lmap = {(1, 1): L}
             for lam in dominant_contents_A(n, L):
                 if lam[0] - lam[n] > ell:
                     continue
-                d = direct_sum(shape, lam, "level", ell)
+                d = direct_sum(shape, lam, ell)
                 rc = rc_generating_function("A", n, Lmap, lam, ell)
                 cf = closed_form_F("A", n, Lmap, lam, ell)
                 bl = alternating_sum(shape, lam, ell)
                 assert d == rc == cf == bl, (n, ell, L, lam)
-                if lam == vacuum_weight(data, Lmap):
-                    assert d == closed_form_F_level(data, Lmap, ell), \
-                        (n, ell, L)
     _report(6, "level-restricted type A, four ways", t0, 180)
 
 

@@ -4,16 +4,18 @@ from itertools import combinations_with_replacement, product, zip_longest
 import pytest
 
 from crystalsums import bosonic, crystal
-from crystalsums.bosonic import (_arrow, _letter_table, _pair_set, _reflect,
-                                 _select_color, _supernomial_uncached,
+from crystalsums.bosonic import (_arrow, _letter_table, _pair_set,
+                                 _pair_sets, _reflect, _select_color,
+                                 _supernomial_A_columns as columns,
+                                 _supernomial_A_rows as rows,
+                                 _supernomial_C_boxes as c_boxes,
                                  _word_energy, alternating_sum,
-                                 involution_phi, supernomial,
-                                 supernomial_A_columns, supernomial_A_rows,
-                                 supernomial_C_boxes)
-from crystalsums.cartan import cartan_data, shape_type
+                                 involution_phi, supernomial)
+from crystalsums.cartan import (cartan_data, reduce_to_alcove, shape_type,
+                                vanishes)
 from crystalsums.cli import _instances
 from crystalsums.crystal import (FactorDescriptor, _factor_table,
-                                 enumerate_paths)
+                                 enumerate_paths, factor_weight)
 from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, UnsupportedError
 from crystalsums.qpoly import ONE, ZERO, qmultinomial
@@ -61,13 +63,35 @@ def _level_of(kind, n, lam):
     return cartan_data(kind, n).theta_pairing(lam)
 
 
+def uncached(kind, n, L, weight):
+    """The supernomial closed form of the factors ``L`` at ``weight``, past
+    the cache; ``weight`` must not vanish, which the kernels trust."""
+    return bosonic._supernomial_closed_form.__wrapped__(
+        kind, n, tuple(sorted(L.items())), tuple(weight))
+
+
+@pytest.fixture
+def cached(monkeypatch):
+    """Every value that enters the cleared supernomial cache, as the
+    kernels return it."""
+    bosonic._supernomial_closed_form.cache_clear()
+    values = []
+    for name in ("_supernomial_A_columns", "_supernomial_A_rows",
+                 "_supernomial_C_boxes"):
+        kernel = getattr(bosonic, name)
+        monkeypatch.setattr(bosonic, name, lambda *a, k=kernel:
+                            values.append(k(*a)) or values[-1])
+    yield values
+    bosonic._supernomial_closed_form.cache_clear()
+
+
 class TestSupernomialFormulas:
     def test_columns_reduce_to_multinomial(self):
         for n in (1, 2):
             for total in range(1, 6):
                 mu = (1,) * total
                 for lam in all_contents_A(n, total):
-                    assert supernomial_A_columns(n, mu, lam) == \
+                    assert columns(n, mu, lam) == \
                         qmultinomial(total, lam)
 
     def test_rows_reduce_to_multinomial(self):
@@ -75,16 +99,19 @@ class TestSupernomialFormulas:
             for total in range(1, 6):
                 mu = (1,) * total
                 for lam in all_contents_A(n, total):
-                    assert supernomial_A_rows(n, mu, lam) == \
+                    assert rows(n, mu, lam) == \
                         qmultinomial(total, lam)
 
     def test_single_tall_column(self):
-        assert supernomial_A_columns(1, (2,), (1, 1)) == ONE
-        assert supernomial_A_rows(1, (2,), (1, 1)) == ONE
+        assert columns(1, (2,), (1, 1)) == ONE
+        assert rows(1, (2,), (1, 1)) == ONE
 
     def test_invalid_content_zero(self):
-        assert supernomial_A_columns(1, (1, 1), (3, -1)) == ZERO
-        assert supernomial_A_rows(1, (1, 1), (1, 2)) == ZERO
+        # the kernels trust the checked entry to rule these out
+        column, row = FactorDescriptor("A", 1, 2, 1), FactorDescriptor(
+            "A", 1, 1, 2)
+        assert supernomial((column, column), (3, -1)) == ZERO
+        assert supernomial((row, row), (1, 2)) == ZERO
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_columns_match_direct_sums(self, n):
@@ -98,8 +125,8 @@ class TestSupernomialFormulas:
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, r, 1) for r in mu)
                 for lam in all_contents_A(n, total):
-                    want = direct_sum(shape, lam, "none")
-                    assert supernomial_A_columns(n, mu, lam) == want, (mu, lam)
+                    want = direct_sum(shape, lam, restricted=False)
+                    assert columns(n, mu, lam) == want, (mu, lam)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rows_match_direct_sums(self, n):
@@ -111,32 +138,35 @@ class TestSupernomialFormulas:
                 mu = tuple(sorted(mu, reverse=True))
                 shape = tuple(FactorDescriptor("A", n, 1, s) for s in mu)
                 for lam in all_contents_A(n, total):
-                    want = direct_sum(shape, lam, "none")
-                    assert supernomial_A_rows(n, mu, lam) == want, (mu, lam)
+                    want = direct_sum(shape, lam, restricted=False)
+                    assert rows(n, mu, lam) == want, (mu, lam)
 
     def test_rows_spot_value_mu21(self):
         # B^{1,2} (x) B^{1,1} of A_1, content (2,1), against the path oracle
         want = direct_sum((FactorDescriptor("A", 1, 1, 2),
-                           FactorDescriptor("A", 1)), (2, 1), "none")
-        assert supernomial_A_rows(1, (2, 1), (2, 1)) == want
+                           FactorDescriptor("A", 1)), (2, 1),
+                          restricted=False)
+        assert rows(1, (2, 1), (2, 1)) == want
 
     def test_c_boxes_single_letter(self):
-        assert supernomial_C_boxes(1, 1, (1,)) == ONE
+        assert c_boxes(1, 1, (1,)) == ONE
 
     def test_c_boxes_pairing(self):
-        assert supernomial_C_boxes(1, 2, (0,)) == qmultinomial(2, [1, 1])
+        assert c_boxes(1, 2, (0,)) == qmultinomial(2, [1, 1])
 
     def test_c_boxes_parity(self):
-        assert supernomial_C_boxes(1, 3, (0,)) == ZERO
-        assert supernomial_C_boxes(2, 2, (3, 1)) == ZERO
+        # the kernel trusts the checked entry to rule these out
+        assert supernomial(boxes("C", 1, 3), (0,)) == ZERO
+        assert supernomial(boxes("C", 2, 2), (3, 1)) == ZERO
 
     def test_c_boxes_q1_counts_paths(self):
         for n in (1, 2):
             for L in (1, 2, 3, 4):
                 shape = boxes("C", n, L)
                 for lam in dominant_weights_C(n, L):
-                    got = at_one(supernomial_C_boxes(n, L, lam))
-                    assert got == len(enumerate_paths(shape, lam)), (n, L, lam)
+                    got = at_one(c_boxes(n, L, lam))
+                    assert got == len(enumerate_paths(
+                        shape, lam, restricted=False)), (n, L, lam)
 
     def test_supernomial_dispatch_mixed(self):
         # no closed form for mixed rows and columns; the bosonic route must
@@ -157,11 +187,19 @@ class TestSupport:
               tuple(FactorDescriptor("A", 2, r, 1) for r in (1, 2, 2))]
 
     def test_supernomial_matches_uncached(self):
+        # the value cached at the dominant representative is the closed form
+        # at the weight itself; where the weight vanishes, which no kernel
+        # sees, no path has it
         for shape in self.SHAPES:
-            dim = shape[0].n + (shape[0].kind == "A")
-            for mu in product(range(-3, 6), repeat=dim):
-                assert supernomial(shape, mu) == \
-                    _supernomial_uncached(*shape_type(shape), mu), (shape, mu)
+            kind, n, L = shape_type(shape)
+            data = cartan_data(kind, n)
+            for mu in product(range(-3, 6), repeat=data.dim):
+                if vanishes(data, L, mu, restricted=False):
+                    want = direct_sum(shape, mu, restricted=False)
+                    assert want == ZERO, (shape, mu)
+                else:
+                    want = uncached(kind, n, L, mu)
+                assert supernomial(shape, mu) == want, (shape, mu)
 
     @pytest.mark.parametrize("shape", [
         tuple(FactorDescriptor("A", 1, 1, s) for s in (1, 2, 2, 3)),
@@ -182,35 +220,37 @@ class TestSupport:
         nonzero = 0
         factors = shape_type(shape)
         for lam in lams:
-            want = _supernomial_uncached(*factors, lam)
+            if vanishes(data, factors[2], lam, restricted=False):
+                continue
+            want = uncached(*factors, lam)
             nonzero += not want.is_zero()
             for w in weyl_enumerate(data):
-                assert _supernomial_uncached(*factors, w.apply(lam)) == want, \
+                assert uncached(*factors, w.apply(lam)) == want, \
                     (lam, w.apply(lam))
         assert nonzero > 1
 
-    def test_off_support_zeros_are_not_cached(self, monkeypatch):
+    def test_off_support_zeros_are_not_cached(self, cached):
         # boxes and rows reach every nonnegative content whose sum is the
         # number of boxes, columns those the Gale-Ryser test admits, type C
         # boxes every weight of the right norm and parity; a content of
         # another sum, such as (1, 1, 0) for B^{1,2} (x) B^{1,1} of A_2, is
         # off the support too
-        monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
-        rows = (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 2))
-        assert supernomial(rows, (1, 1, 0)) == ZERO
+        row_shape = (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 2))
+        assert supernomial(row_shape, (1, 1, 0)) == ZERO
         for shape in self.SHAPES + [(FactorDescriptor("A", 2, 2, 1),) * 2,
-                                    rows]:
+                                    row_shape]:
             dim = shape[0].n + (shape[0].kind == "A")
             for mu in product(range(-3, 6), repeat=dim):
                 supernomial(shape, mu)
-        assert bosonic._SUPER_CACHE
-        assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
+        assert cached and not any(s.is_zero() for s in cached)
+        info = bosonic._supernomial_closed_form.cache_info()
+        assert info.currsize == info.misses == len(cached), info
 
-    def test_cache_holds_no_zero(self, monkeypatch):
-        monkeypatch.setattr(bosonic, "_SUPER_CACHE", {})
-        rows = tuple(FactorDescriptor("A", 1, 1, s) for s in (1, 2, 2))
+    def test_cache_holds_no_zero(self, cached):
+        row_shape = tuple(FactorDescriptor("A", 1, 1, s) for s in (1, 2, 2))
         for kind, n, shape in (("A", 1, boxes("A", 1, 5)),
-                               ("A", 2, boxes("A", 2, 4)), ("A", 1, rows),
+                               ("A", 2, boxes("A", 2, 4)),
+                               ("A", 1, row_shape),
                                ("C", 2, boxes("C", 2, 5)),
                                ("C", 3, boxes("C", 3, 4))):
             total = sum(d.boxes for d in shape)
@@ -221,8 +261,9 @@ class TestSupport:
                 for ell in (2, 3):
                     if _level_of(kind, n, lam) <= ell:
                         alternating_sum(shape, lam, ell)
-        assert bosonic._SUPER_CACHE
-        assert not any(s.is_zero() for s in bosonic._SUPER_CACHE.values())
+        assert cached and not any(s.is_zero() for s in cached)
+        info = bosonic._supernomial_closed_form.cache_info()
+        assert info.currsize == info.misses == len(cached), info
 
 
 class TestBosonicClassical:
@@ -250,7 +291,7 @@ class TestBosonicClassical:
         for lam in all_contents_A(1, 3):
             if lam[0] < lam[1]:
                 continue
-            want = direct_sum(shape, lam, "classical")
+            want = direct_sum(shape, lam)
             assert alternating_sum(shape, lam) == want
 
 
@@ -258,7 +299,7 @@ class TestBosonicLevel:
     def test_a1_level_one(self):
         shape = boxes("A", 1, 2)
         assert alternating_sum(shape, (1, 1), 1) == \
-            direct_sum(shape, (1, 1), "level", 1)
+            direct_sum(shape, (1, 1), 1)
 
     def test_stabilizes_to_classical(self):
         for kind, n, L in (("A", 1, 4), ("A", 2, 3), ("C", 2, 3)):
@@ -315,7 +356,7 @@ class TestBosonicLevel:
                 for lam in dominant_contents_A(n, L):
                     if lam[0] - lam[n] > ell:
                         continue
-                    want = direct_sum(shape, lam, "level", ell)
+                    want = direct_sum(shape, lam, ell)
                     assert alternating_sum(shape, lam, ell) == want, (L, lam)
 
     @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 6), ("A", 2, 5),
@@ -333,7 +374,7 @@ class TestBosonicLevel:
                     else dominant_weights_C(n, L))
             for lam in lams:
                 for ell in (1, 2, 3):
-                    want = direct_sum(shape, lam, "level", ell)
+                    want = direct_sum(shape, lam, ell)
                     assert alternating_sum(shape, lam, ell) == want, \
                         (L, lam, ell)
                     if _level_of(kind, n, lam) > ell:
@@ -362,7 +403,7 @@ class TestBosonicLevel:
                 for ell in (2, 3):
                     if lam[0] - lam[n] > ell or any(d.s > ell for d in shape):
                         continue
-                    want = direct_sum(shape, lam, "level", ell)
+                    want = direct_sum(shape, lam, ell)
                     assert alternating_sum(shape, lam, ell) == want, \
                         (shape, lam, ell)
 
@@ -382,7 +423,7 @@ class TestInvolution:
                 for lam in lams:
                     rep = involution_phi(shape, lam)
                     assert rep.passed, (kind, n, L, lam, rep)
-                    want = len(enumerate_paths(shape, lam, "classical"))
+                    want = len(enumerate_paths(shape, lam))
                     assert rep.fixed_points == want
 
     def test_level_mode(self):
@@ -394,7 +435,7 @@ class TestInvolution:
                         continue
                     rep = involution_phi(shape, lam, level=1)
                     assert rep.passed, (n, L, lam, rep)
-                    want = len(enumerate_paths(shape, lam, "level", 1))
+                    want = len(enumerate_paths(shape, lam, 1))
                     assert rep.fixed_points == want
 
     @pytest.mark.parametrize("n,maxL", [(1, 5), (2, 4), (3, 3)])
@@ -407,7 +448,7 @@ class TestInvolution:
                         continue
                     rep = involution_phi(shape, lam, level=ell)
                     assert rep.passed, (n, L, lam, ell, rep)
-                    want = len(enumerate_paths(shape, lam, "level", ell))
+                    want = len(enumerate_paths(shape, lam, ell))
                     assert rep.fixed_points == want
 
     @pytest.mark.parametrize("kind,n,maxL", [("A", 1, 5), ("A", 2, 4),
@@ -428,6 +469,44 @@ class TestInvolution:
                     pairs = _pair_set(shape, lam, ell)
                     assert word_pairs(shape, pairs) == signed_words(
                         scanned_level_pairs(shape, lam, ell)), (L, lam, ell)
+
+    @pytest.mark.parametrize("kind,n,L,level,kept", [
+        ("C", 2, 7, None, 6416), ("A", 2, 7, None, 1207),
+        ("A", 2, 7, 1, 813), ("C", 2, 6, 1, 2080)])
+    def test_pair_sets_keep_no_word_on_a_wall(self, kind, n, L, level, kept,
+                                              monkeypatch):
+        # lam + rho of a dominant lam at most the level lies strictly inside
+        # the chamber or alcove: the walk keeps every word that reaches such
+        # a point, in its group, and no other, so every report is the one
+        # of the whole group of lam + rho
+        shape = boxes(kind, n, L)
+        data = cartan_data(kind, n)
+        c = None if level is None else level + data.h_dual
+        tables, words = index_words(shape)
+        weights = [[factor_weight(x) for x in t[0]] for t in tables]
+        whole, reached_at = {}, {}
+        for b in words:
+            wt = tuple(map(sum, zip(*(w[k] for w, k in zip(weights, b)))))
+            if wt not in reached_at:
+                v = tuple(x + r for x, r in zip(wt, data.rho))
+                reached, walk = reduce_to_alcove(data, v, level)
+                reached_at[wt] = reached, (v, (-1) ** len(walk))
+            reached, pair = reached_at[wt]
+            whole.setdefault(reached, {})[b] = pair
+        groups = _pair_sets(shape, level)
+        assert sum(map(len, groups.values())) == kept
+        inside = {v for v in whole if len(set(v)) == len(v)
+                  and (kind == "A" or v[-1] > 0)
+                  and data.theta_pairing(v) != c}
+        assert groups == {v: whole[v] for v in inside}
+        lams = [lam for lam in (dominant_contents_A(n, L) if kind == "A"
+                                else dominant_weights_C(n, L))
+                if level is None or _level_of(kind, n, lam) <= level]
+        reports = [involution_phi(shape, lam, level) for lam in lams]
+        monkeypatch.setattr(bosonic, "_pair_set", lambda s, lam, lv: dict(
+            whole[tuple(x + r for x, r in zip(lam, data.rho))]))
+        assert reports == [involution_phi(shape, lam, level) for lam in lams]
+        assert all(rep.passed for rep in reports)
 
     def test_non_dominant_weights_are_refused(self):
         # the sums are zero there by definition, and lam + rho need not be
@@ -484,7 +563,7 @@ class TestInvolution:
                             alternating_sum(shape, lam, ell)
                         continue
                     assert alternating_sum(shape, lam, ell) == ZERO == \
-                        direct_sum(shape, lam, "level", ell), (L, lam, ell)
+                        direct_sum(shape, lam, ell), (L, lam, ell)
                     zeros += 1
         assert zeros
 

@@ -86,7 +86,7 @@ def test_count_oracle_matches_the_listing_oracles(kind, n, level):
             if level is None:
                 got = lr_multiplicity(kind, n, rs, lam)
             else:
-                got = len(filtered_paths(shape, lam, "level", level))
+                got = len(filtered_paths(shape, lam, level))
             assert want.get(lam, 0) == got, (L, lam)
 
 

@@ -26,9 +26,10 @@ def boxes(kind, n, L):
     return tuple(FactorDescriptor(kind, n) for _ in range(L))
 
 
-def paths(shape, *args):
+def paths(shape, *args, **kwargs):
     """``enumerate_paths`` as words."""
-    return [path_word(shape, p) for p in enumerate_paths(shape, *args)]
+    return [path_word(shape, p)
+            for p in enumerate_paths(shape, *args, **kwargs)]
 
 
 def _box_word(kind, n, letters):
@@ -264,14 +265,14 @@ class TestAffineArrows:
 class TestPathSets:
     def test_classical_unique(self):
         assert [str(p) for p in
-                paths(boxes("A", 1, 2), (1, 1), "classical")] == ["2(x)1"]
+                paths(boxes("A", 1, 2), (1, 1))] == ["2(x)1"]
 
     def test_unrestricted_unique_content(self):
-        assert [str(p) for p in paths(boxes("A", 1, 2), (2, 0))] \
+        assert [str(p) for p in paths(boxes("A", 1, 2), (2, 0), restricted=False)] \
             == ["1(x)1"]
 
     def test_level_restricted_count(self):
-        got = enumerate_paths(boxes("A", 1, 4), (2, 2), "level", level=1)
+        got = enumerate_paths(boxes("A", 1, 4), (2, 2), level=1)
         assert len(got) == 1
 
     def test_level_paths_for_C(self):
@@ -280,8 +281,8 @@ class TestPathSets:
                 shape = boxes("C", n, L)
                 for lam in dominant_weights_C(n, L):
                     for level in (0, 1, 2):
-                        got = paths(shape, lam, "level", level)
-                        want = filtered_paths(shape, lam, "level", level)
+                        got = paths(shape, lam, level)
+                        want = filtered_paths(shape, lam, level)
                         assert sorted(got, key=str) == \
                             sorted(want, key=str), (n, L, lam, level)
 
@@ -300,14 +301,14 @@ class TestPathSets:
             lams = (dominant_contents_A(n, L) if kind == "A"
                     else dominant_weights_C(n, L))
             for lam in lams:
-                got = len(enumerate_paths(shape, lam, "classical"))
+                got = len(enumerate_paths(shape, lam))
                 assert got == lr_multiplicity(kind, n, raw, lam), (lam, L)
 
 
 @st.composite
 def search_inputs(draw):
     """A small shape (type A rows, columns or both; type C boxes), one of
-    its weights, a restriction and a level."""
+    its weights, a level or None and whether the paths are restricted."""
     kind = draw(st.sampled_from("AC"))
     n = draw(st.integers(1, 2))
     if kind == "A":
@@ -327,17 +328,17 @@ def search_inputs(draw):
     else:
         weight = tuple(draw(st.lists(st.integers(-total, total),
                                      min_size=n, max_size=n)))
-    restriction = draw(st.sampled_from(("none", "classical", "level")))
-    return shape, weight, restriction, draw(st.integers(0, 3))
+    level = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return shape, weight, level, draw(st.booleans())
 
 
 class TestPathSearch:
     @given(search_inputs())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_product_filter(self, case):
-        shape, weight, restriction, level = case
-        got = paths(shape, weight, restriction, level)
-        want = filtered_paths(shape, weight, restriction, level)
+        shape, weight, level, restricted = case
+        got = paths(shape, weight, level, restricted)
+        want = filtered_paths(shape, weight, level, restricted)
         assert sorted(got, key=str) == sorted(want, key=str)
 
     @pytest.mark.parametrize("n,max_L", [(1, 6), (2, 4)])
@@ -345,13 +346,13 @@ class TestPathSearch:
         for L in range(1, max_L + 1):
             shape = boxes("A", n, L)
             for lam in all_contents_A(n, L):
-                for restriction, level in (("none", None), ("classical", None),
-                                           ("level", 0), ("level", 1),
-                                           ("level", 2), ("level", 3)):
-                    got = paths(shape, lam, restriction, level)
-                    want = filtered_paths(shape, lam, restriction, level)
+                for level, restricted in ((None, False), (None, True),
+                                          (0, True), (1, True), (2, True),
+                                          (3, True)):
+                    got = paths(shape, lam, level, restricted)
+                    want = filtered_paths(shape, lam, level, restricted)
                     assert sorted(got, key=str) == sorted(want, key=str), \
-                        (L, lam, restriction, level)
+                        (L, lam, level, restricted)
 
     @pytest.mark.parametrize("shape", [
         boxes("A", 2, 5),
@@ -375,10 +376,9 @@ class TestPathSearch:
     def test_cap_counts_search_nodes(self, monkeypatch):
         monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
         with pytest.raises(CapExceeded):
-            enumerate_paths(boxes("A", 1, 6), (3, 3), "classical")
+            enumerate_paths(boxes("A", 1, 6), (3, 3))
         monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
-        assert len(enumerate_paths(boxes("A", 1, 6), (3, 3),
-                                   "classical")) == 5
+        assert len(enumerate_paths(boxes("A", 1, 6), (3, 3))) == 5
 
     @pytest.mark.parametrize("shape,weight", [
         # a content sum above the boxes: B^{1,2} (x) (B^{1,1})^{(x)10} of
@@ -388,12 +388,13 @@ class TestPathSearch:
         # an L1 norm above the boxes in type C
         (boxes("C", 2, 3), (3, 1)),
     ])
-    @pytest.mark.parametrize("restriction", ["none", "classical"])
+    @pytest.mark.parametrize("restricted", [False, True],
+                             ids=["none", "classical"])
     def test_weight_beyond_the_boxes_visits_no_node(self, monkeypatch, shape,
-                                                    weight, restriction):
+                                                    weight, restricted):
         # the L1 rule of _place holds at the empty suffix already
         monkeypatch.setattr(crystal, "VERTEX_CAP", 0)
-        assert search_paths(shape, weight, restriction) == []
+        assert search_paths(shape, weight, restricted=restricted) == []
 
     def test_product_beyond_the_cap(self):
         shape = boxes("A", 1, 21)
@@ -401,7 +402,7 @@ class TestPathSearch:
         # the involution lists the whole product, so it refuses it
         with pytest.raises(CapExceeded):
             involution_phi(shape, (21, 0))
-        assert [str(w) for w in paths(shape, (21, 0), "classical")] \
+        assert [str(w) for w in paths(shape, (21, 0))] \
             == ["(x)".join(["1"] * 21)]
 
 

@@ -213,14 +213,14 @@ class TestEnergy:
 
 class TestDirectSums:
     def test_classical_coenergy_example(self):
-        assert str(direct_sum(boxes("A", 1, 2), (1, 1), "classical")) == "q"
+        assert str(direct_sum(boxes("A", 1, 2), (1, 1))) == "q"
 
     def test_unrestricted_is_multinomial(self):
         for n in (1, 2):
             for L in range(1, 7):
                 shape = boxes("A", n, L)
                 for lam in all_contents_A(n, L):
-                    assert direct_sum(shape, lam, "none") == \
+                    assert direct_sum(shape, lam, restricted=False) == \
                         qmultinomial(L, lam), (n, L, lam)
 
     def test_energy_is_inverse_of_coenergy(self):
@@ -228,7 +228,7 @@ class TestDirectSums:
         shape = boxes("A", 2, 3)
         for lam in ((1, 1, 1), (2, 1, 0)):
             x = compute_sum(shape, lam, "classical", "direct", "energy", None)
-            xb = direct_sum(shape, lam, "classical")
+            xb = direct_sum(shape, lam)
             assert xb == invert_q(x) and x != xb
 
     def test_bad_statistic(self):
@@ -262,7 +262,8 @@ class TestIncrementalEnergy:
         extend = energy_extension(shape)
         seen = 0
         for lam in all_contents_A(n, sum(d.boxes for d in shape)):
-            for b, e in search_paths(shape, lam, extend=extend):
+            for b, e in search_paths(shape, lam, restricted=False,
+                                     extend=extend):
                 w = path_word(shape, b)
                 assert -e == coenergy_D(w), w
                 seen += 1
@@ -272,13 +273,13 @@ class TestIncrementalEnergy:
     def test_direct_sum_matches_the_product_filter(self, seed):
         shape = seeded_shape(seed, 2, "rows")
         for lam in all_contents_A(2, sum(d.boxes for d in shape)):
-            for restriction, level in (("none", None), ("classical", None),
-                                       ("level", 3)):
+            for level, restricted in ((None, False), (None, True),
+                                      (3, True)):
                 want = QLaurent.from_exponents(
                     coenergy_D(b)
-                    for b in filtered_paths(shape, lam, restriction, level))
-                assert direct_sum(shape, lam, restriction, level) == want, \
-                    (shape, lam, restriction)
+                    for b in filtered_paths(shape, lam, level, restricted))
+                assert direct_sum(shape, lam, level, restricted) == want, \
+                    (shape, lam, level, restricted)
 
 
 def all_weights_C(n, L):
@@ -310,9 +311,9 @@ class TestTransferMatrix:
     def test_sweep_matches_search_and_filter(self, desc, max_L, monkeypatch):
         # direct_sum must sum a homogeneous shape without listing paths
         def no_search(*args, **kwargs):
-            raise AssertionError("homogeneous shape reached search_paths")
+            raise AssertionError("homogeneous shape reached the path search")
 
-        monkeypatch.setattr(energy, "search_paths", no_search)
+        monkeypatch.setattr(energy, "_search", no_search)
         for L in range(1, max_L + 1):
             shape = (desc,) * L
             extend = energy_extension(shape)
@@ -320,24 +321,23 @@ class TestTransferMatrix:
             weights = (all_contents_A(desc.n, L * desc.boxes)
                        if desc.kind == "A" else all_weights_C(desc.n, L))
             for lam in weights:
-                for restriction, level in (("none", None),
-                                           ("classical", None),
-                                           ("level", 1), ("level", 2)):
-                    got = direct_sum(shape, lam, restriction, level)
+                for level, restricted in ((None, False), (None, True),
+                                          (1, True), (2, True)):
+                    got = direct_sum(shape, lam, level, restricted)
                     searched = QLaurent.from_exponents(
-                        -e for _, e in search_paths(shape, lam, restriction,
-                                                    level, extend=extend))
+                        -e for _, e in search_paths(shape, lam, level,
+                                                    restricted, extend))
                     filtered = QLaurent.from_exponents(
                         -energies[w] for w in filtered_paths(
-                            shape, lam, restriction, level))
-                    case = (desc, L, lam, restriction, level)
+                            shape, lam, level, restricted))
+                    case = (desc, L, lam, level, restricted)
                     assert got == searched == filtered, case
 
     def test_sweep_is_capped(self, monkeypatch):
         shape = boxes("A", 1, 6)
-        want = direct_sum(shape, (3, 3), "classical")
+        want = direct_sum(shape, (3, 3))
         monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
         with pytest.raises(CapExceeded, match="transitions"):
-            direct_sum(shape, (3, 3), "classical")
+            direct_sum(shape, (3, 3))
         monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
-        assert direct_sum(shape, (3, 3), "classical") == want
+        assert direct_sum(shape, (3, 3)) == want

@@ -14,14 +14,14 @@ from crystalsums.fermionic import (_admitted_shapes, _generic_grid,
                                    _grid_row_sites, _live_shapes,
                                    _occupied_row_sites, _rc_row,
                                    _signed_minima, closed_form_F,
-                                   closed_form_F_level, config_sizes,
+                                   config_sizes,
                                    cst_enumerate, rc_generating_function,
                                    vacancy, vacuum_weight)
 from crystalsums.partitions import conjugate, partitions_of
 from crystalsums.qpoly import ONE, ZERO, q_power
 
 from oracles import (admitted_by_product, cc_stat, cc_theta,
-                     closed_form_F_by_product, closed_form_F_level_by_product,
+                     closed_form_F_by_product, vacuum_level_form_by_product,
                      dominant_contents_A, dominant_weights_C, enumerate_rc,
                      column_count, generic_m, level_closed_form_by_product,
                      level_rc_sum_by_configurations, live_shapes_plain,
@@ -47,7 +47,7 @@ class TestClosedForm:
 
     def test_a2_three_boxes(self):
         # must equal the direct coenergy sum (path oracle)
-        want = direct_sum(boxes("A", 2, 3), (1, 1, 1), "classical")
+        want = direct_sum(boxes("A", 2, 3), (1, 1, 1))
         assert closed_form_F("A", 2, {(1, 1): 3}, (1, 1, 1)) == want
 
     def test_infeasible_weight_is_zero(self):
@@ -103,8 +103,7 @@ class TestRiggedConfigurations:
                         else dominant_weights_C(n, L))
                 for lam in lams:
                     rcs = enumerate_rc(kind, n, {(1, 1): L}, lam)
-                    paths = enumerate_paths(boxes(kind, n, L), lam,
-                                            "classical")
+                    paths = enumerate_paths(boxes(kind, n, L), lam)
                     assert len(rcs) == len(paths), (kind, n, L, lam)
 
     def test_highest_weight_single_empty(self):
@@ -251,8 +250,7 @@ class TestShapeSums:
             for level in (None, 1, 2):
                 if level is not None and level < widest:
                     continue
-                want = direct_sum(shape, lam, "classical" if level is None
-                                  else "level", level)
+                want = direct_sum(shape, lam, level)
                 assert closed_form_F(kind, n, Lmap, lam, level) == want, \
                     (lam, level)
                 assert rc_generating_function(kind, n, Lmap, lam,
@@ -387,8 +385,8 @@ class TestLiveShapes:
                 if any(i > data.t[a - 1] * level for a, i in Lmap):
                     continue
                 if lam == vacuum_weight(data, Lmap):
-                    assert closed_form_F_level(data, Lmap, level) == \
-                        closed_form_F_level_by_product(data, Lmap, level), \
+                    assert closed_form_F(kind, n, Lmap, lam, level) == \
+                        vacuum_level_form_by_product(data, Lmap, level), \
                         (Lmap, level)
                 if data.theta_pairing(lam) > level or any(i > level
                                                           for _, i in Lmap):
@@ -507,13 +505,13 @@ class TestLevelForms:
         assert vacuum_weight(C2, {(1, 1): 3}) == (0, 0)
 
     def test_level_form_a1(self):
-        assert closed_form_F_level(A1, {(1, 1): 2}, 1) == q_power(1)
+        assert closed_form_F("A", 1, {(1, 1): 2}, (1, 1), 1) == q_power(1)
 
     def test_level_form_stabilizes(self):
         for L in (2, 4, 6):
-            Lmap = {(1, 1): L}
-            big = closed_form_F_level(A1, Lmap, L)
-            assert big == closed_form_F("A", 1, Lmap, (L // 2, L // 2))
+            Lmap, vacuum = {(1, 1): L}, (L // 2, L // 2)
+            big = closed_form_F("A", 1, Lmap, vacuum, L)
+            assert big == closed_form_F("A", 1, Lmap, vacuum)
 
     def test_level_restricted_A_modes_agree(self):
         for n, maxL, ells in ((1, 6, (1, 2)), (2, 4, (1,))):
@@ -533,7 +531,7 @@ class TestLevelForms:
                 for ell in (1, 2):
                     if lam[0] - lam[1] > ell:
                         continue
-                    want = direct_sum(boxes("A", 1, L), lam, "level", ell)
+                    want = direct_sum(boxes("A", 1, L), lam, ell)
                     got = rc_generating_function("A", 1, {(1, 1): L}, lam,
                                                  ell)
                     assert got == want, (L, lam, ell)
@@ -541,7 +539,7 @@ class TestLevelForms:
     def test_rectangular_weight_uses_plain_vacancies(self):
         # lambda = (m^{n+1}): no tableaux corrections, matches the vacuum form
         got = rc_generating_function("A", 1, {(1, 1): 4}, (2, 2), 1)
-        assert got == closed_form_F_level(A1, {(1, 1): 4}, 1)
+        assert got == closed_form_F("A", 1, {(1, 1): 4}, (2, 2), 1)
 
     def test_monotone_in_level(self):
         for L in (4, 6):
@@ -559,7 +557,7 @@ class TestLevelForms:
         # a weight above the level, which once raised: the level sum is zero
         # by definition, as direct_sum finds
         for kind, n, L, lam in (("A", 1, 4, (3, 1)), ("C", 2, 2, (2, 0))):
-            want = direct_sum(boxes(kind, n, L), lam, "level", 1)
+            want = direct_sum(boxes(kind, n, L), lam, 1)
             assert want == ZERO
             for route in (rc_generating_function, closed_form_F):
                 assert route(kind, n, {(1, 1): L}, lam, 1) == want
@@ -615,7 +613,7 @@ class TestLevelForms:
     def test_level_restricted_C_empty_weight_reduces(self):
         for L in (2, 4):
             got = rc_generating_function("C", 2, {(1, 1): L}, (0, 0), 1)
-            assert got == closed_form_F_level(C2, {(1, 1): L}, 1)
+            assert got == closed_form_F("C", 2, {(1, 1): L}, (0, 0), 1)
 
     def test_level_restricted_C_stabilizes(self):
         for L in (2, 3):

@@ -10,17 +10,19 @@ one check in ``cartan``, not from a check of the route's own.  A sum that
 is zero by definition (``cartan.vanishes``) is ZERO from every route that
 covers its input, not an error, and not a signed alternating sum.
 """
+import sys
+
 import pytest
 
+from crystalsums import bosonic, cartan
 from crystalsums.bosonic import alternating_sum, involution_phi, supernomial
 from crystalsums.cartan import cartan_data, shape_type, vanishes
 from crystalsums.cli import compute_sum, parse_shape
-from crystalsums.crystal import FactorDescriptor, enumerate_paths, search_paths
+from crystalsums.crystal import FactorDescriptor, search_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import (CrystalSumsError, ShapeSyntaxError,
                                 UnsupportedError)
-from crystalsums.fermionic import (closed_form_F, closed_form_F_level,
-                                   rc_generating_function)
+from crystalsums.fermionic import closed_form_F, rc_generating_function
 from crystalsums.hardhex import hh_X, product_series, rr_series_check
 from crystalsums.qpoly import ONE, ZERO
 
@@ -55,16 +57,16 @@ def _lmap(shape):
 WEIGHTS = ("short weight", "long weight")
 SHAPES = ("empty shape", "mixed ranks")
 ROUTES = {
-    "direct_sum none": ("none", WEIGHTS + SHAPES,
-                        lambda s, w, lv: direct_sum(s, w)),
+    "direct_sum none": ("none", WEIGHTS + SHAPES, lambda s, w, lv:
+                        direct_sum(s, w, restricted=False)),
     "direct_sum": ("classical", WEIGHTS + SHAPES,
-                   lambda s, w, lv: direct_sum(s, w, "classical")),
+                   lambda s, w, lv: direct_sum(s, w)),
     "direct_sum level": ("level", WEIGHTS + SHAPES + ("negative level",),
-                         lambda s, w, lv: direct_sum(s, w, "level", lv)),
+                         lambda s, w, lv: direct_sum(s, w, lv)),
     "search_paths": ("classical", WEIGHTS + SHAPES,
-                     lambda s, w, lv: search_paths(s, w, "classical")),
+                     lambda s, w, lv: search_paths(s, w)),
     "search_paths level": ("level", WEIGHTS + SHAPES + ("negative level",),
-                           lambda s, w, lv: search_paths(s, w, "level", lv)),
+                           lambda s, w, lv: search_paths(s, w, lv)),
     "supernomial": ("none", WEIGHTS + SHAPES,
                     lambda s, w, lv: supernomial(s, w)),
     "bosonic_classical": ("classical", WEIGHTS + SHAPES,
@@ -82,9 +84,6 @@ ROUTES = {
                                                            _lmap(s), w, lv)),
     "rc_generating_function": ("classical", WEIGHTS, lambda s, w, lv:
                                rc_generating_function(*_type(s), _lmap(s), w)),
-    "closed_form_F_level": ("level", ("negative level",), lambda s, w, lv:
-                            closed_form_F_level(cartan_data(*_type(s)),
-                                                _lmap(s), lv)),
     "level_restricted": ("level", WEIGHTS + ("negative level",),
                          lambda s, w, lv: rc_generating_function(
                              *_type(s), _lmap(s), w, lv)),
@@ -143,8 +142,8 @@ def test_every_route_is_zero_where_the_sum_vanishes(route, case):
     # columns, the involution a sum with no pair set to report on
     restriction, _, call = ROUTES[route]
     shape, weight, level = VANISHING[case]
-    want = direct_sum(shape, weight, restriction,
-                      level if restriction == "level" else None)
+    want = direct_sum(shape, weight, level if restriction == "level"
+                      else None, restricted=restriction != "none")
     if restriction == "level":
         assert want == ZERO
     got = outcome(lambda: call(shape, weight, level))
@@ -191,8 +190,9 @@ def test_direct_sum_vanishes_where_the_walk_finds_no_path(case, restriction):
     # finds no path on just those inputs, so the rule drops no path
     shape, weight, level = VANISHING[case]
     level = level if restriction == "level" else None
-    paths = search_paths(shape, weight, restriction, level)
-    assert direct_sum(shape, weight, restriction, level).is_zero() \
+    restricted = restriction != "none"
+    paths = search_paths(shape, weight, level, restricted)
+    assert direct_sum(shape, weight, level, restricted).is_zero() \
         == (not paths)
 
 
@@ -216,8 +216,6 @@ TYPE_C_ROW = {
     "closed_form_F level": lambda L: closed_form_F("C", 2, L, (2, 0), 2),
     "rc_generating_function":
         lambda L: rc_generating_function("C", 2, L, (2, 0)),
-    "closed_form_F_level":
-        lambda L: closed_form_F_level(cartan_data("C", 2), L, 2),
     "level_restricted": lambda L: rc_generating_function("C", 2, L, (2, 0),
                                                          2),
 }
@@ -232,19 +230,49 @@ def test_type_c_rows_are_refused_as_by_compute_sum(route):
     assert got == (UnsupportedError, "type C factors must be single columns")
 
 
-# the path walks take the restriction as an argument: each refuses one it
-# does not know, or a level restriction without a level, with the class
-# compute_sum raises for them
-@pytest.mark.parametrize("walk", [direct_sum, search_paths, enumerate_paths],
-                         ids=lambda f: f.__name__)
+# the restriction string is compute_sum's alone, as the routes take a level
+# and whether the sum is restricted (``cartan.vanishes``): it refuses one it
+# does not know, or a level restriction without a level, for every method
+@pytest.mark.parametrize("method", ["direct", "bosonic", "fermionic", "rc"])
 @pytest.mark.parametrize("restriction", ["bogus", "level"])
-def test_walks_refuse_a_restriction_as_compute_sum(walk, restriction):
-    shape, weight = (A1, A1), (1, 1)
-    want = outcome(lambda: compute_sum(shape, weight, restriction, "direct",
-                                       "coenergy", None))
-    assert want[0] is UnsupportedError, want
-    got = outcome(lambda: walk(shape, weight, restriction, None))
+def test_compute_sum_refuses_a_restriction(method, restriction):
+    got = outcome(lambda: compute_sum((A1, A1), (1, 1), restriction, method,
+                                      "coenergy", None))
     assert got[0] is UnsupportedError, got
+
+
+# one valid input per route of ROUTES, as (shape, weight, level): rows of
+# two widths, which the level involution, on single boxes only, does not
+# take
+ROWS = ((FactorDescriptor("A", 1, 1, 2), A1), (2, 1), 2)
+CHECKED_ONCE = {route: ((A1,) * 3, (2, 1), 1) if route ==
+                "involution_phi level" else ROWS for route in ROUTES}
+
+
+@pytest.mark.parametrize("route", sorted(CHECKED_ONCE))
+def test_every_route_checks_its_input_once(route, monkeypatch):
+    # each entry point calls cartan.check_sum once per call, and nothing
+    # past it checks again: not the closed forms on a cache miss, not the
+    # path search of a mixed direct sum or of the involution's fixed
+    # points.  check_sum is counted through every module that imports it;
+    # cartan's own cached simple_reflections checks its level on a miss,
+    # as an entry of its own
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cartan.check_sum(*args, **kwargs)
+
+    for module in sys.modules.values():
+        if (getattr(module, "__name__", "").startswith("crystalsums.")
+                and module is not cartan
+                and getattr(module, "check_sum", None) is cartan.check_sum):
+            monkeypatch.setattr(module, "check_sum", counted)
+    bosonic._supernomial_closed_form.cache_clear()
+    bosonic._pair_sets.cache_clear()
+    shape, weight, level = CHECKED_ONCE[route]
+    ROUTES[route][2](shape, weight, level)
+    assert len(calls) == 1, calls
 
 
 # the hard-hexagon entry points take no shape, so they refuse on their own,

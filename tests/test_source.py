@@ -1,5 +1,8 @@
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalsums"
 
@@ -203,7 +206,7 @@ def test_closed_forms_read_no_rc_walk():
     # reach neither its column-count vacancies and charges (nor their
     # tables and row function) nor its riggings
     reached, used = _reached("fermionic.py", [
-        "closed_form_F", "closed_form_F_level", "_closed_form_sum"])
+        "closed_form_F", "_closed_form_sum"])
     assert {"_live_shapes", "_vacancy_generic", "_generic_row",
             "_min_sums"} <= reached
     rc_walk = used & {"vacancy", "_column_counts", "_rc_row", "cc_shape",
@@ -325,8 +328,10 @@ TEST_ONLY = {"WeylElement", "element", "compose", "coroot_pairing",
              "RiggedConfiguration", "enumerate_rc", "hh_paths", "hh_energy"}
 
 # the former per-restriction entry points: each route has one public
-# function, whose level argument None means the classical sum
-MERGED = {"bosonic_classical", "bosonic_level", "level_restricted"}
+# function, whose level argument None means the classical sum (the level
+# form at the vacuum weight is closed_form_F there)
+MERGED = {"bosonic_classical", "bosonic_level", "level_restricted",
+          "closed_form_F_level"}
 
 
 def test_test_only_helpers_are_not_in_the_package():
@@ -387,14 +392,16 @@ def test_row_table_caches_are_bounded():
         assert getattr(fermionic, name).cache_info().maxsize == bounds[0]
 
 
-def test_pair_set_cache_is_bounded():
-    # the involution's walk of the product outlives a call: an lru_cache of
-    # a module constant's size, private, so no tracer wraps it
+@pytest.mark.parametrize("name", ["_pair_sets", "_supernomial_closed_form"])
+def test_bosonic_caches_are_bounded(name):
+    # the involution's walk of the product and the supernomial closed forms
+    # outlive a call: each is an lru_cache of a module constant's size,
+    # private, so no tracer wraps it
     from crystalsums import bosonic
-    bounds = _cache_bounds("bosonic.py", "_pair_sets")
+    bounds = _cache_bounds("bosonic.py", name)
     assert len(bounds) == 1 and isinstance(bounds[0], int) \
         and bounds[0] > 0, bounds
-    assert bosonic._pair_sets.cache_info().maxsize == bounds[0]
+    assert getattr(bosonic, name).cache_info().maxsize == bounds[0]
 
 
 # where malformed input may be refused, with the text its message must
@@ -443,18 +450,19 @@ def test_one_check_per_route():
     # each route checks its input once, at its entry, from the factor
     # multiplicities L: the Weyl-term loop of alternating_sum calls the
     # cached kernel, which neither reads the shape nor runs the entry
-    # check again (only the closed forms it evaluates on a cache miss
-    # keep their own), direct_sum takes the root data and L from the
-    # walk's setup, and check_sum reads the widest factor from L itself,
-    # so no caller works a width out
+    # check again, nor do the closed forms it evaluates on a cache miss;
+    # direct_sum takes the root data and L from the walk's setup, and
+    # check_sum reads the widest factor from L itself, so no caller works a
+    # width out
     defs = _top_functions(ast.parse((PACKAGE / "bosonic.py").read_text()))
     loop = next(node for node in ast.walk(defs["alternating_sum"])
                 if isinstance(node, ast.For))
     names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
     assert "_supernomial" in names, names
     reached, used = _reached("bosonic.py", sorted(names & set(defs)))
+    assert "_supernomial_closed_form" in reached, reached
     again = (reached | used | names) & {"supernomial", "_check_bosonic",
-                                        "shape_type"}
+                                        "shape_type", "check_sum"}
     assert not again, again
     defs = _top_functions(ast.parse((PACKAGE / "energy.py").read_text()))
     names = {node.id for node in ast.walk(defs["direct_sum"])
@@ -478,3 +486,23 @@ def test_one_check_per_route():
               if not all(map(l_or_none, node.args[4:] + [
                   k.value for k in node.keywords if k.arg == "L"]))]
     assert not widths, widths
+
+
+def test_path_walks_take_no_restriction_string():
+    # the direct route reads a level and whether the sum is restricted, as
+    # cartan.vanishes does; the restriction string is compute_sum's alone
+    found = [f"{name}:{node.lineno}" for name, node in nodes()
+             if name in ("crystal.py", "energy.py")
+             and isinstance(node, ast.FunctionDef)
+             and "restriction" in {a.arg for a in node.args.args}]
+    assert not found, found
+    from crystalsums import cartan, crystal, energy
+
+    def convention(f, at):
+        params = list(inspect.signature(f).parameters.values())[at:at + 2]
+        return [(p.name, p.default) for p in params]
+
+    want = convention(cartan.vanishes, 3)
+    for walk in (energy.direct_sum, crystal.search_paths,
+                 crystal.enumerate_paths):
+        assert convention(walk, 2) == want, walk.__name__
