@@ -16,8 +16,10 @@ in both copies, the parent first in odd pairs and the change first in even
 ones.  The output holds every run, a summary per workload and end-to-end
 metric (medians, quartiles by ``statistics.quantiles(n=4)``, the number of
 pairs in which the change reads lower, ties counting for neither, and the
-share of failed operations) and, with ``--claim``, the claimed metric
-against the parent's inter-quartile range.
+share of failed operations), with ``--claim`` the claimed metric against
+the parent's inter-quartile range, and the acceptance ``verdict``: whether
+the claim is met, whether each metric's median is within its bound, and
+whether the share of failed operations went up.
 """
 from __future__ import annotations
 
@@ -145,6 +147,40 @@ def claimed(summary: dict, workload: str, metric: str) -> dict:
             "median_gap": _r(row["parent_median"] - row["change_median"])}
 
 
+def verdict(summary: dict, end_to_end: list[dict],
+            claim: dict | None) -> dict:
+    """The acceptance verdict.  The claim (``claimed``) is met when the
+    change reads lower in at least 9 of 10 pairs and its median gap exceeds
+    the parent's inter-quartile range.  Per workload, each end-to-end
+    metric of ``BENCHMARK.json`` is within its bound when the change's
+    median is worse than the parent's by at most the relative ``bound`` in
+    the direction of ``better``, and the failed share went up when the
+    change's exceeds the parent's.  The change is accepted when the claim,
+    if any, is met, every metric is within its bound and no failed share
+    went up."""
+    within = {}
+    fail_share_up = {}
+    for workload, rows in summary.items():
+        within[workload] = {}
+        for m in end_to_end:
+            row = rows[m["name"]]
+            worse = row["change_median"] - row["parent_median"]
+            if m["better"] != "lower":
+                worse = -worse
+            within[workload][m["name"]] = (
+                worse <= m["bound"] * row["parent_median"])
+        fail = rows["fail_frac"]
+        fail_share_up[workload] = fail["change"] > fail["parent"]
+    claim_met = None if claim is None else (
+        10 * claim["change_lower_in"] >= 9 * claim["pairs"]
+        and claim["median_gap"] > claim["parent_iqr"])
+    return {"claim_met": claim_met, "within_bounds": within,
+            "fail_share_up": fail_share_up,
+            "accepted": claim_met is not False
+            and all(all(w.values()) for w in within.values())
+            and not any(fail_share_up.values())}
+
+
 def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -177,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         runs = run_pairs(roots, workloads, args.pairs, seconds)
 
     summary = summarize(runs, metrics)
+    claim_row = claimed(summary, *claim) if claim else None
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds} --trace 0",
@@ -192,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{platform.python_version()}, {platform.system()}",
         # with it set, every round compiles the package from source
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "claimed": claimed(summary, *claim) if claim else None,
+        "claimed": claim_row,
+        "verdict": verdict(summary, spec["end_to_end"], claim_row),
         "summary": summary,
         "runs": runs,
     }

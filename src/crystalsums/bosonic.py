@@ -416,8 +416,8 @@ def involution_phi(shape: Shape, lam: tuple[int, ...],
     tables = [_factor_table(d) for d in shape]
 
     findings: list[str] = []
-    expected_fixed = {w for w, _ in _search(shape,
-                                            _walk_spec(data, lam, level))}
+    spec = _walk_spec(data, lam, level)
+    expected_fixed = {w for w, _ in _search(shape, spec)[1].get(spec[1], ())}
 
     def text(b):
         return "(x)".join(str(t[0][k]) for t, k in zip(tables, b))

@@ -291,15 +291,16 @@ def _factor_table(desc: FactorDescriptor) -> tuple:
 # ---------------------------------------------------------------------------
 # path sets
 
-def _walk_spec(data: CartanData, weight: tuple[int, ...],
+def _walk_spec(data: CartanData, weight: tuple[int, ...] | None,
                level: int | None = None, restricted: bool = True) -> tuple:
     """What a walk over the paths at ``weight`` tests, as (kind, target
-    weight, classical colors to test, level to test or None).  ``level``
-    and ``restricted`` read as in ``cartan.vanishes``: the paths are level
-    restricted at a ``level`` (killed by every classical e_i and by
-    e_0^{level+1}), classically restricted without one, and of the weight
-    alone if not ``restricted``."""
-    return (data.kind, tuple(weight),
+    weight, classical colors to test, level to test or None); a walk with
+    ``weight`` None has no target and reaches the paths of every weight.
+    ``level`` and ``restricted`` read as in ``cartan.vanishes``: the paths
+    are level restricted at a ``level`` (killed by every classical e_i and
+    by e_0^{level+1}), classically restricted without one, and of the
+    weight alone if not ``restricted``."""
+    return (data.kind, None if weight is None else tuple(weight),
             range(1, data.n + 1) if restricted else (),
             level if restricted else None)
 
@@ -328,11 +329,13 @@ def _element_table(desc: FactorDescriptor, colors, affine: bool) -> list:
             for k, x in enumerate(elements)]
 
 
-def _place(kind: str, target: tuple[int, ...], room: int,
+def _place(kind: str, target: tuple[int, ...] | None, room: int,
            level: int | None, state: tuple, entry: tuple) -> tuple | None:
     """The state (weight, phi_i over the colors, eps_0, phi_0) of b (x) S
     from the state of S and b's ``_element_table`` entry, or None when no
     path to ``target`` ends in b (x) S with ``room`` boxes left to place.
+    With ``target`` None the weight rules are skipped: the walk reaches
+    the paths of every weight.
 
     * Highest weight: b (x) S is killed by every classical e_i iff S is
       and eps_i(b) <= phi_i(S), and then phi_i(b (x) S) = phi_i(b) +
@@ -349,7 +352,9 @@ def _place(kind: str, target: tuple[int, ...], room: int,
     if any(map(gt, xe, phis)):
         return None
     w = tuple(map(add, wt, xw))
-    if kind == "A":
+    if target is None:
+        pass
+    elif kind == "A":
         if any(map(gt, w, target)):
             return None
     elif sum(map(abs, map(sub, target, w))) > room:
@@ -368,7 +373,7 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
                  restricted: bool = True,
                  extend=None) -> list[tuple[tuple[int, ...], int]]:
     """The path set of ``enumerate_paths`` as (path, score) pairs: the
-    ``_search`` of the checked input.
+    ``_search`` of the checked input, at its target weight.
 
     ``extend(j, chosen, k)``, when given, is called each time b_{j+1}, the
     element ``factor_elements(...)[k]`` of its factor, is placed to the
@@ -376,37 +381,41 @@ def search_paths(shape: tuple[FactorDescriptor, ...],
     a path's score is the sum of what it returned along the path (0
     without a hook).
     """
-    return _search(shape, _walk_setup(shape, weight, level, restricted)[2],
-                   extend)
+    setup = _walk_setup(shape, weight, level, restricted)[2]
+    return _search(shape, setup, extend)[1].get(setup[1], [])
 
 
 def _search(shape: tuple[FactorDescriptor, ...], setup,
-            extend=None) -> list[tuple[tuple[int, ...], int]]:
-    """``search_paths`` of the walk ``setup`` (a ``_walk_spec``), by a
-    depth-first search that places b_1 first and grows each path to the
-    left, pruning each partial path b_j (x) ... (x) b_1 by ``_place``.
-    ``VERTEX_CAP`` bounds the number of search nodes visited."""
+            extend=None) -> tuple[int, dict]:
+    """The number of search nodes visited and the (path, score) pairs of
+    ``search_paths`` grouped by weight, {weight: pairs}, for the walk
+    ``setup`` (a ``_walk_spec``): one group at its target weight, or one
+    per weight reached when it has none.  A depth-first search places b_1
+    first and grows each path to the left, pruning each partial path b_j
+    (x) ... (x) b_1 by ``_place``.  ``VERTEX_CAP`` bounds the nodes."""
     kind, target, colors, level = setup
     right = shape[::-1]
     L = len(right)
     boxes_left = [sum(d.boxes for d in right[p + 1:]) for p in range(L)]
-    if sum(map(abs, target)) > sum(d.boxes for d in right):
+    if target is not None and sum(map(abs, target)) > sum(
+            d.boxes for d in right):
         # ``_place``'s L1 rule at the empty suffix; in type A it reads the
         # same at every node, as sum(target - w) - room never changes
-        return []
+        return 0, {}
     tables = {d: _element_table(d, colors, level is not None)
               for d in set(right)}
     options = [tables[d] for d in right]
 
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     chosen = [0] * L
     nodes = 0
 
     def grow(p, state, score):
         nonlocal nodes
         if p == L:
-            if state[0] == target:
-                out.append((tuple(reversed(chosen)), score))
+            if target is None or state[0] == target:
+                out.setdefault(state[0], []).append(
+                    (tuple(reversed(chosen)), score))
             return
         for entry in options[p]:
             nstate = _place(kind, target, boxes_left[p], level, state, entry)
@@ -420,10 +429,11 @@ def _search(shape: tuple[FactorDescriptor, ...], setup,
             grow(p + 1, nstate,
                  score if extend is None else score + extend(p, chosen, k))
 
-    grow(0, ((0,) * len(target), (0,) * len(colors), 0, 0), 0)
+    # the weight's length from the first factor: a shape is never empty
+    grow(0, ((0,) * len(options[0][0][1]), (0,) * len(colors), 0, 0), 0)
     del grow  # grow refers to itself; without this the search state
     # (and the hook's tables) would wait for the cyclic garbage collector
-    return out
+    return nodes, out
 
 
 def enumerate_paths(shape: tuple[FactorDescriptor, ...],

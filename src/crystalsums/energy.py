@@ -15,26 +15,34 @@ from the tensor rule.  The R-matrix is kept as one index table, step[a][b]
 = (H, c, d) with sigma(x_a (x) x_b) = y_c (x) y_d, which holds both image
 indices; nothing keyed by ``Factor`` is kept.
 
-A direct sum over a homogeneous shape B^(x)L is one transfer-matrix sweep
-from right to left over states of partial paths, each carrying its
+The direct sums of one (shape, level, restriction) come from one walk
+with no target weight, which sums every weight it reaches and is kept for
+the next weight asked, as ``verify`` asks every weight of a shape back to
+back.  Over a homogeneous shape B^(x)L the walk is one transfer-matrix
+sweep from right to left over states of partial paths, each carrying its
 polynomial, as in the corner-transfer-matrix view of one-dimensional sums
-(Date-Jimbo-Kuniba-Miwa-Okado 1987); no path is listed.  A mixed shape is
-summed over the paths of the pruned search, each scored as it grows by
+(Date-Jimbo-Kuniba-Miwa-Okado 1987); no path is listed.  Over a mixed
+shape it is the pruned search, each path scored as it grows by
 ``energy_extension``, the one implementation of E_B (the involution's
 statistic check scores its words by the same pass).
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import crystal
 from .cartan import vanishes
 from .errors import (CapExceeded, EnergyConsistencyError, IsomorphismError,
                      UnsupportedError)
 from .crystal import (FactorDescriptor, _element_table, _factor_table,
-                      _place, _search, _walk_setup, highest_weight_element)
+                      _place, _search, _walk_setup, _walk_spec,
+                      highest_weight_element)
 # kept as the alias energy.enumerate_paths, which perfbench/selftest.py
 # checks the benchmark's tracer rebinds
 from .crystal import enumerate_paths  # noqa: F401
 from .qpoly import QLaurent, ZERO
+
+DIRECT_WALK_CACHE = 1  # walks of ``_direct_sums`` kept, least recently used
 
 # the index table of ``combinatorial_r`` per ordered pair; write-once
 _TABLES: dict[tuple[FactorDescriptor, FactorDescriptor], tuple] = {}
@@ -175,30 +183,31 @@ def energy_extension(shape: tuple[FactorDescriptor, ...]):
     return extend
 
 
-def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
-    """The direct sum over the paths of B^{(x)L} by a transfer matrix.
+def _sweep(desc: FactorDescriptor, L: int, colors, level: int | None
+           ) -> tuple[int, dict[tuple[int, ...], QLaurent]]:
+    """The number of transitions made and the direct sum at every weight
+    of the paths of B^{(x)L}, by one transfer matrix.
 
     On B (x) B the R-matrix is the identity, so E_B = sum over i of
     (L - i) H(b_{i+1} (x) b_i).  The sweep places b_1, ..., b_L right to
-    left like ``search_paths`` and prunes by the same ``_place``, but keeps
-    one {exponent: count} polynomial per state (weight, phi_i over the
-    colors, eps_0, phi_0, index of the last placed element) instead of one
-    leaf per path.  ``setup`` is the walk's part of what ``_walk_setup``
-    returned for the sum.  ``VERTEX_CAP`` bounds the transitions."""
-    kind, target, colors, level = setup
+    left like ``search_paths`` and prunes by the same ``_place``, with no
+    target weight, but keeps one {exponent: count} polynomial per state
+    (weight, phi_i over the colors, eps_0, phi_0, index of the last placed
+    element) instead of one leaf per path.  ``colors`` and ``level`` are
+    those of the ``_walk_spec``.  ``VERTEX_CAP`` bounds the transitions."""
     table = _element_table(desc, colors, level is not None)
     H = [[-h for h, _, _ in row] for row in combinatorial_r(desc, desc)]
     cap = crystal.VERTEX_CAP
     moves = 0
     # the first element has no left neighbour yet: index 0, factor 0
-    layer = {((0,) * len(target), (0,) * len(colors), 0, 0): {0: {0: 1}}}
+    layer = {((0,) * len(table[0][1]), (0,) * len(colors), 0, 0):
+             {0: {0: 1}}}
     for p in range(L):
         factor = L - p if p else 0
-        room = (L - p - 1) * desc.boxes
         nxt: dict = {}
         for state, by_last in layer.items():
             for entry in table:
-                nstate = _place(kind, target, room, level, state, entry)
+                nstate = _place(desc.kind, None, 0, level, state, entry)
                 if nstate is None:
                     continue
                 moves += len(by_last)
@@ -214,29 +223,49 @@ def _sweep(desc: FactorDescriptor, L: int, setup) -> QLaurent:
                         e += s
                         acc[e] = acc.get(e, 0) + c
         layer = nxt
-    out: dict[int, int] = {}
+    out: dict[tuple[int, ...], dict[int, int]] = {}
     for state, by_last in layer.items():
-        if state[0] == target:
-            for poly in by_last.values():
-                for e, c in poly.items():
-                    out[e] = out.get(e, 0) + c
-    return QLaurent.from_dict(out)
+        acc = out.setdefault(state[0], {})
+        for poly in by_last.values():
+            for e, c in poly.items():
+                acc[e] = acc.get(e, 0) + c
+    return moves, {wt: QLaurent.from_dict(d) for wt, d in out.items()}
+
+
+@lru_cache(maxsize=DIRECT_WALK_CACHE)
+def _direct_sums(shape: tuple[FactorDescriptor, ...], spec: tuple
+                 ) -> tuple[int, dict[tuple[int, ...], QLaurent]]:
+    """The work of one walk over the paths of ``shape`` under the
+    ``_walk_spec`` ``spec``, which has no target weight, and the direct sum
+    at every weight the walk reaches.  A homogeneous shape B^{(x)L} is
+    walked by the transfer-matrix ``_sweep`` and its work counted in
+    transitions; a mixed shape by the pruned ``_search``, which scores
+    each path by E_B = D as it grows, and its work counted in nodes."""
+    _, _, colors, level = spec
+    if all(d == shape[0] for d in shape):
+        return _sweep(shape[0], len(shape), colors, level)
+    nodes, groups = _search(shape, spec, extend=energy_extension(shape))
+    return nodes, {wt: QLaurent.from_exponents(-e for _, e in pairs)
+                   for wt, pairs in groups.items()}
 
 
 def direct_sum(shape: tuple[FactorDescriptor, ...],
                weight: tuple[int, ...], level: int | None = None,
                restricted: bool = True) -> QLaurent:
     """Sum of q^{-D(b)}, the coenergy, over the paths of
-    ``enumerate_paths``.  A homogeneous shape B^{(x)L} is summed by the
-    transfer-matrix ``_sweep``; a mixed shape by the pruned ``_search``,
-    which accumulates each path's energy E_B = D as it grows.  Both walk
-    the setup of the one input check, ``_walk_setup``, before any R-matrix
-    is built.  A sum that ``vanishes`` by definition is ZERO without a
-    walk, which would find no path but can take long to see it."""
-    data, L, setup = _walk_setup(shape, weight, level, restricted)
+    ``enumerate_paths``.  The sum is read from ``_direct_sums``, one walk
+    per (shape, level, restriction) that sums every weight at once and is
+    kept for the next weight asked; ``VERTEX_CAP`` bounds that walk's work
+    on every call, a walk kept from an earlier call included.  The one
+    input check, ``_walk_setup``, runs before any walk or R-matrix.  A sum
+    that ``vanishes`` by definition is ZERO without a walk, which would
+    find no path but can take long to see it."""
+    data, L, spec = _walk_setup(shape, weight, level, restricted)
     if vanishes(data, L, weight, level, restricted):
         return ZERO
-    if all(d == shape[0] for d in shape):
-        return _sweep(shape[0], len(shape), setup)
-    paths = _search(shape, setup, extend=energy_extension(shape))
-    return QLaurent.from_exponents(-e for _, e in paths)
+    work, sums = _direct_sums(shape, _walk_spec(data, None, level,
+                                                 restricted))
+    if work > crystal.VERTEX_CAP:
+        raise CapExceeded(f"the walk of the direct sums made more than "
+                          f"{crystal.VERTEX_CAP} transitions")
+    return sums.get(spec[1], ZERO)

@@ -343,6 +343,17 @@ class TestVerify:
         assert [json.loads(line)["instance"] for line in out.splitlines()] \
             == [{"L": 0, "primed": False}, {"L": 0, "primed": True}]
 
+    def test_cap_holds_in_pool_workers(self, capsys, monkeypatch):
+        # the workers fork from this process, so they read its lowered cap:
+        # the first instance past it fails the run with exit 4 before any
+        # record is printed
+        from crystalsums import crystal
+        monkeypatch.setattr(crystal, "VERTEX_CAP", 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "verify", "level", "--n", "1",
+                             "--max-L", "6", "--level", "2", "--jobs", "2")
+        assert code == 4 and not out, err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         code, out, err = run(capsys, "verify", "typeA", "--n", "1",

@@ -334,10 +334,63 @@ class TestTransferMatrix:
                     assert got == searched == filtered, case
 
     def test_sweep_is_capped(self, monkeypatch):
-        shape = boxes("A", 1, 6)
-        want = direct_sum(shape, (3, 3))
-        monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
-        with pytest.raises(CapExceeded, match="transitions"):
-            direct_sum(shape, (3, 3))
-        monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
-        assert direct_sum(shape, (3, 3)) == want
+        # the sweep of a homogeneous shape and the search of a mixed one
+        # are capped on the walk kept from an earlier call and on a walk
+        # made afresh
+        default = crystal.VERTEX_CAP
+        rows = (FactorDescriptor("A", 1, 1, 2), B11_A1) * 2
+        for shape in (boxes("A", 1, 6), rows):
+            monkeypatch.setattr(crystal, "VERTEX_CAP", default)
+            want = direct_sum(shape, (3, 3))
+            monkeypatch.setattr(crystal, "VERTEX_CAP", 5)
+            with pytest.raises(CapExceeded, match="transitions"):
+                direct_sum(shape, (3, 3))
+            energy._direct_sums.cache_clear()
+            with pytest.raises(CapExceeded, match="more than 5"):
+                direct_sum(shape, (3, 3))
+            monkeypatch.setattr(crystal, "VERTEX_CAP", 50)
+            assert direct_sum(shape, (3, 3)) == want, shape
+
+
+# one shape per walk of ``energy._direct_sums``: the sweep of homogeneous
+# type A and type C shapes, the search of mixed type A rows and columns
+CACHED_WALKS = {
+    "A2 boxes": boxes("A", 2, 4),
+    "C2 boxes": boxes("C", 2, 4),
+    "A2 rows": (FactorDescriptor("A", 2, 1, 2), FactorDescriptor("A", 2),
+                FactorDescriptor("A", 2, 1, 2)),
+    "A2 columns": (FactorDescriptor("A", 2, 2, 1), FactorDescriptor("A", 2))
+    * 2,
+}
+
+
+class TestCachedWalk:
+    @pytest.mark.parametrize("level,restricted", [
+        (None, True), (1, True), (2, True), (None, False)],
+        ids=["classical", "level 1", "level 2", "unrestricted"])
+    @pytest.mark.parametrize("name", sorted(CACHED_WALKS))
+    def test_every_weight_reads_one_walk(self, name, level, restricted):
+        # one walk per (shape, level, restriction) serves every weight:
+        # asked forward, then backward after another key's sum, each weight
+        # reads the per-weight oracle's sum, and each pass walks once
+        shape = CACHED_WALKS[name]
+        kind, n = shape[0].kind, shape[0].n
+        weights = (all_contents_A(n, sum(d.boxes for d in shape))
+                   if kind == "A" else all_weights_C(n, len(shape)))
+        want = {lam: QLaurent.from_exponents(
+            coenergy_D(b) for b in filtered_paths(shape, lam, level,
+                                                  restricted))
+            for lam in weights}
+        def walks():
+            return energy._direct_sums.cache_info().misses
+
+        energy._direct_sums.cache_clear()
+        for lam in weights:
+            assert direct_sum(shape, lam, level, restricted) == want[lam], lam
+        assert walks() <= 1
+        # the highest weight last in the list is dominant: a walk of its own
+        direct_sum(shape, weights[-1], None, not restricted)
+        before = walks()
+        for lam in reversed(weights):
+            assert direct_sum(shape, lam, level, restricted) == want[lam], lam
+        assert walks() - before <= 1

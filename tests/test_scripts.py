@@ -112,3 +112,49 @@ def test_bench_pairs_summary_of_fixed_runs():
         "workload": "w", "metric": "wall_cal", "change_lower_in": 2,
         "pairs": 4, "median_change_frac": round(8.5 / 10.5 - 1, 4),
         "parent_iqr": 2.5, "median_gap": 2.0}
+
+
+def test_bench_pairs_verdict_of_fixed_runs():
+    # the claim needs 9 of 10 pairs lower and a median gap above the
+    # parent's inter-quartile range; each metric's median may be worse by
+    # its relative bound, in the direction of its `better`; the failed
+    # share may not go up
+    def run(workload, pair, side, wall, rss, failed=0):
+        return {"pair": pair, "workload": workload, "seed": pair,
+                "side": side, "metrics": {"wall_cal": wall,
+                                          "peak_rss_mb": rss},
+                "failed": failed, "attempted": 10}
+
+    runs = [run("w", p, "parent", 10.0 + p % 3, 20.0) for p in range(10)]
+    runs += [run("w", p, "change", 7.5 + p % 3 + (p == 0) * 9, 21.0)
+             for p in range(10)]
+    runs += [run("v", p, side, 10.0, 20.0 if side == "parent" else 23.0,
+                 failed=int(side == "change" and p == 0))
+             for p in range(10) for side in ("parent", "change")]
+    end_to_end = [{"name": "wall_cal", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    bp = _bench_pairs()
+    summary = bp.summarize(runs, ["wall_cal", "peak_rss_mb"])
+    claim = bp.claimed(summary, "w", "wall_cal")
+    assert (claim["change_lower_in"], claim["median_gap"],
+            claim["parent_iqr"]) == (9, 2.5, 2.0)
+    assert bp.verdict(summary, end_to_end, claim) == {
+        "claim_met": True,
+        "within_bounds": {"w": {"wall_cal": True, "peak_rss_mb": True},
+                          "v": {"wall_cal": True, "peak_rss_mb": False}},
+        "fail_share_up": {"w": False, "v": True},
+        "accepted": False}
+    # a metric better higher is within its bound when it drops by at most
+    # the bound; no claim is neither met nor missed
+    only_w = {"w": summary["w"]}
+    for bound, within in ((0.1, False), (0.25, True)):
+        higher = [{"name": "wall_cal", "better": "higher", "bound": bound}]
+        assert bp.verdict(only_w, higher, None) == {
+            "claim_met": None, "within_bounds": {"w": {"wall_cal": within}},
+            "fail_share_up": {"w": False}, "accepted": within}
+    # a tie leaves eight of ten pairs lower, which misses the claim
+    runs[11]["metrics"]["wall_cal"] = 11.0
+    summary = bp.summarize(runs, ["wall_cal", "peak_rss_mb"])
+    claim = bp.claimed(summary, "w", "wall_cal")
+    assert claim["change_lower_in"] == 8
+    assert bp.verdict(summary, end_to_end, claim)["claim_met"] is False

@@ -404,6 +404,16 @@ def test_bosonic_caches_are_bounded(name):
     assert getattr(bosonic, name).cache_info().maxsize == bounds[0]
 
 
+def test_direct_walk_cache_is_bounded():
+    # the direct route's walk of every weight outlives a call: an lru_cache
+    # of a module constant's size, private, so no tracer wraps it
+    from crystalsums import energy
+    bounds = _cache_bounds("energy.py", "_direct_sums")
+    assert len(bounds) == 1 and isinstance(bounds[0], int) \
+        and bounds[0] > 0, bounds
+    assert energy._direct_sums.cache_info().maxsize == bounds[0]
+
+
 # where malformed input may be refused, with the text its message must
 # hold: the one input check, and the command line's own parsing of flags,
 # shapes, weights and config files; compute_sum refuses its statistic
