@@ -20,6 +20,22 @@ share of failed operations), with ``--claim`` the claimed metric against
 the parent's inter-quartile range, and the acceptance ``verdict``: whether
 the claim is met, whether each metric's median is within its bound, and
 whether the share of failed operations went up.
+
+Each ``--reach NAME=COMMAND`` (repeatable; NAME holds no ``=``) adds one
+single call of the command line to the ``reach`` section, e.g.
+
+    --reach "X(24)=rr --L 24 --method enumerate"
+
+It runs ``crystalsums COMMAND`` ``--pairs`` times per side, before the
+workload pairs, each in a fresh process that imports the copy's package and
+times only the ``cli.main`` call, the parent first in odd runs and the
+change first in even ones; a call that does not return stops the script.  Per
+command it records each side's median seconds, the number of runs in which
+the change reads lower, and ``same_sha256``: whether every run on both sides
+printed the same stdout and returned the same exit code.  The stdout is
+compared with the timing ``ms`` left out of each line that is a JSON
+object, as ``scripts/run_verify_matrix.py`` leaves it out of its digests,
+so ``verify`` commands compare too (in their default JSON format).
 """
 from __future__ import annotations
 
@@ -28,6 +44,7 @@ import io
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -94,6 +111,96 @@ def run_pairs(roots: dict[str, Path], workloads: list[str], pairs: int,
                              **run_once(roots[side], workload, pair,
                                         seconds)})
     return runs
+
+
+# One single call through cli.main, in a fresh process whose working
+# directory is a copy: the seconds around the call, its exit code and the
+# SHA-256 of what it printed, as one JSON line.  A JSON object line is
+# hashed without its "ms": each `verify` report times itself.
+REACH_CALL = """
+import contextlib, hashlib, io, json, os, sys, time
+sys.path.insert(0, "src")
+from crystalsums import cli
+if not os.path.abspath(cli.__file__).startswith(os.path.abspath("src")
+                                                + os.sep):
+    sys.exit(f"crystalsums was imported from {cli.__file__}")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    t = time.perf_counter()
+    code = cli.main(sys.argv[1:])
+    seconds = time.perf_counter() - t
+
+def untimed(line):
+    try:
+        report = json.loads(line)
+    except ValueError:
+        return line
+    if not isinstance(report, dict):
+        return line
+    report.pop("ms", None)
+    return json.dumps(report, sort_keys=True)
+
+text = "\\n".join(untimed(line) for line in out.getvalue().splitlines())
+print(json.dumps({"seconds": seconds, "exit": code, "sha256":
+                  hashlib.sha256(text.encode()).hexdigest()}))
+"""
+
+
+def reach_once(root: Path, argv: list[str]) -> dict:
+    """One fresh-process call of ``crystalsums argv`` in the copy ``root``."""
+    proc = subprocess.run([sys.executable, "-c", REACH_CALL, *argv],
+                          cwd=root, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{root.name} {shlex.join(argv)} exited "
+                           f"{proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_reach(roots: dict[str, Path], commands: dict[str, list[str]],
+              runs: int) -> dict:
+    """The ``reach`` section: per named command line, ``runs`` single calls
+    per side, the first side alternating."""
+    sums = {}
+    for name, argv in commands.items():
+        seconds: dict[str, list[float]] = {s: [] for s in SIDES}
+        outputs = set()
+        for run in range(1, runs + 1):
+            for side in SIDES if run % 2 else SIDES[::-1]:
+                print(f"reach {name} run {run} {side}", file=sys.stderr,
+                      flush=True)
+                got = reach_once(roots[side], argv)
+                seconds[side].append(got["seconds"])
+                outputs.add((got["exit"], got["sha256"]))
+        sums[name] = {
+            "command": shlex.join(["crystalsums", *argv]),
+            "parent_median_s": round(statistics.median(seconds["parent"]), 6),
+            "change_median_s": round(statistics.median(seconds["change"]), 6),
+            "change_lower_in": sum(c < p for p, c in zip(seconds["parent"],
+                                                         seconds["change"])),
+            "runs_per_side": runs,
+            "same_sha256": len(outputs) == 1}
+    return {"command": "one crystalsums call per fresh process through "
+                       "cli.main, seconds around the call only; the side "
+                       "that goes first alternates; same_sha256: every run "
+                       "on both sides printed the same stdout, each JSON "
+                       "object line without its timing ms, and returned the "
+                       "same exit code. Written by scripts/bench_pairs.py.",
+            "sums": sums}
+
+
+def parse_reach(values: list[str]) -> dict[str, list[str]]:
+    """The command line of each NAME=COMMAND, in order, without a leading
+    ``crystalsums``."""
+    commands = {}
+    for value in values:
+        name, sep, command = value.partition("=")
+        argv = shlex.split(command)
+        if argv[:1] == ["crystalsums"]:
+            argv = argv[1:]
+        if not (sep and name and argv) or name in commands:
+            raise ValueError(f"--reach needs a new NAME=COMMAND: {value!r}")
+        commands[name] = argv
+    return commands
 
 
 def _r(x: float) -> float:
@@ -188,10 +295,18 @@ def main(argv: list[str] | None = None) -> int:
                     help="the commit the working tree is compared with")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
+    ap.add_argument("--reach", action="append", default=[],
+                    metavar="NAME=COMMAND",
+                    help="time single `crystalsums COMMAND` calls in fresh "
+                         "processes, --pairs runs per side (repeatable)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
+    try:
+        reach_commands = parse_reach(args.reach)
+    except ValueError as exc:
+        ap.error(str(exc))
     metrics = [m["name"] for m in spec["end_to_end"]]
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
@@ -210,6 +325,10 @@ def main(argv: list[str] | None = None) -> int:
             print("error: perfbench/ or BENCHMARK.json differs between the "
                   "parent and the working tree", file=sys.stderr)
             return 1
+        # the single calls go first: a command line that fails stops the
+        # script before the long workload runs
+        reach = run_reach(roots, reach_commands, args.pairs) \
+            if reach_commands else None
         runs = run_pairs(roots, workloads, args.pairs, seconds)
 
     summary = summarize(runs, metrics)
@@ -232,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         "claimed": claim_row,
         "verdict": verdict(summary, spec["end_to_end"], claim_row),
         "summary": summary,
+        **({"reach": reach} if reach else {}),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

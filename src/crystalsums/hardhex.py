@@ -4,11 +4,13 @@ Paths are 0/1 height sequences sigma_0..sigma_L with no two adjacent 1's
 and sigma_L = 0; the unprimed family starts at 0, the primed one at 1.
 Their energy-graded counting polynomial X(L) has four independent
 evaluations (enumeration, recurrence, fermionic sum, bosonic alternating
-sum) which must coincide.
+sum) which must coincide.  The enumeration walks D'_L (the primed paths)
+once per L and keeps it: D_L is D'_L and the paths with a particle at 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
 
 from .errors import CapExceeded, ShapeSyntaxError, UnsupportedError
@@ -19,31 +21,48 @@ from .qpoly import (_PACKED, QLaurent, _dense, _packed_div,  # noqa: F401
                     _unpack, _walk_kernel, qbinomial)
 
 ENUMERATE_CAP = 24
+PRIMED_WALK_CACHE = 1  # walks of D'_L kept, least recently used
 SERIES_CAP = 200
 POLYNOMIAL_CAP = 400
 
 
-def _path_energies(L: int, primed: bool) -> list[int]:
-    """The number of paths of D_L (or D'_L) at each energy 0 .. floor(L^2 / 4).
+def _path_energies(L: int, i: int, energy: int,
+                   counts: list[int]) -> list[int]:
+    """Add to ``counts``, by energy, every path that grows from one partial
+    path: its particles so far are placed, ``energy`` is the sum of their
+    positions, and its next particle, if any, may sit at i..L-1.
 
-    A depth-first walk grows paths left to right on an explicit stack.  An
-    entry (i, energy) is a path whose particles so far are placed and whose
-    next particle, if any, may sit at i..L-1.  Popping it pushes, for each
-    such position p, the path with its next particle at p (the one after
-    may sit at p + 2 or later), then counts the path with no more particles.
+    A depth-first walk grows paths left to right on an explicit stack of
+    such entries (i, energy).  Popping one counts the path with no more
+    particles, then, for each position p of its next particle, pushes the
+    path with a particle at p (the one after may sit at p + 2 or later),
+    except at p = L - 2 and L - 1: no particle can follow there, so that
+    path is counted on the spot.  The stack holds only paths that can
+    still grow, and every path is counted by its own increment.
     """
-    counts = [0] * (L * L // 4 + 1)
-    if primed and L == 0:
-        return counts  # sigma_0 = 1 and sigma_L = 0 conflict
-    stack = [(2 if primed else 1, 0)]
+    stack = [(i, energy)]
     pop, push = stack.pop, stack.append
+    last = L - 2
     while stack:
         i, energy = pop()
-        while i < L:
+        counts[energy] += 1
+        while i < last:
             push((i + 2, energy + i))
             i += 1
-        counts[energy] += 1
+        if i == last:
+            counts[energy + i] += 1
+            counts[energy + i + 1] += 1
+        elif i == last + 1:
+            counts[energy + i] += 1
     return counts
+
+
+@lru_cache(maxsize=PRIMED_WALK_CACHE)
+def _primed_energies(L: int) -> tuple[int, ...]:
+    """The energy counts of D'_L, L >= 1: sigma_0 = 1, so its particles sit
+    at 2..L-1.  These are also the paths of D_L with no particle at 1, so
+    one walk serves X'(L) and X(L), which ``verify rr`` asks back to back."""
+    return tuple(_path_energies(L, 2, 0, [0] * (L * L // 4 + 1)))
 
 
 # The three polynomial evaluators walk on the kernel that qpoly's one
@@ -106,13 +125,21 @@ def hh_X(L: int, method: str = "recurrence", primed: bool = False) -> QLaurent:
     """The configuration sum X(L) (or X'(L)) by the chosen method.  A
     negative L raises ShapeSyntaxError and an unknown method
     UnsupportedError, as ``cli.compute_sum`` does for a sum; an L above
-    the method's cap raises CapExceeded before any work."""
+    the method's cap raises CapExceeded before any work.  ``enumerate``
+    reads D'_L from ``_primed_energies`` and, unprimed, walks only the
+    paths with a particle at 1 on top of a copy of it."""
     if L < 0:
         raise ShapeSyntaxError(f"L = {L} is negative")
     if method == "enumerate":
         if L > ENUMERATE_CAP:
             raise CapExceeded(f"enumeration capped at L = {ENUMERATE_CAP}")
-        return _dense(0, _path_energies(L, primed))
+        if not L:  # D_0 is the empty path; D'_0 is empty (sigma_0 = sigma_L)
+            return _dense(0, [0] if primed else _path_energies(0, 1, 0, [0]))
+        counts = _primed_energies(L)
+        if not primed and L > 1:
+            # D_L is D'_L and the paths with a particle at 1 (none at L = 1)
+            counts = _path_energies(L, 3, 1, list(counts))
+        return _dense(0, counts)
     if method not in ("recurrence", "fermionic", "bosonic"):
         raise UnsupportedError(f"unknown method {method!r}")
     if L > POLYNOMIAL_CAP:

@@ -125,9 +125,10 @@ class QLaurent:
     def to_json(self) -> str:
         """Canonical JSON: [[exponent, coefficient-as-string], ...], one
         pair per nonzero coefficient in increasing exponent, with no
-        spaces.  The text is built straight from the coefficient tuple."""
-        return "[" + ",".join(f'[{e},"{c}"]' for e, c
-                              in enumerate(self.coeffs, self.low) if c) + "]"
+        spaces.  The text is built straight from the coefficient tuple, by
+        joining a list: ``str.join`` builds one from a generator anyway."""
+        return "[" + ",".join([f'[{e},"{c}"]' for e, c
+                               in enumerate(self.coeffs, self.low) if c]) + "]"
 
     def __str__(self) -> str:
         if not self.coeffs:

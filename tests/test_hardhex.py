@@ -1,8 +1,12 @@
+from functools import cache
+
 import pytest
 
+from crystalsums import hardhex
 from crystalsums.errors import CapExceeded
 from crystalsums.hardhex import (ENUMERATE_CAP, POLYNOMIAL_CAP, SERIES_CAP,
                                  _alternating_series, _fermionic_series,
+                                 _path_energies, _primed_energies,
                                  hh_X, product_series, rr_series_check)
 from crystalsums.qpoly import (_LISTS, _PACKED, ONE, QLaurent, ZERO,
                                _walk_kernel, q_power, qbinomial)
@@ -30,6 +34,31 @@ class TestEnergy:
 
     def test_empty(self):
         assert hh_energy((0,)) == 0
+
+
+# (L, primed) for each L of a range, in the orders the enumeration must
+# not depend on: the kept walk of D'_L is read by the second family of one
+# L, or replaced by the next L
+ENUMERATION_ORDERS = {
+    "unprimed then primed": lambda Ls: [(L, primed) for L in Ls
+                                        for primed in (False, True)],
+    "primed first": lambda Ls: [(L, primed) for L in Ls
+                                for primed in (True, False)],
+    "descending L": lambda Ls: [(L, primed) for L in reversed(Ls)
+                                for primed in (False, True)],
+    "two L interleaved": lambda Ls: [
+        call for a, b in zip(Ls, reversed(Ls))
+        for call in ((a, False), (b, True), (a, True), (b, False))],
+}
+
+
+@cache
+def _enumeration_oracle(L, primed):
+    """X(L) by the path listing through L = 20, by the recurrence above."""
+    if L <= 20:
+        return QLaurent.from_exponents(hh_energy(p)
+                                       for p in hh_paths(L, primed))
+    return hh_X(L, "recurrence", primed)
 
 
 class TestConfigurationSums:
@@ -127,6 +156,43 @@ class TestConfigurationSums:
         for L in range(21, ENUMERATE_CAP + 1):
             assert hh_X(L, "enumerate", primed) == \
                 hh_X(L, "recurrence", primed), L
+
+    @pytest.mark.parametrize("order", ENUMERATION_ORDERS)
+    def test_enumeration_in_any_call_order(self, order):
+        # the kept walk of D'_L serves whichever family comes second, and a
+        # call at another L replaces it: the path listing through L = 20,
+        # the recurrence up to the cap, from a cold cache
+        _primed_energies.cache_clear()
+        for L, primed in ENUMERATION_ORDERS[order](range(ENUMERATE_CAP + 1)):
+            assert hh_X(L, "enumerate", primed) == _enumeration_oracle(
+                L, primed), (order, L, primed)
+
+    def test_one_walk_of_primed_paths_per_length(self, monkeypatch):
+        # in the order of `verify rr`, each L walks D'_L (from the entry
+        # (2, 0)) once and, unprimed, the paths with a particle at 1 (from
+        # (3, 1)); the primed call after it walks nothing
+        walks = []
+
+        def counted(L, i, energy, counts):
+            walks.append((L, i, energy))
+            return _path_energies(L, i, energy, counts)
+
+        monkeypatch.setattr(hardhex, "_path_energies", counted)
+        _primed_energies.cache_clear()
+        for L in range(ENUMERATE_CAP + 1):
+            hh_X(L, "enumerate")
+            before = len(walks)
+            hh_X(L, "enumerate", primed=True)
+            assert len(walks) == before, L
+        assert walks == [(0, 1, 0), (1, 2, 0)] + [
+            walk for L in range(2, ENUMERATE_CAP + 1)
+            for walk in ((L, 2, 0), (L, 3, 1))]
+        # primed first: the unprimed call walks only the paths with a
+        # particle at 1
+        walks.clear()
+        hh_X(10, "enumerate", primed=True)
+        hh_X(10, "enumerate")
+        assert walks == [(10, 2, 0), (10, 3, 1)]
 
     def test_enumeration_of_no_paths(self):
         assert hh_X(0, "enumerate", primed=True) == ZERO

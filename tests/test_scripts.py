@@ -158,3 +158,55 @@ def test_bench_pairs_verdict_of_fixed_runs():
     claim = bp.claimed(summary, "w", "wall_cal")
     assert claim["change_lower_in"] == 8
     assert bp.verdict(summary, end_to_end, claim)["claim_met"] is False
+
+
+def test_bench_pairs_reach_of_a_fixed_command():
+    # a single call of the command line per fresh process and side, timed
+    # around cli.main; both sides here are this tree, so every run prints
+    # the same stdout
+    bp = _bench_pairs()
+    commands = bp.parse_reach(["X(8)=crystalsums rr --L 8 --method enumerate",
+                               "X'(8)=rr --L 8 --method enumerate --primed",
+                               "verify=verify rr --max-L 4"])
+    assert commands == {"X(8)": ["rr", "--L", "8", "--method", "enumerate"],
+                        "X'(8)": ["rr", "--L", "8", "--method", "enumerate",
+                                  "--primed"],
+                        "verify": ["verify", "rr", "--max-L", "4"]}
+    reach = bp.run_reach({"parent": ROOT, "change": ROOT}, commands, 2)
+    assert list(reach["sums"]) == ["X(8)", "X'(8)", "verify"]
+    for name, row in reach["sums"].items():
+        assert row["command"] == " ".join(["crystalsums", *commands[name]])
+        assert row["runs_per_side"] == 2 and row["same_sha256"] is True
+        assert 0 < row["parent_median_s"] < 60
+        assert 0 < row["change_median_s"] < 60
+        assert 0 <= row["change_lower_in"] <= 2
+    for bad in (["rr --L 8"], ["X=crystalsums"], ["=rr"], ["a=rr", "a=rr"]):
+        with pytest.raises(ValueError):
+            bp.parse_reach(bad)
+
+
+def test_bench_pairs_reach_compares_output_and_exit_code(tmp_path):
+    # each copy runs its own package: a copy whose cli prints other text,
+    # or returns another exit code, breaks same_sha256; a report's own
+    # timing "ms" does not
+    bp = _bench_pairs()
+
+    def copy(name, text, code):
+        pkg = tmp_path / name / "src" / "crystalsums"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "cli.py").write_text(
+            "import json, time\n"
+            "def main(argv):\n"
+            f"    print({text!r}, *argv)\n"
+            "    print(json.dumps({'agree': True, 'ms': time.time()}))\n"
+            f"    return {code}\n")
+        return pkg.parents[1]
+
+    same = {"parent": copy("a", "x", 0), "change": copy("b", "x", 0)}
+    other_text = dict(same, change=copy("c", "y", 0))
+    other_code = dict(same, change=copy("d", "x", 1))
+    for roots, want in ((same, True), (other_text, False),
+                        (other_code, False)):
+        reach = bp.run_reach(roots, {"cmd": ["rr", "--L", "3"]}, 2)
+        assert reach["sums"]["cmd"]["same_sha256"] is want, roots

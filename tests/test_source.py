@@ -414,6 +414,20 @@ def test_direct_walk_cache_is_bounded():
     assert energy._direct_sums.cache_info().maxsize == bounds[0]
 
 
+def test_primed_walk_cache_is_bounded():
+    # the hard-hexagon enumeration's walk of D'_L outlives a call: an
+    # lru_cache of a module constant's size, private, so no tracer wraps
+    # it; the walk it keeps, _path_energies, is undecorated (see
+    # test_enumeration_reads_no_other_route)
+    from crystalsums import hardhex
+    bounds = _cache_bounds("hardhex.py", "_primed_energies")
+    assert len(bounds) == 1 and isinstance(bounds[0], int) \
+        and bounds[0] > 0, bounds
+    assert hardhex._primed_energies.cache_info().maxsize == bounds[0]
+    tree = ast.parse((PACKAGE / "hardhex.py").read_text())
+    assert not _top_functions(tree)["_path_energies"].decorator_list
+
+
 # where malformed input may be refused, with the text its message must
 # hold: the one input check, and the command line's own parsing of flags,
 # shapes, weights and config files; compute_sum refuses its statistic
