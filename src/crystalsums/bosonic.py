@@ -195,7 +195,7 @@ def alternating_sum(shape: Shape, lam: tuple[int, ...],
     data, L = _check_bosonic(shape, lam, level)
     if vanishes(data, L, lam, level):
         return ZERO
-    boxes = sum(d.boxes for d in shape)
+    boxes = sum(r * s * m for (r, s), m in L.items())
     c = None if level is None else level + data.h_dual
     lam_rho = tuple(l + r for l, r in zip(lam, data.rho))
     out = ZERO

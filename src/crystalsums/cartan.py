@@ -202,6 +202,8 @@ def simple_reflections(data: CartanData, level: int | None = None
     ident = [(j, 1, 0) for j in range(dim)]
     gens: list[Action | None] = [None]
     if level is not None:
+        # the one refusal of a negative level for reduce_to_alcove, whose
+        # walk never ends at a level <= -h_dual (c <= 0)
         check_sum(data.kind, data.n, None, level)
         c = level + data.h_dual
         rows = list(ident)

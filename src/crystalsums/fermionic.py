@@ -18,6 +18,8 @@ where the route's summand vanishes for every completion: a negative
 vacancy at an occupied site (rigged configurations, classical closed
 form) or a negative q-binomial argument on the level grid (level closed
 forms).  The walk knows no vacancy formula, so no route calls another.
+The rigged-configuration row function reports every site its sum reads
+(at a level, every grid site), so each sum walks a shape once.
 
 Each route's row function reads tables.  Across sums, the rigged-
 configuration side caches each partition's column counts Q_i
@@ -295,28 +297,31 @@ def cc_shape(kind: str, n: int, nu) -> int:
 # rigged configurations
 
 def _admitted_shapes(data: CartanData, L: LMap, lam: tuple[int, ...],
-                     max_part: int | None = None):
+                     max_part: int | None = None, grid=None):
     """Yield (nu, sites) for every admitted shape nu with the given factors
     and weight, every part at most ``max_part`` when it is given; sites
-    holds (a, i, m, P) for each occupied site: row a, actual part size i,
-    multiplicity m and vacancy number P, each vacancy read once.
+    holds (a, i, m, P) at each occupied site, or at each site (a, i) of a
+    ``grid`` whose sizes hold every part, in its order: row a, actual part
+    size i, multiplicity m and vacancy number P, each vacancy read once.
 
     A shape is admitted when every occupied site has a nonnegative vacancy
-    number; for dominant weights this is equivalent to nonnegativity
-    everywhere (the vacancy profile is concave between occupied sites).
-    The walk drops a prefix at its first occupied site with a negative
-    vacancy number, read from column counts."""
+    number.  At any weight this is nonnegativity everywhere: the vacancy
+    profile is 0 at size 0, concave between occupied sizes and
+    nondecreasing past the largest.  So the walk drops a prefix at its
+    first reported site with a negative vacancy number, read from column
+    counts, empty or not."""
     sizes = config_sizes(data, L, lam)
     if sizes is None:
         return
-
+    on_grid = None if grid is None else [
+        [i for b, i in grid if b == a] for a in range(data.n + 1)]
     memo: dict = {}
 
-    def occupied(a, row):
-        return sorted(set(row))
+    def report(a, row):
+        return sorted(set(row)) if on_grid is None else on_grid[a]
 
     def row_sites(nu, a):
-        sites = _rc_row(data, L, occupied, memo, nu, a)
+        sites = _rc_row(data, L, report, memo, nu, a)
         for site in sites:
             if site[3] < 0:
                 return None
@@ -353,8 +358,7 @@ def rc_generating_function(kind: str, n: int, L: LMap, lam: tuple[int, ...],
         return ZERO
     if level is not None:
         _, _, sites, max_part, table = _level_tables(data, L, lam, level)
-        return _level_rc_sum(data, L, lam, sites, max_part,
-                             list(dict.fromkeys(table)))
+        return _level_rc_sum(data, L, lam, sites, max_part, table)
 
     def exponents():
         for nu, sites in _admitted_shapes(data, L, lam):
@@ -480,10 +484,10 @@ def _signed_minima(vectors) -> dict[tuple, int]:
     closed forms see a subset only through that minimum, so this stands in
     for the sum over all 2^len(vectors) subsets.
 
-    Repeated vectors are dropped first: for k copies of one vector the
-    signed sum over their nonempty subsets is 1, as for a single copy."""
+    ``_level_tables`` passes distinct vectors; a repeat only costs time,
+    as k copies of one vector sum to 1 over their nonempty subsets."""
     acc: dict[tuple, int] = {}
-    for v in dict.fromkeys(vectors):
+    for v in vectors:
         nxt = dict(acc)
         for u, k in acc.items():
             m = tuple(map(min, u, v))
@@ -549,11 +553,12 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
                   level: int):
     """What both level sums of type A, or type C single-column factors,
     read: (row sizes, the generic grid, its sites (a, i) at actual part
-    sizes, the largest part, the table of correction vectors at the sites,
-    one per column-strict tableau), for a weight that ``vanishes`` does
-    not rule out, whose row sizes are then admissible.  The types differ
-    only in the tableaux (``_lambda_prime_A/C``) and the corrections they
-    make at the sites (``_corrections_A/C``)."""
+    sizes, the largest part, the distinct correction vectors at the sites
+    that the column-strict tableaux make), for a weight that ``vanishes``
+    does not rule out, whose row sizes are then admissible.  The largest
+    part is the largest grid size, so every part is at a grid site.  The
+    types differ only in the tableaux (``_lambda_prime_A/C``) and the
+    corrections they make at the sites (``_corrections_A/C``)."""
     sizes = config_sizes(data, L, lam)
     kind, n = data.kind, data.n
     lambda_prime, corrections = ((_lambda_prime_A, _corrections_A)
@@ -562,9 +567,9 @@ def _level_tables(data: CartanData, L: LMap, lam: tuple[int, ...],
     shape, alphabet = lambda_prime(n, lam)
     grid = _generic_grid(data, level)
     sites = [(a, 2 * i if kind == "C" and a == n else i) for a, i in grid]
-    table = [corrections(n, lam, level, t, sites)
-             for t in cst_enumerate(shape, alphabet)]
-    return sizes, grid, sites, 2 * level if kind == "C" else level, table
+    table = list(dict.fromkeys(corrections(n, lam, level, t, sites)
+                               for t in cst_enumerate(shape, alphabet)))
+    return sizes, grid, sites, max((i for _, i in sites), default=0), table
 
 
 def _closed_form_sum(data: CartanData, sizes: tuple[int, ...], row_sites,
@@ -601,25 +606,19 @@ def _level_rc_sum(data: CartanData, L: LMap, lam: tuple[int, ...], sites,
     rigged configurations inside the level grid whose modified vacancy
     numbers some column-strict tableau lifts to dominate every rigging
     (``_admits_tableau``), listed one by one over the shapes of
-    ``_admitted_shapes``.
+    ``_admitted_shapes`` with the vacancy at every grid site of ``sites``
+    (the columns of ``table``).
 
     The test reads a rigging only through its top part, and the statistic
     only through its size, so each site's riggings are grouped by top
     part: the test runs once per choice of tops, and every rigging of an
     admitted choice is counted.  Grid sites that nu leaves empty keep
     their vacancy number as slack."""
-    position = {site: k for k, site in enumerate(sites)}
-    on_grid = [[i for b, i in sites if b == a] for a in range(data.n + 1)]
-
-    def grid_sizes(a, row):
-        return on_grid[a]
-
-    memo: dict = {}
     counts: Counter = Counter()
-    for nu, occupied in _admitted_shapes(data, L, lam, max_part):
-        slacks = [p for a in range(1, data.n + 1) for *_, p
-                  in _rc_row(data, L, grid_sizes, memo, nu, a)]
-        where = [position[a, i] for a, i, _, _ in occupied]
+    for nu, reported in _admitted_shapes(data, L, lam, max_part, sites):
+        slacks = [p for *_, p in reported]
+        where = [k for k, site in enumerate(reported) if site[2]]
+        occupied = [reported[k] for k in where]
         shift = cc_shape(data.kind, data.n, nu) + sum(
             p * m for _, _, m, p in occupied)
         by_top = []

@@ -143,6 +143,14 @@ def test_affine_reflection_needs_level():
         simple_reflections(a1, -1)
 
 
+def test_alcove_walk_refuses_a_negative_level():
+    # simple_reflections' level check is reduce_to_alcove's only refusal of
+    # a negative level; at -1 the walk would end (one r_0 step), so this
+    # cannot hang, while at a level <= -h_dual it would never end
+    with pytest.raises(ShapeSyntaxError):
+        reduce_to_alcove(cartan_data("A", 1), (3, 1), -1)
+
+
 def test_unsupported_rank_or_type():
     for kind in ("A", "C"):
         for n in (0, -1):

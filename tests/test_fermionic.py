@@ -4,14 +4,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from crystalsums import fermionic
-from crystalsums.cartan import cartan_data, shape_type
+from crystalsums.cartan import cartan_data, shape_type, vanishes
 from crystalsums.cli import parse_shape
 from crystalsums.crystal import FactorDescriptor, enumerate_paths
 from crystalsums.energy import direct_sum
 from crystalsums.errors import CapExceeded, NonIntegralExponent
 from crystalsums.bosonic import alternating_sum
 from crystalsums.fermionic import (_admitted_shapes, _generic_grid,
-                                   _grid_row_sites, _live_shapes,
+                                   _grid_row_sites, _level_tables,
+                                   _live_shapes,
                                    _occupied_row_sites, _rc_row,
                                    _signed_minima, closed_form_F,
                                    config_sizes,
@@ -496,6 +497,80 @@ class TestRowTables:
         sums = fermionic._min_sums(tuple(2 * p for p in mu), 2, 3)
         assert sums == tuple(sum(min(x, 3 * p) for p in mu)
                              for x in range(3 * len(heights) + 1))
+
+
+@st.composite
+def level_factors_and_weights(draw):
+    """Root data, a level of 1 or 2, a multiplicity map of at most 10 boxes
+    whose factors fit the level, and a dominant weight at most the level."""
+    kind = draw(st.sampled_from("AC"))
+    n = draw(st.integers(1, 3))
+    level = draw(st.integers(1, 2))
+    keys = ([(a, i) for a in range(1, n + 2) for i in range(1, level + 1)]
+            if kind == "A" else [(a, 1) for a in range(1, n + 1)])
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2,
+                           unique=True))
+    Lmap = {key: draw(st.integers(1, 3)) for key in chosen}
+    size = sum(a * i * m for (a, i), m in Lmap.items())
+    assume(size <= 10)
+    data = cartan_data(kind, n)
+    lams = [lam for lam in (dominant_contents_A(n, size) if kind == "A"
+                            else dominant_weights_C(n, size))
+            if not vanishes(data, Lmap, lam, level)]
+    assume(lams)
+    return data, level, Lmap, draw(st.sampled_from(lams))
+
+
+class TestLevelWalk:
+    """The level rigged-configuration sum reads every grid vacancy from
+    the walk that admits a shape, so it walks each shape once."""
+
+    @given(level_factors_and_weights())
+    @settings(max_examples=80, deadline=None)
+    def test_grid_sites_hold_every_part(self, case):
+        # the grid's largest size bounds the parts, so the multiplicities
+        # reported at the grid sites add up to each row's number of parts
+        data, level, Lmap, lam = case
+        _, _, sites, max_part, _ = _level_tables(data, Lmap, lam, level)
+        for nu, grid in _admitted_shapes(data, Lmap, lam, max_part, sites):
+            assert [(a, i) for a, i, _, _ in grid] == sites
+            for a, row in enumerate(nu, start=1):
+                assert sum(m for b, _, m, _ in grid if b == a) == len(row), \
+                    (nu, a)
+
+    @given(factors_and_weights(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_empty_grid_sites_drop_no_shape(self, case, max_part):
+        # a shape is admitted by its occupied sites: the walk also drops a
+        # prefix at a negative vacancy on an empty grid site, and admits
+        # the same shapes, at any weight, dominant or not (the profile is 0
+        # at size 0, concave between parts and nondecreasing past them)
+        data, Lmap, lam = case
+        grid = [(a, i) for a in range(1, data.n + 1)
+                for i in range(1, max_part + 1)
+                if not (data.kind == "C" and a == data.n and i % 2)]
+        assert [nu for nu, _ in _admitted_shapes(data, Lmap, lam, max_part,
+                                                 grid)] == \
+            [nu for nu, _ in _admitted_shapes(data, Lmap, lam, max_part)]
+
+    def test_row_checks_per_level_sum(self, monkeypatch):
+        # C_2, (B^{1,1})^8 at level 2, weight 0: 64 row checks for the 11
+        # admitted shapes, where a second pass over each shape's 2 rows
+        # made 86
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _rc_row(*args)
+
+        monkeypatch.setattr(fermionic, "_rc_row", counted)
+        Lmap, lam = {(1, 1): 8}, (0, 0)
+        got = rc_generating_function("C", 2, Lmap, lam, 2)
+        assert len(calls) == 64
+        assert got == direct_sum(boxes("C", 2, 8), lam, 2)
+        _, _, sites, max_part, _ = _level_tables(C2, Lmap, lam, 2)
+        assert len(list(_admitted_shapes(C2, Lmap, lam, max_part,
+                                         sites))) == 11
 
 
 class TestLevelForms:

@@ -200,6 +200,31 @@ def test_rc_walk_reads_no_closed_form():
     assert not closed_form, closed_form
 
 
+def test_level_rc_sum_walks_each_shape_once():
+    # the level rigged-configuration sum reads its grid vacancies from the
+    # walk that admits each shape: past _admitted_shapes, nothing it
+    # reaches calls the row function or a vacancy of its own (the charge
+    # still reads the column counts)
+    defs = _top_functions(ast.parse((PACKAGE / "fermionic.py").read_text()))
+    names = {node.id for node in ast.walk(defs["_level_rc_sum"])
+             if isinstance(node, ast.Name)}
+    assert "_admitted_shapes" in names
+    reached, used = _reached("fermionic.py",
+                             sorted(names & set(defs) - {"_admitted_shapes"}))
+    second = (names | used) & {"_rc_row", "vacancy"}
+    assert not second, second
+
+
+def test_alternating_sum_reads_its_shape_once():
+    # past the entry check, the alternating sum reads the factors L that
+    # the check returns, never the shape again
+    defs = _top_functions(ast.parse((PACKAGE / "bosonic.py").read_text()))
+    reads = [node.lineno for node in ast.walk(defs["alternating_sum"])
+             if isinstance(node, ast.Name) and node.id == "shape"
+             and isinstance(node.ctx, ast.Load)]
+    assert len(reads) == 1, reads
+
+
 def test_closed_forms_read_no_rc_walk():
     # the mirror of test_rc_walk_reads_no_closed_form: the closed forms
     # share only the shape walk with the rigged-configuration route, and
